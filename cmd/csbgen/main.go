@@ -20,6 +20,7 @@ import (
 
 	"csb"
 	"csb/internal/core"
+	"csb/internal/kronfit"
 	"csb/internal/scenario"
 	"csb/internal/serve"
 )
@@ -202,16 +203,28 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var generator csb.Generator
+	var pgsk *csb.PGSK
 	switch *gen {
 	case "pgpba":
 		generator = &csb.PGPBA{Fraction: *fraction, Seed: *rngSeed, Cluster: c}
 	case "pgsk":
-		generator = &csb.PGSK{Seed: *rngSeed, Cluster: c}
+		pgsk = &csb.PGSK{Seed: *rngSeed, Cluster: c}
+		generator = pgsk
 	default:
 		return fmt.Errorf("unknown generator %q (want pgpba or pgsk)", *gen)
 	}
 
 	start := time.Now()
+	var fit *kronfit.Result
+	if pgsk != nil {
+		// Generate would run the same fit and drop its diagnostics; -stages
+		// reports them.
+		var err error
+		if fit, err = pgsk.FitResult(seed); err != nil {
+			return err
+		}
+		pgsk.Initiator = &fit.Initiator
+	}
 	g, err := generator.Generate(seed, *edges)
 	if err != nil {
 		return err
@@ -277,6 +290,10 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintln(stdout, "# Stage table")
 			if err := tracer.WriteStageTable(stdout); err != nil {
 				return err
+			}
+			if fit != nil {
+				fmt.Fprintf(stdout, "kronfit: k=%d, %d simple edges, %d swap proposals (%d kept), %d term evaluations, %d log calls\n",
+					fit.K, fit.SimpleEdges, fit.Swaps, fit.Accepted, fit.TermEvals, fit.LogCalls)
 			}
 		}
 	}

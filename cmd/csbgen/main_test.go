@@ -71,6 +71,28 @@ func TestRunPGSKFromSeedFile(t *testing.T) {
 	if !strings.Contains(out.String(), "PGSK generated") {
 		t.Fatalf("output: %q", out.String())
 	}
+	if strings.Contains(out.String(), "kronfit:") {
+		t.Fatalf("work counters printed without -stages: %q", out.String())
+	}
+
+	// -stages appends the fit's work counters to the stage table, and they
+	// repeat exactly.
+	var first, second bytes.Buffer
+	for _, w := range []*bytes.Buffer{&first, &second} {
+		if err := run([]string{"-seed-graph", seedPath, "-gen", "pgsk", "-edges", "3000", "-seed", "5", "-stages"}, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := func(s string) string {
+		_, line, ok := strings.Cut(s, "\nkronfit: ")
+		if !ok || !strings.Contains(line, "term evaluations") {
+			t.Fatalf("no kronfit counter line after the stage table: %q", s)
+		}
+		return line
+	}
+	if a, b := counters(first.String()), counters(second.String()); a != b {
+		t.Fatalf("work counters differ between runs:\n%s%s", a, b)
+	}
 }
 
 func TestRunOnVirtualCluster(t *testing.T) {

@@ -43,15 +43,21 @@ func (p *PGSK) Name() string { return "PGSK" }
 // FitSeed runs the KronFit stage alone and returns the fitted initiator,
 // so callers sweeping many sizes can pay for the fit once.
 func (p *PGSK) FitSeed(seed *Seed) (kronecker.Initiator, error) {
-	cfg := p.Fit
-	if cfg.Seed == 0 {
-		cfg.Seed = p.Seed
-	}
-	res, err := kronfit.FitForGeneration(seed.Graph, cfg)
+	res, err := p.FitResult(seed)
 	if err != nil {
 		return kronecker.Initiator{}, err
 	}
 	return res.Initiator, nil
+}
+
+// FitResult is FitSeed keeping the fit's diagnostics: likelihoods and the
+// deterministic work counters.
+func (p *PGSK) FitResult(seed *Seed) (*kronfit.Result, error) {
+	cfg := p.Fit
+	if cfg.Seed == 0 {
+		cfg.Seed = p.Seed
+	}
+	return kronfit.FitForGeneration(seed.Graph, cfg)
 }
 
 // Generate implements Generator following Figure 3.

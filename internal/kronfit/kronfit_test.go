@@ -19,6 +19,55 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
+func TestFitRejectsBadConfig(t *testing.T) {
+	g, err := kronecker.Generate(kronecker.DefaultInitiator(), 5, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := func(th00 float64) kronecker.Initiator {
+		return kronecker.Initiator{Theta: [4]float64{th00, 0.5, 0.5, 0.1}}
+	}
+	bad := map[string]Config{
+		"negative Iterations":     {Iterations: -1},
+		"negative PermSamples":    {PermSamples: -1},
+		"negative SwapsPerSample": {SwapsPerSample: -1},
+		"MinTheta = 0.5":          {MinTheta: 0.5},
+		"MinTheta > 0.5":          {MinTheta: 0.7},
+		"negative MinTheta":       {MinTheta: -0.01},
+		"NaN MinTheta":            {MinTheta: math.NaN()},
+		"negative LearningRate":   {LearningRate: -0.05},
+		"NaN LearningRate":        {LearningRate: math.NaN()},
+		"+Inf LearningRate":       {LearningRate: math.Inf(1)},
+		"-Inf LearningRate":       {LearningRate: math.Inf(-1)},
+		"Init entry = 0":          {Init: init(0)},
+		"Init entry = 1":          {Init: init(1)},
+		"Init entry > 1":          {Init: init(1.5)},
+		"negative Init entry":     {Init: init(-0.2)},
+		"NaN Init entry":          {Init: init(math.NaN())},
+	}
+	for name, cfg := range bad {
+		cfg.Seed = 1
+		if res, err := Fit(g, cfg); err == nil {
+			t.Errorf("%s: accepted, fitted %v", name, res.Initiator)
+		}
+		if _, err := FitForGeneration(g, cfg); err == nil {
+			t.Errorf("%s: accepted by FitForGeneration", name)
+		}
+	}
+	// The bounds themselves are open: values just inside them fit.
+	good := map[string]Config{
+		"zero value":           {},
+		"one of everything":    {Iterations: 1, PermSamples: 1, SwapsPerSample: 1},
+		"MinTheta below 0.5":   {Iterations: 2, MinTheta: 0.49},
+		"Init near the bounds": {Iterations: 2, Init: kronecker.Initiator{Theta: [4]float64{1 - 1e-9, 1e-9, 0.5, 0.5}}},
+	}
+	for name, cfg := range good {
+		if _, err := Fit(g, cfg); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestBitsFor(t *testing.T) {
 	cases := map[int64]int{2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11}
 	for n, want := range cases {

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -51,8 +50,6 @@ func main() {
 		stageTab  = flag.Bool("stages", false, "print the stage table after cluster experiments (fig8-12)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		jsonMode  = flag.Bool("json", false, "run the hot-path benchmark suite and write a machine-readable JSON report")
-		jsonOut   = flag.String("json-out", "BENCH_PR10.json", "output path for the -json benchmark report")
 	)
 	flag.Parse()
 
@@ -70,11 +67,6 @@ func main() {
 
 	seed := buildSeed(*hosts, *sessions, *rngSeed)
 	log.Printf("seed: %d vertices, %d edges", seed.Graph.NumVertices(), seed.Graph.NumEdges())
-
-	if *jsonMode {
-		hotpathJSON(seed, *rngSeed, *jsonOut)
-		return
-	}
 
 	sizes := parseInt64s(*sizesArg)
 	fractions := parseFloats(*fracArg)
@@ -118,58 +110,6 @@ func main() {
 	}
 	run()
 	finishTrace(tracer, *traceOut, *stageTab)
-}
-
-// hotpathJSON runs the hot-path benchmark suite (generators end-to-end,
-// shuffle, flow assembly, replay fan-out), prints a human-readable table, and
-// writes the machine-readable report CI archives as a benchmark baseline.
-func hotpathJSON(seed *core.Seed, rngSeed uint64, out string) {
-	rep, err := bench.Hotpath(seed, rngSeed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Distributed sweep: one fixed-seed generation job at 1/2/4 local
-	// workers, digest-checked against in-process, folded into the report
-	// with the worker count next to num_cpu/gomaxprocs.
-	workerCounts := []int{1, 2, 4}
-	distRows, err := bench.DistSweep(200_000, workerCounts, rngSeed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep.WorkerCounts = workerCounts
-	for _, d := range distRows {
-		if !d.DigestMatch {
-			log.Fatalf("dist sweep at %d workers diverged from the in-process artifact", d.Workers)
-		}
-		name := "dist-build-inproc"
-		if d.Workers > 0 {
-			name = fmt.Sprintf("dist-build-w%d", d.Workers)
-		}
-		rep.Results = append(rep.Results, bench.HotpathResult{
-			Name:        name,
-			Iterations:  1,
-			NsPerOp:     d.WallSeconds * 1e9,
-			Items:       d.Edges,
-			ItemsPerSec: d.EdgesPerSec,
-			Unit:        "edges",
-			Workers:     d.Workers,
-		})
-	}
-	fmt.Println("# Hot-path benchmark suite")
-	fmt.Println("name\tns_per_op\tB_per_op\tallocs_per_op\titems_per_sec\tunit")
-	for _, r := range rep.Results {
-		fmt.Printf("%s\t%.0f\t%d\t%d\t%.0f\t%s/sec\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.ItemsPerSec, r.Unit)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %d benchmark results to %s", len(rep.Results), out)
 }
 
 // startCPUProfile begins pprof CPU capture; the returned func stops it.

@@ -85,28 +85,9 @@ func run(args []string, stdout io.Writer) error {
 		// background runs on the same optional cluster a plain generation
 		// would, so -fault-rate exercises the fault model on labeled
 		// artifacts too — without changing their bytes.
-		var faults *csb.FaultPlan
-		if *faultRate > 0 {
-			faults = csb.NewFaultPlan(*faultSeed, *faultRate)
-		}
-		var c *csb.Cluster
-		if *nodes > 1 || *cores > 0 || faults != nil || *specExec || *taskRetry != 0 {
-			coresPerNode := *cores
-			if coresPerNode == 0 {
-				if *nodes > 1 {
-					coresPerNode = 4
-				} else {
-					coresPerNode = runtime.GOMAXPROCS(0)
-				}
-			}
-			var err error
-			c, err = csb.NewCluster(csb.ClusterConfig{
-				Nodes: *nodes, CoresPerNode: coresPerNode,
-				MaxTaskRetries: *taskRetry, Speculation: *specExec, Faults: faults,
-			})
-			if err != nil {
-				return err
-			}
+		c, err := clusterFromFlags(*nodes, *cores, nil, *faultRate, *faultSeed, *taskRetry, *specExec)
+		if err != nil {
+			return err
 		}
 		return runScenario(*scenIn, *scenOut, c, stdout)
 	}
@@ -172,34 +153,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "seed: %d vertices, %d edges\n", seed.Graph.NumVertices(), seed.Graph.NumEdges())
 
-	var faults *csb.FaultPlan
-	if *faultRate > 0 {
-		faults = csb.NewFaultPlan(*faultSeed, *faultRate)
-	}
-
-	// Tracing and the fault-tolerance knobs need an explicit cluster even in
-	// the default single-node setup, so the engine has somewhere to put them.
-	// Chaos flags keep the default topology: partitioning (and therefore
-	// output bytes) must stay identical to a clean run for the byte-identity
-	// check to mean anything.
-	var c *csb.Cluster
-	if *nodes > 1 || *cores > 0 || tracer != nil || faults != nil || *specExec || *taskRetry != 0 {
-		coresPerNode := *cores
-		if coresPerNode == 0 {
-			if *nodes > 1 {
-				coresPerNode = 4
-			} else {
-				coresPerNode = runtime.GOMAXPROCS(0)
-			}
-		}
-		var err error
-		cfg := csb.ClusterConfig{
-			Nodes: *nodes, CoresPerNode: coresPerNode, Tracer: tracer,
-			MaxTaskRetries: *taskRetry, Speculation: *specExec, Faults: faults,
-		}
-		if c, err = csb.NewCluster(cfg); err != nil {
-			return err
-		}
+	c, err := clusterFromFlags(*nodes, *cores, tracer, *faultRate, *faultSeed, *taskRetry, *specExec)
+	if err != nil {
+		return err
 	}
 
 	var generator csb.Generator
@@ -306,6 +262,34 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// clusterFromFlags builds the explicit cluster the topology, tracing and
+// fault-tolerance flags ask for, or nil when none is set (generators then run
+// on their implicit local cluster). Tracing and the fault-tolerance knobs need
+// an explicit cluster even in the default single-node setup, so the engine has
+// somewhere to put them; they keep the default topology, because partitioning
+// (and therefore output bytes) must stay identical to a clean run for the
+// byte-identity check to mean anything.
+func clusterFromFlags(nodes, cores int, tracer *csb.Tracer, faultRate float64, faultSeed uint64, retries int, speculation bool) (*csb.Cluster, error) {
+	var faults *csb.FaultPlan
+	if faultRate > 0 {
+		faults = csb.NewFaultPlan(faultSeed, faultRate)
+	}
+	if nodes <= 1 && cores <= 0 && tracer == nil && faults == nil && !speculation && retries == 0 {
+		return nil, nil
+	}
+	if cores == 0 {
+		if nodes > 1 {
+			cores = 4
+		} else {
+			cores = runtime.GOMAXPROCS(0)
+		}
+	}
+	return csb.NewCluster(csb.ClusterConfig{
+		Nodes: nodes, CoresPerNode: cores, Tracer: tracer,
+		MaxTaskRetries: retries, Speculation: speculation, Faults: faults,
+	})
 }
 
 // runScenario compiles a scenario spec into its labeled artifact, printing

@@ -6,7 +6,6 @@ import (
 	"csb/internal/core"
 	"csb/internal/genmodels"
 	"csb/internal/graph"
-	"csb/internal/pagerank"
 	"csb/internal/stats"
 )
 
@@ -34,27 +33,19 @@ type BaselinePoint struct {
 // dominate the structure-free baselines (ER, WS), which is the quantitative
 // version of the paper's Section II argument.
 func Baselines(seed *core.Seed, synEdges int64, rngSeed uint64) ([]BaselinePoint, error) {
-	seedDeg := seed.Graph.Degrees()
-	seedPR, err := pagerank.Compute(seed.Graph, pagerank.Options{})
+	veracity, err := veracityScorer(seed)
 	if err != nil {
 		return nil, err
 	}
+	seedDeg := seed.Graph.Degrees()
 	var out []BaselinePoint
 	score := func(model string, g *graph.Graph) error {
-		deg, err := stats.VeracityScoreInt(seedDeg, g.Degrees())
-		if err != nil {
-			return err
-		}
-		pr, err := pagerank.Compute(g, pagerank.Options{})
-		if err != nil {
-			return err
-		}
-		prScore, err := stats.VeracityScore(seedPR.Ranks, pr.Ranks)
+		deg, pr, err := veracity(g)
 		if err != nil {
 			return err
 		}
 		out = append(out, BaselinePoint{Model: model, Edges: g.NumEdges(),
-			Degree: deg, PageRank: prScore,
+			Degree: deg, PageRank: pr,
 			DegreeKS:  stats.KSDistance(normalizedDegreeSample(seedDeg), normalizedDegreeSample(g.Degrees())),
 			TailRatio: tailRatio(g.Degrees())})
 		return nil

@@ -148,31 +148,48 @@ type VeracityPoint struct {
 	PageRank  float64 // PageRank veracity score (Figure 7)
 }
 
-// Veracity runs the Figure 6/7 sweep: PGSK plus PGPBA at each fraction, over
-// the given target sizes, scoring degree and PageRank veracity against the
-// seed.
-func Veracity(seed *core.Seed, sizes []int64, fractions []float64, rngSeed uint64) ([]VeracityPoint, error) {
+// veracityScorer returns a function scoring a synthetic graph's degree and
+// PageRank veracity against the seed; the seed's degrees and ranks are
+// computed once.
+func veracityScorer(seed *core.Seed) (func(g *graph.Graph) (degree, pageRank float64, err error), error) {
 	seedDeg := seed.Graph.Degrees()
 	seedPR, err := pagerank.Compute(seed.Graph, pagerank.Options{})
 	if err != nil {
 		return nil, err
 	}
-	var out []VeracityPoint
-	score := func(gen string, fraction float64, g *graph.Graph) error {
+	return func(g *graph.Graph) (float64, float64, error) {
 		deg, err := stats.VeracityScoreInt(seedDeg, g.Degrees())
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		pr, err := pagerank.Compute(g, pagerank.Options{})
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		prScore, err := stats.VeracityScore(seedPR.Ranks, pr.Ranks)
+		if err != nil {
+			return 0, 0, err
+		}
+		return deg, prScore, nil
+	}, nil
+}
+
+// Veracity runs the Figure 6/7 sweep: PGSK plus PGPBA at each fraction, over
+// the given target sizes, scoring degree and PageRank veracity against the
+// seed.
+func Veracity(seed *core.Seed, sizes []int64, fractions []float64, rngSeed uint64) ([]VeracityPoint, error) {
+	veracity, err := veracityScorer(seed)
+	if err != nil {
+		return nil, err
+	}
+	var out []VeracityPoint
+	score := func(gen string, fraction float64, g *graph.Graph) error {
+		deg, pr, err := veracity(g)
 		if err != nil {
 			return err
 		}
 		out = append(out, VeracityPoint{Generator: gen, Fraction: fraction,
-			Edges: g.NumEdges(), Degree: deg, PageRank: prScore})
+			Edges: g.NumEdges(), Degree: deg, PageRank: pr})
 		return nil
 	}
 	pgsk, err := pgskWithFit(seed, nil, rngSeed)

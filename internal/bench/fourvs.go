@@ -5,7 +5,6 @@ import (
 
 	"csb/internal/core"
 	"csb/internal/graph"
-	"csb/internal/pagerank"
 	"csb/internal/stats"
 )
 
@@ -55,8 +54,7 @@ func EvaluateFourVs(seed *core.Seed, synEdges int64, rngSeed uint64) ([]FourVs, 
 	seedPS, seedDP := attrSamplesOf(seed.Graph)
 	seedPSEntropy := stats.ShannonEntropy(seedPS)
 	seedDPEntropy := stats.ShannonEntropy(seedDP)
-	seedDeg := seed.Graph.Degrees()
-	seedPR, err := pagerank.Compute(seed.Graph, pagerank.Options{})
+	veracity, err := veracityScorer(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -79,15 +77,7 @@ func EvaluateFourVs(seed *core.Seed, synEdges int64, rngSeed uint64) ([]FourVs, 
 		elapsed := time.Since(start).Seconds()
 
 		ps, dp := attrSamplesOf(g)
-		dv, err := stats.VeracityScoreInt(seedDeg, g.Degrees())
-		if err != nil {
-			return nil, err
-		}
-		pr, err := pagerank.Compute(g, pagerank.Options{})
-		if err != nil {
-			return nil, err
-		}
-		pv, err := stats.VeracityScore(seedPR.Ranks, pr.Ranks)
+		dv, pv, err := veracity(g)
 		if err != nil {
 			return nil, err
 		}

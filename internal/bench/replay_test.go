@@ -8,7 +8,7 @@ import (
 	"csb/internal/replay"
 )
 
-// fanoutFlows builds the same ~20k-flow dataset the hot-path suite replays.
+// fanoutFlows builds the ~20k-flow dataset the fan-out benchmarks replay.
 func fanoutFlows(t testing.TB) []netflow.Flow {
 	t.Helper()
 	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(60, 1500, DefaultSeed))
@@ -23,8 +23,8 @@ func fanoutFlows(t testing.TB) []netflow.Flow {
 }
 
 // BenchmarkReplayBatchFanout measures the 4-subscriber loopback fan-out at
-// the maximum wire batch — the replay-batch-fanout row of the hot-path
-// report, runnable standalone under `go test -bench`.
+// the maximum wire batch; the gap to the DefaultBatchLen fan-out is the
+// remaining per-frame cost.
 func BenchmarkReplayBatchFanout(b *testing.B) {
 	flows := fanoutFlows(b)
 	b.ReportAllocs()
@@ -42,8 +42,8 @@ func BenchmarkReplayBatchFanout(b *testing.B) {
 
 // replayFanoutAllocCeiling is the committed allocation budget for the
 // default-batching 4-subscriber fan-out. The measured figure is ~6.8k
-// allocs/op at DefaultBatchLen (down from ~357k with v1 single-flow frames —
-// the BENCH_PR5 baseline); the ceiling leaves ~3x headroom for runtime noise
+// allocs/op at DefaultBatchLen (down from ~357k with v1 single-flow
+// frames); the ceiling leaves ~3x headroom for runtime noise
 // while still failing loudly if per-flow allocations creep back into the
 // frame path.
 const replayFanoutAllocCeiling = 20_000

@@ -45,22 +45,9 @@ type Config struct {
 	DefaultPartitions int
 	// MaxParallel bounds real OS-level parallelism (0 means GOMAXPROCS).
 	MaxParallel int
-	// PlatformOverheadBytes is the fixed per-node memory overhead charged
-	// by the platform (Spark's baseline footprint in the paper, visible as
-	// the flat left region of Figure 11).
-	PlatformOverheadBytes int64
-	// RecordStages keeps a per-stage log in Metrics.StageLog for
-	// performance analysis of generator pipelines.
-	RecordStages bool
-	// ShuffleCoordPerPartition is the serial coordination cost charged per
-	// partition for every shuffle (Distinct): the driver-side bookkeeping
-	// that keeps shuffle-heavy pipelines slightly below ideal speedup as
-	// partition counts grow. Defaults to 300ns — far below a real Spark
-	// driver's, so it bounds rather than dominates.
-	ShuffleCoordPerPartition time.Duration
-	// Tracer, when non-nil, receives every stage span this cluster executes
-	// (independent of RecordStages). One Tracer may be shared by several
-	// clusters; each gets its own trace lane.
+	// Tracer, when non-nil, receives every stage span this cluster executes.
+	// One Tracer may be shared by several clusters; each gets its own trace
+	// lane.
 	Tracer *Tracer
 	// Context, when non-nil, bounds every stage this cluster executes: once
 	// it is cancelled (or its deadline passes), running stages stop picking
@@ -80,14 +67,11 @@ type Config struct {
 	RetryBackoff time.Duration
 	// Speculation enables straggler mitigation: once at least half of a
 	// stage's tasks have finished, any task running longer than
-	// SpeculationQuantile times the median task time gets a duplicate
+	// DefaultSpeculationQuantile times the median task time gets a duplicate
 	// attempt, and whichever attempt commits first wins. Output is
 	// unaffected — duplicates race only for the commit slot, never the
 	// result bytes.
 	Speculation bool
-	// SpeculationQuantile is the straggler threshold multiple over the
-	// median committed-task runtime (0 means DefaultSpeculationQuantile).
-	SpeculationQuantile float64
 	// Faults, when non-nil, deterministically injects panics, transient
 	// errors and straggler delays into task attempts for chaos testing. It
 	// never alters committed output, only the attempt schedule.
@@ -101,8 +85,7 @@ type Config struct {
 
 // StageRecord is one executed stage span: what operation ran, under which
 // caller-propagated label, how its tasks behaved, and what it cost in real
-// and virtual time. It is kept in Metrics.StageLog when Config.RecordStages
-// is set and streamed to Config.Tracer when one is attached.
+// and virtual time. It is streamed to Config.Tracer when one is attached.
 type StageRecord struct {
 	Seq    int64  // 1-based stage sequence number within the cluster
 	Op     string // engine operation ("map", "distinct.merge", "shuffle.coord", ...)
@@ -132,10 +115,18 @@ type StageRecord struct {
 	Remote         int // attempts that executed on a remote worker
 }
 
-// DefaultPlatformOverheadBytes is the per-node platform overhead used when
-// Config.PlatformOverheadBytes is zero: the paper observes ~10 GB on 512 GB
-// nodes; scaled to laptop-size experiments this is 64 MiB.
+// DefaultPlatformOverheadBytes is the fixed per-node memory overhead charged
+// by the platform (Spark's baseline footprint in the paper, visible as the
+// flat left region of Figure 11): the paper observes ~10 GB on 512 GB nodes;
+// scaled to laptop-size experiments this is 64 MiB.
 const DefaultPlatformOverheadBytes = 64 << 20
+
+// shuffleCoordPerPartition is the serial coordination cost charged per
+// partition for every shuffle (Distinct): the driver-side bookkeeping that
+// keeps shuffle-heavy pipelines slightly below ideal speedup as partition
+// counts grow. Far below a real Spark driver's, so it bounds rather than
+// dominates.
+const shuffleCoordPerPartition = 300 * time.Nanosecond
 
 // Metrics accumulates the virtual-time and memory accounting of a cluster.
 type Metrics struct {
@@ -162,8 +153,6 @@ type Metrics struct {
 	// RemoteTasks counts task attempts executed on a remote worker via the
 	// configured TaskExecutor.
 	RemoteTasks int64
-	// StageLog holds per-stage records when Config.RecordStages is set.
-	StageLog []StageRecord
 }
 
 // Cluster executes dataset operations. Create with New; safe for use from a
@@ -205,12 +194,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.MaxParallel < 0 {
 		return nil, fmt.Errorf("cluster: MaxParallel must be positive")
 	}
-	if cfg.PlatformOverheadBytes == 0 {
-		cfg.PlatformOverheadBytes = DefaultPlatformOverheadBytes
-	}
-	if cfg.ShuffleCoordPerPartition == 0 {
-		cfg.ShuffleCoordPerPartition = 300 * time.Nanosecond
-	}
 	if cfg.MaxTaskRetries == 0 {
 		cfg.MaxTaskRetries = DefaultMaxTaskRetries
 	} else if cfg.MaxTaskRetries < 0 {
@@ -220,12 +203,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	} else if cfg.RetryBackoff < 0 {
 		cfg.RetryBackoff = 0
-	}
-	if cfg.SpeculationQuantile == 0 {
-		cfg.SpeculationQuantile = DefaultSpeculationQuantile
-	}
-	if cfg.SpeculationQuantile < 1 {
-		return nil, fmt.Errorf("cluster: SpeculationQuantile must be >= 1, got %g", cfg.SpeculationQuantile)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(); err != nil {
@@ -486,7 +463,7 @@ func (c *Cluster) runSerial(op string, fn func()) {
 // chargeShuffleCoord charges the serial shuffle-coordination cost for a
 // shuffle over p partitions without executing anything.
 func (c *Cluster) chargeShuffleCoord(p int) {
-	d := time.Duration(p) * c.cfg.ShuffleCoordPerPartition
+	d := time.Duration(p) * shuffleCoordPerPartition
 	now := time.Now()
 	rec := StageRecord{
 		Op: "shuffle.coord", Tasks: 0, Serial: true,
@@ -500,16 +477,13 @@ func (c *Cluster) chargeShuffleCoord(p int) {
 }
 
 // commit stamps rec with its sequence number and label, folds the stage into
-// the metrics under the lock, and forwards the span to the log and tracer.
+// the metrics under the lock, and forwards the span to the tracer.
 func (c *Cluster) commit(rec StageRecord, fold func(m *Metrics)) {
 	c.mu.Lock()
 	c.metrics.Stages++
 	rec.Seq = c.metrics.Stages
 	rec.Label = strings.Join(c.labels, "/")
 	fold(&c.metrics)
-	if c.cfg.RecordStages {
-		c.metrics.StageLog = append(c.metrics.StageLog, rec)
-	}
 	c.mu.Unlock()
 	if c.cfg.Tracer != nil {
 		c.cfg.Tracer.add(c.tracerID, c.epoch.Add(rec.Start), rec)
@@ -541,7 +515,7 @@ func taskStats(durations []time.Duration) (min, max, mean time.Duration, skew fl
 
 // chargeMemory records the footprint of live bytes spread across the nodes.
 func (c *Cluster) chargeMemory(liveBytes int64) {
-	perNode := liveBytes/int64(c.cfg.Nodes) + c.cfg.PlatformOverheadBytes
+	perNode := liveBytes/int64(c.cfg.Nodes) + DefaultPlatformOverheadBytes
 	c.mu.Lock()
 	if perNode > c.metrics.PeakBytesPerNode {
 		c.metrics.PeakBytesPerNode = perNode

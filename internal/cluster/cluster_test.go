@@ -33,9 +33,6 @@ func TestNewDefaults(t *testing.T) {
 	if cfg.MaxParallel <= 0 {
 		t.Errorf("MaxParallel = %d", cfg.MaxParallel)
 	}
-	if cfg.PlatformOverheadBytes != DefaultPlatformOverheadBytes {
-		t.Errorf("overhead = %d", cfg.PlatformOverheadBytes)
-	}
 	if c.VirtualCores() != 12 {
 		t.Errorf("VirtualCores = %d, want 12", c.VirtualCores())
 	}
@@ -133,13 +130,14 @@ func TestVirtualScalingReducesMakespan(t *testing.T) {
 }
 
 func TestChargeMemory(t *testing.T) {
-	c := MustNew(Config{Nodes: 4, CoresPerNode: 1, PlatformOverheadBytes: 100})
+	c := MustNew(Config{Nodes: 4, CoresPerNode: 1})
+	const want = 4000/4 + DefaultPlatformOverheadBytes
 	c.chargeMemory(4000)
-	if got := c.Metrics().PeakBytesPerNode; got != 1100 {
-		t.Fatalf("PeakBytesPerNode = %d, want 4000/4+100", got)
+	if got := c.Metrics().PeakBytesPerNode; got != want {
+		t.Fatalf("PeakBytesPerNode = %d, want 4000/4 + overhead", got)
 	}
 	c.chargeMemory(400) // smaller: peak unchanged
-	if got := c.Metrics().PeakBytesPerNode; got != 1100 {
+	if got := c.Metrics().PeakBytesPerNode; got != want {
 		t.Fatalf("peak decreased: %d", got)
 	}
 }

@@ -421,9 +421,9 @@ func Distinct[T any, K comparable](in *Dataset[T], key func(T) K, shard func(K) 
 		buckets[i] = bkts
 	})
 	// Shuffle barrier: the driver-side coordination is charged per
-	// partition (Config.ShuffleCoordPerPartition); it is the term that
-	// keeps distinct-heavy pipelines (PGSK) slightly below ideal speedup
-	// as partition counts grow with the cluster.
+	// partition (shuffleCoordPerPartition); it is the term that keeps
+	// distinct-heavy pipelines (PGSK) slightly below ideal speedup as
+	// partition counts grow with the cluster.
 	in.c.chargeShuffleCoord(p)
 	shardW := shardWeights(buckets, p)
 	merged := make([][]T, p)

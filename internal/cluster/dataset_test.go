@@ -316,12 +316,13 @@ func TestShuffleCoordCharged(t *testing.T) {
 	}
 }
 
-func TestRecordStages(t *testing.T) {
-	c := MustNew(Config{Nodes: 1, CoresPerNode: 2, DefaultPartitions: 4, RecordStages: true})
+func TestTracerStageSequence(t *testing.T) {
+	tr := NewTracer()
+	c := MustNew(Config{Nodes: 1, CoresPerNode: 2, DefaultPartitions: 4, Tracer: tr})
 	d := Parallelize(c, seq(100), 4)
 	Map(d, func(x int) int { return x + 1 })
 	Distinct(d, func(x int) int { return x }, func(k int) uint64 { return uint64(k) })
-	log := c.Metrics().StageLog
+	log := tr.Spans()
 	if len(log) != 4 { // map + distinct phase1 + coord + phase2
 		t.Fatalf("stage log has %d entries: %+v", len(log), log)
 	}

@@ -498,15 +498,11 @@ func (st *stageRun) backoffFor(att taskAttempt) time.Duration {
 }
 
 // speculate is the straggler monitor: once at least half the stage's tasks
-// have committed, any running task older than SpeculationQuantile times the
-// median committed runtime is duplicated (once). Whichever attempt reaches
-// the commit gate first wins; the loser observes the committed flag and
-// discards itself.
+// have committed, any running task older than DefaultSpeculationQuantile
+// times the median committed runtime is duplicated (once). Whichever attempt
+// reaches the commit gate first wins; the loser observes the committed flag
+// and discards itself.
 func (st *stageRun) speculate(ctxDone <-chan struct{}) {
-	quantile := st.c.cfg.SpeculationQuantile
-	if quantile <= 0 {
-		quantile = DefaultSpeculationQuantile
-	}
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -531,7 +527,7 @@ func (st *stageRun) speculate(ctxDone <-chan struct{}) {
 		}
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 		median := durs[len(durs)/2]
-		threshold := time.Duration(quantile * float64(median))
+		threshold := time.Duration(DefaultSpeculationQuantile * float64(median))
 		if threshold < speculationFloor {
 			threshold = speculationFloor
 		}

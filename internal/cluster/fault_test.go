@@ -201,9 +201,10 @@ func TestSpeculationDuplicatesStragglers(t *testing.T) {
 // in the stage stats, and Metrics.Tasks must count only executed tasks.
 func TestCancelledStageStatsExcludeUnstartedTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	tr := NewTracer()
 	c := MustNew(Config{
 		Nodes: 1, CoresPerNode: 1, MaxParallel: 1,
-		RecordStages: true, RetryBackoff: -1, Context: ctx,
+		Tracer: tr, RetryBackoff: -1, Context: ctx,
 	})
 	ran := 0
 	c.runStage(stageSpec{op: "test"}, 8, func(i int) {
@@ -214,10 +215,11 @@ func TestCancelledStageStatsExcludeUnstartedTasks(t *testing.T) {
 		}
 	})
 	m := c.Metrics()
-	if len(m.StageLog) != 1 {
-		t.Fatalf("stage log = %+v", m.StageLog)
+	spans := tr.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("stage spans = %+v", spans)
 	}
-	rec := m.StageLog[0]
+	rec := spans[0]
 	if rec.Tasks != 8 {
 		t.Errorf("Tasks = %d, want stage size 8", rec.Tasks)
 	}

@@ -1,14 +1,13 @@
 package cluster
 
 // Hot-path micro-benchmarks for the engine operations the generators spend
-// their time in. These are the per-op counterpart of the end-to-end suite in
-// internal/bench/hotpath.go: run them with
+// their time in. These are the per-op counterpart of the end-to-end
+// workloads in benchmark/: run them with
 //
 //	go test -bench=. -benchmem ./internal/cluster/
 //
-// and compare B/op and allocs/op across changes. BENCH_PR5.json (written by
-// csbbench -json) records the end-to-end trajectory; these isolate the
-// shuffle and element-wise paths.
+// and compare B/op and allocs/op across changes. `go run ./benchmark` records
+// the end-to-end numbers; these isolate the shuffle and element-wise paths.
 
 import (
 	"testing"

@@ -1,6 +1,7 @@
 // Package rows makes artifact row encoding remotable: a partition of binary
-// edge (or flow) records becomes a payload any worker can format into the
-// exact text rows the sequential writers produce. Each kind wraps the same
+// edge records (graph.AppendEdgeRecord) or flow records (replay.EncodeFlows)
+// becomes a payload any worker can format into the exact text rows the
+// sequential writers produce. Each kind wraps the same
 // single-row formatter the local writer uses (graph.AppendEdgeListRow,
 // netflow.AppendCSVRow, the NDJSON marshal), so a chunk encoded on a worker
 // is byte-for-byte the chunk the coordinator would have written — the
@@ -14,13 +15,17 @@ import (
 	"csb/internal/dist/task"
 	"csb/internal/graph"
 	"csb/internal/netflow"
+	"csb/internal/replay"
 )
 
-// Registered remote kinds: payload records in, text rows out.
+// Registered remote kinds: payload records in, text rows out. The csv
+// payload is the CSBF1 flow section (replay.EncodeFlows, 80-byte records);
+// the kind is rows.csv2 so a worker built for the 78-byte rows.csv payload
+// declines the task rather than mis-decoding it.
 const (
 	TSVKind    = "rows.tsv"    // graph edge records -> tab-separated rows
 	NDJSONKind = "rows.ndjson" // graph edge records -> NDJSON objects
-	CSVKind    = "rows.csv"    // netflow flow records -> CSV rows
+	CSVKind    = "rows.csv2"   // replay flow records -> CSV rows
 )
 
 func init() {
@@ -33,55 +38,22 @@ func init() {
 func EncodeEdges(edges []graph.Edge) []byte {
 	out := make([]byte, 0, len(edges)*graph.EdgeRecordLen)
 	for i := range edges {
-		out = AppendEdgeRecord(out, &edges[i])
+		out = graph.AppendEdgeRecord(out, &edges[i])
 	}
 	return out
 }
 
-// AppendEdgeRecord appends one edge's payload record to dst.
-func AppendEdgeRecord(dst []byte, e *graph.Edge) []byte {
-	return graph.AppendEdgeRecord(dst, e)
+// records reports how many recLen-byte records payload holds, rejecting a
+// ragged payload.
+func records(payload []byte, recLen int, what string) (int, error) {
+	if len(payload)%recLen != 0 {
+		return 0, fmt.Errorf("rows: %s payload length %d not a multiple of %d", what, len(payload), recLen)
+	}
+	return len(payload) / recLen, nil
 }
 
-// DecodeEdges parses a row-encode payload back into edges.
-func DecodeEdges(payload []byte) ([]graph.Edge, error) {
-	if len(payload)%graph.EdgeRecordLen != 0 {
-		return nil, fmt.Errorf("rows: edge payload length %d not a multiple of %d", len(payload), graph.EdgeRecordLen)
-	}
-	edges := make([]graph.Edge, len(payload)/graph.EdgeRecordLen)
-	for i := range edges {
-		edges[i] = graph.DecodeEdgeRecord(payload[i*graph.EdgeRecordLen:])
-	}
-	return edges, nil
-}
-
-// EncodeFlows renders a partition of flows as a row-encode payload.
-func EncodeFlows(flows []netflow.Flow) []byte {
-	out := make([]byte, 0, len(flows)*netflow.FlowRecordLen)
-	for i := range flows {
-		out = netflow.AppendFlowRecord(out, &flows[i])
-	}
-	return out
-}
-
-// DecodeFlows parses a row-encode payload back into flows.
-func DecodeFlows(payload []byte) ([]netflow.Flow, error) {
-	if len(payload)%netflow.FlowRecordLen != 0 {
-		return nil, fmt.Errorf("rows: flow payload length %d not a multiple of %d", len(payload), netflow.FlowRecordLen)
-	}
-	flows := make([]netflow.Flow, len(payload)/netflow.FlowRecordLen)
-	for i := range flows {
-		f, err := netflow.DecodeFlowRecord(payload[i*netflow.FlowRecordLen:])
-		if err != nil {
-			return nil, err
-		}
-		flows[i] = f
-	}
-	return flows, nil
-}
-
-// TSVRows formats edges as edge-list rows (no header) — the local closure
-// and the remote kind share it.
+// TSVRows formats edges as edge-list rows (no header): the local half of the
+// tsv stage, whose remote half (runTSV) formats the same rows from records.
 func TSVRows(edges []graph.Edge) []byte {
 	out := make([]byte, 0, len(edges)*48)
 	for i := range edges {
@@ -91,11 +63,16 @@ func TSVRows(edges []graph.Edge) []byte {
 }
 
 func runTSV(payload []byte) ([]byte, error) {
-	edges, err := DecodeEdges(payload)
+	n, err := records(payload, graph.EdgeRecordLen, "edge")
 	if err != nil {
 		return nil, err
 	}
-	return TSVRows(edges), nil
+	out := make([]byte, 0, n*48)
+	for ; len(payload) > 0; payload = payload[graph.EdgeRecordLen:] {
+		e := graph.DecodeEdgeRecord(payload)
+		out = graph.AppendEdgeListRow(out, &e)
+	}
+	return out, nil
 }
 
 // ndjsonEdge is the NDJSON projection of one flow edge; field names mirror
@@ -163,11 +140,18 @@ func NDJSONBatch(b *graph.EdgeBatch) ([]byte, error) {
 }
 
 func runNDJSON(payload []byte) ([]byte, error) {
-	edges, err := DecodeEdges(payload)
-	if err != nil {
+	if _, err := records(payload, graph.EdgeRecordLen, "edge"); err != nil {
 		return nil, err
 	}
-	return NDJSONRows(edges)
+	var out []byte
+	for ; len(payload) > 0; payload = payload[graph.EdgeRecordLen:] {
+		e := graph.DecodeEdgeRecord(payload)
+		var err error
+		if out, err = appendNDJSONRow(out, &e); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // CSVRows formats flows as CSV rows (no header).
@@ -180,9 +164,17 @@ func CSVRows(flows []netflow.Flow) []byte {
 }
 
 func runCSV(payload []byte) ([]byte, error) {
-	flows, err := DecodeFlows(payload)
+	n, err := records(payload, replay.FlowRecordLen, "flow")
 	if err != nil {
 		return nil, err
 	}
-	return CSVRows(flows), nil
+	out := make([]byte, 0, n*64)
+	for ; len(payload) > 0; payload = payload[replay.FlowRecordLen:] {
+		f, err := replay.DecodeFlow(payload)
+		if err != nil {
+			return nil, err
+		}
+		out = netflow.AppendCSVRow(out, &f)
+	}
+	return out, nil
 }

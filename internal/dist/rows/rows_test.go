@@ -8,6 +8,7 @@ import (
 	"csb/internal/dist/task"
 	"csb/internal/graph"
 	"csb/internal/netflow"
+	"csb/internal/replay"
 )
 
 // testEdges builds a deterministic mix of TCP and UDP edges with varied
@@ -43,20 +44,19 @@ func testEdges(n int) []graph.Edge {
 
 func TestEdgeRecordRoundTrip(t *testing.T) {
 	edges := testEdges(50)
-	got, err := DecodeEdges(EncodeEdges(edges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(edges) {
-		t.Fatalf("decoded %d edges, want %d", len(got), len(edges))
+	payload := EncodeEdges(edges)
+	if len(payload) != len(edges)*graph.EdgeRecordLen {
+		t.Fatalf("payload is %d bytes, want %d", len(payload), len(edges)*graph.EdgeRecordLen)
 	}
 	for i := range edges {
-		if got[i] != edges[i] {
-			t.Fatalf("edge %d = %+v, want %+v", i, got[i], edges[i])
+		if got := graph.DecodeEdgeRecord(payload[i*graph.EdgeRecordLen:]); got != edges[i] {
+			t.Fatalf("edge %d = %+v, want %+v", i, got, edges[i])
 		}
 	}
-	if _, err := DecodeEdges([]byte{1, 2, 3}); err == nil {
-		t.Fatal("ragged edge payload accepted")
+	for _, run := range []func([]byte) ([]byte, error){runTSV, runNDJSON} {
+		if _, err := run([]byte{1, 2, 3}); err == nil {
+			t.Fatal("ragged edge payload accepted")
+		}
 	}
 }
 
@@ -94,22 +94,53 @@ func TestCSVRowsMatchSequentialWriter(t *testing.T) {
 	}
 }
 
-func TestFlowRecordRoundTrip(t *testing.T) {
+// TestOneFlowLayout pins that the tree has one fixed-width flow record: the
+// CSV task payload is the CSBF1 flow section, every field survives it, and
+// formatting it on a worker gives the sequential writer's rows.
+func TestOneFlowLayout(t *testing.T) {
 	g := graph.New(1000)
 	if err := g.AddEdges(testEdges(40)); err != nil {
 		t.Fatal(err)
 	}
 	flows := netflow.FlowsFromGraph(g)
-	got, err := DecodeFlows(EncodeFlows(flows))
+	payload := replay.EncodeFlows(flows)
+
+	var file bytes.Buffer
+	if err := replay.WriteFlowFile(&file, flows); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, file.Bytes()[replay.FlowFileHeaderLen:]) {
+		t.Fatal("csv task payload differs from the CSBF1 flow section")
+	}
+	for i := range flows {
+		got, err := replay.DecodeFlow(payload[i*replay.FlowRecordLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != flows[i] {
+			t.Fatalf("flow %d = %+v, want %+v", i, got, flows[i])
+		}
+	}
+
+	out, err := task.Run(CSVKind, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(flows) {
-		t.Fatalf("decoded %d flows, want %d", len(got), len(flows))
+	var csv bytes.Buffer
+	if err := netflow.WriteCSV(&csv, flows); err != nil {
+		t.Fatal(err)
 	}
-	for i := range flows {
-		if got[i] != flows[i] {
-			t.Fatalf("flow %d = %+v, want %+v", i, got[i], flows[i])
+	want := csv.Bytes()[len(netflow.CSVHeaderLine):]
+	if !bytes.Equal(out, want) {
+		t.Fatalf("worker csv rows differ from the sequential writer at %q", firstDiff(out, want))
+	}
+	if !bytes.Equal(out, CSVRows(flows)) {
+		t.Fatal("worker csv rows differ from the local closure's")
+	}
+
+	for _, n := range []int{1, replay.FlowRecordLen - 2, replay.FlowRecordLen + 1} {
+		if _, err := task.Run(CSVKind, payload[:n]); err == nil {
+			t.Fatalf("%d-byte flow payload accepted", n)
 		}
 	}
 }

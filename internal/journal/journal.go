@@ -138,7 +138,7 @@ func (j *Journal) replay() error {
 	}
 	good := int64(headerLen)
 	for {
-		rec, n, err := readRecord(j.f)
+		rec, n, err := readRecord(j.f, info.Size()-good)
 		if err != nil {
 			// Torn or corrupt tail: truncate back to the last intact record.
 			// io.EOF with n==0 is the clean end of the log.
@@ -185,10 +185,12 @@ func (j *Journal) reset() error {
 	return nil
 }
 
-// readRecord decodes one record from r, returning how many bytes it
-// consumed. Any malformed or short read returns an error; n then reports how
-// far the reader got (nonzero means a torn record).
-func readRecord(r io.Reader) (Record, int64, error) {
+// readRecord decodes one record from r, which has remaining bytes left,
+// returning how many bytes it consumed. Any malformed or short read returns
+// an error; n then reports how far the reader got (nonzero means a torn
+// record). A payload length beyond remaining is a torn tail, reported before
+// anything is allocated for it.
+func readRecord(r io.Reader, remaining int64) (Record, int64, error) {
 	var kl [1]byte
 	n, err := io.ReadFull(r, kl[:])
 	if err != nil {
@@ -222,6 +224,9 @@ func readRecord(r io.Reader) (Record, int64, error) {
 	plen := binary.BigEndian.Uint32(pl[:])
 	if plen > maxPayload {
 		return Record{}, read, fmt.Errorf("%w: payload %d exceeds %d bytes", ErrCorrupt, plen, maxPayload)
+	}
+	if int64(plen) > remaining-read {
+		return Record{}, read, io.ErrUnexpectedEOF
 	}
 	payload := make([]byte, plen)
 	n, err = io.ReadFull(r, payload)

@@ -2,9 +2,11 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -93,6 +95,42 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatalf("cut %d: after repair+append replayed %+v", cut, recs)
 		}
 		j3.Close()
+	}
+}
+
+// TestTornLengthAllocatesNothing tears the tail so that its payload length
+// claims 200 MiB: Open must keep the good record and drop the tail without
+// allocating what the torn length asks for.
+func TestTornLengthAllocatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	j := openT(t, path)
+	j.Append(Record{Kind: "job.accepted", Key: "a1", Payload: []byte("spec")})
+	j.Close()
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := []byte{1, 'k', 1, 'y'}
+	torn = binary.BigEndian.AppendUint32(torn, 200<<20)
+	if err := os.WriteFile(path, append(good, torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j2 := openT(t, path)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Open allocated %d bytes for a torn 200 MiB length", grew)
+	}
+	if recs := j2.Records(); len(recs) != 1 || recs[0].Key != "a1" {
+		t.Fatalf("replayed %+v, want only a1", recs)
+	}
+	if got := j2.Stats().TruncatedBytes; got != int64(len(torn)) {
+		t.Fatalf("TruncatedBytes = %d, want %d", got, len(torn))
+	}
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, good) {
+		t.Fatalf("file after repair differs from the intact prefix (err %v)", err)
 	}
 }
 

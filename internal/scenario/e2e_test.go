@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"testing"
+	"time"
 
 	"csb/internal/attack"
 	"csb/internal/cluster"
@@ -48,6 +49,11 @@ func replayOverWire(t *testing.T, flows []netflow.Flow, sink func(netflow.Flow))
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// Dial returns before the server has accepted: starting now would emit
+	// the head of the stream to nobody.
+	if err := srv.AwaitSubscribers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"csb/internal/cluster"
 	"csb/internal/core"
@@ -12,6 +13,7 @@ import (
 	"csb/internal/graph"
 	"csb/internal/netflow"
 	"csb/internal/pcap"
+	"csb/internal/replay"
 	"csb/internal/scenario"
 )
 
@@ -51,21 +53,16 @@ func (sh EngineShape) newCluster(ctx context.Context, tracer *cluster.Tracer, ex
 	}
 	cores := sh.CoresPerNode
 	if cores <= 0 {
-		cores = 0 // cluster.Config fills GOMAXPROCS via MaxParallel below
+		// Match cluster.Local(0): every local core.
+		cores = runtime.GOMAXPROCS(0)
 	}
-	cfg := cluster.Config{
+	return cluster.New(cluster.Config{
 		Nodes: nodes, CoresPerNode: cores, Context: ctx, Tracer: tracer,
 		MaxTaskRetries: sh.MaxTaskRetries,
 		Speculation:    sh.Speculation,
 		Faults:         sh.Faults,
 		Executor:       exec,
-	}
-	if cfg.CoresPerNode == 0 {
-		// Match cluster.Local(0): single node exposing every local core.
-		l := cluster.Local(0)
-		cfg.CoresPerNode = l.Config().CoresPerNode
-	}
-	return cluster.New(cfg)
+	})
 }
 
 // BuildArtifact runs the full pipeline for one normalized spec — synthetic
@@ -181,7 +178,7 @@ func encodeArtifactOn(w io.Writer, g *graph.Graph, format string, c *cluster.Clu
 	case FormatCSV:
 		return writeChunked(w, cluster.Parallelize(c, netflow.FlowsFromGraph(g), 0), netflow.CSVHeaderLine, rows.CSVKind,
 			func(xs []netflow.Flow) []byte { return rows.CSVRows(xs) },
-			rows.EncodeFlows)
+			replay.EncodeFlows)
 	default:
 		return EncodeArtifact(w, g, format)
 	}

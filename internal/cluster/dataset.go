@@ -35,6 +35,19 @@ func (d *Dataset[T]) Count() int64 {
 // Partition returns partition i (shared storage; read-only).
 func (d *Dataset[T]) Partition(i int) []T { return d.parts[i] }
 
+// Offsets returns the exclusive prefix sums of the partition sizes: where
+// each partition starts in Collect order, so tasks can number or place their
+// elements independently.
+func (d *Dataset[T]) Offsets() []int64 {
+	offsets := make([]int64, len(d.parts))
+	var acc int64
+	for i, p := range d.parts {
+		offsets[i] = acc
+		acc += int64(len(p))
+	}
+	return offsets
+}
+
 // bytesOf estimates the memory footprint of a dataset from its element type
 // size; good enough for the Figure 11 accounting.
 func bytesOf[T any](parts [][]T) int64 {

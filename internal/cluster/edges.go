@@ -5,8 +5,8 @@ import "csb/internal/graph"
 // This file is the columnar bridge between the graph's struct-of-arrays edge
 // store (graph.EdgeBatch) and the row-structured Dataset engine. Shuffle
 // operators move individual elements and stay generic; the pipeline endpoints
-// — loading a graph's edges into a dataset and draining a dataset back into a
-// graph — stream batch columns instead of materializing one monolithic
+// — loading a graph's edges into a dataset and filling a graph's columns from
+// a dataset — stream batch columns instead of materializing one monolithic
 // []Edge on each side.
 
 // ParallelizeEdges splits the edges of a columnar batch into balanced
@@ -42,15 +42,24 @@ func ParallelizeEdges(c *Cluster, b *graph.EdgeBatch, partitions int) *Dataset[g
 	return newDataset(c, parts)
 }
 
-// AppendTo drains an edge dataset into g partition by partition, in Collect
-// order, validating each partition once. It replaces the Collect-then-AddEdges
-// pattern: edges flow straight from partition storage into the graph's
-// columns with no intermediate full-size []Edge.
-func AppendTo(in *Dataset[graph.Edge], g *graph.Graph) error {
-	for i := range in.parts {
-		if err := g.AddEdges(in.parts[i]); err != nil {
-			return err
-		}
+// FillGraph is the generators' last stage: it builds the output graph of
+// numVertices vertices and in.Count() edges without an intermediate row
+// dataset. One mapPartitions task per partition calls fill(part, xs, cols,
+// at), which must write edges at .. at+len(xs) of cols (SetEndpoints,
+// SetProps) and nothing else; the ranges are the partitions' prefix sums, so
+// edge order is Collect order. The columns are charged to the Figure 11
+// memory model like any dataset, and the endpoints are validated once.
+func FillGraph[T any](in *Dataset[T], numVertices int64, fill func(part int, xs []T, cols *graph.EdgeBatch, at int)) (*graph.Graph, error) {
+	offsets, total := in.Offsets(), in.Count()
+	g := graph.NewFilled(numVertices, total)
+	colBytes := total * graph.EdgeColumnBytes
+	in.c.runStage(stageSpec{op: "mapPartitions", weights: partWeights(in.parts),
+		bytesIn: bytesOf(in.parts), bytesOut: func() int64 { return colBytes }}, len(in.parts), func(i int) {
+		fill(i, in.parts[i], g.Cols(), int(offsets[i]))
+	})
+	in.c.chargeMemory(colBytes)
+	if err := in.c.Err(); err != nil {
+		return nil, err
 	}
-	return nil
+	return g, g.Validate()
 }

@@ -12,7 +12,11 @@ package cluster
 //     it to a per-task slot as its final action, so a failed attempt leaves
 //     the slot untouched and a retry recomputes the identical value from
 //     the same (seed, partition) RNG stream — lineage recomputation in
-//     Spark's terms.
+//     Spark's terms. The one task that writes in place is FillGraph's: a
+//     failed attempt may leave its column range partly written, but the
+//     range is private to the task and the retry overwrites all of it with
+//     the identical values (attempts of one task still serialize on the
+//     slot lock, below), so nothing reads a torn range.
 //
 //   - At most one attempt per task ever executes the task closure to
 //     completion: attempts serialize on the slot's commit lock and check

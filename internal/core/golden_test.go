@@ -52,6 +52,22 @@ func TestGoldenGeneratorDigests(t *testing.T) {
 		{"pgsk", func(c *cluster.Cluster) Generator {
 			return &PGSK{Seed: 42, Cluster: c}
 		}, 8000},
+		// Paths the two digests above never take, recorded on 570dac0.
+		{"pgpba_spread", func(c *cluster.Cluster) Generator {
+			return &PGPBA{Fraction: 0.3, Seed: 42, Cluster: c, SpreadAttachment: true}
+		}, 8000},
+		{"pgpba_independent", func(c *cluster.Cluster) Generator {
+			return &PGPBA{Fraction: 0.3, Seed: 42, Cluster: c, IndependentProps: true}
+		}, 8000},
+		{"pgpba_fraction2", func(c *cluster.Cluster) Generator {
+			return &PGPBA{Fraction: 2, Seed: 42, Cluster: c}
+		}, 8000},
+		{"pgsk_skip", func(c *cluster.Cluster) Generator {
+			return &PGSK{Seed: 42, Cluster: c, SkipProperties: true}
+		}, 8000},
+		{"pgsk_independent", func(c *cluster.Cluster) Generator {
+			return &PGSK{Seed: 42, Cluster: c, IndependentProps: true}
+		}, 8000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

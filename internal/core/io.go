@@ -175,5 +175,6 @@ func readPropertyModel(r io.Reader) (*PropertyModel, error) {
 		}
 		m.buckets[int(id)] = am
 	}
+	m.indexBuckets()
 	return m, nil
 }

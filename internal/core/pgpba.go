@@ -75,9 +75,10 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	}
 	defer c.Scope("pgpba")()
 
-	// G' <- G (line 1). The seed's columns stream straight into partition
-	// storage; the seed graph is never aliased or copied wholesale.
-	edges := cluster.ParallelizeEdges(c, seed.Graph.Cols(), 0)
+	// G' <- G (line 1). Growth is structural, so the rounds carry only the
+	// 8-byte endpoints; attributes are synthesized once, at the end, straight
+	// into the output columns.
+	edges := cluster.Parallelize(c, endpointsOf(seed.Graph.Cols()), 0)
 	numVertices := seed.Graph.NumVertices()
 	round := uint64(0)
 
@@ -121,45 +122,71 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 		// globally unique contiguous IDs handed out per partition.
 		firstID := numVertices
 		numVertices += nNew
-		offsets := partitionOffsets(sampled)
+		if err := checkVertexLimit(numVertices); err != nil {
+			endRound()
+			return nil, err
+		}
+		offsets := sampled.Offsets()
 
 		// Lines 6-13: per sampled edge, pick the destination vertex and
 		// create the out- and in-edges.
 		inDeg, outDeg := seed.InDegree, seed.OutDegree
-		newEdges := cluster.MapPartitions(sampled, func(part int, es []graph.Edge) []graph.Edge {
+		newEdges := cluster.MapPartitions(sampled, func(part int, es []endpoints) []endpoints {
 			rng := cluster.DeriveRNG(p.Seed^(round*0x51ed), uint64(part))
-			out := make([]graph.Edge, 0, 2*len(es))
-			pickDest := func(e graph.Edge) graph.VertexID {
+			pickDest := func(e endpoints) uint32 {
 				// Line 7: random endpoint of a sampled edge (stage two of
 				// the preferential attachment).
 				if rng.IntN(2) == 1 {
-					return e.Dst
+					return e.dst
 				}
-				return e.Src
+				return e.src
 			}
+			// Lines 7-9: destination and degree samples of one new vertex.
+			type draw struct {
+				dest      uint32
+				nOut, nIn int64
+			}
+			next := func(e endpoints) draw {
+				return draw{pickDest(e), max(outDeg.Sample(rng), 0), max(inDeg.Sample(rng), 0)}
+			}
+			// Lines 10-12: edge creation for the i-th new vertex. The
+			// paper's variant reuses one destination for every edge; the
+			// spread ablation re-samples per edge.
+			grow := func(out []endpoints, i int, d draw) []endpoints {
+				newV := uint32(firstID + offsets[part] + int64(i))
+				for j := int64(0); j < d.nOut+d.nIn; j++ {
+					dest := d.dest
+					if p.SpreadAttachment {
+						dest = pickDest(es[rng.IntN(len(es))])
+					}
+					if j < d.nOut {
+						out = append(out, endpoints{newV, dest})
+					} else {
+						out = append(out, endpoints{dest, newV})
+					}
+				}
+				return out
+			}
+			if p.SpreadAttachment {
+				// The per-edge draws interleave with the per-vertex ones
+				// (whose dest goes unused, as it always did), so the output
+				// can only be sized to its expectation.
+				out := make([]endpoints, 0, int(float64(len(es))*perVertex))
+				for i, e := range es {
+					out = grow(out, i, next(e))
+				}
+				return out
+			}
+			// Nothing else draws from rng, so every vertex's draws come
+			// first and the output is sized exactly.
+			draws, total := make([]draw, len(es)), int64(0)
 			for i, e := range es {
-				newV := graph.VertexID(firstID + offsets[part] + int64(i))
-				dest := pickDest(e)
-				// Lines 8-9: degree samples.
-				nOut := outDeg.Sample(rng)
-				nIn := inDeg.Sample(rng)
-				// Lines 10-12: edge creation. The paper's variant reuses
-				// one destination for every edge; the spread ablation
-				// re-samples per edge.
-				for j := int64(0); j < nOut; j++ {
-					d := dest
-					if p.SpreadAttachment {
-						d = pickDest(es[rng.IntN(len(es))])
-					}
-					out = append(out, graph.Edge{Src: newV, Dst: d})
-				}
-				for j := int64(0); j < nIn; j++ {
-					d := dest
-					if p.SpreadAttachment {
-						d = pickDest(es[rng.IntN(len(es))])
-					}
-					out = append(out, graph.Edge{Src: d, Dst: newV})
-				}
+				draws[i] = next(e)
+				total += draws[i].nOut + draws[i].nIn
+			}
+			out := make([]endpoints, 0, total)
+			for i, d := range draws {
+				out = grow(out, i, d)
 			}
 			return out
 		})
@@ -182,46 +209,45 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	}
 
 	// Lines 15-20: property synthesis for every edge.
-	if !p.SkipProperties {
-		edges = assignProperties(edges, seed.Props, p.Seed^0xab5, p.IndependentProps)
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-
-	out := graph.NewWithCapacity(numVertices, edges.Count())
-	if err := cluster.AppendTo(edges, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return fillGraph(edges, numVertices, seed.Props, p.Seed^0xab5, p.SkipProperties, p.IndependentProps)
 }
 
-// partitionOffsets returns the exclusive prefix sums of partition sizes, so
-// each partition can assign contiguous new-vertex IDs independently.
-func partitionOffsets[T any](ds *cluster.Dataset[T]) []int64 {
-	offsets := make([]int64, ds.NumPartitions())
-	var acc int64
-	for i := range offsets {
-		offsets[i] = acc
-		acc += int64(len(ds.Partition(i)))
+// endpoints is the structural element both generators grow on: an edge
+// without its attributes, in the width of the graph's src/dst columns.
+type endpoints struct{ src, dst uint32 }
+
+// endpointsOf copies the src/dst columns of b into one row slice.
+func endpointsOf(b *graph.EdgeBatch) []endpoints {
+	out := make([]endpoints, b.Len())
+	for i := range out {
+		out[i] = endpoints{uint32(b.SrcID(i)), uint32(b.DstID(i))}
 	}
-	return offsets
+	return out
+}
+
+// checkVertexLimit refuses a vertex count whose IDs the 32-bit columns (and
+// endpoints) cannot hold.
+func checkVertexLimit(numVertices int64) error {
+	if numVertices > int64(graph.MaxBatchVertexID)+1 {
+		return fmt.Errorf("pgpba: %d vertices exceed the columnar limit 2^32", numVertices)
+	}
+	return nil
 }
 
 // sampleWithReplacement extends cluster.Sample to fractions >= 1: each
 // partition emits round(fraction * len) draws with replacement, matching
 // Spark's sample(withReplacement=true, fraction).
-func sampleWithReplacement(ds *cluster.Dataset[graph.Edge], fraction float64, seed uint64) *cluster.Dataset[graph.Edge] {
+func sampleWithReplacement[T any](ds *cluster.Dataset[T], fraction float64, seed uint64) *cluster.Dataset[T] {
 	if fraction < 1 {
 		return cluster.Sample(ds, fraction, seed)
 	}
-	return cluster.MapPartitions(ds, func(part int, es []graph.Edge) []graph.Edge {
+	return cluster.MapPartitions(ds, func(part int, es []T) []T {
 		if len(es) == 0 {
 			return nil
 		}
 		rng := cluster.DeriveRNG(seed, uint64(part))
 		n := int(fraction * float64(len(es)))
-		out := make([]graph.Edge, n)
+		out := make([]T, n)
 		for i := range out {
 			out[i] = es[rng.IntN(len(es))]
 		}
@@ -229,22 +255,24 @@ func sampleWithReplacement(ds *cluster.Dataset[graph.Edge], fraction float64, se
 	})
 }
 
-// assignProperties samples a fresh Netflow attribute set for every edge
-// (Figure 2 lines 15-20 and Figure 3 lines 13-18), in O(|E| x |properties|).
-func assignProperties(edges *cluster.Dataset[graph.Edge], props *PropertyModel, seed uint64, independent bool) *cluster.Dataset[graph.Edge] {
+// fillGraph is the last stage of both generators: task i writes partition
+// i's endpoints into the output graph's columns and, unless skip is set,
+// samples a fresh Netflow attribute set beside each (Figure 2 lines 15-20 and
+// Figure 3 lines 13-18), in O(|E| x |properties|).
+func fillGraph(edges *cluster.Dataset[endpoints], numVertices int64, props *PropertyModel, seed uint64, skip, independent bool) (*graph.Graph, error) {
 	defer edges.Cluster().Scope("props")()
-	return cluster.MapPartitions(edges, func(part int, es []graph.Edge) []graph.Edge {
+	return cluster.FillGraph(edges, numVertices, func(part int, es []endpoints, cols *graph.EdgeBatch, at int) {
 		rng := cluster.DeriveRNG(seed, uint64(part))
-		out := make([]graph.Edge, len(es))
 		for i, e := range es {
-			if independent {
-				e.Props = props.SampleIndependent(rng)
-			} else {
-				e.Props = props.Sample(rng)
+			cols.SetEndpoints(at+i, e.src, e.dst)
+			switch {
+			case skip:
+			case independent:
+				cols.SetProps(at+i, props.SampleIndependent(rng))
+			default:
+				cols.SetProps(at+i, props.Sample(rng))
 			}
-			out[i] = e
 		}
-		return out
 	})
 }
 

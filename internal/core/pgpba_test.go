@@ -103,15 +103,26 @@ func TestPGPBASkipProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grown edges carry zero properties when synthesis is skipped.
-	zero := 0
-	for _, e := range g.EdgeSlice() {
-		if e.Props == (graph.EdgeProps{}) {
-			zero++
+	// No edge carries attributes when synthesis is skipped — the seed's
+	// own edges included, as on PGSK.
+	for i, e := range g.EdgeSlice() {
+		if e.Props != (graph.EdgeProps{}) {
+			t.Fatalf("SkipProperties left attributes on edge %d: %+v", i, e.Props)
 		}
 	}
-	if zero == 0 {
-		t.Fatal("SkipProperties still assigned properties")
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPGPBAVertexLimit(t *testing.T) {
+	limit := int64(graph.MaxBatchVertexID) + 1
+	if err := checkVertexLimit(limit); err != nil {
+		t.Fatalf("2^32 vertices (IDs up to 2^32-1) refused: %v", err)
+	}
+	err := checkVertexLimit(limit + 1)
+	if err == nil || err.Error() != "pgpba: 4294967297 vertices exceed the columnar limit 2^32" {
+		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -230,7 +241,7 @@ func TestSampleWithReplacementFractions(t *testing.T) {
 func TestPartitionOffsets(t *testing.T) {
 	c := cluster.Local(2)
 	ds := cluster.Parallelize(c, make([]int, 10), 3)
-	off := partitionOffsets(ds)
+	off := ds.Offsets()
 	want := []int64{0, 4, 7} // balanced split of 10 over 3: 4,3,3
 	for i := range want {
 		if off[i] != want[i] {

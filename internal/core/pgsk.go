@@ -111,16 +111,20 @@ func (p *PGSK) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	// distribution, restoring the multigraph nature of Netflow data.
 	outDeg := seed.OutDegree
 	endDup := c.Scope("duplicate")
-	base := cluster.ParallelizeEdges(c, gk.Cols(), 0)
-	edges := cluster.MapPartitions(base, func(part int, es []graph.Edge) []graph.Edge {
+	base := cluster.Parallelize(c, endpointsOf(gk.Cols()), 0)
+	edges := cluster.MapPartitions(base, func(part int, es []endpoints) []endpoints {
 		rng := cluster.DeriveRNG(p.Seed^0xd0b1e, uint64(part))
-		var out []graph.Edge
-		for _, e := range es {
-			n := outDeg.Sample(rng)
-			if n < 1 {
-				n = 1
-			}
-			for j := int64(0); j < n; j++ {
+		// The copy counts are the only draws, so they come first and the
+		// output is sized exactly.
+		counts := make([]int64, len(es))
+		var total int64
+		for i := range es {
+			counts[i] = max(outDeg.Sample(rng), 1)
+			total += counts[i]
+		}
+		out := make([]endpoints, 0, total)
+		for i, e := range es {
+			for j := int64(0); j < counts[i]; j++ {
 				out = append(out, e)
 			}
 		}
@@ -129,18 +133,7 @@ func (p *PGSK) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	endDup()
 
 	// Lines 13-18: property synthesis.
-	if !p.SkipProperties {
-		edges = assignProperties(edges, seed.Props, p.Seed^0xab5, p.IndependentProps)
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-
-	out := graph.NewWithCapacity(gk.NumVertices(), edges.Count())
-	if err := cluster.AppendTo(edges, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return fillGraph(edges, gk.NumVertices(), seed.Props, p.Seed^0xab5, p.SkipProperties, p.IndependentProps)
 }
 
 // iterationsFor returns the smallest Kronecker power k whose vertex grid can

@@ -62,6 +62,20 @@ type PropertyModel struct {
 	inBytes *stats.Discrete
 	buckets map[int]*attrModel
 	all     *attrModel // fallback for buckets unseen at fit time
+	// bySupport[i] is the conditional model of inBytes.Support()[i], so a
+	// draw resolves its bucket by index instead of by Log2 and a map probe.
+	bySupport []*attrModel
+}
+
+// indexBuckets builds bySupport once inBytes, buckets and all are in place.
+func (m *PropertyModel) indexBuckets() {
+	support := m.inBytes.Support()
+	m.bySupport = make([]*attrModel, len(support))
+	for i, v := range support {
+		if m.bySupport[i] = m.buckets[bucketOf(v)]; m.bySupport[i] == nil {
+			m.bySupport[i] = m.all
+		}
+	}
 }
 
 // attrModel carries the per-bucket conditional distributions.
@@ -175,6 +189,7 @@ func FitPropertiesBatch(batch *graph.EdgeBatch) (*PropertyModel, error) {
 		}
 		m.buckets[b] = bm
 	}
+	m.indexBuckets()
 	return m, nil
 }
 
@@ -182,11 +197,8 @@ func FitPropertiesBatch(batch *graph.EdgeBatch) (*PropertyModel, error) {
 // unconditional distribution, every other attribute from its conditional
 // distribution given the IN_BYTES bucket.
 func (m *PropertyModel) Sample(rng *rand.Rand) graph.EdgeProps {
-	ib := m.inBytes.Sample(rng)
-	am := m.buckets[bucketOf(ib)]
-	if am == nil {
-		am = m.all
-	}
+	i := m.inBytes.SampleIndex(rng)
+	ib, am := m.inBytes.Support()[i], m.bySupport[i]
 	proto, state := codeProtoState(am.protoState.Sample(rng))
 	return graph.EdgeProps{
 		Protocol: proto,

@@ -28,6 +28,9 @@ type EdgeBatch struct {
 // MaxBatchVertexID is the largest vertex ID the columnar layout can store.
 const MaxBatchVertexID = VertexID(1<<32 - 1)
 
+// EdgeColumnBytes is what one edge occupies across the eleven columns.
+const EdgeColumnBytes = 4 + 4 + 1 + 1 + 2 + 2 + 5*8
+
 // NewEdgeBatch returns an empty batch with capacity for capacity edges.
 func NewEdgeBatch(capacity int) *EdgeBatch {
 	b := &EdgeBatch{}
@@ -192,17 +195,25 @@ func (b *EdgeBatch) Edge(i int) Edge {
 
 // SetEdge overwrites edge i in place.
 func (b *EdgeBatch) SetEdge(i int, e Edge) {
-	b.src[i] = checkID(e.Src)
-	b.dst[i] = checkID(e.Dst)
-	b.proto[i] = uint8(e.Props.Protocol)
-	b.state[i] = uint8(e.Props.State)
-	b.srcPort[i] = e.Props.SrcPort
-	b.dstPort[i] = e.Props.DstPort
-	b.duration[i] = e.Props.Duration
-	b.outBytes[i] = e.Props.OutBytes
-	b.inByte[i] = e.Props.InBytes
-	b.outPkts[i] = e.Props.OutPkts
-	b.inPkts[i] = e.Props.InPkts
+	b.SetEndpoints(i, checkID(e.Src), checkID(e.Dst))
+	b.SetProps(i, e.Props)
+}
+
+// SetEndpoints overwrites the endpoints of edge i in place. Distinct indices
+// are distinct memory, so tasks owning disjoint ranges may write concurrently.
+func (b *EdgeBatch) SetEndpoints(i int, src, dst uint32) { b.src[i], b.dst[i] = src, dst }
+
+// SetProps overwrites the attributes of edge i in place.
+func (b *EdgeBatch) SetProps(i int, p EdgeProps) {
+	b.proto[i] = uint8(p.Protocol)
+	b.state[i] = uint8(p.State)
+	b.srcPort[i] = p.SrcPort
+	b.dstPort[i] = p.DstPort
+	b.duration[i] = p.Duration
+	b.outBytes[i] = p.OutBytes
+	b.inByte[i] = p.InBytes
+	b.outPkts[i] = p.OutPkts
+	b.inPkts[i] = p.InPkts
 }
 
 // Truncate shortens the batch to n edges, keeping capacity.

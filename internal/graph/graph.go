@@ -141,6 +141,16 @@ func NewWithCapacity(n, edgeCap int64) *Graph {
 	return g
 }
 
+// NewFilled returns a graph with n vertices and edges all-zero edges (0 -> 0,
+// no attributes) for a generator's fill stage to overwrite in place through
+// Cols().SetEndpoints and SetProps. The endpoints written that way are
+// unchecked: the caller runs Validate once the fill is complete.
+func NewFilled(n, edges int64) *Graph {
+	g := NewWithCapacity(n, edges)
+	g.cols.Truncate(int(edges)) // fresh capacity is zeroed, so reslicing up to it is the fill
+	return g
+}
+
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int64 { return g.numVertices }
 
@@ -149,8 +159,11 @@ func (g *Graph) NumEdges() int64 { return int64(g.cols.Len()) }
 
 // Cols returns the graph's columnar edge store. The batch is shared with the
 // graph: callers may read the columns freely (and mutate properties in place
-// via SetEdge) but must not append through it — edge creation goes through
-// AddEdge/AddEdges/AppendBatch so endpoint validation holds.
+// via SetEdge/SetProps) but must not append through it — edge creation goes
+// through AddEdge/AddEdges/AppendBatch so endpoint validation holds. The one
+// other route is the generators' fill: NewFilled sizes the columns, tasks
+// overwrite disjoint index ranges with SetEndpoints/SetProps, and a final
+// Validate checks every endpoint at once.
 func (g *Graph) Cols() *EdgeBatch { return &g.cols }
 
 // EdgeAt materializes edge i as a row struct.

@@ -51,8 +51,18 @@ func AppendEdgeRecord(dst []byte, e *Edge) []byte {
 // EdgeRecordLen bytes; extra bytes are ignored).
 func DecodeEdgeRecord(rec []byte) Edge { return decodeEdge(rec) }
 
-// Write serializes the graph in CSBG format.
+// writeChunkEdges is how many edge records Write encodes between writes.
+const writeChunkEdges = 1024
+
+// Write serializes the graph in CSBG format. The edge section is encoded
+// straight from the columns, writeChunkEdges records at a time into one
+// pooled scratch; a destination with a Grow method (*bytes.Buffer) first
+// reserves the exact encoded size.
 func (g *Graph) Write(w io.Writer) error {
+	n := g.cols.Len()
+	if gr, ok := w.(interface{ Grow(int) }); ok {
+		gr.Grow(len(magic) + 24 + 4*len(g.addrs) + edgeRecordSize*n)
+	}
 	bw := bufpool.Get(w)
 	defer bufpool.Put(bw)
 	if _, err := bw.Write(magic[:]); err != nil {
@@ -66,7 +76,7 @@ func (g *Graph) Write(w io.Writer) error {
 	binary.LittleEndian.PutUint32(hdr[0:4], formatVersion)
 	binary.LittleEndian.PutUint32(hdr[4:8], flags)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.numVertices))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(g.cols.Len()))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -79,15 +89,42 @@ func (g *Graph) Write(w io.Writer) error {
 			}
 		}
 	}
-	var rec [edgeRecordSize]byte
-	for i, n := 0, g.cols.Len(); i < n; i++ {
-		e := g.cols.Edge(i)
-		encodeEdge(&e, rec[:])
-		if _, err := bw.Write(rec[:]); err != nil {
+	// The chunks are as large as bw's buffer, so they go to w directly.
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if cap(bw.Scratch) < writeChunkEdges*edgeRecordSize {
+		bw.Scratch = make([]byte, writeChunkEdges*edgeRecordSize)
+	}
+	for lo := 0; lo < n; lo += writeChunkEdges {
+		hi := min(lo+writeChunkEdges, n)
+		buf := bw.Scratch[:(hi-lo)*edgeRecordSize]
+		g.cols.encodeRecords(buf, lo, hi)
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+// encodeRecords writes the binary records of edges [lo, hi) into buf, which
+// holds exactly (hi-lo)*edgeRecordSize bytes; the layout is encodeEdge's.
+func (b *EdgeBatch) encodeRecords(buf []byte, lo, hi int) {
+	le := binary.LittleEndian
+	for i := lo; i < hi; i++ {
+		rec := buf[(i-lo)*edgeRecordSize:][:edgeRecordSize]
+		le.PutUint64(rec[0:8], uint64(b.src[i]))
+		le.PutUint64(rec[8:16], uint64(b.dst[i]))
+		rec[16] = b.proto[i]
+		rec[17] = b.state[i]
+		le.PutUint16(rec[18:20], b.srcPort[i])
+		le.PutUint16(rec[20:22], b.dstPort[i])
+		le.PutUint64(rec[22:30], uint64(b.duration[i]))
+		le.PutUint64(rec[30:38], uint64(b.outBytes[i]))
+		le.PutUint64(rec[38:46], uint64(b.inByte[i]))
+		le.PutUint64(rec[46:54], uint64(b.outPkts[i]))
+		le.PutUint64(rec[54:62], uint64(b.inPkts[i]))
+	}
 }
 
 func encodeEdge(e *Edge, rec []byte) {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -61,5 +62,62 @@ func TestWriteEdgeListMatchesFprintf(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("WriteEdgeList output diverged from fmt reference\n got %d bytes\nwant %d bytes", got.Len(), want.Len())
+	}
+}
+
+// plainWriter hides bytes.Buffer's Grow, so Write takes its no-reservation
+// route.
+type plainWriter struct{ buf bytes.Buffer }
+
+func (p *plainWriter) Write(b []byte) (int, error) { return p.buf.Write(b) }
+
+// TestWriteMatchesRecordReference holds the chunked column encoder to the
+// per-record one: header, address table, then AppendEdgeRecord of every
+// edge, across chunk boundaries and with a partial last chunk.
+func TestWriteMatchesRecordReference(t *testing.T) {
+	for _, edges := range []int{0, 1, writeChunkEdges, 2*writeChunkEdges + 37} {
+		g := New(50)
+		g.SetAddr(3, 0x0a000003)
+		for i := 0; i < edges; i++ {
+			g.AddEdge(Edge{
+				Src: VertexID(i % 50), Dst: VertexID((i * 7) % 50),
+				Props: EdgeProps{
+					Protocol: Protocol(i % 4), State: TCPState(i % 9),
+					SrcPort: uint16(i * 31), DstPort: uint16(i * 17),
+					Duration: int64(i) << 20, OutBytes: int64(i) * 1e9, InBytes: -int64(i),
+					OutPkts: int64(i) + 1, InPkts: int64(i) ^ 0x55,
+				},
+			})
+		}
+		want := append([]byte(nil), magic[:]...)
+		want = binary.LittleEndian.AppendUint32(want, formatVersion)
+		want = binary.LittleEndian.AppendUint32(want, flagAddrs)
+		want = binary.LittleEndian.AppendUint64(want, 50)
+		want = binary.LittleEndian.AppendUint64(want, uint64(edges))
+		for v := 0; v < 50; v++ {
+			want = binary.LittleEndian.AppendUint32(want, g.Addr(VertexID(v)))
+		}
+		for i := 0; i < edges; i++ {
+			e := g.EdgeAt(i)
+			want = AppendEdgeRecord(want, &e)
+		}
+		var grown bytes.Buffer
+		if err := g.Write(&grown); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(grown.Bytes(), want) {
+			t.Fatalf("%d edges: Write into a bytes.Buffer diverged from the record reference", edges)
+		}
+		// The reservation is exact: the buffer was sized once, not doubled.
+		if grown.Cap() > len(want)+len(want)/8+64 {
+			t.Errorf("%d edges: buffer capacity %d for %d bytes", edges, grown.Cap(), len(want))
+		}
+		var plain plainWriter
+		if err := g.Write(&plain); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain.buf.Bytes(), want) {
+			t.Fatalf("%d edges: Write into a plain writer diverged from the record reference", edges)
+		}
 	}
 }

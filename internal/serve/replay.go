@@ -329,17 +329,12 @@ func (s *Server) replayMetrics() ReplayMetrics {
 	return m
 }
 
-// artifactFormat recovers an artifact's format from any job that produced it
-// ("" when no job record names it — e.g. a cache-warmed artifact).
+// artifactFormat recovers an artifact's format from the job records that
+// named it ("" when none did — e.g. a cache-warmed artifact).
 func (s *Server) artifactFormat(artifact string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		if j.artifact == artifact {
-			return j.spec.Format
-		}
-	}
-	return ""
+	return s.formats[artifact]
 }
 
 // decodeReplayFlows turns artifact bytes into the flow set a replay run

@@ -172,7 +172,10 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	inflight map[string]*job // artifact id -> queued/running job (single-flight)
-	closed   bool
+	// formats maps an artifact id to the format of the jobs that named it,
+	// so serving an artifact never scans the ever-growing job table.
+	formats map[string]string
+	closed  bool
 
 	// Replay sessions (internal/replay) keyed by session id; rtotals
 	// accumulates the counters of deleted sessions for /metrics.
@@ -248,6 +251,7 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
+		formats:  make(map[string]string),
 		replays:  make(map[string]*replaySession),
 	}
 	s.buildArtifact = func(ctx context.Context, spec Spec) ([]byte, error) {
@@ -433,7 +437,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 			state: StateDone, cacheHit: true, created: time.Now(),
 		}
 		s.mu.Lock()
-		s.jobs[j.id] = j
+		s.recordJob(j)
 		s.mu.Unlock()
 		return j.status(), nil
 	}
@@ -458,7 +462,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 	}
 	select {
 	case s.queue <- j:
-		s.jobs[j.id] = j
+		s.recordJob(j)
 		s.inflight[artifact] = j
 		s.mu.Unlock()
 		s.misses.Add(1)
@@ -477,6 +481,12 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 		s.rejected.Add(1)
 		return JobStatus{}, &submitErr{code: http.StatusTooManyRequests, msg: "job queue is full"}
 	}
+}
+
+// recordJob files a new job record and its artifact's format; s.mu is held.
+func (s *Server) recordJob(j *job) {
+	s.jobs[j.id] = j
+	s.formats[j.artifact] = j.spec.Format
 }
 
 // nextID mints a job id.
@@ -697,19 +707,10 @@ func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 // handleArtifact is GET /v1/artifacts/{id}.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	// The artifact's format rides in its spec; recover it from any job that
-	// produced this artifact for an accurate content type, defaulting to
-	// octet-stream for direct content-address fetches.
-	spec := Spec{Format: ""}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		if j.artifact == id {
-			spec = j.spec
-			break
-		}
-	}
-	s.mu.Unlock()
-	s.serveArtifact(w, id, spec)
+	// The artifact's format rides in its spec; a job that named this
+	// artifact gives an accurate content type, and a direct content-address
+	// fetch of an artifact no job named defaults to octet-stream.
+	s.serveArtifact(w, id, Spec{Format: s.artifactFormat(id)})
 }
 
 // serveArtifact streams cached artifact bytes in bounded chunks. Chunked

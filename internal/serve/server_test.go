@@ -128,6 +128,43 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+func TestArtifactContentTypeByAddress(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	contentType := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, resp.StatusCode)
+		}
+		return resp.Header.Get("Content-Type")
+	}
+	for i, format := range []string{FormatTSV, FormatCSV, FormatNDJSON, FormatCSBG} {
+		spec := tinySpec(uint64(40 + i))
+		spec.Format = format
+		_, st := postJob(t, ts, spec)
+		pollDone(t, ts, st.ID)
+		// A cache-hit resubmit adds a second record naming the artifact.
+		postJob(t, ts, spec)
+		want := spec.ContentType()
+		if got := contentType("/v1/jobs/" + st.ID + "/artifact"); got != want {
+			t.Errorf("%s by job: content type %q, want %q", format, got, want)
+		}
+		if got := contentType("/v1/artifacts/" + st.ArtifactID); got != want {
+			t.Errorf("%s by address: content type %q, want %q", format, got, want)
+		}
+	}
+	// An artifact no job named is served as opaque bytes.
+	s.Cache().Put("feedface", []byte("src\tdst\n"))
+	if got := contentType("/v1/artifacts/feedface"); got != "application/octet-stream" {
+		t.Errorf("unnamed artifact: content type %q", got)
+	}
+}
+
 func TestRepeatedJobServedFromCacheByteIdentical(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	_, st := postJob(t, ts, tinySpec(2))

@@ -133,12 +133,17 @@ func (d *Discrete) buildAliasFromPMF(pmf []float64) {
 }
 
 // Sample draws one value from the distribution using rng in O(1).
-func (d *Discrete) Sample(rng *rand.Rand) int64 {
+func (d *Discrete) Sample(rng *rand.Rand) int64 { return d.values[d.SampleIndex(rng)] }
+
+// SampleIndex is Sample returning the drawn value's index into Support():
+// the same two RNG calls in the same order, so a caller holding a table
+// aligned with Support() can swap one for the other without moving a stream.
+func (d *Discrete) SampleIndex(rng *rand.Rand) int {
 	i := rng.IntN(len(d.values))
 	if rng.Float64() < d.aliasProb[i] {
-		return d.values[i]
+		return i
 	}
-	return d.values[d.alias[i]]
+	return int(d.alias[i])
 }
 
 // SampleN draws n values into a new slice.

@@ -28,7 +28,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -96,17 +95,38 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	if err != nil {
 		return err
 	}
-	flows, sha, labeled, err := loadFlows(*flowsIn, *graphIn, *artifactIn, *scenIn, *follow, *daemon)
+	src, err := loadFlows(*flowsIn, *graphIn, *artifactIn, *scenIn, *follow, *daemon)
 	if err != nil {
 		return err
 	}
-	// The replay contract wants non-decreasing start times; projections from
-	// generated graphs are timeline-free (all zero) and assembled CSVs are
-	// already sorted, but inputs from other tools may not be. Compiled
-	// scenarios arrive in the canonical Finish order, which the stable sort
-	// preserves.
-	sort.SliceStable(flows, func(i, j int) bool { return flows[i].StartMicros < flows[j].StartMicros })
-	fmt.Fprintf(stdout, "loaded %d flows\n", len(flows))
+	opts := replay.Options{
+		Speed: *speed, Rate: *rate, Burst: *burst,
+		Policy: policy, QueueLen: *queueLen, BatchLen: *batchLen, ArtifactSHA: src.sha,
+	}
+	// A CSBF source whose records are already in start-time order replays its
+	// own bytes: no decode, no sort, no re-encode. It is decoded only when
+	// -flows-out wants flows or the records need sorting (or opts are bad,
+	// which NewServer below reports).
+	var srv *replay.Server
+	if src.records != nil && *flowsOut == "" {
+		srv, _ = replay.NewServerFromRecords(src.records, opts)
+	}
+	flows, loaded := src.flows, len(src.records)/replay.FlowRecordLen
+	if srv == nil {
+		if src.records != nil {
+			flows = make([]netflow.Flow, loaded)
+			for i := range flows {
+				flows[i], _ = replay.DecodeFlow(src.records[i*replay.FlowRecordLen:])
+			}
+		}
+		// The replay contract wants non-decreasing start times; projections
+		// from generated graphs are timeline-free (all zero) and assembled
+		// CSVs and compiled scenarios are already sorted, but inputs from
+		// other tools may not be.
+		netflow.SortByStart(flows)
+		loaded = len(flows)
+	}
+	fmt.Fprintf(stdout, "loaded %d flows\n", loaded)
 
 	if *flowsOut != "" {
 		f, err := os.Create(*flowsOut)
@@ -116,8 +136,8 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		// Scenario sources write the full labeled artifact (flow section +
 		// label section), byte-identical to `csbgen -scenario` and a csbd
 		// scenario job on the same spec; other sources write a plain CSBF1.
-		if labeled != nil {
-			err = scenario.WriteLabeled(f, labeled)
+		if src.labeled != nil {
+			err = scenario.WriteLabeled(f, src.labeled)
 		} else {
 			err = replay.WriteFlowFile(f, flows)
 		}
@@ -137,12 +157,10 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		return fmt.Errorf("nothing to do: pass -addr to serve, -consume to subscribe, or -flows-out to convert")
 	}
 
-	srv, err := replay.NewServer(flows, replay.Options{
-		Speed: *speed, Rate: *rate, Burst: *burst,
-		Policy: policy, QueueLen: *queueLen, BatchLen: *batchLen, ArtifactSHA: sha,
-	})
-	if err != nil {
-		return err
+	if srv == nil {
+		if srv, err = replay.NewServer(flows, opts); err != nil {
+			return err
+		}
 	}
 	defer srv.Close()
 	ln, err := net.Listen("tcp", *addr)
@@ -150,7 +168,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		return err
 	}
 	fmt.Fprintf(stdout, "csbreplay serving %d flows on %s (speed=%v rate=%v policy=%s)\n",
-		len(flows), ln.Addr(), *speed, *rate, policy)
+		loaded, ln.Addr(), *speed, *rate, policy)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -183,12 +201,16 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	return nil
 }
 
-// loadFlows resolves the one dataset source the flags name, returning the
-// flows plus the SHA-256 stamped into the stream header. Scenario sources
-// additionally return the labeled scenario so -flows-out can persist the
-// ground truth.
-func loadFlows(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) ([]netflow.Flow, [32]byte, *attack.Scenario, error) {
-	var sha [32]byte
+// source is the dataset the flags named.
+type source struct {
+	flows   []netflow.Flow   // decoded flows; nil for a CSBF source
+	records []byte           // a CSBF source's flow section, undecoded
+	sha     [32]byte         // SHA-256 stamped into the stream header
+	labeled *attack.Scenario // scenario sources: the ground truth -flows-out persists
+}
+
+// loadFlows resolves the one dataset source the flags name.
+func loadFlows(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) (source, error) {
 	sources := 0
 	for _, s := range []string{flowsIn, graphIn, artifactIn, scenIn, follow} {
 		if s != "" {
@@ -196,85 +218,92 @@ func loadFlows(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) ([]n
 		}
 	}
 	if sources != 1 {
-		return nil, sha, nil, fmt.Errorf("exactly one of -flows, -graph, -artifact, -scenario or -follow is required")
+		return source{}, fmt.Errorf("exactly one of -flows, -graph, -artifact, -scenario or -follow is required")
 	}
 	if follow != "" {
-		flows, sha, err := followJob(daemon, follow)
-		return flows, sha, nil, err
+		return followJob(daemon, follow)
 	}
 	if scenIn != "" {
 		f, err := os.Open(scenIn)
 		if err != nil {
-			return nil, sha, nil, err
+			return source{}, err
 		}
 		sp, err := scenario.Parse(f)
 		f.Close()
 		if err != nil {
-			return nil, sha, nil, err
+			return source{}, err
 		}
 		sc, err := scenario.Compile(sp, nil)
 		if err != nil {
-			return nil, sha, nil, err
+			return source{}, err
 		}
 		// Stamp the same content address a csbd scenario job would use, so
 		// subscribers can tie the stream back to the cached artifact.
 		job := serve.Spec{Scenario: sp}
 		if err := job.Normalize(); err != nil {
-			return nil, sha, nil, err
+			return source{}, err
 		}
+		src := source{flows: sc.Flows, labeled: sc}
 		if sum, err := hex.DecodeString(job.ID()); err == nil && len(sum) == 32 {
-			copy(sha[:], sum)
+			copy(src.sha[:], sum)
 		}
-		return sc.Flows, sha, sc, nil
+		return src, nil
 	}
-	var path string
+	path, format := artifactIn, serve.FormatCSBF
 	switch {
 	case flowsIn != "":
-		path = flowsIn
+		path, format = flowsIn, serve.FormatCSV
 	case graphIn != "":
-		path = graphIn
-	default:
-		path = artifactIn
+		path, format = graphIn, serve.FormatCSBG
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, sha, nil, err
+		return source{}, err
 	}
-	sha = sha256.Sum256(data)
-	var flows []netflow.Flow
-	switch {
-	case flowsIn != "":
-		flows, err = netflow.ReadCSV(bytes.NewReader(data))
-	case graphIn != "":
+	return decodeSource(data, format, sha256.Sum256(data))
+}
+
+// decodeSource decodes csv and csbg bytes into flows; a csbf artifact yields
+// its flow section undecoded (the label section trailing a labeled artifact
+// is for -consume -labels scoring, not the stream). Other formats are not
+// replayable.
+func decodeSource(data []byte, format string, sha [32]byte) (source, error) {
+	src := source{sha: sha}
+	var err error
+	switch format {
+	case serve.FormatCSV:
+		src.flows, err = netflow.ReadCSV(bytes.NewReader(data))
+	case serve.FormatCSBG:
 		var g *graph.Graph
 		if g, err = graph.Read(bytes.NewReader(data)); err == nil {
-			flows = netflow.FlowsFromGraph(g)
+			src.flows = netflow.FlowsFromGraph(g)
 		}
+	case serve.FormatCSBF:
+		src.records, err = replay.FlowSection(data)
 	default:
-		flows, err = replay.ReadFlowFile(bytes.NewReader(data))
+		err = fmt.Errorf("artifact format %q is not replayable (want csv, csbg or csbf)", format)
 	}
-	return flows, sha, nil, err
+	return src, err
 }
 
 // followJob polls a csbd job to completion, fetches its artifact and decodes
-// the flows (csv, csbg or csbf formats; others are not replayable).
-func followJob(daemon, jobID string) ([]netflow.Flow, [32]byte, error) {
-	var sha [32]byte
+// it (decodeSource).
+func followJob(daemon, jobID string) (source, error) {
 	base := strings.TrimSuffix(daemon, "/")
 	var st serve.JobStatus
 	for {
 		resp, err := http.Get(base + "/v1/jobs/" + jobID)
 		if err != nil {
-			return nil, sha, err
+			return source{}, err
 		}
 		if resp.StatusCode != http.StatusOK {
 			resp.Body.Close()
-			return nil, sha, fmt.Errorf("job %s: daemon returned %s", jobID, resp.Status)
+			return source{}, fmt.Errorf("job %s: daemon returned %s", jobID, resp.Status)
 		}
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {
-			return nil, sha, err
+			return source{}, err
 		}
 		switch st.State {
 		case serve.StateDone:
@@ -282,44 +311,29 @@ func followJob(daemon, jobID string) ([]netflow.Flow, [32]byte, error) {
 			time.Sleep(250 * time.Millisecond)
 			continue
 		default:
-			return nil, sha, fmt.Errorf("job %s is %s: %s", jobID, st.State, st.Error)
+			return source{}, fmt.Errorf("job %s is %s: %s", jobID, st.State, st.Error)
 		}
 		break
 	}
 	resp, err := http.Get(base + "/v1/artifacts/" + st.ArtifactID)
 	if err != nil {
-		return nil, sha, err
+		return source{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, sha, fmt.Errorf("artifact %s: daemon returned %s", st.ArtifactID, resp.Status)
+		return source{}, fmt.Errorf("artifact %s: daemon returned %s", st.ArtifactID, resp.Status)
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, sha, err
+		return source{}, err
 	}
 	// The artifact id is the hex SHA-256 of the spec — the same address csbd
 	// stamps into its own replay streams.
+	var sha [32]byte
 	if sum, err := hex.DecodeString(st.ArtifactID); err == nil && len(sum) == 32 {
 		copy(sha[:], sum)
 	}
-	var flows []netflow.Flow
-	switch st.Spec.Format {
-	case serve.FormatCSV:
-		flows, err = netflow.ReadCSV(bytes.NewReader(data))
-	case serve.FormatCSBG:
-		var g *graph.Graph
-		if g, err = graph.Read(bytes.NewReader(data)); err == nil {
-			flows = netflow.FlowsFromGraph(g)
-		}
-	case serve.FormatCSBF:
-		// Labeled scenario artifact: the flow section replays; the trailing
-		// label section is for -consume -labels scoring, not the stream.
-		flows, err = replay.ReadFlowFile(bytes.NewReader(data))
-	default:
-		return nil, sha, fmt.Errorf("artifact format %q is not replayable (want csv, csbg or csbf)", st.Spec.Format)
-	}
-	return flows, sha, err
+	return decodeSource(data, st.Spec.Format, sha)
 }
 
 // consumeStream subscribes to a CSBS1 stream, optionally running the
@@ -389,6 +403,7 @@ func consumeStream(addr string, dialTimeout, idleTimeout time.Duration, reconnec
 		lastSeq    uint64 // highest sequence delivered across all sessions
 		delivered  uint64
 		gaps       uint64
+		head, tail uint64   // flows missed before the first session and after the last
 		sha        [32]byte // stream identity, pinned by the first header
 		shaKnown   bool
 		header     replay.Header
@@ -437,7 +452,11 @@ func consumeStream(addr string, dialTimeout, idleTimeout time.Duration, reconnec
 		})
 		tcpConn.Close()
 		gaps += st.Gaps
+		tail = st.Tail
 		if st.Header != (replay.Header{}) {
+			if header == (replay.Header{}) {
+				head = st.Head
+			}
 			header = st.Header
 			// The content address must hold across sessions: a reconnect that
 			// lands on a different dataset would silently splice two artifacts
@@ -470,8 +489,8 @@ func consumeStream(addr string, dialTimeout, idleTimeout time.Duration, reconnec
 	if det != nil {
 		det.Flush()
 	}
-	fmt.Fprintf(stdout, "consumed %d/%d flows (gaps=%d clean=%v)\n",
-		delivered, header.Flows, gaps, clean)
+	fmt.Fprintf(stdout, "consumed %d/%d flows (gaps=%d head=%d tail=%d clean=%v)\n",
+		delivered, header.Flows, gaps, head, tail, clean)
 	if det != nil {
 		fmt.Fprintf(stdout, "ids: %d alerts, %d late flows\n", len(alerts), det.LateFlows())
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -402,5 +403,82 @@ func TestFollowDaemonJob(t *testing.T) {
 	}
 	if len(flows) == 0 {
 		t.Fatal("followed artifact decoded to zero flows")
+	}
+}
+
+// TestArtifactReplaysItsRecords serves CSBF artifacts with -artifact: one in
+// start-time order, whose flow section is streamed as it is, and one with two
+// records swapped, which takes the decode-and-sort path. Either way the
+// consumer receives the dataset in start-time order, and -flows-out still
+// converts an artifact (the one case that needs it decoded although sorted).
+func TestArtifactReplaysItsRecords(t *testing.T) {
+	_, flows := writeTestCSV(t)
+	want := replay.EncodeFlows(flows)
+	dir := t.TempDir()
+	writeArtifact := func(name string, flows []netflow.Flow) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replay.WriteFlowFile(f, flows); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	sorted := writeArtifact("sorted.csbf", flows)
+	// Swap the first and last records. Their start times tie with no
+	// neighbour's, so a stable sort restores exactly the canonical order.
+	swapped := slices.Clone(flows)
+	last := len(swapped) - 1
+	if swapped[0].StartMicros == swapped[1].StartMicros || swapped[last].StartMicros == swapped[last-1].StartMicros {
+		t.Fatal("test dataset: first or last flow ties with its neighbour")
+	}
+	swapped[0], swapped[last] = swapped[last], swapped[0]
+	unsorted := writeArtifact("unsorted.csbf", swapped)
+
+	for _, path := range []string{sorted, unsorted} {
+		ready := make(chan string, 1)
+		stop := make(chan struct{})
+		var serveOut bytes.Buffer
+		serveErr := make(chan error, 1)
+		go func() {
+			serveErr <- run([]string{"-artifact", path, "-addr", "127.0.0.1:0", "-wait", "1"}, &serveOut, ready, stop)
+		}()
+		raw := filepath.Join(dir, "raw.bin")
+		var out bytes.Buffer
+		if err := run([]string{"-consume", <-ready, "-raw-out", raw}, &out, nil, nil); err != nil {
+			t.Fatalf("%s: consume: %v\n%s", path, err, out.String())
+		}
+		if err := <-serveErr; err != nil {
+			t.Fatalf("%s: serve: %v", path, err)
+		}
+		close(stop)
+		got, err := os.ReadFile(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: consumer payload differs from the dataset in start-time order", path)
+		}
+		for _, line := range []string{fmt.Sprintf("loaded %d flows", len(flows)), "head=0 tail=0 clean=true"} {
+			if !strings.Contains(serveOut.String()+out.String(), line) {
+				t.Fatalf("%s: output missing %q:\n%s%s", path, line, serveOut.String(), out.String())
+			}
+		}
+	}
+
+	converted := filepath.Join(dir, "converted.csbf")
+	var out bytes.Buffer
+	if err := run([]string{"-artifact", unsorted, "-flows-out", converted}, &out, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(converted)
+	b, _ := os.ReadFile(sorted)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatal("-artifact -flows-out did not rewrite the artifact in start-time order")
 	}
 }

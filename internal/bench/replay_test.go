@@ -41,12 +41,13 @@ func BenchmarkReplayBatchFanout(b *testing.B) {
 }
 
 // replayFanoutAllocCeiling is the committed allocation budget for the
-// default-batching 4-subscriber fan-out. The measured figure is ~6.8k
-// allocs/op at DefaultBatchLen (down from ~357k with v1 single-flow
-// frames); the ceiling leaves ~3x headroom for runtime noise
-// while still failing loudly if per-flow allocations creep back into the
-// frame path.
-const replayFanoutAllocCeiling = 20_000
+// default-batching 4-subscriber fan-out of ~20k flows. The measured figure is
+// 221 allocs/op at -cpu 1 and 2 — connections, goroutines and buffers, none
+// per frame (it was ~6.8k while each frame's prefix and checksum scratch
+// escaped, and ~357k with v1 single-flow frames); the ceiling leaves ~2x
+// headroom for runtime noise while still failing loudly if a per-frame or
+// per-flow allocation creeps back into the stream path.
+const replayFanoutAllocCeiling = 500
 
 // TestReplayFanoutAllocCeiling is the alloc-regression guard: the default
 // replay fan-out must stay well under the v1 per-flow allocation regime.

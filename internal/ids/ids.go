@@ -11,7 +11,9 @@
 package ids
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"csb/internal/graph"
@@ -92,56 +94,90 @@ func (p *Pattern) AckSynRatio() float64 {
 }
 
 // AggregatePatterns builds the destination-based and source-based pattern
-// tables from a flow set, the aggregation the property-graph structure makes
-// efficient (grouping edges by head or tail vertex).
+// tables from a flow set, each sorted by IP — the aggregation the
+// property-graph structure makes efficient (grouping edges by head or tail
+// vertex).
 func AggregatePatterns(flows []netflow.Flow) (byDst, bySrc []Pattern) {
-	type agg struct {
-		p     Pattern
-		peers map[uint32]struct{}
-		ports map[uint16]struct{}
-	}
-	dst := make(map[uint32]*agg)
-	src := make(map[uint32]*agg)
-	get := func(m map[uint32]*agg, ip uint32, byDst bool) *agg {
-		a := m[ip]
-		if a == nil {
-			a = &agg{p: Pattern{IP: ip, ByDst: byDst},
-				peers: make(map[uint32]struct{}), ports: make(map[uint16]struct{})}
-			m[ip] = a
-		}
-		return a
-	}
+	var a aggregator
+	return a.aggregate(flows)
+}
+
+// aggregator is the storage AggregatePatterns works in, kept so that a
+// detector closing one window after another allocates nothing per window: no
+// map per detection IP, and every map and table is cleared, not rebuilt.
+type aggregator struct {
+	dst, src patternSide
+}
+
+// patternSide is one pattern table under construction, keyed on the flows'
+// destination or source address.
+type patternSide struct {
+	index map[uint32]int32 // detection IP -> its slot in pats
+	pats  []Pattern
+	// Distinct-count sets for all detection IPs at once: a pair is keyed
+	// ip<<32|peer or ip<<32|dstPort, and its first sighting bumps the count.
+	peers map[uint64]struct{}
+	ports map[uint64]struct{}
+}
+
+// aggregate returns the two tables for flows, each sorted by IP. The slices
+// alias the aggregator's storage and are valid until its next call.
+func (a *aggregator) aggregate(flows []netflow.Flow) (byDst, bySrc []Pattern) {
+	a.dst.reset()
+	a.src.reset()
 	for i := range flows {
 		f := &flows[i]
-		d := get(dst, f.DstIP, true)
-		d.p.NFlows++
-		d.p.SumFlowSize += f.TotalBytes()
-		d.p.SumPackets += f.TotalPkts()
-		d.p.SYN += f.SYNCount
-		d.p.ACK += f.ACKCount
-		d.peers[f.SrcIP] = struct{}{}
-		d.ports[f.DstPort] = struct{}{}
+		a.dst.add(f, f.DstIP, f.SrcIP, true)
+		a.src.add(f, f.SrcIP, f.DstIP, false)
+	}
+	return a.dst.sorted(), a.src.sorted()
+}
 
-		s := get(src, f.SrcIP, false)
-		s.p.NFlows++
-		s.p.SumFlowSize += f.TotalBytes()
-		s.p.SumPackets += f.TotalPkts()
-		s.p.SYN += f.SYNCount
-		s.p.ACK += f.ACKCount
-		s.peers[f.DstIP] = struct{}{}
-		s.ports[f.DstPort] = struct{}{}
+func (s *patternSide) reset() {
+	if s.index == nil {
+		s.index = make(map[uint32]int32)
+		s.peers = make(map[uint64]struct{})
+		s.ports = make(map[uint64]struct{})
 	}
-	finish := func(m map[uint32]*agg) []Pattern {
-		out := make([]Pattern, 0, len(m))
-		for _, a := range m {
-			a.p.DistinctPeers = int64(len(a.peers))
-			a.p.DistinctPorts = int64(len(a.ports))
-			out = append(out, a.p)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
-		return out
+	clear(s.index)
+	clear(s.peers)
+	clear(s.ports)
+	s.pats = s.pats[:0]
+}
+
+// add folds flow f into the pattern of detection address ip.
+func (s *patternSide) add(f *netflow.Flow, ip, peer uint32, byDst bool) {
+	slot, ok := s.index[ip]
+	if !ok {
+		slot = int32(len(s.pats))
+		s.index[ip] = slot
+		s.pats = append(s.pats, Pattern{IP: ip, ByDst: byDst})
 	}
-	return finish(dst), finish(src)
+	p := &s.pats[slot]
+	p.NFlows++
+	p.SumFlowSize += f.TotalBytes()
+	p.SumPackets += f.TotalPkts()
+	p.SYN += f.SYNCount
+	p.ACK += f.ACKCount
+	if firstSight(s.peers, uint64(ip)<<32|uint64(peer)) {
+		p.DistinctPeers++
+	}
+	if firstSight(s.ports, uint64(ip)<<32|uint64(f.DstPort)) {
+		p.DistinctPorts++
+	}
+}
+
+// firstSight adds k to set and reports whether it was new (one map operation).
+func firstSight(set map[uint64]struct{}, k uint64) bool {
+	n := len(set)
+	set[k] = struct{}{}
+	return len(set) > n
+}
+
+// sorted orders the table by IP in place (index is stale from here on).
+func (s *patternSide) sorted() []Pattern {
+	slices.SortFunc(s.pats, func(a, b Pattern) int { return cmp.Compare(a.IP, b.IP) })
+	return s.pats
 }
 
 // Thresholds are the Table I threshold parameters. All are float64 so an
@@ -195,9 +231,13 @@ func (a Alert) String() string {
 		a.Type, side, pcap.FormatIPv4(a.IP), a.Pattern.NFlows, a.Pattern.DistinctPeers, a.Pattern.DistinctPorts)
 }
 
-// Detector runs the Figure 4 decision flow.
+// Detector runs the Figure 4 decision flow. It reuses its aggregation storage
+// from one Detect to the next, so it is not safe for concurrent use; give
+// each goroutine its own.
 type Detector struct {
 	T Thresholds
+
+	agg aggregator
 }
 
 // NewDetector returns a Detector with the given thresholds.
@@ -206,7 +246,7 @@ func NewDetector(t Thresholds) *Detector { return &Detector{T: t} }
 // Detect classifies the flow set and returns all alerts, destination-based
 // first, sorted by IP.
 func (d *Detector) Detect(flows []netflow.Flow) []Alert {
-	byDst, bySrc := AggregatePatterns(flows)
+	byDst, bySrc := d.agg.aggregate(flows)
 	var alerts []Alert
 	for i := range byDst {
 		if a, ok := d.classifyDst(&byDst[i]); ok {

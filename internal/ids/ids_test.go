@@ -1,7 +1,10 @@
 package ids
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"csb/internal/graph"
@@ -301,5 +304,122 @@ func TestAggregateGraphEmpty(t *testing.T) {
 	d, s := AggregateGraph(graph.New(0))
 	if d != nil || s != nil {
 		t.Fatal("empty graph produced patterns")
+	}
+}
+
+// referenceAggregate is the map-of-maps AggregatePatterns the aggregator
+// replaced, kept as the oracle: one agg with its own peer and port sets per
+// detection IP per side.
+func referenceAggregate(flows []netflow.Flow) (byDst, bySrc []Pattern) {
+	type agg struct {
+		p     Pattern
+		peers map[uint32]struct{}
+		ports map[uint16]struct{}
+	}
+	dst := make(map[uint32]*agg)
+	src := make(map[uint32]*agg)
+	get := func(m map[uint32]*agg, ip uint32, byDst bool) *agg {
+		a := m[ip]
+		if a == nil {
+			a = &agg{p: Pattern{IP: ip, ByDst: byDst},
+				peers: make(map[uint32]struct{}), ports: make(map[uint16]struct{})}
+			m[ip] = a
+		}
+		return a
+	}
+	for i := range flows {
+		f := &flows[i]
+		d := get(dst, f.DstIP, true)
+		d.p.NFlows++
+		d.p.SumFlowSize += f.TotalBytes()
+		d.p.SumPackets += f.TotalPkts()
+		d.p.SYN += f.SYNCount
+		d.p.ACK += f.ACKCount
+		d.peers[f.SrcIP] = struct{}{}
+		d.ports[f.DstPort] = struct{}{}
+
+		s := get(src, f.SrcIP, false)
+		s.p.NFlows++
+		s.p.SumFlowSize += f.TotalBytes()
+		s.p.SumPackets += f.TotalPkts()
+		s.p.SYN += f.SYNCount
+		s.p.ACK += f.ACKCount
+		s.peers[f.DstIP] = struct{}{}
+		s.ports[f.DstPort] = struct{}{}
+	}
+	finish := func(m map[uint32]*agg) []Pattern {
+		out := make([]Pattern, 0, len(m))
+		for _, a := range m {
+			a.p.DistinctPeers = int64(len(a.peers))
+			a.p.DistinctPorts = int64(len(a.ports))
+			out = append(out, a.p)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
+		return out
+	}
+	return finish(dst), finish(src)
+}
+
+// TestAggregatorMatchesReference holds the reusable aggregator against the
+// reference over random flow sets — few hosts so patterns collide, the
+// extreme addresses and port 0 included — one-shot and through one aggregator
+// reused window after window, where nothing of window k may show in k+1.
+func TestAggregatorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 2))
+	ips := []uint32{0, 1, 2, 0x0a000003, 0x0a000005, 0x7fffffff, 0x80000000, 0xfffffffe, 0xffffffff}
+	ports := []uint16{0, 1, 22, 80, 443, 65535}
+	randomFlows := func(n, hosts int) []netflow.Flow {
+		flows := make([]netflow.Flow, n)
+		for i := range flows {
+			flows[i] = netflow.Flow{
+				SrcIP: ips[rng.IntN(hosts)], DstIP: ips[rng.IntN(hosts)],
+				SrcPort: uint16(rng.IntN(65536)), DstPort: ports[rng.IntN(len(ports))],
+				OutBytes: rng.Int64N(5000), InBytes: rng.Int64N(5000),
+				OutPkts: rng.Int64N(40), InPkts: rng.Int64N(40),
+				SYNCount: rng.Int64N(3), ACKCount: rng.Int64N(6),
+			}
+		}
+		return flows
+	}
+	check := func(name string, flows []netflow.Flow, byDst, bySrc []Pattern) {
+		t.Helper()
+		wantDst, wantSrc := referenceAggregate(flows)
+		if !slices.Equal(byDst, wantDst) || !slices.Equal(bySrc, wantSrc) {
+			t.Fatalf("%s (%d flows):\n byDst %+v\n  want %+v\n bySrc %+v\n  want %+v", name, len(flows), byDst, wantDst, bySrc, wantSrc)
+		}
+	}
+
+	sets := [][]netflow.Flow{
+		nil,
+		randomFlows(1, len(ips)),
+		randomFlows(50, 1), // one host talking to itself
+		{{SrcIP: 0, DstIP: 0xffffffff, DstPort: 0}, {SrcIP: 0xffffffff, DstIP: 0, DstPort: 0}, {SrcIP: 0, DstIP: 0xffffffff, DstPort: 0}},
+	}
+	for range 50 {
+		sets = append(sets, randomFlows(1+rng.IntN(400), 1+rng.IntN(len(ips))))
+	}
+	for i, flows := range sets {
+		byDst, bySrc := AggregatePatterns(flows)
+		check(fmt.Sprintf("one-shot set %d", i), flows, byDst, bySrc)
+	}
+
+	// Ten consecutive windows through one aggregator, a crowded window before
+	// a sparse one, and an empty one in between.
+	var a aggregator
+	for w := range 10 {
+		n := []int{300, 5, 0, 120}[w%4]
+		flows := randomFlows(n, 1+rng.IntN(len(ips)))
+		byDst, bySrc := a.aggregate(flows)
+		check(fmt.Sprintf("reused window %d", w), flows, byDst, bySrc)
+	}
+
+	// The detector rides on the same storage: window after window it agrees
+	// with a fresh one.
+	det := NewDetector(DefaultThresholds())
+	for w := range 10 {
+		flows := randomFlows(200+rng.IntN(400), 3)
+		if got, want := det.Detect(flows), NewDetector(det.T).Detect(flows); !slices.Equal(got, want) {
+			t.Fatalf("window %d: reused detector raised %v, a fresh one %v", w, got, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package netflow
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"csb/internal/graph"
@@ -246,6 +248,17 @@ func FlowLess(a, b *Flow) bool {
 		return a.Protocol < b.Protocol
 	default:
 		return a.EndMicros < b.EndMicros
+	}
+}
+
+// SortByStart puts flows in non-decreasing StartMicros order — the replay
+// pacing contract — leaving flows that start together in their current order.
+// Input already in order (assembled, compiled or graph-projected flows) is
+// left untouched: the sort is stable, so it would be the identity there.
+func SortByStart(flows []Flow) {
+	byStart := func(a, b Flow) int { return cmp.Compare(a.StartMicros, b.StartMicros) }
+	if !slices.IsSortedFunc(flows, byStart) {
+		slices.SortStableFunc(flows, byStart)
 	}
 }
 

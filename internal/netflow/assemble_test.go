@@ -306,3 +306,26 @@ func TestFinishDeterministicOrderOnEqualStarts(t *testing.T) {
 		}
 	}
 }
+
+// TestSortByStart: flows that start together keep their order, and input
+// already in order is not touched at all.
+func TestSortByStart(t *testing.T) {
+	flows := []Flow{
+		{StartMicros: 30, SrcIP: 1}, {StartMicros: 10, SrcIP: 2}, {StartMicros: 30, SrcIP: 3},
+		{StartMicros: 10, SrcIP: 4}, {StartMicros: 20, SrcIP: 5},
+	}
+	SortByStart(flows)
+	for i, want := range []uint32{2, 4, 5, 1, 3} {
+		if flows[i].SrcIP != want {
+			t.Fatalf("position %d holds flow %d, want %d: %+v", i, flows[i].SrcIP, want, flows)
+		}
+	}
+	before := append([]Flow(nil), flows...)
+	SortByStart(flows)
+	for i := range flows {
+		if flows[i] != before[i] {
+			t.Fatalf("sorted input changed at %d", i)
+		}
+	}
+	SortByStart(nil)
+}

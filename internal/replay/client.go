@@ -14,6 +14,12 @@ type ConsumeStats struct {
 	// skipped for this stream under its drop policy (sequence holes).
 	Received uint64
 	Gaps     uint64
+	// Head counts flows the run emitted before this stream joined and Tail
+	// the flows it held past the last one delivered (see StreamReader); with
+	// them a clean stream accounts for the whole run:
+	// Received + Gaps + Head + Tail == Header.Flows.
+	Head uint64
+	Tail uint64
 	// Clean reports whether the stream ended with a verified end frame (as
 	// opposed to the connection dying mid-run, e.g. a disconnect-policy
 	// eviction or a server crash).
@@ -28,22 +34,21 @@ func Consume(r io.Reader, fn func(seq uint64, f netflow.Flow, raw []byte) error)
 	if err != nil {
 		return ConsumeStats{}, err
 	}
-	st := ConsumeStats{Header: sr.Header}
+	stats := func(clean bool) ConsumeStats {
+		return ConsumeStats{Header: sr.Header, Received: sr.Received, Gaps: sr.Gaps,
+			Head: sr.Head, Tail: sr.Tail, Clean: clean}
+	}
 	for {
 		fr, err := sr.Next()
 		if err != nil {
-			st.Received, st.Gaps = sr.Received, sr.Gaps
-			return st, err
+			return stats(false), err
 		}
 		if fr.End {
-			st.Received, st.Gaps = sr.Received, sr.Gaps
-			st.Clean = true
-			return st, nil
+			return stats(true), nil
 		}
 		if fn != nil {
 			if err := fn(fr.Seq, fr.Flow, fr.Raw); err != nil {
-				st.Received, st.Gaps = sr.Received, sr.Gaps
-				return st, err
+				return stats(false), err
 			}
 		}
 	}

@@ -65,14 +65,17 @@ type Options struct {
 	Burst int
 	// Policy is the lag policy for slow subscribers.
 	Policy LagPolicy
-	// QueueLen bounds each subscriber's send queue in frames (0 means
-	// DefaultQueueLen).
+	// QueueLen bounds each subscriber's send queue in spans (0 means
+	// DefaultQueueLen). A span is a run of up to BatchLen flows the clock
+	// released at one instant, so a paced, caught-up stream queues one flow
+	// per element and an unpaced one may lag by QueueLen × BatchLen flows.
 	QueueLen int
-	// BatchLen caps how many flows one stream frame may carry (0 means
-	// DefaultBatchLen, 1 forces v1 single-flow frames). Batching never
-	// delays delivery: a frame carries only the contiguous run of flows
-	// already queued when the writer catches up, so a caught-up live
-	// subscriber still sees every flow in its own frame.
+	// BatchLen caps how many flows one emitter span and one stream frame
+	// may carry (0 means DefaultBatchLen, 1 forces v1 single-flow frames).
+	// Batching never delays delivery: a span holds only flows the pacer
+	// would have released without sleeping, and a frame only the contiguous
+	// spans already queued when the writer comes around, so a caught-up
+	// live subscriber still sees every flow in its own frame.
 	BatchLen int
 	// ArtifactSHA is the content address stamped into every stream header.
 	ArtifactSHA [32]byte
@@ -149,12 +152,16 @@ func (p *pacer) start(baseMicros int64) {
 	p.last = p.started
 }
 
+// dueAt maps a dataset timestamp onto the run's wall clock (speed > 0 only).
+func (p *pacer) dueAt(startMicros int64) time.Time {
+	elapsed := float64(startMicros-p.base) / p.speed // dataset µs -> wall µs
+	return p.started.Add(time.Duration(elapsed) * time.Microsecond)
+}
+
 // wait blocks until the flow with dataset timestamp startMicros is due.
 func (p *pacer) wait(startMicros int64) {
 	if p.speed > 0 {
-		elapsed := float64(startMicros-p.base) / p.speed // dataset µs -> wall µs
-		due := p.started.Add(time.Duration(elapsed) * time.Microsecond)
-		if d := due.Sub(p.clk.now()); d > 0 {
+		if d := p.dueAt(startMicros).Sub(p.clk.now()); d > 0 {
 			p.clk.sleep(d)
 		}
 	}
@@ -163,24 +170,41 @@ func (p *pacer) wait(startMicros int64) {
 	}
 }
 
-// take consumes one token, sleeping for the refill when the bucket is empty.
-func (p *pacer) take() {
-	now := p.clk.now()
+// due is wait without the sleeping: it reports whether wait would release the
+// flow at wall time now without blocking — its time-warp due time has passed
+// and the bucket holds a whole token — and consumes the token when it does.
+// The emitter extends a span with it, so a span never holds a flow the
+// per-flow schedule would still be sleeping on.
+func (p *pacer) due(startMicros int64, now time.Time) bool {
+	if p.speed > 0 && p.dueAt(startMicros).After(now) {
+		return false
+	}
+	if p.rate > 0 {
+		p.refill(now)
+		if p.tokens < 1 {
+			return false
+		}
+		p.tokens--
+	}
+	return true
+}
+
+// refill credits the tokens accrued since the last refill, up to the burst.
+func (p *pacer) refill(now time.Time) {
 	p.tokens += now.Sub(p.last).Seconds() * p.rate
 	p.last = now
 	if p.tokens > p.burst {
 		p.tokens = p.burst
 	}
+}
+
+// take consumes one token, sleeping for the refill when the bucket is empty.
+func (p *pacer) take() {
+	p.refill(p.clk.now())
 	if p.tokens < 1 {
 		need := (1 - p.tokens) / p.rate // seconds until one token refills
-		d := time.Duration(need * float64(time.Second))
-		p.clk.sleep(d)
-		now = p.clk.now()
-		p.tokens += now.Sub(p.last).Seconds() * p.rate
-		p.last = now
-		if p.tokens > p.burst {
-			p.tokens = p.burst
-		}
+		p.clk.sleep(time.Duration(need * float64(time.Second)))
+		p.refill(p.clk.now())
 	}
 	p.tokens--
 }

@@ -229,9 +229,24 @@ func FuzzReadFlowFile(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00}, 96))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flows, err := ReadFlowFile(bytes.NewReader(data))
+		// The in-memory view of the same file accepts exactly what the
+		// streaming parser accepts, and holds the same records.
+		section, serr := FlowSection(data)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("ReadFlowFile: %v, FlowSection: %v", err, serr)
+		}
 		if err != nil {
 			expectTyped(t, err)
+			expectTyped(t, serr)
 			return
+		}
+		if len(section) != len(flows)*FlowRecordLen {
+			t.Fatalf("FlowSection holds %d bytes for %d flows", len(section), len(flows))
+		}
+		for i := range flows {
+			if f, _ := DecodeFlow(section[i*FlowRecordLen:]); f != flows[i] {
+				t.Fatalf("FlowSection record %d differs from ReadFlowFile's", i)
+			}
 		}
 		// Parsed successfully: encode-then-decode must be the identity on the
 		// parsed flows. (A full byte round trip is not promised — the header

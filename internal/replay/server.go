@@ -1,8 +1,10 @@
 package replay
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,11 +14,17 @@ import (
 )
 
 // Server replays one dataset to any number of concurrent TCP subscribers.
-// One run has one clock: the pacing engine emits each flow once, and every
-// emission fans out to all connected subscribers through bounded per-
-// subscriber queues. The lag policy decides what a full queue means — block
-// the clock, drop the frame for that subscriber, or disconnect it — so under
-// drop/disconnect one slow client can never stall the run or its peers.
+// One run has one clock: the pacing engine emits each flow once, in spans —
+// runs of flows that are due at the same instant — and every span fans out to
+// all connected subscribers through bounded per-subscriber queues. The lag
+// policy decides what a full queue means — block the clock, drop the span for
+// that subscriber, or disconnect it — so under drop/disconnect one slow client
+// can never stall the run or its peers.
+//
+// The server holds the dataset only as its wire records (the CSBF1 flow
+// section): frames are slices of that slab and the pacer reads each start
+// time out of the record bytes, so a session costs no per-flow memory beyond
+// the slab — none at all when the slab is a cached artifact's own bytes.
 //
 // Lifecycle: NewServer → Serve (accept loop, usually in a goroutine) and/or
 // Attach → Start → Wait → Close. Subscribers connecting mid-run join the
@@ -24,15 +32,16 @@ import (
 // where); subscribers connecting after the run get an immediate clean end
 // frame.
 type Server struct {
-	flows []netflow.Flow
-	slab  []byte // pre-encoded records; flow i is slab[i*FlowRecordLen:...]
+	slab  []byte // wire records, immutable; flow i is slab[i*FlowRecordLen:...]
+	flows int    // len(slab) / FlowRecordLen
 	opts  Options
 	clk   clock
 	hdr   [HeaderLen]byte
 
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
-	bcast   []*subscriber // emitter-owned snapshot scratch, reused every flow
+	bcast   []*subscriber // emitter-owned snapshot scratch, reused every span
+	changed chan struct{} // closed and replaced at every attach, detach and Close
 	started bool
 	runOver bool // emitter finished; set under mu before queues close
 	closed  bool
@@ -50,42 +59,66 @@ type Server struct {
 	endWall   atomic.Int64 // unix nanos; 0 until the run finishes
 }
 
-// subscriber is one connected stream. The emitter enqueues flow indices on
-// ch; the writer goroutine frames and sends them. gone is closed when the
-// writer exits (connection error or eviction) so a block-policy emitter
-// never deadlocks on a dead peer.
+// span is one queue element: flows first..first+n-1, released by the clock at
+// one instant (1 <= n <= Options.BatchLen).
+type span struct{ first, n int }
+
+// subscriber is one connected stream. The emitter enqueues spans on ch; the
+// writer goroutine frames and sends them. gone is closed when the writer
+// exits (connection error or eviction) so a block-policy emitter never
+// deadlocks on a dead peer.
 type subscriber struct {
 	conn      net.Conn
-	ch        chan int
+	ch        chan span
 	gone      chan struct{}
 	closeOnce sync.Once
 	delivered uint64
-	dropped   atomic.Int64
 	evicted   atomic.Bool
 }
 
-// NewServer validates opts, checks the dataset is sorted by StartMicros (the
-// pacing contract) and pre-encodes every record.
+// NewServer encodes flows into wire records and serves those; see
+// NewServerFromRecords for the checks.
 func NewServer(flows []netflow.Flow, opts Options) (*Server, error) {
+	return NewServerFromRecords(EncodeFlows(flows), opts)
+}
+
+// NewServerFromRecords serves a slab of concatenated wire records — a CSBF1
+// flow section (FlowSection) or EncodeFlows output. It validates opts and
+// checks that the slab is whole records sorted by StartMicros (the pacing
+// contract). The slab is aliased, not copied: the caller must not modify it
+// while the server lives.
+func NewServerFromRecords(slab []byte, opts Options) (*Server, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(flows); i++ {
-		if flows[i].StartMicros < flows[i-1].StartMicros {
-			return nil, fmt.Errorf("replay: flows not sorted by StartMicros (index %d)", i)
-		}
+	if len(slab)%FlowRecordLen != 0 {
+		return nil, fmt.Errorf("replay: slab length %d is not a multiple of the %d-byte record", len(slab), FlowRecordLen)
 	}
 	s := &Server{
-		flows:   flows,
-		slab:    EncodeFlows(flows),
+		slab:    slab,
+		flows:   len(slab) / FlowRecordLen,
 		opts:    opts,
 		clk:     realClock(),
 		subs:    make(map[*subscriber]struct{}),
+		changed: make(chan struct{}),
 		stop:    make(chan struct{}),
 		runDone: make(chan struct{}),
 	}
-	s.hdr = EncodeHeader(Header{ArtifactSHA: opts.ArtifactSHA, Flows: uint64(len(flows))})
+	prev := int64(math.MinInt64)
+	for i := 0; i < s.flows; i++ {
+		start := s.startMicros(i)
+		if start < prev {
+			return nil, fmt.Errorf("replay: flows not sorted by StartMicros (index %d)", i)
+		}
+		prev = start
+	}
+	s.hdr = EncodeHeader(Header{ArtifactSHA: opts.ArtifactSHA, Flows: uint64(s.flows)})
 	return s, nil
+}
+
+// startMicros reads flow i's start time out of its wire record.
+func (s *Server) startMicros(i int) int64 {
+	return int64(binary.BigEndian.Uint64(s.slab[i*FlowRecordLen+16:]))
 }
 
 // Serve accepts subscribers on ln until ln is closed or the server is
@@ -119,7 +152,7 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) Attach(conn net.Conn) {
 	sub := &subscriber{
 		conn: conn,
-		ch:   make(chan int, s.opts.QueueLen),
+		ch:   make(chan span, s.opts.QueueLen),
 		gone: make(chan struct{}),
 	}
 	s.mu.Lock()
@@ -129,6 +162,7 @@ func (s *Server) Attach(conn net.Conn) {
 		return
 	}
 	s.subs[sub] = struct{}{}
+	s.notifyLocked()
 	runOver := s.runOver
 	s.mu.Unlock()
 	s.subsTotal.Add(1)
@@ -149,23 +183,47 @@ func (s *Server) Subscribers() int {
 	return len(s.subs)
 }
 
+// notifyLocked wakes AwaitSubscribers and Drain; the caller holds s.mu and
+// has just changed s.subs or s.closed.
+func (s *Server) notifyLocked() {
+	close(s.changed)
+	s.changed = make(chan struct{})
+}
+
+// subsState returns the subscriber count, whether the server is closed, and
+// a channel that is closed the next time either changes.
+func (s *Server) subsState() (have int, closed bool, changed <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.subs), s.closed, s.changed
+}
+
+// expiry is the timeout channel of AwaitSubscribers and Drain (0 never fires).
+func expiry(timeout time.Duration) <-chan time.Time {
+	if timeout <= 0 {
+		return nil
+	}
+	return time.After(timeout)
+}
+
 // AwaitSubscribers blocks until at least n subscribers are connected or the
-// timeout elapses (0 waits forever).
+// timeout elapses (0 waits forever). It wakes on the attach itself, so a run
+// started right after it begins with no polling delay.
 func (s *Server) AwaitSubscribers(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	expired := expiry(timeout)
 	for {
-		if s.Subscribers() >= n {
+		have, closed, changed := s.subsState()
+		if have >= n {
 			return nil
 		}
-		select {
-		case <-s.stop:
+		if closed {
 			return errors.New("replay: server closed")
-		default:
 		}
-		if timeout > 0 && time.Now().After(deadline) {
-			return fmt.Errorf("replay: %d subscriber(s) after %v, want %d", s.Subscribers(), timeout, n)
+		select {
+		case <-changed:
+		case <-expired:
+			return fmt.Errorf("replay: %d subscriber(s) after %v, want %d", have, timeout, n)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -175,15 +233,17 @@ func (s *Server) AwaitSubscribers(n int, timeout time.Duration) error {
 // alone tears connections down immediately, truncating streams that are
 // still catching up.
 func (s *Server) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	expired := expiry(timeout)
 	for {
-		if s.Subscribers() == 0 {
+		have, _, changed := s.subsState()
+		if have == 0 {
 			return nil
 		}
-		if timeout > 0 && time.Now().After(deadline) {
-			return fmt.Errorf("replay: %d subscriber(s) still draining after %v", s.Subscribers(), timeout)
+		select {
+		case <-changed:
+		case <-expired:
+			return fmt.Errorf("replay: %d subscriber(s) still draining after %v", have, timeout)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -219,7 +279,7 @@ func (s *Server) Done() bool {
 }
 
 // run is the emitter: one pass over the dataset on the pacing schedule,
-// fanning each flow out under the lag policy.
+// fanning each span of due flows out under the lag policy.
 func (s *Server) run() {
 	defer func() {
 		s.endWall.Store(time.Now().UnixNano())
@@ -239,27 +299,47 @@ func (s *Server) run() {
 		}
 		close(s.runDone)
 	}()
-	if len(s.flows) == 0 {
+	if s.flows == 0 {
 		return
 	}
 	p := newPacer(s.clk, s.opts)
-	p.start(s.flows[0].StartMicros)
-	for i := range s.flows {
+	p.start(s.startMicros(0))
+	for i := 0; i < s.flows; {
 		select {
 		case <-s.stop:
 			return
 		default:
 		}
-		p.wait(s.flows[i].StartMicros)
-		s.broadcast(i)
-		s.emitted.Add(1)
+		sp := s.nextSpan(p, i)
+		s.broadcast(sp)
+		s.emitted.Add(int64(sp.n))
+		i += sp.n
 	}
 }
 
-// broadcast offers flow index i to every live subscriber under the policy.
-// The snapshot scratch is owned by the emitter goroutine (broadcast's only
-// caller) and reused across flows, so the per-flow fan-out allocates nothing.
-func (s *Server) broadcast(i int) {
+// nextSpan sleeps until flow i is due, then extends the span over the
+// following flows that are due at that same instant: their time-warp due time
+// is not after one reading of the clock and the token bucket still holds a
+// whole token for each. These are exactly the flows the per-flow schedule
+// would release next without sleeping, so a span never delays a flow, and a
+// paced, caught-up run gets spans of one.
+func (s *Server) nextSpan(p *pacer, i int) span {
+	p.wait(s.startMicros(i))
+	n, limit := 1, min(s.opts.BatchLen, s.flows-i)
+	if limit > 1 {
+		now := s.clk.now()
+		for n < limit && p.due(s.startMicros(i+n), now) {
+			n++
+		}
+	}
+	return span{first: i, n: n}
+}
+
+// broadcast offers one span to every live subscriber under the policy: one
+// subscriber snapshot and one queue element per subscriber, whatever the
+// span's length. The snapshot scratch is owned by the emitter goroutine
+// (broadcast's only caller) and reused, so the fan-out allocates nothing.
+func (s *Server) broadcast(sp span) {
 	s.mu.Lock()
 	subs := s.bcast[:0]
 	for sub := range s.subs {
@@ -271,21 +351,20 @@ func (s *Server) broadcast(i int) {
 		switch s.opts.Policy {
 		case PolicyDrop:
 			select {
-			case sub.ch <- i:
+			case sub.ch <- sp:
 			default:
-				sub.dropped.Add(1)
-				s.dropped.Add(1)
+				s.dropped.Add(int64(sp.n))
 			}
 		case PolicyDisconnect:
 			select {
-			case sub.ch <- i:
+			case sub.ch <- sp:
 			default:
 				s.evict(sub)
 				s.disconnected.Add(1)
 			}
 		default: // PolicyBlock
 			select {
-			case sub.ch <- i:
+			case sub.ch <- sp:
 			case <-sub.gone:
 			case <-s.stop:
 				return
@@ -305,18 +384,22 @@ func (s *Server) evict(sub *subscriber) {
 // removeSub unregisters a subscriber (idempotent).
 func (s *Server) removeSub(sub *subscriber) {
 	s.mu.Lock()
-	delete(s.subs, sub)
+	if _, ok := s.subs[sub]; ok {
+		delete(s.subs, sub)
+		s.notifyLocked()
+	}
 	s.mu.Unlock()
 }
 
 // writeLoop frames and sends one subscriber's stream. Whatever contiguous
-// run of flow indices is already queued when the writer comes around goes out
-// as one batch frame — a single slab slice, framed and checksummed once — so
-// a catching-up stream amortizes framing across up to Options.BatchLen flows
-// while a caught-up stream still gets every flow in its own frame the moment
-// it is emitted. Batching never waits: only indices sitting in the queue
-// right now extend the frame. The send buffer is flushed whenever the queue
-// drains, so a caught-up live stream sees every flow promptly.
+// spans are already queued when the writer comes around go out as one batch
+// frame of up to Options.BatchLen flows — a single slab slice, framed and
+// checksummed once — so a catching-up stream amortizes framing while a
+// caught-up stream still gets every span in its own frame the moment it is
+// emitted. Batching never waits: only spans sitting in the queue right now
+// extend the frame, and a span is never split across frames. The send buffer
+// is flushed whenever the queue drains, so a caught-up live stream sees every
+// flow promptly.
 func (s *Server) writeLoop(sub *subscriber) {
 	defer close(sub.gone)
 	defer s.removeSub(sub)
@@ -326,46 +409,45 @@ func (s *Server) writeLoop(sub *subscriber) {
 	}
 	fw := newFrameWriter(sub.conn)
 	var (
-		pending     int  // first index of the next frame, when havePending
-		havePending bool // a non-contiguous index was pulled off the queue
+		pending     span // opens the next frame, when havePending
+		havePending bool // a span that could not join the frame was pulled off the queue
 		closed      bool // the queue closed mid-collect
 	)
 	for !closed {
-		var first int
+		var fr span // the frame being collected
 		if havePending {
-			first, havePending = pending, false
+			fr, havePending = pending, false
 		} else {
-			i, ok := <-sub.ch
-			if !ok {
+			var ok bool
+			if fr, ok = <-sub.ch; !ok {
 				break
 			}
-			first = i
 		}
-		count := 1
 	collect:
-		for count < s.opts.BatchLen {
+		for fr.n < s.opts.BatchLen {
 			select {
-			case j, ok := <-sub.ch:
+			case next, ok := <-sub.ch:
 				if !ok {
 					closed = true
 					break collect
 				}
-				if j != first+count {
-					// A drop-policy gap: it must land between frames so the
-					// receiver sees it as a sequence jump.
-					pending, havePending = j, true
+				if next.first != fr.first+fr.n || fr.n+next.n > s.opts.BatchLen {
+					// A drop-policy gap must land between frames so the
+					// receiver sees it as a sequence jump; a span that would
+					// overflow the frame simply opens the next one.
+					pending, havePending = next, true
 					break collect
 				}
-				count++
+				fr.n += next.n
 			default:
 				break collect
 			}
 		}
-		payload := s.slab[first*FlowRecordLen : (first+count)*FlowRecordLen]
-		if err := fw.writeFrame(uint64(first), payload); err != nil {
+		payload := s.slab[fr.first*FlowRecordLen : (fr.first+fr.n)*FlowRecordLen]
+		if err := fw.writeFrame(uint64(fr.first), payload); err != nil {
 			return
 		}
-		sub.delivered += uint64(count)
+		sub.delivered += uint64(fr.n)
 		if !havePending && len(sub.ch) == 0 {
 			if err := fw.w.Flush(); err != nil {
 				return
@@ -394,6 +476,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	s.notifyLocked()
 	ln := s.ln
 	started := s.started
 	subs := make([]*subscriber, 0, len(s.subs))
@@ -433,7 +516,7 @@ type Stats struct {
 	// every subscriber that ever connected.
 	Subscribers      int
 	SubscribersTotal int64
-	// Dropped counts frames skipped under PolicyDrop, summed over
+	// Dropped counts flows skipped under PolicyDrop, summed over
 	// subscribers; Disconnected counts PolicyDisconnect evictions.
 	Dropped      int64
 	Disconnected int64
@@ -447,7 +530,7 @@ type Stats struct {
 // Stats snapshots the run counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Flows:            len(s.flows),
+		Flows:            s.flows,
 		Emitted:          s.emitted.Load(),
 		Subscribers:      s.Subscribers(),
 		SubscribersTotal: s.subsTotal.Load(),

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -231,7 +232,7 @@ func TestReplayStalledSubscriberDrop(t *testing.T) {
 	if err := s.AwaitSubscribers(healthy, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	stalledSubscriber(t, s)
+	stalled := stalledSubscriber(t, s)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +248,22 @@ func TestReplayStalledSubscriberDrop(t *testing.T) {
 		if r.err != nil || !r.stats.Clean || r.stats.Gaps != 0 || !bytes.Equal(r.payload, want) {
 			t.Fatalf("healthy subscriber %d: err=%v stats=%+v", i, r.err, r.stats)
 		}
+		if r.stats.Received+r.stats.Gaps+r.stats.Head+r.stats.Tail != r.stats.Header.Flows {
+			t.Fatalf("healthy subscriber %d accounting: %+v", i, r.stats)
+		}
+	}
+	// The laggard wakes up after the run: what it still gets plus what it
+	// lost — between frames (Gaps) or past its last one (Tail) — is the run.
+	hdr := EncodeHeader(Header{Flows: uint64(len(flows))})
+	late, err := Consume(io.MultiReader(bytes.NewReader(hdr[:]), stalled), nil)
+	if err != nil || !late.Clean {
+		t.Fatalf("stalled subscriber: err=%v stats=%+v", err, late)
+	}
+	if late.Received+late.Gaps+late.Head+late.Tail != late.Header.Flows || late.Head != 0 {
+		t.Fatalf("stalled subscriber accounting: %+v", late)
+	}
+	if lost := s.Stats().Dropped; late.Gaps+late.Tail != uint64(lost) {
+		t.Fatalf("stalled subscriber lost %d+%d flows, server dropped %d", late.Gaps, late.Tail, lost)
 	}
 	st := s.Stats()
 	if st.Dropped == 0 {
@@ -307,8 +324,13 @@ func TestReplayLateSubscriberJoinsMidRun(t *testing.T) {
 	if firstSeq+got != uint64(len(flows)) {
 		t.Fatalf("late subscriber: first=%d received=%d flows=%d", firstSeq, got, len(flows))
 	}
+	// The missed prefix is accounted for, not silently absent: a late joiner
+	// no longer looks like a complete stream.
+	if st.Head != firstSeq || st.Head == 0 || st.Received+st.Gaps+st.Head+st.Tail != st.Header.Flows {
+		t.Fatalf("late subscriber accounting: first=%d stats=%+v", firstSeq, st)
+	}
 	r := <-early
-	if r.err != nil || !r.stats.Clean || r.stats.Received != uint64(len(flows)) {
+	if r.err != nil || !r.stats.Clean || r.stats.Received != uint64(len(flows)) || r.stats.Head != 0 || r.stats.Tail != 0 {
 		t.Fatalf("early subscriber: err=%v stats=%+v", r.err, r.stats)
 	}
 }

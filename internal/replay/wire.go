@@ -199,6 +199,42 @@ func WriteFlowFile(w io.Writer, flows []netflow.Flow) error {
 	return bw.Flush()
 }
 
+// flowFileCount validates a CSBF1 header and returns its record count.
+func flowFileCount(hdr *[FlowFileHeaderLen]byte) (uint64, error) {
+	if string(hdr[0:5]) != MagicFlowFile {
+		return 0, corruptf("bad flow-file magic %q", hdr[0:5])
+	}
+	if rl := binary.BigEndian.Uint16(hdr[6:8]); rl != FlowRecordLen {
+		return 0, corruptf("flow-file record length %d, want %d", rl, FlowRecordLen)
+	}
+	count := binary.BigEndian.Uint64(hdr[8:16])
+	if count > 1<<40 {
+		return 0, corruptf("implausible flow count %d", count)
+	}
+	return count, nil
+}
+
+// FlowSection returns the flow section of an in-memory CSBF1 artifact — its
+// counted records, aliased not copied, with the header and anything after the
+// records (a labeled artifact's CSBL1 section) excluded. It accepts exactly
+// the inputs ReadFlowFile accepts; the result is what NewServerFromRecords
+// streams and what a gap-free subscriber's payloads concatenate to.
+func FlowSection(data []byte) ([]byte, error) {
+	if len(data) < FlowFileHeaderLen {
+		return nil, fmt.Errorf("replay: flow-file header: %w", io.ErrUnexpectedEOF)
+	}
+	count, err := flowFileCount((*[FlowFileHeaderLen]byte)(data))
+	if err != nil {
+		return nil, err
+	}
+	body := data[FlowFileHeaderLen:]
+	if have := uint64(len(body) / FlowRecordLen); count > have {
+		return nil, fmt.Errorf("replay: flow record %d: %w", have, io.ErrUnexpectedEOF)
+	}
+	end := int(count) * FlowRecordLen
+	return body[:end:end], nil
+}
+
 // ReadFlowFile parses a CSBF1 flow artifact.
 func ReadFlowFile(r io.Reader) ([]netflow.Flow, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -206,15 +242,9 @@ func ReadFlowFile(r io.Reader) ([]netflow.Flow, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("replay: flow-file header: %w", err)
 	}
-	if string(hdr[0:5]) != MagicFlowFile {
-		return nil, corruptf("bad flow-file magic %q", hdr[0:5])
-	}
-	if rl := binary.BigEndian.Uint16(hdr[6:8]); rl != FlowRecordLen {
-		return nil, corruptf("flow-file record length %d, want %d", rl, FlowRecordLen)
-	}
-	count := binary.BigEndian.Uint64(hdr[8:16])
-	if count > 1<<40 {
-		return nil, corruptf("implausible flow count %d", count)
+	count, err := flowFileCount(&hdr)
+	if err != nil {
+		return nil, err
 	}
 	// Never pre-allocate from the untrusted header count alone: a corrupt
 	// 16-byte header claiming 2^40 flows must not demand terabytes up front.
@@ -239,6 +269,10 @@ func ReadFlowFile(r io.Reader) ([]netflow.Flow, error) {
 type frameWriter struct {
 	w   *bufio.Writer
 	crc uint32
+	// pre and sum are the frame prefix and checksum scratch: as locals they
+	// escape through the io.Writer and cost two allocations per frame.
+	pre [12]byte
+	sum [4]byte
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
@@ -249,33 +283,25 @@ func newFrameWriter(w io.Writer) *frameWriter {
 // seq the first record's flow index — and folds the payload into the rolling
 // checksum with a single CRC update, however many records it carries.
 func (fw *frameWriter) writeFrame(seq uint64, payload []byte) error {
-	var pre [12]byte
-	binary.BigEndian.PutUint32(pre[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(pre[4:12], seq)
-	if _, err := fw.w.Write(pre[:]); err != nil {
+	binary.BigEndian.PutUint32(fw.pre[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint64(fw.pre[4:12], seq)
+	if _, err := fw.w.Write(fw.pre[:]); err != nil {
 		return err
 	}
 	if _, err := fw.w.Write(payload); err != nil {
 		return err
 	}
 	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, payload)
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], fw.crc)
-	_, err := fw.w.Write(sum[:])
+	binary.BigEndian.PutUint32(fw.sum[:], fw.crc)
+	_, err := fw.w.Write(fw.sum[:])
 	return err
 }
 
-// writeEnd emits the end-of-stream frame (zero length, final checksum) and
-// flushes. delivered is the number of flow frames this stream carried.
+// writeEnd emits the end-of-stream frame — an empty payload, so zero length
+// and the final checksum — and flushes. delivered is the number of flows this
+// stream carried.
 func (fw *frameWriter) writeEnd(delivered uint64) error {
-	var pre [12]byte
-	binary.BigEndian.PutUint64(pre[4:12], delivered)
-	if _, err := fw.w.Write(pre[:]); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], fw.crc)
-	if _, err := fw.w.Write(sum[:]); err != nil {
+	if err := fw.writeFrame(delivered, nil); err != nil {
 		return err
 	}
 	return fw.w.Flush()
@@ -311,6 +337,10 @@ type StreamReader struct {
 	payload  []byte
 	off      int
 	batchSeq uint64
+	// pre and sum receive each frame's prefix and checksum (struct fields so
+	// that reading through the io.Reader allocates nothing per frame).
+	pre [12]byte
+	sum [4]byte
 
 	// Header is the stream header, decoded at construction.
 	Header Header
@@ -320,6 +350,14 @@ type StreamReader struct {
 	// Gaps counts flows skipped by the sender's lag policy, derived from
 	// sequence-number jumps.
 	Gaps uint64
+	// Head is the first frame's sequence number: the flows the run emitted
+	// before this stream joined. Tail, set at the end frame, is what the run
+	// held past the last flow seen (Header.Flows minus the sequence after
+	// it): flows dropped, or never emitted, after the last delivered frame.
+	// Neither shows as a gap, and on a clean stream
+	// Received + Gaps + Head + Tail == Header.Flows.
+	Head uint64
+	Tail uint64
 
 	nextSeq uint64
 	started bool
@@ -350,22 +388,23 @@ func (sr *StreamReader) Next() (Frame, error) {
 	if sr.off < len(sr.payload) {
 		return sr.yield(), nil
 	}
-	var pre [12]byte
-	if _, err := io.ReadFull(sr.br, pre[:]); err != nil {
+	if _, err := io.ReadFull(sr.br, sr.pre[:]); err != nil {
 		return Frame{}, fmt.Errorf("replay: frame header: %w", err)
 	}
-	length := binary.BigEndian.Uint32(pre[0:4])
-	seq := binary.BigEndian.Uint64(pre[4:12])
+	length := binary.BigEndian.Uint32(sr.pre[0:4])
+	seq := binary.BigEndian.Uint64(sr.pre[4:12])
 	if length == 0 {
-		var sum [4]byte
-		if _, err := io.ReadFull(sr.br, sum[:]); err != nil {
+		if _, err := io.ReadFull(sr.br, sr.sum[:]); err != nil {
 			return Frame{}, fmt.Errorf("replay: end frame: %w", err)
 		}
-		if got := binary.BigEndian.Uint32(sum[:]); got != sr.crc {
+		if got := binary.BigEndian.Uint32(sr.sum[:]); got != sr.crc {
 			return Frame{}, corruptf("final checksum %08x, want %08x", got, sr.crc)
 		}
 		if seq != sr.Received {
 			return Frame{}, corruptf("end frame claims %d flows, received %d", seq, sr.Received)
+		}
+		if sr.Header.Flows > sr.nextSeq {
+			sr.Tail = sr.Header.Flows - sr.nextSeq
 		}
 		sr.done = true
 		return Frame{Seq: seq, End: true}, nil
@@ -386,11 +425,10 @@ func (sr *StreamReader) Next() (Frame, error) {
 		return Frame{}, fmt.Errorf("replay: frame payload: %w", err)
 	}
 	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, sr.payload)
-	var sum [4]byte
-	if _, err := io.ReadFull(sr.br, sum[:]); err != nil {
+	if _, err := io.ReadFull(sr.br, sr.sum[:]); err != nil {
 		return Frame{}, fmt.Errorf("replay: frame checksum: %w", err)
 	}
-	if got := binary.BigEndian.Uint32(sum[:]); got != sr.crc {
+	if got := binary.BigEndian.Uint32(sr.sum[:]); got != sr.crc {
 		return Frame{}, corruptf("rolling checksum %08x at seq %d, want %08x", got, seq, sr.crc)
 	}
 	if sr.started {
@@ -400,6 +438,7 @@ func (sr *StreamReader) Next() (Frame, error) {
 		sr.Gaps += seq - sr.nextSeq
 	} else {
 		sr.started = true
+		sr.Head = seq
 	}
 	sr.nextSeq = seq + uint64(k)
 	sr.batchSeq = seq

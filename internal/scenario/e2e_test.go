@@ -69,6 +69,9 @@ func replayOverWire(t *testing.T, flows []netflow.Flow, sink func(netflow.Flow))
 	if !st.Clean || st.Gaps != 0 || st.Received != uint64(len(flows)) {
 		t.Fatalf("stream not clean: %+v", st)
 	}
+	if st.Received+st.Gaps+st.Head+st.Tail != st.Header.Flows || st.Head != 0 || st.Tail != 0 {
+		t.Fatalf("stream does not account for the run: %+v", st)
+	}
 	return payload.Bytes()
 }
 

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -43,7 +42,8 @@ type ReplayRequest struct {
 	Burst int `json:"burst,omitempty"`
 	// Policy is the lag policy: block, drop or disconnect (default block).
 	Policy string `json:"policy,omitempty"`
-	// Queue bounds each subscriber's send queue in frames (0 = default).
+	// Queue bounds each subscriber's send queue in spans of up to one frame's
+	// flows (0 = default; see replay.Options.QueueLen).
 	Queue int `json:"queue,omitempty"`
 	// WaitSubscribers delays the clock until this many subscribers have
 	// connected (0 starts immediately), so a fan-out benchmark's subscribers
@@ -82,7 +82,6 @@ type replaySession struct {
 	artifact string
 	srv      *replay.Server
 	addr     string
-	flows    int
 	speed    float64
 	rate     float64
 	policy   replay.LagPolicy
@@ -95,7 +94,7 @@ func (rs *replaySession) status() ReplayStatus {
 		ID:         rs.id,
 		ArtifactID: rs.artifact,
 		Addr:       rs.addr,
-		Flows:      rs.flows,
+		Flows:      st.Flows,
 		Speed:      rs.speed,
 		Rate:       rs.rate,
 		Policy:     rs.policy.String(),
@@ -120,9 +119,8 @@ type replayTotals struct {
 	disconnected int64
 }
 
-// StartReplay decodes the artifact's flows and opens a replay session on an
-// ephemeral loopback port. Errors carry the HTTP status via submitErr, same
-// as Submit.
+// StartReplay opens a replay session over the cached artifact on an ephemeral
+// loopback port. Errors carry the HTTP status via submitErr, same as Submit.
 func (s *Server) StartReplay(req ReplayRequest) (ReplayStatus, error) {
 	if req.ArtifactID == "" {
 		return ReplayStatus{}, &submitErr{code: http.StatusBadRequest, msg: "artifact_id is required"}
@@ -135,16 +133,6 @@ func (s *Server) StartReplay(req ReplayRequest) (ReplayStatus, error) {
 	if !ok {
 		return ReplayStatus{}, &submitErr{code: http.StatusNotFound, msg: "artifact evicted or unknown; resubmit the job"}
 	}
-	format := s.artifactFormat(req.ArtifactID)
-	flows, err := decodeReplayFlows(data, format)
-	if err != nil {
-		return ReplayStatus{}, &submitErr{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	// The replay contract wants non-decreasing start times; csv artifacts are
-	// already sorted (Assembler.Finish) and graph projections are all-zero,
-	// but re-sorting is cheap insurance against future formats.
-	sort.SliceStable(flows, func(i, j int) bool { return flows[i].StartMicros < flows[j].StartMicros })
-
 	opts := replay.Options{
 		Speed: req.Speed, Rate: req.Rate, Burst: req.Burst,
 		Policy: policy, QueueLen: req.Queue,
@@ -154,7 +142,7 @@ func (s *Server) StartReplay(req ReplayRequest) (ReplayStatus, error) {
 	if sum, err := hex.DecodeString(req.ArtifactID); err == nil && len(sum) == 32 {
 		copy(opts.ArtifactSHA[:], sum)
 	}
-	rsrv, err := replay.NewServer(flows, opts)
+	rsrv, err := newReplayServer(data, s.artifactFormat(req.ArtifactID), opts)
 	if err != nil {
 		return ReplayStatus{}, &submitErr{code: http.StatusBadRequest, msg: err.Error()}
 	}
@@ -192,7 +180,6 @@ func (s *Server) StartReplay(req ReplayRequest) (ReplayStatus, error) {
 		artifact: req.ArtifactID,
 		srv:      rsrv,
 		addr:     ln.Addr().String(),
-		flows:    len(flows),
 		speed:    req.Speed,
 		rate:     req.Rate,
 		policy:   policy,
@@ -335,6 +322,33 @@ func (s *Server) artifactFormat(artifact string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.formats[artifact]
+}
+
+// newReplayServer builds the session's server from artifact bytes. A csbf
+// artifact's flow section is already the server's send slab, so it is handed
+// over as cached — no decode, no copy; the stream then carries exactly the
+// artifact's flow bytes. Everything else, and a csbf whose records are out of
+// start-time order (scenario artifacts never are: Finish sorts them), is
+// decoded, put in order and re-encoded.
+func newReplayServer(data []byte, format string, opts replay.Options) (*replay.Server, error) {
+	if format == FormatCSBF {
+		if slab, err := replay.FlowSection(data); err == nil {
+			if rsrv, err := replay.NewServerFromRecords(slab, opts); err == nil {
+				return rsrv, nil
+			}
+		}
+		// Fall through: the decode path reports a malformed artifact or bad
+		// options with its own message, and sorts unsorted records.
+	}
+	flows, err := decodeReplayFlows(data, format)
+	if err != nil {
+		return nil, err
+	}
+	// The replay contract wants non-decreasing start times. csv artifacts are
+	// already sorted (Assembler.Finish) and graph projections are all-zero, so
+	// this rarely has anything to do.
+	netflow.SortByStart(flows)
+	return replay.NewServer(flows, opts)
 }
 
 // decodeReplayFlows turns artifact bytes into the flow set a replay run

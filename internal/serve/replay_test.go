@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -235,5 +236,99 @@ func TestReplayMetricsLines(t *testing.T) {
 	}
 	if !strings.Contains(text, "csbd_replay_emitted_flows_total") {
 		t.Fatal("metrics missing emitted counter")
+	}
+}
+
+// cacheFlowArtifact plants a hand-built csbf artifact in the server's cache,
+// as a finished scenario job would have left it, and returns its id.
+func cacheFlowArtifact(s *Server, id string, data []byte) string {
+	s.cache.Put(id, data)
+	s.mu.Lock()
+	s.formats[id] = FormatCSBF
+	s.mu.Unlock()
+	return id
+}
+
+// streamPayload subscribes to a session and returns the concatenated frame
+// payloads of a clean, gap-free stream.
+func streamPayload(t *testing.T, addr string, flows int) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var payload bytes.Buffer
+	cs, err := replay.Consume(conn, func(_ uint64, _ netflow.Flow, raw []byte) error {
+		payload.Write(raw)
+		return nil
+	})
+	if err != nil || !cs.Clean || cs.Gaps != 0 || cs.Received != uint64(flows) || cs.Head != 0 || cs.Tail != 0 {
+		t.Fatalf("stream: err=%v stats=%+v, want %d flows", err, cs, flows)
+	}
+	return payload.Bytes()
+}
+
+// TestReplayStartAliasesArtifact: a csbf session streams the cached
+// artifact's flow section in place. StartReplay decodes nothing and copies
+// nothing — it allocates well under 1 MiB for an 8 MB artifact (decoding,
+// sorting and re-encoding it took ≈ 18 MB) — and the stream's payloads are the
+// artifact's flow bytes, the trailing label section excluded.
+func TestReplayStartAliasesArtifact(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	flows := make([]netflow.Flow, 100_000)
+	for i := range flows {
+		flows[i] = netflow.Flow{SrcIP: uint32(i), DstIP: 7, DstPort: uint16(i), StartMicros: int64(i/3) * 1000, OutBytes: int64(i)}
+	}
+	var buf bytes.Buffer
+	if err := replay.WriteFlowFile(&buf, flows); err != nil {
+		t.Fatal(err)
+	}
+	section := bytes.Clone(buf.Bytes()[replay.FlowFileHeaderLen:])
+	buf.WriteString("CSBL1 stands in for a label section")
+	id := cacheFlowArtifact(s, strings.Repeat("cd", 32), buf.Bytes())
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := s.StartReplay(ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Flows != len(flows) {
+		t.Fatalf("session announces %d flows, want %d", st.Flows, len(flows))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("StartReplay allocated %d bytes for a %d-byte csbf artifact, want < 1 MiB", got, buf.Len())
+	} else {
+		t.Logf("StartReplay allocated %d bytes for a %d-byte csbf artifact", got, buf.Len())
+	}
+	if !bytes.Equal(streamPayload(t, st.Addr, len(flows)), section) {
+		t.Fatal("stream payloads differ from the artifact's flow section")
+	}
+}
+
+// TestReplayUnsortedArtifactFallsBack: a csbf whose records are out of
+// start-time order cannot be streamed in place; the session decodes it and
+// replays it in start-time order.
+func TestReplayUnsortedArtifactFallsBack(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	flows := make([]netflow.Flow, 50)
+	for i := range flows {
+		flows[i] = netflow.Flow{SrcIP: uint32(i), StartMicros: int64(i) * 10}
+	}
+	inOrder := replay.EncodeFlows(flows)
+	flows[10], flows[31] = flows[31], flows[10]
+	var buf bytes.Buffer
+	if err := replay.WriteFlowFile(&buf, flows); err != nil {
+		t.Fatal(err)
+	}
+	id := cacheFlowArtifact(s, strings.Repeat("ef", 32), buf.Bytes())
+	st, err := s.StartReplay(ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, inOrder) {
+		t.Fatal("unsorted csbf did not replay in start-time order")
 	}
 }

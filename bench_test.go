@@ -13,12 +13,10 @@ import (
 	"sync"
 	"testing"
 
-	"csb/internal/ba"
 	"csb/internal/bench"
 	"csb/internal/cluster"
 	"csb/internal/core"
 	"csb/internal/genmodels"
-	"csb/internal/graph"
 	"csb/internal/graphalgo"
 	"csb/internal/ids"
 	"csb/internal/kronecker"
@@ -118,7 +116,7 @@ func BenchmarkFig9Fig10Fig11SizeSweep(b *testing.B) {
 	var pt bench.SizePoint
 	for i := 0; i < b.N; i++ {
 		pts, err := bench.SizeSweep(seed, []int64{50000},
-			bench.ClusterConfig{Nodes: 8, CoresPerNode: 4}, bench.DefaultSeed)
+			cluster.Config{Nodes: 8, CoresPerNode: 4}, bench.DefaultSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,28 +237,6 @@ func BenchmarkFlowAssembler(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md) ----------------------------------------------------
-
-// Edge-list preferential attachment vs the classic O(n*m) BA loop.
-func BenchmarkAblationClassicBA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := ba.Classic(20000, 3, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationEdgeListBA(b *testing.B) {
-	g := graph.New(4)
-	for i := int64(0); i < 4; i++ {
-		g.AddEdge(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID((i + 1) % 4)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ba.EdgeListGrow(g, ba.GrowConfig{TargetEdges: 60000, Fraction: 0.5, OutPerVertex: 3, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // Conditional p(a|IN_BYTES) sampling vs independent attribute sampling.
 func BenchmarkAblationConditionalProps(b *testing.B) {

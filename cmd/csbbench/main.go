@@ -45,7 +45,7 @@ func main() {
 		nodes     = flag.Int("nodes", 60, "virtual nodes for fig9-11")
 		coresPer  = flag.Int("cores-per-node", 12, "virtual cores per node")
 		nodesArg  = flag.String("node-sweep", "10,20,30,40,50,60", "node counts for fig12")
-		coreSweep = flag.String("core-sweep", "", "core counts for fig8 (default 1..NumCPU)")
+		coreSweep = flag.String("core-sweep", "", "virtual core counts for fig8 (default 1,2,4,...,20)")
 		traceOut  = flag.String("trace", "", "write Chrome trace-event JSON of every engine stage to this file (fig8-12)")
 		stageTab  = flag.Bool("stages", false, "print the stage table after cluster experiments (fig8-12)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -65,7 +65,10 @@ func main() {
 		tracer = cluster.NewTracer()
 	}
 
-	seed := buildSeed(*hosts, *sessions, *rngSeed)
+	seed, err := core.SyntheticSeed(*hosts, *sessions, *rngSeed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	log.Printf("seed: %d vertices, %d edges", seed.Graph.NumVertices(), seed.Graph.NumEdges())
 
 	sizes := parseInt64s(*sizesArg)
@@ -171,18 +174,6 @@ func finishTrace(tracer *cluster.Tracer, traceOut string, table bool) {
 	}
 }
 
-func buildSeed(hosts, sessions int, rngSeed uint64) *core.Seed {
-	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(hosts, sessions, rngSeed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	seed, err := core.Analyze(netflow.BuildGraph(netflow.Assemble(pkts, 0)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	return seed
-}
-
 func fig5(seed *core.Seed, edges int64, rngSeed uint64) {
 	res, err := bench.Fig5(seed, edges, rngSeed)
 	if err != nil {
@@ -231,7 +222,7 @@ func fig8(seed *core.Seed, edges int64, cores []int, rngSeed uint64, tracer *clu
 }
 
 func sizeSweep(seed *core.Seed, sizes []int64, nodes, coresPer int, rngSeed uint64, metric string, tracer *cluster.Tracer) {
-	pts, err := bench.SizeSweep(seed, sizes, bench.ClusterConfig{Nodes: nodes, CoresPerNode: coresPer, Tracer: tracer}, rngSeed)
+	pts, err := bench.SizeSweep(seed, sizes, cluster.Config{Nodes: nodes, CoresPerNode: coresPer, Tracer: tracer}, rngSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -365,7 +356,7 @@ func chaos(seed *core.Seed, edges int64, rngSeed uint64) {
 	}
 	fmt.Println("# Chaos: fault-injection determinism and retry/speculation cost")
 	fmt.Println("generator\tfault_rate\tattempts\tfailed\tretries\tspeculative\tvirtual_seconds\tidentical")
-	for _, gen := range []string{"pgpba", "pgsk"} {
+	for _, gen := range []string{core.GenPGPBA, core.GenPGSK} {
 		var baseline []byte
 		for _, rate := range []float64{0, 0.05, 0.2} {
 			cfg := cluster.Config{
@@ -381,11 +372,9 @@ func chaos(seed *core.Seed, edges int64, rngSeed uint64) {
 			if err != nil {
 				log.Fatal(err)
 			}
-			var g core.Generator
-			if gen == "pgpba" {
-				g = &core.PGPBA{Fraction: 0.3, Seed: rngSeed, Cluster: c}
-			} else {
-				g = &core.PGSK{Seed: rngSeed, Cluster: c}
+			g, err := core.NewGenerator(gen, 0.3, rngSeed, c)
+			if err != nil {
+				log.Fatal(err)
 			}
 			out, err := g.Generate(seed, edges)
 			if err != nil {

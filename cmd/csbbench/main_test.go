@@ -5,7 +5,18 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"csb/internal/core"
 )
+
+func buildSeed(t *testing.T, hosts, sessions int, rngSeed uint64) *core.Seed {
+	t.Helper()
+	seed, err := core.SyntheticSeed(hosts, sessions, rngSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seed
+}
 
 func TestParseHelpers(t *testing.T) {
 	if got := parseInt64s("1,2, 3"); len(got) != 3 || got[2] != 3 {
@@ -46,7 +57,7 @@ func captureStdout(t *testing.T, fn func()) string {
 // TestSmokeTable1 runs the lightest experiment end to end through the
 // printing path of the command.
 func TestSmokeTable1(t *testing.T) {
-	seed := buildSeed(20, 300, 7)
+	seed := buildSeed(t, 20, 300, 7)
 	out := captureStdout(t, func() { table1(seed, 7) })
 	if !strings.Contains(out, "dip-T") || !strings.Contains(out, "tuned detection") {
 		t.Fatalf("table1 output: %q", out)
@@ -55,7 +66,7 @@ func TestSmokeTable1(t *testing.T) {
 
 // TestSmokeWorkload exercises the workload experiment printer.
 func TestSmokeWorkload(t *testing.T) {
-	seed := buildSeed(20, 300, 7)
+	seed := buildSeed(t, 20, 300, 7)
 	out := captureStdout(t, func() { workloadExp(seed, 2000, 7) })
 	for _, want := range []string{"dataset: seed", "pgpba-", "pgsk-", "node-lookups"} {
 		if !strings.Contains(out, want) {
@@ -66,7 +77,7 @@ func TestSmokeWorkload(t *testing.T) {
 
 // TestSmokeVeracityPrinter exercises the fig6/7 printers.
 func TestSmokeVeracityPrinter(t *testing.T) {
-	seed := buildSeed(20, 300, 7)
+	seed := buildSeed(t, 20, 300, 7)
 	out := captureStdout(t, func() { veracity(seed, []int64{2000}, []float64{0.5}, 7, true) })
 	if !strings.Contains(out, "Figure 6") || !strings.Contains(out, "pgsk") {
 		t.Fatalf("fig6 output: %q", out)

@@ -16,8 +16,8 @@
 //
 // Distributed operation (-role): a coordinator additionally listens for
 // worker processes on -dist-addr and ships remotable engine stages to them;
-// workers join with -join and execute tasks. Artifact bytes are identical to
-// standalone operation on the same engine shape — see DESIGN.md.
+// workers join with -join and execute tasks. Where a task runs never changes
+// artifact bytes: they are identical to standalone operation — see DESIGN.md.
 //
 //	csbd -role coordinator -addr :8080 -dist-addr :9444 -min-workers 2
 //	csbd -role worker -join localhost:9444 -name w1
@@ -81,8 +81,8 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		cacheBytes = fs.Int64("cache-bytes", serve.DefaultCacheBytes, "in-memory artifact cache budget")
 		cacheDir   = fs.String("cache-dir", "", "disk spill directory for evicted artifacts (empty disables)")
 		cacheDisk  = fs.Int64("cache-disk-bytes", 0, "disk spill budget (0 = 4x cache-bytes)")
-		nodes      = fs.Int("nodes", 1, "virtual cluster nodes jobs run on")
-		cores      = fs.Int("cores", 0, "cores per virtual node (0 = all local cores)")
+		nodes      = fs.Int("nodes", 1, "virtual cluster nodes jobs run on (placement: changing it changes artifact bytes)")
+		cores      = fs.Int("cores", 0, "cores per virtual node (0 = 1; placement: changing it changes artifact bytes)")
 		jobRetries = fs.Int("job-retries", 1, "re-attempts for transiently failed jobs (negative disables)")
 		taskRetry  = fs.Int("max-task-retries", 0, "engine task retry budget (0 = default, negative disables)")
 		specExec   = fs.Bool("speculation", false, "duplicate straggler tasks in the engine")

@@ -45,8 +45,8 @@ func run(args []string, stdout io.Writer) error {
 		edges     = fs.Int64("edges", 100000, "desired number of edges")
 		fraction  = fs.Float64("fraction", 0.1, "PGPBA fraction parameter")
 		rngSeed   = fs.Uint64("seed", 42, "RNG seed")
-		nodes     = fs.Int("nodes", 1, "virtual cluster nodes")
-		cores     = fs.Int("cores", 0, "cores per virtual node (0 = all local cores)")
+		nodes     = fs.Int("nodes", 1, "virtual cluster nodes (placement: changing it changes the output bytes)")
+		cores     = fs.Int("cores", 0, "cores per virtual node (0 = 1; placement: changing it changes the output bytes)")
 		out       = fs.String("out", "", "output CSBG file")
 		edgeList  = fs.String("edgelist-out", "", "output TSV edge list")
 		veracity  = fs.Bool("veracity", false, "also report degree/PageRank veracity vs the seed")
@@ -80,15 +80,30 @@ func run(args []string, stdout io.Writer) error {
 		}()
 	}
 
+	var tracer *csb.Tracer
+	if *traceOut != "" || *stageTab {
+		tracer = csb.NewTracer()
+	}
+	// -nodes/-cores are placement and name different bytes; tracing, retries,
+	// speculation and injected faults never do. Unset, the shape is the
+	// default 1 x 1 csbd jobs run on, on every host.
+	ccfg := csb.ClusterConfig{
+		Nodes: *nodes, CoresPerNode: *cores, Tracer: tracer,
+		MaxTaskRetries: *taskRetry, Speculation: *specExec,
+	}
+	if *faultRate > 0 {
+		ccfg.Faults = csb.NewFaultPlan(*faultSeed, *faultRate)
+	}
+	c, err := csb.NewCluster(ccfg)
+	if err != nil {
+		return err
+	}
+
 	if *scenIn != "" {
 		// Scenario mode shares the chaos/topology flags: a generator
-		// background runs on the same optional cluster a plain generation
-		// would, so -fault-rate exercises the fault model on labeled
-		// artifacts too — without changing their bytes.
-		c, err := clusterFromFlags(*nodes, *cores, nil, *faultRate, *faultSeed, *taskRetry, *specExec)
-		if err != nil {
-			return err
-		}
+		// background runs on the same cluster a plain generation would, so
+		// -fault-rate exercises the fault model on labeled artifacts too —
+		// without changing their bytes.
 		return runScenario(*scenIn, *scenOut, c, stdout)
 	}
 
@@ -109,16 +124,10 @@ func run(args []string, stdout io.Writer) error {
 		if err := spec.Normalize(); err != nil {
 			return err
 		}
-		if *nodes == 1 && *cores == 0 {
-			// Default engine shape only: artifact identity assumes the
-			// single-node, all-cores topology csbd jobs run on.
+		if c.VirtualCores() == 1 {
+			// A Spec.ID names the default shape's bytes.
 			jobSpec = &spec
 		}
-	}
-
-	var tracer *csb.Tracer
-	if *traceOut != "" || *stageTab {
-		tracer = csb.NewTracer()
 	}
 
 	var seed *csb.Seed
@@ -145,37 +154,21 @@ func run(args []string, stdout io.Writer) error {
 		if seed, err = csb.AnalyzeSeed(g); err != nil {
 			return err
 		}
-	} else {
-		var err error
-		if seed, err = csb.BuildSyntheticSeed(*hosts, *sessions, *rngSeed); err != nil {
-			return err
-		}
+	} else if seed, err = csb.BuildSyntheticSeed(*hosts, *sessions, *rngSeed); err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "seed: %d vertices, %d edges\n", seed.Graph.NumVertices(), seed.Graph.NumEdges())
 
-	c, err := clusterFromFlags(*nodes, *cores, tracer, *faultRate, *faultSeed, *taskRetry, *specExec)
+	generator, err := core.NewGenerator(*gen, *fraction, *rngSeed, c)
 	if err != nil {
 		return err
 	}
 
-	var generator csb.Generator
-	var pgsk *csb.PGSK
-	switch *gen {
-	case "pgpba":
-		generator = &csb.PGPBA{Fraction: *fraction, Seed: *rngSeed, Cluster: c}
-	case "pgsk":
-		pgsk = &csb.PGSK{Seed: *rngSeed, Cluster: c}
-		generator = pgsk
-	default:
-		return fmt.Errorf("unknown generator %q (want pgpba or pgsk)", *gen)
-	}
-
 	start := time.Now()
 	var fit *kronfit.Result
-	if pgsk != nil {
+	if pgsk, ok := generator.(*core.PGSK); ok {
 		// Generate would run the same fit and drop its diagnostics; -stages
 		// reports them.
-		var err error
 		if fit, err = pgsk.FitResult(seed); err != nil {
 			return err
 		}
@@ -189,15 +182,13 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "%s generated %d vertices, %d edges in %v (%.0f edges/s)\n",
 		generator.Name(), g.NumVertices(), g.NumEdges(), elapsed.Round(time.Millisecond),
 		float64(g.NumEdges())/elapsed.Seconds())
-	if c != nil {
-		m := c.Metrics()
-		fmt.Fprintf(stdout, "virtual cluster: makespan %v, total work %v, peak %d MiB/node\n",
-			m.Makespan.Round(time.Millisecond), m.TotalWork.Round(time.Millisecond),
-			m.PeakBytesPerNode>>20)
-		if m.TaskFailures > 0 || m.SpeculativeTasks > 0 {
-			fmt.Fprintf(stdout, "fault tolerance: %d failed attempts, %d retries, %d speculative tasks\n",
-				m.TaskFailures, m.TaskRetries, m.SpeculativeTasks)
-		}
+	m := c.Metrics()
+	fmt.Fprintf(stdout, "virtual cluster: makespan %v, total work %v, peak %d MiB/node\n",
+		m.Makespan.Round(time.Millisecond), m.TotalWork.Round(time.Millisecond),
+		m.PeakBytesPerNode>>20)
+	if m.TaskFailures > 0 || m.SpeculativeTasks > 0 {
+		fmt.Fprintf(stdout, "fault tolerance: %d failed attempts, %d retries, %d speculative tasks\n",
+			m.TaskFailures, m.TaskRetries, m.SpeculativeTasks)
 	}
 
 	if *veracity {
@@ -262,34 +253,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// clusterFromFlags builds the explicit cluster the topology, tracing and
-// fault-tolerance flags ask for, or nil when none is set (generators then run
-// on their implicit local cluster). Tracing and the fault-tolerance knobs need
-// an explicit cluster even in the default single-node setup, so the engine has
-// somewhere to put them; they keep the default topology, because partitioning
-// (and therefore output bytes) must stay identical to a clean run for the
-// byte-identity check to mean anything.
-func clusterFromFlags(nodes, cores int, tracer *csb.Tracer, faultRate float64, faultSeed uint64, retries int, speculation bool) (*csb.Cluster, error) {
-	var faults *csb.FaultPlan
-	if faultRate > 0 {
-		faults = csb.NewFaultPlan(faultSeed, faultRate)
-	}
-	if nodes <= 1 && cores <= 0 && tracer == nil && faults == nil && !speculation && retries == 0 {
-		return nil, nil
-	}
-	if cores == 0 {
-		if nodes > 1 {
-			cores = 4
-		} else {
-			cores = runtime.GOMAXPROCS(0)
-		}
-	}
-	return csb.NewCluster(csb.ClusterConfig{
-		Nodes: nodes, CoresPerNode: cores, Tracer: tracer,
-		MaxTaskRetries: retries, Speculation: speculation, Faults: faults,
-	})
 }
 
 // runScenario compiles a scenario spec into its labeled artifact, printing

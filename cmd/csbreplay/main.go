@@ -18,8 +18,8 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"csb/internal/attack"
-	"csb/internal/graph"
 	"csb/internal/ids"
 	"csb/internal/netflow"
 	"csb/internal/replay"
@@ -95,60 +94,36 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	if err != nil {
 		return err
 	}
-	src, err := loadFlows(*flowsIn, *graphIn, *artifactIn, *scenIn, *follow, *daemon)
+	src, err := loadSource(*flowsIn, *graphIn, *artifactIn, *scenIn, *follow, *daemon)
 	if err != nil {
 		return err
 	}
-	opts := replay.Options{
-		Speed: *speed, Rate: *rate, Burst: *burst,
-		Policy: policy, QueueLen: *queueLen, BatchLen: *batchLen, ArtifactSHA: src.sha,
-	}
-	// A CSBF source whose records are already in start-time order replays its
-	// own bytes: no decode, no sort, no re-encode. It is decoded only when
-	// -flows-out wants flows or the records need sorting (or opts are bad,
-	// which NewServer below reports).
-	var srv *replay.Server
-	if src.records != nil && *flowsOut == "" {
-		srv, _ = replay.NewServerFromRecords(src.records, opts)
-	}
-	flows, loaded := src.flows, len(src.records)/replay.FlowRecordLen
-	if srv == nil {
-		if src.records != nil {
-			flows = make([]netflow.Flow, loaded)
-			for i := range flows {
-				flows[i], _ = replay.DecodeFlow(src.records[i*replay.FlowRecordLen:])
-			}
-		}
-		// The replay contract wants non-decreasing start times; projections
-		// from generated graphs are timeline-free (all zero) and assembled
-		// CSVs and compiled scenarios are already sorted, but inputs from
-		// other tools may not be.
-		netflow.SortByStart(flows)
-		loaded = len(flows)
-	}
-	fmt.Fprintf(stdout, "loaded %d flows\n", loaded)
 
 	if *flowsOut != "" {
-		f, err := os.Create(*flowsOut)
+		// Scenario sources write the full labeled artifact they compiled to
+		// (flow section + label section), byte-identical to `csbgen -scenario`
+		// and a csbd scenario job on the same spec; other sources are decoded
+		// into a plain CSBF1.
+		out := src.data
+		if !src.labeled {
+			flows, err := serve.ReplayFlows(src.data, src.format)
+			if err != nil {
+				return err
+			}
+			var buf bytes.Buffer
+			if err := replay.WriteFlowFile(&buf, flows); err != nil {
+				return err
+			}
+			out = buf.Bytes()
+		}
+		if err := os.WriteFile(*flowsOut, out, 0o666); err != nil {
+			return err
+		}
+		records, err := replay.FlowSection(out)
 		if err != nil {
 			return err
 		}
-		// Scenario sources write the full labeled artifact (flow section +
-		// label section), byte-identical to `csbgen -scenario` and a csbd
-		// scenario job on the same spec; other sources write a plain CSBF1.
-		if src.labeled != nil {
-			err = scenario.WriteLabeled(f, src.labeled)
-		} else {
-			err = replay.WriteFlowFile(f, flows)
-		}
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s (%d flows)\n", *flowsOut, len(flows))
+		fmt.Fprintf(stdout, "wrote %s (%d flows)\n", *flowsOut, len(records)/replay.FlowRecordLen)
 		if *addr == "" {
 			return nil
 		}
@@ -157,12 +132,16 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		return fmt.Errorf("nothing to do: pass -addr to serve, -consume to subscribe, or -flows-out to convert")
 	}
 
-	if srv == nil {
-		if srv, err = replay.NewServer(flows, opts); err != nil {
-			return err
-		}
+	srv, err := serve.NewReplayServer(src.data, src.format, replay.Options{
+		Speed: *speed, Rate: *rate, Burst: *burst,
+		Policy: policy, QueueLen: *queueLen, BatchLen: *batchLen, ArtifactSHA: src.sha,
+	})
+	if err != nil {
+		return err
 	}
 	defer srv.Close()
+	loaded := srv.Stats().Flows
+	fmt.Fprintf(stdout, "loaded %d flows\n", loaded)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -201,16 +180,17 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	return nil
 }
 
-// source is the dataset the flags named.
+// source is the dataset the flags named: artifact bytes in one of the
+// replayable formats (serve.NewReplayServer).
 type source struct {
-	flows   []netflow.Flow   // decoded flows; nil for a CSBF source
-	records []byte           // a CSBF source's flow section, undecoded
-	sha     [32]byte         // SHA-256 stamped into the stream header
-	labeled *attack.Scenario // scenario sources: the ground truth -flows-out persists
+	data    []byte
+	format  string
+	sha     [32]byte // SHA-256 stamped into the stream header
+	labeled bool     // a compiled scenario: data carries the CSBL1 ground truth
 }
 
-// loadFlows resolves the one dataset source the flags name.
-func loadFlows(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) (source, error) {
+// loadSource resolves the one dataset source the flags name.
+func loadSource(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) (source, error) {
 	sources := 0
 	for _, s := range []string{flowsIn, graphIn, artifactIn, scenIn, follow} {
 		if s != "" {
@@ -233,21 +213,17 @@ func loadFlows(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) (sou
 		if err != nil {
 			return source{}, err
 		}
-		sc, err := scenario.Compile(sp, nil)
-		if err != nil {
-			return source{}, err
-		}
-		// Stamp the same content address a csbd scenario job would use, so
-		// subscribers can tie the stream back to the cached artifact.
+		// The same job spec, bytes and content address a csbd scenario job
+		// has, so subscribers can tie the stream back to the cached artifact.
 		job := serve.Spec{Scenario: sp}
 		if err := job.Normalize(); err != nil {
 			return source{}, err
 		}
-		src := source{flows: sc.Flows, labeled: sc}
-		if sum, err := hex.DecodeString(job.ID()); err == nil && len(sum) == 32 {
-			copy(src.sha[:], sum)
+		data, err := serve.BuildArtifact(context.Background(), job, nil)
+		if err != nil {
+			return source{}, err
 		}
-		return src, nil
+		return source{data: data, format: job.Format, sha: serve.ArtifactSHA(job.ID()), labeled: true}, nil
 	}
 	path, format := artifactIn, serve.FormatCSBF
 	switch {
@@ -260,34 +236,10 @@ func loadFlows(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) (sou
 	if err != nil {
 		return source{}, err
 	}
-	return decodeSource(data, format, sha256.Sum256(data))
+	return source{data: data, format: format, sha: sha256.Sum256(data)}, nil
 }
 
-// decodeSource decodes csv and csbg bytes into flows; a csbf artifact yields
-// its flow section undecoded (the label section trailing a labeled artifact
-// is for -consume -labels scoring, not the stream). Other formats are not
-// replayable.
-func decodeSource(data []byte, format string, sha [32]byte) (source, error) {
-	src := source{sha: sha}
-	var err error
-	switch format {
-	case serve.FormatCSV:
-		src.flows, err = netflow.ReadCSV(bytes.NewReader(data))
-	case serve.FormatCSBG:
-		var g *graph.Graph
-		if g, err = graph.Read(bytes.NewReader(data)); err == nil {
-			src.flows = netflow.FlowsFromGraph(g)
-		}
-	case serve.FormatCSBF:
-		src.records, err = replay.FlowSection(data)
-	default:
-		err = fmt.Errorf("artifact format %q is not replayable (want csv, csbg or csbf)", format)
-	}
-	return src, err
-}
-
-// followJob polls a csbd job to completion, fetches its artifact and decodes
-// it (decodeSource).
+// followJob polls a csbd job to completion and fetches its artifact.
 func followJob(daemon, jobID string) (source, error) {
 	base := strings.TrimSuffix(daemon, "/")
 	var st serve.JobStatus
@@ -327,13 +279,7 @@ func followJob(daemon, jobID string) (source, error) {
 	if err != nil {
 		return source{}, err
 	}
-	// The artifact id is the hex SHA-256 of the spec — the same address csbd
-	// stamps into its own replay streams.
-	var sha [32]byte
-	if sum, err := hex.DecodeString(st.ArtifactID); err == nil && len(sum) == 32 {
-		copy(sha[:], sum)
-	}
-	return decodeSource(data, st.Spec.Format, sha)
+	return source{data: data, format: st.Spec.Format, sha: serve.ArtifactSHA(st.ArtifactID)}, nil
 }
 
 // consumeStream subscribes to a CSBS1 stream, optionally running the

@@ -187,11 +187,7 @@ func AnalyzeSeed(g *Graph) (*Seed, error) {
 // BuildSyntheticSeed runs the whole Figure 1 pipeline over a synthetic
 // trace: hosts and sessions control the seed's size, seed the randomness.
 func BuildSyntheticSeed(hosts, sessions int, seed uint64) (*Seed, error) {
-	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(hosts, sessions, seed))
-	if err != nil {
-		return nil, fmt.Errorf("csb: synthesizing trace: %w", err)
-	}
-	return core.Analyze(netflow.BuildGraph(netflow.Assemble(pkts, 0)))
+	return core.SyntheticSeed(hosts, sessions, seed)
 }
 
 // BuildSeedFromPCAP runs the Figure 1 pipeline over a captured trace.
@@ -200,7 +196,7 @@ func BuildSeedFromPCAP(r io.Reader) (*Seed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("csb: reading PCAP: %w", err)
 	}
-	return core.Analyze(netflow.BuildGraph(netflow.Assemble(pkts, 0)))
+	return core.SeedFromPackets(pkts)
 }
 
 // NewCluster creates an execution cluster; see ClusterConfig.
@@ -208,8 +204,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cluster.New(cfg)
 }
 
-// LocalCluster returns a single-node cluster bounded by maxParallel real
-// cores (0 means all).
+// LocalCluster returns a single-node cluster of maxParallel cores; 0 is the
+// default engine (1 x 1 placement on every host, parallelism up to
+// GOMAXPROCS).
 func LocalCluster(maxParallel int) *Cluster {
 	return cluster.Local(maxParallel)
 }

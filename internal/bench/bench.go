@@ -294,34 +294,18 @@ type SizePoint struct {
 	BytesPerNode  int64   // peak per-node memory (Figure 11)
 }
 
-// ClusterConfig describes the virtual cluster of the Figure 9-11 sweeps.
-// The paper uses 60 nodes with total-executor-cores = 12x nodes and
-// partitions = 2x executor cores.
-type ClusterConfig struct {
-	Nodes        int
-	CoresPerNode int
-	// Tracer, when set, collects a stage span for every engine operation of
-	// every run (cmd/csbbench -trace).
-	Tracer *cluster.Tracer
-}
-
-func (cc ClusterConfig) build() *cluster.Cluster {
-	return cluster.MustNew(cluster.Config{
-		Nodes:        cc.Nodes,
-		CoresPerNode: cc.CoresPerNode,
-		Tracer:       cc.Tracer,
-	})
-}
-
 // SizeSweep generates graphs of each target size with both generators on the
-// virtual cluster, recording virtual makespan, throughput, property-
-// synthesis overhead and peak memory. PGPBA runs at fraction 2 to match
-// PGSK's doubling, the Figure 9 configuration.
-func SizeSweep(seed *core.Seed, sizes []int64, cc ClusterConfig, rngSeed uint64) ([]SizePoint, error) {
+// virtual cluster cfg describes (the paper uses 60 nodes with
+// total-executor-cores = 12x nodes and partitions = 2x executor cores),
+// recording virtual makespan, throughput, property-synthesis overhead and
+// peak memory. PGPBA runs at fraction 2 to match PGSK's doubling, the
+// Figure 9 configuration.
+func SizeSweep(seed *core.Seed, sizes []int64, cfg cluster.Config, rngSeed uint64) ([]SizePoint, error) {
 	var out []SizePoint
+	build := func() *cluster.Cluster { return cluster.MustNew(cfg) }
 	run := func(name string, makeGen func(c *cluster.Cluster, skipProps bool) (core.Generator, error), size int64) error {
 		// Full run.
-		g, m, err := measureMin(cc.build, func(c *cluster.Cluster) (*graph.Graph, error) {
+		g, m, err := measureMin(build, func(c *cluster.Cluster) (*graph.Graph, error) {
 			defer c.Scope(fmt.Sprintf("%s-e%d", name, size))()
 			gen, err := makeGen(c, false)
 			if err != nil {
@@ -335,7 +319,7 @@ func SizeSweep(seed *core.Seed, sizes []int64, cc ClusterConfig, rngSeed uint64)
 		full := m.Makespan.Seconds()
 
 		// Structural-only run for the property overhead.
-		_, m2, err := measureMin(cc.build, func(c *cluster.Cluster) (*graph.Graph, error) {
+		_, m2, err := measureMin(build, func(c *cluster.Cluster) (*graph.Graph, error) {
 			defer c.Scope(fmt.Sprintf("%s-e%d-noprops", name, size))()
 			gen, err := makeGen(c, true)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"csb/internal/cluster"
 	"csb/internal/core"
 	"csb/internal/netflow"
 	"csb/internal/pcap"
@@ -104,7 +105,7 @@ func TestSingleNodeThroughput(t *testing.T) {
 
 func TestSizeSweepShapes(t *testing.T) {
 	s := smallSeed(t)
-	pts, err := SizeSweep(s, []int64{5000, 40000}, ClusterConfig{Nodes: 4, CoresPerNode: 2}, 4)
+	pts, err := SizeSweep(s, []int64{5000, 40000}, cluster.Config{Nodes: 4, CoresPerNode: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

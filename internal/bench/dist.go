@@ -34,9 +34,9 @@ func DistSweep(edges int64, workerCounts []int, rngSeed uint64) ([]DistResult, e
 		return nil, err
 	}
 	build := func(ex cluster.TaskExecutor) ([]byte, int64, float64, error) {
-		cfg := cluster.Local(0).Config()
-		cfg.Executor = ex
-		c, err := cluster.New(cfg)
+		// An explicit shape: 8 partitions give each of up to 4 workers tasks
+		// to take, on any host (the default 1 x 1 placement would leave 2).
+		c, err := cluster.New(cluster.Config{Nodes: 1, CoresPerNode: 4, Executor: ex})
 		if err != nil {
 			return nil, 0, 0, err
 		}

@@ -7,7 +7,9 @@
 //
 //   - Real execution: every partition task actually runs, on a goroutine
 //     worker pool bounded by MaxParallel (defaults to GOMAXPROCS). Results
-//     are therefore real, not simulated.
+//     are therefore real, not simulated. MaxParallel is the only thing here
+//     that reads the host: placement (Nodes, CoresPerNode, and so the
+//     partition count and every per-partition RNG stream) never does.
 //
 //   - Virtual time: each task's wall time is measured, and every stage's
 //     tasks are placed onto Nodes*CoresPerNode virtual cores by an LPT
@@ -35,15 +37,18 @@ import (
 
 // Config describes the (possibly virtual) cluster topology.
 type Config struct {
-	// Nodes is the number of simulated compute nodes.
-	Nodes int
-	// CoresPerNode is the number of cores each simulated node offers.
+	// Nodes is the number of simulated compute nodes and CoresPerNode the
+	// cores each offers. Both are placement: they fix the partition count,
+	// which fixes the per-partition RNG streams, which fixes output bytes.
+	// 0 means 1 — the default shape is the constant 1 x 1 on every host.
+	Nodes        int
 	CoresPerNode int
 	// DefaultPartitions is the partition count used when an operation is
 	// asked for 0 partitions. Following the paper's tuning, it defaults to
 	// 2x the total executor cores.
 	DefaultPartitions int
-	// MaxParallel bounds real OS-level parallelism (0 means GOMAXPROCS).
+	// MaxParallel bounds real OS-level parallelism (0 means GOMAXPROCS). It
+	// never changes output bytes.
 	MaxParallel int
 	// Tracer, when non-nil, receives every stage span this cluster executes.
 	// One Tracer may be shared by several clusters; each gets its own trace
@@ -176,12 +181,16 @@ type Cluster struct {
 
 // New validates cfg, fills defaults and returns a Cluster.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("cluster: Nodes must be positive, got %d", cfg.Nodes)
+	if cfg.Nodes < 0 {
+		return nil, fmt.Errorf("cluster: Nodes must not be negative, got %d", cfg.Nodes)
 	}
-	if cfg.CoresPerNode <= 0 {
-		return nil, fmt.Errorf("cluster: CoresPerNode must be positive, got %d", cfg.CoresPerNode)
+	if cfg.CoresPerNode < 0 {
+		return nil, fmt.Errorf("cluster: CoresPerNode must not be negative, got %d", cfg.CoresPerNode)
 	}
+	// The one default for an unset shape: a constant, not the host's core
+	// count, so a spec names the same bytes everywhere.
+	cfg.Nodes = max(cfg.Nodes, 1)
+	cfg.CoresPerNode = max(cfg.CoresPerNode, 1)
 	if cfg.DefaultPartitions == 0 {
 		cfg.DefaultPartitions = 2 * cfg.Nodes * cfg.CoresPerNode
 	}
@@ -225,13 +234,13 @@ func MustNew(cfg Config) *Cluster {
 	return c
 }
 
-// Local returns a single-node cluster using up to maxParallel real cores
-// (0 for GOMAXPROCS), the configuration of the single-node experiments.
+// Local returns a single-node cluster of maxParallel cores, running on as
+// many real ones: the configuration of the single-node experiments.
+// Local(0) is the default engine — New's 1 x 1 placement, parallelism up to
+// GOMAXPROCS.
 func Local(maxParallel int) *Cluster {
-	if maxParallel <= 0 {
-		maxParallel = runtime.GOMAXPROCS(0)
-	}
-	return MustNew(Config{Nodes: 1, CoresPerNode: maxParallel, MaxParallel: maxParallel})
+	maxParallel = max(maxParallel, 0)
+	return MustNew(Config{CoresPerNode: maxParallel, MaxParallel: maxParallel})
 }
 
 // Config returns the effective configuration.

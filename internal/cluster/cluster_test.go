@@ -2,15 +2,15 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
 
 func TestNewValidation(t *testing.T) {
 	bad := []Config{
-		{Nodes: 0, CoresPerNode: 1},
 		{Nodes: -1, CoresPerNode: 1},
-		{Nodes: 1, CoresPerNode: 0},
+		{Nodes: 1, CoresPerNode: -1},
 		{Nodes: 1, CoresPerNode: 1, DefaultPartitions: -2},
 		{Nodes: 1, CoresPerNode: 1, MaxParallel: -1},
 	}
@@ -44,7 +44,30 @@ func TestMustNewPanics(t *testing.T) {
 			t.Fatal("MustNew accepted bad config")
 		}
 	}()
-	MustNew(Config{})
+	MustNew(Config{Nodes: -1})
+}
+
+// TestDefaultShapeIgnoresHost pins the one default for an unset shape: 1 x 1
+// placement (2 partitions) whatever GOMAXPROCS says; only MaxParallel follows
+// the hardware.
+func TestDefaultShapeIgnoresHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for name, c := range map[string]*Cluster{"New": MustNew(Config{}), "Local": Local(0)} {
+			cfg := c.Config()
+			if cfg.Nodes != 1 || cfg.CoresPerNode != 1 || cfg.DefaultPartitions != 2 {
+				t.Errorf("GOMAXPROCS %d, %s: placement %d x %d, %d partitions; want 1 x 1, 2",
+					procs, name, cfg.Nodes, cfg.CoresPerNode, cfg.DefaultPartitions)
+			}
+			if cfg.MaxParallel != procs {
+				t.Errorf("GOMAXPROCS %d, %s: MaxParallel = %d", procs, name, cfg.MaxParallel)
+			}
+		}
+	}
+	if cfg := Local(3).Config(); cfg.CoresPerNode != 3 || cfg.MaxParallel != 3 {
+		t.Errorf("Local(3) = %d cores, MaxParallel %d; an explicit shape must be kept", cfg.CoresPerNode, cfg.MaxParallel)
+	}
 }
 
 func TestLocal(t *testing.T) {

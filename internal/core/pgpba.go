@@ -19,6 +19,27 @@ type Generator interface {
 	Name() string
 }
 
+// Generator names, as job specs, scenario backgrounds, grid cells and the
+// CLIs spell them.
+const (
+	GenPGPBA = "pgpba"
+	GenPGSK  = "pgsk"
+)
+
+// NewGenerator builds the named generator with every other knob at its
+// default. fraction is PGPBA's and ignored for PGSK; c may be nil (the
+// default local cluster).
+func NewGenerator(name string, fraction float64, seed uint64, c *cluster.Cluster) (Generator, error) {
+	switch name {
+	case GenPGPBA:
+		return &PGPBA{Fraction: fraction, Seed: seed, Cluster: c}, nil
+	case GenPGSK:
+		return &PGSK{Seed: seed, Cluster: c}, nil
+	default:
+		return nil, fmt.Errorf("core: unknown generator %q (want %s or %s)", name, GenPGPBA, GenPGSK)
+	}
+}
+
 // PGPBA is the Property-Graph Parallel Barabási-Albert generator
 // (Figure 2). Each round samples fraction*|E| edges from the current edge
 // list (stage one of the two-stage preferential attachment), creates one

@@ -14,6 +14,8 @@ import (
 	"math/rand/v2"
 
 	"csb/internal/graph"
+	"csb/internal/netflow"
+	"csb/internal/pcap"
 	"csb/internal/stats"
 )
 
@@ -50,6 +52,24 @@ func Analyze(g *graph.Graph) (*Seed, error) {
 		return nil, fmt.Errorf("core: attribute analysis: %w", err)
 	}
 	return &Seed{Graph: g, InDegree: in, OutDegree: out, Props: props}, nil
+}
+
+// SeedFromPackets runs the Figure 1 pipeline over a packet trace: Netflow
+// assembly with the default idle timeout, property-graph construction, seed
+// analysis.
+func SeedFromPackets(pkts []pcap.PacketInfo) (*Seed, error) {
+	return Analyze(netflow.BuildGraph(netflow.Assemble(pkts, 0)))
+}
+
+// SyntheticSeed is SeedFromPackets over the synthetic trace that hosts,
+// sessions and seed size — the seed every spec, scenario background, grid
+// cell and CLI run without a captured trace starts from.
+func SyntheticSeed(hosts, sessions int, seed uint64) (*Seed, error) {
+	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(hosts, sessions, seed))
+	if err != nil {
+		return nil, fmt.Errorf("core: synthesizing seed trace: %w", err)
+	}
+	return SeedFromPackets(pkts)
 }
 
 // PropertyModel holds the Netflow attribute distributions of a seed: the

@@ -5,7 +5,12 @@ import (
 	"testing"
 )
 
-func TestRegisterAndRun(t *testing.T) {
+var errBoom = errors.New("boom")
+
+// The registry is process-wide and Register panics on a duplicate, so the
+// test kinds register once here, not in test bodies: the tests then pass any
+// number of times in one process (-count, -cpu 1,2).
+func init() {
 	Register("tasktest.rev", func(p []byte) ([]byte, error) {
 		out := make([]byte, len(p))
 		for i, b := range p {
@@ -13,6 +18,10 @@ func TestRegisterAndRun(t *testing.T) {
 		}
 		return out, nil
 	})
+	Register("tasktest.fail", func(p []byte) ([]byte, error) { return nil, errBoom })
+}
+
+func TestRegisterAndRun(t *testing.T) {
 	got, err := Run("tasktest.rev", []byte("abc"))
 	if err != nil || string(got) != "cba" {
 		t.Fatalf("Run = %q, %v", got, err)
@@ -36,19 +45,16 @@ func TestRunUnknownKind(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
-	Register("tasktest.dup", func(p []byte) ([]byte, error) { return p, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register("tasktest.dup", func(p []byte) ([]byte, error) { return p, nil })
+	Register("tasktest.rev", func(p []byte) ([]byte, error) { return p, nil })
 }
 
 func TestTaskErrorPropagates(t *testing.T) {
-	sentinel := errors.New("boom")
-	Register("tasktest.fail", func(p []byte) ([]byte, error) { return nil, sentinel })
-	if _, err := Run("tasktest.fail", nil); !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
+	if _, err := Run("tasktest.fail", nil); !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want %v", err, errBoom)
 	}
 }

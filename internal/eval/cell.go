@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"csb/internal/core"
-	"csb/internal/netflow"
-	"csb/internal/pcap"
 )
 
 // Row is one grid cell's results.csv line: the cell identity followed by
@@ -108,13 +106,9 @@ func analyzedSeed(hosts, sessions int, traceSeed uint64) (*core.Seed, error) {
 	if s, ok := seedCache.m[key]; ok {
 		return s, nil
 	}
-	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(hosts, sessions, traceSeed))
+	s, err := core.SyntheticSeed(hosts, sessions, traceSeed)
 	if err != nil {
-		return nil, fmt.Errorf("eval: synthesizing seed trace: %w", err)
-	}
-	s, err := core.Analyze(netflow.BuildGraph(netflow.Assemble(pkts, 0)))
-	if err != nil {
-		return nil, fmt.Errorf("eval: analyzing seed: %w", err)
+		return nil, fmt.Errorf("eval: building seed: %w", err)
 	}
 	if seedCache.m == nil {
 		seedCache.m = make(map[[3]uint64]*core.Seed)
@@ -134,14 +128,9 @@ func RunCell(sp *GridSpec, c Cell) (*Row, error) {
 		return nil, err
 	}
 	genSeed := c.GenSeed()
-	var gen core.Generator
-	switch c.Generator.Name {
-	case GenPGSK:
-		gen = &core.PGSK{Seed: genSeed}
-	case GenPGPBA:
-		gen = &core.PGPBA{Fraction: c.Generator.Fraction, Seed: genSeed}
-	default:
-		return nil, fmt.Errorf("eval: cell %d: unknown generator %q (spec not normalized?)", c.Index, c.Generator.Name)
+	gen, err := core.NewGenerator(c.Generator.Name, c.Generator.Fraction, genSeed, nil)
+	if err != nil {
+		return nil, fmt.Errorf("eval: cell %d: %w (spec not normalized?)", c.Index, err)
 	}
 	g, err := gen.Generate(seed, c.Size)
 	if err != nil {

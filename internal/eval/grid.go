@@ -9,12 +9,14 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"csb/internal/core"
 )
 
 // Generator names accepted by GeneratorSpec.Name.
 const (
-	GenPGPBA = "pgpba"
-	GenPGSK  = "pgsk"
+	GenPGPBA = core.GenPGPBA
+	GenPGSK  = core.GenPGSK
 )
 
 // GeneratorSpec selects one generator configuration of the grid.

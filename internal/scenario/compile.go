@@ -25,7 +25,8 @@ const TimelineBase = int64(1318204800 * 1e6)
 // order Assembler.Finish would emit. Generator backgrounds run on c (nil
 // means a default local cluster), so a chaos-configured cluster exercises
 // the fault model without changing the output — same spec + seed ⇒ the
-// same labeled flows, bit for bit, on any cluster shape.
+// same labeled flows, bit for bit, on any host and under any fault schedule
+// (an explicit Nodes/CoresPerNode shape is placement and does change them).
 func Compile(sp *Spec, c *cluster.Cluster) (*attack.Scenario, error) {
 	bg, err := background(sp, c)
 	if err != nil {
@@ -74,29 +75,25 @@ func ApplyAttacks(sc *attack.Scenario, specSeed uint64, attacks []Attack) error 
 // background builds the benign flow set of the spec's background source.
 func background(sp *Spec, c *cluster.Cluster) ([]netflow.Flow, error) {
 	b := &sp.Background
-	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(b.Hosts, b.Sessions, sp.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("scenario: synthesizing trace: %w", err)
-	}
-	flows := netflow.Assemble(pkts, 0)
 	if b.Source == SourceTrace {
-		return flows, nil
+		pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(b.Hosts, b.Sessions, sp.Seed))
+		if err != nil {
+			return nil, fmt.Errorf("scenario: synthesizing trace: %w", err)
+		}
+		return netflow.Assemble(pkts, 0), nil
 	}
 
 	// Generator background: the trace becomes the seed graph, generation
 	// runs on the cluster (fault model and all), and the projected flows get
 	// a synthetic timeline — FlowsFromGraph emits StartMicros 0 for every
 	// flow, which the replay pacer and windowed detector cannot use.
-	seed, err := core.Analyze(netflow.BuildGraph(flows))
+	seed, err := core.SyntheticSeed(b.Hosts, b.Sessions, sp.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: analyzing seed: %w", err)
+		return nil, fmt.Errorf("scenario: building seed: %w", err)
 	}
-	var gen core.Generator
-	switch b.Source {
-	case SourcePGSK:
-		gen = &core.PGSK{Seed: sp.Seed, Cluster: c}
-	default:
-		gen = &core.PGPBA{Fraction: b.Fraction, Seed: sp.Seed, Cluster: c}
+	gen, err := core.NewGenerator(b.Source, b.Fraction, sp.Seed, c)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w (spec not normalized?)", err)
 	}
 	g, err := gen.Generate(seed, b.Edges)
 	if err != nil {

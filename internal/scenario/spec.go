@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"csb/internal/attack"
+	"csb/internal/core"
 	"csb/internal/graph"
 	"csb/internal/ids"
 )
@@ -35,8 +36,8 @@ const (
 	// between flow starts). These backgrounds exercise the fault/retry
 	// machinery: the generation runs on whatever cluster the caller
 	// provides, chaos plan included.
-	SourcePGPBA = "pgpba"
-	SourcePGSK  = "pgsk"
+	SourcePGPBA = core.GenPGPBA
+	SourcePGSK  = core.GenPGSK
 )
 
 // Attack type names accepted by Attack.Type (ids.AttackType.String values).

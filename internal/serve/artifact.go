@@ -5,14 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"csb/internal/cluster"
 	"csb/internal/core"
 	"csb/internal/dist/rows"
 	"csb/internal/graph"
 	"csb/internal/netflow"
-	"csb/internal/pcap"
 	"csb/internal/replay"
 	"csb/internal/scenario"
 )
@@ -20,17 +18,18 @@ import (
 // EngineShape fixes the virtual-cluster topology artifacts are generated on.
 // Partitioning (and therefore per-partition RNG streams) follows the cluster
 // shape, so the shape is part of a deployment's artifact identity: one
-// daemon must keep one shape for its cache to stay sound, and a CLI run
-// reproduces a daemon's bytes only on the same shape (both default to one
-// node with all local cores).
-// The fault-tolerance knobs below are deliberately NOT part of artifact
-// identity: retries, speculation and injected faults change the attempt
-// schedule, never the committed bytes (see internal/cluster/fault.go), so
-// chaos-enabled daemons keep serving cache-compatible artifacts.
+// daemon must keep one shape for its cache to stay sound. The zero shape is
+// the default placement, 1 node x 1 core on every host — the one csbgen,
+// csbeval and Spec.ID assume; setting Nodes or CoresPerNode changes bytes.
+// Nothing else does: real parallelism follows GOMAXPROCS without touching
+// placement, and the fault-tolerance knobs below are deliberately NOT part of
+// artifact identity — retries, speculation and injected faults change the
+// attempt schedule, never the committed bytes (see internal/cluster/fault.go),
+// so chaos-enabled daemons keep serving cache-compatible artifacts.
 type EngineShape struct {
 	// Nodes is the virtual node count (0 means 1).
 	Nodes int
-	// CoresPerNode is the per-node core count (0 means all local cores).
+	// CoresPerNode is the per-node core count (0 means 1).
 	CoresPerNode int
 	// MaxTaskRetries bounds per-task retry attempts in the engine (0 means
 	// cluster.DefaultMaxTaskRetries; negative disables retries).
@@ -47,17 +46,8 @@ type EngineShape struct {
 // exec (all three may be nil). Like the fault knobs, exec is not part of
 // artifact identity: where a stage's tasks run never changes their bytes.
 func (sh EngineShape) newCluster(ctx context.Context, tracer *cluster.Tracer, exec cluster.TaskExecutor) (*cluster.Cluster, error) {
-	nodes := sh.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	cores := sh.CoresPerNode
-	if cores <= 0 {
-		// Match cluster.Local(0): every local core.
-		cores = runtime.GOMAXPROCS(0)
-	}
 	return cluster.New(cluster.Config{
-		Nodes: nodes, CoresPerNode: cores, Context: ctx, Tracer: tracer,
+		Nodes: sh.Nodes, CoresPerNode: sh.CoresPerNode, Context: ctx, Tracer: tracer,
 		MaxTaskRetries: sh.MaxTaskRetries,
 		Speculation:    sh.Speculation,
 		Faults:         sh.Faults,
@@ -83,19 +73,16 @@ func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, 
 		}
 		return scenario.EncodeLabeled(sc)
 	}
-	seed, err := buildSeed(spec)
+	seed, err := core.SyntheticSeed(spec.Hosts, spec.Sessions, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var gen core.Generator
-	switch spec.Generator {
-	case GenPGSK:
-		gen = &core.PGSK{Seed: spec.Seed, Cluster: c}
-	default:
-		gen = &core.PGPBA{Fraction: spec.Fraction, Seed: spec.Seed, Cluster: c}
+	gen, err := core.NewGenerator(spec.Generator, spec.Fraction, spec.Seed, c)
+	if err != nil {
+		return nil, err
 	}
 	g, err := gen.Generate(seed, spec.Edges)
 	if err != nil {
@@ -106,16 +93,6 @@ func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, 
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// buildSeed runs the Figure 1 pipeline over a synthetic trace sized by the
-// spec (the serve-side equivalent of csb.BuildSyntheticSeed).
-func buildSeed(spec Spec) (*core.Seed, error) {
-	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(spec.Hosts, spec.Sessions, spec.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("serve: synthesizing seed trace: %w", err)
-	}
-	return core.Analyze(netflow.BuildGraph(netflow.Assemble(pkts, 0)))
 }
 
 // EncodeArtifact serializes g in the given artifact format. The tsv and csbg

@@ -133,16 +133,10 @@ func (s *Server) StartReplay(req ReplayRequest) (ReplayStatus, error) {
 	if !ok {
 		return ReplayStatus{}, &submitErr{code: http.StatusNotFound, msg: "artifact evicted or unknown; resubmit the job"}
 	}
-	opts := replay.Options{
+	rsrv, err := NewReplayServer(data, s.artifactFormat(req.ArtifactID), replay.Options{
 		Speed: req.Speed, Rate: req.Rate, Burst: req.Burst,
-		Policy: policy, QueueLen: req.Queue,
-	}
-	// The artifact ID is the hex SHA-256 of the spec; stamp it into the
-	// stream header so subscribers can tie the stream back to the artifact.
-	if sum, err := hex.DecodeString(req.ArtifactID); err == nil && len(sum) == 32 {
-		copy(opts.ArtifactSHA[:], sum)
-	}
-	rsrv, err := newReplayServer(data, s.artifactFormat(req.ArtifactID), opts)
+		Policy: policy, QueueLen: req.Queue, ArtifactSHA: ArtifactSHA(req.ArtifactID),
+	})
 	if err != nil {
 		return ReplayStatus{}, &submitErr{code: http.StatusBadRequest, msg: err.Error()}
 	}
@@ -324,13 +318,25 @@ func (s *Server) artifactFormat(artifact string) string {
 	return s.formats[artifact]
 }
 
-// newReplayServer builds the session's server from artifact bytes. A csbf
-// artifact's flow section is already the server's send slab, so it is handed
-// over as cached — no decode, no copy; the stream then carries exactly the
-// artifact's flow bytes. Everything else, and a csbf whose records are out of
-// start-time order (scenario artifacts never are: Finish sorts them), is
-// decoded, put in order and re-encoded.
-func newReplayServer(data []byte, format string, opts replay.Options) (*replay.Server, error) {
+// ArtifactSHA unpacks an artifact id — the hex SHA-256 of its spec — into the
+// form a stream header carries, so subscribers can tie a stream back to the
+// artifact; anything else is the zero "unknown" address.
+func ArtifactSHA(id string) (sha [32]byte) {
+	if sum, err := hex.DecodeString(id); err == nil && len(sum) == len(sha) {
+		copy(sha[:], sum)
+	}
+	return sha
+}
+
+// NewReplayServer builds a replay server from artifact bytes — the one path
+// from an artifact to a stream, shared by csbd sessions and cmd/csbreplay. A
+// csbf artifact's flow section is already the server's send slab, so it is
+// handed over as it is — no decode, no copy; the stream then carries exactly
+// the artifact's flow bytes, and data must not be modified while the server
+// lives. Everything else, and a csbf whose records are out of start-time
+// order (scenario artifacts never are: Finish sorts them), goes through
+// ReplayFlows and is re-encoded.
+func NewReplayServer(data []byte, format string, opts replay.Options) (*replay.Server, error) {
 	if format == FormatCSBF {
 		if slab, err := replay.FlowSection(data); err == nil {
 			if rsrv, err := replay.NewServerFromRecords(slab, opts); err == nil {
@@ -340,42 +346,48 @@ func newReplayServer(data []byte, format string, opts replay.Options) (*replay.S
 		// Fall through: the decode path reports a malformed artifact or bad
 		// options with its own message, and sorts unsorted records.
 	}
-	flows, err := decodeReplayFlows(data, format)
+	flows, err := ReplayFlows(data, format)
 	if err != nil {
 		return nil, err
 	}
-	// The replay contract wants non-decreasing start times. csv artifacts are
-	// already sorted (Assembler.Finish) and graph projections are all-zero, so
-	// this rarely has anything to do.
-	netflow.SortByStart(flows)
 	return replay.NewServer(flows, opts)
 }
 
-// decodeReplayFlows turns artifact bytes into the flow set a replay run
-// emits. csv (flow records), csbg (graph whose flow projection is replayed)
-// and csbf (labeled flow artifact; the flow section replays and subscribers
-// re-attach labels from the spec) are flow-shaped; other formats have no
-// decoder and are rejected.
-func decodeReplayFlows(data []byte, format string) ([]netflow.Flow, error) {
+// ReplayFlows decodes artifact bytes into the flows a replay run emits, in
+// emission order. csv (flow records), csbg (graph whose flow projection is
+// replayed) and csbf (labeled flow artifact; the flow section replays and
+// subscribers re-attach labels from the spec) are flow-shaped; other formats
+// have no decoder and are rejected.
+func ReplayFlows(data []byte, format string) ([]netflow.Flow, error) {
+	var flows []netflow.Flow
+	var err error
 	switch format {
 	case FormatCSV:
-		return netflow.ReadCSV(bytes.NewReader(data))
+		flows, err = netflow.ReadCSV(bytes.NewReader(data))
 	case FormatCSBG:
-		g, err := graph.Read(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
+		var g *graph.Graph
+		if g, err = graph.Read(bytes.NewReader(data)); err == nil {
+			flows = netflow.FlowsFromGraph(g)
 		}
-		return netflow.FlowsFromGraph(g), nil
 	case FormatCSBF:
 		// ReadFlowFile stops after the counted records, so the CSBL1 label
 		// section trailing a labeled artifact is ignored here — the stream
 		// carries exactly the flow section, preserving the byte-identity
 		// contract between stream payloads and the artifact's flow bytes.
-		return replay.ReadFlowFile(bytes.NewReader(data))
+		flows, err = replay.ReadFlowFile(bytes.NewReader(data))
 	default:
-		return nil, fmt.Errorf("artifact format %q is not replayable (want %s, %s or %s)",
+		err = fmt.Errorf("artifact format %q is not replayable (want %s, %s or %s)",
 			format, FormatCSV, FormatCSBG, FormatCSBF)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// The replay contract wants non-decreasing start times. Assembled csv and
+	// compiled scenarios are already sorted and graph projections are
+	// all-zero, so this rarely has anything to do; inputs from other tools may
+	// not be.
+	netflow.SortByStart(flows)
+	return flows, nil
 }
 
 // handleReplayStart is POST /replay.

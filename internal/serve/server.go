@@ -64,8 +64,8 @@ type Config struct {
 	// CacheDiskBytes budgets the spill tier (0 means 4x CacheBytes).
 	CacheDiskBytes int64
 	// Shape fixes the virtual-cluster topology jobs run on. The zero value
-	// is one node with all local cores — the csbgen default, which keeps
-	// daemon artifacts byte-identical to CLI output on the same host.
+	// is the default placement, 1 node x 1 core — the csbgen default, so
+	// daemon artifacts are byte-identical to CLI output from any host.
 	Shape EngineShape
 	// ReplaySessions caps concurrently-running replay sessions (0 means
 	// DefaultReplaySessions); POST /replay beyond the cap is shed with 429.

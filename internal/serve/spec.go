@@ -6,10 +6,12 @@
 //
 // The unit of work is a Spec: the canonical parameter set of one generation
 // (generator, synthetic-seed shape, RNG seed, target edge count, output
-// format). PR 1 made the generators bit-for-bit deterministic, so an
-// artifact is a pure function of its Spec on a fixed engine shape — which is
-// what makes caching by Spec.ID sound, and what the csbgen CLI relies on
-// when it prints the same artifact IDs for its own outputs.
+// format). The generators are bit-for-bit deterministic and the default
+// engine placement is a constant (1 node x 1 core, see EngineShape), so an
+// artifact is a pure function of its Spec on any host — which is what makes
+// caching by Spec.ID sound, and what the csbgen CLI relies on when it prints
+// the same artifact IDs for its own outputs. A daemon started with an
+// explicit -nodes/-cores shape names different bytes under the same IDs.
 package serve
 
 import (
@@ -20,13 +22,14 @@ import (
 	"strconv"
 	"strings"
 
+	"csb/internal/core"
 	"csb/internal/scenario"
 )
 
 // Generator names accepted by Spec.Generator.
 const (
-	GenPGPBA = "pgpba"
-	GenPGSK  = "pgsk"
+	GenPGPBA = core.GenPGPBA
+	GenPGSK  = core.GenPGSK
 	// GenScenario is the labeled attack-scenario job kind: the spec embeds a
 	// scenario.Spec and the artifact is a CSBF1+CSBL1 labeled flow set.
 	GenScenario = "scenario"

@@ -147,16 +147,5 @@ func distinctU16(xs []uint16) int64 {
 // Results are identical; this is the fast path for synthetic datasets.
 func (d *Detector) DetectGraphDirect(g *graph.Graph) []Alert {
 	byDst, bySrc := AggregateGraph(g)
-	var alerts []Alert
-	for i := range byDst {
-		if a, ok := d.classifyDst(&byDst[i]); ok {
-			alerts = append(alerts, a)
-		}
-	}
-	for i := range bySrc {
-		if a, ok := d.classifySrc(&bySrc[i]); ok {
-			alerts = append(alerts, a)
-		}
-	}
-	return alerts
+	return d.classify(nil, byDst, bySrc)
 }

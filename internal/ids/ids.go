@@ -13,6 +13,7 @@ package ids
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -102,82 +103,147 @@ func AggregatePatterns(flows []netflow.Flow) (byDst, bySrc []Pattern) {
 	return a.aggregate(flows)
 }
 
-// aggregator is the storage AggregatePatterns works in, kept so that a
-// detector closing one window after another allocates nothing per window: no
-// map per detection IP, and every map and table is cleared, not rebuilt.
+// aggregator is the one place flows become patterns, off-line (aggregate) and
+// on-line (StreamDetector folds each flow on arrival with add). It keeps its
+// storage from one window to the next: a reset is five counter bumps, so a
+// window costs what its own flows cost, not what the largest window before it
+// grew the tables to.
 type aggregator struct {
 	dst, src patternSide
+	// pairs is the distinct-peer set of both sides at once: the first
+	// sighting of (src, dst) is a new source for dst and a new destination
+	// for src.
+	pairs stampTable
 }
 
 // patternSide is one pattern table under construction, keyed on the flows'
 // destination or source address.
 type patternSide struct {
-	index map[uint32]int32 // detection IP -> its slot in pats
+	index stampTable // detection IP -> its slot in pats
+	ports stampTable // set of ip<<32|dstPort
 	pats  []Pattern
-	// Distinct-count sets for all detection IPs at once: a pair is keyed
-	// ip<<32|peer or ip<<32|dstPort, and its first sighting bumps the count.
-	peers map[uint64]struct{}
-	ports map[uint64]struct{}
 }
 
-// aggregate returns the two tables for flows, each sorted by IP. The slices
-// alias the aggregator's storage and are valid until its next call.
-func (a *aggregator) aggregate(flows []netflow.Flow) (byDst, bySrc []Pattern) {
-	a.dst.reset()
-	a.src.reset()
-	for i := range flows {
-		f := &flows[i]
-		a.dst.add(f, f.DstIP, f.SrcIP, true)
-		a.src.add(f, f.SrcIP, f.DstIP, false)
+func (a *aggregator) reset() {
+	for _, t := range [...]*stampTable{&a.pairs, &a.dst.index, &a.dst.ports, &a.src.index, &a.src.ports} {
+		t.reset()
 	}
-	return a.dst.sorted(), a.src.sorted()
+	a.dst.pats = a.dst.pats[:0]
+	a.src.pats = a.src.pats[:0]
 }
 
-func (s *patternSide) reset() {
-	if s.index == nil {
-		s.index = make(map[uint32]int32)
-		s.peers = make(map[uint64]struct{})
-		s.ports = make(map[uint64]struct{})
+// add folds one flow into its destination's and its source's pattern.
+func (a *aggregator) add(f *netflow.Flow) {
+	d := a.dst.pattern(f.DstIP, true)
+	s := a.src.pattern(f.SrcIP, false)
+	d.fold(f)
+	s.fold(f)
+	if _, fresh := a.pairs.put(uint64(f.SrcIP)<<32|uint64(f.DstIP), 0); fresh {
+		d.DistinctPeers++
+		s.DistinctPeers++
 	}
-	clear(s.index)
-	clear(s.peers)
-	clear(s.ports)
-	s.pats = s.pats[:0]
+	if _, fresh := a.dst.ports.put(uint64(f.DstIP)<<32|uint64(f.DstPort), 0); fresh {
+		d.DistinctPorts++
+	}
+	if _, fresh := a.src.ports.put(uint64(f.SrcIP)<<32|uint64(f.DstPort), 0); fresh {
+		s.DistinctPorts++
+	}
 }
 
-// add folds flow f into the pattern of detection address ip.
-func (s *patternSide) add(f *netflow.Flow, ip, peer uint32, byDst bool) {
-	slot, ok := s.index[ip]
-	if !ok {
-		slot = int32(len(s.pats))
-		s.index[ip] = slot
-		s.pats = append(s.pats, Pattern{IP: ip, ByDst: byDst})
-	}
-	p := &s.pats[slot]
+// fold adds f's volume and flag counts to the pattern.
+func (p *Pattern) fold(f *netflow.Flow) {
 	p.NFlows++
 	p.SumFlowSize += f.TotalBytes()
 	p.SumPackets += f.TotalPkts()
 	p.SYN += f.SYNCount
 	p.ACK += f.ACKCount
-	if firstSight(s.peers, uint64(ip)<<32|uint64(peer)) {
-		p.DistinctPeers++
-	}
-	if firstSight(s.ports, uint64(ip)<<32|uint64(f.DstPort)) {
-		p.DistinctPorts++
+}
+
+// fill empties the aggregator and folds flows in.
+func (a *aggregator) fill(flows []netflow.Flow) {
+	a.reset()
+	for i := range flows {
+		a.add(&flows[i])
 	}
 }
 
-// firstSight adds k to set and reports whether it was new (one map operation).
-func firstSight(set map[uint64]struct{}, k uint64) bool {
-	n := len(set)
-	set[k] = struct{}{}
-	return len(set) > n
+// aggregate returns the two tables for flows, each sorted by IP. The slices
+// alias the aggregator's storage and are valid until its next call.
+func (a *aggregator) aggregate(flows []netflow.Flow) (byDst, bySrc []Pattern) {
+	a.fill(flows)
+	byIP := func(x, y Pattern) int { return cmp.Compare(x.IP, y.IP) }
+	slices.SortFunc(a.dst.pats, byIP)
+	slices.SortFunc(a.src.pats, byIP)
+	return a.dst.pats, a.src.pats
 }
 
-// sorted orders the table by IP in place (index is stale from here on).
-func (s *patternSide) sorted() []Pattern {
-	slices.SortFunc(s.pats, func(a, b Pattern) int { return cmp.Compare(a.IP, b.IP) })
-	return s.pats
+// pattern returns the pattern of detection address ip, opening it on first use.
+// The pointer is valid until the side's next pattern call.
+func (s *patternSide) pattern(ip uint32, byDst bool) *Pattern {
+	slot, fresh := s.index.put(uint64(ip), int32(len(s.pats)))
+	if fresh {
+		s.pats = append(s.pats, Pattern{IP: ip, ByDst: byDst})
+	}
+	return &s.pats[slot]
+}
+
+// stampTable is an open-addressed uint64 -> int32 table (linear probing, at
+// most half full) whose slots carry the generation that wrote them: a slot of
+// another generation is empty, so reset is a counter bump whatever the table
+// grew to. The zero value is an empty table.
+type stampTable struct {
+	slots []stampSlot
+	gen   uint32 // never 0 once slots exist: a zeroed slot is empty
+	n     int    // live entries
+	shift uint8  // 64 - log2(len(slots))
+}
+
+type stampSlot struct {
+	key uint64
+	val int32
+	gen uint32
+}
+
+func (t *stampTable) reset() {
+	t.n = 0
+	if t.gen++; t.gen == 0 {
+		clear(t.slots) // stamp wrap: generation 1 must not meet its old slots
+		t.gen = 1
+	}
+}
+
+// put returns the value stored under k, storing v first if k is absent; fresh
+// reports that it was.
+func (t *stampTable) put(k uint64, v int32) (_ int32, fresh bool) {
+	if 2*t.n >= len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := k * 0x9e3779b97f4a7c15 >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			*s = stampSlot{key: k, val: v, gen: t.gen}
+			t.n++
+			return v, true
+		}
+		if s.key == k {
+			return s.val, false
+		}
+	}
+}
+
+// grow doubles the table, carrying the live generation's entries over.
+func (t *stampTable) grow() {
+	old, gen := t.slots, t.gen
+	size := max(2*len(old), 64)
+	t.slots = make([]stampSlot, size)
+	t.shift = uint8(64 - bits.Len(uint(size-1)))
+	t.gen, t.n = max(gen, 1), 0
+	for i := range old {
+		if old[i].gen == gen {
+			t.put(old[i].key, old[i].val)
+		}
+	}
 }
 
 // Thresholds are the Table I threshold parameters. All are float64 so an
@@ -246,18 +312,30 @@ func NewDetector(t Thresholds) *Detector { return &Detector{T: t} }
 // Detect classifies the flow set and returns all alerts, destination-based
 // first, sorted by IP.
 func (d *Detector) Detect(flows []netflow.Flow) []Alert {
-	byDst, bySrc := d.agg.aggregate(flows)
-	var alerts []Alert
+	d.agg.fill(flows)
+	return d.classify(nil, d.agg.dst.pats, d.agg.src.pats)
+}
+
+// classify appends the alerts of the two pattern tables to alerts,
+// destination-based first, each side sorted by IP whatever order its table is
+// in: a side holds one pattern per IP, so sorting the few alerts gives the
+// order sorting the whole table would.
+func (d *Detector) classify(alerts []Alert, byDst, bySrc []Pattern) []Alert {
+	byIP := func(a, b Alert) int { return cmp.Compare(a.IP, b.IP) }
+	n := len(alerts)
 	for i := range byDst {
 		if a, ok := d.classifyDst(&byDst[i]); ok {
 			alerts = append(alerts, a)
 		}
 	}
+	slices.SortFunc(alerts[n:], byIP)
+	n = len(alerts)
 	for i := range bySrc {
 		if a, ok := d.classifySrc(&bySrc[i]); ok {
 			alerts = append(alerts, a)
 		}
 	}
+	slices.SortFunc(alerts[n:], byIP)
 	return alerts
 }
 

@@ -423,3 +423,66 @@ func TestAggregatorMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestStampTableMatchesMap holds the generation-stamped table against a Go
+// map: the extreme keys, growth across several doublings inside one
+// generation, a thousand resets (nothing of generation g may show in g+1,
+// whatever the table grew to), and a stamp wrap.
+func TestStampTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 1))
+	generation := func(tab *stampTable, name string, n int, keyBits uint) {
+		t.Helper()
+		want := make(map[uint64]int32)
+		tab.reset()
+		for i := range n {
+			k := rng.Uint64() >> (64 - keyBits) // a narrow key space makes repeats
+			switch rng.IntN(50) {
+			case 0:
+				k = 0
+			case 1:
+				k = ^uint64(0)
+			}
+			v := int32(i)
+			old, seen := want[k]
+			if !seen {
+				want[k] = v
+				old = v
+			}
+			if got, fresh := tab.put(k, v); got != old || fresh == seen {
+				t.Fatalf("%s: put(%#x, %d) = %d, fresh %v; the map holds %d, seen %v", name, k, v, got, fresh, old, seen)
+			}
+			if tab.n != len(want) {
+				t.Fatalf("%s: %d live entries, the map holds %d", name, tab.n, len(want))
+			}
+		}
+		for k, v := range want {
+			if got, fresh := tab.put(k, -1); got != v || fresh {
+				t.Fatalf("%s: second put(%#x) = %d, fresh %v; want %d", name, k, got, fresh, v)
+			}
+		}
+	}
+
+	var tab stampTable
+	generation(&tab, "zero value", 10, 64)
+	generation(&tab, "six doublings", 64<<6, 64)
+	grown := len(tab.slots)
+	if grown < 64<<6 {
+		t.Fatalf("table holds %d slots after %d distinct keys", grown, 64<<6)
+	}
+	for i := range 1000 {
+		generation(&tab, fmt.Sprintf("reset %d", i), 1+rng.IntN(300), uint(4+rng.IntN(12)))
+	}
+	if len(tab.slots) != grown {
+		t.Fatalf("small generations moved the table from %d to %d slots", grown, len(tab.slots))
+	}
+
+	// Force the wrap: generation 1 comes round again over the slots it wrote
+	// the first time, with the same 256 keys.
+	var wrap stampTable
+	generation(&wrap, "before the wrap", 2000, 8)
+	wrap.gen = ^uint32(0)
+	generation(&wrap, "after the wrap", 2000, 8)
+	if wrap.gen != 1 {
+		t.Fatalf("generation %d after the wrap, want 1 (0 is the empty-slot stamp)", wrap.gen)
+	}
+}

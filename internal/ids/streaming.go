@@ -9,9 +9,10 @@ import (
 
 // StreamDetector is the on-line form of the anomaly detector — the paper's
 // stated future work ("on-line intrusion detection with streaming data").
-// Flows arrive in start-time order; they are aggregated into tumbling
-// windows, and when a window closes its traffic patterns run through the
-// same Figure 4 decision flow as the off-line detector. Consecutive
+// Flows arrive in start-time order; each is folded on arrival into the
+// traffic patterns of its tumbling window (no flow is kept), and when a window
+// closes its patterns run through the same Figure 4 decision flow, out of the
+// same aggregator, as the off-line detector. Consecutive
 // duplicate alerts (same attack class and detection IP in back-to-back
 // windows) are suppressed so a long-running attack raises one alert when it
 // starts and a fresh one only if it pauses and resumes.
@@ -22,7 +23,8 @@ type StreamDetector struct {
 
 	start   int64 // current window start (0 before the first flow)
 	started bool
-	flows   []netflow.Flow
+	open    int     // flows folded into the current window's patterns
+	alerts  []Alert // closeWindow's scratch
 
 	// Reorder handling: flows are buffered in pending (sorted by start
 	// time) until the high-water mark has moved horizon past them, then
@@ -36,7 +38,8 @@ type StreamDetector struct {
 	late    int64
 
 	// lastFired maps (IP, type, byDst) to the window index of the most
-	// recent alert, for consecutive-window suppression.
+	// recent alert, for consecutive-window suppression. Only the last closed
+	// window's entries are kept.
 	lastFired map[streamKey]int64
 	windowIdx int64
 }
@@ -107,7 +110,7 @@ func (s *StreamDetector) Add(f netflow.Flow) error {
 		s.maxSeen = f.StartMicros
 	}
 	if s.horizon <= 0 {
-		return s.ingest(f)
+		return s.ingest(&f)
 	}
 	// Insert in start-time order; arrivals are mostly in order, so the
 	// binary search almost always appends. Flows that fall behind even the
@@ -127,7 +130,7 @@ func (s *StreamDetector) release(watermark int64) error {
 	n := 0
 	var err error
 	for n < len(s.pending) && s.pending[n].StartMicros <= watermark {
-		if e := s.ingest(s.pending[n]); e != nil && err == nil {
+		if e := s.ingest(&s.pending[n]); e != nil && err == nil {
 			err = e
 		}
 		n++
@@ -139,8 +142,8 @@ func (s *StreamDetector) release(watermark int64) error {
 }
 
 // ingest is the windowing core: close windows the flow has moved past, then
-// buffer it into the (now) current window.
-func (s *StreamDetector) ingest(f netflow.Flow) error {
+// fold it into the (now) current window's patterns.
+func (s *StreamDetector) ingest(f *netflow.Flow) error {
 	if !s.started {
 		s.start = f.StartMicros
 		s.started = true
@@ -149,22 +152,18 @@ func (s *StreamDetector) ingest(f netflow.Flow) error {
 		s.late++
 		return &LateFlowError{StartMicros: f.StartMicros, Limit: s.start}
 	}
-	for f.StartMicros >= s.start+s.window {
+	if f.StartMicros >= s.start+s.window {
 		s.closeWindow()
-		s.start += s.window
-		s.windowIdx++
-		// Once the buffer is drained, the remaining windows up to the flow
-		// are all empty: closeWindow would no-op through each. Jump straight
-		// to the flow's window instead of iterating O(gap/window) times —
-		// sparse traces (e.g. a multi-day quiet period at a one-minute
-		// cadence) would otherwise spin through millions of empty windows.
-		if len(s.flows) == 0 && f.StartMicros >= s.start+s.window {
-			k := (f.StartMicros - s.start) / s.window
-			s.start += k * s.window
-			s.windowIdx += k
-		}
+		// The windows between the one just closed and the flow's are all
+		// empty: jump straight to the flow's window instead of stepping
+		// through them — a sparse trace (a multi-day quiet period at a
+		// one-minute cadence) would otherwise spin through millions.
+		k := (f.StartMicros - s.start) / s.window
+		s.start += k * s.window
+		s.windowIdx += k
 	}
-	s.flows = append(s.flows, f)
+	s.det.agg.add(f)
+	s.open++
 	return nil
 }
 
@@ -176,21 +175,29 @@ func (s *StreamDetector) LateFlows() int64 { return s.late }
 // any pending alerts. Call once at end of stream.
 func (s *StreamDetector) Flush() {
 	for i := range s.pending {
-		s.ingest(s.pending[i]) // in order; nothing can be late here
+		s.ingest(&s.pending[i]) // in order; nothing can be late here
 	}
 	s.pending = s.pending[:0]
 	s.closeWindow()
 	s.windowIdx++
 }
 
-// closeWindow classifies the buffered flows and emits non-suppressed alerts.
+// closeWindow classifies the open window's patterns, emits the
+// non-suppressed alerts and leaves the aggregator empty for the next window.
 func (s *StreamDetector) closeWindow() {
-	if len(s.flows) == 0 {
+	if s.open == 0 {
 		return
 	}
-	alerts := s.det.Detect(s.flows)
-	s.flows = s.flows[:0]
-	for _, a := range alerts {
+	agg := &s.det.agg
+	s.alerts = s.det.classify(s.alerts[:0], agg.dst.pats, agg.src.pats)
+	agg.reset()
+	s.open = 0
+	for k, last := range s.lastFired {
+		if last < s.windowIdx-1 {
+			delete(s.lastFired, k) // too old to suppress anything again
+		}
+	}
+	for _, a := range s.alerts {
 		k := streamKey{ip: a.IP, typ: a.Type, byDst: a.ByDst}
 		if last, ok := s.lastFired[k]; ok && last == s.windowIdx-1 {
 			// Continuation of an already-reported attack: refresh the
@@ -203,9 +210,9 @@ func (s *StreamDetector) closeWindow() {
 	}
 }
 
-// Pending returns the number of flows buffered in the open window (not
+// Pending returns the number of flows folded into the open window so far (not
 // counting flows still held in the reorder buffer).
-func (s *StreamDetector) Pending() int { return len(s.flows) }
+func (s *StreamDetector) Pending() int { return s.open }
 
 // Buffered returns the number of flows held in the reorder buffer awaiting
 // their release watermark.

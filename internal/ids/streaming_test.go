@@ -1,7 +1,10 @@
 package ids
 
 import (
+	"cmp"
 	"errors"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,12 +13,7 @@ import (
 
 // streamScan builds host-scan probes with start times spread over a span.
 func streamScan(victim uint32, n int, startMicros, spanMicros int64) []netflow.Flow {
-	flows := hostScanFlows(victim, n)
-	for i := range flows {
-		flows[i].StartMicros = startMicros + int64(i)*spanMicros/int64(n)
-		flows[i].EndMicros = flows[i].StartMicros + 1000
-	}
-	return flows
+	return at(hostScanFlows(victim, n), startMicros, spanMicros)
 }
 
 func collectAlerts(t *testing.T, window int64, flows []netflow.Flow) []Alert {
@@ -313,4 +311,240 @@ func TestStreamSparseTraceFastForward(t *testing.T) {
 	if want := (s.start - 7) / window; s.windowIdx != want {
 		t.Fatalf("windowIdx = %d, want %d", s.windowIdx, want)
 	}
+}
+
+// at stamps flows with start times spread evenly over [startMicros,
+// startMicros+spanMicros).
+func at(flows []netflow.Flow, startMicros, spanMicros int64) []netflow.Flow {
+	for i := range flows {
+		flows[i].StartMicros = startMicros + int64(i)*spanMicros/int64(len(flows))
+		flows[i].EndMicros = flows[i].StartMicros + 1000
+	}
+	return flows
+}
+
+// quietFlows is n small flows among the given number of hosts, a handful of
+// ports each.
+func quietFlows(rng *rand.Rand, n, hosts int) []netflow.Flow {
+	out := make([]netflow.Flow, n)
+	for i := range out {
+		out[i] = netflow.Flow{
+			SrcIP: 0x0a000001 + uint32(rng.IntN(hosts)), DstIP: 0x0a000001 + uint32(rng.IntN(hosts)),
+			SrcPort: uint16(1024 + rng.IntN(60000)), DstPort: []uint16{22, 53, 80, 443, 8080}[rng.IntN(5)],
+			OutBytes: 200 + rng.Int64N(4000), InBytes: rng.Int64N(20000),
+			OutPkts: 4 + rng.Int64N(10), InPkts: 3 + rng.Int64N(20), SYNCount: 2, ACKCount: 10,
+		}
+	}
+	return out
+}
+
+// sessionFlows is a stream shaped like the benchmark's replay-detect
+// scenario: windows one-second windows of perWindow background flows among
+// hosts hosts, with a 2,000-port scan, a 5,000-flow flood and a 200×20 DDoS
+// in windows 3, 5 and 7.
+func sessionFlows(windows, perWindow, hosts int) []netflow.Flow {
+	const window = 1e6
+	rng := rand.New(rand.NewPCG(18, 4))
+	var flows []netflow.Flow
+	for w := range windows {
+		flows = append(flows, at(quietFlows(rng, perWindow, hosts), int64(w)*window, window)...)
+	}
+	flows = append(flows, at(hostScanFlows(0x0a000002, 2000), 3*window, window)...)
+	flows = append(flows, at(synFloodFlows(0x0a000003, 5000), 5*window, window)...)
+	flows = append(flows, at(ddosFlows(0x0a000004, 200, 20), 7*window, window)...)
+	netflow.SortByStart(flows)
+	return flows
+}
+
+// referenceStream is the detector the streaming one must equal: the flows cut
+// into windows by hand, each window aggregated by the map-of-maps reference
+// and classified, with its own consecutive-window suppression.
+func referenceStream(th Thresholds, window int64, flows []netflow.Flow) (alerts []Alert, suppressed int) {
+	flows = slices.Clone(flows)
+	netflow.SortByStart(flows)
+	det := NewDetector(th)
+	last := make(map[streamKey]int64)
+	for i := 0; i < len(flows); {
+		idx := (flows[i].StartMicros - flows[0].StartMicros) / window
+		j := i
+		for j < len(flows) && (flows[j].StartMicros-flows[0].StartMicros)/window == idx {
+			j++
+		}
+		byDst, bySrc := referenceAggregate(flows[i:j])
+		for _, a := range det.classify(nil, byDst, bySrc) {
+			k := streamKey{ip: a.IP, typ: a.Type, byDst: a.ByDst}
+			prev, fired := last[k]
+			last[k] = idx
+			if fired && prev == idx-1 {
+				suppressed++
+				continue
+			}
+			alerts = append(alerts, a)
+		}
+		i = j
+	}
+	return alerts, suppressed
+}
+
+// TestStreamMatchesWindowedReference feeds random multi-window streams to the
+// on-arrival detector — in order, and jittered under a reorder horizon — and
+// wants the alerts of the per-window reference. Each stream holds a
+// 5,000-flow window followed by 200 small ones (tables grown by the first
+// must read empty in every one after), attacks that continue, pause and
+// resume, a run of empty windows and a gap long enough to fast-forward.
+func TestStreamMatchesWindowedReference(t *testing.T) {
+	const window = 1e6
+	for seed := range uint64(3) {
+		rng := rand.New(rand.NewPCG(18, seed))
+		var flows []netflow.Flow
+		w := int64(0)
+		fill := func(fs []netflow.Flow) { flows = append(flows, at(fs, w*window, window)...) }
+		for range 10 {
+			fill(quietFlows(rng, 1+rng.IntN(300), 1+rng.IntN(8)))
+			w++
+		}
+		fill(synFloodFlows(0x0a000003, 5000))
+		fill(quietFlows(rng, 400, 6))
+		w++
+		for i := range 200 {
+			fill(quietFlows(rng, 1+rng.IntN(40), 1+rng.IntN(6)))
+			if i%50 < 3 || i%50 == 5 { // three windows on, one off, one on
+				fill(hostScanFlows(0x0a000002, 100+rng.IntN(200)))
+				fill(networkScanFlows(0x0a000005, 60))
+			}
+			if i%70 == 20 {
+				fill(ddosFlows(0x0a000004, 50+rng.IntN(50), 4))
+			}
+			w++
+		}
+		w += 50 // empty windows
+		for range 5 {
+			fill(hostScanFlows(0x0a000002, 300))
+			w++
+		}
+		w += 3_000_000 // a month at this cadence
+		for range 5 {
+			fill(hostScanFlows(0x0a000002, 300))
+			fill(quietFlows(rng, 100, 4))
+			w++
+		}
+
+		want, suppressed := referenceStream(DefaultThresholds(), window, flows)
+		if len(want) < 10 || suppressed < 5 {
+			t.Fatalf("seed %d: the reference raises %d alerts and suppresses %d; the stream checks too little", seed, len(want), suppressed)
+		}
+
+		run := func(name string, horizon int64, arrival []netflow.Flow) {
+			t.Helper()
+			var got []Alert
+			s := NewStreamDetector(DefaultThresholds(), window, func(a Alert) { got = append(got, a) })
+			s.SetReorderHorizon(horizon)
+			for i := range arrival {
+				if err := s.Add(arrival[i]); err != nil {
+					t.Fatalf("seed %d %s: Add: %v", seed, name, err)
+				}
+			}
+			s.Flush()
+			if s.Pending() != 0 || s.Buffered() != 0 || s.LateFlows() != 0 {
+				t.Fatalf("seed %d %s: after Flush pending %d, buffered %d, late %d", seed, name, s.Pending(), s.Buffered(), s.LateFlows())
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d %s: %d alerts, the reference raises %d\n got %v\nwant %v", seed, name, len(got), len(want), got, want)
+			}
+		}
+		inOrder := slices.Clone(flows)
+		netflow.SortByStart(inOrder)
+		run("in order", 0, inOrder)
+
+		// Arrival displaced by up to the horizon: no flow is late, many cross a
+		// window boundary out of order.
+		const horizon = 300_000
+		type arrival struct {
+			f  netflow.Flow
+			at int64
+		}
+		jittered := make([]arrival, len(inOrder))
+		for i, f := range inOrder {
+			jittered[i] = arrival{f, f.StartMicros + rng.Int64N(horizon)}
+		}
+		slices.SortStableFunc(jittered, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
+		reordered := make([]netflow.Flow, len(jittered))
+		for i := range jittered {
+			reordered[i] = jittered[i].f
+		}
+		if slices.IsSortedFunc(reordered, func(a, b netflow.Flow) int { return cmp.Compare(a.StartMicros, b.StartMicros) }) {
+			t.Fatalf("seed %d: the jitter reordered nothing", seed)
+		}
+		run("reordered", horizon, reordered)
+	}
+}
+
+// TestStreamLastFiredStaysBounded runs 10,000 windows in which a different
+// scanner alerts every window: suppression only ever looks one window back,
+// so the detector may not remember more than that.
+func TestStreamLastFiredStaysBounded(t *testing.T) {
+	const window = 1e6
+	alerts := 0
+	s := NewStreamDetector(DefaultThresholds(), window, func(Alert) { alerts++ })
+	for w := range 10_000 {
+		for _, f := range at(networkScanFlows(0x0b000000+uint32(w), 60), int64(w)*window, window) {
+			s.Add(f)
+		}
+		if n := len(s.lastFired); n > 2 {
+			t.Fatalf("window %d: %d suppression entries held", w, n)
+		}
+	}
+	s.Flush()
+	if alerts != 10_000 {
+		t.Fatalf("%d alerts from 10,000 scanners", alerts)
+	}
+}
+
+// TestStreamAddAllocatesNothingWarm: once a session's largest windows have
+// sized the tables, adding flows and closing windows — alerting ones
+// included — allocates nothing.
+func TestStreamAddAllocatesNothingWarm(t *testing.T) {
+	const window = 1e6
+	flows := sessionFlows(12, 1000, 300)
+	alerts := 0
+	s := NewStreamDetector(DefaultThresholds(), window, func(Alert) { alerts++ })
+	pass := int64(0)
+	session := func() {
+		for i := range flows {
+			f := flows[i]
+			f.StartMicros += pass * 12 * window
+			if err := s.Add(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pass++
+	}
+	session()
+	session()
+	warm := alerts
+	if avg := testing.AllocsPerRun(5, session); avg != 0 {
+		t.Fatalf("%.1f allocations per 12-window session once warm", avg)
+	}
+	if alerts == warm {
+		t.Fatal("no window alerted while counting")
+	}
+}
+
+// BenchmarkStreamDetectorSession is one replay-detect subscriber's detector
+// work: ≈ 511 one-second windows of ≈ 1,000 flows, the three attacks early on.
+func BenchmarkStreamDetectorSession(b *testing.B) {
+	flows := sessionFlows(511, 1000, 300)
+	alerts := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		s := NewStreamDetector(DefaultThresholds(), 1e6, func(Alert) { alerts++ })
+		for i := range flows {
+			s.Add(flows[i])
+		}
+		s.Flush()
+	}
+	if alerts == 0 {
+		b.Fatal("no alerts")
+	}
+	b.ReportMetric(float64(len(flows))*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
 }

@@ -14,7 +14,7 @@ import (
 
 // batchStreamBytes renders a complete stream for flows using batch frames
 // whose sizes cycle through sizes (clamped to the flows remaining).
-func batchStreamBytes(t *testing.T, flows []netflow.Flow, sizes []int) []byte {
+func batchStreamBytes(t testing.TB, flows []netflow.Flow, sizes []int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	hdr := EncodeHeader(Header{Flows: uint64(len(flows))})
@@ -135,7 +135,7 @@ func TestBatchFramesCountGapsBetweenBatches(t *testing.T) {
 	if err := fw.writeEnd(sent); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Consume(bytes.NewReader(buf.Bytes()), nil)
+	st, err := checkConsumeEqualsNext(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

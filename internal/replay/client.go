@@ -26,30 +26,40 @@ type ConsumeStats struct {
 	Clean bool
 }
 
-// Consume reads a CSBS1 stream to completion, invoking fn for every flow
-// frame. fn may be nil (useful for draining); returning an error from fn
-// aborts consumption. The returned stats are valid even on error.
+// Consume reads a CSBS1 stream to completion, one wire frame at a time,
+// invoking fn for every flow of it; raw aliases the frame's buffer and is
+// valid only during the call. fn may be nil (useful for draining): records
+// are then counted without being decoded, with framing, sequence and checksum
+// verified all the same. Returning an error from fn aborts consumption. The
+// returned stats are valid even on error.
 func Consume(r io.Reader, fn func(seq uint64, f netflow.Flow, raw []byte) error) (ConsumeStats, error) {
 	sr, err := NewStreamReader(r)
 	if err != nil {
 		return ConsumeStats{}, err
 	}
-	stats := func(clean bool) ConsumeStats {
-		return ConsumeStats{Header: sr.Header, Received: sr.Received, Gaps: sr.Gaps,
-			Head: sr.Head, Tail: sr.Tail, Clean: clean}
-	}
+	var f netflow.Flow
 	for {
-		fr, err := sr.Next()
-		if err != nil {
-			return stats(false), err
+		if err := sr.readFrame(); err != nil {
+			return sr.stats(false), err
 		}
-		if fr.End {
-			return stats(true), nil
+		if sr.done {
+			return sr.stats(true), nil
 		}
-		if fn != nil {
-			if err := fn(fr.Seq, fr.Flow, fr.Raw); err != nil {
-				return stats(false), err
+		if fn == nil {
+			sr.Received += uint64(len(sr.payload) / FlowRecordLen)
+			continue
+		}
+		for sr.off < len(sr.payload) {
+			seq, raw := sr.record(&f)
+			if err := fn(seq, f, raw); err != nil {
+				return sr.stats(false), err
 			}
 		}
 	}
+}
+
+// stats summarizes the stream as read so far.
+func (sr *StreamReader) stats(clean bool) ConsumeStats {
+	return ConsumeStats{Header: sr.Header, Received: sr.Received, Gaps: sr.Gaps,
+		Head: sr.Head, Tail: sr.Tail, Clean: clean}
 }

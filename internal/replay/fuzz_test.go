@@ -128,7 +128,9 @@ func batchStream(t testing.TB, total, batchLen int) []byte {
 // numbers. The contract is the same as FuzzDecodeFrame (no panic, every
 // failure typed), plus a stronger invariant on success: however the input
 // frames its records, the per-flow sequence numbers the reader yields are
-// strictly increasing and the received count matches what it yielded.
+// strictly increasing and the received count matches what it yielded. And on
+// every input, accepted or not, Consume — which reads a frame at a time —
+// delivers, counts and fails exactly as the Next loop does.
 func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(batchStream(f, 16, 4))  // uniform batches
 	f.Add(batchStream(f, 10, 3))  // ragged final batch
@@ -179,6 +181,7 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(valid[:HeaderLen+12+2*FlowRecordLen+7])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkConsumeEqualsNext(t, data)
 		sr, err := NewStreamReader(bytes.NewReader(data))
 		if err != nil {
 			expectTyped(t, err)

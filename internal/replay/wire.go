@@ -149,6 +149,13 @@ func DecodeFlow(b []byte) (netflow.Flow, error) {
 	if len(b) < FlowRecordLen {
 		return f, corruptf("short flow record (%d bytes)", len(b))
 	}
+	decodeFlow(&f, b)
+	return f, nil
+}
+
+// decodeFlow overwrites every field of f from the record at b[:FlowRecordLen].
+func decodeFlow(f *netflow.Flow, b []byte) {
+	_ = b[FlowRecordLen-1]
 	f.SrcIP = binary.BigEndian.Uint32(b[0:4])
 	f.DstIP = binary.BigEndian.Uint32(b[4:8])
 	f.SrcPort = binary.BigEndian.Uint16(b[8:10])
@@ -163,7 +170,6 @@ func DecodeFlow(b []byte) (netflow.Flow, error) {
 	f.InPkts = int64(binary.BigEndian.Uint64(b[56:64]))
 	f.SYNCount = int64(binary.BigEndian.Uint64(b[64:72]))
 	f.ACKCount = int64(binary.BigEndian.Uint64(b[72:80]))
-	return f, nil
 }
 
 // EncodeFlows concatenates the wire records of a flow set — the "flow
@@ -255,11 +261,8 @@ func ReadFlowFile(r io.Reader) ([]netflow.Flow, error) {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("replay: flow record %d: %w", i, err)
 		}
-		f, err := DecodeFlow(rec[:])
-		if err != nil {
-			return nil, err
-		}
-		flows = append(flows, f)
+		flows = append(flows, netflow.Flow{})
+		decodeFlow(&flows[len(flows)-1], rec[:])
 	}
 	return flows, nil
 }
@@ -385,55 +388,74 @@ func (sr *StreamReader) Next() (Frame, error) {
 	if sr.done {
 		return Frame{}, io.EOF
 	}
-	if sr.off < len(sr.payload) {
-		return sr.yield(), nil
+	if sr.off == len(sr.payload) {
+		if err := sr.readFrame(); err != nil {
+			return Frame{}, err
+		}
+		if sr.done {
+			return Frame{Seq: sr.batchSeq, End: true}, nil
+		}
 	}
+	var fr Frame
+	fr.Seq, fr.Raw = sr.record(&fr.Flow)
+	return fr, nil
+}
+
+// readFrame reads the next wire frame and verifies its framing, sequence
+// number and rolling checksum — the one frame parser, under Next and Consume
+// alike. A flow frame leaves its records in payload with off at 0 and batchSeq
+// at the first record's index; the end frame leaves payload empty, sets done
+// and puts the delivered count it carries (checked against Received) in
+// batchSeq.
+func (sr *StreamReader) readFrame() error {
+	sr.payload, sr.off = sr.payload[:0], 0
 	if _, err := io.ReadFull(sr.br, sr.pre[:]); err != nil {
-		return Frame{}, fmt.Errorf("replay: frame header: %w", err)
+		return fmt.Errorf("replay: frame header: %w", err)
 	}
 	length := binary.BigEndian.Uint32(sr.pre[0:4])
 	seq := binary.BigEndian.Uint64(sr.pre[4:12])
 	if length == 0 {
 		if _, err := io.ReadFull(sr.br, sr.sum[:]); err != nil {
-			return Frame{}, fmt.Errorf("replay: end frame: %w", err)
+			return fmt.Errorf("replay: end frame: %w", err)
 		}
 		if got := binary.BigEndian.Uint32(sr.sum[:]); got != sr.crc {
-			return Frame{}, corruptf("final checksum %08x, want %08x", got, sr.crc)
+			return corruptf("final checksum %08x, want %08x", got, sr.crc)
 		}
 		if seq != sr.Received {
-			return Frame{}, corruptf("end frame claims %d flows, received %d", seq, sr.Received)
+			return corruptf("end frame claims %d flows, received %d", seq, sr.Received)
 		}
 		if sr.Header.Flows > sr.nextSeq {
 			sr.Tail = sr.Header.Flows - sr.nextSeq
 		}
+		sr.batchSeq = seq
 		sr.done = true
-		return Frame{Seq: seq, End: true}, nil
+		return nil
 	}
 	if length%FlowRecordLen != 0 {
-		return Frame{}, corruptf("frame length %d is not a multiple of the %d-byte record", length, FlowRecordLen)
+		return corruptf("frame length %d is not a multiple of the %d-byte record", length, FlowRecordLen)
 	}
 	k := length / FlowRecordLen
 	if k > MaxBatchFlows {
-		return Frame{}, corruptf("batch of %d flows exceeds the %d-flow limit", k, MaxBatchFlows)
+		return corruptf("batch of %d flows exceeds the %d-flow limit", k, MaxBatchFlows)
 	}
-	if cap(sr.payload) < int(length) {
-		sr.payload = make([]byte, length)
-	} else {
-		sr.payload = sr.payload[:length]
+	payload := sr.payload
+	if cap(payload) < int(length) {
+		payload = make([]byte, length)
 	}
-	if _, err := io.ReadFull(sr.br, sr.payload); err != nil {
-		return Frame{}, fmt.Errorf("replay: frame payload: %w", err)
+	payload = payload[:length]
+	if _, err := io.ReadFull(sr.br, payload); err != nil {
+		return fmt.Errorf("replay: frame payload: %w", err)
 	}
-	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, sr.payload)
+	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, payload)
 	if _, err := io.ReadFull(sr.br, sr.sum[:]); err != nil {
-		return Frame{}, fmt.Errorf("replay: frame checksum: %w", err)
+		return fmt.Errorf("replay: frame checksum: %w", err)
 	}
 	if got := binary.BigEndian.Uint32(sr.sum[:]); got != sr.crc {
-		return Frame{}, corruptf("rolling checksum %08x at seq %d, want %08x", got, seq, sr.crc)
+		return corruptf("rolling checksum %08x at seq %d, want %08x", got, seq, sr.crc)
 	}
 	if sr.started {
 		if seq < sr.nextSeq {
-			return Frame{}, corruptf("sequence %d went backwards (expected >= %d)", seq, sr.nextSeq)
+			return corruptf("sequence %d went backwards (expected >= %d)", seq, sr.nextSeq)
 		}
 		sr.Gaps += seq - sr.nextSeq
 	} else {
@@ -442,20 +464,19 @@ func (sr *StreamReader) Next() (Frame, error) {
 	}
 	sr.nextSeq = seq + uint64(k)
 	sr.batchSeq = seq
-	sr.off = 0
-	return sr.yield(), nil
+	sr.payload = payload
+	return nil
 }
 
-// yield decodes the next record of the current frame's payload. The caller
-// has already verified off < len(payload); records inside a batch are
-// consecutive flows, so the per-record sequence number is derived from the
-// frame's first index.
-func (sr *StreamReader) yield() Frame {
-	rec := sr.payload[sr.off : sr.off+FlowRecordLen]
-	seq := sr.batchSeq + uint64(sr.off/FlowRecordLen)
+// record decodes the next record of the current frame's payload into f and
+// returns its sequence number and bytes. The caller has already verified
+// off < len(payload); records inside a batch are consecutive flows, so the
+// per-record sequence number is derived from the frame's first index.
+func (sr *StreamReader) record(f *netflow.Flow) (seq uint64, raw []byte) {
+	raw = sr.payload[sr.off : sr.off+FlowRecordLen]
+	seq = sr.batchSeq + uint64(sr.off/FlowRecordLen)
 	sr.off += FlowRecordLen
-	// rec holds exactly FlowRecordLen bytes, so DecodeFlow cannot fail.
-	f, _ := DecodeFlow(rec)
+	decodeFlow(f, raw)
 	sr.Received++
-	return Frame{Seq: seq, Flow: f, Raw: rec}
+	return seq, raw
 }

@@ -2,7 +2,10 @@ package replay
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"csb/internal/graph"
@@ -186,11 +189,123 @@ func TestStreamReaderCountsGaps(t *testing.T) {
 	if err := fw.writeEnd(sent); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Consume(bytes.NewReader(buf.Bytes()), nil)
+	st, err := checkConsumeEqualsNext(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Received != sent || st.Gaps == 0 {
 		t.Fatalf("stats = %+v (sent %d)", st, sent)
+	}
+}
+
+// delivered is one flow as a consumer saw it.
+type delivered struct {
+	seq  uint64
+	flow netflow.Flow
+	raw  [FlowRecordLen]byte
+}
+
+// checkConsumeEqualsNext reads data three ways — a StreamReader.Next loop,
+// Consume with a callback, Consume with none — and wants one answer: the same
+// (seq, flow, raw) sequence, the same stats, the same error.
+func checkConsumeEqualsNext(t testing.TB, data []byte) (ConsumeStats, error) {
+	t.Helper()
+	var want []delivered
+	var wantStats ConsumeStats
+	sr, wantErr := NewStreamReader(bytes.NewReader(data))
+	for wantErr == nil {
+		var fr Frame
+		if fr, wantErr = sr.Next(); wantErr != nil || fr.End {
+			wantStats = sr.stats(fr.End)
+			break
+		}
+		want = append(want, delivered{fr.Seq, fr.Flow, [FlowRecordLen]byte(fr.Raw)})
+	}
+
+	var got []delivered
+	stats, err := Consume(bytes.NewReader(data), func(seq uint64, f netflow.Flow, raw []byte) error {
+		if len(raw) != FlowRecordLen {
+			t.Fatalf("callback raw is %d bytes", len(raw))
+		}
+		got = append(got, delivered{seq, f, [FlowRecordLen]byte(raw)})
+		return nil
+	})
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || stats != wantStats {
+		t.Fatalf("Consume = %+v, %v; the Next loop reads %+v, %v", stats, err, wantStats, wantErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Consume delivered %d flows, the Next loop %d, or not the same ones", len(got), len(want))
+	}
+	for i := range got {
+		if f, _ := DecodeFlow(got[i].raw[:]); f != got[i].flow {
+			t.Fatalf("flow %d: callback flow %+v is not its raw record %+v", i, got[i].flow, f)
+		}
+	}
+	if stats, err := Consume(bytes.NewReader(data), nil); fmt.Sprint(err) != fmt.Sprint(wantErr) || stats != wantStats {
+		t.Fatalf("nil-callback Consume = %+v, %v; the Next loop reads %+v, %v", stats, err, wantStats, wantErr)
+	}
+	return stats, err
+}
+
+// TestConsumeEqualsNextLoop: Consume works a frame at a time and skips the
+// decode when nobody listens; a consumer must not be able to tell — over v1
+// frames, batches of every shape and streams that fail (the two gap tests,
+// TestStreamReaderCountsGaps and TestBatchFramesCountGapsBetweenBatches, read
+// their streams through the same check).
+func TestConsumeEqualsNextLoop(t *testing.T) {
+	flows := testFlows(t, 20, 300, 18)
+	n := uint64(len(flows))
+	accepted := func(name string, data []byte, received, gaps uint64) {
+		t.Helper()
+		st, err := checkConsumeEqualsNext(t, data)
+		if err != nil || !st.Clean || st.Received != received || st.Gaps != gaps {
+			t.Fatalf("%s: stats %+v, err %v; want %d received, %d gaps, clean", name, st, err, received, gaps)
+		}
+	}
+	accepted("v1 frames", streamBytes(t, flows), n, 0)
+	accepted("batches", batchStreamBytes(t, flows, []int{1, 7, 64, 2, MaxBatchFlows}), n, 0)
+	accepted("empty run", batchStreamBytes(t, nil, []int{4}), 0, 0)
+
+	// The checks a nil callback must not skip: one flipped payload byte, a
+	// wrong end-frame count, a cut mid-batch.
+	batched := batchStreamBytes(t, flows, []int{16})
+	rejected := func(name string, data []byte, corrupt bool) {
+		t.Helper()
+		st, err := checkConsumeEqualsNext(t, data)
+		if err == nil || st.Clean || errors.Is(err, ErrCorruptStream) != corrupt {
+			t.Fatalf("%s: stats %+v, err %v", name, st, err)
+		}
+	}
+	flipped := bytes.Clone(batched)
+	flipped[HeaderLen+12+16*FlowRecordLen+4+12+3*FlowRecordLen+9] ^= 0x40 // second frame, fourth record
+	rejected("flipped payload byte", flipped, true)
+	miscounted := bytes.Clone(batched)
+	miscounted[len(miscounted)-5]++ // low byte of the end frame's count
+	rejected("wrong end count", miscounted, true)
+	rejected("truncated", batched[:len(batched)/2], false)
+}
+
+// BenchmarkConsume reads one captured stream — the server's default batch
+// framing — with a callback that does nothing and with none.
+func BenchmarkConsume(b *testing.B) {
+	flows := testFlows(b, 50, 4000, 18)
+	data := batchStreamBytes(b, flows, []int{DefaultBatchLen})
+	for _, bc := range []struct {
+		name string
+		fn   func(uint64, netflow.Flow, []byte) error
+	}{
+		{"noop", func(uint64, netflow.Flow, []byte) error { return nil }},
+		{"nil", nil},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if st, err := Consume(bytes.NewReader(data), bc.fn); err != nil || st.Received != uint64(len(flows)) {
+					b.Fatalf("stats %+v, err %v", st, err)
+				}
+			}
+			b.ReportMetric(float64(len(flows))*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
+		})
 	}
 }

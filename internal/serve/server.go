@@ -460,6 +460,9 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 		ctx: ctx, cancel: cancel,
 		state: StateQueued, created: time.Now(),
 	}
+	// The reply is the job as admitted: once it is on the queue a worker may
+	// finish it before Submit returns, and a cold job answers "queued".
+	admitted := j.status()
 	select {
 	case s.queue <- j:
 		s.recordJob(j)
@@ -474,7 +477,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 		} else {
 			s.journalErrs.Add(1)
 		}
-		return j.status(), nil
+		return admitted, nil
 	default:
 		s.mu.Unlock()
 		cancel()

@@ -24,7 +24,6 @@ import (
 	"csb/internal/netflow"
 	"csb/internal/pagerank"
 	"csb/internal/pcap"
-	"csb/internal/workload"
 )
 
 var (
@@ -385,22 +384,6 @@ func BenchmarkGenRMAT(b *testing.B) {
 	}
 }
 
-// The IDS benchmark workload mix over a 100k-edge PGPBA dataset.
-func BenchmarkWorkloadMix(b *testing.B) {
-	seed := seedForBench(b)
-	g, err := (&core.PGPBA{Fraction: 0.5, Seed: 4}).Generate(seed, 100000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := workload.Spec{NodeLookups: 2000, EdgeScans: 8, PathQueries: 50, SubgraphOps: 10, Analytics: 1, Seed: 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Run(g, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // PGPBA attachment-style ablation: single-destination (Figure 2) vs
 // per-edge re-sampling.
 func BenchmarkAblationClumpedAttachment(b *testing.B) {
@@ -452,23 +435,6 @@ func BenchmarkAggregationPropertyGraph(b *testing.B) {
 		d, s := ids.AggregateGraph(g)
 		if len(d) == 0 || len(s) == 0 {
 			b.Fatal("no patterns")
-		}
-	}
-}
-
-// Local (shared-memory) vs distributed (Map-Reduce) PageRank on the same
-// 200k-edge graph.
-func BenchmarkPageRankDistributed(b *testing.B) {
-	seed := seedForBench(b)
-	g, err := (&core.PGPBA{Fraction: 0.5, Seed: 1}).Generate(seed, 200000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := cluster.Local(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pagerank.ComputeDistributed(c, g, pagerank.Options{MaxIter: 30}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

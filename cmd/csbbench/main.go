@@ -27,7 +27,6 @@ import (
 	"csb/internal/netflow"
 	"csb/internal/pcap"
 	"csb/internal/replay"
-	"csb/internal/workload"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func main() {
 	log.SetPrefix("csbbench: ")
 
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table1 replay all")
+		exp       = flag.String("exp", "all", "experiment: fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table1 baselines extended fourvs chaos replay dist all")
 		hosts     = flag.Int("hosts", 100, "seed trace hosts")
 		sessions  = flag.Int("sessions", 2000, "seed trace sessions")
 		rngSeed   = flag.Uint64("seed", bench.DefaultSeed, "RNG seed")
@@ -92,7 +91,6 @@ func main() {
 		"fig12":     func() { fig12(seed, *synEdges, nodeSweep, *coresPer, *rngSeed, tracer) },
 		"table1":    func() { table1(seed, *rngSeed) },
 		"baselines": func() { baselines(seed, *synEdges, *rngSeed) },
-		"workload":  func() { workloadExp(seed, *synEdges, *rngSeed) },
 		"extended":  func() { extended(seed, *synEdges, *rngSeed) },
 		"fourvs":    func() { fourVs(seed, *synEdges, *rngSeed) },
 		"chaos":     func() { chaos(seed, *synEdges, *rngSeed) },
@@ -100,7 +98,7 @@ func main() {
 		"dist":      func() { distExp(*synEdges, *rngSeed) },
 	}
 	if *exp == "all" {
-		for _, name := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table1", "baselines", "workload", "extended", "fourvs"} {
+		for _, name := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table1", "baselines", "extended", "fourvs"} {
 			fmt.Printf("\n=== %s ===\n", name)
 			runs[name]()
 		}
@@ -289,31 +287,6 @@ func baselines(seed *core.Seed, edges int64, rngSeed uint64) {
 		fmt.Printf("%s\t%d\t%.3e\t%.3e\t%.3f\t%.1f\n",
 			p.Model, p.Edges, p.Degree, p.PageRank, p.DegreeKS, p.TailRatio)
 	}
-}
-
-func workloadExp(seed *core.Seed, edges int64, rngSeed uint64) {
-	fmt.Println("# Workload benchmark: the IDS query mix over seed and synthetic datasets")
-	spec := workload.DefaultSpec(rngSeed)
-	report := func(name string, res *workload.Result, err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("-- dataset: %s --\n%s", name, res)
-	}
-	res, err := workload.Run(seed.Graph, spec)
-	report("seed", res, err)
-	ga, err := (&core.PGPBA{Fraction: 0.1, Seed: rngSeed}).Generate(seed, edges)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err = workload.Run(ga, spec)
-	report(fmt.Sprintf("pgpba-%d", ga.NumEdges()), res, err)
-	gk, err := (&core.PGSK{Seed: rngSeed}).Generate(seed, edges)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err = workload.Run(gk, spec)
-	report(fmt.Sprintf("pgsk-%d", gk.NumEdges()), res, err)
 }
 
 func extended(seed *core.Seed, edges int64, rngSeed uint64) {

@@ -64,17 +64,6 @@ func TestSmokeTable1(t *testing.T) {
 	}
 }
 
-// TestSmokeWorkload exercises the workload experiment printer.
-func TestSmokeWorkload(t *testing.T) {
-	seed := buildSeed(t, 20, 300, 7)
-	out := captureStdout(t, func() { workloadExp(seed, 2000, 7) })
-	for _, want := range []string{"dataset: seed", "pgpba-", "pgsk-", "node-lookups"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("workload output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestSmokeVeracityPrinter exercises the fig6/7 printers.
 func TestSmokeVeracityPrinter(t *testing.T) {
 	seed := buildSeed(t, 20, 300, 7)

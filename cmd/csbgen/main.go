@@ -18,11 +18,14 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"csb"
+	"csb/internal/cluster"
 	"csb/internal/core"
+	"csb/internal/graph"
 	"csb/internal/kronfit"
+	"csb/internal/pagerank"
 	"csb/internal/scenario"
 	"csb/internal/serve"
+	"csb/internal/stats"
 )
 
 func main() {
@@ -80,21 +83,21 @@ func run(args []string, stdout io.Writer) error {
 		}()
 	}
 
-	var tracer *csb.Tracer
+	var tracer *cluster.Tracer
 	if *traceOut != "" || *stageTab {
-		tracer = csb.NewTracer()
+		tracer = cluster.NewTracer()
 	}
 	// -nodes/-cores are placement and name different bytes; tracing, retries,
 	// speculation and injected faults never do. Unset, the shape is the
 	// default 1 x 1 csbd jobs run on, on every host.
-	ccfg := csb.ClusterConfig{
+	ccfg := cluster.Config{
 		Nodes: *nodes, CoresPerNode: *cores, Tracer: tracer,
 		MaxTaskRetries: *taskRetry, Speculation: *specExec,
 	}
 	if *faultRate > 0 {
-		ccfg.Faults = csb.NewFaultPlan(*faultSeed, *faultRate)
+		ccfg.Faults = cluster.NewFaultPlan(*faultSeed, *faultRate)
 	}
-	c, err := csb.NewCluster(ccfg)
+	c, err := cluster.New(ccfg)
 	if err != nil {
 		return err
 	}
@@ -130,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	var seed *csb.Seed
+	var seed *core.Seed
 	if *seedFile != "" {
 		f, err := os.Open(*seedFile)
 		if err != nil {
@@ -146,15 +149,15 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		g, err := csb.ReadGraph(f)
+		g, err := graph.Read(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		if seed, err = csb.AnalyzeSeed(g); err != nil {
+		if seed, err = core.Analyze(g); err != nil {
 			return err
 		}
-	} else if seed, err = csb.BuildSyntheticSeed(*hosts, *sessions, *rngSeed); err != nil {
+	} else if seed, err = core.SyntheticSeed(*hosts, *sessions, *rngSeed); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "seed: %d vertices, %d edges\n", seed.Graph.NumVertices(), seed.Graph.NumEdges())
@@ -192,11 +195,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *veracity {
-		dv, err := csb.DegreeVeracity(seed.Graph, g)
+		dv, err := stats.VeracityScoreInt(seed.Graph.Degrees(), g.Degrees())
 		if err != nil {
 			return err
 		}
-		pv, err := csb.PageRankVeracity(seed.Graph, g)
+		pv, err := pagerank.Veracity(seed.Graph, g)
 		if err != nil {
 			return err
 		}
@@ -257,7 +260,7 @@ func run(args []string, stdout io.Writer) error {
 
 // runScenario compiles a scenario spec into its labeled artifact, printing
 // the same content address a csbd scenario job would cache it under.
-func runScenario(specPath, outPath string, c *csb.Cluster, stdout io.Writer) error {
+func runScenario(specPath, outPath string, c *cluster.Cluster, stdout io.Writer) error {
 	if outPath == "" {
 		return fmt.Errorf("-scenario requires -scenario-out")
 	}

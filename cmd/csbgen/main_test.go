@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"csb"
+	"csb/internal/core"
+	"csb/internal/graph"
+	"csb/internal/serve"
 )
 
 func TestRunPGPBAWithSyntheticSeed(t *testing.T) {
@@ -36,7 +38,7 @@ func TestRunPGPBAWithSyntheticSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := csb.ReadGraph(f)
+	g, err := graph.Read(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +52,7 @@ func TestRunPGSKFromSeedFile(t *testing.T) {
 	dir := t.TempDir()
 	seedPath := filepath.Join(dir, "seed.csbg")
 	// Build a seed graph file first.
-	seed, err := csb.BuildSyntheticSeed(20, 200, 4)
+	seed, err := core.SyntheticSeed(20, 200, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestArtifactBytesMatchServer(t *testing.T) {
 		t.Fatalf("csbgen did not print an artifact id: %q", out.String())
 	}
 
-	srv, err := csb.NewServer(csb.ServerConfig{Workers: 1})
+	srv, err := serve.New(serve.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestArtifactBytesMatchServer(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	submit := func() csb.JobStatus {
+	submit := func() serve.JobStatus {
 		t.Helper()
 		body := `{"generator":"pgsk","hosts":15,"sessions":150,"seed":9,"edges":2000,"format":"tsv"}`
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -171,7 +173,7 @@ func TestArtifactBytesMatchServer(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var st csb.JobStatus
+		var st serve.JobStatus
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +187,7 @@ func TestArtifactBytesMatchServer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var st csb.JobStatus
+			var st serve.JobStatus
 			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +239,7 @@ func TestArtifactBytesMatchServer(t *testing.T) {
 func TestRunFromSeedAnalysisFile(t *testing.T) {
 	dir := t.TempDir()
 	analysisPath := filepath.Join(dir, "seed.csba")
-	seed, err := csb.BuildSyntheticSeed(15, 150, 6)
+	seed, err := core.SyntheticSeed(15, 150, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func TestRunFromSeedAnalysisFile(t *testing.T) {
 	}
 	// Generation from the analysis file must match generation from the
 	// in-memory seed exactly (deterministic pipeline).
-	direct, err := (&csb.PGPBA{Fraction: 0.5, Seed: 7}).Generate(seed, 2000)
+	direct, err := (&core.PGPBA{Fraction: 0.5, Seed: 7}).Generate(seed, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,11 @@ import (
 	"os"
 	"sort"
 
-	"csb"
+	"csb/internal/attack"
+	"csb/internal/graph"
+	"csb/internal/ids"
+	"csb/internal/netflow"
+	"csb/internal/pcap"
 )
 
 func main() {
@@ -47,37 +51,37 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var flows []csb.Flow
-	var trainFlows []csb.Flow // demo mode trains on a separate clean day
+	var flows []netflow.Flow
+	var trainFlows []netflow.Flow // demo mode trains on a separate clean day
 	switch {
 	case *demo:
 		var err error
 		if flows, err = demoFlows(*seed, stdout); err != nil {
 			return err
 		}
-		pkts, err := csb.SynthesizeTrace(csb.DefaultTraceConfig(40, 800, *seed+1))
+		pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(40, 800, *seed+1))
 		if err != nil {
 			return err
 		}
-		trainFlows = csb.AssembleFlows(pkts)
+		trainFlows = netflow.Assemble(pkts, 0)
 	case *graphIn != "":
 		f, err := os.Open(*graphIn)
 		if err != nil {
 			return err
 		}
-		g, err := csb.ReadGraph(f)
+		g, err := graph.Read(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		flows = csb.FlowsOf(g)
+		flows = netflow.FlowsFromGraph(g)
 	case *flowsIn != "":
 		f, err := os.Open(*flowsIn)
 		if err != nil {
 			return err
 		}
 		var err2 error
-		flows, err2 = csb.ReadFlowsCSV(f)
+		flows, err2 = netflow.ReadCSV(f)
 		f.Close()
 		if err2 != nil {
 			return err2
@@ -87,23 +91,23 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "analyzing %d flows\n", len(flows))
 
-	var t csb.Thresholds
+	var t ids.Thresholds
 	switch {
 	case *defaults:
-		t = csb.DefaultThresholds()
+		t = ids.DefaultThresholds()
 		fmt.Fprintln(stdout, "using default thresholds")
 	case trainFlows != nil:
-		t = csb.TrainThresholds(trainFlows, *quantile, *margin)
+		t = ids.TrainThresholds(trainFlows, *quantile, *margin)
 		fmt.Fprintf(stdout, "trained thresholds on clean traffic at q=%.2f margin=%.1f\n", *quantile, *margin)
 	default:
-		t = csb.TrainThresholds(flows, *quantile, *margin)
+		t = ids.TrainThresholds(flows, *quantile, *margin)
 		fmt.Fprintf(stdout, "trained thresholds at q=%.2f margin=%.1f\n", *quantile, *margin)
 	}
 
-	var alerts []csb.Alert
+	var alerts []ids.Alert
 	if *stream {
 		sort.Slice(flows, func(i, j int) bool { return flows[i].StartMicros < flows[j].StartMicros })
-		det := csb.NewStreamDetector(t, *windowSec*1e6, func(a csb.Alert) {
+		det := ids.NewStreamDetector(t, *windowSec*1e6, func(a ids.Alert) {
 			alerts = append(alerts, a)
 			fmt.Fprintf(stdout, "[stream] %s\n", a)
 		})
@@ -112,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		det.Flush()
 	} else {
-		alerts = csb.DetectFlows(flows, t)
+		alerts = ids.NewDetector(t).Detect(flows)
 		for _, a := range alerts {
 			fmt.Fprintln(stdout, a)
 		}
@@ -126,12 +130,12 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // demoFlows builds background traffic plus one of each attack class.
-func demoFlows(seed uint64, stdout io.Writer) ([]csb.Flow, error) {
-	pkts, err := csb.SynthesizeTrace(csb.DefaultTraceConfig(40, 800, seed))
+func demoFlows(seed uint64, stdout io.Writer) ([]netflow.Flow, error) {
+	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(40, 800, seed))
 	if err != nil {
 		return nil, err
 	}
-	s := csb.NewScenario(csb.AssembleFlows(pkts))
+	s := attack.NewScenario(netflow.Assemble(pkts, 0))
 	rng := rand.New(rand.NewPCG(seed, 0xde30))
 	base := int64(1318204800) * 1e6
 	s.InjectHostScan(rng, 0xbad00001, 0x0a000003, 1500, base)

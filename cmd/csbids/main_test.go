@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"csb"
+	"csb/internal/netflow"
+	"csb/internal/pcap"
 )
 
 func TestRunDemoDetectsAttacks(t *testing.T) {
@@ -44,7 +45,7 @@ func TestRunOverFlowCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := csb.WriteFlowsCSV(f, flows); err != nil {
+	if err := netflow.WriteCSV(f, flows); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -65,7 +66,7 @@ func TestRunOverGraphWithDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := csb.BuildFlowGraph(flows)
+	g := netflow.BuildGraph(flows)
 	f, err := os.Create(graphPath)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestRunQuietTraffic(t *testing.T) {
 	// couple of borderline alerts, never an error).
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "clean.csv")
-	pkts, err := csb.SynthesizeTrace(csb.DefaultTraceConfig(20, 200, 13))
+	pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(20, 200, 13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRunQuietTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := csb.WriteFlowsCSV(f, csb.AssembleFlows(pkts)); err != nil {
+	if err := netflow.WriteCSV(f, netflow.Assemble(pkts, 0)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"csb/internal/attack"
+	"csb/internal/cluster"
 	"csb/internal/ids"
 	"csb/internal/netflow"
 	"csb/internal/replay"
@@ -343,6 +343,11 @@ func consumeStream(addr string, dialTimeout, idleTimeout time.Duration, reconnec
 	// prefix — raw output and detector state see every flow exactly once.
 	// A session that delivers new flows refills the budget, so the budget
 	// bounds consecutive fruitless attempts, not total stream lifetime.
+	// Redials wait on cluster.ReconnectBackoff, keyed on this process so a
+	// fleet of consumers torn by the same server restart does not redial in
+	// lockstep (a missing hostname still leaves the pid).
+	host, _ := os.Hostname()
+	consumer := fmt.Sprintf("%s-%d", host, os.Getpid())
 	var (
 		d          = net.Dialer{Timeout: dialTimeout}
 		haveSeq    bool
@@ -368,7 +373,7 @@ func consumeStream(addr string, dialTimeout, idleTimeout time.Duration, reconnec
 				return err
 			}
 			attempt++
-			wait := reconnectDelay(attempt)
+			wait := cluster.ReconnectBackoff.Delay(consumer, attempt)
 			fmt.Fprintf(stdout, "dial %s: %v; retrying in %v (attempt %d/%d)\n",
 				addr, err, wait.Round(time.Millisecond), attempt, reconnect)
 			time.Sleep(wait)
@@ -427,7 +432,7 @@ func consumeStream(addr string, dialTimeout, idleTimeout time.Duration, reconnec
 			break
 		}
 		attempt++
-		wait := reconnectDelay(attempt)
+		wait := cluster.ReconnectBackoff.Delay(consumer, attempt)
 		fmt.Fprintf(stdout, "stream torn at seq %d (%v); reconnecting in %v (attempt %d/%d)\n",
 			lastSeq, cerr, wait.Round(time.Millisecond), attempt, reconnect)
 		time.Sleep(wait)
@@ -453,18 +458,4 @@ func consumeStream(addr string, dialTimeout, idleTimeout time.Duration, reconnec
 		return fmt.Errorf("stream ended without a clean end frame")
 	}
 	return nil
-}
-
-// reconnectDelay is the jittered exponential backoff between consume
-// sessions: 200ms doubling to a 5s cap, with a random component so a fleet
-// of consumers torn by the same server restart does not redial in lockstep.
-func reconnectDelay(attempt int) time.Duration {
-	base := 200 * time.Millisecond
-	for i := 1; i < attempt && base < 5*time.Second; i++ {
-		base *= 2
-	}
-	if base > 5*time.Second {
-		base = 5 * time.Second
-	}
-	return base/2 + time.Duration(rand.Int64N(int64(base)))
 }

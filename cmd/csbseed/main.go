@@ -15,9 +15,9 @@ import (
 	"io"
 	"os"
 
-	"csb"
 	"csb/internal/core"
 	"csb/internal/netflow"
+	"csb/internal/pcap"
 )
 
 func main() {
@@ -47,13 +47,13 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var packets []csb.Packet
+	var packets []pcap.PacketInfo
 	if *pcapIn != "" {
 		f, err := os.Open(*pcapIn)
 		if err != nil {
 			return err
 		}
-		packets, err = csb.ReadTracePCAP(f)
+		packets, err = pcap.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			return err
@@ -61,7 +61,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "read %d IPv4 packets from %s\n", len(packets), *pcapIn)
 	} else {
 		var err error
-		packets, err = csb.SynthesizeTrace(csb.DefaultTraceConfig(*hosts, *sessions, *seed))
+		packets, err = pcap.Synthesize(pcap.DefaultTraceConfig(*hosts, *sessions, *seed))
 		if err != nil {
 			return err
 		}
@@ -69,16 +69,16 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *pcapOut != "" {
-		if err := writeTo(*pcapOut, func(w io.Writer) error { return csb.WriteTracePCAP(w, packets) }); err != nil {
+		if err := writeTo(*pcapOut, func(w io.Writer) error { return pcap.WriteTrace(w, packets) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote PCAP to %s\n", *pcapOut)
 	}
 
-	flows := csb.AssembleFlows(packets)
+	flows := netflow.Assemble(packets, 0)
 	fmt.Fprintf(stdout, "assembled %d flows\n", len(flows))
 	if *flowsOut != "" {
-		if err := writeTo(*flowsOut, func(w io.Writer) error { return csb.WriteFlowsCSV(w, flows) }); err != nil {
+		if err := writeTo(*flowsOut, func(w io.Writer) error { return netflow.WriteCSV(w, flows) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote flows to %s\n", *flowsOut)
@@ -90,7 +90,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "wrote NetFlow v5 export to %s\n", *v5Out)
 	}
 
-	g := csb.BuildFlowGraph(flows)
+	g := netflow.BuildGraph(flows)
 	fmt.Fprintf(stdout, "seed graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	if *graphOut != "" {
 		if err := writeTo(*graphOut, g.Write); err != nil {

@@ -7,8 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"csb"
+	"csb/internal/graph"
 	"csb/internal/netflow"
+	"csb/internal/pcap"
 )
 
 func TestRunSynthesizeWritesEverything(t *testing.T) {
@@ -37,7 +38,7 @@ func TestRunSynthesizeWritesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := csb.ReadTracePCAP(pf)
+	pkts, err := pcap.ReadTrace(pf)
 	pf.Close()
 	if err != nil || len(pkts) == 0 {
 		t.Fatalf("pcap: %v, %d packets", err, len(pkts))
@@ -46,7 +47,7 @@ func TestRunSynthesizeWritesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, err := csb.ReadFlowsCSV(cf)
+	flows, err := netflow.ReadCSV(cf)
 	cf.Close()
 	if err != nil || len(flows) == 0 {
 		t.Fatalf("csv: %v, %d flows", err, len(flows))
@@ -64,7 +65,7 @@ func TestRunSynthesizeWritesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := csb.ReadGraph(gf)
+	g, err := graph.Read(gf)
 	gf.Close()
 	if err != nil || g.NumVertices() != 10 {
 		t.Fatalf("graph: %v", err)

@@ -11,8 +11,8 @@
 //     (AssembleFlows, BuildFlowGraph) and analyze it (AnalyzeSeed).
 //  3. Grow the seed with a generator: PGPBA (Barabási-Albert based) or
 //     PGSK (stochastic Kronecker based).
-//  4. Evaluate veracity (DegreeVeracity, PageRankVeracity), run workload
-//     queries (NewQueryEngine), or hunt anomalies (Detect).
+//  4. Evaluate veracity (DegreeVeracity, PageRankVeracity) or hunt
+//     anomalies (Detect).
 //
 // A minimal session:
 //
@@ -40,10 +40,8 @@ import (
 	"csb/internal/pagerank"
 	"csb/internal/pcap"
 	"csb/internal/pso"
-	"csb/internal/query"
 	"csb/internal/serve"
 	"csb/internal/stats"
-	"csb/internal/workload"
 )
 
 // Re-exported core types. The aliases make the internal packages' types part
@@ -98,8 +96,6 @@ type (
 	AttackType = ids.AttackType
 	// Scenario is labeled attack traffic for detector evaluation.
 	Scenario = attack.Scenario
-	// QueryEngine answers workload queries over a property graph.
-	QueryEngine = query.Engine
 	// Server is the dataset-generation service behind cmd/csbd: a bounded
 	// job queue, a content-addressed artifact cache and an HTTP API.
 	Server = serve.Server
@@ -245,15 +241,7 @@ func DegreeVeracity(seed, synthetic *Graph) (float64, error) {
 // PageRankVeracity computes the PageRank veracity score of a synthetic
 // graph against its seed (Section V-A; smaller is better).
 func PageRankVeracity(seed, synthetic *Graph) (float64, error) {
-	seedPR, err := pagerank.Compute(seed, pagerank.Options{})
-	if err != nil {
-		return 0, err
-	}
-	synPR, err := pagerank.Compute(synthetic, pagerank.Options{})
-	if err != nil {
-		return 0, err
-	}
-	return stats.VeracityScore(seedPR.Ranks, synPR.Ranks)
+	return pagerank.Veracity(seed, synthetic)
 }
 
 // PageRanks computes the PageRank vector of g with default options.
@@ -295,11 +283,6 @@ func TuneThresholds(s *Scenario, base Thresholds, seed uint64) (Thresholds, erro
 	return tuned, err
 }
 
-// NewQueryEngine indexes a property graph for workload queries.
-func NewQueryEngine(g *Graph) *QueryEngine {
-	return query.NewEngine(g)
-}
-
 // StreamDetector is the on-line anomaly detector over flow streams.
 type StreamDetector = ids.StreamDetector
 
@@ -322,23 +305,6 @@ func ConnectedComponents(g *Graph) *Components {
 // over `samples` sampled sources (0 means exact).
 func Betweenness(g *Graph, samples int, seed uint64) []float64 {
 	return graphalgo.ApproxBetweenness(g, graphalgo.BetweennessOptions{Samples: samples, Seed: seed})
-}
-
-// WorkloadSpec defines the IDS benchmark query mix.
-type WorkloadSpec = workload.Spec
-
-// WorkloadResult reports a workload run.
-type WorkloadResult = workload.Result
-
-// DefaultWorkloadSpec returns the balanced benchmark mix.
-func DefaultWorkloadSpec(seed uint64) WorkloadSpec {
-	return workload.DefaultSpec(seed)
-}
-
-// RunWorkload executes the IDS benchmark query mix (node, edge, path and
-// sub-graph queries plus analytics) over a property graph.
-func RunWorkload(g *Graph, spec WorkloadSpec) (*WorkloadResult, error) {
-	return workload.Run(g, spec)
 }
 
 // Classical baseline generators (Section II of the paper), re-exported for

@@ -158,22 +158,6 @@ func TestTuneThresholdsThroughFacade(t *testing.T) {
 	}
 }
 
-func TestQueryEngineThroughFacade(t *testing.T) {
-	seed := facadeSeed(t)
-	q := NewQueryEngine(seed.Graph)
-	top := q.TopKByDegree(3)
-	if len(top) != 3 || top[0].Degree < top[2].Degree {
-		t.Fatalf("top-k wrong: %v", top)
-	}
-	if n := q.CountEdges(func(e *Edge) bool { return e.Props.OutBytes >= 0 }); n != seed.Graph.NumEdges() {
-		t.Fatalf("CountEdges = %d", n)
-	}
-	hops := q.KHop(top[0].V, 2)
-	if len(hops) == 0 {
-		t.Fatal("hub has no 2-hop neighborhood")
-	}
-}
-
 func TestClusterThroughFacade(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{Nodes: 4, CoresPerNode: 2})
 	if err != nil {
@@ -214,23 +198,6 @@ func TestGraphAlgoThroughFacade(t *testing.T) {
 	}
 	if !positive {
 		t.Fatal("all-zero betweenness on a trace graph")
-	}
-}
-
-func TestWorkloadThroughFacade(t *testing.T) {
-	seed := facadeSeed(t)
-	spec := DefaultWorkloadSpec(1)
-	spec.NodeLookups = 100
-	spec.EdgeScans = 2
-	spec.PathQueries = 4
-	spec.SubgraphOps = 2
-	spec.Analytics = 1
-	res, err := RunWorkload(seed.Graph, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Classes) != 5 || res.TotalSeconds <= 0 {
-		t.Fatalf("workload result: %+v", res)
 	}
 }
 

@@ -56,14 +56,4 @@ func main() {
 	fmt.Printf("\nprecision %.2f, recall %.2f, F1 %.2f (TP=%d FP=%d FN=%d)\n",
 		out.Precision(), out.Recall(), out.F1(),
 		out.TruePositives, out.FalsePositives, out.FalseNegatives)
-
-	// The property-graph view also powers workload queries: who are the
-	// busiest hosts, and which vertices fan out suspiciously?
-	g := csb.BuildFlowGraph(s.Flows)
-	q := csb.NewQueryEngine(g)
-	fmt.Println("\ntop talkers (vertex, total degree):")
-	for _, vd := range q.TopKByDegree(5) {
-		fmt.Printf("  v%d degree=%d\n", vd.V, vd.Degree)
-	}
-	fmt.Printf("vertices contacting >= 100 distinct peers: %d\n", len(q.FanOut(100)))
 }

@@ -66,10 +66,6 @@ type Config struct {
 	// retries (every attempt is final), mirroring Spark's
 	// spark.task.maxFailures.
 	MaxTaskRetries int
-	// RetryBackoff is the base delay before a task retry; the k-th retry
-	// waits about RetryBackoff*2^k with deterministic jitter. 0 means
-	// DefaultRetryBackoff; negative disables the wait.
-	RetryBackoff time.Duration
 	// Speculation enables straggler mitigation: once at least half of a
 	// stage's tasks have finished, any task running longer than
 	// DefaultSpeculationQuantile times the median task time gets a duplicate
@@ -208,11 +204,6 @@ func New(cfg Config) (*Cluster, error) {
 	} else if cfg.MaxTaskRetries < 0 {
 		cfg.MaxTaskRetries = 0 // explicit opt-out: attempts are final
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	} else if cfg.RetryBackoff < 0 {
-		cfg.RetryBackoff = 0
-	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(); err != nil {
 			return nil, err
@@ -290,13 +281,6 @@ func (c *Cluster) Metrics() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.metrics
-}
-
-// ResetMetrics zeroes the accumulated metrics (e.g. between sweep points).
-func (c *Cluster) ResetMetrics() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.metrics = Metrics{}
 }
 
 // defaultPartitions resolves a requested partition count.

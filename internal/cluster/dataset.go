@@ -125,41 +125,10 @@ func Parallelize[T any](c *Cluster, data []T, partitions int) *Dataset[T] {
 	return newDataset(c, parts)
 }
 
-// Generate creates a dataset of n elements produced by gen, one task per
-// partition, each with its own deterministic RNG derived from seed. It is
-// the parallel-source primitive the generators build on.
-func Generate[T any](c *Cluster, n int64, partitions int, seed uint64, gen func(rng *rand.Rand, emit func(T), count int64)) *Dataset[T] {
-	p := c.defaultPartitions(partitions)
-	if int64(p) > n && n > 0 {
-		p = int(n)
-	}
-	if n == 0 {
-		return newDataset(c, make([][]T, 0))
-	}
-	parts := make([][]T, p)
-	base := n / int64(p)
-	rem := n % int64(p)
-	weights := make([]int64, p)
-	for i := range weights {
-		weights[i] = base
-		if int64(i) < rem {
-			weights[i]++
-		}
-	}
-	c.runStage(stageSpec{op: "generate", weights: weights,
-		bytesOut: func() int64 { return bytesOf(parts) }}, p, func(i int) {
-		count := weights[i]
-		out := make([]T, 0, count)
-		rng := DeriveRNG(seed, uint64(i))
-		gen(rng, func(v T) { out = append(out, v) }, count)
-		parts[i] = out
-	})
-	return newDataset(c, parts)
-}
-
-// GenerateRemotable is Generate for stages that can also run in another
-// process: locally it is byte-for-byte Generate (same partitioning, same
-// per-partition RNG streams), but when the cluster has a TaskExecutor each
+// GenerateRemotable creates a dataset of n elements produced by gen, one task
+// per partition, each with its own deterministic RNG derived from seed — the
+// parallel-source primitive the generators build on — as a stage that can
+// also run in another process: when the cluster has a TaskExecutor each
 // partition task may instead be dispatched as remote.Kind with
 // payload(part, seed, count) bytes, and the worker's result bytes are decoded
 // into the partition with decode. Partitioning depends only on (n, partitions,
@@ -269,40 +238,6 @@ func MapPartitions[T, U any](in *Dataset[T], f func(part int, xs []T) []U) *Data
 	return newDataset(in.c, parts)
 }
 
-// FlatMap applies f to every element and concatenates the results. The
-// output partition starts at the input's length (expansion factors below 1
-// are rare for flatMap workloads) and grows from there.
-func FlatMap[T, U any](in *Dataset[T], f func(T) []U) *Dataset[U] {
-	parts := make([][]U, len(in.parts))
-	in.c.runStage(inSpec("flatMap", in, parts), len(in.parts), func(i int) {
-		src := in.parts[i]
-		dst := make([]U, 0, len(src))
-		for _, v := range src {
-			dst = append(dst, f(v)...)
-		}
-		parts[i] = dst
-	})
-	return newDataset(in.c, parts)
-}
-
-// Filter keeps elements satisfying pred. The output partition is pre-sized
-// to the input length — the survivors can never exceed it, and one exact-cap
-// allocation beats a geometric append chain on the hot path.
-func Filter[T any](in *Dataset[T], pred func(T) bool) *Dataset[T] {
-	parts := make([][]T, len(in.parts))
-	in.c.runStage(inSpec("filter", in, parts), len(in.parts), func(i int) {
-		src := in.parts[i]
-		dst := make([]T, 0, len(src))
-		for _, v := range src {
-			if pred(v) {
-				dst = append(dst, v)
-			}
-		}
-		parts[i] = dst
-	})
-	return newDataset(in.c, parts)
-}
-
 // Sample returns a dataset where each element is kept independently with
 // probability fraction — RDD.sample without replacement, the first stage of
 // the PGPBA preferential attachment. Deterministic in seed.
@@ -331,14 +266,13 @@ func Sample[T any](in *Dataset[T], fraction float64, seed uint64) *Dataset[T] {
 	return newDataset(in.c, parts)
 }
 
-// shardScratch is the recyclable per-task scratch of the shuffle operations:
-// the per-survivor destination shard, the per-survivor source index (used by
-// Distinct; ReduceByKey derives placement from its key order instead), and
-// the per-shard survivor counts. Pooling it means a steady-state shuffle
-// task allocates only its dedup map and one flat output block.
+// shardScratch is the recyclable per-task scratch of the Distinct shuffle:
+// the per-survivor destination shard, the per-survivor source index, and the
+// per-shard survivor counts. Pooling it means a steady-state shuffle task
+// allocates only its dedup map and one flat output block.
 type shardScratch struct {
 	shards []int32 // destination shard per survivor
-	idx    []int32 // source index per survivor (Distinct only)
+	idx    []int32 // source index per survivor
 	counts []int64 // survivors per shard
 }
 
@@ -363,7 +297,7 @@ func putShardScratch(sc *shardScratch) { shardScratchPool.Put(sc) }
 
 // bucketize carves one flat, exactly sized allocation into p shard buckets
 // (bucket s pre-sized to counts[s]) and returns them ready for appends. The
-// flat backing replaces the per-shard append chains the shuffles used to
+// flat backing replaces the per-shard append chains the shuffle used to
 // grow: one allocation instead of O(p log n).
 func bucketize[T any](counts []int64, total int) [][]T {
 	flat := make([]T, total)
@@ -393,9 +327,8 @@ const maxShuffleInts = math.MaxInt32
 // Output order is deterministic: both phases emit survivors in first-
 // occurrence order (maps are used only for membership, never iterated), so
 // the result depends only on the input partitioning — never on scheduling
-// or Go's randomized map order. ReduceByKey provides the same guarantee.
-// The golden-digest tests in internal/core and the property tests in this
-// package hold both guarantees in place.
+// or Go's randomized map order. The golden-digest tests in internal/core and
+// the property tests in this package hold the guarantee in place.
 func Distinct[T any, K comparable](in *Dataset[T], key func(T) K, shard func(K) uint64) *Dataset[T] {
 	p := len(in.parts)
 	if p == 0 {
@@ -475,123 +408,6 @@ func shardWeights[T any](buckets [][][]T, p int) []int64 {
 	return w
 }
 
-// KV is a key-value pair for the shuffle-based aggregations.
-type KV[K comparable, V any] struct {
-	Key K
-	Val V
-}
-
-// ReduceByKey aggregates values per key — Spark's reduceByKey, the workhorse
-// of distributed analytics (e.g. summing PageRank contributions per target
-// vertex). Like Distinct it is a two-phase parallel hash shuffle: map-side
-// combine per partition, then per-shard merge, with the coordination charged
-// serially per partition. combine must be associative and commutative.
-//
-// Output order and combine application order are deterministic: both phases
-// emit keys in first-occurrence order (partition-major in the merge), using
-// their maps only for lookup, never for iteration. Repeated runs over the
-// same partitioning therefore produce bit-identical output even when combine
-// is only approximately associative — float addition included — which is
-// what keeps distributed PageRank reproducible run to run.
-func ReduceByKey[K comparable, V any](in *Dataset[KV[K, V]], shard func(K) uint64, combine func(a, b V) V) *Dataset[KV[K, V]] {
-	p := len(in.parts)
-	if p == 0 {
-		return newDataset(in.c, make([][]KV[K, V], 0))
-	}
-	// Phase 1: map-side combine + bucket split, emitting each partition's
-	// keys in first-occurrence order into one flat pre-sized block per task
-	// (pooled scratch carries the shard routing, as in Distinct).
-	buckets := make([][][]KV[K, V], p)
-	in.c.runStage(stageSpec{op: "reduceByKey.combine", weights: partWeights(in.parts),
-		bytesIn: bytesOf(in.parts)}, p, func(i int) {
-		src := in.parts[i]
-		if len(src) > maxShuffleInts {
-			panic("cluster: ReduceByKey partition exceeds 2^31 elements; repartition first")
-		}
-		local := make(map[K]V, len(src))
-		order := make([]K, 0, len(src))
-		for _, kv := range src {
-			if v, ok := local[kv.Key]; ok {
-				local[kv.Key] = combine(v, kv.Val)
-			} else {
-				local[kv.Key] = kv.Val
-				order = append(order, kv.Key)
-			}
-		}
-		sc := getShardScratch(p)
-		defer putShardScratch(sc)
-		for _, k := range order {
-			s := int32(shard(k) % uint64(p))
-			sc.shards = append(sc.shards, s)
-			sc.counts[s]++
-		}
-		bkts := bucketize[KV[K, V]](sc.counts, len(order))
-		for n, k := range order {
-			s := sc.shards[n]
-			bkts[s] = append(bkts[s], KV[K, V]{Key: k, Val: local[k]})
-		}
-		buckets[i] = bkts
-	})
-	in.c.chargeShuffleCoord(p)
-	shardW := shardWeights(buckets, p)
-	// Phase 2: per-shard reduce, again in first-occurrence order, with the
-	// accumulator map and output pre-sized to the shard's incoming volume.
-	merged := make([][]KV[K, V], p)
-	in.c.runStage(stageSpec{op: "reduceByKey.merge", weights: shardW,
-		bytesIn:  bytesOf(in.parts),
-		bytesOut: func() int64 { return bytesOf(merged) }}, p, func(s int) {
-		// Pre-size to the largest single contribution, not the summed
-		// volume: map-side combine already deduped each partition, so when
-		// every partition carries (mostly) the same key set — the common
-		// aggregation shape — the union is close to the max, and sizing to
-		// the sum would overshoot the map p-fold.
-		want := 0
-		for i := 0; i < p; i++ {
-			if n := len(buckets[i][s]); n > want {
-				want = n
-			}
-		}
-		acc := make(map[K]V, want)
-		order := make([]K, 0, want)
-		for i := 0; i < p; i++ {
-			for _, kv := range buckets[i][s] {
-				if v, ok := acc[kv.Key]; ok {
-					acc[kv.Key] = combine(v, kv.Val)
-				} else {
-					acc[kv.Key] = kv.Val
-					order = append(order, kv.Key)
-				}
-			}
-		}
-		out := make([]KV[K, V], 0, len(order))
-		for _, k := range order {
-			out = append(out, KV[K, V]{Key: k, Val: acc[k]})
-		}
-		merged[s] = out
-	})
-	return newDataset(in.c, merged)
-}
-
-// Reduce folds all elements with combine, which must be associative and
-// commutative; id is the identity element. Partitions reduce in parallel,
-// then partials fold serially.
-func Reduce[T any](in *Dataset[T], id T, combine func(a, b T) T) T {
-	partials := make([]T, len(in.parts))
-	in.c.runStage(stageSpec{op: "reduce", weights: partWeights(in.parts),
-		bytesIn: bytesOf(in.parts)}, len(in.parts), func(i int) {
-		acc := id
-		for _, v := range in.parts[i] {
-			acc = combine(acc, v)
-		}
-		partials[i] = acc
-	})
-	acc := id
-	for _, p := range partials {
-		acc = combine(acc, p)
-	}
-	return acc
-}
-
 // Collect concatenates all partitions into one slice.
 func Collect[T any](in *Dataset[T]) []T {
 	out := make([]T, 0, in.Count())
@@ -607,11 +423,6 @@ func Union[T any](a, b *Dataset[T]) *Dataset[T] {
 	parts = append(parts, a.parts...)
 	parts = append(parts, b.parts...)
 	return newDataset(a.c, parts)
-}
-
-// Repartition redistributes elements into p balanced partitions.
-func Repartition[T any](in *Dataset[T], p int) *Dataset[T] {
-	return Parallelize(in.c, Collect(in), p)
 }
 
 // Coalesce reduces the partition count to at most p, one measured parallel

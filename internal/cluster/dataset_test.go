@@ -53,26 +53,6 @@ func TestParallelizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
-	c := testCluster()
-	d := Parallelize(c, seq(10), 3)
-	doubled := Collect(Map(d, func(x int) int { return 2 * x }))
-	sort.Ints(doubled)
-	for i, v := range doubled {
-		if v != 2*i {
-			t.Fatalf("Map wrong at %d: %d", i, v)
-		}
-	}
-	even := Filter(d, func(x int) bool { return x%2 == 0 })
-	if even.Count() != 5 {
-		t.Fatalf("Filter count = %d, want 5", even.Count())
-	}
-	fm := FlatMap(d, func(x int) []int { return []int{x, x} })
-	if fm.Count() != 20 {
-		t.Fatalf("FlatMap count = %d, want 20", fm.Count())
-	}
-}
-
 func TestMapPartitionsSeesEveryPartitionOnce(t *testing.T) {
 	c := testCluster()
 	d := Parallelize(c, seq(20), 4)
@@ -132,16 +112,7 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	c := testCluster()
-	d := Parallelize(c, seq(101), 9)
-	sum := Reduce(d, 0, func(a, b int) int { return a + b })
-	if sum != 5050 {
-		t.Fatalf("Reduce sum = %d, want 5050", sum)
-	}
-}
-
-func TestUnionAndRepartition(t *testing.T) {
+func TestUnion(t *testing.T) {
 	c := testCluster()
 	a := Parallelize(c, seq(10), 2)
 	b := Parallelize(c, seq(5), 1)
@@ -149,15 +120,17 @@ func TestUnionAndRepartition(t *testing.T) {
 	if u.Count() != 15 || u.NumPartitions() != 3 {
 		t.Fatalf("Union: %d elements %d partitions", u.Count(), u.NumPartitions())
 	}
-	r := Repartition(u, 5)
-	if r.Count() != 15 || r.NumPartitions() != 5 {
-		t.Fatalf("Repartition: %d elements %d partitions", r.Count(), r.NumPartitions())
-	}
+}
+
+// generate runs GenerateRemotable on a cluster with no executor, where the
+// payload and decode halves are never called.
+func generate(c *Cluster, n int64, partitions int, seed uint64, gen func(rng *rand.Rand, emit func(int64), count int64)) *Dataset[int64] {
+	return GenerateRemotable(c, n, partitions, seed, "test.local", gen, nil, nil)
 }
 
 func TestGenerate(t *testing.T) {
 	c := testCluster()
-	d := Generate(c, 1000, 8, 42, func(rng *rand.Rand, emit func(int64), count int64) {
+	d := generate(c, 1000, 8, 42, func(rng *rand.Rand, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
 			emit(rng.Int64N(100))
 		}
@@ -166,7 +139,7 @@ func TestGenerate(t *testing.T) {
 		t.Fatalf("Generate count = %d, want 1000", d.Count())
 	}
 	// Deterministic under same seed.
-	d2 := Generate(c, 1000, 8, 42, func(rng *rand.Rand, emit func(int64), count int64) {
+	d2 := generate(c, 1000, 8, 42, func(rng *rand.Rand, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
 			emit(rng.Int64N(100))
 		}
@@ -178,12 +151,12 @@ func TestGenerate(t *testing.T) {
 		}
 	}
 	// Zero elements.
-	z := Generate(c, 0, 4, 1, func(rng *rand.Rand, emit func(int64), count int64) {})
+	z := generate(c, 0, 4, 1, func(rng *rand.Rand, emit func(int64), count int64) {})
 	if z.Count() != 0 {
 		t.Fatal("Generate(0) nonzero")
 	}
 	// Fewer elements than partitions.
-	f := Generate(c, 3, 16, 1, func(rng *rand.Rand, emit func(int64), count int64) {
+	f := generate(c, 3, 16, 1, func(rng *rand.Rand, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
 			emit(int64(i))
 		}
@@ -207,8 +180,8 @@ func TestDeriveRNGDecorrelated(t *testing.T) {
 	}
 }
 
-// Property: Map then Collect is a permutation-preserving transformation of
-// sequential map, and Filter(p) + Filter(!p) partition the dataset.
+// Property: Map then Collect equals the sequential map, in order, under any
+// partitioning.
 func TestDatasetAlgebra(t *testing.T) {
 	f := func(raw []uint16, partsRaw uint8) bool {
 		c := testCluster()
@@ -217,11 +190,16 @@ func TestDatasetAlgebra(t *testing.T) {
 			data[i] = int(r)
 		}
 		parts := int(partsRaw%16) + 1
-		d := Parallelize(c, data, parts)
-		pred := func(x int) bool { return x%3 == 0 }
-		yes := Filter(d, pred).Count()
-		no := Filter(d, func(x int) bool { return !pred(x) }).Count()
-		return yes+no == int64(len(data))
+		got := Collect(Map(Parallelize(c, data, parts), func(x int) int { return 3*x + 1 }))
+		if len(got) != len(data) {
+			return false
+		}
+		for i, x := range data {
+			if got[i] != 3*x+1 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -334,97 +312,6 @@ func TestTracerStageSequence(t *testing.T) {
 	}
 	if serial != 1 {
 		t.Fatalf("serial stages = %d, want 1 (shuffle coord)", serial)
-	}
-}
-
-func TestReduceByKey(t *testing.T) {
-	c := testCluster()
-	var kvs []KV[string, int]
-	for i := 0; i < 100; i++ {
-		kvs = append(kvs, KV[string, int]{Key: []string{"a", "b", "c"}[i%3], Val: 1})
-	}
-	d := Parallelize(c, kvs, 7)
-	sums := ReduceByKey(d, func(k string) uint64 { return uint64(k[0]) }, func(a, b int) int { return a + b })
-	got := map[string]int{}
-	for _, kv := range Collect(sums) {
-		if _, dup := got[kv.Key]; dup {
-			t.Fatalf("key %q appears in multiple shards", kv.Key)
-		}
-		got[kv.Key] = kv.Val
-	}
-	want := map[string]int{"a": 34, "b": 33, "c": 33}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("sum[%q] = %d, want %d", k, got[k], v)
-		}
-	}
-	if c.Metrics().SerialTime <= 0 {
-		t.Fatal("ReduceByKey charged no shuffle coordination")
-	}
-}
-
-func TestReduceByKeyEmpty(t *testing.T) {
-	c := testCluster()
-	d := Parallelize(c, []KV[int, int]{}, 4)
-	out := ReduceByKey(d, func(k int) uint64 { return uint64(k) }, func(a, b int) int { return a + b })
-	if out.Count() != 0 {
-		t.Fatal("empty reduce produced elements")
-	}
-}
-
-// reduceByKeyFloatRun executes a float-summing shuffle pipeline and returns
-// the collected output in emission order (not sorted — the order itself is
-// part of the contract under test).
-func reduceByKeyFloatRun(maxParallel int) []KV[int, float64] {
-	c := MustNew(Config{Nodes: 2, CoresPerNode: 2, DefaultPartitions: 8, MaxParallel: maxParallel})
-	d := Parallelize(c, seq(5000), 16)
-	kvs := Map(d, func(x int) KV[int, float64] {
-		// Values chosen so that summing in different orders gives different
-		// floating-point results: rounding makes + non-associative here.
-		return KV[int, float64]{Key: x % 97, Val: 1.0/float64(x+1) + float64(x)*1e-7}
-	})
-	sums := ReduceByKey(kvs, func(k int) uint64 {
-		z := uint64(k) * 0x9e3779b97f4a7c15
-		return z ^ (z >> 29)
-	}, func(a, b float64) float64 { return a + b })
-	return Collect(sums)
-}
-
-// Regression: ReduceByKey used to emit both shuffle phases in Go map
-// iteration order, so repeated identical runs produced differently-ordered
-// output and (for float combines) bitwise-different sums. Output order and
-// combine application order are now first-occurrence order.
-func TestReduceByKeyDeterministicAcrossRuns(t *testing.T) {
-	first := reduceByKeyFloatRun(0)
-	for run := 0; run < 5; run++ {
-		got := reduceByKeyFloatRun(0)
-		if len(got) != len(first) {
-			t.Fatalf("run %d: %d pairs, want %d", run, len(got), len(first))
-		}
-		for i := range got {
-			if got[i] != first[i] {
-				t.Fatalf("run %d: pair %d = %+v, want %+v (order or float sum drift)",
-					run, i, got[i], first[i])
-			}
-		}
-	}
-}
-
-// Determinism must not depend on how many goroutines execute the stages:
-// partitioning is fixed by DefaultPartitions, so MaxParallel only changes
-// scheduling, never data placement or order.
-func TestReduceByKeyDeterministicAcrossParallelism(t *testing.T) {
-	first := reduceByKeyFloatRun(1)
-	for _, mp := range []int{2, 4, 16} {
-		got := reduceByKeyFloatRun(mp)
-		if len(got) != len(first) {
-			t.Fatalf("MaxParallel=%d: %d pairs, want %d", mp, len(got), len(first))
-		}
-		for i := range got {
-			if got[i] != first[i] {
-				t.Fatalf("MaxParallel=%d: pair %d = %+v, want %+v", mp, i, got[i], first[i])
-			}
-		}
 	}
 }
 

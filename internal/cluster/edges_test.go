@@ -43,7 +43,7 @@ func TestFillGraphCollectOrderAndMemoryCharge(t *testing.T) {
 }
 
 func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
-	c := MustNew(Config{Nodes: 1, CoresPerNode: 4, RetryBackoff: -1})
+	c := MustNew(Config{Nodes: 1, CoresPerNode: 4})
 	data := make([]uint32, 400)
 	for i := range data {
 		data[i] = uint32(i)

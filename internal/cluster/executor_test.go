@@ -185,9 +185,12 @@ func TestExecutorDoesNotChangeBytes(t *testing.T) {
 	checkInts(t, flaky, local)
 }
 
-func TestGenerateRemotableMatchesGenerate(t *testing.T) {
+// TestGenerateRemotableLocalMatchesLoopback pins the one generate body: with
+// no executor every partition runs the local closure; with a loopback
+// executor every partition is rebuilt from its payload. Same elements.
+func TestGenerateRemotableLocalMatchesLoopback(t *testing.T) {
 	// Payload carries (seed, stream, count); the "worker" re-derives the
-	// partition RNG exactly like Generate does.
+	// partition RNG exactly like the local closure's task does.
 	runKind := func(kind string, payload []byte) ([]byte, error) {
 		if len(payload) != 24 {
 			return nil, fmt.Errorf("bad gen payload (%d bytes)", len(payload))
@@ -235,7 +238,11 @@ func TestGenerateRemotableMatchesGenerate(t *testing.T) {
 		return Collect(ds)
 	}
 	local := build(nil)
-	remote := build(&fakeExecutor{fn: runKind})
+	loopback := &fakeExecutor{fn: runKind}
+	remote := build(loopback)
+	if loopback.calls.Load() != 8 {
+		t.Fatalf("loopback executor ran %d partitions, want 8", loopback.calls.Load())
+	}
 	if len(local) != 1000 || len(remote) != 1000 {
 		t.Fatalf("lengths %d/%d, want 1000", len(local), len(remote))
 	}

@@ -50,9 +50,6 @@ const (
 	// retried before the stage fails the cluster (Spark's
 	// spark.task.maxFailures - 1).
 	DefaultMaxTaskRetries = 3
-	// DefaultRetryBackoff is the base delay before re-attempting a failed
-	// task; the k-th retry waits about base*2^k with deterministic jitter.
-	DefaultRetryBackoff = 2 * time.Millisecond
 	// DefaultSpeculationQuantile is the straggler threshold: a running task
 	// is duplicated once it exceeds this multiple of the median runtime of
 	// the stage's completed tasks.
@@ -61,6 +58,50 @@ const (
 	// FaultPlan leaves MaxDelay zero.
 	DefaultFaultDelay = 2 * time.Millisecond
 )
+
+// Backoff is the one retry-wait policy of the system: the attempt-th
+// consecutive retry (attempt >= 1) waits Base doubled attempt-1 times, capped
+// at Cap, then jittered into [0.5, 1.5) of that by a hash of (name, attempt).
+// The jitter decorrelates retry storms — parallel tasks of a stage, a fleet of
+// workers or stream consumers torn by the same restart — and, being a pure
+// function of its key, replays exactly. Whoever counts attempts resets the
+// count once a retry makes progress, so the wait tracks consecutive failures.
+type Backoff struct{ Base, Cap time.Duration }
+
+// The three (base, cap) pairs in use.
+var (
+	// TaskRetryBackoff spaces the attempts of one engine task.
+	TaskRetryBackoff = Backoff{Base: 2 * time.Millisecond, Cap: 250 * time.Millisecond}
+	// JobRetryBackoff spaces a daemon job's build attempts.
+	JobRetryBackoff = Backoff{Base: 200 * time.Millisecond, Cap: 2 * time.Second}
+	// ReconnectBackoff spaces redials: a dist worker to its coordinator, a
+	// stream consumer to its replay server.
+	ReconnectBackoff = Backoff{Base: 200 * time.Millisecond, Cap: 5 * time.Second}
+)
+
+// Delay returns the wait before retry number attempt of whatever name
+// identifies (a worker, a job, a consumer).
+func (b Backoff) Delay(name string, attempt int) time.Duration {
+	var h uint64
+	for i := 0; i < len(name); i++ {
+		h = h*0x100000001b3 ^ uint64(name[i]) // faultHash finishes the mixing
+	}
+	return b.delay(h, 0, attempt)
+}
+
+// delay is Delay keyed on two words, so a task's (stage, task) key needs no
+// string.
+func (b Backoff) delay(k1, k2 uint64, attempt int) time.Duration {
+	d := b.Base
+	for i := 1; i < attempt && d < b.Cap; i++ {
+		d *= 2
+	}
+	if d > b.Cap {
+		d = b.Cap
+	}
+	frac := 0.5 + unitFloat(faultHash(0xb5297a4d3a2d9fe1, k1, k2, uint64(attempt)))
+	return time.Duration(float64(d) * frac)
+}
 
 // speculationFloor is the smallest straggler threshold the monitor applies:
 // duplicating microsecond tasks costs more than it saves.
@@ -243,7 +284,6 @@ type stageRun struct {
 	remote     *RemoteStage // non-nil when the stage's tasks are remotable
 	executor   TaskExecutor // non-nil when the cluster has a remote executor
 	maxRetries int
-	backoff    time.Duration
 	faults     *FaultPlan
 
 	slots []taskSlot
@@ -276,7 +316,6 @@ func newStageRun(c *Cluster, op string, seq uint64, n int, task func(int), remot
 		remote:     remote,
 		executor:   c.cfg.Executor,
 		maxRetries: c.cfg.MaxTaskRetries,
-		backoff:    c.cfg.RetryBackoff,
 		faults:     c.cfg.Faults,
 		slots:      make([]taskSlot, n),
 		stop:       make(chan struct{}),
@@ -358,12 +397,8 @@ func (st *stageRun) runAttempt(att taskAttempt) {
 	}
 	st.retries.Add(1)
 	next := taskAttempt{task: att.task, attempt: att.attempt + 1}
-	delay := st.backoffFor(next)
-	if delay <= 0 {
-		st.enqueue(next)
-		return
-	}
-	time.AfterFunc(delay, func() { st.enqueue(next) })
+	time.AfterFunc(TaskRetryBackoff.delay(st.seq, uint64(next.task), next.attempt),
+		func() { st.enqueue(next) })
 }
 
 // enqueue adds an attempt without ever blocking; the queue is sized for the
@@ -481,24 +516,6 @@ func (st *stageRun) fail(att taskAttempt, err error) {
 	}
 	st.failMu.Unlock()
 	st.stopOnce.Do(func() { close(st.stop) })
-}
-
-// backoffFor returns the deterministic jittered delay before an attempt:
-// exponential in the attempt number, jittered into [0.5, 1.5) of the base by
-// the fault hash so retry storms of parallel tasks decorrelate.
-func (st *stageRun) backoffFor(att taskAttempt) time.Duration {
-	base := st.backoff
-	if base <= 0 {
-		return 0
-	}
-	for i := 1; i < att.attempt && base < 250*time.Millisecond; i++ {
-		base *= 2
-	}
-	if base > 250*time.Millisecond {
-		base = 250 * time.Millisecond
-	}
-	frac := 0.5 + unitFloat(faultHash(0xb5297a4d3a2d9fe1, st.seq, uint64(att.task), uint64(att.attempt)))
-	return time.Duration(float64(base) * frac)
 }
 
 // speculate is the straggler monitor: once at least half the stage's tasks

@@ -16,6 +16,57 @@ func seqN(n int) []int {
 	return s
 }
 
+// TestBackoffSchedule pins the one retry-wait policy: each (base, cap) pair
+// doubles from base to cap, every wait is jittered into [0.5, 1.5) of its
+// step, a key replays its own schedule exactly and two names diverge (a fleet
+// must not redial in lockstep). Callers count consecutive failures, so a
+// reset after progress is attempt 1 again: about base (dist
+// TestWorkerBackoffResetsAfterHandshake drives that through a worker).
+func TestBackoffSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		b    Backoff
+		step []time.Duration // un-jittered wait of attempt 1, 2, ...
+	}{
+		{"task", TaskRetryBackoff, []time.Duration{2, 4, 8, 16, 32, 64, 128, 250, 250, 250}},
+		{"job", JobRetryBackoff, []time.Duration{200, 400, 800, 1600, 2000, 2000}},
+		{"reconnect", ReconnectBackoff, []time.Duration{200, 400, 800, 1600, 3200, 5000, 5000}},
+	} {
+		for i, step := range tc.step {
+			step *= time.Millisecond
+			got := tc.b.Delay("w1", i+1)
+			if got < step/2 || got >= step*3/2 {
+				t.Errorf("%s attempt %d: wait %v outside [0.5, 1.5) of %v", tc.name, i+1, got, step)
+			}
+			if again := tc.b.Delay("w1", i+1); again != got {
+				t.Errorf("%s attempt %d: same key waited %v then %v", tc.name, i+1, got, again)
+			}
+		}
+	}
+	// A huge attempt count neither overflows nor escapes the cap.
+	if got := ReconnectBackoff.Delay("w1", 1<<30); got < ReconnectBackoff.Cap/2 || got >= ReconnectBackoff.Cap*3/2 {
+		t.Errorf("attempt 2^30 waits %v, want about the %v cap", got, ReconnectBackoff.Cap)
+	}
+	// Jitter is keyed on the name and varies with the attempt.
+	varies := false
+	for attempt := 1; attempt <= 64; attempt++ {
+		if ReconnectBackoff.Delay("w1", attempt) == ReconnectBackoff.Delay("w2", attempt) {
+			t.Errorf("attempt %d: two workers computed the identical wait", attempt)
+		}
+		// At the cap the step is constant, so any difference is the jitter.
+		if attempt > 8 && ReconnectBackoff.Delay("w1", attempt) != ReconnectBackoff.Delay("w1", attempt+1) {
+			varies = true
+		}
+	}
+	if !varies {
+		t.Error("one worker's jitter never varies across attempts")
+	}
+	// Parallel tasks of one stage decorrelate the same way.
+	if TaskRetryBackoff.delay(7, 0, 1) == TaskRetryBackoff.delay(7, 1, 1) {
+		t.Error("two tasks of a stage computed the identical wait")
+	}
+}
+
 func TestFaultPlanValidate(t *testing.T) {
 	bad := []FaultPlan{
 		{PanicRate: -0.1},
@@ -62,8 +113,8 @@ func TestRetriesRecoverInjectedFaults(t *testing.T) {
 	faults := &FaultPlan{Seed: 3, PanicRate: 0.3, ErrorRate: 0.3, MaxFaultyAttempts: 3}
 	c := MustNew(Config{
 		Nodes: 1, CoresPerNode: 4, MaxParallel: 4,
-		MaxTaskRetries: 5, RetryBackoff: -1, // no sleeping in tests
-		Faults: faults,
+		MaxTaskRetries: 5,
+		Faults:         faults,
 	})
 	got := Collect(Map(Parallelize(c, seqN(500), 8), func(x int) int { return x * x }))
 	if err := c.Err(); err != nil {
@@ -89,7 +140,7 @@ func TestRetriesRecoverInjectedFaults(t *testing.T) {
 func TestExhaustedRetriesFailTyped(t *testing.T) {
 	c := MustNew(Config{
 		Nodes: 1, CoresPerNode: 2, MaxParallel: 2,
-		MaxTaskRetries: 2, RetryBackoff: -1,
+		MaxTaskRetries: 2,
 	})
 	defer c.Scope("doomed")()
 	d := Map(Parallelize(c, seqN(40), 4), func(x int) int {
@@ -139,8 +190,8 @@ func TestExhaustedRetriesFailTyped(t *testing.T) {
 func TestInjectedErrorUnwraps(t *testing.T) {
 	c := MustNew(Config{
 		Nodes: 1, CoresPerNode: 1, MaxParallel: 1,
-		MaxTaskRetries: -1, RetryBackoff: -1, // attempts are final
-		Faults: &FaultPlan{Seed: 11, ErrorRate: 1},
+		MaxTaskRetries: -1, // attempts are final
+		Faults:         &FaultPlan{Seed: 11, ErrorRate: 1},
 	})
 	_ = Collect(Map(Parallelize(c, seqN(4), 2), func(x int) int { return x }))
 	if err := c.Err(); !errors.Is(err, ErrInjected) {
@@ -171,7 +222,7 @@ func TestSerialPanicContained(t *testing.T) {
 func TestSpeculationDuplicatesStragglers(t *testing.T) {
 	c := MustNew(Config{
 		Nodes: 1, CoresPerNode: 4, MaxParallel: 4,
-		Speculation: true, RetryBackoff: -1,
+		Speculation: true,
 		// One guaranteed injected delay on task 0's first attempt only:
 		// delay every attempt 0... but rate 1 would delay all tasks, so use
 		// the plan only for the straggle and keep it short for the rest.
@@ -204,7 +255,7 @@ func TestCancelledStageStatsExcludeUnstartedTasks(t *testing.T) {
 	tr := NewTracer()
 	c := MustNew(Config{
 		Nodes: 1, CoresPerNode: 1, MaxParallel: 1,
-		Tracer: tr, RetryBackoff: -1, Context: ctx,
+		Tracer: tr, Context: ctx,
 	})
 	ran := 0
 	c.runStage(stageSpec{op: "test"}, 8, func(i int) {
@@ -234,8 +285,8 @@ func TestCancelledStageStatsExcludeUnstartedTasks(t *testing.T) {
 	}
 }
 
-// TestChaosMatrixByteIdenticalPipeline runs a shuffle-heavy pipeline
-// (distinct + reduceByKey) across fault rates and parallelism and asserts
+// TestChaosMatrixByteIdenticalPipeline runs a shuffle pipeline (mapPartitions
+// + distinct + map) across fault rates and parallelism and asserts
 // the collected output never changes — the engine-level half of the
 // determinism acceptance criterion (the generator-level half lives in
 // internal/core).
@@ -243,7 +294,7 @@ func TestChaosMatrixByteIdenticalPipeline(t *testing.T) {
 	run := func(rate float64, maxPar int) []int {
 		cfg := Config{
 			Nodes: 2, CoresPerNode: 2, MaxParallel: maxPar,
-			MaxTaskRetries: 8, RetryBackoff: -1, Speculation: true,
+			MaxTaskRetries: 8, Speculation: true,
 		}
 		if rate > 0 {
 			cfg.Faults = NewFaultPlan(99, rate)
@@ -252,7 +303,13 @@ func TestChaosMatrixByteIdenticalPipeline(t *testing.T) {
 		}
 		c := MustNew(cfg)
 		data := Parallelize(c, seqN(3000), 0)
-		dup := FlatMap(data, func(x int) []int { return []int{x % 997, x % 997} })
+		dup := MapPartitions(data, func(part int, xs []int) []int {
+			out := make([]int, 0, 2*len(xs))
+			for _, x := range xs {
+				out = append(out, x%997, x%997)
+			}
+			return out
+		})
 		distinct := Distinct(dup, func(x int) int { return x }, func(k int) uint64 { return uint64(k) * 0x9e3779b9 })
 		squared := Map(distinct, func(x int) int { return x*x + 1 })
 		out := Collect(squared)

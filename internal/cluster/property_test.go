@@ -74,53 +74,6 @@ func mixKey(k int64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func TestReduceByKeyMatchesReference(t *testing.T) {
-	for round := 0; round < 5; round++ {
-		rng := propRNG(1000 + round)
-		n := int(rng.next()%5000) + 1
-		keySpace := int64(rng.next()%500) + 1
-		kvs := make([]KV[int64, int64], n)
-		// Naive single-threaded reference: plain map aggregation.
-		want := map[int64]int64{}
-		for i := range kvs {
-			k := int64(rng.next() % uint64(keySpace))
-			v := int64(rng.next() % 1000)
-			kvs[i] = KV[int64, int64]{Key: k, Val: v}
-			want[k] += v
-		}
-
-		var baseline []KV[int64, int64]
-		for _, pc := range propConfigs(uint64(2000 + round)) {
-			c := pc.build()
-			ds := Parallelize(c, kvs, 8)
-			got := Collect(ReduceByKey(ds, mixKey, func(a, b int64) int64 { return a + b }))
-			if err := c.Err(); err != nil {
-				t.Fatalf("round %d %s: cluster error: %v", round, pc.name, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("round %d %s: %d keys, want %d", round, pc.name, len(got), len(want))
-			}
-			for _, kv := range got {
-				if kv.Val != want[kv.Key] {
-					t.Fatalf("round %d %s: key %d = %d, want %d", round, pc.name, kv.Key, kv.Val, want[kv.Key])
-				}
-			}
-			// Exact output (ordering included) must not depend on MaxParallel
-			// or fault injection.
-			if baseline == nil {
-				baseline = got
-				continue
-			}
-			for i := range got {
-				if got[i] != baseline[i] {
-					t.Fatalf("round %d %s: output[%d] = %+v differs from baseline %+v",
-						round, pc.name, i, got[i], baseline[i])
-				}
-			}
-		}
-	}
-}
-
 func TestDistinctMatchesReference(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		rng := propRNG(3000 + round)

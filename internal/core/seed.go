@@ -161,16 +161,6 @@ func (s *attrSamples) fit() (*attrModel, error) {
 	return m, err
 }
 
-// FitProperties estimates the attribute model from a row-structured edge
-// slice. It is a convenience wrapper over FitPropertiesBatch for callers that
-// already hold []Edge (tests, small fixtures).
-func FitProperties(edges []graph.Edge) (*PropertyModel, error) {
-	b := graph.GetBatch(len(edges))
-	defer graph.PutBatch(b)
-	b.AppendEdges(edges)
-	return FitPropertiesBatch(b)
-}
-
 // FitPropertiesBatch estimates the attribute model from the columnar edges of
 // a seed property graph, streaming over the batch without materializing a row
 // slice.

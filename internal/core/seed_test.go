@@ -54,8 +54,16 @@ func TestAnalyzeDegreeDistributions(t *testing.T) {
 	}
 }
 
+// fitProperties fits the attribute model of a row-structured edge slice.
+func fitProperties(edges []graph.Edge) (*PropertyModel, error) {
+	b := graph.GetBatch(len(edges))
+	defer graph.PutBatch(b)
+	b.AppendEdges(edges)
+	return FitPropertiesBatch(b)
+}
+
 func TestFitPropertiesEmpty(t *testing.T) {
-	if _, err := FitProperties(nil); err == nil {
+	if _, err := fitProperties(nil); err == nil {
 		t.Fatal("empty edge list accepted")
 	}
 }
@@ -89,7 +97,7 @@ func TestSampleNeverInventsProtoStatePairs(t *testing.T) {
 			graph.Edge{Props: graph.EdgeProps{Protocol: graph.ProtoUDP, State: graph.StateNone, InBytes: int64(i + 1)}},
 		)
 	}
-	m, err := FitProperties(edges)
+	m, err := fitProperties(edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +133,7 @@ func TestConditionalSamplingPreservesCorrelation(t *testing.T) {
 			Duration: ib * 3,
 		}})
 	}
-	m, err := FitProperties(edges)
+	m, err := fitProperties(edges)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func chaosDigest(t *testing.T, ex cluster.TaskExecutor) [32]byte {
 	}
 	c, err := cluster.New(cluster.Config{
 		Nodes: 2, CoresPerNode: 4, Executor: ex,
-		MaxTaskRetries: 8, RetryBackoff: -1,
+		MaxTaskRetries: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

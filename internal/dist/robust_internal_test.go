@@ -1,41 +1,72 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"csb/internal/chaosnet"
+	"csb/internal/cluster"
 )
 
-// TestReconnectJitterDivergesAcrossWorkers: the reconnect backoff fraction
-// must differ between workers at the same attempt, or a fleet thunders back
-// in lockstep after a coordinator restart (the bug this fixes keyed the
-// jitter on the attempt counter alone).
-func TestReconnectJitterDivergesAcrossWorkers(t *testing.T) {
-	same := 0
-	const attempts = 64
-	for a := uint64(0); a < attempts; a++ {
-		f1 := reconnectJitter("w1", a)
-		f2 := reconnectJitter("w2", a)
-		if f1 < 0.5 || f1 >= 1.5 || f2 < 0.5 || f2 >= 1.5 {
-			t.Fatalf("attempt %d: fractions %v, %v outside [0.5, 1.5)", a, f1, f2)
+// TestWorkerBackoffResetsAfterHandshake: the reconnect wait doubles per
+// consecutive failed session and starts over once a session has joined. The
+// scripted coordinator hangs up on three connections before the handshake,
+// completes it on the fourth, then hangs up on two more; the worker's clock
+// is a recorder that fires at once, so nothing sleeps. (The parent never
+// reset: its waits after the healthy session kept doubling to the cap.)
+func TestWorkerBackoffResetsAfterHandshake(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for n := 1; ; n++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if n == 4 {
+				wc := newWireConn(c, 2*time.Second, 2*time.Second)
+				if hello, err := wc.readFrame(); err == nil {
+					wc.writeFrame(frameHelloOK, hello.req, make([]byte, 8))
+				}
+			}
+			c.Close()
 		}
-		if f1 == f2 {
-			same++
+	}()
+
+	w, err := NewWorker(WorkerConfig{Coordinator: ln.Addr().String(), Name: "w1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var delays []time.Duration
+	w.after = func(d time.Duration) <-chan time.Time {
+		delays = append(delays, d)
+		if len(delays) == 6 {
+			cancel()
+		}
+		fired := make(chan time.Time, 1) // one send, never blocks
+		fired <- time.Time{}
+		return fired
+	}
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Consecutive-failure counts behind each wait: 1, 2, 3, then the joined
+	// session resets to 1, then 2, 3.
+	for i, failures := range []int{1, 2, 3, 1, 2, 3} {
+		if want := cluster.ReconnectBackoff.Delay("w1", failures); delays[i] != want {
+			t.Errorf("wait %d = %v, want %v (failure %d of a run)", i, delays[i], want, failures)
 		}
 	}
-	if same != 0 {
-		t.Fatalf("two workers computed identical jitter on %d/%d attempts", same, attempts)
-	}
-	// Deterministic per (name, attempt): restart-stable schedules.
-	if reconnectJitter("w1", 3) != reconnectJitter("w1", 3) {
-		t.Fatal("jitter is not deterministic")
-	}
-	// And the schedule varies across attempts for one worker.
-	if reconnectJitter("w1", 0) == reconnectJitter("w1", 1) {
-		t.Fatal("jitter does not vary across attempts")
+	if base := cluster.ReconnectBackoff.Base; delays[3] < base/2 || delays[3] >= base*3/2 {
+		t.Errorf("wait after the healthy session = %v, want about %v", delays[3], base)
 	}
 }
 

@@ -15,7 +15,6 @@ package task
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -51,16 +50,4 @@ func Run(kind string, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("task: unknown kind %q", kind)
 	}
 	return fn(payload)
-}
-
-// Kinds returns the registered kind names, sorted.
-func Kinds() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, 0, len(kinds))
-	for k := range kinds {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

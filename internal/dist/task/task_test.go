@@ -26,16 +26,6 @@ func TestRegisterAndRun(t *testing.T) {
 	if err != nil || string(got) != "cba" {
 		t.Fatalf("Run = %q, %v", got, err)
 	}
-	kinds := Kinds()
-	found := false
-	for _, k := range kinds {
-		if k == "tasktest.rev" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Kinds() = %v, missing tasktest.rev", kinds)
-	}
 }
 
 func TestRunUnknownKind(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"csb/internal/cluster"
 	"csb/internal/dist/task"
 )
 
@@ -16,11 +17,6 @@ import (
 const (
 	// DefaultDialTimeout bounds one connection attempt to the coordinator.
 	DefaultDialTimeout = 5 * time.Second
-	// DefaultReconnectBase is the first reconnect backoff; it doubles per
-	// consecutive failure up to DefaultReconnectMax, with jitter.
-	DefaultReconnectBase = 200 * time.Millisecond
-	// DefaultReconnectMax caps the reconnect backoff.
-	DefaultReconnectMax = 5 * time.Second
 	// DefaultReplicaBudget bounds the worker's replica store.
 	DefaultReplicaBudget = 256 << 20
 )
@@ -38,9 +34,6 @@ type WorkerConfig struct {
 	HeartbeatInterval time.Duration
 	// DialTimeout bounds one connection attempt (0 means DefaultDialTimeout).
 	DialTimeout time.Duration
-	// ReconnectMax caps the jittered exponential reconnect backoff
-	// (0 means DefaultReconnectMax).
-	ReconnectMax time.Duration
 	// ReplicaBudget bounds the bytes of replicated artifacts kept (0 means
 	// DefaultReplicaBudget); the oldest replicas evict first.
 	ReplicaBudget int64
@@ -61,15 +54,10 @@ type Worker struct {
 
 	// Replica store: id -> bytes, with insertion order for byte-budget
 	// eviction (oldest first).
-	rmu     sync.Mutex
-	reps    map[string][]byte
-	order   []string
-	rbytes  int64
-	rstored atomic.Int64
-
-	tasksRun    atomic.Int64
-	tasksFailed atomic.Int64
-	sessions    atomic.Int64 // completed connection sessions (reconnect count)
+	rmu    sync.Mutex
+	reps   map[string][]byte
+	order  []string
+	rbytes int64
 
 	// Graceful drain: Drain announces intent to the coordinator, finishes
 	// in-flight tasks, then Run returns.
@@ -77,6 +65,9 @@ type Worker struct {
 	drainCh   chan struct{}
 	draining  atomic.Bool
 	inflight  atomic.Int64
+
+	// after is time.After; a test substitutes a recording clock.
+	after func(time.Duration) <-chan time.Time
 }
 
 // NewWorker validates cfg and returns a Worker ready to Run.
@@ -93,13 +84,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = DefaultDialTimeout
 	}
-	if cfg.ReconnectMax == 0 {
-		cfg.ReconnectMax = DefaultReconnectMax
-	}
 	if cfg.ReplicaBudget == 0 {
 		cfg.ReplicaBudget = DefaultReplicaBudget
 	}
-	return &Worker{cfg: cfg, reps: make(map[string][]byte), drainCh: make(chan struct{})}, nil
+	return &Worker{cfg: cfg, reps: make(map[string][]byte), drainCh: make(chan struct{}), after: time.After}, nil
 }
 
 // Drain flips the worker into graceful shutdown: it tells the coordinator to
@@ -123,58 +111,41 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// TasksRun returns how many dispatched tasks this worker has executed.
-func (w *Worker) TasksRun() int64 { return w.tasksRun.Load() }
-
-// ReplicasStored returns how many replicate pushes this worker accepted.
-func (w *Worker) ReplicasStored() int64 { return w.rstored.Load() }
-
 // Run joins the coordinator and serves tasks until ctx ends, reconnecting
-// with jittered exponential backoff after connection loss. It returns nil
-// once ctx is done.
+// after connection loss on cluster.ReconnectBackoff: the wait doubles per
+// consecutive failed session and starts over once a session has completed
+// its handshake. It returns nil once ctx is done.
 func (w *Worker) Run(ctx context.Context) error {
-	backoff := DefaultReconnectBase
-	for attempt := uint64(0); ; attempt++ {
+	failures := 0
+	for {
 		if ctx.Err() != nil {
 			return nil
 		}
-		err := w.session(ctx, attempt)
+		joined, err := w.session(ctx)
 		if ctx.Err() != nil || w.draining.Load() {
 			return nil
 		}
-		w.logf("dist: worker %q session ended: %v (reconnecting in ~%v)", w.cfg.Name, err, backoff)
-		frac := reconnectJitter(w.cfg.Name, attempt)
+		if joined {
+			failures = 0
+		}
+		failures++
+		delay := cluster.ReconnectBackoff.Delay(w.cfg.Name, failures)
+		w.logf("dist: worker %q session ended: %v (reconnecting in %v)", w.cfg.Name, err, delay)
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-time.After(time.Duration(float64(backoff) * frac)):
-		}
-		if backoff *= 2; backoff > w.cfg.ReconnectMax {
-			backoff = w.cfg.ReconnectMax
+		case <-w.after(delay):
 		}
 	}
-}
-
-// reconnectJitter maps (worker name, attempt) deterministically into
-// [0.5, 1.5), the backoff fraction for one reconnect attempt. The name is
-// folded into the mix64 key so a fleet of workers reconnecting after a
-// coordinator restart spreads out instead of thundering back in lockstep —
-// keying on the attempt counter alone made every worker compute the
-// identical schedule.
-func reconnectJitter(name string, attempt uint64) float64 {
-	h := uint64(0x7265636f6e6e) // "reconn"
-	for _, b := range []byte(name) {
-		h = mix64(h ^ uint64(b))
-	}
-	return 0.5 + float64(mix64(h^attempt)>>11)/(1<<53)
 }
 
 // session runs one connection lifetime: dial, handshake, serve frames.
-func (w *Worker) session(ctx context.Context, attempt uint64) error {
+// joined reports whether the handshake completed.
+func (w *Worker) session(ctx context.Context) (joined bool, _ error) {
 	d := net.Dialer{Timeout: w.cfg.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", w.cfg.Coordinator)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if w.cfg.WrapConn != nil {
 		conn = w.cfg.WrapConn(conn)
@@ -186,20 +157,19 @@ func (w *Worker) session(ctx context.Context, attempt uint64) error {
 	defer wc.Close()
 	hello, err := encodeHello(w.cfg.Name)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if err := wc.writeFrame(frameHello, 0, hello); err != nil {
-		return err
+		return false, err
 	}
 	ok, err := wc.readFrame()
 	if err != nil {
-		return err
+		return false, err
 	}
 	if ok.typ != frameHelloOK || len(ok.payload) != 8 {
-		return corruptf("bad hello reply (type %d, %d bytes)", ok.typ, len(ok.payload))
+		return false, corruptf("bad hello reply (type %d, %d bytes)", ok.typ, len(ok.payload))
 	}
 	id := binary.BigEndian.Uint64(ok.payload)
-	w.sessions.Add(1)
 	w.logf("dist: worker %q joined %s as id %d", w.cfg.Name, w.cfg.Coordinator, id)
 
 	// Heartbeat sender; its failure also tears the session down via the
@@ -253,7 +223,7 @@ func (w *Worker) session(ctx context.Context, attempt uint64) error {
 	for {
 		f, err := wc.readFrame()
 		if err != nil {
-			return err
+			return true, err
 		}
 		switch f.typ {
 		case frameHeartbeat: // ack; the read deadline was just refreshed
@@ -270,7 +240,7 @@ func (w *Worker) session(ctx context.Context, attempt uint64) error {
 		case frameReplicaGet:
 			w.serveReplica(wc, f)
 		default:
-			return corruptf("unexpected frame type %d from coordinator", f.typ)
+			return true, corruptf("unexpected frame type %d from coordinator", f.typ)
 		}
 	}
 }
@@ -283,11 +253,9 @@ func (w *Worker) runTask(wc *wireConn, f frame) {
 		result, err = task.Run(kind, payload)
 	}
 	if err != nil {
-		w.tasksFailed.Add(1)
 		wc.writeFrame(frameError, f.req, []byte(err.Error()))
 		return
 	}
-	w.tasksRun.Add(1)
 	if err := wc.writeFrame(frameResult, f.req, result); err != nil {
 		// Connection is going down; the read loop will notice and
 		// reconnect. The coordinator re-dispatches through the retry path.
@@ -326,7 +294,6 @@ func (w *Worker) storeReplica(wc *wireConn, f frame) {
 		delete(w.reps, oldest)
 	}
 	w.rmu.Unlock()
-	w.rstored.Add(1)
 	wc.writeFrame(frameReplicateOK, f.req, nil)
 }
 

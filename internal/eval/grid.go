@@ -223,17 +223,7 @@ func (sp *GridSpec) Canonical() string {
 	b.WriteString("utility.particles=" + strconv.Itoa(u.Particles) + "\n")
 	b.WriteString("utility.iterations=" + strconv.Itoa(u.Iterations) + "\n")
 	for i := range u.Attacks {
-		a := &u.Attacks[i]
-		p := "utility.attack." + strconv.Itoa(i) + "."
-		b.WriteString(p + "type=" + a.Type + "\n")
-		b.WriteString(p + "start_ms=" + strconv.FormatInt(a.StartMS, 10) + "\n")
-		b.WriteString(p + "seed=" + strconv.FormatUint(a.Seed, 10) + "\n")
-		b.WriteString(p + "attacker=" + strconv.FormatUint(uint64(a.Attacker), 10) + "\n")
-		b.WriteString(p + "victim=" + strconv.FormatUint(uint64(a.Victim), 10) + "\n")
-		b.WriteString(p + "count=" + strconv.Itoa(a.Count) + "\n")
-		b.WriteString(p + "port=" + strconv.Itoa(int(a.Port)) + "\n")
-		b.WriteString(p + "fps=" + strconv.Itoa(a.FlowsPerSource) + "\n")
-		b.WriteString(p + "proto=" + a.Proto + "\n")
+		u.Attacks[i].WriteCanonical(&b, "utility.attack."+strconv.Itoa(i)+".")
 	}
 	return b.String()
 }

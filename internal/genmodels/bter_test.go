@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"csb/internal/cluster"
 	"csb/internal/graphalgo"
-	"csb/internal/stats"
 )
 
 // powerLawDegrees builds a heavy-tailed degree sequence.
@@ -112,44 +110,5 @@ func TestBTERZeroDegreeVerticesIsolated(t *testing.T) {
 	deg := g.Degrees()
 	if deg[0] != 0 || deg[4] != 0 {
 		t.Fatalf("zero-degree vertices got edges: %v", deg)
-	}
-}
-
-func TestChungLuParallelMatchesSequentialLaw(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{Nodes: 2, CoresPerNode: 2, DefaultPartitions: 8})
-	out := make([]float64, 300)
-	in := make([]float64, 300)
-	for i := range out {
-		out[i] = 50.0 / float64(i+1)
-		in[i] = out[i]
-	}
-	g, err := ChungLuParallel(c, out, in, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := ChungLu(out, in, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != seq.NumEdges() {
-		t.Fatalf("edge budgets differ: %d vs %d", g.NumEdges(), seq.NumEdges())
-	}
-	// Same degree law: KS distance between the two degree samples small.
-	if ks := stats.KSDistance(g.Degrees(), seq.Degrees()); ks > 0.1 {
-		t.Fatalf("parallel/sequential degree KS = %g", ks)
-	}
-	// The cluster actually executed stages.
-	if c.Metrics().Tasks == 0 {
-		t.Fatal("cluster unused")
-	}
-}
-
-func TestChungLuParallelValidation(t *testing.T) {
-	c := cluster.Local(1)
-	if _, err := ChungLuParallel(c, nil, nil, 1); err == nil {
-		t.Error("empty sequences accepted")
-	}
-	if _, err := ChungLuParallel(c, []float64{-1}, []float64{1}, 1); err == nil {
-		t.Error("negative degrees accepted")
 	}
 }

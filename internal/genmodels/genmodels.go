@@ -14,7 +14,6 @@ import (
 	"math/rand/v2"
 	"sort"
 
-	"csb/internal/cluster"
 	"csb/internal/graph"
 )
 
@@ -320,46 +319,6 @@ func BTER(degrees []int64, blockDensity float64, seed uint64) (*graph.Graph, err
 			}
 			g.AddEdge(orient(u, v))
 		}
-	}
-	return g, nil
-}
-
-// ChungLuParallel is the distributed form of ChungLu on the cluster
-// substrate (the "distributed-memory parallel implementations" of related
-// work): each partition places its share of the edges with an independent
-// RNG stream and shared alias tables.
-func ChungLuParallel(c *cluster.Cluster, outDegree, inDegree []float64, seed uint64) (*graph.Graph, error) {
-	if len(outDegree) == 0 || len(outDegree) != len(inDegree) {
-		return nil, errors.New("genmodels: CL needs equal, non-empty degree sequences")
-	}
-	var sumOut float64
-	for i := range outDegree {
-		if outDegree[i] < 0 || inDegree[i] < 0 {
-			return nil, errors.New("genmodels: CL degrees must be non-negative")
-		}
-		sumOut += outDegree[i]
-	}
-	srcAlias, err := newWeightedAlias(outDegree)
-	if err != nil {
-		return nil, err
-	}
-	dstAlias, err := newWeightedAlias(inDegree)
-	if err != nil {
-		return nil, err
-	}
-	m := int64(math.Round(sumOut))
-	n := int64(len(outDegree))
-	ds := cluster.Generate(c, m, 0, seed, func(rng *rand.Rand, emit func(graph.Edge), count int64) {
-		for i := int64(0); i < count; i++ {
-			emit(graph.Edge{
-				Src: graph.VertexID(srcAlias.sample(rng)),
-				Dst: graph.VertexID(dstAlias.sample(rng)),
-			})
-		}
-	})
-	g := graph.NewWithCapacity(n, m)
-	if err := g.AddEdges(cluster.Collect(ds)); err != nil {
-		return nil, err
 	}
 	return g, nil
 }

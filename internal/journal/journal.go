@@ -74,14 +74,25 @@ type Stats struct {
 	Bytes int64
 }
 
+// file is what the journal needs of *os.File; a test substitutes one whose
+// writes fail.
+type file interface {
+	io.ReadWriteSeeker
+	Stat() (os.FileInfo, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // Journal is an open write-ahead log. All methods are safe for concurrent
 // use. Appends are synced to disk before they return, so an acknowledged
 // record survives kill -9.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	f    file
 	path string
-	size int64
+	size int64 // end of the last intact record; the file holds nothing beyond it
+	bad  error // set when a failed append could not be rolled back; sticky
 
 	records   []Record // replayed at Open, in log order
 	replayed  int
@@ -280,7 +291,11 @@ func encodeRecord(rec Record) ([]byte, error) {
 }
 
 // Append durably writes one record: it is on disk (fsync'd) when Append
-// returns nil.
+// returns nil. A failed append leaves no bytes behind — a short write or a
+// failed sync is rolled back to the last intact record, because the next Open
+// truncates at the first torn record and would take every later, acknowledged
+// record with it. If the rollback fails too the journal is marked failed and
+// every later Append returns that error.
 func (j *Journal) Append(rec Record) error {
 	b, err := encodeRecord(rec)
 	if err != nil {
@@ -291,15 +306,34 @@ func (j *Journal) Append(rec Record) error {
 	if j.f == nil {
 		return errors.New("journal: closed")
 	}
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+	if j.bad != nil {
+		return j.bad
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
+	_, err = j.f.Write(b)
+	if err == nil {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		err = fmt.Errorf("journal: append: %w", err)
+		if rerr := j.rollback(); rerr != nil {
+			j.bad = fmt.Errorf("journal: failed: %w (rolling back after: %v)", rerr, err)
+		}
+		return err
 	}
 	j.size += int64(len(b))
 	j.appended++
 	return nil
+}
+
+// rollback discards whatever a failed append left beyond the last intact
+// record and repositions for the next append, whose own sync makes the
+// truncation durable before anything after it is acknowledged.
+func (j *Journal) rollback() error {
+	if err := j.f.Truncate(j.size); err != nil {
+		return err
+	}
+	_, err := j.f.Seek(j.size, io.SeekStart)
+	return err
 }
 
 // Records returns the records replayed at Open, in log order. The slice is
@@ -384,9 +418,6 @@ func (j *Journal) Stats() Stats {
 		Bytes:          j.size,
 	}
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close syncs and closes the file. Appends after Close fail.
 func (j *Journal) Close() error {

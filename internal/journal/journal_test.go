@@ -237,3 +237,87 @@ func TestRecordLimits(t *testing.T) {
 		t.Error("oversized key accepted")
 	}
 }
+
+// flakyFile is a journal file whose next write or sync can be made to fail;
+// a failing write still lands its first half, like a disk filling up.
+type flakyFile struct {
+	*os.File
+	failWrite, failSync, failTruncate bool
+}
+
+func (f *flakyFile) Write(p []byte) (int, error) {
+	if f.failWrite {
+		f.failWrite = false
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errors.New("injected short write")
+	}
+	return f.File.Write(p)
+}
+
+func (f *flakyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errors.New("injected sync failure")
+	}
+	return f.File.Sync()
+}
+
+func (f *flakyFile) Truncate(size int64) error {
+	if f.failTruncate {
+		return errors.New("injected truncate failure")
+	}
+	return f.File.Truncate(size)
+}
+
+// TestFailedAppendLeavesNoTornBytes: an append that fails mid-write or at its
+// sync must not poison the records acknowledged after it. (The parent left
+// the torn bytes in place, so the reopen below truncated C away.)
+func TestFailedAppendLeavesNoTornBytes(t *testing.T) {
+	for _, mode := range []string{"short write", "failed sync"} {
+		t.Run(mode, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j.wal")
+			j := openT(t, path)
+			flaky := &flakyFile{File: j.f.(*os.File)}
+			j.f = flaky
+			if err := j.Append(Record{Kind: "job.accepted", Key: "A"}); err != nil {
+				t.Fatal(err)
+			}
+			flaky.failWrite, flaky.failSync = mode == "short write", mode == "failed sync"
+			if err := j.Append(Record{Kind: "job.accepted", Key: "B", Payload: make([]byte, 64)}); err == nil {
+				t.Fatal("injected failure did not surface")
+			}
+			if err := j.Append(Record{Kind: "job.accepted", Key: "C"}); err != nil {
+				t.Fatalf("append after a rolled-back failure: %v", err)
+			}
+			if st := j.Stats(); st.Appended != 2 {
+				t.Fatalf("Appended = %d, want 2", st.Appended)
+			}
+			j.Close()
+
+			j2 := openT(t, path)
+			var keys []string
+			for _, rec := range j2.Records() {
+				keys = append(keys, rec.Key)
+			}
+			if len(keys) != 2 || keys[0] != "A" || keys[1] != "C" {
+				t.Fatalf("reopened journal holds %v, want [A C]", keys)
+			}
+			if st := j2.Stats(); st.TruncatedBytes != 0 {
+				t.Fatalf("reopen truncated %d bytes; the failed append left a torn record", st.TruncatedBytes)
+			}
+		})
+	}
+}
+
+// TestFailedRollbackFailsTheJournal: when the torn bytes cannot be removed,
+// no later append may be acknowledged on top of them.
+func TestFailedRollbackFailsTheJournal(t *testing.T) {
+	j := openT(t, filepath.Join(t.TempDir(), "j.wal"))
+	j.f = &flakyFile{File: j.f.(*os.File), failWrite: true, failTruncate: true}
+	if err := j.Append(Record{Kind: "job.accepted", Key: "B"}); err == nil {
+		t.Fatal("injected failure did not surface")
+	}
+	if err := j.Append(Record{Kind: "job.accepted", Key: "C"}); err == nil {
+		t.Fatal("append acknowledged on a journal that could not roll back")
+	}
+}

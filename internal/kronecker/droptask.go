@@ -4,8 +4,8 @@ package kronecker
 // partition becomes a self-contained payload (initiator, depth, RNG stream)
 // that any worker process can replay into the identical edge pairs the local
 // closure would produce. The RNG stream derivation is cluster.DeriveRNG on
-// (seed, partition), exactly as cluster.Generate does locally, so where the
-// drops run never changes which edges fall out.
+// (seed, partition), exactly as cluster.GenerateRemotable does locally, so
+// where the drops run never changes which edges fall out.
 
 import (
 	"encoding/binary"

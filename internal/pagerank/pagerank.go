@@ -4,11 +4,13 @@ package pagerank
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
 
 	"csb/internal/graph"
+	"csb/internal/stats"
 )
 
 // Options configures Compute. The zero value selects the standard defaults.
@@ -101,6 +103,20 @@ func Compute(g *graph.Graph, opt Options) (*Result, error) {
 	}
 	res.Ranks = rank
 	return res, nil
+}
+
+// Veracity computes the PageRank veracity score of a synthetic graph against
+// its seed (Section V-A; smaller is better), both ranked with the defaults.
+func Veracity(seed, synthetic *graph.Graph) (float64, error) {
+	seedPR, err := Compute(seed, Options{})
+	if err != nil {
+		return 0, fmt.Errorf("seed pagerank: %w", err)
+	}
+	synPR, err := Compute(synthetic, Options{})
+	if err != nil {
+		return 0, fmt.Errorf("synthetic pagerank: %w", err)
+	}
+	return stats.VeracityScore(seedPR.Ranks, synPR.Ranks)
 }
 
 // parallelSweep splits [0,n) into chunks, runs body on workers, and returns

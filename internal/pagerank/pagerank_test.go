@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"csb/internal/cluster"
 	"csb/internal/graph"
 )
 
@@ -170,45 +169,5 @@ func TestMultiEdgeWeighting(t *testing.T) {
 	r := ranksOf(t, g, Options{})
 	if r[1] <= r[2] {
 		t.Fatalf("multi-edge target not favoured: r1=%g r2=%g", r[1], r[2])
-	}
-}
-
-func TestDistributedMatchesLocal(t *testing.T) {
-	rng := rand.New(rand.NewPCG(6, 6))
-	g := graph.New(100)
-	for i := 0; i < 800; i++ {
-		g.AddEdge(graph.Edge{Src: graph.VertexID(rng.Int64N(100)), Dst: graph.VertexID(rng.Int64N(100))})
-	}
-	local, err := Compute(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cluster.MustNew(cluster.Config{Nodes: 3, CoresPerNode: 2, DefaultPartitions: 6})
-	dist, err := ComputeDistributed(c, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dist.Converged {
-		t.Fatal("distributed PageRank did not converge")
-	}
-	for v := range local.Ranks {
-		if math.Abs(local.Ranks[v]-dist.Ranks[v]) > 1e-9 {
-			t.Fatalf("rank[%d]: local %g vs distributed %g", v, local.Ranks[v], dist.Ranks[v])
-		}
-	}
-	if c.Metrics().Stages == 0 {
-		t.Fatal("cluster not exercised")
-	}
-}
-
-func TestDistributedValidation(t *testing.T) {
-	c := cluster.Local(1)
-	if _, err := ComputeDistributed(c, graph.New(0), Options{}); err == nil {
-		t.Error("empty graph accepted")
-	}
-	g := graph.New(2)
-	g.AddEdge(graph.Edge{Src: 0, Dst: 1})
-	if _, err := ComputeDistributed(c, g, Options{Damping: 2}); err == nil {
-		t.Error("bad damping accepted")
 	}
 }

@@ -133,9 +133,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br, snaplen: snaplen}, nil
 }
 
-// SnapLen returns the snap length declared in the file header.
-func (r *Reader) SnapLen() uint32 { return r.snaplen }
-
 // ReadRecord reads the next packet record, returning io.EOF at clean end of
 // file.
 func (r *Reader) ReadRecord() (Record, error) {

@@ -345,19 +345,24 @@ func (sp *Spec) Canonical() string {
 	b.WriteString("bg.fraction=" + strconv.FormatFloat(bg.Fraction, 'x', -1, 64) + "\n")
 	b.WriteString("bg.gap=" + strconv.FormatInt(bg.GapMicros, 10) + "\n")
 	for i := range sp.Attacks {
-		a := &sp.Attacks[i]
-		p := "attack." + strconv.Itoa(i) + "."
-		b.WriteString(p + "type=" + a.Type + "\n")
-		b.WriteString(p + "start_ms=" + strconv.FormatInt(a.StartMS, 10) + "\n")
-		b.WriteString(p + "seed=" + strconv.FormatUint(a.Seed, 10) + "\n")
-		b.WriteString(p + "attacker=" + strconv.FormatUint(uint64(a.Attacker), 10) + "\n")
-		b.WriteString(p + "victim=" + strconv.FormatUint(uint64(a.Victim), 10) + "\n")
-		b.WriteString(p + "count=" + strconv.Itoa(a.Count) + "\n")
-		b.WriteString(p + "port=" + strconv.Itoa(int(a.Port)) + "\n")
-		b.WriteString(p + "fps=" + strconv.Itoa(a.FlowsPerSource) + "\n")
-		b.WriteString(p + "proto=" + a.Proto + "\n")
+		sp.Attacks[i].WriteCanonical(&b, "attack."+strconv.Itoa(i)+".")
 	}
 	return b.String()
+}
+
+// WriteCanonical writes the attack's normalized fields as key=value lines
+// under prefix p: the attack's share of every preimage that embeds one
+// (Spec.Canonical here, the evaluation grid's utility attacks).
+func (a *Attack) WriteCanonical(b *strings.Builder, p string) {
+	b.WriteString(p + "type=" + a.Type + "\n")
+	b.WriteString(p + "start_ms=" + strconv.FormatInt(a.StartMS, 10) + "\n")
+	b.WriteString(p + "seed=" + strconv.FormatUint(a.Seed, 10) + "\n")
+	b.WriteString(p + "attacker=" + strconv.FormatUint(uint64(a.Attacker), 10) + "\n")
+	b.WriteString(p + "victim=" + strconv.FormatUint(uint64(a.Victim), 10) + "\n")
+	b.WriteString(p + "count=" + strconv.Itoa(a.Count) + "\n")
+	b.WriteString(p + "port=" + strconv.Itoa(int(a.Port)) + "\n")
+	b.WriteString(p + "fps=" + strconv.Itoa(a.FlowsPerSource) + "\n")
+	b.WriteString(p + "proto=" + a.Proto + "\n")
 }
 
 // ID returns the content address of the spec's labeled artifact: a SHA-256

@@ -50,9 +50,6 @@ type Config struct {
 	// Cancellations and deadline overruns are terminal and never retried —
 	// only transient build errors are.
 	JobRetries int
-	// JobRetryBackoff is the pause between job attempts (0 means 200ms;
-	// negative disables the wait).
-	JobRetryBackoff time.Duration
 	// MaxEdges caps the target edge count a job may request (0 means 50M);
 	// admission control rejects larger asks with 400 before queuing.
 	MaxEdges int64
@@ -232,11 +229,6 @@ func New(cfg Config) (*Server, error) {
 	} else if cfg.JobRetries < 0 {
 		cfg.JobRetries = 0
 	}
-	if cfg.JobRetryBackoff == 0 {
-		cfg.JobRetryBackoff = 200 * time.Millisecond
-	} else if cfg.JobRetryBackoff < 0 {
-		cfg.JobRetryBackoff = 0
-	}
 	cache, err := NewCache(cfg.CacheBytes, cfg.CacheDir, cfg.CacheDiskBytes)
 	if err != nil {
 		return nil, err
@@ -337,11 +329,9 @@ func (s *Server) runJob(j *job) {
 			break
 		}
 		s.retries.Add(1)
-		if s.cfg.JobRetryBackoff > 0 {
-			select {
-			case <-j.ctx.Done():
-			case <-time.After(s.cfg.JobRetryBackoff):
-			}
+		select {
+		case <-j.ctx.Done():
+		case <-time.After(cluster.JobRetryBackoff.Delay(j.id, attempt+1)):
 		}
 	}
 	s.running.Add(-1)

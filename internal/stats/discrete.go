@@ -244,12 +244,3 @@ func Normalize(xs []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// NormalizeInt divides each element by the total, returning float64s.
-func NormalizeInt(xs []int64) ([]float64, error) {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Normalize(fs)
-}

@@ -2,14 +2,13 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
 
 // Typed vector errors. Normalize (and therefore VeracityScore) reports
 // ErrEmptyVector on a zero-length input and ErrZeroVector when every element
-// is zero; EuclideanDistance reports ErrLengthMismatch instead of panicking.
+// is zero; Pearson reports ErrLengthMismatch instead of panicking.
 // The eval grid runner matches on these with errors.Is to classify a
 // malformed cell without crashing the whole run.
 var (
@@ -75,22 +74,6 @@ func VeracityScoreInt(seed, synthetic []int64) (float64, error) {
 		b[i] = float64(v)
 	}
 	return VeracityScore(a, b)
-}
-
-// EuclideanDistance returns the plain Euclidean distance between two equal-
-// length vectors. It is the building block of the veracity score. Unequal
-// lengths report ErrLengthMismatch (it used to panic, which let one
-// malformed grid cell take down an entire evaluation run).
-func EuclideanDistance(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d elements", ErrLengthMismatch, len(a), len(b))
-	}
-	var sum float64
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum), nil
 }
 
 // KSDistance returns the Kolmogorov-Smirnov statistic between the empirical

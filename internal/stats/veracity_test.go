@@ -87,19 +87,6 @@ func TestVeracityScoreInt(t *testing.T) {
 	}
 }
 
-func TestEuclideanDistance(t *testing.T) {
-	d, err := EuclideanDistance([]float64{0, 0}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-5) > 1e-12 {
-		t.Fatalf("EuclideanDistance = %g, want 5", d)
-	}
-	if _, err := EuclideanDistance([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatalf("length mismatch error = %v, want ErrLengthMismatch", err)
-	}
-}
-
 func TestNormalizeTypedErrors(t *testing.T) {
 	if _, err := Normalize(nil); !errors.Is(err, ErrEmptyVector) {
 		t.Fatalf("Normalize(nil) error = %v, want ErrEmptyVector", err)

@@ -3,10 +3,11 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"reflect"
 	"sort"
 	"sync"
+
+	"csb/internal/stats"
 )
 
 // Dataset is a partitioned in-memory collection, the RDD substitute. Values
@@ -135,7 +136,7 @@ func Parallelize[T any](c *Cluster, data []T, partitions int) *Dataset[T] {
 // cluster shape) — never on worker availability — which is what keeps output
 // identical in-process, with 1 worker, and with N workers.
 func GenerateRemotable[T any](c *Cluster, n int64, partitions int, seed uint64, kind string,
-	gen func(rng *rand.Rand, emit func(T), count int64),
+	gen func(rng *stats.RNG, emit func(T), count int64),
 	payload func(part int, seed uint64, count int64) []byte,
 	decode func(result []byte) ([]T, error),
 ) *Dataset[T] {
@@ -484,11 +485,11 @@ func Coalesce[T any](in *Dataset[T], p int) *Dataset[T] {
 // DeriveRNG returns a deterministic PCG stream for (seed, stream); every
 // partition task derives its own so results are reproducible regardless of
 // scheduling.
-func DeriveRNG(seed, stream uint64) *rand.Rand {
+func DeriveRNG(seed, stream uint64) *stats.RNG {
 	// SplitMix64 finalizer decorrelates the stream keys.
 	z := stream + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return rand.New(rand.NewPCG(seed, z))
+	return stats.NewRNG(seed, z)
 }

@@ -1,10 +1,11 @@
 package cluster
 
 import (
-	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"csb/internal/stats"
 )
 
 func testCluster() *Cluster {
@@ -124,24 +125,24 @@ func TestUnion(t *testing.T) {
 
 // generate runs GenerateRemotable on a cluster with no executor, where the
 // payload and decode halves are never called.
-func generate(c *Cluster, n int64, partitions int, seed uint64, gen func(rng *rand.Rand, emit func(int64), count int64)) *Dataset[int64] {
+func generate(c *Cluster, n int64, partitions int, seed uint64, gen func(rng *stats.RNG, emit func(int64), count int64)) *Dataset[int64] {
 	return GenerateRemotable(c, n, partitions, seed, "test.local", gen, nil, nil)
 }
 
 func TestGenerate(t *testing.T) {
 	c := testCluster()
-	d := generate(c, 1000, 8, 42, func(rng *rand.Rand, emit func(int64), count int64) {
+	d := generate(c, 1000, 8, 42, func(rng *stats.RNG, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
-			emit(rng.Int64N(100))
+			emit(int64(rng.IntN(100)))
 		}
 	})
 	if d.Count() != 1000 {
 		t.Fatalf("Generate count = %d, want 1000", d.Count())
 	}
 	// Deterministic under same seed.
-	d2 := generate(c, 1000, 8, 42, func(rng *rand.Rand, emit func(int64), count int64) {
+	d2 := generate(c, 1000, 8, 42, func(rng *stats.RNG, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
-			emit(rng.Int64N(100))
+			emit(int64(rng.IntN(100)))
 		}
 	})
 	a, b := Collect(d), Collect(d2)
@@ -151,12 +152,12 @@ func TestGenerate(t *testing.T) {
 		}
 	}
 	// Zero elements.
-	z := generate(c, 0, 4, 1, func(rng *rand.Rand, emit func(int64), count int64) {})
+	z := generate(c, 0, 4, 1, func(rng *stats.RNG, emit func(int64), count int64) {})
 	if z.Count() != 0 {
 		t.Fatal("Generate(0) nonzero")
 	}
 	// Fewer elements than partitions.
-	f := generate(c, 3, 16, 1, func(rng *rand.Rand, emit func(int64), count int64) {
+	f := generate(c, 3, 16, 1, func(rng *stats.RNG, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
 			emit(int64(i))
 		}
@@ -171,7 +172,7 @@ func TestDeriveRNGDecorrelated(t *testing.T) {
 	b := DeriveRNG(1, 1)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Int64N(1000) == b.Int64N(1000) {
+		if a.IntN(1000) == b.IntN(1000) {
 			same++
 		}
 	}

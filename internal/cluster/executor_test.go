@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sync/atomic"
 	"testing"
+
+	"csb/internal/stats"
 )
 
 // fakeExecutor runs payloads through fn, like a worker would, optionally
@@ -210,7 +211,7 @@ func TestGenerateRemotableLocalMatchesLoopback(t *testing.T) {
 	build := func(ex TaskExecutor) []uint64 {
 		c := MustNew(Config{Nodes: 1, CoresPerNode: 4, Executor: ex})
 		ds := GenerateRemotable(c, 1000, 8, 42, "test.gen",
-			func(rng *rand.Rand, emit func(uint64), count int64) {
+			func(rng *stats.RNG, emit func(uint64), count int64) {
 				for i := int64(0); i < count; i++ {
 					emit(rng.Uint64())
 				}

@@ -26,7 +26,7 @@ func BenchmarkDistinct(b *testing.B) {
 	rng := DeriveRNG(43, 0)
 	data := make([]int64, 200_000)
 	for i := range data {
-		data[i] = rng.Int64N(40_000)
+		data[i] = int64(rng.IntN(40_000))
 	}
 	c := Local(4)
 	b.ReportAllocs()

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"csb/internal/graph"
 	"csb/internal/netflow"
@@ -206,7 +205,7 @@ func FitPropertiesBatch(batch *graph.EdgeBatch) (*PropertyModel, error) {
 // Sample draws one complete Netflow attribute set: IN_BYTES from its
 // unconditional distribution, every other attribute from its conditional
 // distribution given the IN_BYTES bucket.
-func (m *PropertyModel) Sample(rng *rand.Rand) graph.EdgeProps {
+func (m *PropertyModel) Sample(rng *stats.RNG) graph.EdgeProps {
 	i := m.inBytes.SampleIndex(rng)
 	ib, am := m.inBytes.Support()[i], m.bySupport[i]
 	proto, state := codeProtoState(am.protoState.Sample(rng))
@@ -226,7 +225,7 @@ func (m *PropertyModel) Sample(rng *rand.Rand) graph.EdgeProps {
 // SampleIndependent draws attributes from the unconditional (global)
 // distributions, ignoring the IN_BYTES conditioning. It exists for the
 // ablation study of the conditional model.
-func (m *PropertyModel) SampleIndependent(rng *rand.Rand) graph.EdgeProps {
+func (m *PropertyModel) SampleIndependent(rng *stats.RNG) graph.EdgeProps {
 	proto, state := codeProtoState(m.all.protoState.Sample(rng))
 	return graph.EdgeProps{
 		Protocol: proto,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 
 	"csb/internal/graph"
@@ -101,7 +100,7 @@ func TestSampleNeverInventsProtoStatePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewPCG(1, 1))
+	rng := stats.NewRNG(1, 1)
 	for i := 0; i < 2000; i++ {
 		p := m.Sample(rng)
 		switch p.Protocol {
@@ -123,7 +122,7 @@ func TestConditionalSamplingPreservesCorrelation(t *testing.T) {
 	// Build edges with OUT_BYTES strongly tied to IN_BYTES across a wide
 	// dynamic range; the conditional model must preserve the coupling,
 	// the independent ablation must destroy it.
-	rng := rand.New(rand.NewPCG(2, 2))
+	rng := stats.NewRNG(2, 2)
 	var edges []graph.Edge
 	for i := 0; i < 4000; i++ {
 		ib := int64(1) << uint(rng.IntN(16)) // 1 .. 32768
@@ -137,8 +136,8 @@ func TestConditionalSamplingPreservesCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr := func(sample func(*rand.Rand) graph.EdgeProps) float64 {
-		r := rand.New(rand.NewPCG(3, 3))
+	corr := func(sample func(*stats.RNG) graph.EdgeProps) float64 {
+		r := stats.NewRNG(3, 3)
 		var in, out []float64
 		for i := 0; i < 4000; i++ {
 			p := sample(r)
@@ -167,7 +166,7 @@ func TestSampleAttributesComeFromSeedSupport(t *testing.T) {
 	for _, e := range s.Graph.EdgeSlice() {
 		durations[e.Props.Duration] = true
 	}
-	rng := rand.New(rand.NewPCG(4, 4))
+	rng := stats.NewRNG(4, 4)
 	for i := 0; i < 500; i++ {
 		p := s.Props.Sample(rng)
 		if !durations[p.Duration] {
@@ -187,4 +186,17 @@ func TestAnalyzeTraceSeedShape(t *testing.T) {
 	if s.InDegree.Mean() <= 0 || s.OutDegree.Mean() <= 0 {
 		t.Error("degenerate degree means")
 	}
+}
+
+// BenchmarkPropertyModelSample times the property-synthesis kernel, one
+// conditional attribute draw per edge (eight alias draws), on the seed the
+// generator benchmarks fit: 100 hosts, 2000 sessions.
+func BenchmarkPropertyModelSample(b *testing.B) {
+	m := traceSeed(b, 100, 2000, 20171010).Props
+	rng := stats.NewRNG(1, 2)
+	b.ReportAllocs()
+	for b.Loop() {
+		m.Sample(rng)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/edge")
 }

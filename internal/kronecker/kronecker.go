@@ -10,10 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"csb/internal/cluster"
 	"csb/internal/graph"
+	"csb/internal/stats"
 )
 
 // Initiator is a 2x2 stochastic initiator matrix. Theta[0] is θ00 (the
@@ -121,7 +121,7 @@ func Deterministic(base [][]bool, k int) (*graph.Graph, error) {
 
 // dropEdge performs one recursive descent through the initiator, returning
 // the (u, v) cell the edge lands in.
-func dropEdge(in *Initiator, k int, rng *rand.Rand) (int64, int64) {
+func dropEdge(in *Initiator, k int, rng *stats.RNG) (int64, int64) {
 	sum := in.Sum()
 	var u, v int64
 	for level := 0; level < k; level++ {
@@ -164,7 +164,7 @@ func Generate(in Initiator, k int, edges int64, seed uint64) (*graph.Graph, erro
 	if edges > n*n {
 		return nil, fmt.Errorf("kronecker: %d edges cannot be distinct in a %d-vertex graph", edges, n)
 	}
-	rng := rand.New(rand.NewPCG(seed, 0x5109))
+	rng := stats.NewRNG(seed, 0x5109)
 	seen := make(map[[2]int64]struct{}, edges)
 	g := graph.NewWithCapacity(n, edges)
 	for int64(len(seen)) < edges {
@@ -230,7 +230,7 @@ func GenerateParallel(c *cluster.Cluster, in Initiator, k int, edges int64, seed
 		toDrop := missing + missing/8 + 1
 		roundSeed := seed ^ (round+1)*0x9e37
 		fresh := cluster.GenerateRemotable(c, toDrop, 0, roundSeed, DropTaskKind,
-			func(rng *rand.Rand, emit func(pair), count int64) {
+			func(rng *stats.RNG, emit func(pair), count int64) {
 				for i := int64(0); i < count; i++ {
 					u, v := dropEdge(&in, k, rng)
 					emit(pair{u, v})

@@ -8,13 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
 )
 
 // Discrete is an empirical probability distribution over int64 values, built
 // from observed samples or counts. Sampling uses the Vose alias method,
-// O(1) per draw; CDF and quantile queries use binary search over the
+// O(1) per draw; probability and CDF queries use binary search over the
 // cumulative weights.
 //
 // It is the distribution object of the paper's generators: the pre-computed
@@ -27,12 +26,21 @@ type Discrete struct {
 	cum    []float64 // cumulative probability, cum[len-1] == 1
 	mean   float64
 
-	// Vose alias tables: pick i uniformly, then keep i with probability
-	// aliasProb[i], else take alias[i].
-	aliasProb []float64
-	alias     []int32
+	// Vose alias table: pick i uniformly, then keep i with probability
+	// slots[i].keep / 2^53, else take slots[i].alias.
+	slots []aliasSlot
 	// pmfVals keeps the exact pmf aligned with values, for serialization.
 	pmfVals []float64
+}
+
+// aliasSlot is one Vose alias column. keep is the column's own probability
+// p as the 53-bit threshold ceil(p * 2^53): for the integer u53 behind a
+// Float64 draw, u53/2^53 < p exactly when u53 < keep, because u53/2^53 is
+// exact and p * 2^53 is an exact scaling. One slot holds both loads a draw
+// needs.
+type aliasSlot struct {
+	keep  uint64
+	alias int32
 }
 
 // pmf returns the exact probability mass function aligned with Support().
@@ -90,13 +98,12 @@ func FromCounts(counts map[int64]int64) (*Discrete, error) {
 	return d, nil
 }
 
-// buildAliasFromPMF constructs the Vose alias tables in O(k) from the
+// buildAliasFromPMF constructs the Vose alias table in O(k) from the
 // probability mass function aligned with d.values.
 func (d *Discrete) buildAliasFromPMF(pmf []float64) {
 	n := len(d.values)
 	d.pmfVals = append([]float64(nil), pmf...)
-	d.aliasProb = make([]float64, n)
-	d.alias = make([]int32, n)
+	d.slots = make([]aliasSlot, n)
 	scaled := make([]float64, n)
 	small := make([]int32, 0, n)
 	large := make([]int32, 0, n)
@@ -113,8 +120,7 @@ func (d *Discrete) buildAliasFromPMF(pmf []float64) {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		d.aliasProb[s] = scaled[s]
-		d.alias[s] = l
+		d.slots[s] = aliasSlot{keep: uint64(math.Ceil(scaled[s] * (1 << 53))), alias: l}
 		scaled[l] = scaled[l] + scaled[s] - 1
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -123,36 +129,30 @@ func (d *Discrete) buildAliasFromPMF(pmf []float64) {
 		}
 	}
 	for _, i := range large {
-		d.aliasProb[i] = 1
-		d.alias[i] = i
+		d.slots[i] = aliasSlot{keep: 1 << 53, alias: i}
 	}
 	for _, i := range small { // numerical leftovers
-		d.aliasProb[i] = 1
-		d.alias[i] = i
+		d.slots[i] = aliasSlot{keep: 1 << 53, alias: i}
 	}
 }
 
 // Sample draws one value from the distribution using rng in O(1).
-func (d *Discrete) Sample(rng *rand.Rand) int64 { return d.values[d.SampleIndex(rng)] }
+func (d *Discrete) Sample(rng *RNG) int64 { return d.values[d.SampleIndex(rng)] }
 
 // SampleIndex is Sample returning the drawn value's index into Support():
 // the same two RNG calls in the same order, so a caller holding a table
 // aligned with Support() can swap one for the other without moving a stream.
-func (d *Discrete) SampleIndex(rng *rand.Rand) int {
-	i := rng.IntN(len(d.values))
-	if rng.Float64() < d.aliasProb[i] {
-		return i
+// The second call is the Uint64 behind rng.Float64, compared as an integer;
+// the keep-or-alias choice is a conditional move, not a branch.
+func (d *Discrete) SampleIndex(rng *RNG) int {
+	i := rng.IntN(len(d.slots))
+	u53 := rng.Uint64() << 11 >> 11
+	s := d.slots[i]
+	a := int(s.alias)
+	if u53 < s.keep {
+		a = i
 	}
-	return int(d.alias[i])
-}
-
-// SampleN draws n values into a new slice.
-func (d *Discrete) SampleN(rng *rand.Rand, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.Sample(rng)
-	}
-	return out
+	return a
 }
 
 // Mean returns the expected value.
@@ -181,18 +181,6 @@ func (d *Discrete) CDF(v int64) float64 {
 		return 0
 	}
 	return d.cum[i-1]
-}
-
-// Quantile returns the smallest value v with CDF(v) >= p, for p in (0,1].
-func (d *Discrete) Quantile(p float64) int64 {
-	if p <= 0 {
-		return d.values[0]
-	}
-	i := sort.SearchFloat64s(d.cum, p)
-	if i == len(d.cum) {
-		i = len(d.cum) - 1
-	}
-	return d.values[i]
 }
 
 // Min and Max return the support bounds.

@@ -2,8 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"errors"
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -58,25 +58,9 @@ func TestDiscreteProbCDF(t *testing.T) {
 	}
 }
 
-func TestDiscreteQuantile(t *testing.T) {
-	d, _ := FromCounts(map[int64]int64{10: 5, 20: 4, 30: 1})
-	if q := d.Quantile(0.5); q != 10 {
-		t.Errorf("Quantile(0.5) = %d, want 10", q)
-	}
-	if q := d.Quantile(0.6); q != 20 {
-		t.Errorf("Quantile(0.6) = %d, want 20", q)
-	}
-	if q := d.Quantile(1); q != 30 {
-		t.Errorf("Quantile(1) = %d, want 30", q)
-	}
-	if q := d.Quantile(0); q != 10 {
-		t.Errorf("Quantile(0) = %d, want 10", q)
-	}
-}
-
 func TestDiscreteSampleFrequencies(t *testing.T) {
 	d, _ := FromCounts(map[int64]int64{1: 7, 5: 2, 9: 1})
-	rng := rand.New(rand.NewPCG(1, 1))
+	rng := NewRNG(1, 1)
 	const n = 100000
 	counts := map[int64]int{}
 	for i := 0; i < n; i++ {
@@ -92,14 +76,11 @@ func TestDiscreteSampleFrequencies(t *testing.T) {
 
 func TestDiscreteSingleValue(t *testing.T) {
 	d, _ := FromSamples([]int64{42, 42, 42})
-	rng := rand.New(rand.NewPCG(2, 2))
+	rng := NewRNG(2, 2)
 	for i := 0; i < 100; i++ {
 		if d.Sample(rng) != 42 {
 			t.Fatal("single-value distribution sampled other value")
 		}
-	}
-	if len(d.SampleN(rng, 5)) != 5 {
-		t.Fatal("SampleN length wrong")
 	}
 }
 
@@ -159,7 +140,7 @@ func TestDiscreteInvariants(t *testing.T) {
 		if d.cum[len(d.cum)-1] != 1 {
 			return false
 		}
-		rng := rand.New(rand.NewPCG(seed, 9))
+		rng := NewRNG(seed, 9)
 		inSupport := make(map[int64]bool, len(sup))
 		for _, v := range sup {
 			inSupport[v] = true
@@ -198,8 +179,8 @@ func TestDiscreteSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// Bit-identical sampling under the same stream.
-	r1 := rand.New(rand.NewPCG(9, 9))
-	r2 := rand.New(rand.NewPCG(9, 9))
+	r1 := NewRNG(9, 9)
+	r2 := NewRNG(9, 9)
 	for i := 0; i < 2000; i++ {
 		if d.Sample(r1) != got.Sample(r2) {
 			t.Fatalf("sampling diverged at draw %d", i)
@@ -232,10 +213,14 @@ func TestReadDiscreteRejectsGarbage(t *testing.T) {
 			t.Error("accepted CDF not reaching 1")
 		}
 	}
-	// Truncations.
+	// Truncations, including a 2^24-value count with nothing behind it.
 	for _, cut := range []int{2, 10, len(b) - 4} {
-		if _, err := ReadDiscrete(bytes.NewReader(b[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+		if _, err := ReadDiscrete(bytes.NewReader(b[:cut])); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
 		}
+	}
+	torn := append([]byte{0, 0, 0, 1}, b[4:12]...)
+	if _, err := ReadDiscrete(bytes.NewReader(torn)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("torn 2^24-value distribution: err = %v, want ErrCorrupt", err)
 	}
 }

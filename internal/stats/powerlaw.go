@@ -53,12 +53,3 @@ func (p *PowerLaw) Sample(rng *rand.Rand) int64 {
 	}
 	return v
 }
-
-// CCDF returns the complementary CDF P[X >= x] under the continuous
-// approximation, for x >= Xmin.
-func (p *PowerLaw) CCDF(x int64) float64 {
-	if x <= p.Xmin {
-		return 1
-	}
-	return math.Pow(float64(x)/float64(p.Xmin), -(p.Alpha - 1))
-}

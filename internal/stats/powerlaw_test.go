@@ -49,19 +49,6 @@ func TestPowerLawSampleBounds(t *testing.T) {
 	}
 }
 
-func TestPowerLawCCDF(t *testing.T) {
-	p := &PowerLaw{Alpha: 3, Xmin: 1}
-	if got := p.CCDF(1); got != 1 {
-		t.Errorf("CCDF(xmin) = %g, want 1", got)
-	}
-	if got := p.CCDF(10); math.Abs(got-0.01) > 1e-12 {
-		t.Errorf("CCDF(10) = %g, want 0.01", got)
-	}
-	if p.CCDF(100) >= p.CCDF(10) {
-		t.Error("CCDF not decreasing")
-	}
-}
-
 func TestPowerLawHeavyTail(t *testing.T) {
 	// A smaller alpha must produce a heavier tail (larger max over a fixed
 	// number of draws), statistically.

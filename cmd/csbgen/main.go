@@ -218,7 +218,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *edgeList != "" {
-		if err := writeTo(*edgeList, g.WriteEdgeList); err != nil {
+		if err := writeTo(*edgeList, func(w io.Writer) error {
+			return serve.EncodeArtifact(w, g, serve.FormatTSV)
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote edge list to %s\n", *edgeList)

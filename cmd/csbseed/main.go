@@ -99,7 +99,10 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "wrote graph to %s\n", *graphOut)
 	}
 	if *edgeList != "" {
-		if err := writeTo(*edgeList, g.WriteEdgeList); err != nil {
+		if err := writeTo(*edgeList, func(w io.Writer) error {
+			_, err := w.Write(g.AppendEdgeList(nil))
+			return err
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote edge list to %s\n", *edgeList)

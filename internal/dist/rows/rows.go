@@ -1,16 +1,16 @@
 // Package rows makes artifact row encoding remotable: a partition of binary
 // edge records (graph.AppendEdgeRecord) or flow records (replay.EncodeFlows)
 // becomes a payload any worker can format into the exact text rows the
-// sequential writers produce. Each kind wraps the same
-// single-row formatter the local writer uses (graph.AppendEdgeListRow,
-// netflow.AppendCSVRow, the NDJSON marshal), so a chunk encoded on a worker
-// is byte-for-byte the chunk the coordinator would have written — the
-// distributed artifact is the ordered concatenation of header plus chunks.
+// sequential encoders produce. Each kind wraps the same single-row formatter
+// the local encoder uses (graph.AppendEdgeListRow, netflow.AppendCSVRow,
+// appendNDJSONRow), so a chunk encoded on a worker is byte-for-byte the chunk
+// the coordinator would have written — the distributed artifact is the
+// ordered concatenation of header plus chunks.
 package rows
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"csb/internal/dist/task"
 	"csb/internal/graph"
@@ -55,7 +55,7 @@ func records(payload []byte, recLen int, what string) (int, error) {
 // TSVRows formats edges as edge-list rows (no header): the local half of the
 // tsv stage, whose remote half (runTSV) formats the same rows from records.
 func TSVRows(edges []graph.Edge) []byte {
-	out := make([]byte, 0, len(edges)*48)
+	out := make([]byte, 0, len(edges)*graph.EdgeListRowBytes)
 	for i := range edges {
 		out = graph.AppendEdgeListRow(out, &edges[i])
 	}
@@ -67,7 +67,7 @@ func runTSV(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, n*48)
+	out := make([]byte, 0, n*graph.EdgeListRowBytes)
 	for ; len(payload) > 0; payload = payload[graph.EdgeRecordLen:] {
 		e := graph.DecodeEdgeRecord(payload)
 		out = graph.AppendEdgeListRow(out, &e)
@@ -75,88 +75,81 @@ func runTSV(payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// ndjsonEdge is the NDJSON projection of one flow edge; field names mirror
-// the TSV edge-list header.
-type ndjsonEdge struct {
-	Src        int64  `json:"src"`
-	Dst        int64  `json:"dst"`
-	Proto      string `json:"proto"`
-	SrcPort    uint16 `json:"src_port"`
-	DstPort    uint16 `json:"dst_port"`
-	DurationMS int64  `json:"duration_ms"`
-	OutBytes   int64  `json:"out_bytes"`
-	InBytes    int64  `json:"in_bytes"`
-	OutPkts    int64  `json:"out_pkts"`
-	InPkts     int64  `json:"in_pkts"`
-	State      string `json:"state"`
-}
+// NDJSONRowBytes is the capacity an NDJSON encoder reserves per row: the
+// row's 125 bytes of keys and punctuation plus the values of a typical
+// edge-list row (EdgeListRowBytes less its 11 separators), so a presized
+// output does not regrow.
+const NDJSONRowBytes = 125 + graph.EdgeListRowBytes - 11
 
-// appendNDJSONRow appends one edge's NDJSON line to dst. json.Marshal plus
-// '\n' is exactly what json.Encoder.Encode emits, so these bytes match the
-// sequential NDJSON writer. Both NDJSONRows and NDJSONBatch funnel through
-// this single formatter.
-func appendNDJSONRow(dst []byte, e *graph.Edge) ([]byte, error) {
-	rec := ndjsonEdge{
-		Src: int64(e.Src), Dst: int64(e.Dst),
-		Proto:   e.Props.Protocol.String(),
-		SrcPort: e.Props.SrcPort, DstPort: e.Props.DstPort,
-		DurationMS: e.Props.Duration,
-		OutBytes:   e.Props.OutBytes, InBytes: e.Props.InBytes,
-		OutPkts: e.Props.OutPkts, InPkts: e.Props.InPkts,
-		State: e.Props.State.String(),
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, line...)
-	return append(dst, '\n'), nil
+// appendNDJSONRow appends e's NDJSON object and a newline to dst; the keys
+// mirror the TSV edge-list header. Every value is an integer or one of the
+// fixed protocol and state tokens, none of which needs JSON escaping, and
+// encoding/json formats integers with these same strconv calls — so the
+// bytes are exactly json.Marshal's plus '\n' (TestNDJSONRowMatchesMarshal).
+// The sequential encoder (AppendNDJSON) and both halves of the ndjson stage
+// funnel through this single formatter.
+func appendNDJSONRow(dst []byte, e *graph.Edge) []byte {
+	b := append(dst, `{"src":`...)
+	b = strconv.AppendInt(b, int64(e.Src), 10)
+	b = append(b, `,"dst":`...)
+	b = strconv.AppendInt(b, int64(e.Dst), 10)
+	b = append(b, `,"proto":"`...)
+	b = append(b, e.Props.Protocol.String()...)
+	b = append(b, `","src_port":`...)
+	b = strconv.AppendUint(b, uint64(e.Props.SrcPort), 10)
+	b = append(b, `,"dst_port":`...)
+	b = strconv.AppendUint(b, uint64(e.Props.DstPort), 10)
+	b = append(b, `,"duration_ms":`...)
+	b = strconv.AppendInt(b, e.Props.Duration, 10)
+	b = append(b, `,"out_bytes":`...)
+	b = strconv.AppendInt(b, e.Props.OutBytes, 10)
+	b = append(b, `,"in_bytes":`...)
+	b = strconv.AppendInt(b, e.Props.InBytes, 10)
+	b = append(b, `,"out_pkts":`...)
+	b = strconv.AppendInt(b, e.Props.OutPkts, 10)
+	b = append(b, `,"in_pkts":`...)
+	b = strconv.AppendInt(b, e.Props.InPkts, 10)
+	b = append(b, `,"state":"`...)
+	b = append(b, e.Props.State.String()...)
+	return append(b, "\"}\n"...)
 }
 
 // NDJSONRows formats edges as newline-delimited JSON objects.
-func NDJSONRows(edges []graph.Edge) ([]byte, error) {
-	var out []byte
-	var err error
+func NDJSONRows(edges []graph.Edge) []byte {
+	out := make([]byte, 0, len(edges)*NDJSONRowBytes)
 	for i := range edges {
-		if out, err = appendNDJSONRow(out, &edges[i]); err != nil {
-			return nil, err
-		}
+		out = appendNDJSONRow(out, &edges[i])
 	}
-	return out, nil
+	return out
 }
 
-// NDJSONBatch formats a columnar edge batch as NDJSON, streaming straight
-// over the columns without materializing a row slice.
-func NDJSONBatch(b *graph.EdgeBatch) ([]byte, error) {
-	var out []byte
-	var err error
+// AppendNDJSON appends a columnar edge batch as NDJSON to dst, one object
+// per edge in edge order, streaming straight over the columns without
+// materializing a row slice.
+func AppendNDJSON(dst []byte, b *graph.EdgeBatch) []byte {
 	for i, n := 0, b.Len(); i < n; i++ {
 		e := b.Edge(i)
-		if out, err = appendNDJSONRow(out, &e); err != nil {
-			return nil, err
-		}
+		dst = appendNDJSONRow(dst, &e)
 	}
-	return out, nil
+	return dst
 }
 
 func runNDJSON(payload []byte) ([]byte, error) {
-	if _, err := records(payload, graph.EdgeRecordLen, "edge"); err != nil {
+	n, err := records(payload, graph.EdgeRecordLen, "edge")
+	if err != nil {
 		return nil, err
 	}
-	var out []byte
+	out := make([]byte, 0, n*NDJSONRowBytes)
 	for ; len(payload) > 0; payload = payload[graph.EdgeRecordLen:] {
 		e := graph.DecodeEdgeRecord(payload)
-		var err error
-		if out, err = appendNDJSONRow(out, &e); err != nil {
-			return nil, err
-		}
+		out = appendNDJSONRow(out, &e)
 	}
 	return out, nil
 }
 
 // CSVRows formats flows as CSV rows (no header).
 func CSVRows(flows []netflow.Flow) []byte {
-	out := make([]byte, 0, len(flows)*64)
+	out := make([]byte, 0, len(flows)*netflow.CSVRowBytes)
 	for i := range flows {
 		out = netflow.AppendCSVRow(out, &flows[i])
 	}
@@ -168,7 +161,7 @@ func runCSV(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, n*64)
+	out := make([]byte, 0, n*netflow.CSVRowBytes)
 	for ; len(payload) > 0; payload = payload[replay.FlowRecordLen:] {
 		f, err := replay.DecodeFlow(payload)
 		if err != nil {

@@ -66,14 +66,10 @@ func TestTSVRowsMatchSequentialWriter(t *testing.T) {
 	if err := g.AddEdges(edges); err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := g.WriteEdgeList(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := g.AppendEdgeList(nil)
 	got := append([]byte(graph.EdgeListHeader), TSVRows(edges)...)
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("distributed tsv differs from sequential writer\ngot:  %q\nwant: %q",
-			firstDiff(got, want.Bytes()), "")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("distributed tsv differs from sequential encoder at %q", firstDiff(got, want))
 	}
 }
 
@@ -84,13 +80,10 @@ func TestCSVRowsMatchSequentialWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows := netflow.FlowsFromGraph(g)
-	var want bytes.Buffer
-	if err := netflow.WriteCSV(&want, flows); err != nil {
-		t.Fatal(err)
-	}
+	want := netflow.AppendCSV(nil, flows)
 	got := append([]byte(netflow.CSVHeaderLine), CSVRows(flows)...)
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("distributed csv differs from sequential writer at %q", firstDiff(got, want.Bytes()))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("distributed csv differs from sequential encoder at %q", firstDiff(got, want))
 	}
 }
 
@@ -126,13 +119,9 @@ func TestOneFlowLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csv bytes.Buffer
-	if err := netflow.WriteCSV(&csv, flows); err != nil {
-		t.Fatal(err)
-	}
-	want := csv.Bytes()[len(netflow.CSVHeaderLine):]
+	want := netflow.AppendCSV(nil, flows)[len(netflow.CSVHeaderLine):]
 	if !bytes.Equal(out, want) {
-		t.Fatalf("worker csv rows differ from the sequential writer at %q", firstDiff(out, want))
+		t.Fatalf("worker csv rows differ from the sequential encoder at %q", firstDiff(out, want))
 	}
 	if !bytes.Equal(out, CSVRows(flows)) {
 		t.Fatal("worker csv rows differ from the local closure's")
@@ -160,12 +149,15 @@ func TestKindsRunThroughRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := NDJSONRows(edges)
-	if err != nil {
+	if !bytes.Equal(out, NDJSONRows(edges)) {
+		t.Fatal("registry ndjson differs from direct NDJSONRows")
+	}
+	g := graph.New(1000)
+	if err := g.AddEdges(edges); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out, direct) {
-		t.Fatal("registry ndjson differs from direct NDJSONRows")
+	if !bytes.Equal(out, AppendNDJSON(nil, g.Cols())) {
+		t.Fatal("registry ndjson differs from the sequential encoder")
 	}
 	if _, err := task.Run(TSVKind, []byte{1}); err == nil {
 		t.Fatal("ragged payload ran")

@@ -119,22 +119,6 @@ func (b *EdgeBatch) AppendBatch(o *EdgeBatch) {
 	b.inPkts = append(b.inPkts, o.inPkts...)
 }
 
-// AppendRange appends edges o[lo:hi] (column-wise copies).
-func (b *EdgeBatch) AppendRange(o *EdgeBatch, lo, hi int) {
-	b.Grow(hi - lo)
-	b.src = append(b.src, o.src[lo:hi]...)
-	b.dst = append(b.dst, o.dst[lo:hi]...)
-	b.proto = append(b.proto, o.proto[lo:hi]...)
-	b.state = append(b.state, o.state[lo:hi]...)
-	b.srcPort = append(b.srcPort, o.srcPort[lo:hi]...)
-	b.dstPort = append(b.dstPort, o.dstPort[lo:hi]...)
-	b.duration = append(b.duration, o.duration[lo:hi]...)
-	b.outBytes = append(b.outBytes, o.outBytes[lo:hi]...)
-	b.inByte = append(b.inByte, o.inByte[lo:hi]...)
-	b.outPkts = append(b.outPkts, o.outPkts[lo:hi]...)
-	b.inPkts = append(b.inPkts, o.inPkts[lo:hi]...)
-}
-
 // SrcID returns the source vertex of edge i, touching only the src column.
 func (b *EdgeBatch) SrcID(i int) VertexID { return VertexID(b.src[i]) }
 

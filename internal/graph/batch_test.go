@@ -79,12 +79,11 @@ func TestEdgeBatchAppendIterateRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: every bulk-append path — AppendEdges, AppendBatch, AppendRange
-// over slices — lands the same columns as per-edge Append.
+// Property: every bulk-append path — AppendEdges, AppendBatch — lands the
+// same columns as per-edge Append.
 func TestEdgeBatchBulkAppendEquivalence(t *testing.T) {
-	f := func(seed uint64, mRaw uint16, cut uint8) bool {
+	f := func(seed uint64, mRaw uint16) bool {
 		m := int(mRaw%512) + 2
-		lo := int(cut) % m
 		rng := rand.New(rand.NewPCG(seed, 4))
 		in := randomEdges(rng, 1<<16, m)
 
@@ -99,11 +98,7 @@ func TestEdgeBatchBulkAppendEquivalence(t *testing.T) {
 		viaBatch := NewEdgeBatch(0)
 		viaBatch.AppendBatch(ref)
 
-		viaRange := NewEdgeBatch(0)
-		viaRange.AppendRange(ref, 0, lo)
-		viaRange.AppendRange(ref, lo, m)
-
-		for _, b := range []*EdgeBatch{viaEdges, viaBatch, viaRange} {
+		for _, b := range []*EdgeBatch{viaEdges, viaBatch} {
 			if b.Len() != ref.Len() {
 				return false
 			}
@@ -111,18 +106,6 @@ func TestEdgeBatchBulkAppendEquivalence(t *testing.T) {
 				if b.Edge(i) != ref.Edge(i) {
 					return false
 				}
-			}
-		}
-		// And a pure slice: AppendRange(lo, hi) equals Edges()[lo:hi].
-		slice := NewEdgeBatch(0)
-		slice.AppendRange(ref, lo, m)
-		tail := ref.Edges()[lo:]
-		if slice.Len() != len(tail) {
-			return false
-		}
-		for i := range tail {
-			if slice.Edge(i) != tail[i] {
-				return false
 			}
 		}
 		return true

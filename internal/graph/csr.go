@@ -16,9 +16,6 @@ type CSR struct {
 // NumVertices returns the number of vertices covered by the CSR.
 func (c *CSR) NumVertices() int64 { return int64(len(c.Offsets)) - 1 }
 
-// NumArcs returns the total number of stored arcs (multi-edges included).
-func (c *CSR) NumArcs() int64 { return int64(len(c.Targets)) }
-
 // Neighbors returns the adjacency list of v. The returned slice aliases the
 // CSR storage and must not be modified.
 func (c *CSR) Neighbors(v VertexID) []VertexID {

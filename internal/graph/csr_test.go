@@ -17,8 +17,8 @@ func TestBuildCSRBasic(t *testing.T) {
 	if c.NumVertices() != 4 {
 		t.Fatalf("NumVertices = %d, want 4", c.NumVertices())
 	}
-	if c.NumArcs() != 4 {
-		t.Fatalf("NumArcs = %d, want 4", c.NumArcs())
+	if len(c.Targets) != 4 {
+		t.Fatalf("%d arcs, want 4", len(c.Targets))
 	}
 	got := c.Neighbors(0)
 	if len(got) != 2 {
@@ -75,8 +75,8 @@ func TestHasArc(t *testing.T) {
 func TestCSREmptyGraph(t *testing.T) {
 	g := New(0)
 	c := BuildCSR(g)
-	if c.NumVertices() != 0 || c.NumArcs() != 0 {
-		t.Fatalf("empty CSR: %d vertices %d arcs", c.NumVertices(), c.NumArcs())
+	if c.NumVertices() != 0 || len(c.Targets) != 0 {
+		t.Fatalf("empty CSR: %d vertices %d arcs", c.NumVertices(), len(c.Targets))
 	}
 }
 

@@ -174,21 +174,6 @@ func (g *Graph) EdgeAt(i int) Edge { return g.cols.Edge(i) }
 // result shares no storage with the graph.
 func (g *Graph) EdgeSlice() []Edge { return g.cols.Edges() }
 
-// AddVertices appends n new vertices and returns the ID of the first one.
-func (g *Graph) AddVertices(n int64) VertexID {
-	if n < 0 {
-		panic("graph: negative vertex count")
-	}
-	first := VertexID(g.numVertices)
-	g.numVertices += n
-	if g.addrs != nil {
-		for i := int64(0); i < n; i++ {
-			g.addrs = append(g.addrs, 0)
-		}
-	}
-	return first
-}
-
 // AddEdge appends a directed edge. Both endpoints must already exist.
 func (g *Graph) AddEdge(e Edge) {
 	if e.Src < 0 || int64(e.Src) >= g.numVertices || e.Dst < 0 || int64(e.Dst) >= g.numVertices {
@@ -321,15 +306,4 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// MaxDegree returns the maximum total degree in the graph, or 0 if empty.
-func (g *Graph) MaxDegree() int64 {
-	var maxDeg int64
-	for _, d := range g.Degrees() {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	return maxDeg
 }

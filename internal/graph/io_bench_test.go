@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -28,14 +27,13 @@ func benchGraph(b *testing.B, edges int) *Graph {
 	return g
 }
 
-func BenchmarkWriteEdgeList(b *testing.B) {
+func BenchmarkAppendEdgeList(b *testing.B) {
 	g := benchGraph(b, 20_000)
+	buf := make([]byte, 0, len(EdgeListHeader)+g.cols.Len()*EdgeListRowBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.WriteEdgeList(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		buf = g.AppendEdgeList(buf[:0])
 	}
 }
 

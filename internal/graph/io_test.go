@@ -89,17 +89,17 @@ func TestReadEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestWriteEdgeList(t *testing.T) {
+func TestAppendEdgeList(t *testing.T) {
 	g := New(2)
 	g.AddEdge(Edge{Src: 0, Dst: 1, Props: EdgeProps{
 		Protocol: ProtoTCP, State: StateSF, SrcPort: 1234, DstPort: 80,
 		Duration: 1500, OutBytes: 10, InBytes: 20, OutPkts: 3, InPkts: 4,
 	}})
-	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
-		t.Fatalf("WriteEdgeList: %v", err)
+	out := g.AppendEdgeList([]byte("kept"))
+	if !strings.HasPrefix(string(out), "kept"+EdgeListHeader) {
+		t.Fatalf("AppendEdgeList dropped dst or the header: %q", out)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(string(out[len("kept"):])), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want header + 1 edge", len(lines))
 	}

@@ -88,36 +88,18 @@ func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := encodeArtifactOn(&buf, g, spec.Format, c); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encodeArtifactOn(g, spec.Format, c)
 }
 
-// EncodeArtifact serializes g in the given artifact format. The tsv and csbg
-// encodings are exactly Graph.WriteEdgeList and Graph.Write, so daemon
-// artifacts stay byte-identical to csbgen's files.
+// EncodeArtifact writes g in the given artifact format: exactly the bytes
+// BuildArtifact returns for it, so csbgen's files, the daemon's artifacts
+// and anything else that encodes a graph share one set of bytes. csbg is
+// Graph.Write; the text formats write encodeText's slice.
 func EncodeArtifact(w io.Writer, g *graph.Graph, format string) error {
-	switch format {
-	case FormatCSBG:
+	if format == FormatCSBG {
 		return g.Write(w)
-	case FormatCSV:
-		return netflow.WriteCSV(w, netflow.FlowsFromGraph(g))
-	case FormatNDJSON:
-		return writeNDJSON(w, g)
-	case FormatTSV, "":
-		return g.WriteEdgeList(w)
-	default:
-		return fmt.Errorf("serve: unknown artifact format %q", format)
 	}
-}
-
-// writeNDJSON emits one JSON object per edge, newline-delimited, in edge
-// order (deterministic for deterministic graphs). The row formatter lives in
-// internal/dist/rows so the sequential and distributed encoders share it.
-func writeNDJSON(w io.Writer, g *graph.Graph) error {
-	out, err := rows.NDJSONBatch(g.Cols())
+	out, err := encodeText(g, format)
 	if err != nil {
 		return err
 	}
@@ -125,65 +107,82 @@ func writeNDJSON(w io.Writer, g *graph.Graph) error {
 	return err
 }
 
-// encodeArtifactOn is EncodeArtifact with a distributed fast path: on a
-// cluster with a TaskExecutor the text formats encode chunk-parallel through
-// the engine (remotable row stages, see internal/dist/rows), so workers
-// carry the formatting and the coordinator concatenates header + chunks in
-// partition order. Chunks share the sequential writers' row formatters and
-// partitioning follows only the cluster shape, so the bytes are identical to
-// EncodeArtifact's on every worker count. csbg is not distributed — its
-// result bytes equal its input bytes, so shipping them wins nothing.
-func encodeArtifactOn(w io.Writer, g *graph.Graph, format string, c *cluster.Cluster) error {
-	if c == nil || c.Config().Executor == nil {
-		return EncodeArtifact(w, g, format)
-	}
+// encodeText formats g as a text artifact: header and rows are appended
+// straight from the graph's columns into one slice, presized from the
+// format's row-width estimate so it does not regrow. The row formatters are
+// the ones the distributed row encoders share (internal/dist/rows).
+func encodeText(g *graph.Graph, format string) ([]byte, error) {
+	n := int(g.NumEdges())
 	switch format {
 	case FormatTSV, "":
-		return writeChunked(w, cluster.ParallelizeEdges(c, g.Cols(), 0), graph.EdgeListHeader, rows.TSVKind,
-			func(xs []graph.Edge) []byte { return rows.TSVRows(xs) },
-			rows.EncodeEdges)
-	case FormatNDJSON:
-		return writeChunked(w, cluster.ParallelizeEdges(c, g.Cols(), 0), "", rows.NDJSONKind,
-			func(xs []graph.Edge) []byte {
-				out, err := rows.NDJSONRows(xs)
-				if err != nil {
-					panic(err) // plain structs cannot fail to marshal
-				}
-				return out
-			},
-			rows.EncodeEdges)
+		return g.AppendEdgeList(make([]byte, 0, len(graph.EdgeListHeader)+n*graph.EdgeListRowBytes)), nil
 	case FormatCSV:
-		return writeChunked(w, cluster.Parallelize(c, netflow.FlowsFromGraph(g), 0), netflow.CSVHeaderLine, rows.CSVKind,
-			func(xs []netflow.Flow) []byte { return rows.CSVRows(xs) },
-			replay.EncodeFlows)
+		out := make([]byte, 0, len(netflow.CSVHeaderLine)+n*netflow.CSVRowBytes)
+		return netflow.AppendCSV(out, netflow.FlowsFromGraph(g)), nil
+	case FormatNDJSON:
+		return rows.AppendNDJSON(make([]byte, 0, n*rows.NDJSONRowBytes), g.Cols()), nil
 	default:
-		return EncodeArtifact(w, g, format)
+		return nil, fmt.Errorf("serve: unknown artifact format %q", format)
 	}
 }
 
-// writeChunked runs one remotable row-encode stage over the pre-partitioned
-// records and writes header plus the row chunks in partition order. Callers
-// hand it a dataset (ParallelizeEdges for columnar edge sources) so record
-// batches stream into partition storage without a monolithic row slice.
-func writeChunked[T any](w io.Writer, ds *cluster.Dataset[T], header, kind string,
-	local func(xs []T) []byte, payload func(xs []T) []byte) error {
+// encodeArtifactOn returns g's artifact bytes. csbg goes through Graph.Write
+// into a buffer it sizes exactly; csbg is not distributed — its result bytes
+// equal its input bytes, so shipping them wins nothing. The text formats are
+// encodeText's slice, except on a cluster with a TaskExecutor: there they
+// encode chunk-parallel through the engine (remotable row stages, see
+// internal/dist/rows), so workers carry the formatting and the coordinator
+// concatenates header + chunks in partition order. Chunks share encodeText's
+// row formatters and partitioning follows only the cluster shape, so the
+// bytes are identical on every worker count.
+func encodeArtifactOn(g *graph.Graph, format string, c *cluster.Cluster) ([]byte, error) {
+	if format == FormatCSBG {
+		var buf bytes.Buffer
+		if err := g.Write(&buf); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	}
+	if c == nil || c.Config().Executor == nil {
+		return encodeText(g, format)
+	}
+	switch format {
+	case FormatTSV, "":
+		return encodeChunked(cluster.ParallelizeEdges(c, g.Cols(), 0), graph.EdgeListHeader, rows.TSVKind,
+			rows.TSVRows, rows.EncodeEdges)
+	case FormatNDJSON:
+		return encodeChunked(cluster.ParallelizeEdges(c, g.Cols(), 0), "", rows.NDJSONKind,
+			rows.NDJSONRows, rows.EncodeEdges)
+	case FormatCSV:
+		return encodeChunked(cluster.Parallelize(c, netflow.FlowsFromGraph(g), 0), netflow.CSVHeaderLine, rows.CSVKind,
+			rows.CSVRows, replay.EncodeFlows)
+	default:
+		return encodeText(g, format)
+	}
+}
+
+// encodeChunked runs one remotable row-encode stage over the pre-partitioned
+// records and returns header plus the row chunks in partition order, in one
+// slice of exactly their total size. Callers hand it a dataset
+// (ParallelizeEdges for columnar edge sources) so record batches stream into
+// partition storage without a monolithic row slice.
+func encodeChunked[T any](ds *cluster.Dataset[T], header, kind string,
+	local func(xs []T) []byte, payload func(xs []T) []byte) ([]byte, error) {
 	c := ds.Cluster()
 	chunks := cluster.MapPartitionsRemotable(ds, kind,
 		func(part int, xs []T) []byte { return local(xs) },
 		func(part int, xs []T) []byte { return payload(xs) },
 		func(result []byte) ([]byte, error) { return result, nil })
 	if err := c.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if header != "" {
-		if _, err := io.WriteString(w, header); err != nil {
-			return err
-		}
-	}
+	size := len(header)
 	for i := 0; i < chunks.NumPartitions(); i++ {
-		if _, err := w.Write(chunks.Partition(i)); err != nil {
-			return err
-		}
+		size += len(chunks.Partition(i))
 	}
-	return nil
+	out := append(make([]byte, 0, size), header...)
+	for i := 0; i < chunks.NumPartitions(); i++ {
+		out = append(out, chunks.Partition(i)...)
+	}
+	return out, nil
 }

@@ -274,24 +274,33 @@ func writeSpillFile(dir, path string, data []byte) error {
 
 // readSpillFile loads and verifies a framed spill file. It returns an error
 // wrapping fs.ErrNotExist when the file is gone, or errSpillCorrupt when the
-// contents fail validation (bad magic, truncation, trailing garbage, or
-// checksum mismatch).
+// contents fail decodeSpill.
 func readSpillFile(path string) ([]byte, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	payload, err := decodeSpill(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+	}
+	return payload, nil
+}
+
+// decodeSpill verifies a framed spill file's bytes and returns its payload,
+// a subslice of raw. Any framing fault — bad magic, truncation, trailing
+// garbage, checksum mismatch — is an error wrapping errSpillCorrupt.
+func decodeSpill(raw []byte) ([]byte, error) {
 	if len(raw) < spillHeaderLen || !bytes.Equal(raw[:4], spillMagic[:]) {
-		return nil, fmt.Errorf("%w: %s: bad header", errSpillCorrupt, filepath.Base(path))
+		return nil, fmt.Errorf("%w: bad header", errSpillCorrupt)
 	}
 	want := binary.BigEndian.Uint64(raw[4:12])
 	payload := raw[spillHeaderLen:]
 	if uint64(len(payload)) != want {
-		return nil, fmt.Errorf("%w: %s: payload %d bytes, header says %d",
-			errSpillCorrupt, filepath.Base(path), len(payload), want)
+		return nil, fmt.Errorf("%w: payload %d bytes, header says %d", errSpillCorrupt, len(payload), want)
 	}
 	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], raw[12:spillHeaderLen]) {
-		return nil, fmt.Errorf("%w: %s: checksum mismatch", errSpillCorrupt, filepath.Base(path))
+		return nil, fmt.Errorf("%w: checksum mismatch", errSpillCorrupt)
 	}
 	return payload, nil
 }

@@ -37,7 +37,7 @@ const (
 
 // Artifact output formats accepted by Spec.Format.
 const (
-	// FormatTSV is the tab-separated edge list of Graph.WriteEdgeList —
+	// FormatTSV is the tab-separated edge list of Graph.AppendEdgeList —
 	// byte-identical to `csbgen -edgelist-out`.
 	FormatTSV = "tsv"
 	// FormatCSBG is the binary CSBG container of Graph.Write —

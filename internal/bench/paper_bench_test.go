@@ -7,7 +7,7 @@
 // Each figure bench executes its experiment at a laptop-scale configuration
 // and reports domain metrics (edges/s, veracity scores) via b.ReportMetric;
 // cmd/csbbench prints the full tables/series for larger sweeps.
-package csb
+package bench_test
 
 import (
 	"sync"
@@ -287,16 +287,16 @@ func BenchmarkAblationPropertySynthesis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	edges := g.EdgeSlice()
+	cols := g.Cols()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rng := cluster.DeriveRNG(uint64(i), 0)
-		for j := range edges {
-			edges[j].Props = seed.Props.Sample(rng)
+		for j := 0; j < cols.Len(); j++ {
+			cols.SetProps(j, seed.Props.Sample(rng))
 		}
 	}
-	b.ReportMetric(float64(len(edges)), "edges")
+	b.ReportMetric(float64(cols.Len()), "edges")
 }
 
 // --- Extension benches ---------------------------------------------------------

@@ -12,9 +12,9 @@ import "csb/internal/graph"
 // ParallelizeEdges splits the edges of a columnar batch into balanced
 // partitions, materializing rows once per partition. The partition boundaries
 // are exactly Parallelize's (base = len/p with the remainder spread over the
-// first len%p partitions), so downstream stages see byte-identical input to
-// the former Parallelize(c, b.Edges(), partitions) — without the intermediate
-// full-graph []Edge copy.
+// first len%p partitions), so downstream stages see the same input that
+// Parallelize over a materialized []Edge would give them — without the
+// intermediate full-graph []Edge copy.
 func ParallelizeEdges(c *Cluster, b *graph.EdgeBatch, partitions int) *Dataset[graph.Edge] {
 	p := c.defaultPartitions(partitions)
 	n := b.Len()

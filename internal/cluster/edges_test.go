@@ -31,7 +31,7 @@ func TestFillGraphCollectOrderAndMemoryCharge(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ {
 		want := graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1), Props: graph.EdgeProps{OutBytes: int64(i)}}
-		if got := g.EdgeAt(i); got != want {
+		if got := g.Cols().Edge(i); got != want {
 			t.Fatalf("edge %d = %+v, want %+v", i, got, want)
 		}
 	}
@@ -68,7 +68,7 @@ func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
 		t.Fatalf("failures=%d retries=%d, want 1 and 1", m.TaskFailures, m.TaskRetries)
 	}
 	for i := 0; i < 400; i++ {
-		if e := g.EdgeAt(i); e.Src != graph.VertexID(i) || e.Props != (graph.EdgeProps{OutBytes: int64(i)}) {
+		if e := g.Cols().Edge(i); e.Src != graph.VertexID(i) || e.Props != (graph.EdgeProps{OutBytes: int64(i)}) {
 			t.Fatalf("edge %d = %+v after the retry", i, e)
 		}
 	}

@@ -69,10 +69,8 @@ func TestSeedRoundTripGeneratesIdentically(t *testing.T) {
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatalf("sizes differ: %d vs %d", a.NumEdges(), b.NumEdges())
 	}
-	for i := range a.EdgeSlice() {
-		if a.EdgeSlice()[i] != b.EdgeSlice()[i] {
-			t.Fatalf("edge %d differs", i)
-		}
+	if !bytes.Equal(a.AppendEdgeList(nil), b.AppendEdgeList(nil)) {
+		t.Fatal("edge lists differ")
 	}
 }
 

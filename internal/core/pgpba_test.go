@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -74,10 +75,8 @@ func TestPGPBADeterministic(t *testing.T) {
 	if a.NumEdges() != b.NumEdges() || a.NumVertices() != b.NumVertices() {
 		t.Fatalf("sizes differ: %d/%d vs %d/%d", a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
 	}
-	for i := range a.EdgeSlice() {
-		if a.EdgeSlice()[i] != b.EdgeSlice()[i] {
-			t.Fatalf("edge %d differs", i)
-		}
+	if !bytes.Equal(a.AppendEdgeList(nil), b.AppendEdgeList(nil)) {
+		t.Fatal("edge lists differ")
 	}
 }
 
@@ -87,7 +86,8 @@ func TestPGPBAAssignsProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Props.Protocol == graph.ProtoUnknown {
 			t.Fatalf("edge %d has no protocol", i)
 		}
@@ -105,7 +105,8 @@ func TestPGPBASkipProperties(t *testing.T) {
 	}
 	// No edge carries attributes when synthesis is skipped — the seed's
 	// own edges included, as on PGSK.
-	for i, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Props != (graph.EdgeProps{}) {
 			t.Fatalf("SkipProperties left attributes on edge %d: %+v", i, e.Props)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"csb/internal/cluster"
@@ -67,10 +68,8 @@ func TestPGSKDeterministic(t *testing.T) {
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatalf("sizes differ: %d vs %d", a.NumEdges(), b.NumEdges())
 	}
-	for i := range a.EdgeSlice() {
-		if a.EdgeSlice()[i] != b.EdgeSlice()[i] {
-			t.Fatalf("edge %d differs", i)
-		}
+	if !bytes.Equal(a.AppendEdgeList(nil), b.AppendEdgeList(nil)) {
+		t.Fatal("edge lists differ")
 	}
 }
 
@@ -92,7 +91,8 @@ func TestPGSKAssignsProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Props.Protocol == graph.ProtoUnknown {
 			t.Fatalf("edge %d missing protocol", i)
 		}
@@ -103,7 +103,8 @@ func TestPGSKAssignsProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	zero := 0
-	for _, e := range bare.EdgeSlice() {
+	for i := range bare.Cols().Len() {
+		e := bare.Cols().Edge(i)
 		if e.Props == (graph.EdgeProps{}) {
 			zero++
 		}

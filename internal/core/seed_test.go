@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"csb/internal/graph"
@@ -42,23 +43,25 @@ func TestAnalyzeDegreeDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := s.OutDegree.Prob(2); math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("P[out=2] = %g, want 0.5", p)
-	}
-	if p := s.OutDegree.Prob(1); math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("P[out=1] = %g, want 0.5", p)
-	}
-	if p := s.InDegree.Prob(2); math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("P[in=2] = %g, want 0.5", p)
+	// Both distributions are P[1] = P[2] = 0.5: support {1, 2} and mean 1.5
+	// pin the two weights.
+	for name, d := range map[string]*stats.Discrete{"out": s.OutDegree, "in": s.InDegree} {
+		if got := d.Support(); !slices.Equal(got, []int64{1, 2}) {
+			t.Errorf("%s-degree support = %v, want [1 2]", name, got)
+		}
+		if m := d.Mean(); math.Abs(m-1.5) > 1e-12 {
+			t.Errorf("%s-degree mean = %g, want 1.5", name, m)
+		}
 	}
 }
 
 // fitProperties fits the attribute model of a row-structured edge slice.
 func fitProperties(edges []graph.Edge) (*PropertyModel, error) {
-	b := graph.GetBatch(len(edges))
-	defer graph.PutBatch(b)
-	b.AppendEdges(edges)
-	return FitPropertiesBatch(b)
+	var b graph.EdgeBatch
+	for _, e := range edges {
+		b.Append(e)
+	}
+	return FitPropertiesBatch(&b)
 }
 
 func TestFitPropertiesEmpty(t *testing.T) {
@@ -163,8 +166,8 @@ func TestSampleAttributesComeFromSeedSupport(t *testing.T) {
 	s := traceSeed(t, 20, 300, 5)
 	// Collect the seed's observed attribute values.
 	durations := map[int64]bool{}
-	for _, e := range s.Graph.EdgeSlice() {
-		durations[e.Props.Duration] = true
+	for i := range s.Graph.Cols().Len() {
+		durations[s.Graph.Cols().Duration(i)] = true
 	}
 	rng := stats.NewRNG(4, 4)
 	for i := 0; i < 500; i++ {

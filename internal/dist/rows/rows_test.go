@@ -63,8 +63,8 @@ func TestEdgeRecordRoundTrip(t *testing.T) {
 func TestTSVRowsMatchSequentialWriter(t *testing.T) {
 	edges := testEdges(80)
 	g := graph.New(1000)
-	if err := g.AddEdges(edges); err != nil {
-		t.Fatal(err)
+	for _, e := range edges {
+		g.AddEdge(e)
 	}
 	want := g.AppendEdgeList(nil)
 	got := append([]byte(graph.EdgeListHeader), TSVRows(edges)...)
@@ -76,8 +76,8 @@ func TestTSVRowsMatchSequentialWriter(t *testing.T) {
 func TestCSVRowsMatchSequentialWriter(t *testing.T) {
 	edges := testEdges(80)
 	g := graph.New(1000)
-	if err := g.AddEdges(edges); err != nil {
-		t.Fatal(err)
+	for _, e := range edges {
+		g.AddEdge(e)
 	}
 	flows := netflow.FlowsFromGraph(g)
 	want := netflow.AppendCSV(nil, flows)
@@ -92,8 +92,8 @@ func TestCSVRowsMatchSequentialWriter(t *testing.T) {
 // formatting it on a worker gives the sequential writer's rows.
 func TestOneFlowLayout(t *testing.T) {
 	g := graph.New(1000)
-	if err := g.AddEdges(testEdges(40)); err != nil {
-		t.Fatal(err)
+	for _, e := range testEdges(40) {
+		g.AddEdge(e)
 	}
 	flows := netflow.FlowsFromGraph(g)
 	payload := replay.EncodeFlows(flows)
@@ -153,8 +153,8 @@ func TestKindsRunThroughRegistry(t *testing.T) {
 		t.Fatal("registry ndjson differs from direct NDJSONRows")
 	}
 	g := graph.New(1000)
-	if err := g.AddEdges(edges); err != nil {
-		t.Fatal(err)
+	for _, e := range edges {
+		g.AddEdge(e)
 	}
 	if !bytes.Equal(out, AppendNDJSON(nil, g.Cols())) {
 		t.Fatal("registry ndjson differs from the sequential encoder")

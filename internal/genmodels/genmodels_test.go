@@ -1,6 +1,7 @@
 package genmodels
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -19,7 +20,8 @@ func TestErdosRenyiSizesAndDistinct(t *testing.T) {
 	if s := g.Simplify(); s.NumEdges() != 500 {
 		t.Fatalf("ER edges not distinct: %d", s.NumEdges())
 	}
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Src == e.Dst {
 			t.Fatal("ER self-loop")
 		}
@@ -66,7 +68,8 @@ func TestWattsStrogatzLattice(t *testing.T) {
 		}
 	}
 	// Lattice structure: 0 connects to 1, 2, 3.
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Src == 0 && (e.Dst < 1 || e.Dst > 3) {
 			t.Fatalf("lattice edge 0->%d unexpected", e.Dst)
 		}
@@ -80,7 +83,8 @@ func TestWattsStrogatzRewiring(t *testing.T) {
 	}
 	// With beta=0.5 roughly half the edges leave the lattice neighborhood.
 	rewired := 0
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		diff := (int64(e.Dst) - int64(e.Src) + 200) % 200
 		if diff > 2 {
 			rewired++
@@ -89,7 +93,8 @@ func TestWattsStrogatzRewiring(t *testing.T) {
 	if rewired < 100 || rewired > 300 {
 		t.Fatalf("rewired = %d of 400, want ~200", rewired)
 	}
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Src == e.Dst {
 			t.Fatal("WS self-loop after rewiring")
 		}
@@ -161,7 +166,8 @@ func TestSBMBlockStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var within, across int
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		sameBlock := (e.Src < 50) == (e.Dst < 50)
 		if sameBlock {
 			within++
@@ -176,7 +182,8 @@ func TestSBMBlockStructure(t *testing.T) {
 	if across > 150 {
 		t.Fatalf("cross-block edges = %d, want ~50", across)
 	}
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Src == e.Dst {
 			t.Fatal("SBM self-loop")
 		}
@@ -257,10 +264,8 @@ func TestModelsDeterministic(t *testing.T) {
 		if a.NumEdges() != b.NumEdges() {
 			t.Fatalf("model %d not deterministic in size", i)
 		}
-		for j := range a.EdgeSlice() {
-			if a.EdgeSlice()[j] != b.EdgeSlice()[j] {
-				t.Fatalf("model %d edge %d differs", i, j)
-			}
+		if !bytes.Equal(a.AppendEdgeList(nil), b.AppendEdgeList(nil)) {
+			t.Fatalf("model %d edge lists differ", i)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // EdgeBatch is the columnar (struct-of-arrays) edge store: eleven parallel
 // columns holding the same information as []Edge, laid out so hot scans touch
@@ -30,13 +27,6 @@ const MaxBatchVertexID = VertexID(1<<32 - 1)
 
 // EdgeColumnBytes is what one edge occupies across the eleven columns.
 const EdgeColumnBytes = 4 + 4 + 1 + 1 + 2 + 2 + 5*8
-
-// NewEdgeBatch returns an empty batch with capacity for capacity edges.
-func NewEdgeBatch(capacity int) *EdgeBatch {
-	b := &EdgeBatch{}
-	b.Grow(capacity)
-	return b
-}
 
 // Len returns the number of edges in the batch.
 func (b *EdgeBatch) Len() int { return len(b.src) }
@@ -93,30 +83,6 @@ func (b *EdgeBatch) Append(e Edge) {
 	b.inByte = append(b.inByte, e.Props.InBytes)
 	b.outPkts = append(b.outPkts, e.Props.OutPkts)
 	b.inPkts = append(b.inPkts, e.Props.InPkts)
-}
-
-// AppendEdges bulk-appends a row-structured edge slice.
-func (b *EdgeBatch) AppendEdges(es []Edge) {
-	b.Grow(len(es))
-	for i := range es {
-		b.Append(es[i])
-	}
-}
-
-// AppendBatch appends every edge of o (column-wise copies, no per-edge work).
-func (b *EdgeBatch) AppendBatch(o *EdgeBatch) {
-	b.Grow(o.Len())
-	b.src = append(b.src, o.src...)
-	b.dst = append(b.dst, o.dst...)
-	b.proto = append(b.proto, o.proto...)
-	b.state = append(b.state, o.state...)
-	b.srcPort = append(b.srcPort, o.srcPort...)
-	b.dstPort = append(b.dstPort, o.dstPort...)
-	b.duration = append(b.duration, o.duration...)
-	b.outBytes = append(b.outBytes, o.outBytes...)
-	b.inByte = append(b.inByte, o.inByte...)
-	b.outPkts = append(b.outPkts, o.outPkts...)
-	b.inPkts = append(b.inPkts, o.inPkts...)
 }
 
 // SrcID returns the source vertex of edge i, touching only the src column.
@@ -177,12 +143,6 @@ func (b *EdgeBatch) Edge(i int) Edge {
 	return Edge{Src: b.SrcID(i), Dst: b.DstID(i), Props: b.Props(i)}
 }
 
-// SetEdge overwrites edge i in place.
-func (b *EdgeBatch) SetEdge(i int, e Edge) {
-	b.SetEndpoints(i, checkID(e.Src), checkID(e.Dst))
-	b.SetProps(i, e.Props)
-}
-
 // SetEndpoints overwrites the endpoints of edge i in place. Distinct indices
 // are distinct memory, so tasks owning disjoint ranges may write concurrently.
 func (b *EdgeBatch) SetEndpoints(i int, src, dst uint32) { b.src[i], b.dst[i] = src, dst }
@@ -213,46 +173,4 @@ func (b *EdgeBatch) Truncate(n int) {
 	b.inByte = b.inByte[:n]
 	b.outPkts = b.outPkts[:n]
 	b.inPkts = b.inPkts[:n]
-}
-
-// Reset empties the batch, keeping capacity for reuse.
-func (b *EdgeBatch) Reset() { b.Truncate(0) }
-
-// Clone returns a deep copy.
-func (b *EdgeBatch) Clone() *EdgeBatch {
-	out := NewEdgeBatch(b.Len())
-	out.AppendBatch(b)
-	return out
-}
-
-// Edges materializes the whole batch as a fresh row-structured slice. The
-// result shares no storage with the batch.
-func (b *EdgeBatch) Edges() []Edge {
-	out := make([]Edge, b.Len())
-	for i := range out {
-		out[i] = b.Edge(i)
-	}
-	return out
-}
-
-// batchPool recycles EdgeBatch column storage across pipeline stages (the
-// same discipline bufpool applies to the writers' buffers): borrow with
-// GetBatch, fill, hand off or consume, return with PutBatch. A returned
-// batch's columns are truncated, never zeroed — the next borrower appends
-// over them — so PutBatch must only be called once no live reference aliases
-// the batch (the property tests pin this down).
-var batchPool = sync.Pool{New: func() any { return new(EdgeBatch) }}
-
-// GetBatch borrows a reset batch with capacity for at least capacity edges.
-func GetBatch(capacity int) *EdgeBatch {
-	b := batchPool.Get().(*EdgeBatch)
-	b.Grow(capacity)
-	return b
-}
-
-// PutBatch resets b and returns it to the pool. The caller must not retain
-// any reference to b or its columns.
-func PutBatch(b *EdgeBatch) {
-	b.Reset()
-	batchPool.Put(b)
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // CSR is a compressed sparse row view of a graph's adjacency, used by the
 // iterative algorithms (PageRank, BFS) that need fast neighbor scans. It is
 // immutable once built.
@@ -59,22 +57,4 @@ func buildCSR(g *Graph, reverse bool) *CSR {
 		cursor[src]++
 	}
 	return &CSR{Offsets: offsets, Targets: targets}
-}
-
-// SortNeighbors sorts each adjacency list ascending, enabling binary-search
-// membership tests.
-func (c *CSR) SortNeighbors() {
-	n := c.NumVertices()
-	for v := int64(0); v < n; v++ {
-		nb := c.Targets[c.Offsets[v]:c.Offsets[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-	}
-}
-
-// HasArc reports whether an arc v->w is stored. Requires SortNeighbors to
-// have been called.
-func (c *CSR) HasArc(v, w VertexID) bool {
-	nb := c.Neighbors(v)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= w })
-	return i < len(nb) && nb[i] == w
 }

@@ -55,23 +55,6 @@ func TestCSRMultiEdges(t *testing.T) {
 	}
 }
 
-func TestHasArc(t *testing.T) {
-	g := New(5)
-	g.AddEdge(Edge{Src: 0, Dst: 4})
-	g.AddEdge(Edge{Src: 0, Dst: 1})
-	g.AddEdge(Edge{Src: 0, Dst: 3})
-	c := BuildCSR(g)
-	c.SortNeighbors()
-	for _, w := range []VertexID{1, 3, 4} {
-		if !c.HasArc(0, w) {
-			t.Errorf("HasArc(0,%d) = false, want true", w)
-		}
-	}
-	if c.HasArc(0, 2) || c.HasArc(1, 0) {
-		t.Error("HasArc reported nonexistent arc")
-	}
-}
-
 func TestCSREmptyGraph(t *testing.T) {
 	g := New(0)
 	c := BuildCSR(g)

@@ -159,20 +159,12 @@ func (g *Graph) NumEdges() int64 { return int64(g.cols.Len()) }
 
 // Cols returns the graph's columnar edge store. The batch is shared with the
 // graph: callers may read the columns freely (and mutate properties in place
-// via SetEdge/SetProps) but must not append through it — edge creation goes
-// through AddEdge/AddEdges/AppendBatch so endpoint validation holds. The one
+// via SetProps) but must not append through it — edge creation goes through
+// AddEdge so endpoint validation holds. The one
 // other route is the generators' fill: NewFilled sizes the columns, tasks
 // overwrite disjoint index ranges with SetEndpoints/SetProps, and a final
 // Validate checks every endpoint at once.
 func (g *Graph) Cols() *EdgeBatch { return &g.cols }
-
-// EdgeAt materializes edge i as a row struct.
-func (g *Graph) EdgeAt(i int) Edge { return g.cols.Edge(i) }
-
-// EdgeSlice materializes the edge list as a fresh []Edge in edge order. It
-// is the bridge to row-structured consumers (the cluster dataset API); the
-// result shares no storage with the graph.
-func (g *Graph) EdgeSlice() []Edge { return g.cols.Edges() }
 
 // AddEdge appends a directed edge. Both endpoints must already exist.
 func (g *Graph) AddEdge(e Edge) {
@@ -180,31 +172,6 @@ func (g *Graph) AddEdge(e Edge) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.Src, e.Dst, g.numVertices))
 	}
 	g.cols.Append(e)
-}
-
-// AddEdges appends a batch of edges without per-edge bounds checks; the batch
-// is validated once. It is the bulk path used by the generators.
-func (g *Graph) AddEdges(es []Edge) error {
-	for i := range es {
-		if es[i].Src < 0 || int64(es[i].Src) >= g.numVertices || es[i].Dst < 0 || int64(es[i].Dst) >= g.numVertices {
-			return fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", i, es[i].Src, es[i].Dst, g.numVertices)
-		}
-	}
-	g.cols.AppendEdges(es)
-	return nil
-}
-
-// AppendBatch appends every edge of b (validated once, copied column-wise).
-// It is the zero-boxing bulk path: edges flow from a generator's pooled
-// batch into the graph without ever materializing row structs.
-func (g *Graph) AppendBatch(b *EdgeBatch) error {
-	for i, s := range b.src {
-		if int64(s) >= g.numVertices || int64(b.dst[i]) >= g.numVertices {
-			return fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", i, s, b.dst[i], g.numVertices)
-		}
-	}
-	g.cols.AppendBatch(b)
-	return nil
 }
 
 // SetAddr associates an IPv4 address (big-endian uint32) with vertex v.
@@ -271,17 +238,6 @@ func (g *Graph) Simplify() *Graph {
 		}
 		seen[k] = struct{}{}
 		out.cols.Append(Edge{Src: k[0], Dst: k[1]})
-	}
-	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := &Graph{numVertices: g.numVertices}
-	out.cols = *g.cols.Clone()
-	if g.addrs != nil {
-		out.addrs = make([]uint32, len(g.addrs))
-		copy(out.addrs, g.addrs)
 	}
 	return out
 }

@@ -27,9 +27,14 @@ func TestZeroValueUsable(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if err := g.AddEdges([]Edge{{Src: 0, Dst: 0}}); err == nil {
-		t.Fatal("AddEdges accepted an edge on a graph with no vertices")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AddEdge accepted an edge on a graph with no vertices")
+			}
+		}()
+		g.AddEdge(Edge{Src: 0, Dst: 0})
+	}()
 	if got := string(g.AppendEdgeList(nil)); got != EdgeListHeader {
 		t.Fatalf("zero value encodes as %q, want the bare header", got)
 	}
@@ -46,19 +51,6 @@ func TestAddEdgePanicsOutOfRange(t *testing.T) {
 			}()
 			g.AddEdge(e)
 		}()
-	}
-}
-
-func TestAddEdgesValidatesBatch(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdges([]Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}); err != nil {
-		t.Fatalf("AddEdges valid batch: %v", err)
-	}
-	if err := g.AddEdges([]Edge{{Src: 0, Dst: 3}}); err == nil {
-		t.Fatal("AddEdges accepted out-of-range edge")
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d after rejected batch, want 2", g.NumEdges())
 	}
 }
 
@@ -111,9 +103,9 @@ func TestSimplifyDedupsAndStripsProps(t *testing.T) {
 	if s.NumVertices() != 3 {
 		t.Fatalf("Simplify vertices = %d, want 3", s.NumVertices())
 	}
-	for _, e := range s.EdgeSlice() {
-		if e.Props != (EdgeProps{}) {
-			t.Fatalf("Simplify kept properties on %v", e)
+	for i := 0; i < s.cols.Len(); i++ {
+		if p := s.cols.Props(i); p != (EdgeProps{}) {
+			t.Fatalf("Simplify kept properties %v on edge %d", p, i)
 		}
 	}
 }
@@ -125,24 +117,6 @@ func TestSimplifyDirectionality(t *testing.T) {
 	g.AddEdge(Edge{Src: 1, Dst: 0})
 	if s := g.Simplify(); s.NumEdges() != 2 {
 		t.Fatalf("Simplify edges = %d, want 2 (directed pairs)", s.NumEdges())
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := New(2)
-	g.AddEdge(Edge{Src: 0, Dst: 1})
-	g.SetAddr(0, 0x0a000001)
-	c := g.Clone()
-	c.AddEdge(Edge{Src: 1, Dst: 0})
-	c.SetAddr(1, 0x0a000002)
-	if g.NumVertices() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("clone mutated original: %d vertices %d edges", g.NumVertices(), g.NumEdges())
-	}
-	if g.Addr(1) != 0 {
-		t.Fatalf("clone mutated original address table")
-	}
-	if c.Addr(0) != 0x0a000001 {
-		t.Fatalf("clone lost address")
 	}
 }
 

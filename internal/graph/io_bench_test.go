@@ -9,9 +9,8 @@ import (
 func benchGraph(b *testing.B, edges int) *Graph {
 	b.Helper()
 	g := NewWithCapacity(int64(edges/4+2), int64(edges))
-	es := make([]Edge, edges)
-	for i := range es {
-		es[i] = Edge{
+	for i := 0; i < edges; i++ {
+		g.AddEdge(Edge{
 			Src: VertexID(i % (edges / 4)), Dst: VertexID((i + 1) % (edges / 4)),
 			Props: EdgeProps{
 				Protocol: ProtoTCP, State: StateSF,
@@ -19,10 +18,7 @@ func benchGraph(b *testing.B, edges int) *Graph {
 				Duration: int64(i % 5000), OutBytes: int64(100 + i%1400),
 				InBytes: int64(40 + i%400), OutPkts: int64(1 + i%10), InPkts: int64(1 + i%8),
 			},
-		}
-	}
-	if err := g.AddEdges(es); err != nil {
-		b.Fatal(err)
+		})
 	}
 	return g
 }

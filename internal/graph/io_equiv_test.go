@@ -96,7 +96,7 @@ func TestWriteMatchesRecordReference(t *testing.T) {
 			want = binary.LittleEndian.AppendUint32(want, g.Addr(VertexID(v)))
 		}
 		for i := 0; i < edges; i++ {
-			e := g.EdgeAt(i)
+			e := g.cols.Edge(i)
 			want = AppendEdgeRecord(want, &e)
 		}
 		var grown bytes.Buffer

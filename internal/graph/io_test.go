@@ -22,9 +22,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip size mismatch: %d/%d vs %d/%d",
 			got.NumVertices(), got.NumEdges(), g.NumVertices(), g.NumEdges())
 	}
-	for i := range g.EdgeSlice() {
-		if g.EdgeSlice()[i] != got.EdgeSlice()[i] {
-			t.Fatalf("edge %d mismatch: %+v vs %+v", i, g.EdgeSlice()[i], got.EdgeSlice()[i])
+	for i := 0; i < g.cols.Len(); i++ {
+		if a, b := g.cols.Edge(i), got.cols.Edge(i); a != b {
+			t.Fatalf("edge %d mismatch: %+v vs %+v", i, a, b)
 		}
 	}
 }

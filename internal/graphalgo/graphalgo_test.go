@@ -69,7 +69,8 @@ func TestWeakComponentsInvariants(t *testing.T) {
 			g.AddEdge(graph.Edge{Src: graph.VertexID(rng.Int64N(n)), Dst: graph.VertexID(rng.Int64N(n))})
 		}
 		c := WeakComponents(g)
-		for _, e := range g.EdgeSlice() {
+		for i := range g.Cols().Len() {
+			e := g.Cols().Edge(i)
 			if c.Label[e.Src] != c.Label[e.Dst] {
 				return false
 			}

@@ -143,8 +143,9 @@ func distinctU16(xs []uint16) int64 {
 }
 
 // DetectGraphDirect runs the Figure 4 decision flow over graph-side
-// aggregation, avoiding the flow-record materialization of DetectGraph.
-// Results are identical; this is the fast path for synthetic datasets.
+// aggregation, avoiding the flow-record materialization of
+// Detect(netflow.FlowsFromGraph(g)). Results are identical; this is the fast
+// path for synthetic datasets.
 func (d *Detector) DetectGraphDirect(g *graph.Graph) []Alert {
 	byDst, bySrc := AggregateGraph(g)
 	return d.classify(nil, byDst, bySrc)

@@ -17,7 +17,6 @@ import (
 	"slices"
 	"sort"
 
-	"csb/internal/graph"
 	"csb/internal/netflow"
 	"csb/internal/pcap"
 )
@@ -337,12 +336,6 @@ func (d *Detector) classify(alerts []Alert, byDst, bySrc []Pattern) []Alert {
 	}
 	slices.SortFunc(alerts[n:], byIP)
 	return alerts
-}
-
-// DetectGraph runs detection over a property graph by converting its edges
-// to flow records, which is how the benchmark exercises synthetic datasets.
-func (d *Detector) DetectGraph(g *graph.Graph) []Alert {
-	return d.Detect(netflow.FlowsFromGraph(g))
 }
 
 // classifyDst implements the destination-based half of Figure 4.

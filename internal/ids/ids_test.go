@@ -219,7 +219,7 @@ func TestDetectGraphPath(t *testing.T) {
 	// from attack flows and detect on the graph.
 	g := netflow.BuildGraph(hostScanFlows(0x0a000009, 200))
 	det := NewDetector(DefaultThresholds())
-	alerts := det.DetectGraph(g)
+	alerts := det.Detect(netflow.FlowsFromGraph(g))
 	var found bool
 	for _, a := range alerts {
 		if a.Type == AttackHostScan {
@@ -288,7 +288,7 @@ func TestDetectGraphDirectMatchesDetectGraph(t *testing.T) {
 	flows = append(flows, synFloodFlows(0x0a000005, 2500)...)
 	g := netflow.BuildGraph(flows)
 	det := NewDetector(DefaultThresholds())
-	a := det.DetectGraph(g)
+	a := det.Detect(netflow.FlowsFromGraph(g))
 	b := det.DetectGraphDirect(g)
 	if len(a) != len(b) {
 		t.Fatalf("alert counts differ: %d vs %d", len(a), len(b))

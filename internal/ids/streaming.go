@@ -209,11 +209,3 @@ func (s *StreamDetector) closeWindow() {
 		s.sink(a)
 	}
 }
-
-// Pending returns the number of flows folded into the open window so far (not
-// counting flows still held in the reorder buffer).
-func (s *StreamDetector) Pending() int { return s.open }
-
-// Buffered returns the number of flows held in the reorder buffer awaiting
-// their release watermark.
-func (s *StreamDetector) Buffered() int { return len(s.pending) }

@@ -104,13 +104,13 @@ func TestStreamFlushIdempotentAndPending(t *testing.T) {
 	for _, f := range streamScan(0x0a000005, 300, 0, 30*1e6) {
 		s.Add(f)
 	}
-	if s.Pending() != 300 {
-		t.Fatalf("pending = %d", s.Pending())
+	if s.open != 300 {
+		t.Fatalf("pending = %d", s.open)
 	}
 	s.Flush()
 	s.Flush() // second flush is a no-op
-	if s.Pending() != 0 {
-		t.Fatalf("pending after flush = %d", s.Pending())
+	if s.open != 0 {
+		t.Fatalf("pending after flush = %d", s.open)
 	}
 	if len(alerts) != 1 {
 		t.Fatalf("alerts = %d", len(alerts))
@@ -149,14 +149,14 @@ func TestStreamWindowBoundaryFlow(t *testing.T) {
 	s := NewStreamDetector(DefaultThresholds(), window, func(Alert) {})
 	s.Add(netflow.Flow{SrcIP: 1, DstIP: 2, StartMicros: 0, EndMicros: 1000, OutPkts: 1})
 	s.Add(netflow.Flow{SrcIP: 1, DstIP: 2, StartMicros: window - 1, EndMicros: window, OutPkts: 1})
-	if s.Pending() != 2 || s.windowIdx != 0 {
-		t.Fatalf("pre-boundary: pending=%d windowIdx=%d", s.Pending(), s.windowIdx)
+	if s.open != 2 || s.windowIdx != 0 {
+		t.Fatalf("pre-boundary: pending=%d windowIdx=%d", s.open, s.windowIdx)
 	}
 	// Exactly on the boundary: closes window 0, lands alone in window 1.
 	s.Add(netflow.Flow{SrcIP: 1, DstIP: 2, StartMicros: window, EndMicros: window + 1000, OutPkts: 1})
-	if s.Pending() != 1 || s.windowIdx != 1 || s.start != window {
+	if s.open != 1 || s.windowIdx != 1 || s.start != window {
 		t.Fatalf("boundary flow misplaced: pending=%d windowIdx=%d start=%d",
-			s.Pending(), s.windowIdx, s.start)
+			s.open, s.windowIdx, s.start)
 	}
 }
 
@@ -258,8 +258,8 @@ func TestStreamLateFlowTypedError(t *testing.T) {
 	if late.StartMicros != 10*1e6 {
 		t.Fatalf("late = %+v", late)
 	}
-	if s.LateFlows() != 1 || s.Pending() != 1 {
-		t.Fatalf("late=%d pending=%d", s.LateFlows(), s.Pending())
+	if s.LateFlows() != 1 || s.open != 1 {
+		t.Fatalf("late=%d pending=%d", s.LateFlows(), s.open)
 	}
 
 	// With a horizon: in-horizon reordering is absorbed, beyond-horizon is
@@ -445,8 +445,8 @@ func TestStreamMatchesWindowedReference(t *testing.T) {
 				}
 			}
 			s.Flush()
-			if s.Pending() != 0 || s.Buffered() != 0 || s.LateFlows() != 0 {
-				t.Fatalf("seed %d %s: after Flush pending %d, buffered %d, late %d", seed, name, s.Pending(), s.Buffered(), s.LateFlows())
+			if s.open != 0 || len(s.pending) != 0 || s.LateFlows() != 0 {
+				t.Fatalf("seed %d %s: after Flush pending %d, buffered %d, late %d", seed, name, s.open, len(s.pending), s.LateFlows())
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d %s: %d alerts, the reference raises %d\n got %v\nwant %v", seed, name, len(got), len(want), got, want)

@@ -1,6 +1,7 @@
 package kronecker
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -60,7 +61,8 @@ func TestDeterministicPathGraph(t *testing.T) {
 	if g.NumEdges() != 4 {
 		t.Fatalf("edges = %d, want 4", g.NumEdges())
 	}
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Src != 0 {
 			t.Fatalf("unexpected edge %v", e)
 		}
@@ -94,7 +96,8 @@ func TestGenerateDistinctAndSized(t *testing.T) {
 		t.Fatalf("vertices = %d, want 1024", g.NumVertices())
 	}
 	seen := map[[2]int64]bool{}
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		k := [2]int64{int64(e.Src), int64(e.Dst)}
 		if seen[k] {
 			t.Fatalf("duplicate edge %v", k)
@@ -129,10 +132,8 @@ func TestGenerateValidation(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	a, _ := Generate(DefaultInitiator(), 9, 500, 7)
 	b, _ := Generate(DefaultInitiator(), 9, 500, 7)
-	for i := range a.EdgeSlice() {
-		if a.EdgeSlice()[i] != b.EdgeSlice()[i] {
-			t.Fatalf("edge %d differs", i)
-		}
+	if !bytes.Equal(a.AppendEdgeList(nil), b.AppendEdgeList(nil)) {
+		t.Fatal("edge lists differ")
 	}
 }
 
@@ -146,7 +147,8 @@ func TestGenerateCoreConcentration(t *testing.T) {
 	}
 	n := g.NumVertices()
 	var low, high int64
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if int64(e.Src) < n/2 {
 			low++
 		} else {
@@ -179,7 +181,8 @@ func TestGenerateParallelMatchesContract(t *testing.T) {
 		t.Fatalf("edges = %d, want 2000", g.NumEdges())
 	}
 	seen := map[[2]int64]bool{}
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		k := [2]int64{int64(e.Src), int64(e.Dst)}
 		if seen[k] {
 			t.Fatalf("duplicate edge %v", k)

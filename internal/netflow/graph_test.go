@@ -39,7 +39,7 @@ func TestBuildGraph(t *testing.T) {
 	if g.Addr(0) != hostA || g.Addr(1) != hostB || g.Addr(2) != 0x0a000003 {
 		t.Fatalf("addresses wrong: %x %x %x", g.Addr(0), g.Addr(1), g.Addr(2))
 	}
-	e := g.EdgeSlice()[0]
+	e := g.Cols().Edge(0)
 	if e.Src != 0 || e.Dst != 1 {
 		t.Errorf("edge 0 endpoints %d->%d, want 0->1", e.Src, e.Dst)
 	}
@@ -144,7 +144,8 @@ func TestEndToEndTraceToGraph(t *testing.T) {
 		t.Errorf("edges = %d, want ~500", g.NumEdges())
 	}
 	// Every edge must carry plausible Netflow properties.
-	for _, e := range g.EdgeSlice() {
+	for i := range g.Cols().Len() {
+		e := g.Cols().Edge(i)
 		if e.Props.Protocol == graph.ProtoUnknown {
 			t.Fatal("edge with unknown protocol")
 		}

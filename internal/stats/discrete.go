@@ -162,27 +162,6 @@ func (d *Discrete) Mean() float64 { return d.mean }
 // shared; callers must not modify it.
 func (d *Discrete) Support() []int64 { return d.values }
 
-// Prob returns P[X == v].
-func (d *Discrete) Prob(v int64) float64 {
-	i := sort.Search(len(d.values), func(i int) bool { return d.values[i] >= v })
-	if i == len(d.values) || d.values[i] != v {
-		return 0
-	}
-	if i == 0 {
-		return d.cum[0]
-	}
-	return d.cum[i] - d.cum[i-1]
-}
-
-// CDF returns P[X <= v].
-func (d *Discrete) CDF(v int64) float64 {
-	i := sort.Search(len(d.values), func(i int) bool { return d.values[i] > v })
-	if i == 0 {
-		return 0
-	}
-	return d.cum[i-1]
-}
-
 // Min and Max return the support bounds.
 func (d *Discrete) Min() int64 { return d.values[0] }
 

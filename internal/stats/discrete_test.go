@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -43,10 +44,10 @@ func TestDiscreteProbCDF(t *testing.T) {
 		{5, 0, 1},
 	}
 	for _, c := range cases {
-		if got := d.Prob(c.v); math.Abs(got-c.p) > 1e-12 {
-			t.Errorf("Prob(%d) = %g, want %g", c.v, got, c.p)
+		if got := prob(d, c.v); math.Abs(got-c.p) > 1e-12 {
+			t.Errorf("P[X == %d] = %g, want %g", c.v, got, c.p)
 		}
-		if got := d.CDF(c.v); math.Abs(got-c.c) > 1e-12 {
+		if got := cdf(d, c.v); math.Abs(got-c.c) > 1e-12 {
 			t.Errorf("CDF(%d) = %g, want %g", c.v, got, c.c)
 		}
 	}
@@ -89,11 +90,11 @@ func TestDegreeDistributionSkipsZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Prob(0) != 0 {
+	if prob(d, 0) != 0 {
 		t.Error("zero degree included in distribution")
 	}
-	if math.Abs(d.Prob(1)-2.0/3) > 1e-12 || math.Abs(d.Prob(3)-1.0/3) > 1e-12 {
-		t.Errorf("degree probs wrong: P(1)=%g P(3)=%g", d.Prob(1), d.Prob(3))
+	if math.Abs(prob(d, 1)-2.0/3) > 1e-12 || math.Abs(prob(d, 3)-1.0/3) > 1e-12 {
+		t.Errorf("degree probs wrong: P(1)=%g P(3)=%g", prob(d, 1), prob(d, 3))
 	}
 	if _, err := DegreeDistribution([]int64{0, 0}); err == nil {
 		t.Error("all-zero degree vector accepted")
@@ -174,8 +175,8 @@ func TestDiscreteSerializationRoundTrip(t *testing.T) {
 		t.Fatal("summary stats differ")
 	}
 	for _, v := range d.Support() {
-		if got.Prob(v) != d.Prob(v) {
-			t.Fatalf("Prob(%d) differs", v)
+		if prob(got, v) != prob(d, v) {
+			t.Fatalf("P[X == %d] differs", v)
 		}
 	}
 	// Bit-identical sampling under the same stream.
@@ -224,3 +225,15 @@ func TestReadDiscreteRejectsGarbage(t *testing.T) {
 		t.Errorf("torn 2^24-value distribution: err = %v, want ErrCorrupt", err)
 	}
 }
+
+// cdf returns P[X <= v].
+func cdf(d *Discrete, v int64) float64 {
+	i := sort.Search(len(d.values), func(i int) bool { return d.values[i] > v })
+	if i == 0 {
+		return 0
+	}
+	return d.cum[i-1]
+}
+
+// prob returns P[X == v] of an integer-valued distribution.
+func prob(d *Discrete, v int64) float64 { return cdf(d, v) - cdf(d, v-1) }

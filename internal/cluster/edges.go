@@ -2,46 +2,6 @@ package cluster
 
 import "csb/internal/graph"
 
-// This file is the columnar bridge between the graph's struct-of-arrays edge
-// store (graph.EdgeBatch) and the row-structured Dataset engine. Shuffle
-// operators move individual elements and stay generic; the pipeline endpoints
-// — loading a graph's edges into a dataset and filling a graph's columns from
-// a dataset — stream batch columns instead of materializing one monolithic
-// []Edge on each side.
-
-// ParallelizeEdges splits the edges of a columnar batch into balanced
-// partitions, materializing rows once per partition. The partition boundaries
-// are exactly Parallelize's (base = len/p with the remainder spread over the
-// first len%p partitions), so downstream stages see the same input that
-// Parallelize over a materialized []Edge would give them — without the
-// intermediate full-graph []Edge copy.
-func ParallelizeEdges(c *Cluster, b *graph.EdgeBatch, partitions int) *Dataset[graph.Edge] {
-	p := c.defaultPartitions(partitions)
-	n := b.Len()
-	if p > n {
-		p = n
-	}
-	if n == 0 {
-		return newDataset(c, make([][]graph.Edge, 0))
-	}
-	parts := make([][]graph.Edge, p)
-	base, rem := n/p, n%p
-	lo := 0
-	for i := range parts {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		part := make([]graph.Edge, sz)
-		for j := range part {
-			part[j] = b.Edge(lo + j)
-		}
-		parts[i] = part
-		lo += sz
-	}
-	return newDataset(c, parts)
-}
-
 // FillGraph is the generators' last stage: it builds the output graph of
 // numVertices vertices and in.Count() edges without an intermediate row
 // dataset. One mapPartitions task per partition calls fill(part, xs, cols,

@@ -1,17 +1,20 @@
-// Package rows makes artifact row encoding remotable: a partition of binary
-// edge records (graph.AppendEdgeRecord) or flow records (replay.EncodeFlows)
-// becomes a payload any worker can format into the exact text rows the
-// sequential encoders produce. Each kind wraps the same single-row formatter
-// the local encoder uses (graph.AppendEdgeListRow, netflow.AppendCSVRow,
-// appendNDJSONRow), so a chunk encoded on a worker is byte-for-byte the chunk
-// the coordinator would have written — the distributed artifact is the
-// ordered concatenation of header plus chunks.
+// Package rows encodes the text artifact formats, in-process or as a
+// remotable row stage. Each format has one range formatter that appends the
+// rows of a graph's edges [lo, hi) straight from the columns: the in-process
+// encoder runs it over [0, n) and the chunk stage over each partition's
+// [lo, hi). A partition can instead ship as a payload of binary edge records
+// (graph.AppendEdgeRecord) or flow records (replay.EncodeFlow) that any
+// worker formats, through the same single-row formatter
+// (graph.AppendEdgeListRow, netflow.AppendCSVRow, appendNDJSONRow), into
+// byte-for-byte the chunk the coordinator would have written — the
+// distributed artifact is the ordered concatenation of header plus chunks.
 package rows
 
 import (
 	"fmt"
 	"strconv"
 
+	"csb/internal/cluster"
 	"csb/internal/dist/task"
 	"csb/internal/graph"
 	"csb/internal/netflow"
@@ -19,26 +22,104 @@ import (
 )
 
 // Registered remote kinds: payload records in, text rows out. The csv
-// payload is the CSBF1 flow section (replay.EncodeFlows, 80-byte records);
-// the kind is rows.csv2 so a worker built for the 78-byte rows.csv payload
-// declines the task rather than mis-decoding it.
+// payload is the CSBF1 flow section (80-byte replay flow records); the kind
+// is rows.csv2 so a worker built for the 78-byte rows.csv payload declines
+// the task rather than mis-decoding it.
 const (
-	TSVKind    = "rows.tsv"    // graph edge records -> tab-separated rows
-	NDJSONKind = "rows.ndjson" // graph edge records -> NDJSON objects
-	CSVKind    = "rows.csv2"   // replay flow records -> CSV rows
+	tsvKind    = "rows.tsv"    // graph edge records -> tab-separated rows
+	ndjsonKind = "rows.ndjson" // graph edge records -> NDJSON objects
+	csvKind    = "rows.csv2"   // replay flow records -> CSV rows
 )
 
 func init() {
-	task.Register(TSVKind, runTSV)
-	task.Register(NDJSONKind, runNDJSON)
-	task.Register(CSVKind, runCSV)
+	task.Register(tsvKind, runTSV)
+	task.Register(ndjsonKind, runNDJSON)
+	task.Register(csvKind, runCSV)
 }
 
-// EncodeEdges renders a partition of edges as a row-encode payload.
-func EncodeEdges(edges []graph.Edge) []byte {
-	out := make([]byte, 0, len(edges)*graph.EdgeRecordLen)
-	for i := range edges {
-		out = graph.AppendEdgeRecord(out, &edges[i])
+// Format is one text artifact format as a remotable row stage.
+type Format struct {
+	header   string // written once, before the rows
+	kind     string // the task kind a worker formats payload's bytes with
+	rowBytes int    // per-row capacity estimate, so a presized output does not regrow
+	// rows is the format's range formatter: it appends the rows of g's
+	// edges [lo, hi) to dst, in edge order, straight from the columns.
+	rows func(dst []byte, g *graph.Graph, lo, hi int) []byte
+	// payload renders edges [lo, hi) as the records kind formats into
+	// exactly rows' bytes.
+	payload func(g *graph.Graph, lo, hi int) []byte
+}
+
+// The text artifact formats.
+var (
+	TSV    = Format{graph.EdgeListHeader, tsvKind, graph.EdgeListRowBytes, tsvRows, edgeRecords}
+	NDJSON = Format{"", ndjsonKind, ndjsonRowBytes, ndjsonRows, edgeRecords}
+	CSV    = Format{netflow.CSVHeaderLine, csvKind, netflow.CSVRowBytes, csvRows, flowRecords}
+)
+
+// Encode returns g's artifact in format f: the header, then the rows of
+// every edge. Without a cluster, or on one without a TaskExecutor, the rows
+// of [0, n) are appended into one slice presized from the row-width
+// estimate, so it does not regrow. On a cluster with a TaskExecutor they
+// encode chunk-parallel as one remotable row stage: the edges are
+// partitioned as Parallelize partitions n elements, each task formats its
+// [lo, hi) or ships it as a payload a worker formats into the same bytes,
+// and the header and chunks are concatenated in partition order into one
+// slice of their exact total size. Partitioning follows only the cluster
+// shape, so the bytes are identical on every worker count.
+func (f *Format) Encode(g *graph.Graph, c *cluster.Cluster) ([]byte, error) {
+	n := int(g.NumEdges())
+	if c == nil || c.Config().Executor == nil {
+		out := append(make([]byte, 0, len(f.header)+n*f.rowBytes), f.header...)
+		return f.rows(out, g, 0, n), nil
+	}
+	ds := cluster.Parallelize(c, make([]struct{}, n), 0)
+	offsets := ds.Offsets()
+	chunks := cluster.MapPartitionsRemotable(ds, f.kind,
+		func(part int, xs []struct{}) []byte {
+			lo := int(offsets[part])
+			return f.rows(make([]byte, 0, len(xs)*f.rowBytes), g, lo, lo+len(xs))
+		},
+		func(part int, xs []struct{}) []byte {
+			lo := int(offsets[part])
+			return f.payload(g, lo, lo+len(xs))
+		},
+		func(result []byte) ([]byte, error) { return result, nil })
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	size := len(f.header)
+	for i := 0; i < chunks.NumPartitions(); i++ {
+		size += len(chunks.Partition(i))
+	}
+	out := append(make([]byte, 0, size), f.header...)
+	for i := 0; i < chunks.NumPartitions(); i++ {
+		out = append(out, chunks.Partition(i)...)
+	}
+	return out, nil
+}
+
+// edgeRecords is the tsv and ndjson payload: edges [lo, hi) as binary edge
+// records.
+func edgeRecords(g *graph.Graph, lo, hi int) []byte {
+	cols := g.Cols()
+	out := make([]byte, 0, (hi-lo)*graph.EdgeRecordLen)
+	for i := lo; i < hi; i++ {
+		e := cols.Edge(i)
+		out = graph.AppendEdgeRecord(out, &e)
+	}
+	return out
+}
+
+// flowRecords is the csv payload: edges [lo, hi) projected into flows
+// (netflow.EdgeFlow) as replay flow records.
+func flowRecords(g *graph.Graph, lo, hi int) []byte {
+	out := make([]byte, 0, (hi-lo)*replay.FlowRecordLen)
+	var f netflow.Flow
+	for i := lo; i < hi; i++ {
+		netflow.EdgeFlow(&f, g, i)
+		rec := replay.EncodeFlow(&f)
+		out = append(out, rec[:]...)
 	}
 	return out
 }
@@ -52,14 +133,13 @@ func records(payload []byte, recLen int, what string) (int, error) {
 	return len(payload) / recLen, nil
 }
 
-// TSVRows formats edges as edge-list rows (no header): the local half of the
-// tsv stage, whose remote half (runTSV) formats the same rows from records.
-func TSVRows(edges []graph.Edge) []byte {
-	out := make([]byte, 0, len(edges)*graph.EdgeListRowBytes)
-	for i := range edges {
-		out = graph.AppendEdgeListRow(out, &edges[i])
+func tsvRows(dst []byte, g *graph.Graph, lo, hi int) []byte {
+	cols := g.Cols()
+	for i := lo; i < hi; i++ {
+		e := cols.Edge(i)
+		dst = graph.AppendEdgeListRow(dst, &e)
 	}
-	return out
+	return dst
 }
 
 func runTSV(payload []byte) ([]byte, error) {
@@ -75,19 +155,18 @@ func runTSV(payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// NDJSONRowBytes is the capacity an NDJSON encoder reserves per row: the
+// ndjsonRowBytes is the capacity an NDJSON encoder reserves per row: the
 // row's 125 bytes of keys and punctuation plus the values of a typical
 // edge-list row (EdgeListRowBytes less its 11 separators), so a presized
 // output does not regrow.
-const NDJSONRowBytes = 125 + graph.EdgeListRowBytes - 11
+const ndjsonRowBytes = 125 + graph.EdgeListRowBytes - 11
 
 // appendNDJSONRow appends e's NDJSON object and a newline to dst; the keys
 // mirror the TSV edge-list header. Every value is an integer or one of the
 // fixed protocol and state tokens, none of which needs JSON escaping, and
 // encoding/json formats integers with these same strconv calls — so the
 // bytes are exactly json.Marshal's plus '\n' (TestNDJSONRowMatchesMarshal).
-// The sequential encoder (AppendNDJSON) and both halves of the ndjson stage
-// funnel through this single formatter.
+// Both halves of the ndjson stage funnel through this single formatter.
 func appendNDJSONRow(dst []byte, e *graph.Edge) []byte {
 	b := append(dst, `{"src":`...)
 	b = strconv.AppendInt(b, int64(e.Src), 10)
@@ -114,21 +193,10 @@ func appendNDJSONRow(dst []byte, e *graph.Edge) []byte {
 	return append(b, "\"}\n"...)
 }
 
-// NDJSONRows formats edges as newline-delimited JSON objects.
-func NDJSONRows(edges []graph.Edge) []byte {
-	out := make([]byte, 0, len(edges)*NDJSONRowBytes)
-	for i := range edges {
-		out = appendNDJSONRow(out, &edges[i])
-	}
-	return out
-}
-
-// AppendNDJSON appends a columnar edge batch as NDJSON to dst, one object
-// per edge in edge order, streaming straight over the columns without
-// materializing a row slice.
-func AppendNDJSON(dst []byte, b *graph.EdgeBatch) []byte {
-	for i, n := 0, b.Len(); i < n; i++ {
-		e := b.Edge(i)
+func ndjsonRows(dst []byte, g *graph.Graph, lo, hi int) []byte {
+	cols := g.Cols()
+	for i := lo; i < hi; i++ {
+		e := cols.Edge(i)
 		dst = appendNDJSONRow(dst, &e)
 	}
 	return dst
@@ -139,7 +207,7 @@ func runNDJSON(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, n*NDJSONRowBytes)
+	out := make([]byte, 0, n*ndjsonRowBytes)
 	for ; len(payload) > 0; payload = payload[graph.EdgeRecordLen:] {
 		e := graph.DecodeEdgeRecord(payload)
 		out = appendNDJSONRow(out, &e)
@@ -147,13 +215,13 @@ func runNDJSON(payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// CSVRows formats flows as CSV rows (no header).
-func CSVRows(flows []netflow.Flow) []byte {
-	out := make([]byte, 0, len(flows)*netflow.CSVRowBytes)
-	for i := range flows {
-		out = netflow.AppendCSVRow(out, &flows[i])
+func csvRows(dst []byte, g *graph.Graph, lo, hi int) []byte {
+	var f netflow.Flow
+	for i := lo; i < hi; i++ {
+		netflow.EdgeFlow(&f, g, i)
+		dst = netflow.AppendCSVRow(dst, &f)
 	}
-	return out
+	return dst
 }
 
 func runCSV(payload []byte) ([]byte, error) {

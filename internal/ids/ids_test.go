@@ -259,54 +259,6 @@ func TestTrainThresholdsDefaultsOnBadArgs(t *testing.T) {
 	}
 }
 
-func TestAggregateGraphMatchesFlowPath(t *testing.T) {
-	// Both aggregation paths over the same graph must produce identical
-	// pattern tables.
-	flows := backgroundFlows(t, 30, 400, 17)
-	flows = append(flows, hostScanFlows(0x0a000003, 300)...)
-	g := netflow.BuildGraph(flows)
-
-	gd, gs := AggregateGraph(g)
-	fd, fs := AggregatePatterns(netflow.FlowsFromGraph(g))
-	compare := func(name string, a, b []Pattern) {
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d vs %d patterns", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s pattern %d differs:\n graph %+v\n flows %+v", name, i, a[i], b[i])
-			}
-		}
-	}
-	compare("byDst", gd, fd)
-	compare("bySrc", gs, fs)
-}
-
-func TestDetectGraphDirectMatchesDetectGraph(t *testing.T) {
-	flows := backgroundFlows(t, 30, 400, 18)
-	flows = append(flows, hostScanFlows(0x0a000004, 1500)...)
-	flows = append(flows, synFloodFlows(0x0a000005, 2500)...)
-	g := netflow.BuildGraph(flows)
-	det := NewDetector(DefaultThresholds())
-	a := det.Detect(netflow.FlowsFromGraph(g))
-	b := det.DetectGraphDirect(g)
-	if len(a) != len(b) {
-		t.Fatalf("alert counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Type != b[i].Type || a[i].IP != b[i].IP || a[i].ByDst != b[i].ByDst {
-			t.Fatalf("alert %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestAggregateGraphEmpty(t *testing.T) {
-	d, s := AggregateGraph(graph.New(0))
-	if d != nil || s != nil {
-		t.Fatal("empty graph produced patterns")
-	}
-}
-
 // referenceAggregate is the map-of-maps AggregatePatterns the aggregator
 // replaced, kept as the oracle: one agg with its own peer and port sets per
 // detection IP per side.

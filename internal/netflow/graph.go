@@ -43,56 +43,51 @@ func BuildGraph(flows []Flow) *graph.Graph {
 	return g
 }
 
-// FlowsFromGraph converts property-graph edges back into flow records, using
-// the graph's address table when present (vertex IDs otherwise stand in for
-// addresses). Flag counters are reconstructed conservatively from the TCP
-// state: flows whose state implies a handshake contribute SYN counts, and
-// ACK counts are approximated by the packet count. This is the bridge that
-// lets the anomaly detector run over synthetic property graphs.
+// FlowsFromGraph converts every property-graph edge back into a flow record,
+// in edge order (EdgeFlow per edge). This is the bridge that lets the anomaly
+// detector train on and stream synthetic property graphs.
 func FlowsFromGraph(g *graph.Graph) []Flow {
-	addrOf := func(v graph.VertexID) uint32 {
-		if g.HasAddrs() {
-			if a := g.Addr(v); a != 0 {
-				return a
-			}
-		}
-		return uint32(v) + 1 // synthetic vertices: 1-based pseudo-addresses
-	}
-	// Stream straight over the graph's columns: each flow is built from the
-	// columnar store without materializing an intermediate []Edge copy.
-	cols := g.Cols()
-	flows := make([]Flow, cols.Len())
+	flows := make([]Flow, g.NumEdges())
 	for i := range flows {
-		e := cols.Edge(i)
-		f := Flow{
-			SrcIP: addrOf(e.Src), DstIP: addrOf(e.Dst),
-			Protocol: e.Props.Protocol,
-			SrcPort:  e.Props.SrcPort, DstPort: e.Props.DstPort,
-			StartMicros: 0, EndMicros: e.Props.Duration * 1000,
-			OutBytes: e.Props.OutBytes, InBytes: e.Props.InBytes,
-			OutPkts: e.Props.OutPkts, InPkts: e.Props.InPkts,
-			State: e.Props.State,
-		}
-		if f.Protocol == graph.ProtoTCP {
-			switch f.State {
-			case graph.StateS0, graph.StateSH:
-				f.SYNCount = f.OutPkts // unanswered SYN retries
-			case graph.StateOTH:
-				f.SYNCount = 0
-			default:
-				f.SYNCount = 2 // SYN + SYN-ACK
-			}
-			if f.State != graph.StateS0 && f.State != graph.StateSH && f.State != graph.StateOTH {
-				ack := f.TotalPkts() - 1
-				if ack < 0 {
-					ack = 0
-				}
-				f.ACKCount = ack
-			}
-		}
-		flows[i] = f
+		EdgeFlow(&flows[i], g, i)
 	}
 	return flows
+}
+
+// EdgeFlow projects edge i of g into f, straight from the graph's columns.
+// Every field of f is overwritten, so callers reuse one Flow or fill a slice
+// element in place. Addresses come from the graph's address table; a vertex
+// without one stands in as the 1-based pseudo-address v+1. Flag counters
+// are reconstructed conservatively from the TCP state: flows whose state
+// implies a handshake contribute SYN counts, and ACK counts are approximated
+// by the packet count.
+func EdgeFlow(f *Flow, g *graph.Graph, i int) {
+	addrOf := func(v graph.VertexID) uint32 {
+		if a := g.Addr(v); a != 0 {
+			return a
+		}
+		return uint32(v) + 1
+	}
+	e := g.Cols().Edge(i)
+	*f = Flow{
+		SrcIP: addrOf(e.Src), DstIP: addrOf(e.Dst),
+		Protocol: e.Props.Protocol,
+		SrcPort:  e.Props.SrcPort, DstPort: e.Props.DstPort,
+		StartMicros: 0, EndMicros: e.Props.Duration * 1000,
+		OutBytes: e.Props.OutBytes, InBytes: e.Props.InBytes,
+		OutPkts: e.Props.OutPkts, InPkts: e.Props.InPkts,
+		State: e.Props.State,
+	}
+	if f.Protocol == graph.ProtoTCP {
+		switch f.State {
+		case graph.StateS0, graph.StateSH:
+			f.SYNCount = f.OutPkts // unanswered SYN retries
+		case graph.StateOTH: // midstream, no handshake seen: no flag counts
+		default:
+			f.SYNCount = 2 // SYN + SYN-ACK
+			f.ACKCount = max(f.TotalPkts()-1, 0)
+		}
+	}
 }
 
 // Stats summarizes a flow set for reporting.

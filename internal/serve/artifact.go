@@ -10,8 +10,6 @@ import (
 	"csb/internal/core"
 	"csb/internal/dist/rows"
 	"csb/internal/graph"
-	"csb/internal/netflow"
-	"csb/internal/replay"
 	"csb/internal/scenario"
 )
 
@@ -94,12 +92,12 @@ func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, 
 // EncodeArtifact writes g in the given artifact format: exactly the bytes
 // BuildArtifact returns for it, so csbgen's files, the daemon's artifacts
 // and anything else that encodes a graph share one set of bytes. csbg is
-// Graph.Write; the text formats write encodeText's slice.
+// Graph.Write; the text formats write their in-process encoding.
 func EncodeArtifact(w io.Writer, g *graph.Graph, format string) error {
 	if format == FormatCSBG {
 		return g.Write(w)
 	}
-	out, err := encodeText(g, format)
+	out, err := encodeArtifactOn(g, format, nil)
 	if err != nil {
 		return err
 	}
@@ -107,82 +105,28 @@ func EncodeArtifact(w io.Writer, g *graph.Graph, format string) error {
 	return err
 }
 
-// encodeText formats g as a text artifact: header and rows are appended
-// straight from the graph's columns into one slice, presized from the
-// format's row-width estimate so it does not regrow. The row formatters are
-// the ones the distributed row encoders share (internal/dist/rows).
-func encodeText(g *graph.Graph, format string) ([]byte, error) {
-	n := int(g.NumEdges())
-	switch format {
-	case FormatTSV, "":
-		return g.AppendEdgeList(make([]byte, 0, len(graph.EdgeListHeader)+n*graph.EdgeListRowBytes)), nil
-	case FormatCSV:
-		out := make([]byte, 0, len(netflow.CSVHeaderLine)+n*netflow.CSVRowBytes)
-		return netflow.AppendCSV(out, netflow.FlowsFromGraph(g)), nil
-	case FormatNDJSON:
-		return rows.AppendNDJSON(make([]byte, 0, n*rows.NDJSONRowBytes), g.Cols()), nil
-	default:
-		return nil, fmt.Errorf("serve: unknown artifact format %q", format)
-	}
-}
-
 // encodeArtifactOn returns g's artifact bytes. csbg goes through Graph.Write
 // into a buffer it sizes exactly; csbg is not distributed — its result bytes
 // equal its input bytes, so shipping them wins nothing. The text formats are
-// encodeText's slice, except on a cluster with a TaskExecutor: there they
-// encode chunk-parallel through the engine (remotable row stages, see
-// internal/dist/rows), so workers carry the formatting and the coordinator
-// concatenates header + chunks in partition order. Chunks share encodeText's
-// row formatters and partitioning follows only the cluster shape, so the
-// bytes are identical on every worker count.
+// their rows.Format's encoding on c, chunk-parallel and remotable when c has
+// a TaskExecutor and one presized slice otherwise (see internal/dist/rows).
 func encodeArtifactOn(g *graph.Graph, format string, c *cluster.Cluster) ([]byte, error) {
-	if format == FormatCSBG {
+	var f *rows.Format
+	switch format {
+	case FormatCSBG:
 		var buf bytes.Buffer
 		if err := g.Write(&buf); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
-	}
-	if c == nil || c.Config().Executor == nil {
-		return encodeText(g, format)
-	}
-	switch format {
 	case FormatTSV, "":
-		return encodeChunked(cluster.ParallelizeEdges(c, g.Cols(), 0), graph.EdgeListHeader, rows.TSVKind,
-			rows.TSVRows, rows.EncodeEdges)
-	case FormatNDJSON:
-		return encodeChunked(cluster.ParallelizeEdges(c, g.Cols(), 0), "", rows.NDJSONKind,
-			rows.NDJSONRows, rows.EncodeEdges)
+		f = &rows.TSV
 	case FormatCSV:
-		return encodeChunked(cluster.Parallelize(c, netflow.FlowsFromGraph(g), 0), netflow.CSVHeaderLine, rows.CSVKind,
-			rows.CSVRows, replay.EncodeFlows)
+		f = &rows.CSV
+	case FormatNDJSON:
+		f = &rows.NDJSON
 	default:
-		return encodeText(g, format)
+		return nil, fmt.Errorf("serve: unknown artifact format %q", format)
 	}
-}
-
-// encodeChunked runs one remotable row-encode stage over the pre-partitioned
-// records and returns header plus the row chunks in partition order, in one
-// slice of exactly their total size. Callers hand it a dataset
-// (ParallelizeEdges for columnar edge sources) so record batches stream into
-// partition storage without a monolithic row slice.
-func encodeChunked[T any](ds *cluster.Dataset[T], header, kind string,
-	local func(xs []T) []byte, payload func(xs []T) []byte) ([]byte, error) {
-	c := ds.Cluster()
-	chunks := cluster.MapPartitionsRemotable(ds, kind,
-		func(part int, xs []T) []byte { return local(xs) },
-		func(part int, xs []T) []byte { return payload(xs) },
-		func(result []byte) ([]byte, error) { return result, nil })
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	size := len(header)
-	for i := 0; i < chunks.NumPartitions(); i++ {
-		size += len(chunks.Partition(i))
-	}
-	out := append(make([]byte, 0, size), header...)
-	for i := 0; i < chunks.NumPartitions(); i++ {
-		out = append(out, chunks.Partition(i)...)
-	}
-	return out, nil
+	return f.Encode(g, c)
 }

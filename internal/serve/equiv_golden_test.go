@@ -9,9 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"csb/internal/cluster"
+	"csb/internal/dist/task"
 )
 
 // -update-equiv regenerates the artifact-equivalence digests:
@@ -24,12 +26,26 @@ import (
 // columns produce bit-identical artifacts to the row-structured originals.
 var updateEquiv = flag.Bool("update-equiv", false, "rewrite artifact-equivalence digests under testdata/")
 
+// taskRunner is a TaskExecutor that runs each remotable task's payload
+// in-process through task.Run, as a worker does, and declines a kind no
+// package registered. ran counts the tasks it ran.
+type taskRunner struct{ ran atomic.Int64 }
+
+func (r *taskRunner) ExecRemote(ctx context.Context, stage cluster.StageInfo, att cluster.AttemptInfo, kind string, payload func() []byte) ([]byte, error) {
+	out, err := task.Run(kind, payload())
+	if err != nil && strings.HasPrefix(err.Error(), "task: unknown kind") {
+		return nil, cluster.ErrNoRemote
+	}
+	r.ran.Add(1)
+	return out, err
+}
+
 // equivCluster builds the fixed virtual topology the equivalence matrix runs
-// on. Only MaxParallel and the fault plan vary across the matrix — both are
-// documented non-inputs to artifact bytes.
-func equivCluster(par int, faultRate float64) *cluster.Cluster {
+// on. Only MaxParallel, the fault plan and the executor vary across the
+// matrix — all three are documented non-inputs to artifact bytes.
+func equivCluster(par int, faultRate float64, exec cluster.TaskExecutor) *cluster.Cluster {
 	cfg := cluster.Config{
-		Nodes: 2, CoresPerNode: 4, DefaultPartitions: 8, MaxParallel: par,
+		Nodes: 2, CoresPerNode: 4, DefaultPartitions: 8, MaxParallel: par, Executor: exec,
 	}
 	if faultRate > 0 {
 		cfg.Faults = cluster.NewFaultPlan(1234, faultRate)
@@ -41,8 +57,10 @@ func equivCluster(par int, faultRate float64) *cluster.Cluster {
 
 // TestArtifactEquivalenceGolden locks the byte-exact artifact output of both
 // generators in every artifact format across the determinism matrix:
-// MaxParallel 1 vs 16, fault rate 0 vs 0.2. All four cells must agree with
-// each other and with the committed digest.
+// MaxParallel 1 vs 16, fault rate 0 vs 0.2, plus a cell whose executor runs
+// every remotable task through task.Run, so the text formats take the chunked
+// row-stage path. All five cells must agree with each other and with the
+// committed digest.
 func TestArtifactEquivalenceGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence matrix is not short")
@@ -65,24 +83,33 @@ func TestArtifactEquivalenceGolden(t *testing.T) {
 				type cell struct {
 					par       int
 					faultRate float64
+					remote    bool
 				}
-				cells := []cell{{1, 0}, {16, 0}, {1, 0.2}, {16, 0.2}}
+				cells := []cell{{1, 0, false}, {16, 0, false}, {1, 0.2, false}, {16, 0.2, false}, {16, 0, true}}
+				runner := &taskRunner{}
 				digests := make([]string, len(cells))
 				for i, cl := range cells {
-					c := equivCluster(cl.par, cl.faultRate)
+					var exec cluster.TaskExecutor
+					if cl.remote {
+						exec = runner
+					}
+					c := equivCluster(cl.par, cl.faultRate, exec)
 					data, err := BuildArtifact(context.Background(), spec, c)
 					if err != nil {
-						t.Fatalf("par=%d fault=%v: %v", cl.par, cl.faultRate, err)
+						t.Fatalf("par=%d fault=%v exec=%v: %v", cl.par, cl.faultRate, cl.remote, err)
 					}
 					sum := sha256.Sum256(data)
 					digests[i] = hex.EncodeToString(sum[:])
 				}
 				for i := 1; i < len(digests); i++ {
 					if digests[i] != digests[0] {
-						t.Fatalf("artifact bytes depend on the execution cell:\n  par=%d fault=%v: %s\n  par=%d fault=%v: %s",
+						t.Fatalf("artifact bytes depend on the execution cell:\n  par=%d fault=%v: %s\n  par=%d fault=%v exec=%v: %s",
 							cells[0].par, cells[0].faultRate, digests[0],
-							cells[i].par, cells[i].faultRate, digests[i])
+							cells[i].par, cells[i].faultRate, cells[i].remote, digests[i])
 					}
+				}
+				if format != FormatCSBG && runner.ran.Load() == 0 {
+					t.Fatal("the executor cell ran no task through task.Run")
 				}
 				path := filepath.Join("testdata", "equiv_"+name+".sha256")
 				if *updateEquiv {

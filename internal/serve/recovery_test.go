@@ -172,6 +172,57 @@ func TestDaemonRegeneratesQuarantinedArtifact(t *testing.T) {
 	}
 }
 
+// TestSubmitRechecksCacheBeforeAdmitting drives the window between Submit's
+// cache lookup and its admission under s.mu deterministically: a job that
+// puts the artifact and leaves inflight inside it must turn the submit into
+// a cache hit, not a second build.
+func TestSubmitRechecksCacheBeforeAdmitting(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	var builds atomic.Int64
+	s.buildArtifact = func(ctx context.Context, spec Spec) ([]byte, error) {
+		builds.Add(1)
+		return []byte("rebuilt"), nil
+	}
+	spec := tinySpec(70)
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	misses := s.Cache().Stats().Misses
+
+	s.mu.Lock()
+	type reply struct {
+		st  JobStatus
+		err error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		st, err := s.Submit(&spec)
+		done <- reply{st, err}
+	}()
+	for s.Cache().Stats().Misses == misses {
+		time.Sleep(time.Millisecond)
+	}
+	// What a job's runJob does: put the artifact, then leave inflight
+	// (finishInflight's bookkeeping, inlined as the test holds s.mu).
+	s.cache.Put(spec.ID(), []byte("built"))
+	s.settled.Add(1)
+	s.mu.Unlock()
+
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.st.State != StateDone || !r.st.CacheHit {
+		t.Fatalf("submit = %s (cache hit %v), want a done cache hit", r.st.State, r.st.CacheHit)
+	}
+	if m := s.Metrics(); m.CacheHits != 1 || m.CacheMisses != 0 {
+		t.Fatalf("hit/miss = %d/%d, want 1/0", m.CacheHits, m.CacheMisses)
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("builds = %d, want 0", n)
+	}
+}
+
 // TestConcurrentQuarantineSingleRegeneration hammers one corrupted spilled
 // artifact with parallel submits and artifact GETs: exactly one reader wins
 // the quarantine (counter = 1), single-flight admission means exactly one

@@ -185,6 +185,7 @@ type Server struct {
 	journal *journal.Journal
 
 	seq         atomic.Int64
+	settled     atomic.Uint64 // jobs that have left inflight; see Submit
 	running     atomic.Int64
 	submitted   atomic.Int64
 	completed   atomic.Int64
@@ -381,6 +382,7 @@ func (s *Server) finishInflight(j *job) {
 	if s.inflight[j.artifact] == j {
 		delete(s.inflight, j.artifact)
 	}
+	s.settled.Add(1)
 	s.mu.Unlock()
 }
 
@@ -420,29 +422,38 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 	// done — a corrupt spill file reads as a miss here, quarantines itself,
 	// and falls through to regeneration instead of minting a done job whose
 	// artifact would then 404.
-	if _, ok := s.cache.Get(artifact); ok {
+	settled := s.settled.Load()
+	_, cached := s.cache.Get(artifact)
+	s.mu.Lock()
+	if !cached {
+		if s.closed {
+			s.mu.Unlock()
+			return JobStatus{}, &submitErr{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
+		}
+		// Single-flight: an identical job already queued or running absorbs
+		// this submit instead of burning a second worker on the same bytes.
+		if cur, ok := s.inflight[artifact]; ok {
+			s.mu.Unlock()
+			s.hits.Add(1)
+			return cur.status(), nil
+		}
+		// A job that put the artifact and left inflight after the Get above
+		// has already built it: if any job settled since the Get, look again
+		// before admitting a second build. Contains suffices, as an entry it
+		// finds was put after the Get, which verified or dropped anything
+		// older. Only that window calls the cache under s.mu, where a
+		// concurrent spill write would stall every job lookup.
+		cached = s.settled.Load() != settled && s.cache.Contains(artifact)
+	}
+	if cached {
 		s.hits.Add(1)
 		j := &job{
 			id: s.nextID(), spec: *spec, artifact: artifact,
 			state: StateDone, cacheHit: true, created: time.Now(),
 		}
-		s.mu.Lock()
 		s.recordJob(j)
 		s.mu.Unlock()
 		return j.status(), nil
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return JobStatus{}, &submitErr{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
-	}
-	// Single-flight: an identical job already queued or running absorbs
-	// this submit instead of burning a second worker on the same bytes.
-	if cur, ok := s.inflight[artifact]; ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		return cur.status(), nil
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{

@@ -90,12 +90,15 @@ func New(cfg Config) (*Faults, error) {
 		name string
 		v    float64
 	}{{"corrupt", cfg.CorruptRate}, {"reset", cfg.ResetRate}, {"partition", cfg.PartitionRate}} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // written so that NaN fails it
 			return nil, fmt.Errorf("chaosnet: %s rate %v outside [0,1]", r.name, r.v)
 		}
 	}
 	if cfg.Latency < 0 || cfg.Jitter < 0 || cfg.BandwidthBPS < 0 || cfg.Drip < 0 {
 		return nil, errors.New("chaosnet: negative shaping parameter")
+	}
+	if cfg.GraceOps < 0 {
+		return nil, fmt.Errorf("chaosnet: grace %d is negative", cfg.GraceOps)
 	}
 	return &Faults{cfg: cfg}, nil
 }

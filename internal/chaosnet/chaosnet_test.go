@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -241,4 +242,70 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// TestNewRejectsBadConfig covers the values a plain range check lets
+// through: NaN rates, which no draw ever falls below, and a negative grace,
+// which would exempt every operation once widened to uint64.
+func TestNewRejectsBadConfig(t *testing.T) {
+	bad := map[string]Config{
+		"NaN corrupt":       {CorruptRate: math.NaN()},
+		"NaN reset":         {ResetRate: math.NaN()},
+		"NaN partition":     {PartitionRate: math.NaN()},
+		"+Inf corrupt":      {CorruptRate: math.Inf(1)},
+		"negative reset":    {ResetRate: -0.1},
+		"partition above 1": {PartitionRate: 1.01},
+		"negative grace":    {GraceOps: -3},
+		"negative drip":     {Drip: -1},
+	}
+	for name, cfg := range bad {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, spec := range []string{"corrupt=NaN", "reset=nan", "partition=NaN", "grace=-3", "corrupt=-0.5", "reset=+Inf"} {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", spec)
+		}
+	}
+	// The bounds themselves are valid.
+	for name, cfg := range map[string]Config{
+		"zero value": {},
+		"rates at 1": {CorruptRate: 1, ResetRate: 1, PartitionRate: 1},
+		"grace 0":    {GraceOps: 0, ResetRate: 0.5},
+	} {
+		if _, err := New(cfg); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// FuzzParseSpec checks that no spec panics the parser and that every
+// accepted spec yields a Config New accepts again, with every rate in
+// [0, 1] and no negative grace.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"latency=2ms,jitter=5ms,corrupt=0.01,reset=0.02,partition=0.005,bps=1048576,drip=512,seed=7,grace=4",
+		"seed=7,corrupt=0.01,grace=8",
+		"corrupt=NaN", "grace=-3", "partition=1", "", "=", ",,",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted %+v, New rejects it: %v", spec, cfg, err)
+		}
+		for _, r := range []float64{cfg.CorruptRate, cfg.ResetRate, cfg.PartitionRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted rate %v", spec, r)
+			}
+		}
+		if cfg.GraceOps < 0 {
+			t.Fatalf("ParseSpec(%q) accepted grace %d", spec, cfg.GraceOps)
+		}
+	})
 }

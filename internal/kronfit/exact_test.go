@@ -79,6 +79,25 @@ func TestFitBitIdentityPins(t *testing.T) {
 			theta:  [4]uint64{0x3fea721fcec1b51e, 0x3fe62cbadefb85e0, 0x3fe2cabc5039b2bc, 0x3fa63f48d534695a},
 			ll:     0xc0b196fb354b1dd9,
 		},
+		// The next two were recorded at commit 3e75ec1, before p was read
+		// from the prefix table: k=5 puts the whole product in the table,
+		// k=13 multiplies six levels after the lookup.
+		{
+			name:   "serve seed hosts=20 sessions=200 seed=4 (k=5)",
+			graph:  func(tb testing.TB) *graph.Graph { return seedGraph(tb, 20, 200, 4) },
+			cfg:    Config{Seed: 4},
+			simple: 139,
+			theta:  [4]uint64{0x3fef80a53b1a5701, 0x3fe4b6662191b458, 0x3febb986ad5cb121, 0x3fc7a6ad3269cdc0},
+			ll:     0xc072218685ed2327,
+		},
+		{
+			name:   "serve seed hosts=5000 sessions=20000 seed=6, 3 iterations (k=13)",
+			graph:  func(tb testing.TB) *graph.Graph { return seedGraph(tb, 5000, 20000, 6) },
+			cfg:    Config{Seed: 6, Iterations: 3},
+			simple: 19987,
+			theta:  [4]uint64{0x3febdc37853a296c, 0x3fdf140e0870d732, 0x3fe0f840832c6c55, 0x3fd05a1f86593bbe},
+			ll:     0xc104ad98bddf3bbe,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -315,6 +334,9 @@ func TestWorkCounters(t *testing.T) {
 	if res.Swaps != 47504 || res.Accepted != 378 {
 		t.Errorf("Swaps, Accepted = %d, %d; the from-scratch fit made 47504, 378", res.Swaps, res.Accepted)
 	}
+	if res.TermEvals != 3340126 || res.LogCalls != 65432 {
+		t.Errorf("TermEvals, LogCalls = %d, %d; the cached, memoised fit made 3340126, 65432", res.TermEvals, res.LogCalls)
+	}
 	t.Logf("TermEvals %d (%.1f%% of from-scratch), LogCalls %d (%.2f%% of TermEvals)",
 		res.TermEvals, 100*float64(res.TermEvals)/float64(fromScratch),
 		res.LogCalls, 100*float64(res.LogCalls)/float64(res.TermEvals))
@@ -334,4 +356,44 @@ func BenchmarkFit(b *testing.B) {
 		logCalls = res.LogCalls
 	}
 	b.ReportMetric(float64(logCalls), "logcalls/op")
+}
+
+// FuzzPrefixTable holds the prefix table's p to kronecker.EdgeProbability,
+// bit for bit, and the popcount level counts to the per-level loop, for
+// any initiator in (0,1)^4, any power k in [1, 31] and any u, v < 2^k.
+func FuzzPrefixTable(f *testing.F) {
+	// k = 21 with the second initiator is an input on which a tail
+	// multiplied in another order gives other bits.
+	for _, k := range []uint8{1, 6, 7, 8, 21, 31} {
+		f.Add(0.9, 0.5, 0.5, 0.1, k-1, uint64(0), uint64(1)<<k-1)
+		f.Add(0.9993, 0.4774, 0.09725555555555555, 0.1794, k-1, uint64(0x5a5a5a5a), uint64(0x3c3c3c3c))
+	}
+	f.Fuzz(func(t *testing.T, t00, t01, t10, t11 float64, kb uint8, u, v uint64) {
+		theta := kronecker.Initiator{Theta: [4]float64{t00, t01, t10, t11}}
+		for _, th := range theta.Theta {
+			if !(th > 0 && th < 1) {
+				t.Skip("initiator entry outside (0, 1)")
+			}
+		}
+		k := 1 + int(kb)%31
+		mask := uint64(1)<<k - 1
+		su, sv := int64(u&mask), int64(v&mask)
+
+		st := &fitState{k: k}
+		st.setTheta(&theta)
+		got := st.prob(spreadBits(uint64(su))<<1 | spreadBits(uint64(sv)))
+		want := kronecker.EdgeProbability(&theta, k, su, sv)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("k=%d u=%d v=%d: table p = %x, EdgeProbability = %x", k, su, sv, got, want)
+		}
+
+		var loop [4]int
+		for level := 0; level < k; level++ {
+			shift := uint(k - 1 - level)
+			loop[(su>>shift&1)<<1|sv>>shift&1]++
+		}
+		if counts := levelCounts(k, su, sv); counts != loop {
+			t.Fatalf("k=%d u=%d v=%d: popcount counts %v, per-level loop %v", k, su, sv, counts, loop)
+		}
+	})
 }

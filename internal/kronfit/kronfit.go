@@ -19,15 +19,17 @@
 //
 // Cost. The bracketed term of every edge is cached at the current (θ,σ), so
 // a swap proposal evaluates only its after-swap terms, and the term itself
-// is memoised on the bit pattern of p. Both are exact: the fitted initiator
-// is bit-identical to evaluating every term from scratch (DESIGN.md,
-// "KronFit cost model").
+// is memoised on the bit pattern of p. p is read from a per-θ table of
+// products over its leading levels. All three are exact: the fitted
+// initiator is bit-identical to evaluating every term from scratch
+// (DESIGN.md, "KronFit cost model").
 package kronfit
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"csb/internal/graph"
@@ -135,6 +137,10 @@ func memoSlot(bits uint64) uint64 {
 	return bits * 0x9e3779b97f4a7c15 >> (64 - memoBits) // Fibonacci hashing
 }
 
+// prefixLevels caps the levels of p the prefix table covers: 4^7 float64
+// entries are 128 KiB, and a rebuild is ≈ 22k multiplies.
+const prefixLevels = 7
+
 // fitState bundles the per-fit data. Nothing in it is shared between fits.
 type fitState struct {
 	src, dst []int32 // simple-graph edges in first-occurrence order
@@ -142,9 +148,14 @@ type fitState struct {
 	// in edge order. A self-loop is listed once.
 	incOff, incIdx []int32
 	sigma          []int64 // graph vertex -> Kronecker vertex
-	k              int
-	n              int64
-	rng            *rand.Rand
+	// spread[v] is sigma[v] with bit i moved to bit 2i, so the interleaved
+	// index of edge (u,v) is spread[u]<<1 | spread[v]: its base-4 digits,
+	// most significant first, are the levels' θ indices. It is swapped
+	// together with sigma.
+	spread []uint64
+	k      int
+	n      int64
+	rng    *rand.Rand
 
 	// terms[e] is the edge term of e at the θ and σ the fit currently
 	// holds; LL sums and swap proposals read it and never recompute it.
@@ -155,6 +166,13 @@ type fitState struct {
 	cand, after []float64
 	// memo is direct mapped: a colliding p overwrites the slot.
 	memo [memoSize]memoEntry
+	// prefix[t] is the left-to-right product of θ over the base-4 digits
+	// of t, for the h = min(k, prefixLevels) leading levels, at the
+	// initiator prefixTheta; tail is 2(k-h), the bits of an interleaved
+	// index below the table's digits. nil until setTheta first runs.
+	prefix      []float64
+	prefixTheta kronecker.Initiator
+	tail        uint
 
 	swaps, accepted, termEvals, logCalls int64
 }
@@ -209,10 +227,70 @@ func newFitState(n int64, src, dst []int32, seed uint64) *fitState {
 		}
 	}
 	st.sigma = make([]int64, n)
+	st.spread = make([]uint64, n)
 	for i := range st.sigma {
 		st.sigma[i] = int64(i)
+		st.spread[i] = spreadBits(uint64(i))
 	}
 	return st
+}
+
+// spreadBits moves bit i of x to bit 2i; x must be below 2^32.
+func spreadBits(x uint64) uint64 {
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x<<2) & 0x3333333333333333
+	return (x | x<<1) & 0x5555555555555555
+}
+
+// setTheta makes the prefix table hold theta, rebuilding it only when it
+// holds another initiator. Level d's entries are level d-1's times one
+// more θ, in the order kronecker.EdgeProbability multiplies them (its
+// leading 1.0·θ is exact), so every entry carries its bits.
+func (st *fitState) setTheta(theta *kronecker.Initiator) {
+	if st.prefix != nil && st.prefixTheta == *theta {
+		return
+	}
+	if st.prefix == nil {
+		h := min(st.k, prefixLevels)
+		st.prefix = make([]float64, 1<<(2*h))
+		st.tail = uint(2 * (st.k - h))
+	}
+	th := theta.Theta
+	copy(st.prefix, th[:])
+	for n := 4; n < len(st.prefix); n *= 4 {
+		// Entry j of level d becomes entries 4j..4j+3 of level d+1. Last
+		// group first, so each prefix[j] is read before it is overwritten.
+		for j := n - 1; j >= 0; j-- {
+			p, g := st.prefix[j], st.prefix[4*j:4*j+4]
+			g[0], g[1], g[2], g[3] = p*th[0], p*th[1], p*th[2], p*th[3]
+		}
+	}
+	st.prefixTheta = *theta
+}
+
+// prob returns p for the interleaved index z at the table's initiator: the
+// table entry for the leading levels, then the remaining levels in order.
+func (st *fitState) prob(z uint64) float64 {
+	p := st.prefix[z>>st.tail]
+	for s := st.tail; s != 0; {
+		s -= 2
+		p *= st.prefixTheta.Theta[z>>s&3]
+	}
+	return p
+}
+
+// edgeIndex returns the interleaved index of edge e under the current σ.
+func (st *fitState) edgeIndex(e int32) uint64 {
+	return st.spread[st.src[e]]<<1 | st.spread[st.dst[e]]
+}
+
+// levelCounts returns how many of the k levels of (u,v) select each θ
+// index ub<<1 | vb.
+func levelCounts(k int, u, v int64) [4]int {
+	a, b := uint64(u), uint64(v)
+	return [4]int{k - bits.OnesCount64(a|b), bits.OnesCount64(b &^ a), bits.OnesCount64(a &^ b), bits.OnesCount64(a & b)}
 }
 
 // Fit estimates the initiator of g. Multi-edges are collapsed first (KronFit
@@ -321,9 +399,10 @@ func (st *fitState) term(p float64) float64 {
 	return m.val
 }
 
-// edgeTerm returns the term of edge e under the current σ.
-func (st *fitState) edgeTerm(theta *kronecker.Initiator, e int32) float64 {
-	return st.term(kronecker.EdgeProbability(theta, st.k, st.sigma[st.src[e]], st.sigma[st.dst[e]]))
+// edgeTerm returns the term of edge e under the current σ and the table's
+// initiator.
+func (st *fitState) edgeTerm(e int32) float64 {
+	return st.term(st.prob(st.edgeIndex(e)))
 }
 
 // closedForm is the σ-independent part of the likelihood.
@@ -336,9 +415,10 @@ func (st *fitState) closedForm(theta *kronecker.Initiator) float64 {
 // and returns the approximate LL: the closed form plus the terms in edge
 // order.
 func (st *fitState) evalTerms(theta *kronecker.Initiator, out []float64) float64 {
+	st.setTheta(theta)
 	ll := st.closedForm(theta)
 	for e := range out {
-		out[e] = st.edgeTerm(theta, int32(e))
+		out[e] = st.edgeTerm(int32(e))
 		ll += out[e]
 	}
 	return ll
@@ -364,6 +444,7 @@ func (st *fitState) incident(v int64) []int32 {
 // terms are permutation invariant, so only edges incident to the swapped
 // vertices matter). Both sides sum a's edges, then b's, in incidence order.
 func (st *fitState) improveSigma(theta *kronecker.Initiator, swaps int) {
+	st.setTheta(theta)
 	for s := 0; s < swaps; s++ {
 		a := st.rng.Int64N(st.n)
 		b := st.rng.Int64N(st.n)
@@ -378,11 +459,11 @@ func (st *fitState) improveSigma(theta *kronecker.Initiator, swaps int) {
 				before += st.terms[e]
 			}
 		}
-		st.sigma[a], st.sigma[b] = st.sigma[b], st.sigma[a]
+		st.swap(a, b)
 		st.after = st.after[:0]
 		for _, inc := range sides {
 			for _, e := range inc {
-				t := st.edgeTerm(theta, e)
+				t := st.edgeTerm(e)
 				st.after = append(st.after, t)
 				after += t
 			}
@@ -400,8 +481,14 @@ func (st *fitState) improveSigma(theta *kronecker.Initiator, swaps int) {
 			}
 			continue
 		}
-		st.sigma[a], st.sigma[b] = st.sigma[b], st.sigma[a] // reject: undo
+		st.swap(a, b) // reject: undo
 	}
+}
+
+// swap exchanges the Kronecker vertices of a and b.
+func (st *fitState) swap(a, b int64) {
+	st.sigma[a], st.sigma[b] = st.sigma[b], st.sigma[a]
+	st.spread[a], st.spread[b] = st.spread[b], st.spread[a]
 }
 
 // gradient evaluates dLL/dθ at the current permutation.
@@ -413,17 +500,10 @@ func (st *fitState) gradient(theta *kronecker.Initiator) [4]float64 {
 	for i := range grad {
 		grad[i] = -kf*math.Pow(s, kf-1) - kf*math.Pow(s2, kf-1)*theta.Theta[i]
 	}
-	var counts [4]int
+	st.setTheta(theta)
 	for e := range st.src {
-		u, v := st.sigma[st.src[e]], st.sigma[st.dst[e]]
-		p := 1.0
-		counts = [4]int{}
-		for level := 0; level < st.k; level++ {
-			shift := uint(st.k - 1 - level)
-			idx := ((u>>shift)&1)<<1 | (v>>shift)&1
-			counts[idx]++
-			p *= theta.Theta[idx]
-		}
+		p := st.prob(st.edgeIndex(int32(e)))
+		counts := levelCounts(st.k, st.sigma[st.src[e]], st.sigma[st.dst[e]])
 		f := 1 + p + p*p
 		for i := range grad {
 			if counts[i] > 0 {

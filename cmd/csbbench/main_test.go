@@ -28,9 +28,6 @@ func TestParseHelpers(t *testing.T) {
 	if got := parseInts("10,20"); len(got) != 2 || got[1] != 20 {
 		t.Fatalf("parseInts = %v", got)
 	}
-	if got := parseFloats("0.1,0.9"); len(got) != 2 || got[1] != 0.9 {
-		t.Fatalf("parseFloats = %v", got)
-	}
 }
 
 // captureStdout runs fn with os.Stdout redirected and returns what it wrote.
@@ -61,18 +58,5 @@ func TestSmokeTable1(t *testing.T) {
 	out := captureStdout(t, func() { table1(seed, 7) })
 	if !strings.Contains(out, "dip-T") || !strings.Contains(out, "tuned detection") {
 		t.Fatalf("table1 output: %q", out)
-	}
-}
-
-// TestSmokeVeracityPrinter exercises the fig6/7 printers.
-func TestSmokeVeracityPrinter(t *testing.T) {
-	seed := buildSeed(t, 20, 300, 7)
-	out := captureStdout(t, func() { veracity(seed, []int64{2000}, []float64{0.5}, 7, true) })
-	if !strings.Contains(out, "Figure 6") || !strings.Contains(out, "pgsk") {
-		t.Fatalf("fig6 output: %q", out)
-	}
-	out = captureStdout(t, func() { veracity(seed, []int64{2000}, []float64{0.5}, 7, false) })
-	if !strings.Contains(out, "Figure 7") {
-		t.Fatalf("fig7 output: %q", out)
 	}
 }

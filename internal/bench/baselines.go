@@ -6,6 +6,7 @@ import (
 	"csb/internal/core"
 	"csb/internal/genmodels"
 	"csb/internal/graph"
+	"csb/internal/pagerank"
 	"csb/internal/stats"
 )
 
@@ -186,4 +187,30 @@ func normalizedDegreeSample(degrees []int64) []int64 {
 		}
 	}
 	return out
+}
+
+// veracityScorer returns a function scoring a synthetic graph's degree and
+// PageRank veracity against the seed; the seed's degrees and ranks are
+// computed once.
+func veracityScorer(seed *core.Seed) (func(g *graph.Graph) (degree, pageRank float64, err error), error) {
+	seedDeg := seed.Graph.Degrees()
+	seedPR, err := pagerank.Compute(seed.Graph, pagerank.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return func(g *graph.Graph) (float64, float64, error) {
+		deg, err := stats.VeracityScoreInt(seedDeg, g.Degrees())
+		if err != nil {
+			return 0, 0, err
+		}
+		pr, err := pagerank.Compute(g, pagerank.Options{})
+		if err != nil {
+			return 0, 0, err
+		}
+		prScore, err := stats.VeracityScore(seedPR.Ranks, pr.Ranks)
+		if err != nil {
+			return 0, 0, err
+		}
+		return deg, prScore, nil
+	}, nil
 }

@@ -1,7 +1,10 @@
-// Package bench is the experiment harness: one runner per figure and table
-// of the paper's evaluation (Section V), each emitting the same rows or
-// series the paper reports. cmd/csbbench formats the results; bench_test.go
-// at the repository root wires them into testing.B benchmarks.
+// Package bench is the experiment harness for the figures and tables of the
+// paper's evaluation (Section V) that only csbbench measures: Fig 5, Figs
+// 8–12, Table I, and the baseline and extended-structure comparisons. Each
+// runner emits the rows or series the paper reports; cmd/csbbench formats
+// them and paper_bench_test.go wires them into testing.B benchmarks. Figs
+// 6–7 (veracity vs size) come from the csbeval grid instead, whose
+// degree_veracity and pagerank_veracity columns are the same scores.
 //
 // Scale note: the paper runs up to 2x10^10 edges on 60 physical nodes; the
 // runners accept arbitrary sizes and the defaults in cmd/csbbench are
@@ -17,8 +20,6 @@ import (
 	"csb/internal/cluster"
 	"csb/internal/core"
 	"csb/internal/graph"
-	"csb/internal/pagerank"
-	"csb/internal/stats"
 )
 
 // DefaultSeed is the RNG seed used by all experiments unless overridden.
@@ -135,90 +136,6 @@ func Fig5(seed *core.Seed, synEdges int64, rngSeed uint64) (*Fig5Result, error) 
 		PGPBA: normalizedDegreeSeries("pgpba", ga.Degrees()),
 		PGSK:  normalizedDegreeSeries("pgsk", gk.Degrees()),
 	}, nil
-}
-
-// --- Figures 6 and 7: veracity vs size --------------------------------------
-
-// VeracityPoint is one row of the Figure 6/7 sweeps.
-type VeracityPoint struct {
-	Generator string  // "pgpba" or "pgsk"
-	Fraction  float64 // PGPBA fraction; 0 for PGSK
-	Edges     int64   // actual generated edge count
-	Degree    float64 // degree veracity score (Figure 6)
-	PageRank  float64 // PageRank veracity score (Figure 7)
-}
-
-// veracityScorer returns a function scoring a synthetic graph's degree and
-// PageRank veracity against the seed; the seed's degrees and ranks are
-// computed once.
-func veracityScorer(seed *core.Seed) (func(g *graph.Graph) (degree, pageRank float64, err error), error) {
-	seedDeg := seed.Graph.Degrees()
-	seedPR, err := pagerank.Compute(seed.Graph, pagerank.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return func(g *graph.Graph) (float64, float64, error) {
-		deg, err := stats.VeracityScoreInt(seedDeg, g.Degrees())
-		if err != nil {
-			return 0, 0, err
-		}
-		pr, err := pagerank.Compute(g, pagerank.Options{})
-		if err != nil {
-			return 0, 0, err
-		}
-		prScore, err := stats.VeracityScore(seedPR.Ranks, pr.Ranks)
-		if err != nil {
-			return 0, 0, err
-		}
-		return deg, prScore, nil
-	}, nil
-}
-
-// Veracity runs the Figure 6/7 sweep: PGSK plus PGPBA at each fraction, over
-// the given target sizes, scoring degree and PageRank veracity against the
-// seed.
-func Veracity(seed *core.Seed, sizes []int64, fractions []float64, rngSeed uint64) ([]VeracityPoint, error) {
-	veracity, err := veracityScorer(seed)
-	if err != nil {
-		return nil, err
-	}
-	var out []VeracityPoint
-	score := func(gen string, fraction float64, g *graph.Graph) error {
-		deg, pr, err := veracity(g)
-		if err != nil {
-			return err
-		}
-		out = append(out, VeracityPoint{Generator: gen, Fraction: fraction,
-			Edges: g.NumEdges(), Degree: deg, PageRank: pr})
-		return nil
-	}
-	pgsk, err := pgskWithFit(seed, nil, rngSeed)
-	if err != nil {
-		return nil, err
-	}
-	for _, size := range sizes {
-		g, err := pgsk.Generate(seed, size)
-		if err != nil {
-			return nil, fmt.Errorf("veracity PGSK size %d: %w", size, err)
-		}
-		if err := score("pgsk", 0, g); err != nil {
-			return nil, err
-		}
-		for _, f := range fractions {
-			if size <= seed.Graph.NumEdges() {
-				continue // PGPBA can only grow beyond the seed
-			}
-			gen := &core.PGPBA{Fraction: f, Seed: rngSeed}
-			g, err := gen.Generate(seed, size)
-			if err != nil {
-				return nil, fmt.Errorf("veracity PGPBA f=%g size %d: %w", f, size, err)
-			}
-			if err := score("pgpba", f, g); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }
 
 // --- Figure 8: single-node throughput vs cores ------------------------------

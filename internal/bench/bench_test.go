@@ -60,33 +60,6 @@ func TestFig5Shapes(t *testing.T) {
 	}
 }
 
-func TestVeracityTrends(t *testing.T) {
-	s := smallSeed(t)
-	pts, err := Veracity(s, []int64{5000, 50000}, []float64{0.1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expect 2 PGSK + 2 PGPBA points.
-	if len(pts) != 4 {
-		t.Fatalf("points = %d, want 4", len(pts))
-	}
-	byGen := map[string][]VeracityPoint{}
-	for _, p := range pts {
-		byGen[p.Generator] = append(byGen[p.Generator], p)
-		if p.Degree <= 0 || p.PageRank <= 0 {
-			t.Fatalf("degenerate scores: %+v", p)
-		}
-	}
-	for gen, ps := range byGen {
-		if ps[1].Degree >= ps[0].Degree {
-			t.Errorf("%s degree veracity did not decrease with size: %+v", gen, ps)
-		}
-		if ps[1].PageRank >= ps[0].PageRank {
-			t.Errorf("%s PageRank veracity did not decrease with size: %+v", gen, ps)
-		}
-	}
-}
-
 func TestSingleNodeThroughput(t *testing.T) {
 	s := smallSeed(t)
 	pts, err := SingleNodeThroughput(s, 20000, []int{1, 2}, 3, nil)
@@ -244,33 +217,6 @@ func TestExtendedVeracity(t *testing.T) {
 		}
 		if p.ClusteringDelta < 0 || p.ClusteringDelta > 1 {
 			t.Errorf("%s clustering delta out of range: %g", p.Generator, p.ClusteringDelta)
-		}
-	}
-}
-
-func TestFourVs(t *testing.T) {
-	s := smallSeed(t)
-	vs, err := EvaluateFourVs(s, 20000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 2 {
-		t.Fatalf("results = %d, want 2", len(vs))
-	}
-	for _, v := range vs {
-		if v.VolumeEdges < 15000 || v.VelocityEdgesPerSec <= 0 {
-			t.Fatalf("%s volume/velocity degenerate: %+v", v.Generator, v)
-		}
-		// Variety: the conditional property model must reproduce the seed's
-		// attribute diversity within one bit.
-		if math.Abs(v.VarietyProtoState-v.SeedVarietyProtoState) > 1 {
-			t.Errorf("%s proto/state entropy %g vs seed %g", v.Generator, v.VarietyProtoState, v.SeedVarietyProtoState)
-		}
-		if math.Abs(v.VarietyDstPort-v.SeedVarietyDstPort) > 2 {
-			t.Errorf("%s port entropy %g vs seed %g", v.Generator, v.VarietyDstPort, v.SeedVarietyDstPort)
-		}
-		if v.VeracityDegree <= 0 || v.VeracityPageRank <= 0 {
-			t.Errorf("%s veracity degenerate: %+v", v.Generator, v)
 		}
 	}
 }

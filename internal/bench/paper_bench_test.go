@@ -77,22 +77,6 @@ func BenchmarkFig5DegreeDistributions(b *testing.B) {
 	}
 }
 
-// --- Figures 6 and 7: veracity sweeps ----------------------------------------
-
-func BenchmarkFig6Fig7Veracity(b *testing.B) {
-	seed := seedForBench(b)
-	var lastDeg, lastPR float64
-	for i := 0; i < b.N; i++ {
-		pts, err := bench.Veracity(seed, []int64{20000}, []float64{0.1}, bench.DefaultSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lastDeg, lastPR = pts[len(pts)-1].Degree, pts[len(pts)-1].PageRank
-	}
-	b.ReportMetric(lastDeg, "degree-veracity")
-	b.ReportMetric(lastPR, "pagerank-veracity")
-}
-
 // --- Figure 8: single-node throughput ---------------------------------------
 
 func BenchmarkFig8SingleNodeThroughput(b *testing.B) {
@@ -442,19 +426,4 @@ func BenchmarkAblationStochasticKronecker(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// The four-V benchmark frame from the paper's introduction.
-func BenchmarkFourVs(b *testing.B) {
-	seed := seedForBench(b)
-	var last bench.FourVs
-	for i := 0; i < b.N; i++ {
-		vs, err := bench.EvaluateFourVs(seed, 50000, bench.DefaultSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = vs[0]
-	}
-	b.ReportMetric(last.VelocityEdgesPerSec, "edges/s")
-	b.ReportMetric(last.VarietyDstPort, "port-entropy-bits")
 }

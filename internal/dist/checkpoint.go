@@ -28,7 +28,7 @@ const JournalTaskDone = "task.done"
 // byte-identical to a re-execution, so retried, speculative and post-restart
 // attempts all converge on the same committed bytes. The embedded
 // Coordinator keeps serving the rest of the DistPool surface (topology,
-// replication, counters) unchanged.
+// counters) unchanged.
 type CheckpointedCoordinator struct {
 	*Coordinator
 	jl *journal.Journal

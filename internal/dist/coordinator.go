@@ -78,7 +78,6 @@ type WorkerInfo struct {
 	HeartbeatAgeMS int64 `json:"heartbeat_age_ms"`
 	TasksDone      int64 `json:"tasks_done"`
 	TasksFailed    int64 `json:"tasks_failed"`
-	ReplicasHeld   int64 `json:"replicas_held"`
 	// Breaker is the worker's routing health: "closed" (routable), "open"
 	// (evicted after BreakerTrips consecutive failures), "probation"
 	// (re-admitted after cooldown, one failure from re-opening), or
@@ -104,7 +103,6 @@ type workerConn struct {
 	lastBeat    atomic.Int64 // unix nanos of the last heartbeat (or hello)
 	tasksDone   atomic.Int64
 	tasksFailed atomic.Int64
-	replicas    atomic.Int64 // replicas acknowledged stored
 
 	pmu     sync.Mutex
 	pending map[uint64]chan rpcReply
@@ -151,7 +149,7 @@ func (w *workerConn) deliver(f frame) {
 }
 
 // Coordinator registers workers, dispatches remotable engine tasks to them,
-// and replicates artifacts. It implements cluster.TaskExecutor; wire it into
+// and detects their loss. It implements cluster.TaskExecutor; wire it into
 // an engine via cluster.Config.Executor. Create with NewCoordinator, stop
 // with Close.
 type Coordinator struct {
@@ -313,7 +311,7 @@ func (co *Coordinator) handleConn(conn net.Conn) {
 				co.drop(w, err)
 				return
 			}
-		case frameResult, frameError, frameReplicateOK, frameReplicaData:
+		case frameResult, frameError:
 			w.deliver(f)
 		case frameDrain:
 			co.beginDrain(w)
@@ -360,7 +358,6 @@ func (w *workerConn) info(live bool) WorkerInfo {
 		ID: w.id, Name: w.name, Addr: w.addr, Live: live,
 		TasksDone:    w.tasksDone.Load(),
 		TasksFailed:  w.tasksFailed.Load(),
-		ReplicasHeld: w.replicas.Load(),
 		BreakerTrips: w.trips,
 	}
 	switch {
@@ -380,8 +377,8 @@ func (w *workerConn) info(live bool) WorkerInfo {
 }
 
 // beginDrain handles a worker's drain announcement: out of the routing ring
-// immediately, but the session stays up so in-flight task results (and
-// replica reads) still deliver. The worker closes the connection once its
+// immediately, but the session stays up so in-flight task results still
+// deliver. The worker closes the connection once its
 // in-flight work is done, which lands in drop as a normal disconnect.
 func (co *Coordinator) beginDrain(w *workerConn) {
 	co.mu.Lock()
@@ -565,92 +562,5 @@ func (co *Coordinator) ExecRemote(ctx context.Context, stage cluster.StageInfo, 
 		default:
 			return nil, corruptf("unexpected reply type %d for task request", rep.typ)
 		}
-	}
-}
-
-// Replicate pushes an artifact to every live worker and returns how many
-// acknowledged storing it. Replication is best-effort fan-out: a worker that
-// died mid-push is simply skipped (it re-registers empty).
-func (co *Coordinator) Replicate(ctx context.Context, id string, data []byte) int {
-	body, err := encodeReplica(id, data)
-	if err != nil {
-		return 0
-	}
-	co.mu.Lock()
-	workers := make([]*workerConn, 0, len(co.workers))
-	for _, w := range co.workers {
-		workers = append(workers, w)
-	}
-	co.mu.Unlock()
-	stored := 0
-	for _, w := range workers {
-		if co.rpc(ctx, w, frameReplicate, body) != nil {
-			continue
-		}
-		w.replicas.Add(1)
-		stored++
-	}
-	return stored
-}
-
-// FetchReplica retrieves a replicated artifact from any live worker,
-// trying them in registration order.
-func (co *Coordinator) FetchReplica(ctx context.Context, id string) ([]byte, error) {
-	body, err := encodeReplica(id, nil)
-	if err != nil {
-		return nil, err
-	}
-	co.mu.Lock()
-	workers := make([]*workerConn, 0, len(co.workers))
-	for _, w := range co.workers {
-		workers = append(workers, w)
-	}
-	co.mu.Unlock()
-	var lastErr error = fmt.Errorf("dist: no live worker holds artifact %s", id)
-	for _, w := range workers {
-		data, err := co.rpcData(ctx, w, frameReplicaGet, body)
-		if err == nil {
-			return data, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// rpc runs one fire-and-ack request against a worker.
-func (co *Coordinator) rpc(ctx context.Context, w *workerConn, typ byte, body []byte) error {
-	_, err := co.rpcData(ctx, w, typ, body)
-	return err
-}
-
-// rpcData runs one request/response exchange against a worker.
-func (co *Coordinator) rpcData(ctx context.Context, w *workerConn, typ byte, body []byte) ([]byte, error) {
-	req := co.nextReq.Add(1)
-	ch, err := w.registerPending(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.wc.writeFrame(typ, req, body); err != nil {
-		w.unregisterPending(req)
-		co.drop(w, err)
-		return nil, err
-	}
-	timer := time.NewTimer(co.cfg.TaskTimeout)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		w.unregisterPending(req)
-		return nil, ctx.Err()
-	case <-timer.C:
-		w.unregisterPending(req)
-		return nil, fmt.Errorf("dist: rpc to worker %q timed out", w.name)
-	case rep, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("dist: worker %q lost mid-rpc", w.name)
-		}
-		if rep.typ == frameError {
-			return nil, fmt.Errorf("dist: worker %q: %s", w.name, rep.payload)
-		}
-		return rep.payload, nil
 	}
 }

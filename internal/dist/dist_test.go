@@ -223,26 +223,6 @@ func TestWorkerKillMidBuildByteIdentical(t *testing.T) {
 	}
 }
 
-func TestReplicationRoundTrip(t *testing.T) {
-	p := startPool(t, 2)
-	data := []byte("artifact payload for replication")
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if stored := p.co.Replicate(ctx, "art1", data); stored != 2 {
-		t.Fatalf("Replicate stored on %d workers, want 2", stored)
-	}
-	got, err := p.co.FetchReplica(ctx, "art1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(data) {
-		t.Fatalf("fetched %q, want %q", got, data)
-	}
-	if _, err := p.co.FetchReplica(ctx, "missing"); err == nil {
-		t.Fatal("fetch of unknown artifact succeeded")
-	}
-}
-
 func TestWorkerLossDetectedByHeartbeatDeadline(t *testing.T) {
 	p := startPool(t, 2)
 	p.kill(1)

@@ -112,3 +112,82 @@ func TestWireCorruptionSurfacesTypedError(t *testing.T) {
 		t.Fatalf("read of corrupted frame: err = %v, want ErrCorruptRPC", err)
 	}
 }
+
+// TestWorkerAnswersRetiredReplicationFrames: frame types 7–10 are reserved
+// for the retired artifact replication. A scripted coordinator of the older
+// protocol sends a replicate and a replica read; the worker must answer each
+// with frameError under the request's id and keep the session, which the
+// task sent after them proves by getting its own reply.
+func TestWorkerAnswersRetiredReplicationFrames(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	w, err := NewWorker(WorkerConfig{Coordinator: ln.Addr().String(), Name: "w1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := newWireConn(c, 5*time.Second, 5*time.Second)
+	defer wc.Close()
+	hello, err := wc.readFrame()
+	if err != nil || hello.typ != frameHello {
+		t.Fatalf("hello = %+v, %v", hello, err)
+	}
+	if err := wc.writeFrame(frameHelloOK, hello.req, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	// reply reads past heartbeats to the worker's answer to req.
+	reply := func(req uint64) frame {
+		t.Helper()
+		for {
+			f, err := wc.readFrame()
+			if err != nil {
+				t.Fatalf("request %d: session ended: %v", req, err)
+			}
+			if f.typ != frameHeartbeat {
+				if f.req != req {
+					t.Fatalf("reply to request %d, want %d", f.req, req)
+				}
+				return f
+			}
+		}
+	}
+	for _, req := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{frameReplicate, append([]byte{3}, "art artifact bytes"...)},
+		{frameReplicaGet, append([]byte{3}, "art"...)},
+	} {
+		if err := wc.writeFrame(req.typ, uint64(req.typ), req.payload); err != nil {
+			t.Fatal(err)
+		}
+		if f := reply(uint64(req.typ)); f.typ != frameError {
+			t.Fatalf("frame type %d answered with type %d, want frameError", req.typ, f.typ)
+		}
+	}
+	task, err := encodeTask("no.such.kind", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.writeFrame(frameTask, 42, task); err != nil {
+		t.Fatal(err)
+	}
+	if f := reply(42); f.typ != frameError {
+		t.Fatalf("unknown task kind answered with type %d, want frameError", f.typ)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

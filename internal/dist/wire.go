@@ -1,10 +1,10 @@
 // Package dist is the distributed execution subsystem of csb: a coordinator
 // that registers worker processes over a framed TCP RPC protocol, routes
 // remotable engine stage tasks to them by consistent hashing on
-// (stage, task, attempt), replicates finished artifacts so any worker can
-// serve reads, and detects worker loss with heartbeat deadlines — surfacing
-// it as task errors that the engine's existing retry/backoff budget turns
-// into re-dispatches on the surviving workers (or local fallback).
+// (stage, task, attempt), and detects worker loss with heartbeat deadlines —
+// surfacing it as task errors that the engine's existing retry/backoff
+// budget turns into re-dispatches on the surviving workers (or local
+// fallback).
 //
 // Determinism: the coordinator only ever ships task payloads whose results
 // are pure functions of their bytes (internal/dist/task), and the engine's
@@ -54,17 +54,18 @@ const (
 
 // Frame types.
 const (
-	frameHello       = 1  // worker -> coordinator: magic + name
-	frameHelloOK     = 2  // coordinator -> worker: assigned worker id
-	frameHeartbeat   = 3  // worker -> coordinator, echoed back as the ack
-	frameTask        = 4  // coordinator -> worker: kind + payload
-	frameResult      = 5  // worker -> coordinator: task result bytes
-	frameError       = 6  // either direction: error string for a request id
-	frameReplicate   = 7  // coordinator -> worker: artifact id + bytes
-	frameReplicateOK = 8  // worker -> coordinator: replica stored
-	frameReplicaGet  = 9  // coordinator -> worker: artifact id
-	frameReplicaData = 10 // worker -> coordinator: artifact bytes
-	frameDrain       = 11 // worker -> coordinator: draining, stop routing to me
+	frameHello     = 1 // worker -> coordinator: magic + name
+	frameHelloOK   = 2 // coordinator -> worker: assigned worker id
+	frameHeartbeat = 3 // worker -> coordinator, echoed back as the ack
+	frameTask      = 4 // coordinator -> worker: kind + payload
+	frameResult    = 5 // worker -> coordinator: task result bytes
+	frameError     = 6 // either direction: error string for a request id
+	// 7–10 carried the retired artifact replication and stay reserved: a
+	// worker answers frameReplicate and frameReplicaGet from an older
+	// coordinator with frameError and keeps the session.
+	frameReplicate  = 7
+	frameReplicaGet = 9
+	frameDrain      = 11 // worker -> coordinator: draining, stop routing to me
 )
 
 // ErrCorruptRPC tags every decode failure caused by malformed CSBD1 bytes:
@@ -216,30 +217,6 @@ func decodeTask(p []byte) (string, []byte, error) {
 	n := int(p[0])
 	if len(p) < 1+n {
 		return "", nil, corruptf("task kind length %d, have %d bytes", n, len(p)-1)
-	}
-	return string(p[1 : 1+n]), p[1+n:], nil
-}
-
-// encodeReplica builds a replicate/replica-data payload: id + bytes.
-func encodeReplica(id string, data []byte) ([]byte, error) {
-	if len(id) == 0 || len(id) > 255 {
-		return nil, fmt.Errorf("dist: bad artifact id %q", id)
-	}
-	b := make([]byte, 0, 1+len(id)+len(data))
-	b = append(b, byte(len(id)))
-	b = append(b, id...)
-	b = append(b, data...)
-	return b, nil
-}
-
-// decodeReplica splits a replicate payload into id and bytes.
-func decodeReplica(p []byte) (string, []byte, error) {
-	if len(p) < 1 {
-		return "", nil, corruptf("empty replica frame")
-	}
-	n := int(p[0])
-	if n == 0 || len(p) < 1+n {
-		return "", nil, corruptf("replica id length %d, have %d bytes", n, len(p)-1)
 	}
 	return string(p[1 : 1+n]), p[1+n:], nil
 }

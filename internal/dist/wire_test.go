@@ -129,17 +129,3 @@ func TestTaskCodec(t *testing.T) {
 		t.Fatalf("truncated kind: %v", err)
 	}
 }
-
-func TestReplicaCodec(t *testing.T) {
-	p, err := encodeReplica("abc123", []byte("artifact bytes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, data, err := decodeReplica(p)
-	if err != nil || id != "abc123" || string(data) != "artifact bytes" {
-		t.Fatalf("decode = %q %q %v", id, data, err)
-	}
-	if _, _, err := decodeReplica([]byte{0}); !errors.Is(err, ErrCorruptRPC) {
-		t.Fatalf("zero-length id: %v", err)
-	}
-}

@@ -17,8 +17,6 @@ import (
 const (
 	// DefaultDialTimeout bounds one connection attempt to the coordinator.
 	DefaultDialTimeout = 5 * time.Second
-	// DefaultReplicaBudget bounds the worker's replica store.
-	DefaultReplicaBudget = 256 << 20
 )
 
 // WorkerConfig parameterizes RunWorker.
@@ -34,9 +32,6 @@ type WorkerConfig struct {
 	HeartbeatInterval time.Duration
 	// DialTimeout bounds one connection attempt (0 means DefaultDialTimeout).
 	DialTimeout time.Duration
-	// ReplicaBudget bounds the bytes of replicated artifacts kept (0 means
-	// DefaultReplicaBudget); the oldest replicas evict first.
-	ReplicaBudget int64
 	// WrapConn, when non-nil, wraps the dialed coordinator connection —
 	// the seam tests and the -chaos-net flag use to interpose a
 	// chaosnet fault proxy under the CSBD1 wire layer.
@@ -45,19 +40,11 @@ type WorkerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Worker is the csbd worker runtime: it joins a coordinator, executes
-// dispatched task kinds (everything registered in internal/dist/task), and
-// stores replicated artifacts. Run drives the connect/serve/reconnect loop
-// until the context ends.
+// Worker is the csbd worker runtime: it joins a coordinator and executes
+// dispatched task kinds (everything registered in internal/dist/task). Run
+// drives the connect/serve/reconnect loop until the context ends.
 type Worker struct {
 	cfg WorkerConfig
-
-	// Replica store: id -> bytes, with insertion order for byte-budget
-	// eviction (oldest first).
-	rmu    sync.Mutex
-	reps   map[string][]byte
-	order  []string
-	rbytes int64
 
 	// Graceful drain: Drain announces intent to the coordinator, finishes
 	// in-flight tasks, then Run returns.
@@ -84,10 +71,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = DefaultDialTimeout
 	}
-	if cfg.ReplicaBudget == 0 {
-		cfg.ReplicaBudget = DefaultReplicaBudget
-	}
-	return &Worker{cfg: cfg, reps: make(map[string][]byte), drainCh: make(chan struct{}), after: time.After}, nil
+	return &Worker{cfg: cfg, drainCh: make(chan struct{}), after: time.After}, nil
 }
 
 // Drain flips the worker into graceful shutdown: it tells the coordinator to
@@ -235,10 +219,10 @@ func (w *Worker) session(ctx context.Context) (joined bool, _ error) {
 				defer w.inflight.Add(-1)
 				w.runTask(wc, f)
 			}(f)
-		case frameReplicate:
-			w.storeReplica(wc, f)
-		case frameReplicaGet:
-			w.serveReplica(wc, f)
+		case frameReplicate, frameReplicaGet:
+			// Retired artifact replication: answer so an older coordinator's
+			// request fails fast instead of tearing the session down.
+			wc.writeFrame(frameError, f.req, []byte("artifact replication is not supported"))
 		default:
 			return true, corruptf("unexpected frame type %d from coordinator", f.typ)
 		}
@@ -261,55 +245,4 @@ func (w *Worker) runTask(wc *wireConn, f frame) {
 		// reconnect. The coordinator re-dispatches through the retry path.
 		w.logf("dist: worker %q failed to send %s result: %v", w.cfg.Name, kind, err)
 	}
-}
-
-// storeReplica installs one replicated artifact under the byte budget.
-func (w *Worker) storeReplica(wc *wireConn, f frame) {
-	id, data, err := decodeReplica(f.payload)
-	if err != nil {
-		wc.writeFrame(frameError, f.req, []byte(err.Error()))
-		return
-	}
-	if int64(len(data)) > w.cfg.ReplicaBudget {
-		wc.writeFrame(frameError, f.req, []byte("replica exceeds worker budget"))
-		return
-	}
-	w.rmu.Lock()
-	if old, ok := w.reps[id]; ok {
-		w.rbytes -= int64(len(old))
-	} else {
-		w.order = append(w.order, id)
-	}
-	w.reps[id] = data
-	w.rbytes += int64(len(data))
-	for w.rbytes > w.cfg.ReplicaBudget && len(w.order) > 0 {
-		oldest := w.order[0]
-		w.order = w.order[1:]
-		if oldest == id {
-			// Never evict the replica just stored; re-queue it as newest.
-			w.order = append(w.order, oldest)
-			continue
-		}
-		w.rbytes -= int64(len(w.reps[oldest]))
-		delete(w.reps, oldest)
-	}
-	w.rmu.Unlock()
-	wc.writeFrame(frameReplicateOK, f.req, nil)
-}
-
-// serveReplica answers a replica read.
-func (w *Worker) serveReplica(wc *wireConn, f frame) {
-	id, _, err := decodeReplica(f.payload)
-	if err != nil {
-		wc.writeFrame(frameError, f.req, []byte(err.Error()))
-		return
-	}
-	w.rmu.Lock()
-	data, ok := w.reps[id]
-	w.rmu.Unlock()
-	if !ok {
-		wc.writeFrame(frameError, f.req, []byte("replica not held: "+id))
-		return
-	}
-	wc.writeFrame(frameReplicaData, f.req, data)
 }

@@ -108,7 +108,7 @@ func analyzedSeed(hosts, sessions int, traceSeed uint64) (*core.Seed, error) {
 	}
 	s, err := core.SyntheticSeed(hosts, sessions, traceSeed)
 	if err != nil {
-		return nil, fmt.Errorf("eval: building seed: %w", err)
+		return nil, fmt.Errorf("building seed: %w", err)
 	}
 	if seedCache.m == nil {
 		seedCache.m = make(map[[3]uint64]*core.Seed)
@@ -121,7 +121,8 @@ func analyzedSeed(hosts, sessions int, traceSeed uint64) (*core.Seed, error) {
 // generator, compute the fidelity report against the seed graph, and the
 // utility report against the held-out scenario. It is a pure function of
 // (spec, cell) — no clock, no global RNG — which is the determinism
-// contract the whole harness rests on.
+// contract the whole harness rests on. Errors do not name the cell: the
+// runner that scheduled it does, once.
 func RunCell(sp *GridSpec, c Cell) (*Row, error) {
 	seed, err := analyzedSeed(sp.SeedHosts, sp.SeedSessions, sp.SeedTraceSeed)
 	if err != nil {
@@ -130,19 +131,19 @@ func RunCell(sp *GridSpec, c Cell) (*Row, error) {
 	genSeed := c.GenSeed()
 	gen, err := core.NewGenerator(c.Generator.Name, c.Generator.Fraction, genSeed, nil)
 	if err != nil {
-		return nil, fmt.Errorf("eval: cell %d: %w (spec not normalized?)", c.Index, err)
+		return nil, fmt.Errorf("%w (spec not normalized?)", err)
 	}
 	g, err := gen.Generate(seed, c.Size)
 	if err != nil {
-		return nil, fmt.Errorf("eval: cell %d (%s): generating: %w", c.Index, c.Display(), err)
+		return nil, fmt.Errorf("generating: %w", err)
 	}
 	report, err := Evaluate(seed.Graph, g, Options{PageRankPoints: sp.PageRankPoints})
 	if err != nil {
-		return nil, fmt.Errorf("eval: cell %d (%s): %w", c.Index, c.Display(), err)
+		return nil, err
 	}
 	utility, err := Utility(g, &sp.Utility, genSeed)
 	if err != nil {
-		return nil, fmt.Errorf("eval: cell %d (%s): %w", c.Index, c.Display(), err)
+		return nil, err
 	}
 	return &Row{
 		Cell:     c,
@@ -161,7 +162,7 @@ func RunCell(sp *GridSpec, c Cell) (*Row, error) {
 func RunCellBytes(payload []byte) ([]byte, error) {
 	var p CellPayload
 	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, fmt.Errorf("eval: decoding cell payload: %w", err)
+		return nil, fmt.Errorf("decoding cell payload: %w", err)
 	}
 	row, err := RunCell(&p.Spec, p.Cell)
 	if err != nil {

@@ -44,6 +44,10 @@ const (
 	DefaultRepeats        = 1
 	DefaultPageRankPoints = 100
 
+	// maxGridCells bounds the cross product a spec may span. Normalize
+	// rejects a larger grid before Cells would try to allocate it.
+	maxGridCells = 1 << 16
+
 	// repeatSeedStride derives repeat r's generation seed as
 	// base + r*stride: distinct repeats draw distinct generation
 	// randomness while staying a pure function of the spec.
@@ -143,6 +147,13 @@ func (sp *GridSpec) Normalize() error {
 	}
 	if sp.Repeats < 0 {
 		return fmt.Errorf("eval: repeats must be positive, got %d", sp.Repeats)
+	}
+	cells := 1
+	for _, n := range []int{len(sp.Generators), len(sp.Sizes), len(sp.Seeds), sp.Repeats} {
+		if n > maxGridCells/cells {
+			return fmt.Errorf("eval: grid spans more than %d cells", maxGridCells)
+		}
+		cells *= n
 	}
 	if sp.PageRankPoints == 0 {
 		sp.PageRankPoints = DefaultPageRankPoints

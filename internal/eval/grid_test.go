@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -39,6 +41,10 @@ func TestParseGridRejectsUnknownFields(t *testing.T) {
 }
 
 func TestNormalizeRejectsBadSpecs(t *testing.T) {
+	manySizes := make([]int64, 300)
+	for i := range manySizes {
+		manySizes[i] = 100
+	}
 	cases := []struct {
 		name string
 		sp   GridSpec
@@ -50,6 +56,8 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		{"no sizes", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}}, "at least one size"},
 		{"negative size", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{-5}}, "must be positive"},
 		{"negative repeats", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{100}, Repeats: -1}, "repeats"},
+		{"too many cells", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{100}, Repeats: 4_000_000_000_000_000_000}, "cells"},
+		{"too many cells in product", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: manySizes, Seeds: make([]uint64, 300)}, "cells"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,4 +130,60 @@ func TestGridIDStableAndSensitive(t *testing.T) {
 	if len(a.ID()) != 64 {
 		t.Fatalf("ID length = %d, want 64 hex digits", len(a.ID()))
 	}
+}
+
+// FuzzParseGrid: ParseGrid never panics, and a spec it accepts has a stable
+// ID — the same after Normalize runs again and after a JSON round trip of
+// the normalized spec — and exactly generators × sizes × seeds × repeats
+// cells.
+func FuzzParseGrid(f *testing.F) {
+	for _, path := range []string{"testdata/smoke-grid.json", "../../experiments.json", "../../experiments-large.json"} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"generators":[{"name":"pgsk"}],"sizes":[50000],"repeats":4000000000000000000}`))
+	f.Add([]byte(`{"generators":[{"name":"pgpba","fraction":0.5}],"sizes":[1,2,3],"seeds":[7,7],"repeats":3,"pagerank_points":2}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := ParseGrid(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		id := sp.ID()
+		if sp.ID() != id {
+			t.Fatal("ID differs between two calls")
+		}
+		if err := sp.Normalize(); err != nil {
+			t.Fatalf("re-normalizing an accepted spec: %v", err)
+		}
+		if sp.ID() != id {
+			t.Fatal("ID moved when Normalize ran again")
+		}
+		raw, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseGrid(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("re-parsing the normalized spec: %v", err)
+		}
+		if back.ID() != id {
+			t.Fatal("ID moved across a JSON round trip")
+		}
+		want := len(sp.Generators) * len(sp.Sizes) * len(sp.Seeds) * sp.Repeats
+		if want > maxGridCells {
+			t.Fatalf("accepted %d cells, above maxGridCells", want)
+		}
+		cells := sp.Cells()
+		if len(cells) != want {
+			t.Fatalf("len(Cells()) = %d, want %d", len(cells), want)
+		}
+		for i, c := range cells {
+			if c.Index != i {
+				t.Fatalf("cell %d has Index %d", i, c.Index)
+			}
+		}
+	})
 }

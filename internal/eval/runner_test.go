@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,5 +202,28 @@ func TestRunCancelledContext(t *testing.T) {
 	r := &eval.Runner{Spec: sp, OutDir: filepath.Join(t.TempDir(), "runs")}
 	if _, err := r.Run(ctx); err == nil {
 		t.Fatal("cancelled run succeeded")
+	}
+}
+
+// TestCellErrorNamedOnce: a failing cell's error carries its "eval: cell N
+// (…)" prefix exactly once. A PGPBA size below the seed's edge count cannot
+// be grown, so the generator refuses it.
+func TestCellErrorNamedOnce(t *testing.T) {
+	sp := &eval.GridSpec{
+		SeedHosts: 20, SeedSessions: 200,
+		Generators: []eval.GeneratorSpec{{Name: eval.GenPGPBA, Fraction: 0.5}},
+		Sizes:      []int64{100},
+	}
+	if err := sp.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	r := &eval.Runner{Spec: sp, OutDir: filepath.Join(t.TempDir(), "runs")}
+	_, err := r.Run(context.Background())
+	if err == nil {
+		t.Fatal("a PGPBA cell below the seed size succeeded")
+	}
+	const prefix = "eval: cell 0 (pgpba f=0.5 size=100 seed=1 rep=0): "
+	if msg := err.Error(); !strings.HasPrefix(msg, prefix) || strings.Count(msg, "eval: cell") != 1 {
+		t.Fatalf("err = %q, want one %q prefix", msg, prefix)
 	}
 }

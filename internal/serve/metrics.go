@@ -69,7 +69,6 @@ type WorkerStat struct {
 	Live           bool
 	TasksDone      int64
 	TasksFailed    int64
-	ReplicasHeld   int64
 	HeartbeatAgeMS int64
 }
 
@@ -156,7 +155,7 @@ func (s *Server) Metrics() Metrics {
 			dm.Workers = append(dm.Workers, WorkerStat{
 				Name: wi.Name, Live: wi.Live,
 				TasksDone: wi.TasksDone, TasksFailed: wi.TasksFailed,
-				ReplicasHeld: wi.ReplicasHeld, HeartbeatAgeMS: wi.HeartbeatAgeMS,
+				HeartbeatAgeMS: wi.HeartbeatAgeMS,
 			})
 		}
 		m.Dist = dm
@@ -241,7 +240,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "csbd_dist_worker_live{worker=%q} %d\n", ws.Name, live)
 			fmt.Fprintf(&b, "csbd_dist_worker_tasks_done_total{worker=%q} %d\n", ws.Name, ws.TasksDone)
 			fmt.Fprintf(&b, "csbd_dist_worker_tasks_failed_total{worker=%q} %d\n", ws.Name, ws.TasksFailed)
-			fmt.Fprintf(&b, "csbd_dist_worker_replicas{worker=%q} %d\n", ws.Name, ws.ReplicasHeld)
 			fmt.Fprintf(&b, "csbd_dist_worker_heartbeat_age_seconds{worker=%q} %.3f\n",
 				ws.Name, float64(ws.HeartbeatAgeMS)/1000)
 		}

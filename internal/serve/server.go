@@ -19,9 +19,8 @@ import (
 )
 
 // DistPool is the coordinator-side view serve needs of the distributed
-// runtime (implemented by *dist.Coordinator): dispatch remotable stage tasks,
-// report worker topology, and replicate finished artifacts. Nil means
-// single-process operation.
+// runtime (implemented by *dist.Coordinator): dispatch remotable stage tasks
+// and report worker topology. Nil means single-process operation.
 type DistPool interface {
 	cluster.TaskExecutor
 	// Workers lists known workers, live first, lost tombstones after.
@@ -30,9 +29,6 @@ type DistPool interface {
 	LiveWorkers() int
 	// Counts reports topology and dispatch totals.
 	Counts() (registered, live, lost, dispatched, declined int64)
-	// Replicate pushes an artifact to every live worker, returning how many
-	// stored it.
-	Replicate(ctx context.Context, id string, data []byte) int
 }
 
 // Config parameterizes a Server.
@@ -68,9 +64,9 @@ type Config struct {
 	// DefaultReplaySessions); POST /replay beyond the cap is shed with 429.
 	ReplaySessions int
 	// Dist, when non-nil, dispatches remotable engine stages to registered
-	// worker processes and replicates finished artifacts to them. Like the
-	// fault knobs it is not part of artifact identity: bytes stay identical
-	// whether stages run in-process or on workers.
+	// worker processes. Like the fault knobs it is not part of artifact
+	// identity: bytes stay identical whether stages run in-process or on
+	// workers.
 	Dist DistPool
 	// MinWorkers gates /readyz when distributed: with Dist set, readiness
 	// additionally requires at least this many live workers. Zero means
@@ -344,11 +340,6 @@ func (s *Server) runJob(j *job) {
 		s.cache.Put(j.artifact, data)
 		j.state = StateDone
 		s.completed.Add(1)
-		if s.cfg.Dist != nil {
-			// Replicate so any worker can serve the artifact; best-effort and
-			// off the job's critical path, bounded by server lifetime.
-			go s.cfg.Dist.Replicate(s.baseCtx, j.artifact, data)
-		}
 	case errors.Is(err, context.Canceled):
 		j.state = StateCanceled
 		j.errMsg = "canceled"

@@ -60,26 +60,6 @@ func SummarizeInt(xs []int64) Summary {
 	return Summarize(fs)
 }
 
-// ShannonEntropy returns the entropy (bits) of the empirical distribution
-// of xs — the Variety metric of the four-V benchmark frame: how diverse the
-// generated attribute values are compared to the seed's.
-func ShannonEntropy(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	counts := make(map[int64]int64, 64)
-	for _, x := range xs {
-		counts[x]++
-	}
-	n := float64(len(xs))
-	var h float64
-	for _, c := range counts {
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // PearsonCorrelation returns the sample correlation coefficient of two
 // equal-length vectors, used to verify that the conditional attribute model
 // preserves cross-attribute correlation (e.g. bytes vs packets).

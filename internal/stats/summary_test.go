@@ -39,22 +39,3 @@ func TestPearsonCorrelation(t *testing.T) {
 		t.Fatal("zero-variance input did not return NaN")
 	}
 }
-
-func TestShannonEntropy(t *testing.T) {
-	if h := ShannonEntropy(nil); h != 0 {
-		t.Fatalf("empty entropy = %g", h)
-	}
-	if h := ShannonEntropy([]int64{7, 7, 7}); h != 0 {
-		t.Fatalf("constant entropy = %g", h)
-	}
-	// Uniform over 4 values: exactly 2 bits.
-	h := ShannonEntropy([]int64{0, 1, 2, 3})
-	if math.Abs(h-2) > 1e-12 {
-		t.Fatalf("uniform-4 entropy = %g, want 2", h)
-	}
-	// Skewed distribution has lower entropy than uniform.
-	skew := ShannonEntropy([]int64{0, 0, 0, 0, 0, 0, 1, 2})
-	if skew >= ShannonEntropy([]int64{0, 0, 1, 1, 2, 2, 3, 3}) {
-		t.Fatal("skewed entropy not below uniform")
-	}
-}

@@ -100,6 +100,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-hosts", "1"}, &out); err == nil {
 		t.Error("invalid trace config accepted")
 	}
+	// 2^25 hosts overrun the trace's 10.0.0.0/8 address plan.
+	if err := run([]string{"-hosts", "33554432"}, &out); err == nil || !strings.Contains(err.Error(), "address plan") {
+		t.Errorf("-hosts 33554432: err = %v, want the address-plan error", err)
+	}
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Error("bad flag accepted")
 	}

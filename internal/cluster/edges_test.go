@@ -81,3 +81,30 @@ func TestFillGraphValidatesEndpoints(t *testing.T) {
 		t.Fatalf("err = %v, want an out-of-range endpoint", err)
 	}
 }
+
+// TestFillRangesCoversEachIndexOnce checks that FillRanges hands out the
+// default partitioning of [0, n): every index exactly once, one local task
+// per partition (never more partitions than indices), and none for n = 0.
+func TestFillRangesCoversEachIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 1031} {
+		c := MustNew(Config{Nodes: 2, CoresPerNode: 2, MaxParallel: 4})
+		hits := make([]int32, n)
+		var tasks atomic.Int32
+		if err := FillRanges(c, n, int64(n), func(lo, hi int) {
+			tasks.Add(1)
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d: index %d filled %d times", n, i, h)
+			}
+		}
+		if want := min(n, c.Config().DefaultPartitions); int(tasks.Load()) != want {
+			t.Errorf("n=%d: %d tasks, want %d", n, tasks.Load(), want)
+		}
+	}
+}

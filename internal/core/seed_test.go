@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
 	"slices"
+	"sort"
 	"testing"
 
 	"csb/internal/graph"
@@ -202,4 +205,58 @@ func BenchmarkPropertyModelSample(b *testing.B) {
 		m.Sample(rng)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/edge")
+}
+
+// TestSeedIndependentOfPacketTieOrder checks that the order of packets with
+// equal timestamps cannot reach the seed graph: its CSBG bytes are the same
+// from Synthesize's order (ties in generation order), from the comparison
+// sort Synthesize used before (a copy of it here, over the packets in a
+// seeded random order, which leaves ties in an arbitrary order), and from
+// Synthesize's order with every run of ties reversed.
+func TestSeedIndependentOfPacketTieOrder(t *testing.T) {
+	seedBytes := func(pkts []pcap.PacketInfo) []byte {
+		var buf bytes.Buffer
+		if err := netflow.BuildGraph(netflow.Assemble(pkts, 0)).Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	runs, moved := 0, 0
+	for seed := uint64(1); seed <= 16; seed++ {
+		pkts, err := pcap.Synthesize(pcap.DefaultTraceConfig(100, 6000, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := seedBytes(pkts)
+
+		old := slices.Clone(pkts)
+		rng := rand.New(rand.NewPCG(seed, 1))
+		rng.Shuffle(len(old), func(i, j int) { old[i], old[j] = old[j], old[i] })
+		sort.Slice(old, func(i, j int) bool { return old[i].TsMicros < old[j].TsMicros })
+
+		reversed := slices.Clone(pkts)
+		for lo := 0; lo < len(reversed); {
+			hi := lo + 1
+			for hi < len(reversed) && reversed[hi].TsMicros == reversed[lo].TsMicros {
+				hi++
+			}
+			if hi-lo > 1 {
+				runs++
+				slices.Reverse(reversed[lo:hi])
+			}
+			lo = hi
+		}
+		for _, order := range [][]pcap.PacketInfo{old, reversed} {
+			if !slices.Equal(order, pkts) {
+				moved++
+			}
+			if !bytes.Equal(seedBytes(order), want) {
+				t.Fatalf("seed %d: the seed graph depends on the order of tied packets", seed)
+			}
+		}
+	}
+	if runs < 100 || moved == 0 {
+		t.Fatalf("%d tie runs, %d reordered traces: the check covered too little", runs, moved)
+	}
+	t.Logf("%d tie runs", runs)
 }

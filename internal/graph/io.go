@@ -54,57 +54,88 @@ func DecodeEdgeRecord(rec []byte) Edge { return decodeEdge(rec) }
 // writeChunkEdges is how many edge records Write encodes between writes.
 const writeChunkEdges = 1024
 
-// Write serializes the graph in CSBG format. The edge section is encoded
-// straight from the columns, writeChunkEdges records at a time into one
-// pooled scratch; a destination with a Grow method (*bytes.Buffer) first
-// reserves the exact encoded size.
-func (g *Graph) Write(w io.Writer) error {
-	n := g.cols.Len()
-	if gr, ok := w.(interface{ Grow(int) }); ok {
-		gr.Grow(len(magic) + 24 + 4*len(g.addrs) + edgeRecordSize*n)
-	}
-	bw := bufpool.Get(w)
-	defer bufpool.Put(bw)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
+// headerLen is the length of g's CSBG header: magic, version, flags,
+// counts and address table.
+func (g *Graph) headerLen() int { return len(magic) + 24 + 4*len(g.addrs) }
+
+// appendHeader appends g's CSBG header up to its address table (magic,
+// version, flags and counts) to dst. Write and NewCSBG share it.
+func (g *Graph) appendHeader(dst []byte) []byte {
 	var flags uint32
 	if g.addrs != nil {
 		flags |= flagAddrs
 	}
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], formatVersion)
-	binary.LittleEndian.PutUint32(hdr[4:8], flags)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.numVertices))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
+	le := binary.LittleEndian
+	dst = append(dst, magic[:]...)
+	dst = le.AppendUint32(dst, formatVersion)
+	dst = le.AppendUint32(dst, flags)
+	dst = le.AppendUint64(dst, uint64(g.numVertices))
+	return le.AppendUint64(dst, uint64(g.cols.Len()))
+}
+
+// appendAddrs appends the address-table entries addrs to dst.
+func appendAddrs(dst []byte, addrs []uint32) []byte {
+	for _, a := range addrs {
+		dst = binary.LittleEndian.AppendUint32(dst, a)
 	}
-	if g.addrs != nil {
-		var b [4]byte
-		for _, a := range g.addrs {
-			binary.LittleEndian.PutUint32(b[:], a)
-			if _, err := bw.Write(b[:]); err != nil {
-				return err
-			}
+	return dst
+}
+
+// Write serializes the graph in CSBG format, streaming through one pooled
+// scratch of writeChunkEdges records that goes to w directly: the header
+// and the address table a scratch-full at a time, then the edge section
+// encoded straight from the columns. A destination with a Grow method
+// (*bytes.Buffer) first reserves the exact encoded size. NewCSBG and
+// EncodeRecords produce the same bytes in place.
+func (g *Graph) Write(w io.Writer) error {
+	const chunkLen = writeChunkEdges * edgeRecordSize
+	n := g.cols.Len()
+	if gr, ok := w.(interface{ Grow(int) }); ok {
+		gr.Grow(g.headerLen() + edgeRecordSize*n)
+	}
+	bw := bufpool.Get(w)
+	defer bufpool.Put(bw)
+	if cap(bw.Scratch) < chunkLen {
+		bw.Scratch = make([]byte, 0, chunkLen)
+	}
+	buf := g.appendHeader(bw.Scratch[:0])
+	for addrs := g.addrs; ; {
+		k := min(len(addrs), (cap(buf)-len(buf))/4)
+		buf, addrs = appendAddrs(buf, addrs[:k]), addrs[k:]
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
-	}
-	// The chunks are as large as bw's buffer, so they go to w directly.
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if cap(bw.Scratch) < writeChunkEdges*edgeRecordSize {
-		bw.Scratch = make([]byte, writeChunkEdges*edgeRecordSize)
+		if buf = buf[:0]; len(addrs) == 0 {
+			break
+		}
 	}
 	for lo := 0; lo < n; lo += writeChunkEdges {
 		hi := min(lo+writeChunkEdges, n)
-		buf := bw.Scratch[:(hi-lo)*edgeRecordSize]
-		g.cols.encodeRecords(buf, lo, hi)
-		if _, err := w.Write(buf); err != nil {
+		chunk := buf[:(hi-lo)*edgeRecordSize]
+		g.cols.encodeRecords(chunk, lo, hi)
+		if _, err := w.Write(chunk); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// NewCSBG allocates g's CSBG encoding — Write's bytes — as one slice of its
+// exact size, writes the header into it and returns it with records, its
+// edge section, left for EncodeRecords to fill.
+func (g *Graph) NewCSBG() (enc, records []byte) {
+	h := g.headerLen()
+	enc = make([]byte, h+edgeRecordSize*g.cols.Len())
+	appendAddrs(g.appendHeader(enc[:0]), g.addrs)
+	return enc, enc[h:]
+}
+
+// EncodeRecords writes the records of edges [lo, hi) into records, an edge
+// section from NewCSBG, at their own offsets: edge i's record is the
+// EdgeRecordLen bytes at i*EdgeRecordLen. Disjoint ranges may therefore be
+// encoded concurrently and in any order into the same bytes.
+func (g *Graph) EncodeRecords(records []byte, lo, hi int) {
+	g.cols.encodeRecords(records[lo*edgeRecordSize:hi*edgeRecordSize], lo, hi)
 }
 
 // encodeRecords writes the binary records of edges [lo, hi) into buf, which

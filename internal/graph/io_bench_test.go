@@ -33,8 +33,9 @@ func BenchmarkAppendEdgeList(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteCSBG is the csbg encode of a 500k-edge job as BuildArtifact
-// does it: into a fresh bytes.Buffer.
+// BenchmarkWriteCSBG is the streaming csbg file writer on a 500k-edge graph,
+// into a fresh bytes.Buffer. Artifacts are encoded in place instead (serve
+// BenchmarkEncodeArtifact/csbg).
 func BenchmarkWriteCSBG(b *testing.B) {
 	g := benchGraph(b, 500_000)
 	b.ReportAllocs()

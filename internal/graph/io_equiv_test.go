@@ -64,18 +64,31 @@ func TestAppendEdgeListMatchesFprintf(t *testing.T) {
 }
 
 // plainWriter hides bytes.Buffer's Grow, so Write takes its no-reservation
-// route.
-type plainWriter struct{ buf bytes.Buffer }
+// route, and records the largest single write it was handed.
+type plainWriter struct {
+	buf     bytes.Buffer
+	largest int
+}
 
-func (p *plainWriter) Write(b []byte) (int, error) { return p.buf.Write(b) }
+func (p *plainWriter) Write(b []byte) (int, error) {
+	p.largest = max(p.largest, len(b))
+	return p.buf.Write(b)
+}
 
 // TestWriteMatchesRecordReference holds the chunked column encoder to the
 // per-record one: header, address table, then AppendEdgeRecord of every
-// edge, across chunk boundaries and with a partial last chunk.
+// edge, across chunk boundaries and with a partial last chunk, and with an
+// address table longer than one chunk. No write exceeds one chunk, so the
+// pooled scratch stays that size.
 func TestWriteMatchesRecordReference(t *testing.T) {
-	for _, edges := range []int{0, 1, writeChunkEdges, 2*writeChunkEdges + 37} {
-		g := New(50)
+	for _, tc := range []struct{ vertices, edges int }{
+		{50, 0}, {50, 1}, {50, writeChunkEdges}, {50, 2*writeChunkEdges + 37},
+		{3*writeChunkEdges*edgeRecordSize/4 + 5, 37},
+	} {
+		edges, nv := tc.edges, tc.vertices
+		g := New(int64(nv))
 		g.SetAddr(3, 0x0a000003)
+		g.SetAddr(VertexID(nv-1), 0x0a0000ff)
 		for i := 0; i < edges; i++ {
 			g.AddEdge(Edge{
 				Src: VertexID(i % 50), Dst: VertexID((i * 7) % 50),
@@ -90,9 +103,9 @@ func TestWriteMatchesRecordReference(t *testing.T) {
 		want := append([]byte(nil), magic[:]...)
 		want = binary.LittleEndian.AppendUint32(want, formatVersion)
 		want = binary.LittleEndian.AppendUint32(want, flagAddrs)
-		want = binary.LittleEndian.AppendUint64(want, 50)
+		want = binary.LittleEndian.AppendUint64(want, uint64(nv))
 		want = binary.LittleEndian.AppendUint64(want, uint64(edges))
-		for v := 0; v < 50; v++ {
+		for v := 0; v < nv; v++ {
 			want = binary.LittleEndian.AppendUint32(want, g.Addr(VertexID(v)))
 		}
 		for i := 0; i < edges; i++ {
@@ -116,6 +129,9 @@ func TestWriteMatchesRecordReference(t *testing.T) {
 		}
 		if !bytes.Equal(plain.buf.Bytes(), want) {
 			t.Fatalf("%d edges: Write into a plain writer diverged from the record reference", edges)
+		}
+		if chunk := writeChunkEdges * edgeRecordSize; plain.largest > chunk {
+			t.Errorf("%d vertices: a write of %d bytes, over the %d-byte chunk", nv, plain.largest, chunk)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package pcap
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
-	"sort"
+	"unsafe"
 
 	"csb/internal/stats"
 )
@@ -55,12 +57,32 @@ func DefaultTraceConfig(hosts, sessions int, seed uint64) TraceConfig {
 	}
 }
 
+// MaxHosts is the most hosts a trace can address: HostIP numbers host i as
+// 10.0.0.0 + i+1, which stays inside 10.0.0.0/8, distinct, and short of
+// its broadcast address up to here.
+const MaxHosts = 1<<24 - 2
+
+// maxSessions bounds Sessions so the packet slice Synthesize presizes (8
+// packets a session) stays under 2^47 bytes, below the runtime's allocation
+// limit on every 64-bit platform: past that limit make panics.
+const maxSessions = min(1<<47, math.MaxInt) / (8 * int(unsafe.Sizeof(PacketInfo{})))
+
+// SessionBytes is about what one session of a default trace costs
+// Synthesize at its peak: 16 packets (the default mix averages 15.3),
+// each held twice as a PacketInfo (generated and sorted) and twice as a
+// sort key, while sortByTime gathers.
+const SessionBytes = 16 * int(2*unsafe.Sizeof(PacketInfo{})+2*unsafe.Sizeof(tsKey{}))
+
 func (c *TraceConfig) validate() error {
 	switch {
 	case c.Hosts < 2:
 		return errors.New("pcap: need at least 2 hosts")
+	case c.Hosts > MaxHosts:
+		return fmt.Errorf("pcap: %d hosts exceed the 10.0.0.0/8 address plan (at most %d)", c.Hosts, MaxHosts)
 	case c.Sessions < 1:
 		return errors.New("pcap: need at least 1 session")
+	case c.Sessions > maxSessions:
+		return fmt.Errorf("pcap: %d sessions exceed the trace size limit (at most %d)", c.Sessions, maxSessions)
 	case c.DurationMicros <= 0:
 		return errors.New("pcap: duration must be positive")
 	case c.TCPFraction < 0 || c.UDPFraction < 0 || c.TCPFraction+c.UDPFraction > 1:
@@ -84,11 +106,17 @@ var udpServerPorts = []uint16{53, 53, 53, 123, 161, 514}
 // by preferential attachment (each completed session makes its server more
 // likely to be chosen again), which yields the scale-free in-degree
 // distribution the seed graph must exhibit. Packets are returned in
-// timestamp order.
+// timestamp order, and packets with equal timestamps in the order they were
+// generated (session by session, each session's packets in sequence).
 func Synthesize(cfg TraceConfig) ([]PacketInfo, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return sortByTime(generate(&cfg), cfg.StartMicros), nil
+}
+
+// generate returns a valid cfg's packets in generation order.
+func generate(cfg *TraceConfig) []PacketInfo {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x5eed))
 	// Preferential server pool: starts with one slot per host, and every
 	// chosen server is appended again, so P(server=h) grows with its use.
@@ -111,15 +139,61 @@ func Synthesize(cfg TraceConfig) ([]PacketInfo, error) {
 		p := rng.Float64()
 		switch {
 		case p < cfg.TCPFraction:
-			pkts = appendTCPSession(pkts, rng, &cfg, dataLaw, client, server, start)
+			pkts = appendTCPSession(pkts, rng, cfg, dataLaw, client, server, start)
 		case p < cfg.TCPFraction+cfg.UDPFraction:
-			pkts = appendUDPSession(pkts, rng, &cfg, dataLaw, client, server, start)
+			pkts = appendUDPSession(pkts, rng, cfg, dataLaw, client, server, start)
 		default:
 			pkts = appendICMPSession(pkts, rng, client, server, start)
 		}
 	}
-	sort.Slice(pkts, func(i, j int) bool { return pkts[i].TsMicros < pkts[j].TsMicros })
-	return pkts, nil
+	return pkts
+}
+
+// radixBits is the digit width of sortByTime: 3 passes cover the 30-bit
+// offsets of a default 10-minute trace.
+const radixBits = 11
+
+// tsKey is one packet's sort key, its timestamp offset, and its index.
+type tsKey struct {
+	key uint64
+	idx int
+}
+
+// sortByTime returns pkts in timestamp order, stable: an LSD radix sort of
+// (TsMicros - base, index) pairs, radixBits a pass over only the digits the
+// largest offset uses, then one gather of the packets. Every timestamp must
+// be at least base.
+func sortByTime(pkts []PacketInfo, base int64) []PacketInfo {
+	keys := make([]tsKey, len(pkts))
+	var bits uint64
+	for i := range pkts {
+		k := uint64(pkts[i].TsMicros - base)
+		keys[i] = tsKey{k, i}
+		bits |= k
+	}
+	tmp := make([]tsKey, len(pkts))
+	for shift := 0; shift < 64 && bits>>shift != 0; shift += radixBits {
+		var next [1 << radixBits]int
+		for _, k := range keys {
+			next[k.key>>shift&(1<<radixBits-1)]++
+		}
+		at := 0
+		for d, n := range next {
+			next[d] = at
+			at += n
+		}
+		for _, k := range keys {
+			d := k.key >> shift & (1<<radixBits - 1)
+			tmp[next[d]] = k
+			next[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	out := make([]PacketInfo, len(pkts))
+	for i, k := range keys {
+		out[i] = pkts[k.idx]
+	}
+	return out
 }
 
 func ephemeralPort(rng *rand.Rand) uint16 {

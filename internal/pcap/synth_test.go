@@ -2,6 +2,8 @@ package pcap
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -105,10 +107,78 @@ func TestSynthesizeValidation(t *testing.T) {
 		{Hosts: 5, Sessions: 1, DurationMicros: 1, TCPFraction: 0.9, UDPFraction: 0.3, PacketAlpha: 2, MaxDataPackets: 10},
 		{Hosts: 5, Sessions: 1, DurationMicros: 1, TCPFraction: 0.5, UDPFraction: 0.2, PacketAlpha: 1, MaxDataPackets: 10},
 		{Hosts: 5, Sessions: 1, DurationMicros: 1, TCPFraction: 0.5, UDPFraction: 0.2, PacketAlpha: 2, MaxDataPackets: 0},
+		// Past 2^24-2 hosts HostIP leaves 10.0.0.0/8 and addresses collide.
+		DefaultTraceConfig(MaxHosts+1, 1, 1),
+		DefaultTraceConfig(1<<25, 1, 1),
+		// A session count whose presized packet slice make cannot allocate.
+		DefaultTraceConfig(10, maxSessions+1, 1),
+		DefaultTraceConfig(10, 1<<60, 1),
 	}
 	for i, cfg := range bad {
 		if _, err := Synthesize(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestSynthesizeTiesKeepGenerationOrder checks Synthesize against a stable
+// comparison sort of the generated packets over seeds with equal
+// timestamps: packets that tie keep the order they were generated in.
+func TestSynthesizeTiesKeepGenerationOrder(t *testing.T) {
+	ties := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		cfg := DefaultTraceConfig(100, 2000, seed)
+		want := generate(&cfg)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].TsMicros < want[j].TsMicros })
+		got, err := Synthesize(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Synthesize differs from the stable sort of the generated packets", seed)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].TsMicros == got[i-1].TsMicros {
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no seed produced equal timestamps; the check ran on nothing")
+	}
+}
+
+// TestSortByTimeStable drives every radix pass: offsets spanning all 64
+// bits, offset 0, and runs of equal keys, against sort.SliceStable.
+func TestSortByTimeStable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	const base = 1_000_000
+	for _, bits := range []uint{0, 1, 11, 12, 33, 63} {
+		pkts := make([]PacketInfo, 5000)
+		for i := range pkts {
+			off := int64(rng.Uint64() >> (64 - bits) >> 1)
+			if i%7 == 0 && i > 0 {
+				off = pkts[i-1].TsMicros - base // a tie with the previous packet
+			}
+			pkts[i] = PacketInfo{TsMicros: base + off, Len: int64(i)}
+		}
+		want := slices.Clone(pkts)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].TsMicros < want[j].TsMicros })
+		if got := sortByTime(pkts, base); !slices.Equal(got, want) {
+			t.Errorf("%d-bit offsets: sortByTime differs from sort.SliceStable", bits)
+		}
+	}
+	if got := sortByTime(nil, base); len(got) != 0 {
+		t.Errorf("empty input sorted to %d packets", len(got))
+	}
+}
+
+func BenchmarkSynthesize(b *testing.B) {
+	cfg := DefaultTraceConfig(100, 2000, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Synthesize(cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -91,12 +90,9 @@ func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, 
 
 // EncodeArtifact writes g in the given artifact format: exactly the bytes
 // BuildArtifact returns for it, so csbgen's files, the daemon's artifacts
-// and anything else that encodes a graph share one set of bytes. csbg is
-// Graph.Write; the text formats write their in-process encoding.
+// and anything else that encodes a graph share one set of bytes. Every
+// format writes its in-process encoding.
 func EncodeArtifact(w io.Writer, g *graph.Graph, format string) error {
-	if format == FormatCSBG {
-		return g.Write(w)
-	}
 	out, err := encodeArtifactOn(g, format, nil)
 	if err != nil {
 		return err
@@ -105,20 +101,31 @@ func EncodeArtifact(w io.Writer, g *graph.Graph, format string) error {
 	return err
 }
 
-// encodeArtifactOn returns g's artifact bytes. csbg goes through Graph.Write
-// into a buffer it sizes exactly; csbg is not distributed — its result bytes
-// equal its input bytes, so shipping them wins nothing. The text formats are
-// their rows.Format's encoding on c, chunk-parallel and remotable when c has
-// a TaskExecutor and one presized slice otherwise (see internal/dist/rows).
+// encodeArtifactOn returns g's artifact bytes. csbg is encoded once, in
+// place: Graph.NewCSBG allocates the exact encoding and writes the header,
+// then the edge records fill it as one local stage on c (cluster.FillRanges),
+// partition-parallel, or serially over [0, n) when c is nil. Each record sits
+// at its edge index times graph.EdgeRecordLen, so the bytes are Graph.Write's
+// on any partitioning. csbg is not distributed — its result bytes equal its
+// input bytes, so shipping them wins nothing. The text formats are their
+// rows.Format's encoding on c, chunk-parallel and remotable when c has a
+// TaskExecutor and one presized slice otherwise (see internal/dist/rows).
 func encodeArtifactOn(g *graph.Graph, format string, c *cluster.Cluster) ([]byte, error) {
 	var f *rows.Format
 	switch format {
 	case FormatCSBG:
-		var buf bytes.Buffer
-		if err := g.Write(&buf); err != nil {
-			return nil, err
+		enc, records := g.NewCSBG()
+		fill := func(lo, hi int) { g.EncodeRecords(records, lo, hi) }
+		n := int(g.NumEdges())
+		if c == nil {
+			fill(0, n)
+		} else {
+			defer c.Scope("encode.csbg")()
+			if err := cluster.FillRanges(c, n, int64(len(records)), fill); err != nil {
+				return nil, err
+			}
 		}
-		return buf.Bytes(), nil
+		return enc, nil
 	case FormatTSV, "":
 		f = &rows.TSV
 	case FormatCSV:

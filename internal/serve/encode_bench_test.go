@@ -32,15 +32,28 @@ func benchArtifactGraph(b *testing.B) *graph.Graph {
 }
 
 // BenchmarkEncodeArtifact times BuildArtifact's encode step, graph in and
-// artifact bytes out, for every format on one 100k-edge PGPBA graph.
+// artifact bytes out, for every format on one 100k-edge PGPBA graph without
+// a cluster, and for csbg also on the benchmark's pinned 1 node x 2 cores
+// cluster, where its records encode as one partition-parallel stage.
 func BenchmarkEncodeArtifact(b *testing.B) {
 	g := benchArtifactGraph(b)
-	for _, format := range []string{FormatTSV, FormatCSV, FormatNDJSON, FormatCSBG} {
-		b.Run(format, func(b *testing.B) {
+	pinned := cluster.MustNew(cluster.Config{Nodes: 1, CoresPerNode: 2})
+	cases := []struct {
+		name, format string
+		c            *cluster.Cluster
+	}{
+		{FormatTSV, FormatTSV, nil},
+		{FormatCSV, FormatCSV, nil},
+		{FormatNDJSON, FormatNDJSON, nil},
+		{FormatCSBG, FormatCSBG, nil},
+		{FormatCSBG + "/1x2", FormatCSBG, pinned},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var size int
 			for b.Loop() {
-				out, err := encodeArtifactOn(g, format, nil)
+				out, err := encodeArtifactOn(g, tc.format, tc.c)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,7 +15,9 @@ import (
 
 	"csb/internal/cluster"
 	"csb/internal/dist"
+	"csb/internal/graph"
 	"csb/internal/journal"
+	"csb/internal/pcap"
 )
 
 // DistPool is the coordinator-side view serve needs of the distributed
@@ -219,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.JobTimeout = 10 * time.Minute
 	}
 	if cfg.MaxEdges == 0 {
-		cfg.MaxEdges = 50_000_000
+		cfg.MaxEdges = defaultMaxEdges
 	}
 	if cfg.JobRetries == 0 {
 		cfg.JobRetries = 1
@@ -311,17 +313,17 @@ func (s *Server) runJob(j *job) {
 
 	// Transient build failures are retried with backoff before the job
 	// reports failed — the daemon-level mirror of the engine's task
-	// attempts. Each attempt gets a fresh timeout; cancellation and
-	// deadline overruns are terminal (retrying them would double the
+	// attempts. Each attempt gets a fresh timeout; cancellation, deadline
+	// overruns and panics are terminal (retrying them would double the
 	// client's wait for no benefit).
 	s.running.Add(1)
 	var data []byte
 	var err error
 	for attempt := 0; ; attempt++ {
 		ctx, cancelTimeout := context.WithTimeout(j.ctx, s.cfg.JobTimeout)
-		data, err = s.buildArtifact(ctx, j.spec)
+		data, err = s.buildOnce(ctx, j.spec)
 		cancelTimeout()
-		if err == nil || attempt >= s.cfg.JobRetries ||
+		if err == nil || attempt >= s.cfg.JobRetries || errors.Is(err, errBuildPanic) ||
 			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			break
 		}
@@ -366,6 +368,22 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
+// errBuildPanic marks a build attempt that panicked.
+var errBuildPanic = errors.New("build panicked")
+
+// buildOnce runs one build attempt and turns a panic escaping it into an
+// error, as the engine does for its tasks: the job fails, and is journaled
+// as failed, instead of the panic killing the daemon — and, with a journal,
+// killing it again on every restart that re-enqueues the job.
+func (s *Server) buildOnce(ctx context.Context, spec Spec) (data []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			data, err = nil, fmt.Errorf("%w: %v", errBuildPanic, r)
+		}
+	}()
+	return s.buildArtifact(ctx, spec)
+}
+
 // finishInflight clears the single-flight slot once a job reaches a
 // terminal state.
 func (s *Server) finishInflight(j *job) {
@@ -385,6 +403,15 @@ type submitErr struct {
 
 func (e *submitErr) Error() string { return e.msg }
 
+// defaultMaxEdges is Config.MaxEdges's default.
+const defaultMaxEdges = 50_000_000
+
+// maxSessions caps a job's seed-trace sessions: a trace that long costs
+// pcap.Synthesize, at its peak, about the bytes of a defaultMaxEdges-edge
+// csbg artifact. It does not follow MaxEdges, which sizes the generated
+// graph, not the trace it is fitted to.
+const maxSessions = defaultMaxEdges * graph.EdgeRecordLen / pcap.SessionBytes
+
 // Submit runs the admission pipeline for a spec (normalized in place) and
 // returns the accepted job's status: a cached artifact yields an
 // immediately-done job, an identical in-flight job is coalesced, and a full
@@ -395,15 +422,24 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 	}
 	// Scenario jobs keep their size in the embedded background spec; the
 	// admission cap applies to whichever edge target the job would generate.
-	edges := spec.Edges
+	// The seed trace it starts from is bounded too: its sessions by
+	// maxSessions, its hosts by the trace's address plan.
+	edges, hosts, sessions := spec.Edges, spec.Hosts, spec.Sessions
 	if spec.Scenario != nil {
-		edges = spec.Scenario.Background.Edges
+		bg := spec.Scenario.Background
+		edges, hosts, sessions = bg.Edges, bg.Hosts, bg.Sessions
 	}
-	if edges > s.cfg.MaxEdges {
-		return JobStatus{}, &submitErr{
-			code: http.StatusBadRequest,
-			msg:  fmt.Sprintf("edges %d exceeds the admission cap %d", edges, s.cfg.MaxEdges),
-		}
+	var refused string
+	switch {
+	case edges > s.cfg.MaxEdges:
+		refused = fmt.Sprintf("edges %d exceeds the admission cap %d", edges, s.cfg.MaxEdges)
+	case sessions > maxSessions:
+		refused = fmt.Sprintf("sessions %d exceeds the seed trace's cap %d", sessions, maxSessions)
+	case hosts > pcap.MaxHosts:
+		refused = fmt.Sprintf("hosts %d exceeds the seed trace's %d addresses", hosts, pcap.MaxHosts)
+	}
+	if refused != "" {
+		return JobStatus{}, &submitErr{code: http.StatusBadRequest, msg: refused}
 	}
 	s.submitted.Add(1)
 	artifact := spec.ID()

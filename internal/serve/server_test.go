@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"csb/internal/pcap"
 )
 
 // tinySpec is a generation small enough for unit tests.
@@ -492,5 +497,84 @@ func TestRetryAfterClamped(t *testing.T) {
 	fmt.Sscanf(ra, "%d", &sec)
 	if sec < 1 || sec > 60 {
 		t.Fatalf("Retry-After %d outside [1, 60]", sec)
+	}
+}
+
+// TestSubmitRejectsUnboundedSeedTraces sends specs whose seed trace no
+// build should synthesize — sessions past maxSessions (among them counts
+// under MaxEdges: a session costs the trace far more than an edge costs
+// the artifact), hosts past the trace's address plan — flat and as
+// scenario backgrounds, which carry no edge count of their own. Each gets
+// 400, and the daemon goes on serving. A spec that gets past admission
+// anyway reaches a stub build, so a broken bound fails the test instead of
+// allocating gigabytes.
+func TestSubmitRejectsUnboundedSeedTraces(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	build := s.buildArtifact
+	s.buildArtifact = func(ctx context.Context, spec Spec) ([]byte, error) {
+		if spec.Scenario != nil || spec.Sessions > 1000 || spec.Hosts > 1000 {
+			return nil, errors.New("stub: an unbounded spec was admitted")
+		}
+		return build(ctx, spec)
+	}
+	background := func(hosts, sessions int) Spec {
+		sc := tinyScenario()
+		sc.Background.Hosts, sc.Background.Sessions = hosts, sessions
+		return Spec{Scenario: sc}
+	}
+	bad := []Spec{
+		{Generator: GenPGPBA, Hosts: 100, Sessions: 1 << 60, Edges: 1000},
+		{Generator: GenPGSK, Sessions: maxSessions + 1, Edges: 1000},
+		{Generator: GenPGPBA, Hosts: 100, Sessions: defaultMaxEdges, Edges: 1000},
+		background(100, maxSessions+1),
+		{Generator: GenPGPBA, Hosts: 2_000_000_000, Edges: 1000},
+		{Generator: GenPGPBA, Hosts: pcap.MaxHosts + 1, Edges: 1000},
+		background(100, 1<<60),
+		background(1<<25, 150),
+	}
+	for _, spec := range bad {
+		if resp, _ := postJob(t, ts, spec); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %+v (background %+v) answered %d, want 400", spec, spec.Scenario, resp.StatusCode)
+		}
+	}
+	_, st := postJob(t, ts, tinySpec(90))
+	if final := pollDone(t, ts, st.ID); final.State != StateDone {
+		t.Fatalf("job after the refused specs = %q (%s)", final.State, final.Error)
+	}
+}
+
+// TestBuildPanicFailsJob: a panic escaping a build fails its job, without a
+// retry, instead of killing the daemon; the failure is journaled, so a
+// restart on the same journal does not run the job (and the panic) again.
+func TestBuildPanicFailsJob(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "csbd.wal")
+	jl := openJournalT(t, walPath)
+	s, ts := newTestServer(t, Config{Workers: 1, JobRetries: 2, Journal: jl})
+	build := s.buildArtifact
+	var builds atomic.Int64
+	s.buildArtifact = func(ctx context.Context, spec Spec) ([]byte, error) {
+		if spec.Seed == 91 {
+			builds.Add(1)
+			panic("makeslice: cap out of range")
+		}
+		return build(ctx, spec)
+	}
+	_, st := postJob(t, ts, tinySpec(91))
+	final := pollDone(t, ts, st.ID)
+	if final.State != StateFailed || !strings.Contains(final.Error, "build panicked: makeslice") {
+		t.Fatalf("panicking job = %q (%s), want failed with the panic", final.State, final.Error)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("the panicking build ran %d times, want 1", n)
+	}
+	_, st = postJob(t, ts, tinySpec(92))
+	if final := pollDone(t, ts, st.ID); final.State != StateDone {
+		t.Fatalf("job after the panic = %q (%s)", final.State, final.Error)
+	}
+	s.Close()
+	jl.Close()
+	restarted, _ := newTestServer(t, Config{Workers: 1, Journal: openJournalT(t, walPath)})
+	if m := restarted.Metrics(); m.Journal.JobsResumed != 0 {
+		t.Fatalf("restart resumed %d jobs, want 0", m.Journal.JobsResumed)
 	}
 }

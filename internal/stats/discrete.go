@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Discrete is an empirical probability distribution over int64 values, built
@@ -78,7 +78,7 @@ func FromCounts(counts map[int64]int64) (*Discrete, error) {
 	if total == 0 {
 		return nil, errors.New("stats: all counts zero")
 	}
-	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
+	slices.Sort(values) // distinct keys: the order is the only one
 	cum := make([]float64, len(values))
 	var running float64
 	var mean float64

@@ -194,7 +194,7 @@ func normalizedDegreeSample(degrees []int64) []int64 {
 // computed once.
 func veracityScorer(seed *core.Seed) (func(g *graph.Graph) (degree, pageRank float64, err error), error) {
 	seedDeg := seed.Graph.Degrees()
-	seedPR, err := pagerank.Compute(seed.Graph, pagerank.Options{})
+	seedPR, err := pagerank.Compute(seed.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func veracityScorer(seed *core.Seed) (func(g *graph.Graph) (degree, pageRank flo
 		if err != nil {
 			return 0, 0, err
 		}
-		pr, err := pagerank.Compute(g, pagerank.Options{})
+		pr, err := pagerank.Compute(g)
 		if err != nil {
 			return 0, 0, err
 		}

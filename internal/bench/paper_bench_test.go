@@ -197,7 +197,7 @@ func BenchmarkPageRank(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pagerank.Compute(g, pagerank.Options{}); err != nil {
+		if _, err := pagerank.Compute(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,27 +220,6 @@ func BenchmarkFlowAssembler(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md) ----------------------------------------------------
-
-// Conditional p(a|IN_BYTES) sampling vs independent attribute sampling.
-func BenchmarkAblationConditionalProps(b *testing.B) {
-	seed := seedForBench(b)
-	for i := 0; i < b.N; i++ {
-		gen := &core.PGPBA{Fraction: 0.5, Seed: uint64(i)}
-		if _, err := gen.Generate(seed, 50000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationIndependentProps(b *testing.B) {
-	seed := seedForBench(b)
-	for i := 0; i < b.N; i++ {
-		gen := &core.PGPBA{Fraction: 0.5, Seed: uint64(i), IndependentProps: true}
-		if _, err := gen.Generate(seed, 50000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // Sequential SKG (single map) vs the Map-Reduce distinct rounds.
 func BenchmarkAblationSKGSequential(b *testing.B) {
@@ -368,26 +347,6 @@ func BenchmarkGenRMAT(b *testing.B) {
 	}
 }
 
-// PGPBA attachment-style ablation: single-destination (Figure 2) vs
-// per-edge re-sampling.
-func BenchmarkAblationClumpedAttachment(b *testing.B) {
-	seed := seedForBench(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := (&core.PGPBA{Fraction: 0.5, Seed: uint64(i)}).Generate(seed, 50000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSpreadAttachment(b *testing.B) {
-	seed := seedForBench(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := (&core.PGPBA{Fraction: 0.5, Seed: uint64(i), SpreadAttachment: true}).Generate(seed, 50000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The detector's Table I aggregation over a generated graph's flows, the
 // path Section IV's property-graph claim is measured against (EXPERIMENTS.md
 // "Extension — property-graph aggregation").
@@ -404,26 +363,6 @@ func BenchmarkAggregationFlowRecords(b *testing.B) {
 		d, s := ids.AggregatePatterns(flows)
 		if len(d) == 0 || len(s) == 0 {
 			b.Fatal("no patterns")
-		}
-	}
-}
-
-// The paper's Section III-B complexity contrast: deterministic Kronecker is
-// O(|V|^2); stochastic is O(|E|).
-func BenchmarkAblationDeterministicKronecker(b *testing.B) {
-	base := [][]bool{{true, true}, {true, false}}
-	for i := 0; i < b.N; i++ {
-		if _, err := kronecker.Deterministic(base, 10); err != nil { // 1024^2 cells
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationStochasticKronecker(b *testing.B) {
-	init := kronecker.DefaultInitiator()
-	for i := 0; i < b.N; i++ {
-		if _, err := kronecker.Generate(init, 10, 0, uint64(i)); err != nil { // ~1024 edges
-			b.Fatal(err)
 		}
 	}
 }

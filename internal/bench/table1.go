@@ -65,16 +65,16 @@ func Table1(seed *core.Seed, rngSeed uint64) (*Table1Result, error) {
 	}
 
 	rows := []ThresholdRow{
-		{"dip-T", "max normal distinct destination IPs with same source IP", trained.DIPT, tuned.DIPT},
-		{"sip-T", "max normal distinct source IPs with same destination IP", trained.SIPT, tuned.SIPT},
-		{"dp-LT", "low bound on destination ports with same detection IP", trained.DPLT, tuned.DPLT},
-		{"dp-HT", "high bound on destination ports with same detection IP", trained.DPHT, tuned.DPHT},
-		{"nf-T", "max normal number of flows with same detection IP", trained.NFT, tuned.NFT},
-		{"fs-LT", "low bound on average flow size (bytes)", trained.FSLT, tuned.FSLT},
-		{"fs-HT", "high bound on total flow size (bytes)", trained.FSHT, tuned.FSHT},
-		{"np-LT", "low bound on average packet count", trained.NPLT, tuned.NPLT},
-		{"np-HT", "high bound on total packet count", trained.NPHT, tuned.NPHT},
-		{"sa-T", "min normal ACK/SYN ratio with same destination IP", trained.SAT, tuned.SAT},
+		{Parameter: "dip-T", Description: "max normal distinct destination IPs with same source IP", Trained: trained.DIPT, Tuned: tuned.DIPT},
+		{Parameter: "sip-T", Description: "max normal distinct source IPs with same destination IP", Trained: trained.SIPT, Tuned: tuned.SIPT},
+		{Parameter: "dp-LT", Description: "low bound on destination ports with same detection IP", Trained: trained.DPLT, Tuned: tuned.DPLT},
+		{Parameter: "dp-HT", Description: "high bound on destination ports with same detection IP", Trained: trained.DPHT, Tuned: tuned.DPHT},
+		{Parameter: "nf-T", Description: "max normal number of flows with same detection IP", Trained: trained.NFT, Tuned: tuned.NFT},
+		{Parameter: "fs-LT", Description: "low bound on average flow size (bytes)", Trained: trained.FSLT, Tuned: tuned.FSLT},
+		{Parameter: "fs-HT", Description: "high bound on total flow size (bytes)", Trained: trained.FSHT, Tuned: tuned.FSHT},
+		{Parameter: "np-LT", Description: "low bound on average packet count", Trained: trained.NPLT, Tuned: tuned.NPLT},
+		{Parameter: "np-HT", Description: "high bound on total packet count", Trained: trained.NPHT, Tuned: tuned.NPHT},
+		{Parameter: "sa-T", Description: "min normal ACK/SYN ratio with same destination IP", Trained: trained.SAT, Tuned: tuned.SAT},
 	}
 	return &Table1Result{Rows: rows, TrainedOutcome: trainedOut, TunedOutcome: tunedOut}, nil
 }

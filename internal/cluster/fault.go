@@ -56,10 +56,10 @@ const (
 	// is duplicated once it exceeds this multiple of the median runtime of
 	// the stage's completed tasks.
 	DefaultSpeculationQuantile = 1.5
-	// DefaultFaultDelay is the maximum injected straggler delay when a
-	// FaultPlan leaves MaxDelay zero.
-	DefaultFaultDelay = 2 * time.Millisecond
 )
+
+// maxFaultDelay bounds the straggler delays a FaultPlan injects.
+const maxFaultDelay = 2 * time.Millisecond
 
 // Backoff is the one retry-wait policy of the system: the attempt-th
 // consecutive retry (attempt >= 1) waits Base doubled attempt-1 times, capped
@@ -172,12 +172,6 @@ type FaultPlan struct {
 	// DelayRate is the probability a task attempt is delayed (a straggler),
 	// exercising the speculation path.
 	DelayRate float64
-	// MaxDelay bounds injected straggler delays (0 means DefaultFaultDelay).
-	MaxDelay time.Duration
-	// MaxFaultyAttempts, when positive, stops injecting into a task once
-	// its attempt number reaches it. Setting it at or below MaxTaskRetries
-	// guarantees chaos runs converge: the final attempt always runs clean.
-	MaxFaultyAttempts int
 }
 
 // NewFaultPlan builds a mixed plan from one total fault rate, split 40%
@@ -201,9 +195,6 @@ func (p *FaultPlan) validate() error {
 	}
 	if sum := p.PanicRate + p.ErrorRate + p.DelayRate; sum > 1 {
 		return fmt.Errorf("cluster: fault rates sum to %.3f, must not exceed 1", sum)
-	}
-	if p.MaxDelay < 0 {
-		return fmt.Errorf("cluster: MaxDelay must be non-negative, got %v", p.MaxDelay)
 	}
 	return nil
 }
@@ -234,9 +225,6 @@ func unitFloat(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // decide returns the fault (if any) for one task attempt.
 func (p *FaultPlan) decide(stage uint64, task, attempt int) (faultKind, time.Duration) {
-	if p.MaxFaultyAttempts > 0 && attempt >= p.MaxFaultyAttempts {
-		return faultNone, 0
-	}
 	u := unitFloat(faultHash(p.Seed, stage, uint64(task), uint64(attempt)))
 	switch {
 	case u < p.PanicRate:
@@ -244,12 +232,8 @@ func (p *FaultPlan) decide(stage uint64, task, attempt int) (faultKind, time.Dur
 	case u < p.PanicRate+p.ErrorRate:
 		return faultError, 0
 	case u < p.PanicRate+p.ErrorRate+p.DelayRate:
-		maxD := p.MaxDelay
-		if maxD <= 0 {
-			maxD = DefaultFaultDelay
-		}
 		frac := unitFloat(faultHash(p.Seed^0x6a09e667f3bcc909, stage, uint64(task), uint64(attempt)))
-		return faultDelay, time.Duration(frac * float64(maxD))
+		return faultDelay, time.Duration(frac * float64(maxFaultDelay))
 	}
 	return faultNone, 0
 }

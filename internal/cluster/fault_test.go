@@ -71,7 +71,6 @@ func TestFaultPlanValidate(t *testing.T) {
 	bad := []FaultPlan{
 		{PanicRate: -0.1},
 		{PanicRate: 0.5, ErrorRate: 0.4, DelayRate: 0.2}, // sums to 1.1
-		{MaxDelay: -time.Second},
 	}
 	for i, p := range bad {
 		if _, err := New(Config{Nodes: 1, CoresPerNode: 1, Faults: &p}); err == nil {
@@ -95,13 +94,6 @@ func TestFaultPlanDeterministic(t *testing.T) {
 			}
 		}
 	}
-	// MaxFaultyAttempts silences injection from that attempt onward.
-	p.MaxFaultyAttempts = 2
-	for task := 0; task < 64; task++ {
-		if k, _ := p.decide(1, task, 2); k != faultNone {
-			t.Fatalf("attempt 2 still faulted task %d with MaxFaultyAttempts=2", task)
-		}
-	}
 }
 
 // TestRetriesRecoverInjectedFaults drives a map pipeline through a plan
@@ -110,7 +102,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 func TestRetriesRecoverInjectedFaults(t *testing.T) {
 	clean := Collect(Map(Parallelize(Local(4), seqN(500), 8), func(x int) int { return x * x }))
 
-	faults := &FaultPlan{Seed: 3, PanicRate: 0.3, ErrorRate: 0.3, MaxFaultyAttempts: 3}
+	faults := &FaultPlan{Seed: 3, PanicRate: 0.3, ErrorRate: 0.3}
 	c := MustNew(Config{
 		Nodes: 1, CoresPerNode: 4, MaxParallel: 4,
 		MaxTaskRetries: 5,
@@ -216,17 +208,15 @@ func TestSerialPanicContained(t *testing.T) {
 	}
 }
 
-// TestSpeculationDuplicatesStragglers injects one long straggler into a
-// stage of fast tasks and verifies a duplicate attempt is launched and the
-// output stays correct.
+// TestSpeculationDuplicatesStragglers injects stragglers into a stage of
+// fast tasks and verifies the output stays correct while duplicates run.
 func TestSpeculationDuplicatesStragglers(t *testing.T) {
 	c := MustNew(Config{
 		Nodes: 1, CoresPerNode: 4, MaxParallel: 4,
 		Speculation: true,
-		// One guaranteed injected delay on task 0's first attempt only:
-		// delay every attempt 0... but rate 1 would delay all tasks, so use
-		// the plan only for the straggle and keep it short for the rest.
-		Faults: &FaultPlan{Seed: 5, DelayRate: 0.1, MaxDelay: 50 * time.Millisecond, MaxFaultyAttempts: 1},
+		// Delays only, on about one attempt in ten: a few stragglers
+		// among fast tasks.
+		Faults: &FaultPlan{Seed: 5, DelayRate: 0.1},
 	})
 	got := Collect(Map(Parallelize(c, seqN(64), 16), func(x int) int { return x + 1 }))
 	if err := c.Err(); err != nil {
@@ -298,8 +288,6 @@ func TestChaosMatrixByteIdenticalPipeline(t *testing.T) {
 		}
 		if rate > 0 {
 			cfg.Faults = NewFaultPlan(99, rate)
-			cfg.Faults.MaxDelay = time.Millisecond
-			cfg.Faults.MaxFaultyAttempts = 4
 		}
 		c := MustNew(cfg)
 		data := Parallelize(c, seqN(3000), 0)

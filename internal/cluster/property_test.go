@@ -53,9 +53,7 @@ func propConfigs(caseSeed uint64) []struct {
 						DefaultPartitions: 8, MaxParallel: par,
 					}
 					if rate > 0 {
-						plan := NewFaultPlan(caseSeed, rate)
-						plan.MaxFaultyAttempts = 3
-						cfg.Faults = plan
+						cfg.Faults = NewFaultPlan(caseSeed, rate)
 						cfg.MaxTaskRetries = 8
 						cfg.Speculation = true
 					}

@@ -77,7 +77,6 @@ func FuzzReadSeed(f *testing.F) {
 			s.InDegree.Sample(rng)
 			s.OutDegree.Sample(rng)
 			s.Props.Sample(rng)
-			s.Props.SampleIndependent(rng)
 		}
 	})
 }

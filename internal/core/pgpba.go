@@ -60,16 +60,6 @@ type PGPBA struct {
 	// SkipProperties suppresses the property-synthesis pass; used by the
 	// Figure 10 overhead measurement.
 	SkipProperties bool
-	// IndependentProps samples attributes without the IN_BYTES
-	// conditioning (ablation).
-	IndependentProps bool
-	// SpreadAttachment is a design-space ablation of Figure 2: instead of
-	// connecting all of a new vertex's out- and in-edges to the single
-	// destination of its sampled edge (the paper's lines 10-11), each edge
-	// re-samples its own destination from the sampled edge list. This
-	// matches classic BA more closely and reduces hub amplification at the
-	// cost of one extra sample per edge.
-	SpreadAttachment bool
 }
 
 // Name implements Generator.
@@ -154,60 +144,35 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 		inDeg, outDeg := seed.InDegree, seed.OutDegree
 		newEdges := cluster.MapPartitions(sampled, func(part int, es []endpoints) []endpoints {
 			rng := cluster.DeriveRNG(p.Seed^(round*0x51ed), uint64(part))
-			pickDest := func(e endpoints) uint32 {
-				// Line 7: random endpoint of a sampled edge (stage two of
-				// the preferential attachment).
-				if rng.IntN(2) == 1 {
-					return e.dst
-				}
-				return e.src
-			}
-			// Lines 7-9: destination and degree samples of one new vertex.
+			// Lines 7-9, all draws first: the destination (a random endpoint
+			// of the sampled edge, stage two of the preferential attachment)
+			// and the out- and in-degree of each new vertex. Nothing else
+			// draws from rng, so the output is sized exactly.
 			type draw struct {
 				dest      uint32
 				nOut, nIn int64
 			}
-			next := func(e endpoints) draw {
-				return draw{pickDest(e), max(outDeg.Sample(rng), 0), max(inDeg.Sample(rng), 0)}
-			}
-			// Lines 10-12: edge creation for the i-th new vertex. The
-			// paper's variant reuses one destination for every edge; the
-			// spread ablation re-samples per edge.
-			grow := func(out []endpoints, i int, d draw) []endpoints {
-				newV := uint32(firstID + offsets[part] + int64(i))
-				for j := int64(0); j < d.nOut+d.nIn; j++ {
-					dest := d.dest
-					if p.SpreadAttachment {
-						dest = pickDest(es[rng.IntN(len(es))])
-					}
-					if j < d.nOut {
-						out = append(out, endpoints{newV, dest})
-					} else {
-						out = append(out, endpoints{dest, newV})
-					}
-				}
-				return out
-			}
-			if p.SpreadAttachment {
-				// The per-edge draws interleave with the per-vertex ones
-				// (whose dest goes unused, as it always did), so the output
-				// can only be sized to its expectation.
-				out := make([]endpoints, 0, int(float64(len(es))*perVertex))
-				for i, e := range es {
-					out = grow(out, i, next(e))
-				}
-				return out
-			}
-			// Nothing else draws from rng, so every vertex's draws come
-			// first and the output is sized exactly.
 			draws, total := make([]draw, len(es)), int64(0)
 			for i, e := range es {
-				draws[i] = next(e)
-				total += draws[i].nOut + draws[i].nIn
+				d := draw{dest: e.src}
+				if rng.IntN(2) == 1 {
+					d.dest = e.dst
+				}
+				d.nOut, d.nIn = max(outDeg.Sample(rng), 0), max(inDeg.Sample(rng), 0)
+				draws[i] = d
+				total += d.nOut + d.nIn
 			}
+			// Lines 10-12: the i-th new vertex's out-edges to, then in-edges
+			// from, its one destination.
 			out := make([]endpoints, 0, total)
 			for i, d := range draws {
-				out = grow(out, i, d)
+				newV := uint32(firstID + offsets[part] + int64(i))
+				for range d.nOut {
+					out = append(out, endpoints{newV, d.dest})
+				}
+				for range d.nIn {
+					out = append(out, endpoints{d.dest, newV})
+				}
 			}
 			return out
 		})
@@ -230,7 +195,7 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	}
 
 	// Lines 15-20: property synthesis for every edge.
-	return fillGraph(edges, numVertices, seed.Props, p.Seed^0xab5, p.SkipProperties, p.IndependentProps)
+	return fillGraph(edges, numVertices, seed.Props, p.Seed^0xab5, p.SkipProperties)
 }
 
 // endpoints is the structural element both generators grow on: an edge
@@ -280,17 +245,13 @@ func sampleWithReplacement[T any](ds *cluster.Dataset[T], fraction float64, seed
 // i's endpoints into the output graph's columns and, unless skip is set,
 // samples a fresh Netflow attribute set beside each (Figure 2 lines 15-20 and
 // Figure 3 lines 13-18), in O(|E| x |properties|).
-func fillGraph(edges *cluster.Dataset[endpoints], numVertices int64, props *PropertyModel, seed uint64, skip, independent bool) (*graph.Graph, error) {
+func fillGraph(edges *cluster.Dataset[endpoints], numVertices int64, props *PropertyModel, seed uint64, skip bool) (*graph.Graph, error) {
 	defer edges.Cluster().Scope("props")()
 	return cluster.FillGraph(edges, numVertices, func(part int, es []endpoints, cols *graph.EdgeBatch, at int) {
 		rng := cluster.DeriveRNG(seed, uint64(part))
 		for i, e := range es {
 			cols.SetEndpoints(at+i, e.src, e.dst)
-			switch {
-			case skip:
-			case independent:
-				cols.SetProps(at+i, props.SampleIndependent(rng))
-			default:
+			if !skip {
 				cols.SetProps(at+i, props.Sample(rng))
 			}
 		}

@@ -250,37 +250,3 @@ func TestPartitionOffsets(t *testing.T) {
 		}
 	}
 }
-
-func TestPGPBASpreadAttachmentReducesHubConcentration(t *testing.T) {
-	s := traceSeed(t, 30, 500, 20)
-	clumped, err := (&PGPBA{Fraction: 0.3, Seed: 21}).Generate(s, 30000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spread, err := (&PGPBA{Fraction: 0.3, Seed: 21, SpreadAttachment: true}).Generate(s, 30000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spread.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	maxDeg := func(g *graph.Graph) int64 {
-		var m int64
-		for _, d := range g.Degrees() {
-			if d > m {
-				m = d
-			}
-		}
-		return m
-	}
-	// Re-sampling destinations per edge spreads attachment mass: the top
-	// hub must shrink versus the paper's single-destination variant.
-	if maxDeg(spread) >= maxDeg(clumped) {
-		t.Fatalf("spread hub %d not below clumped hub %d", maxDeg(spread), maxDeg(clumped))
-	}
-	// Both variants stay scale-free.
-	sum := stats.SummarizeInt(spread.Degrees())
-	if sum.Max < 5*sum.Median {
-		t.Fatalf("spread variant lost its tail: %+v", sum)
-	}
-}

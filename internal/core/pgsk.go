@@ -24,17 +24,12 @@ type PGSK struct {
 	Seed uint64
 	// Cluster executes the Map-Reduce stages (nil means a local cluster).
 	Cluster *cluster.Cluster
-	// Fit configures the KronFit step. The zero value uses the defaults.
-	Fit kronfit.Config
 	// Initiator, when non-nil, skips KronFit and uses the given matrix
 	// directly (lets sweeps reuse one fit, as the paper's experiments do).
 	Initiator *kronecker.Initiator
 	// SkipProperties suppresses property synthesis (Figure 10 overhead
 	// measurement).
 	SkipProperties bool
-	// IndependentProps samples attributes without the IN_BYTES
-	// conditioning (ablation).
-	IndependentProps bool
 }
 
 // Name implements Generator.
@@ -51,13 +46,10 @@ func (p *PGSK) FitSeed(seed *Seed) (kronecker.Initiator, error) {
 }
 
 // FitResult is FitSeed keeping the fit's diagnostics: likelihoods and the
-// deterministic work counters.
+// deterministic work counters. The fit runs with KronFit's defaults, keyed
+// by the generator's seed.
 func (p *PGSK) FitResult(seed *Seed) (*kronfit.Result, error) {
-	cfg := p.Fit
-	if cfg.Seed == 0 {
-		cfg.Seed = p.Seed
-	}
-	return kronfit.FitForGeneration(seed.Graph, cfg)
+	return kronfit.FitForGeneration(seed.Graph, kronfit.Config{Seed: p.Seed})
 }
 
 // Generate implements Generator following Figure 3.
@@ -133,7 +125,7 @@ func (p *PGSK) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	endDup()
 
 	// Lines 13-18: property synthesis.
-	return fillGraph(edges, gk.NumVertices(), seed.Props, p.Seed^0xab5, p.SkipProperties, p.IndependentProps)
+	return fillGraph(edges, gk.NumVertices(), seed.Props, p.Seed^0xab5, p.SkipProperties)
 }
 
 // iterationsFor returns the smallest Kronecker power k whose vertex grid can

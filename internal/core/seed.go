@@ -221,21 +221,3 @@ func (m *PropertyModel) Sample(rng *stats.RNG) graph.EdgeProps {
 		InPkts:   am.inPkts.Sample(rng),
 	}
 }
-
-// SampleIndependent draws attributes from the unconditional (global)
-// distributions, ignoring the IN_BYTES conditioning. It exists for the
-// ablation study of the conditional model.
-func (m *PropertyModel) SampleIndependent(rng *stats.RNG) graph.EdgeProps {
-	proto, state := codeProtoState(m.all.protoState.Sample(rng))
-	return graph.EdgeProps{
-		Protocol: proto,
-		State:    state,
-		SrcPort:  uint16(m.all.srcPort.Sample(rng)),
-		DstPort:  uint16(m.all.dstPort.Sample(rng)),
-		Duration: m.all.duration.Sample(rng),
-		OutBytes: m.all.outBytes.Sample(rng),
-		InBytes:  m.inBytes.Sample(rng),
-		OutPkts:  m.all.outPkts.Sample(rng),
-		InPkts:   m.all.inPkts.Sample(rng),
-	}
-}

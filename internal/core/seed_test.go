@@ -126,8 +126,7 @@ func TestSampleNeverInventsProtoStatePairs(t *testing.T) {
 
 func TestConditionalSamplingPreservesCorrelation(t *testing.T) {
 	// Build edges with OUT_BYTES strongly tied to IN_BYTES across a wide
-	// dynamic range; the conditional model must preserve the coupling,
-	// the independent ablation must destroy it.
+	// dynamic range; the conditional model must preserve the coupling.
 	rng := stats.NewRNG(2, 2)
 	var edges []graph.Edge
 	for i := 0; i < 4000; i++ {
@@ -152,16 +151,8 @@ func TestConditionalSamplingPreservesCorrelation(t *testing.T) {
 		}
 		return stats.PearsonCorrelation(in, out)
 	}
-	cond := corr(m.Sample)
-	ind := corr(m.SampleIndependent)
-	if cond < 0.9 {
+	if cond := corr(m.Sample); cond < 0.9 {
 		t.Errorf("conditional correlation = %g, want > 0.9", cond)
-	}
-	if ind > 0.3 {
-		t.Errorf("independent correlation = %g, want ~0", ind)
-	}
-	if cond <= ind {
-		t.Errorf("conditioning did not help: cond %g vs ind %g", cond, ind)
 	}
 }
 

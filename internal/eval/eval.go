@@ -125,11 +125,11 @@ func Evaluate(seed, synthetic *graph.Graph, opts Options) (*Report, error) {
 	if r.DegreeVeracity, err = stats.VeracityScoreInt(sm.degree, gm.degree); err != nil {
 		return nil, fmt.Errorf("eval: degree veracity: %w", err)
 	}
-	seedPR, err := pagerank.Compute(seed, pagerank.Options{})
+	seedPR, err := pagerank.Compute(seed)
 	if err != nil {
 		return nil, fmt.Errorf("eval: seed pagerank: %w", err)
 	}
-	synPR, err := pagerank.Compute(synthetic, pagerank.Options{})
+	synPR, err := pagerank.Compute(synthetic)
 	if err != nil {
 		return nil, fmt.Errorf("eval: synthetic pagerank: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"csb/internal/graph"
 )
@@ -15,16 +16,19 @@ type BetweennessOptions struct {
 	Samples int
 	// Seed drives the deterministic source sampling.
 	Seed uint64
-	// Parallelism is the number of concurrent Brandes sweeps (default
-	// GOMAXPROCS).
-	Parallelism int
 }
+
+// betweennessBlocks is how many contiguous runs the sources are cut into,
+// whatever the worker count. Each run is summed into a vector of its own and
+// the runs are merged in order, so the scores' bits depend on the graph and
+// the options alone, not on how many workers ran.
+const betweennessBlocks = 64
 
 // ApproxBetweenness estimates vertex betweenness centrality with Brandes'
 // algorithm over sampled sources (Brandes 2001; sampling per Bader et al.).
 // Scores are scaled by n/samples so sampled and exact runs are comparable.
 // Edge direction is respected; multi-edges count as parallel shortest-path
-// multiplicity.
+// multiplicity. The sweeps run on GOMAXPROCS workers.
 func ApproxBetweenness(g *graph.Graph, opt BetweennessOptions) []float64 {
 	n := g.NumVertices()
 	if n == 0 {
@@ -48,41 +52,51 @@ func ApproxBetweenness(g *graph.Graph, opt BetweennessOptions) []float64 {
 			sources = append(sources, v)
 		}
 	}
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sources) {
-		workers = len(sources)
-	}
+	size := (len(sources) + betweennessBlocks - 1) / betweennessBlocks
+	blocks := (len(sources) + size - 1) / size
+	workers := min(runtime.GOMAXPROCS(0), blocks)
 
-	// Each worker accumulates into its own score vector; merged at the end.
-	partial := make([][]float64, workers)
-	var wg sync.WaitGroup
-	work := make(chan graph.VertexID, len(sources))
-	for _, s := range sources {
-		work <- s
-	}
-	close(work)
+	// Workers take blocks in order and merge each into out only once every
+	// earlier block is merged. The block at the head of the line is always
+	// held by a running worker, so a waiting worker waits for progress, and
+	// at most workers partial vectors exist at once.
+	out := make([]float64, n)
+	var (
+		next   atomic.Int64
+		mu     sync.Mutex
+		merged int
+		turn   = sync.NewCond(&mu)
+		wg     sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
-		partial[w] = make([]float64, n)
 		wg.Add(1)
-		go func(acc []float64) {
+		go func() {
 			defer wg.Done()
 			st := newBrandesState(n)
-			for s := range work {
-				st.sweep(csr, s, acc)
+			acc := make([]float64, n)
+			for b := int(next.Add(1)) - 1; b < blocks; b = int(next.Add(1)) - 1 {
+				clear(acc)
+				for _, s := range sources[b*size : min((b+1)*size, len(sources))] {
+					st.sweep(csr, s, acc)
+				}
+				mu.Lock()
+				for merged != b {
+					turn.Wait()
+				}
+				for v, x := range acc {
+					out[v] += x
+				}
+				merged++
+				turn.Broadcast()
+				mu.Unlock()
 			}
-		}(partial[w])
+		}()
 	}
 	wg.Wait()
 
 	scale := float64(n) / float64(len(sources))
-	out := make([]float64, n)
-	for _, p := range partial {
-		for v, s := range p {
-			out[v] += s * scale
-		}
+	for v := range out {
+		out[v] *= scale
 	}
 	return out
 }

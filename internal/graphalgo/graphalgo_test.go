@@ -3,6 +3,7 @@ package graphalgo
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -151,17 +152,25 @@ func TestBetweennessSampledApproximatesExact(t *testing.T) {
 	}
 }
 
+// TestBetweennessParallelMatchesSerial pins the scores' bits, not just their
+// values, across worker counts: a host's core count must not reach the
+// output. It covers exact and sampled runs, with more sources than blocks.
 func TestBetweennessParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 10))
-	g := graph.New(40)
-	for i := 0; i < 200; i++ {
-		g.AddEdge(graph.Edge{Src: graph.VertexID(rng.Int64N(40)), Dst: graph.VertexID(rng.Int64N(40))})
+	g := graph.New(300)
+	for i := 0; i < 1500; i++ {
+		g.AddEdge(graph.Edge{Src: graph.VertexID(rng.Int64N(300)), Dst: graph.VertexID(rng.Int64N(300))})
 	}
-	serial := ApproxBetweenness(g, BetweennessOptions{Parallelism: 1})
-	parallel := ApproxBetweenness(g, BetweennessOptions{Parallelism: 8})
-	for v := range serial {
-		if math.Abs(serial[v]-parallel[v]) > 1e-9 {
-			t.Fatalf("BC[%d]: serial %g vs parallel %g", v, serial[v], parallel[v])
+	run := func(procs int, opt BetweennessOptions) []float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return ApproxBetweenness(g, opt)
+	}
+	for _, opt := range []BetweennessOptions{{}, {Samples: 100, Seed: 3}} {
+		serial, parallel := run(1, opt), run(8, opt)
+		for v := range serial {
+			if math.Float64bits(serial[v]) != math.Float64bits(parallel[v]) {
+				t.Fatalf("%+v: BC[%d]: serial %v vs parallel %v", opt, v, serial[v], parallel[v])
+			}
 		}
 	}
 }

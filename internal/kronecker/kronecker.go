@@ -1,9 +1,8 @@
-// Package kronecker implements Kronecker graph generation (Leskovec et al.,
-// JMLR 2010): the deterministic Kronecker power of a small base adjacency
-// matrix, and the stochastic Kronecker generator (SKG) that places the
-// expected number of edges by recursive descent through a 2x2 probability
-// initiator — the "ball dropping" procedure whose Map-Reduce form the paper
-// parallelizes for PGSK.
+// Package kronecker implements the stochastic Kronecker graph generator
+// (SKG; Leskovec et al., JMLR 2010), which places the expected number of
+// edges by recursive descent through a 2x2 probability initiator — the
+// "ball dropping" procedure whose Map-Reduce form the paper parallelizes for
+// PGSK.
 package kronecker
 
 import (
@@ -70,53 +69,6 @@ func NumVertices(k int) int64 { return int64(1) << uint(k) }
 // String renders the matrix.
 func (in Initiator) String() string {
 	return fmt.Sprintf("[%.4f %.4f; %.4f %.4f]", in.Theta[0], in.Theta[1], in.Theta[2], in.Theta[3])
-}
-
-// Deterministic computes the k-th Kronecker power of a small boolean base
-// adjacency matrix, materializing every edge — the O(|V|^2) variant the
-// paper contrasts against SKG. base must be square and non-empty; k >= 1.
-func Deterministic(base [][]bool, k int) (*graph.Graph, error) {
-	n := len(base)
-	if n == 0 {
-		return nil, errors.New("kronecker: empty base matrix")
-	}
-	for _, row := range base {
-		if len(row) != n {
-			return nil, errors.New("kronecker: base matrix not square")
-		}
-	}
-	if k < 1 {
-		return nil, errors.New("kronecker: k must be >= 1")
-	}
-	size := int64(1)
-	for i := 0; i < k; i++ {
-		size *= int64(n)
-		if size > 1<<22 {
-			return nil, fmt.Errorf("kronecker: deterministic size %d^%d too large", n, k)
-		}
-	}
-	g := graph.New(size)
-	// Edge (u,v) exists iff base[digit_i(u)][digit_i(v)] for every base-n
-	// digit i — the defining property of the Kronecker power.
-	var u int64
-	for u = 0; u < size; u++ {
-		for v := int64(0); v < size; v++ {
-			uu, vv := u, v
-			ok := true
-			for i := 0; i < k; i++ {
-				if !base[uu%int64(n)][vv%int64(n)] {
-					ok = false
-					break
-				}
-				uu /= int64(n)
-				vv /= int64(n)
-			}
-			if ok {
-				g.AddEdge(graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(v)})
-			}
-		}
-	}
-	return g, nil
 }
 
 // dropEdge performs one recursive descent through the initiator, returning

@@ -45,45 +45,6 @@ func TestInitiatorArithmetic(t *testing.T) {
 	}
 }
 
-func TestDeterministicPathGraph(t *testing.T) {
-	// Base: 2x2 with a single self-loop at 0 and edge 0->1.
-	base := [][]bool{{true, true}, {false, false}}
-	g, err := Deterministic(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 4 {
-		t.Fatalf("vertices = %d, want 4", g.NumVertices())
-	}
-	// Edges of K⊗K: (u,v) with base[u1][v1] && base[u0][v0].
-	// base has edges (0,0),(0,1) so K2 has pairs from {0,1}x{0,1} digits:
-	// u digits must be 0, v digits in {0,1} => u=0, v in {0,1,2,3}.
-	if g.NumEdges() != 4 {
-		t.Fatalf("edges = %d, want 4", g.NumEdges())
-	}
-	for i := range g.Cols().Len() {
-		e := g.Cols().Edge(i)
-		if e.Src != 0 {
-			t.Fatalf("unexpected edge %v", e)
-		}
-	}
-}
-
-func TestDeterministicValidation(t *testing.T) {
-	if _, err := Deterministic(nil, 2); err == nil {
-		t.Error("empty base accepted")
-	}
-	if _, err := Deterministic([][]bool{{true}, {true}}, 2); err == nil {
-		t.Error("non-square base accepted")
-	}
-	if _, err := Deterministic([][]bool{{true}}, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := Deterministic([][]bool{{true, true}, {true, true}}, 40); err == nil {
-		t.Error("absurd size accepted")
-	}
-}
-
 func TestGenerateDistinctAndSized(t *testing.T) {
 	g, err := Generate(DefaultInitiator(), 10, 2000, 1)
 	if err != nil {

@@ -13,32 +13,14 @@ import (
 	"csb/internal/stats"
 )
 
-// Options configures Compute. The zero value selects the standard defaults.
-type Options struct {
-	// Damping is the damping factor d (default 0.85).
-	Damping float64
-	// MaxIter bounds the number of power iterations (default 100).
-	MaxIter int
-	// Tol is the L1 convergence threshold (default 1e-10).
-	Tol float64
-	// Parallelism is the number of worker goroutines (default GOMAXPROCS).
-	Parallelism int
-}
-
-func (o *Options) fill() {
-	if o.Damping == 0 {
-		o.Damping = 0.85
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-10
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-}
+// The standard PageRank settings. damping is typed so that it is rounded to
+// float64 before 1-damping is taken, as in float64 arithmetic: an untyped
+// constant would fold 1-0.85 exactly and move every rank in its last bit.
+const (
+	damping float64 = 0.85
+	maxIter         = 100   // bound on the power iterations
+	tol             = 1e-10 // L1 convergence threshold
+)
 
 // Result carries the PageRank vector and convergence information.
 type Result struct {
@@ -50,14 +32,13 @@ type Result struct {
 // Compute runs PageRank on g. Multi-edges contribute proportionally (an
 // originator with three flows to the same responder pushes rank three ways
 // along them, matching GraphX behaviour on multigraphs). Dangling mass is
-// redistributed uniformly.
-func Compute(g *graph.Graph, opt Options) (*Result, error) {
+// redistributed uniformly. The sweeps run on GOMAXPROCS workers; each
+// vertex's new rank is computed by one worker alone and the residual is
+// summed over fixed ranges, so the result does not depend on how many
+// workers there are.
+func Compute(g *graph.Graph) (*Result, error) {
 	if g.NumVertices() == 0 {
 		return nil, errors.New("pagerank: empty graph")
-	}
-	opt.fill()
-	if opt.Damping <= 0 || opt.Damping >= 1 {
-		return nil, errors.New("pagerank: damping must be in (0,1)")
 	}
 	n := g.NumVertices()
 	rev := graph.BuildReverseCSR(g)
@@ -70,8 +51,9 @@ func Compute(g *graph.Graph, opt Options) (*Result, error) {
 		rank[i] = inv
 	}
 
+	workers := runtime.GOMAXPROCS(0)
 	res := &Result{}
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		// Dangling vertices donate their mass uniformly.
 		var dangling float64
 		for v := int64(0); v < n; v++ {
@@ -79,16 +61,16 @@ func Compute(g *graph.Graph, opt Options) (*Result, error) {
 				dangling += rank[v]
 			}
 		}
-		base := (1-opt.Damping)*inv + opt.Damping*dangling*inv
+		base := (1-damping)*inv + damping*dangling*inv
 
-		diff := parallelSweep(n, opt.Parallelism, func(lo, hi int64) float64 {
+		diff := parallelSweep(n, workers, func(lo, hi int64) float64 {
 			var localDiff float64
 			for v := lo; v < hi; v++ {
 				var sum float64
 				for _, u := range rev.Neighbors(graph.VertexID(v)) {
 					sum += rank[u] / float64(outDeg[u])
 				}
-				nv := base + opt.Damping*sum
+				nv := base + damping*sum
 				localDiff += math.Abs(nv - rank[v])
 				next[v] = nv
 			}
@@ -96,7 +78,7 @@ func Compute(g *graph.Graph, opt Options) (*Result, error) {
 		})
 		rank, next = next, rank
 		res.Iterations = iter + 1
-		if diff < opt.Tol {
+		if diff < tol {
 			res.Converged = true
 			break
 		}
@@ -108,43 +90,39 @@ func Compute(g *graph.Graph, opt Options) (*Result, error) {
 // Veracity computes the PageRank veracity score of a synthetic graph against
 // its seed (Section V-A; smaller is better), both ranked with the defaults.
 func Veracity(seed, synthetic *graph.Graph) (float64, error) {
-	seedPR, err := Compute(seed, Options{})
+	seedPR, err := Compute(seed)
 	if err != nil {
 		return 0, fmt.Errorf("seed pagerank: %w", err)
 	}
-	synPR, err := Compute(synthetic, Options{})
+	synPR, err := Compute(synthetic)
 	if err != nil {
 		return 0, fmt.Errorf("synthetic pagerank: %w", err)
 	}
 	return stats.VeracityScore(seedPR.Ranks, synPR.Ranks)
 }
 
-// parallelSweep splits [0,n) into chunks, runs body on workers, and returns
-// the summed per-chunk results.
+// sweepBlocks is how many ranges parallelSweep cuts [0,n) into, whatever
+// the worker count, so the summed result has the same bits on every host.
+const sweepBlocks = 64
+
+// parallelSweep cuts [0,n) into sweepBlocks ranges, runs body on them from
+// workers goroutines, and returns the per-range results summed in range
+// order.
 func parallelSweep(n int64, workers int, body func(lo, hi int64) float64) float64 {
-	if workers < 1 {
-		workers = 1
-	}
-	if int64(workers) > n {
-		workers = int(n)
-	}
-	chunk := (n + int64(workers) - 1) / int64(workers)
-	results := make([]float64, workers)
+	size := (n + sweepBlocks - 1) / sweepBlocks
+	blocks := int((n + size - 1) / size)
+	workers = min(workers, blocks)
+	results := make([]float64, blocks)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := int64(w) * chunk
-		hi := lo + chunk
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
-		go func(w int, lo, hi int64) {
+		go func() {
 			defer wg.Done()
-			results[w] = body(lo, hi)
-		}(w, lo, hi)
+			for b := w; b < blocks; b += workers {
+				lo := int64(b) * size
+				results[b] = body(lo, min(lo+size, n))
+			}
+		}()
 	}
 	wg.Wait()
 	var total float64

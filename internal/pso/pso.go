@@ -9,19 +9,19 @@ import (
 	"math/rand/v2"
 )
 
-// Config parameterizes Minimize. Zero fields select canonical defaults
-// (Clerc-Kennedy constriction-like coefficients).
+// The velocity weights: Clerc-Kennedy constriction-like coefficients.
+const (
+	inertia   = 0.72 // velocity carry-over w
+	cognitive = 1.49 // personal-best pull c1
+	social    = 1.49 // global-best pull c2
+)
+
+// Config parameterizes Minimize. Zero fields select the defaults.
 type Config struct {
 	// Particles is the swarm size (default 24).
 	Particles int
 	// Iterations is the number of velocity/position updates (default 60).
 	Iterations int
-	// Inertia is the velocity carry-over weight w (default 0.72).
-	Inertia float64
-	// Cognitive is the personal-best pull c1 (default 1.49).
-	Cognitive float64
-	// Social is the global-best pull c2 (default 1.49).
-	Social float64
 	// Seed drives the deterministic RNG.
 	Seed uint64
 }
@@ -32,15 +32,6 @@ func (c *Config) fill() {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 60
-	}
-	if c.Inertia == 0 {
-		c.Inertia = 0.72
-	}
-	if c.Cognitive == 0 {
-		c.Cognitive = 1.49
-	}
-	if c.Social == 0 {
-		c.Social = 1.49
 	}
 }
 
@@ -117,9 +108,9 @@ func Minimize(objective func([]float64) float64, bounds Bounds, cfg Config) (*Re
 		for i := 0; i < cfg.Particles; i++ {
 			for d := 0; d < dim; d++ {
 				r1, r2 := rng.Float64(), rng.Float64()
-				vel[i][d] = cfg.Inertia*vel[i][d] +
-					cfg.Cognitive*r1*(best[i][d]-pos[i][d]) +
-					cfg.Social*r2*(gBest[d]-pos[i][d])
+				vel[i][d] = inertia*vel[i][d] +
+					cognitive*r1*(best[i][d]-pos[i][d]) +
+					social*r2*(gBest[d]-pos[i][d])
 				// Velocity clamp keeps the swarm inside a useful range.
 				if limit := span[d] * 0.5; vel[i][d] > limit {
 					vel[i][d] = limit

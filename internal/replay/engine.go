@@ -89,11 +89,12 @@ const (
 )
 
 func (o *Options) normalize() error {
-	if o.Speed < 0 {
-		return fmt.Errorf("replay: negative speed %v", o.Speed)
+	// Written as !(x >= 0) so NaN is refused too.
+	if !(o.Speed >= 0) {
+		return fmt.Errorf("replay: speed %v is not a non-negative number", o.Speed)
 	}
-	if o.Rate < 0 {
-		return fmt.Errorf("replay: negative rate %v", o.Rate)
+	if !(o.Rate >= 0) {
+		return fmt.Errorf("replay: rate %v is not a non-negative number", o.Rate)
 	}
 	if o.QueueLen <= 0 {
 		o.QueueLen = DefaultQueueLen

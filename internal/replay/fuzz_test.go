@@ -2,8 +2,11 @@ package replay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"runtime"
 	"testing"
 
 	"csb/internal/graph"
@@ -268,6 +271,61 @@ func FuzzReadFlowFile(f *testing.F) {
 		for i := range flows {
 			if again[i] != flows[i] {
 				t.Fatalf("flow %d changed across round trip", i)
+			}
+		}
+	})
+}
+
+// FuzzNewServerFromRecords drives the slab constructor with arbitrary bytes
+// and options. Valid options (non-negative, non-NaN speed and rate, batches
+// within the wire limit) and a slab of whole records sorted by start time
+// must give a server over len(slab)/FlowRecordLen flows; valid options and
+// any other slab must give ErrCorruptStream; invalid options must be
+// refused. The slab is aliased, so construction allocates a constant amount
+// however large it is.
+func FuzzNewServerFromRecords(f *testing.F) {
+	flows := fuzzFlows()
+	slab := EncodeFlows(flows)
+	f.Add(slab, 0.0, 0.0, 0, 0, 0, uint8(PolicyBlock))
+	f.Add(slab, 100.0, 5000.0, 16, 4, 1, uint8(PolicyDrop))
+	f.Add(slab[:FlowRecordLen+7], 1.0, 0.0, 0, 0, MaxBatchFlows+1, uint8(PolicyDisconnect))
+	f.Add(append(EncodeFlows(flows[1:]), EncodeFlows(flows[:1])...), 0.0, -1.0, -3, -3, -3, uint8(9))
+	f.Add(slab, math.NaN(), math.Inf(1), 0, 0, 0, uint8(PolicyBlock))
+	f.Add(slab, 1.0, math.NaN(), 0, 0, 0, uint8(PolicyBlock))
+	f.Fuzz(func(t *testing.T, slab []byte, speed, rate float64, burst, queue, batch int, policy uint8) {
+		opts := Options{Speed: speed, Rate: rate, Burst: burst, QueueLen: queue, BatchLen: batch, Policy: LagPolicy(policy)}
+		grew := uint64(math.MaxUint64)
+		var s *Server
+		var err error
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err = NewServerFromRecords(slab, opts)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew > 4096 {
+			t.Fatalf("allocated %d bytes over a %d-byte slab", grew, len(slab))
+		}
+		validOpts := speed >= 0 && rate >= 0 && batch <= MaxBatchFlows
+		wholeSorted := len(slab)%FlowRecordLen == 0
+		for i := FlowRecordLen; wholeSorted && i < len(slab); i += FlowRecordLen {
+			wholeSorted = int64(binary.BigEndian.Uint64(slab[i+16:])) >= int64(binary.BigEndian.Uint64(slab[i-FlowRecordLen+16:]))
+		}
+		switch {
+		case !validOpts:
+			if err == nil {
+				t.Fatalf("accepted invalid options %+v", opts)
+			}
+		case !wholeSorted:
+			if !errors.Is(err, ErrCorruptStream) {
+				t.Fatalf("slab of %d bytes: got %v, want ErrCorruptStream", len(slab), err)
+			}
+		case err != nil:
+			t.Fatalf("refused a valid slab of %d bytes: %v", len(slab), err)
+		default:
+			if got := s.Stats().Flows; got != len(slab)/FlowRecordLen {
+				t.Fatalf("Stats().Flows = %d for a %d-byte slab", got, len(slab))
 			}
 		}
 	})

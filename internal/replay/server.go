@@ -92,7 +92,7 @@ func NewServerFromRecords(slab []byte, opts Options) (*Server, error) {
 		return nil, err
 	}
 	if len(slab)%FlowRecordLen != 0 {
-		return nil, fmt.Errorf("replay: slab length %d is not a multiple of the %d-byte record", len(slab), FlowRecordLen)
+		return nil, fmt.Errorf("replay: slab length %d is not a multiple of the %d-byte record: %w", len(slab), FlowRecordLen, ErrCorruptStream)
 	}
 	s := &Server{
 		slab:    slab,
@@ -108,7 +108,7 @@ func NewServerFromRecords(slab []byte, opts Options) (*Server, error) {
 	for i := 0; i < s.flows; i++ {
 		start := s.startMicros(i)
 		if start < prev {
-			return nil, fmt.Errorf("replay: flows not sorted by StartMicros (index %d)", i)
+			return nil, fmt.Errorf("replay: flows not sorted by StartMicros (index %d): %w", i, ErrCorruptStream)
 		}
 		prev = start
 	}

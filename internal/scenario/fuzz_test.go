@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"math/rand/v2"
@@ -115,6 +116,41 @@ func FuzzReadLabels(f *testing.F) {
 			if a != attack.BackgroundFlow && int(a) >= len(labels) {
 				t.Fatalf("flow %d references label %d of %d", i, a, len(labels))
 			}
+		}
+	})
+}
+
+// FuzzParse drives the spec parser over arbitrary JSON: it must not panic,
+// and an accepted spec is normalized for good — its ID survives a second
+// Normalize and a JSON round trip, as the evaluation grid's does.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(`{"seed":7,"background":{"source":"pgpba","hosts":30,"sessions":400,"edges":20000},` +
+		`"attacks":[{"type":"host-scan","start_ms":1000,"count":1200},{"type":"syn-flood","start_ms":65000,"count":1500,"victim":167772165}]}`))
+	f.Add([]byte(`{"seed":1,"background":{},"attacks":[{"type":"network-scan","count":50,"port":22},` +
+		`{"type":"ddos","count":4,"flows_per_source":10},{"type":"flood","proto":"udp","count":9,"attacker":1}]}`))
+	f.Add([]byte(`{"seed":3,"background":{"source":"pgsk","edges":5000,"gap_micros":20,"fraction":0.5},"attacks":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		id := sp.ID()
+		if err := sp.Normalize(); err != nil {
+			t.Fatalf("re-normalizing an accepted spec: %v", err)
+		}
+		if sp.ID() != id {
+			t.Fatal("ID moved when Normalize ran again")
+		}
+		raw, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("re-parsing the normalized spec: %v", err)
+		}
+		if back.ID() != id {
+			t.Fatal("ID moved across a JSON round trip")
 		}
 	})
 }

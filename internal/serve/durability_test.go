@@ -86,7 +86,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("resumed job never produced the artifact")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // paces the poll and synchronises nothing; the 200 above does
 	}
 	if !bytes.Equal(got, golden) {
 		t.Fatalf("resumed artifact differs from uninterrupted run: %d vs %d bytes", len(got), len(golden))

@@ -123,6 +123,24 @@ func TestCacheQuarantinesCorruptSpill(t *testing.T) {
 	}
 }
 
+// waitSpilled returns once id is indexed on the disk tier. A finished job
+// reads done before the spill its insert caused has landed.
+func waitSpilled(t *testing.T, c *Cache, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		c.mu.Lock()
+		_, ok := c.disk[id]
+		c.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never reached the disk tier", id)
+		}
+		time.Sleep(time.Millisecond) // paces the poll and synchronises nothing; the index read under the cache lock does
+	}
+}
+
 // TestDaemonRegeneratesQuarantinedArtifact is the end-to-end recovery
 // story: an artifact whose spill file was corrupted on disk is quarantined
 // on the next submit and regenerated, and the regenerated bytes are
@@ -141,6 +159,7 @@ func TestDaemonRegeneratesQuarantinedArtifact(t *testing.T) {
 	// A different spec evicts the first artifact to disk (1-byte budget).
 	_, st2 := postJob(t, ts, tinySpec(31))
 	pollDone(t, ts, st2.ID)
+	waitSpilled(t, s.Cache(), done1.ArtifactID)
 	path := s.Cache().spillPath(done1.ArtifactID)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -200,7 +219,7 @@ func TestSubmitRechecksCacheBeforeAdmitting(t *testing.T) {
 		done <- reply{st, err}
 	}()
 	for s.Cache().Stats().Misses == misses {
-		time.Sleep(time.Millisecond)
+		time.Sleep(time.Millisecond) // paces the poll and synchronises nothing; the miss count, read under the cache lock, does
 	}
 	// What a job's runJob does: put the artifact, then leave inflight
 	// (finishInflight's bookkeeping, inlined as the test holds s.mu).
@@ -245,6 +264,7 @@ func TestConcurrentQuarantineSingleRegeneration(t *testing.T) {
 	// Evict the artifact to disk, then corrupt the spill file.
 	_, st2 := postJob(t, ts, tinySpec(61))
 	pollDone(t, ts, st2.ID)
+	waitSpilled(t, s.Cache(), st1.ArtifactID)
 	path := s.Cache().spillPath(st1.ArtifactID)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -364,7 +384,7 @@ func TestReadyzFlipsUnderQueueSaturation(t *testing.T) {
 			deadlineReady = true
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // paces the poll and synchronises nothing; the 200 above does
 	}
 	if !deadlineReady {
 		t.Fatal("readyz never recovered after drain")

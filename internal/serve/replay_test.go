@@ -112,7 +112,7 @@ func TestReplayEndpointStreamsArtifact(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("session never finished")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // paces the poll and synchronises nothing; the Done field above does
 	}
 }
 

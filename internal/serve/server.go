@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -337,9 +336,13 @@ func (s *Server) runJob(j *job) {
 
 	j.mu.Lock()
 	j.finished = time.Now()
+	var spills []fileOp
 	switch {
 	case err == nil:
-		s.cache.Put(j.artifact, data)
+		// In memory the artifact is servable, so the job is done; the spill
+		// files its insert evicted are written below, where no status poll
+		// of this job waits for them.
+		spills = s.cache.insert(j.artifact, data)
 		j.state = StateDone
 		s.completed.Add(1)
 	case errors.Is(err, context.Canceled):
@@ -358,6 +361,7 @@ func (s *Server) runJob(j *job) {
 	final := j.state
 	j.mu.Unlock()
 	s.finishInflight(j)
+	s.cache.runOps(spills)
 	switch final {
 	case StateDone:
 		s.journalAppend(journalJobDone, j.artifact, nil)
@@ -468,8 +472,8 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 		// has already built it: if any job settled since the Get, look again
 		// before admitting a second build. Contains suffices, as an entry it
 		// finds was put after the Get, which verified or dropped anything
-		// older. Only that window calls the cache under s.mu, where a
-		// concurrent spill write would stall every job lookup.
+		// older. Only that window calls the cache under s.mu; Contains
+		// takes the cache lock, which no file operation holds.
 		cached = s.settled.Load() != settled && s.cache.Contains(artifact)
 	}
 	if cached {
@@ -744,7 +748,8 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	s.serveArtifact(w, id, Spec{Format: s.artifactFormat(id)})
 }
 
-// serveArtifact streams cached artifact bytes in bounded chunks. Chunked
+// serveArtifact streams cached artifact bytes in bounded chunks, each a
+// slice of the cached bytes written straight to the response. Chunked
 // transfer keeps memory flat on the write path and the per-chunk flush
 // hands backpressure to the client connection.
 func (s *Server) serveArtifact(w http.ResponseWriter, id string, spec Spec) {
@@ -762,21 +767,15 @@ func (s *Server) serveArtifact(w http.ResponseWriter, id string, spec Spec) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	const chunk = 256 << 10
-	r := bytes.NewReader(data)
-	buf := make([]byte, chunk)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return // client went away; bytes up to here still count
-			}
-			s.bytesServed.Add(int64(n))
-			if flusher != nil {
-				flusher.Flush()
-			}
+	for len(data) > 0 {
+		n := min(chunk, len(data))
+		if _, err := w.Write(data[:n]); err != nil {
+			return // client went away; bytes up to here still count
 		}
-		if err != nil {
-			return
+		s.bytesServed.Add(int64(n))
+		data = data[n:]
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
 }

@@ -74,7 +74,7 @@ func pollDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
 		case StateDone, StateFailed, StateCanceled:
 			return st
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // paces the poll and synchronises nothing; the state read above does
 	}
 	t.Fatalf("job %s did not finish", id)
 	return JobStatus{}
@@ -286,7 +286,7 @@ func waitState(t *testing.T, s *Server, id string, want JobState) {
 				return
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // paces the poll and synchronises nothing; the state read under j.mu does
 	}
 	t.Fatalf("job %s never reached %q", id, want)
 }
@@ -576,5 +576,41 @@ func TestBuildPanicFailsJob(t *testing.T) {
 	restarted, _ := newTestServer(t, Config{Workers: 1, Journal: openJournalT(t, walPath)})
 	if m := restarted.Metrics(); m.Journal.JobsResumed != 0 {
 		t.Fatalf("restart resumed %d jobs, want 0", m.Journal.JobsResumed)
+	}
+}
+
+// TestJobDoneWhileItsVictimSpills holds the spill of the artifact a
+// finishing job evicts: the job's status must already read done, and its
+// artifact must be servable, while that write is still held.
+func TestJobDoneWhileItsVictimSpills(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1, CacheDir: t.TempDir(), CacheDiskBytes: 1 << 20})
+	s.buildArtifact = func(ctx context.Context, spec Spec) ([]byte, error) {
+		return []byte("artifact:" + spec.ID()), nil
+	}
+	held := holdSpills(s.Cache())
+	_, st1 := postJob(t, ts, tinySpec(90))
+	pollDone(t, ts, st1.ID)
+	_, st2 := postJob(t, ts, tinySpec(91))
+	h := <-held // job 2's insert evicted job 1's artifact
+	defer close(h.release)
+	if h.id != st1.ArtifactID {
+		t.Fatalf("held spill of %s, want job 1's artifact %s", h.id, st1.ArtifactID)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("job 2 reads %q while its victim's spill is held, want done", st.State)
+	}
+	if got := fetchArtifact(t, ts, st2.ID); string(got) != "artifact:"+st2.ArtifactID {
+		t.Fatalf("job 2's artifact = %q", got)
 	}
 }

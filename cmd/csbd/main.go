@@ -26,10 +26,10 @@
 // coordinator (csbeval -listen) to shard an experiment grid — see
 // cmd/csbeval.
 //
-// Durability (-journal): job lifecycle and coordinator stage checkpoints are
-// appended to a CRC-checksummed write-ahead log; on restart the daemon
-// re-enqueues jobs that were accepted but not finished, and a checkpointed
-// coordinator skips stage tasks whose results the journal already holds.
+// Durability (-journal): job lifecycle events are appended to a
+// CRC-checksummed write-ahead log; on restart the daemon, standalone or
+// coordinator, re-enqueues jobs that were accepted but not finished and
+// rebuilds them from their specs.
 // Chaos soaks (-chaos-net): the coordinator/worker RPC wire runs through a
 // deterministic seeded fault injector (see internal/chaosnet.ParseSpec for
 // the spec grammar).
@@ -94,7 +94,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		join       = fs.String("join", "", "coordinator RPC address to join (role=worker)")
 		name       = fs.String("name", "", "worker name reported to the coordinator (role=worker)")
 		minWorkers = fs.Int("min-workers", 0, "live workers required before /readyz reports ready (role=coordinator)")
-		journalLog = fs.String("journal", "", "write-ahead log for crash-safe job resume and stage checkpoints (empty disables)")
+		journalLog = fs.String("journal", "", "write-ahead log for crash-safe job resume (empty disables)")
 		chaosSpec  = fs.String("chaos-net", "", "wire fault spec for chaos soaks, e.g. latency=2ms,corrupt=0.01,seed=7 (dist roles only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -161,7 +161,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		defer coord.Close()
 		fmt.Fprintf(stdout, "csbd coordinator accepting workers on %s\n", coord.Addr())
 	}
-	cfg := serve.Config{
+	srv, err := serve.New(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		JobTimeout:     *jobTimeout,
@@ -173,18 +173,9 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		Shape:          shape,
 		ReplaySessions: *replaySess,
 		MinWorkers:     *minWorkers,
-	}
-	if coord != nil {
-		cfg.Dist = coord
-		if jl != nil {
-			// Stage results checkpoint into the same journal as the job
-			// lifecycle, so a coordinator restart resumes mid-build instead
-			// of re-dispatching completed shards.
-			cfg.Dist = dist.Checkpointed(coord, jl)
-		}
-	}
-	cfg.Journal = jl
-	srv, err := serve.New(cfg)
+		Dist:           coord,
+		Journal:        jl,
+	})
 	if err != nil {
 		return err
 	}

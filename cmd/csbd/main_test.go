@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,25 @@ import (
 	"csb/internal/serve"
 )
 
+// syncBuffer is a bytes.Buffer safe for the daemon's concurrent writers: a
+// coordinator logs worker sessions from its own goroutines.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
 // startDaemon boots the daemon on an ephemeral port and returns its base
 // URL plus a shutdown function.
 func startDaemon(t *testing.T, extraArgs ...string) (string, func() error) {
@@ -23,7 +44,7 @@ func startDaemon(t *testing.T, extraArgs ...string) (string, func() error) {
 	ready := make(chan string, 1)
 	stop := make(chan struct{})
 	errCh := make(chan error, 1)
-	var out bytes.Buffer
+	var out syncBuffer
 	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	go func() { errCh <- run(args, &out, ready, stop) }()
 	var once sync.Once
@@ -220,5 +241,104 @@ func TestDaemonJournalResumesInterruptedJob(t *testing.T) {
 	r.Body.Close()
 	if !strings.Contains(string(metrics), "csbd_jobs_resumed_total 0") {
 		t.Fatalf("second boot resumed jobs: %s", metrics)
+	}
+}
+
+// TestCoordinatorJournalStaysSmall: a journaled coordinator's log holds job
+// records only, never stage results, so four 100k-edge artifacts built on a
+// worker leave it a few hundred bytes a job, not megabytes.
+func TestCoordinatorJournalStaysSmall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	distAddr := ln.Addr().String()
+	ln.Close() // a free port for the coordinator's worker listener
+	wal := filepath.Join(t.TempDir(), "csbd.wal")
+	base, shutdown := startDaemon(t, "-role", "coordinator", "-dist-addr", distAddr,
+		"-min-workers", "1", "-workers", "1", "-journal", wal)
+	defer shutdown()
+
+	wready := make(chan string, 1)
+	wstop := make(chan struct{})
+	werr := make(chan error, 1)
+	go func() {
+		werr <- run([]string{"-role", "worker", "-join", distAddr, "-name", "w1"}, io.Discard, wready, wstop)
+	}()
+	defer func() {
+		close(wstop)
+		<-werr
+	}()
+	<-wready
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		r, err := http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never joined the coordinator")
+		}
+		time.Sleep(10 * time.Millisecond) // paces a poll of /readyz
+	}
+
+	const jobs = 4
+	for seed := 1; seed <= jobs; seed++ {
+		spec := serve.Spec{Generator: serve.GenPGPBA, Edges: 100_000, Seed: uint64(seed), Format: "tsv"}
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(spec)
+		r, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d = %d", seed, r.StatusCode)
+		}
+		deadline := time.Now().Add(120 * time.Second)
+		for {
+			r, err := http.Get(base + "/v1/artifacts/" + spec.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(r.Body)
+			r.Body.Close()
+			if r.StatusCode == http.StatusOK {
+				if !bytes.HasPrefix(data, []byte("src\tdst\t")) {
+					t.Fatalf("artifact %d is not a TSV edge list: %.40q", seed, data)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never produced its artifact", seed)
+			}
+			time.Sleep(20 * time.Millisecond) // paces a poll of the artifact endpoint
+		}
+	}
+
+	r, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if strings.Contains(string(metrics), "csbd_dist_tasks_dispatched_total 0\n") {
+		t.Fatalf("no task reached the worker: %s", metrics)
+	}
+	var walBytes int64 = -1
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if v, ok := strings.CutPrefix(line, "csbd_journal_bytes "); ok {
+			walBytes, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	t.Logf("csbd_journal_bytes = %d after %d jobs", walBytes, jobs)
+	if walBytes < 0 || walBytes >= jobs*4<<10 {
+		t.Fatalf("csbd_journal_bytes = %d after %d jobs, want under %d", walBytes, jobs, jobs*4<<10)
 	}
 }

@@ -149,7 +149,11 @@ func TestConditionalSamplingPreservesCorrelation(t *testing.T) {
 			in = append(in, math.Log1p(float64(p.InBytes)))
 			out = append(out, math.Log1p(float64(p.OutBytes)))
 		}
-		return stats.PearsonCorrelation(in, out)
+		rho, err := stats.Pearson(in, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rho
 	}
 	if cond := corr(m.Sample); cond < 0.9 {
 		t.Errorf("conditional correlation = %g, want > 0.9", cond)

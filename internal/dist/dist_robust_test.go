@@ -1,5 +1,5 @@
 // Robustness tests for the distributed runtime: graceful drain, circuit
-// breakers, journal-checkpointed coordinator restarts, and the chaosnet
+// breakers, a journaled coordinator's restart mid-job, and the chaosnet
 // determinism matrix — fixed-seed wire faults under which golden digests
 // must hold.
 package dist_test
@@ -10,6 +10,8 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,7 +54,7 @@ func TestWorkerGracefulDrain(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("drained worker still registered; %d live", p.co.LiveWorkers())
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // paces a poll of the live-worker count
 	}
 	if _, _, drained := p.co.BreakerStats(); drained != 1 {
 		t.Fatalf("drains announced = %d, want 1", drained)
@@ -101,7 +103,7 @@ func TestBreakerEvictsFlappingWorkerThenProbation(t *testing.T) {
 
 	// After the cooldown the next pick re-admits on probation; a success
 	// closes the breaker fully.
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(300 * time.Millisecond) // waits out the 200 ms cooldown; load only lengthens the wait
 	if res, err := execOnce(p.co, "disttest.slow", 1); err != nil || string(res) != "payload" {
 		t.Fatalf("probation dispatch = (%q, %v), want payload echo", res, err)
 	}
@@ -116,98 +118,115 @@ func TestBreakerEvictsFlappingWorkerThenProbation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		execOnce(p.co, "disttest.fail", 10+i)
 	}
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(300 * time.Millisecond)  // waits out the 200 ms cooldown again
 	execOnce(p.co, "disttest.fail", 20) // probation re-admit, then fail
 	if opened, _, _ := p.co.BreakerStats(); opened != 3 {
 		t.Fatalf("breakers opened = %d, want 3 (initial, re-open, probation re-open)", opened)
 	}
 }
 
-// TestCoordinatorRestartResumesFromCheckpoints is the coordinator half of
-// the crash-resume acceptance criterion: a 2-worker sharded build whose
-// coordinator dies mid-stage is restarted on the same journal and must (a)
-// skip the checkpointed tasks and (b) produce byte-identical output.
-func TestCoordinatorRestartResumesFromCheckpoints(t *testing.T) {
+// holdConn stalls a worker's reads while hold is set: a dispatched task
+// waits unread, so the build it belongs to stays mid-job, while the
+// worker's heartbeats still flow and keep it live.
+type holdConn struct {
+	net.Conn
+	hold    *atomic.Bool
+	release <-chan struct{}
+}
+
+func (c *holdConn) Read(b []byte) (int, error) {
+	if c.hold.Load() {
+		<-c.release
+	}
+	return c.Conn.Read(b)
+}
+
+// TestCoordinatorRestartResumesJob is the coordinator half of the
+// crash-resume acceptance criterion: a journaled coordinator with 2 workers
+// dies mid-job, and a new coordinator and pool on the same journal rebuild
+// the job from its spec, dispatching its remote tasks again, to bytes equal
+// to the in-process build.
+func TestCoordinatorRestartResumesJob(t *testing.T) {
 	golden := buildDigest(t, nil, "tsv")
-	dir := t.TempDir()
+	spec := serve.Spec{Generator: serve.GenPGSK, Edges: 4000, Seed: 7, Format: "tsv"}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	shape := serve.EngineShape{Nodes: 2, CoresPerNode: 4} // buildDigest's placement
+	wal := filepath.Join(t.TempDir(), "csbd.wal")
 
-	// Run 1: full build through a checkpointing coordinator.
-	wal1 := filepath.Join(dir, "run1.wal")
-	jl1, err := journal.Open(wal1)
+	var hold atomic.Bool
+	release := make(chan struct{})
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(release) }) }
+	p1 := startPoolCfg(t, 2, dist.Config{
+		Addr:             "127.0.0.1:0",
+		HeartbeatTimeout: 2 * time.Second,
+		TaskTimeout:      10 * time.Second,
+	}, func(i int, wc *dist.WorkerConfig) {
+		wc.WrapConn = func(c net.Conn) net.Conn { return &holdConn{Conn: c, hold: &hold, release: release} }
+	})
+	t.Cleanup(unhold) // runs before the pool's cleanup, which waits for the workers
+	jl1, err := journal.Open(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := startPool(t, 2)
-	cp1 := dist.Checkpointed(p1.co, jl1)
-	if got := buildDigest(t, cp1, "tsv"); got != golden {
-		t.Fatalf("checkpointed digest %x != in-process %x", got, golden)
-	}
-	total := cp1.CheckpointedTasks()
-	if total < 2 {
-		t.Fatalf("only %d tasks checkpointed; build too small for a resume test", total)
-	}
-	jl1.Close()
-
-	// Simulate dying mid-stage: a journal holding only the first half of the
-	// checkpoints — exactly what a torn run leaves behind.
-	reopened, err := journal.Open(wal1)
+	srv1, err := serve.New(serve.Config{Workers: 1, Shape: shape, Dist: p1.co, Journal: jl1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := reopened.Records()
-	reopened.Close()
-	wal2 := filepath.Join(dir, "run2.wal")
-	jl2, err := journal.Open(wal2)
-	if err != nil {
+	hold.Store(true)
+	if _, err := srv1.Submit(&spec); err != nil {
 		t.Fatal(err)
 	}
-	kept := 0
-	for _, rec := range recs {
-		if rec.Kind != dist.JournalTaskDone {
-			continue
-		}
-		if kept >= total/2 {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, _, _, dispatched, _ := p1.co.Counts(); dispatched > 0 {
 			break
 		}
-		if err := jl2.Append(rec); err != nil {
-			t.Fatal(err)
+		if time.Now().After(deadline) {
+			t.Fatal("the first coordinator never dispatched a task")
 		}
-		kept++
+		time.Sleep(5 * time.Millisecond) // paces a poll of the dispatch counter
 	}
-	jl2.Close()
+	// The crash: the journal takes nothing more, so the job's terminal
+	// record is lost, as it is when the process is killed. Close cancels
+	// the build whose task waits unread on the wire.
+	jl1.Close()
+	srv1.Close()
+	unhold()
 
-	// "Restart": a brand-new coordinator and workers over the torn journal.
-	jl3, err := journal.Open(filepath.Join(dir, "run2.wal"))
+	jl2, err := journal.Open(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jl3.Close()
+	defer jl2.Close()
 	p2 := startPool(t, 2)
-	cp2 := dist.Checkpointed(p2.co, jl3)
-	if got := buildDigest(t, cp2, "tsv"); got != golden {
+	srv2, err := serve.New(serve.Config{Workers: 1, Shape: shape, Dist: p2.co, Journal: jl2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if m := srv2.Metrics(); m.Journal == nil || m.Journal.JobsResumed != 1 {
+		t.Fatalf("restarted coordinator's journal metrics = %+v, want 1 job resumed", m.Journal)
+	}
+	deadline = time.Now().Add(60 * time.Second)
+	var data []byte
+	for {
+		var ok bool
+		if data, ok = srv2.Cache().Get(spec.ID()); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("resumed job never produced its artifact")
+		}
+		time.Sleep(10 * time.Millisecond) // paces a poll of the cache
+	}
+	if got := sha256.Sum256(data); got != golden {
 		t.Fatalf("resumed digest %x != in-process %x", got, golden)
 	}
-	if hits := cp2.CheckpointHits(); hits != int64(kept) {
-		t.Fatalf("checkpoint hits = %d, want %d (the surviving records)", hits, kept)
-	}
-	if _, _, _, dispatched, _ := p2.co.Counts(); dispatched != int64(total-kept) {
-		t.Fatalf("restarted run dispatched %d tasks, want %d (total %d - checkpointed %d)",
-			dispatched, total-kept, total, kept)
-	}
-
-	// Third run over the now-complete journal: zero dispatches, all hits.
-	jl4, err := journal.Open(wal1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jl4.Close()
-	p3 := startPool(t, 2)
-	cp3 := dist.Checkpointed(p3.co, jl4)
-	if got := buildDigest(t, cp3, "tsv"); got != golden {
-		t.Fatalf("fully-checkpointed digest %x != in-process %x", got, golden)
-	}
-	if _, _, _, dispatched, _ := p3.co.Counts(); dispatched != 0 {
-		t.Fatalf("fully-checkpointed run still dispatched %d tasks", dispatched)
+	if _, _, _, dispatched, _ := p2.co.Counts(); dispatched == 0 {
+		t.Fatal("the restarted coordinator dispatched no task: the job was not rebuilt on the pool")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func init() {
 	// disttest.slow: echo the payload after a short delay, so a stage stays
 	// in flight long enough for a mid-stage worker kill to land.
 	task.Register("disttest.slow", func(payload []byte) ([]byte, error) {
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // the task's work: it synchronises nothing
 		return payload, nil
 	})
 }
@@ -102,8 +103,28 @@ func waitLive(t *testing.T, co *dist.Coordinator, n int) {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d/%d workers registered", co.LiveWorkers(), n)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // paces a poll of the live-worker count
 	}
+}
+
+// dispatchSignal wraps an executor and closes reached once n task attempts
+// have been handed to it: an event a test can kill a worker on mid-stage.
+type dispatchSignal struct {
+	cluster.TaskExecutor
+	n       int64
+	calls   atomic.Int64
+	reached chan struct{}
+}
+
+func signalAfter(ex cluster.TaskExecutor, n int64) *dispatchSignal {
+	return &dispatchSignal{TaskExecutor: ex, n: n, reached: make(chan struct{})}
+}
+
+func (d *dispatchSignal) ExecRemote(ctx context.Context, stage cluster.StageInfo, att cluster.AttemptInfo, kind string, payload func() []byte) ([]byte, error) {
+	if d.calls.Add(1) == d.n {
+		close(d.reached)
+	}
+	return d.TaskExecutor.ExecRemote(ctx, stage, att, kind, payload)
 }
 
 // buildDigest runs one fixed-seed generation job on a cluster wired to ex
@@ -155,10 +176,11 @@ func TestArtifactDigestsMatchAcrossWorkerCounts(t *testing.T) {
 func TestWorkerKillMidStageRedispatches(t *testing.T) {
 	p := startPool(t, 4)
 
-	// A 32-task remotable stage of slow echo tasks; kill one worker once the
-	// stage is in flight. Its tasks fail, consume one retry each, and hash
+	// A 32-task remotable stage of slow echo tasks; kill one worker once a
+	// quarter of the stage has been dispatched. Its tasks fail, consume one retry each, and hash
 	// onto the survivors — the collected output must be unchanged.
-	c := cluster.MustNew(cluster.Config{Nodes: 1, CoresPerNode: 8, Executor: p.co})
+	ex := signalAfter(p.co, 8)
+	c := cluster.MustNew(cluster.Config{Nodes: 1, CoresPerNode: 8, Executor: ex})
 	in := make([]int, 256)
 	for i := range in {
 		in[i] = i
@@ -166,7 +188,7 @@ func TestWorkerKillMidStageRedispatches(t *testing.T) {
 	ds := cluster.Parallelize(c, in, 32)
 	done := make(chan struct{})
 	go func() {
-		time.Sleep(30 * time.Millisecond) // mid-stage: tasks take >=20ms each
+		<-ex.reached // mid-stage: 8 of the 32 tasks dispatched
 		p.kill(2)
 		close(done)
 	}()
@@ -208,13 +230,14 @@ func TestWorkerKillMidBuildByteIdentical(t *testing.T) {
 	// worker killed mid-run still digests identically to in-process.
 	golden := buildDigest(t, nil, "tsv")
 	p := startPool(t, 4)
+	ex := signalAfter(p.co, 1)
 	killed := make(chan struct{})
 	go func() {
-		time.Sleep(10 * time.Millisecond)
+		<-ex.reached // the build's first remote task is being dispatched
 		p.kill(0)
 		close(killed)
 	}()
-	if got := buildDigest(t, p.co, "tsv"); got != golden {
+	if got := buildDigest(t, ex, "tsv"); got != golden {
 		t.Fatalf("digest after worker kill %x != in-process %x", got, golden)
 	}
 	<-killed
@@ -231,7 +254,7 @@ func TestWorkerLossDetectedByHeartbeatDeadline(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker loss not detected; %d live", p.co.LiveWorkers())
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // paces a poll of the live-worker count
 	}
 	ws := p.co.Workers()
 	live := 0

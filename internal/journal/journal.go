@@ -1,10 +1,9 @@
 // Package journal is the crash-safety substrate of csbd: an append-only,
-// CRC-checksummed write-ahead log of small typed records. The daemon journals
-// job lifecycle events (accepted/done/failed/canceled) and the distributed
-// coordinator checkpoints per-task completions into the same file, so a
-// process killed mid-build can replay the log on restart, re-enqueue every
-// incomplete job and skip every task whose result bytes were already
-// committed — converging on byte-identical artifacts instead of losing work.
+// CRC-checksummed write-ahead log of small typed records. The daemon,
+// standalone or coordinator, journals job lifecycle events
+// (accepted/done/failed/canceled), so a process killed mid-build can replay
+// the log on restart and re-enqueue every incomplete job; content addressing
+// rebuilds it to byte-identical artifacts instead of losing work.
 //
 // The format (CSBJ1) follows the repo's wire conventions: versioned magic,
 // length-framed big-endian records, per-record CRC32 (IEEE), and no
@@ -14,9 +13,9 @@
 //
 //	record:
 //	  [0]     kind length, uint8
-//	  [1:..]  kind (UTF-8, e.g. "job.accepted", "task.done")
+//	  [1:..]  kind (UTF-8, e.g. "job.accepted", "job.done")
 //	  [..]    key length, uint8
-//	  [..]    key (e.g. an artifact id or task content hash)
+//	  [..]    key (e.g. an artifact id)
 //	  [..+4]  payload length, uint32 BE
 //	  [..]    payload
 //	  [..+4]  CRC32 (IEEE) of everything above, uint32 BE
@@ -44,8 +43,11 @@ const (
 	Magic = "CSBJ1"
 	// headerLen is the on-disk file header length.
 	headerLen = 8
-	// maxPayload bounds one record's payload; journal records are job specs
-	// and task results, never multi-GB artifacts.
+	// maxPayload bounds one record's payload. Today's records are job specs
+	// of a few hundred bytes, but logs written by earlier coordinators also
+	// hold stage results of up to this size. The bound stays so Open still
+	// reads them: a lower one would treat such a record as a torn tail and
+	// truncate the job records after it along with it.
 	maxPayload = 256 << 20
 )
 
@@ -54,8 +56,8 @@ const (
 var ErrCorrupt = errors.New("journal: corrupt")
 
 // Record is one journaled event. Kind namespaces the event ("job.accepted",
-// "task.done"), Key identifies its subject (artifact id, task hash) and
-// Payload carries kind-specific bytes (a job spec, task result bytes).
+// "job.done"), Key identifies its subject (an artifact id) and Payload
+// carries kind-specific bytes (a job spec).
 type Record struct {
 	Kind    string
 	Key     string
@@ -346,7 +348,7 @@ func (j *Journal) Records() []Record {
 }
 
 // Compact rewrites the journal keeping only the replayed records that pass
-// keep, dropping everything else (completed jobs, stale task checkpoints).
+// keep, dropping everything else (completed jobs, kinds no longer written).
 // The rewrite is atomic: a temp file in the same directory is renamed over
 // the journal, so a crash mid-compaction leaves the old intact log in place.
 // Records appended after Open survive only if they were re-appended after

@@ -6,16 +6,13 @@ import (
 	"csb/internal/journal"
 )
 
-// Journal record kinds serve writes. The coordinator's checkpoint layer
-// (dist.Checkpointed) shares the same journal with "task.done" records;
-// compaction here retains those only while some job is still incomplete,
-// since a finished job's stage results can never be asked for again.
+// Journal record kinds: serve is the journal's only writer, and a job's
+// spec is all a restart needs to rebuild its bytes.
 const (
 	journalJobAccepted = "job.accepted" // payload: normalized spec JSON
 	journalJobDone     = "job.done"
 	journalJobFailed   = "job.failed"
 	journalJobCanceled = "job.canceled"
-	journalTaskDone    = "task.done" // written by dist.Checkpointed
 )
 
 // journalAppend records one lifecycle event. Append failures (disk full,
@@ -71,20 +68,16 @@ func (s *Server) resumeFromJournal() {
 		}
 	}
 
-	// Drop the terminal noise before re-submitting: keep the accepted
+	// Drop the terminal noise before re-submitting: keep only the accepted
 	// records of incomplete jobs (they are the recovery source of truth
-	// until those jobs finish) and coordinator task checkpoints only while
-	// some job can still consume them.
-	s.journal.Compact(func(r journal.Record) bool {
-		switch r.Kind {
-		case journalJobAccepted:
-			return incomplete[r.Key]
-		case journalTaskDone:
-			return len(incomplete) > 0
-		default:
-			return false
-		}
-	})
+	// until those jobs finish). Every other kind goes, including records
+	// of kinds this daemon no longer writes. A failed rewrite leaves the
+	// old log in place, so it is counted and the resume goes on.
+	if err := s.journal.Compact(func(r journal.Record) bool {
+		return r.Kind == journalJobAccepted && incomplete[r.Key]
+	}); err != nil {
+		s.journalErrs.Add(1)
+	}
 
 	for _, key := range order {
 		p := byKey[key]

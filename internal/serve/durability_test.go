@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -165,5 +166,114 @@ func TestResumeReopensReacceptedJob(t *testing.T) {
 	defer s.Close()
 	if got := s.Metrics().Journal.JobsResumed; got != 1 {
 		t.Fatalf("resumed %d jobs, want 1", got)
+	}
+}
+
+// awaitCached polls s's cache until the artifact id lands in it.
+func awaitCached(t *testing.T, s *Server, id string) []byte {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if data, ok := s.Cache().Get(id); ok {
+			return data
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("artifact %s never reached the cache", id)
+		}
+		time.Sleep(10 * time.Millisecond) // paces a poll of the cache
+	}
+}
+
+// TestResumeCountsFailedCompaction: a compaction that cannot write its temp
+// file is counted as a journal error, and the job is resumed regardless.
+func TestResumeCountsFailedCompaction(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal-dir")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "csbd.wal")
+	jl := openJournalT(t, path)
+	spec := tinySpec(21)
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	specJSON, _ := json.Marshal(spec)
+	if err := jl.Append(journal.Record{Kind: journalJobAccepted, Key: spec.ID(), Payload: specJSON}); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+	jl = openJournalT(t, path) // replays the accepted record
+	// The open descriptor keeps working, but Compact's temp file cannot be
+	// created in a directory that is gone.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 1, Journal: jl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if m := s.Metrics().Journal; m.AppendErrors != 1 || m.JobsResumed != 1 {
+		t.Fatalf("journal metrics = %+v, want 1 error (the compaction) and 1 job resumed", m)
+	}
+	awaitCached(t, s, spec.ID())
+}
+
+// TestResumeDropsTaskCheckpointRecords opens a journal in the format older
+// coordinators wrote: one accepted job plus "task.done" stage checkpoints,
+// one of them over 1 MiB. The daemon must read past them, rebuild the job
+// to the in-process bytes, and compact the checkpoints away.
+func TestResumeDropsTaskCheckpointRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "csbd.wal")
+	spec := tinySpec(23)
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := EngineShape{}.newCluster(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := BuildArtifact(context.Background(), spec, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	jl := openJournalT(t, path)
+	specJSON, _ := json.Marshal(spec)
+	recs := []journal.Record{
+		{Kind: journalJobAccepted, Key: spec.ID(), Payload: specJSON},
+		{Kind: "task.done", Key: "t1", Payload: bytes.Repeat([]byte{0xA1}, 300)},
+		{Kind: "task.done", Key: "t2", Payload: bytes.Repeat([]byte{0xB2}, 3<<19)}, // 1.5 MiB
+		{Kind: "task.done", Key: "t3", Payload: []byte("rows")},
+	}
+	for _, rec := range recs {
+		if err := jl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+
+	jl2 := openJournalT(t, path)
+	s, err := New(Config{Workers: 1, Journal: jl2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics().Journal; m.Replayed != int64(len(recs)) || m.JobsResumed != 1 || m.AppendErrors != 0 {
+		t.Fatalf("journal metrics = %+v, want %d replayed, 1 resumed, 0 errors", m, len(recs))
+	}
+	if got := awaitCached(t, s, spec.ID()); !bytes.Equal(got, golden) {
+		t.Fatalf("resumed artifact differs from the in-process build: %d vs %d bytes", len(got), len(golden))
+	}
+	s.Close()
+	jl2.Close()
+
+	jl3 := openJournalT(t, path)
+	for _, rec := range jl3.Records() {
+		if rec.Kind == "task.done" {
+			t.Fatalf("compaction kept a task checkpoint: %s %s (%d bytes)", rec.Kind, rec.Key, len(rec.Payload))
+		}
+	}
+	if st := jl3.Stats(); st.Bytes > 4<<10 {
+		t.Fatalf("compacted journal is %d bytes, want under 4 KiB", st.Bytes)
 	}
 }

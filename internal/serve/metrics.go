@@ -40,7 +40,8 @@ type Metrics struct {
 type JournalMetrics struct {
 	// JobsResumed counts jobs re-enqueued from the journal at startup.
 	JobsResumed int64
-	// AppendErrors counts failed journal writes and unreplayable records.
+	// AppendErrors counts failed journal writes (appends and the start-up
+	// compaction) and unreplayable records.
 	AppendErrors int64
 	// Replayed is how many records the journal recovered at open.
 	Replayed int64

@@ -19,19 +19,6 @@ import (
 	"csb/internal/pcap"
 )
 
-// DistPool is the coordinator-side view serve needs of the distributed
-// runtime (implemented by *dist.Coordinator): dispatch remotable stage tasks
-// and report worker topology. Nil means single-process operation.
-type DistPool interface {
-	cluster.TaskExecutor
-	// Workers lists known workers, live first, lost tombstones after.
-	Workers() []dist.WorkerInfo
-	// LiveWorkers counts currently-registered workers.
-	LiveWorkers() int
-	// Counts reports topology and dispatch totals.
-	Counts() (registered, live, lost, dispatched, declined int64)
-}
-
 // Config parameterizes a Server.
 type Config struct {
 	// Workers bounds concurrent generations (0 means 2).
@@ -68,7 +55,7 @@ type Config struct {
 	// worker processes. Like the fault knobs it is not part of artifact
 	// identity: bytes stay identical whether stages run in-process or on
 	// workers.
-	Dist DistPool
+	Dist *dist.Coordinator
 	// MinWorkers gates /readyz when distributed: with Dist set, readiness
 	// additionally requires at least this many live workers. Zero means
 	// ready even with an empty pool (stages fall back to local execution).
@@ -77,8 +64,9 @@ type Config struct {
 	// lifecycle transition is appended to the write-ahead log, and New
 	// replays it to re-enqueue jobs that were accepted but never reached a
 	// terminal state — so kill -9 mid-build followed by a restart converges
-	// to byte-identical artifacts. dist.Checkpointed can share the same
-	// journal to resume sharded builds. The caller keeps ownership (Close).
+	// to byte-identical artifacts. A coordinator resumes the same way: the
+	// job is rebuilt from its spec and every remote task is dispatched
+	// again. The caller keeps ownership (Close).
 	Journal *journal.Journal
 }
 
@@ -194,7 +182,7 @@ type Server struct {
 	retries     atomic.Int64 // job re-attempts after transient build failures
 	bytesServed atomic.Int64
 	resumed     atomic.Int64 // jobs re-enqueued from the journal at startup
-	journalErrs atomic.Int64 // journal appends/replays that failed
+	journalErrs atomic.Int64 // journal appends, compactions and replays that failed
 
 	// buildArtifact is swappable so admission-control tests can hold jobs
 	// in "running" deterministically; production builds on a per-job

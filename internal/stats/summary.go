@@ -59,22 +59,3 @@ func SummarizeInt(xs []int64) Summary {
 	}
 	return Summarize(fs)
 }
-
-// PearsonCorrelation returns the sample correlation coefficient of two
-// equal-length vectors, used to verify that the conditional attribute model
-// preserves cross-attribute correlation (e.g. bytes vs packets).
-func PearsonCorrelation(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) < 2 {
-		return math.NaN()
-	}
-	sa, sb := Summarize(a), Summarize(b)
-	if sa.Std == 0 || sb.Std == 0 {
-		return math.NaN()
-	}
-	var cov float64
-	for i := range a {
-		cov += (a[i] - sa.Mean) * (b[i] - sb.Mean)
-	}
-	cov /= float64(len(a) - 1)
-	return cov / (sa.Std * sb.Std)
-}

@@ -21,21 +21,3 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("odd median = %g, want 2", odd.Median)
 	}
 }
-
-func TestPearsonCorrelation(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	b := []float64{2, 4, 6, 8, 10}
-	if r := PearsonCorrelation(a, b); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("perfect correlation = %g, want 1", r)
-	}
-	c := []float64{10, 8, 6, 4, 2}
-	if r := PearsonCorrelation(a, c); math.Abs(r+1) > 1e-12 {
-		t.Fatalf("perfect anti-correlation = %g, want -1", r)
-	}
-	if !math.IsNaN(PearsonCorrelation(a, []float64{1})) {
-		t.Fatal("length mismatch did not return NaN")
-	}
-	if !math.IsNaN(PearsonCorrelation([]float64{1, 1}, []float64{2, 3})) {
-		t.Fatal("zero-variance input did not return NaN")
-	}
-}

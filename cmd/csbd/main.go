@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
@@ -70,6 +71,10 @@ func main() {
 // connections (tests pass ":0" and read the port from here); closing stop
 // triggers the same graceful shutdown as SIGINT (nil blocks forever).
 func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struct{}) error {
+	// Every log line goes through logger: the coordinator's and the
+	// worker's session goroutines log beside run's own, and a log.Logger
+	// writes each line whole, under its lock.
+	logger := log.New(stdout, "", 0)
 	fs := flag.NewFlagSet("csbd", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
@@ -81,8 +86,8 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		cacheBytes = fs.Int64("cache-bytes", serve.DefaultCacheBytes, "in-memory artifact cache budget")
 		cacheDir   = fs.String("cache-dir", "", "disk spill directory for evicted artifacts (empty disables)")
 		cacheDisk  = fs.Int64("cache-disk-bytes", 0, "disk spill budget (0 = 4x cache-bytes)")
-		nodes      = fs.Int("nodes", 1, "virtual cluster nodes jobs run on (placement: changing it changes artifact bytes)")
-		cores      = fs.Int("cores", 0, "cores per virtual node (0 = 1; placement: changing it changes artifact bytes)")
+		nodes      = fs.Int("nodes", 1, "virtual cluster nodes jobs run on")
+		cores      = fs.Int("cores", 0, "cores per virtual node (0 = 1)")
 		jobRetries = fs.Int("job-retries", 1, "re-attempts for transiently failed jobs (negative disables)")
 		taskRetry  = fs.Int("max-task-retries", 0, "engine task retry budget (0 = default, negative disables)")
 		specExec   = fs.Bool("speculation", false, "duplicate straggler tasks in the engine")
@@ -114,7 +119,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	}
 
 	if *role == "worker" {
-		return runWorker(*join, *name, faults, stdout, ready, stop)
+		return runWorker(*join, *name, faults, logger, ready, stop)
 	}
 	if *role != "standalone" && *role != "coordinator" {
 		return fmt.Errorf("unknown -role %q (want standalone, coordinator or worker)", *role)
@@ -141,7 +146,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	if *role == "coordinator" {
 		dcfg := dist.Config{
 			Addr: *distAddr,
-			Logf: func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) },
+			Logf: logger.Printf,
 		}
 		if faults != nil {
 			// Inject on the accept side: every worker session runs through
@@ -151,7 +156,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 				return err
 			}
 			dcfg.Listener = faults.Listen(ln)
-			fmt.Fprintf(stdout, "csbd chaos-net active on worker RPC: %s\n", *chaosSpec)
+			logger.Printf("csbd chaos-net active on worker RPC: %s", *chaosSpec)
 		}
 		var err error
 		coord, err = dist.NewCoordinator(dcfg)
@@ -159,7 +164,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 			return err
 		}
 		defer coord.Close()
-		fmt.Fprintf(stdout, "csbd coordinator accepting workers on %s\n", coord.Addr())
+		logger.Printf("csbd coordinator accepting workers on %s", coord.Addr())
 	}
 	srv, err := serve.New(serve.Config{
 		Workers:        *workers,
@@ -182,7 +187,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	defer srv.Close()
 	if jl != nil {
 		if m := srv.Metrics().Journal; m != nil {
-			fmt.Fprintf(stdout, "csbd journal %s: replayed %d records, resumed %d jobs\n",
+			logger.Printf("csbd journal %s: replayed %d records, resumed %d jobs",
 				*journalLog, m.Replayed, m.JobsResumed)
 		}
 	}
@@ -192,7 +197,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(stdout, "csbd listening on %s (workers=%d queue=%d)\n", ln.Addr(), *workers, *queue)
+	logger.Printf("csbd listening on %s (workers=%d queue=%d)", ln.Addr(), *workers, *queue)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -212,7 +217,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	case <-ctx.Done():
 	case <-stop:
 	}
-	fmt.Fprintln(stdout, "csbd shutting down")
+	logger.Println("csbd shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return httpSrv.Shutdown(shutdownCtx)
@@ -222,7 +227,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 // dispatched tasks. SIGTERM drains gracefully — the worker tells the
 // coordinator to stop routing to it, finishes its in-flight tasks, and
 // exits clean; SIGINT (or a second signal, or stop closing) cancels hard.
-func runWorker(join, name string, faults *chaosnet.Faults, stdout io.Writer, ready chan<- string, stop <-chan struct{}) error {
+func runWorker(join, name string, faults *chaosnet.Faults, logger *log.Logger, ready chan<- string, stop <-chan struct{}) error {
 	if join == "" {
 		return fmt.Errorf("role worker requires -join coordinator address")
 	}
@@ -233,11 +238,11 @@ func runWorker(join, name string, faults *chaosnet.Faults, stdout io.Writer, rea
 	wcfg := dist.WorkerConfig{
 		Coordinator: join,
 		Name:        name,
-		Logf:        func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) },
+		Logf:        logger.Printf,
 	}
 	if faults != nil {
 		wcfg.WrapConn = faults.Wrap
-		fmt.Fprintln(stdout, "csbd chaos-net active on coordinator connection")
+		logger.Println("csbd chaos-net active on coordinator connection")
 	}
 	w, err := dist.NewWorker(wcfg)
 	if err != nil {
@@ -253,7 +258,7 @@ func runWorker(join, name string, faults *chaosnet.Faults, stdout io.Writer, rea
 			select {
 			case sig := <-sigs:
 				if sig == syscall.SIGTERM && !w.Draining() {
-					fmt.Fprintf(stdout, "csbd worker %q draining (signal again to force)\n", name)
+					logger.Printf("csbd worker %q draining (signal again to force)", name)
 					w.Drain()
 					continue
 				}
@@ -265,7 +270,7 @@ func runWorker(join, name string, faults *chaosnet.Faults, stdout io.Writer, rea
 			}
 		}
 	}()
-	fmt.Fprintf(stdout, "csbd worker %q joining %s\n", name, join)
+	logger.Printf("csbd worker %q joining %s", name, join)
 	if ready != nil {
 		ready <- name
 	}

@@ -18,25 +18,6 @@ import (
 	"csb/internal/serve"
 )
 
-// syncBuffer is a bytes.Buffer safe for the daemon's concurrent writers: a
-// coordinator logs worker sessions from its own goroutines.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
 // startDaemon boots the daemon on an ephemeral port and returns its base
 // URL plus a shutdown function.
 func startDaemon(t *testing.T, extraArgs ...string) (string, func() error) {
@@ -44,7 +25,7 @@ func startDaemon(t *testing.T, extraArgs ...string) (string, func() error) {
 	ready := make(chan string, 1)
 	stop := make(chan struct{})
 	errCh := make(chan error, 1)
-	var out syncBuffer
+	var out bytes.Buffer
 	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	go func() { errCh <- run(args, &out, ready, stop) }()
 	var once sync.Once

@@ -48,8 +48,8 @@ func run(args []string, stdout io.Writer) error {
 		edges     = fs.Int64("edges", 100000, "desired number of edges")
 		fraction  = fs.Float64("fraction", 0.1, "PGPBA fraction parameter")
 		rngSeed   = fs.Uint64("seed", 42, "RNG seed")
-		nodes     = fs.Int("nodes", 1, "virtual cluster nodes (placement: changing it changes the output bytes)")
-		cores     = fs.Int("cores", 0, "cores per virtual node (0 = 1; placement: changing it changes the output bytes)")
+		nodes     = fs.Int("nodes", 1, "virtual cluster nodes")
+		cores     = fs.Int("cores", 0, "cores per virtual node (0 = 1)")
 		out       = fs.String("out", "", "output CSBG file")
 		edgeList  = fs.String("edgelist-out", "", "output TSV edge list")
 		veracity  = fs.Bool("veracity", false, "also report degree/PageRank veracity vs the seed")
@@ -87,9 +87,9 @@ func run(args []string, stdout io.Writer) error {
 	if *traceOut != "" || *stageTab {
 		tracer = cluster.NewTracer()
 	}
-	// -nodes/-cores are placement and name different bytes; tracing, retries,
-	// speculation and injected faults never do. Unset, the shape is the
-	// default 1 x 1 csbd jobs run on, on every host.
+	// Nothing here changes the output bytes: -nodes/-cores are placement,
+	// and tracing, retries, speculation and injected faults touch only the
+	// attempt schedule.
 	ccfg := cluster.Config{
 		Nodes: *nodes, CoresPerNode: *cores, Tracer: tracer,
 		MaxTaskRetries: *taskRetry, Speculation: *specExec,
@@ -127,10 +127,7 @@ func run(args []string, stdout io.Writer) error {
 		if err := spec.Normalize(); err != nil {
 			return err
 		}
-		if c.VirtualCores() == 1 {
-			// A Spec.ID names the default shape's bytes.
-			jobSpec = &spec
-		}
+		jobSpec = &spec
 	}
 
 	var seed *core.Seed

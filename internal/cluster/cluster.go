@@ -8,8 +8,9 @@
 //   - Real execution: every partition task actually runs, on a goroutine
 //     worker pool bounded by MaxParallel (defaults to GOMAXPROCS). Results
 //     are therefore real, not simulated. MaxParallel is the only thing here
-//     that reads the host: placement (Nodes, CoresPerNode, and so the
-//     partition count and every per-partition RNG stream) never does.
+//     that reads the host. Neither it nor placement (Nodes, CoresPerNode and
+//     the partition count) changes output: every draw is keyed to a fixed
+//     block of the element index (see blockSize).
 //
 //   - Virtual time: each task's wall time is measured, and every stage's
 //     tasks are placed onto Nodes*CoresPerNode virtual cores by an LPT
@@ -38,14 +39,14 @@ import (
 // Config describes the (possibly virtual) cluster topology.
 type Config struct {
 	// Nodes is the number of simulated compute nodes and CoresPerNode the
-	// cores each offers. Both are placement: they fix the partition count,
-	// which fixes the per-partition RNG streams, which fixes output bytes.
-	// 0 means 1 — the default shape is the constant 1 x 1 on every host.
+	// cores each offers; 0 means 1. Both are placement and never change
+	// output bytes.
 	Nodes        int
 	CoresPerNode int
 	// DefaultPartitions is the partition count used when an operation is
-	// asked for 0 partitions. Following the paper's tuning, it defaults to
-	// 2x the total executor cores.
+	// asked for 0 partitions, and the task cap of every drawing stage.
+	// Following the paper's tuning, it defaults to 2x the total executor
+	// cores. Like the shape, it is placement.
 	DefaultPartitions int
 	// MaxParallel bounds real OS-level parallelism (0 means GOMAXPROCS). It
 	// never changes output bytes.
@@ -183,8 +184,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.CoresPerNode < 0 {
 		return nil, fmt.Errorf("cluster: CoresPerNode must not be negative, got %d", cfg.CoresPerNode)
 	}
-	// The one default for an unset shape: a constant, not the host's core
-	// count, so a spec names the same bytes everywhere.
+	// An unset shape is 1 x 1, not the host's core count.
 	cfg.Nodes = max(cfg.Nodes, 1)
 	cfg.CoresPerNode = max(cfg.CoresPerNode, 1)
 	if cfg.DefaultPartitions == 0 {
@@ -281,14 +281,6 @@ func (c *Cluster) Metrics() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.metrics
-}
-
-// defaultPartitions resolves a requested partition count.
-func (c *Cluster) defaultPartitions(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return c.cfg.DefaultPartitions
 }
 
 // Scope pushes a label segment onto the cluster's stage-label stack and

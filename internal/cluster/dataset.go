@@ -2,17 +2,18 @@ package cluster
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"reflect"
 	"sort"
-	"sync"
 
 	"csb/internal/stats"
 )
 
 // Dataset is a partitioned in-memory collection, the RDD substitute. Values
-// are held in per-partition slices; operations run one task per partition.
-// Datasets are immutable: every operation produces a new Dataset.
+// are held in per-partition slices; operations run one task per partition,
+// or, where they draw, one per run of whole blocks (see blockSize). Datasets
+// are immutable: every operation produces a new Dataset.
 type Dataset[T any] struct {
 	c     *Cluster
 	parts [][]T
@@ -52,16 +53,17 @@ func (d *Dataset[T]) Offsets() []int64 {
 // bytesOf estimates the memory footprint of a dataset from its element type
 // size; good enough for the Figure 11 accounting.
 func bytesOf[T any](parts [][]T) int64 {
-	var zero T
-	elem := int64(reflect.TypeOf(&zero).Elem().Size())
-	if elem == 0 {
-		elem = 1
-	}
 	var n int64
 	for _, p := range parts {
 		n += int64(len(p))
 	}
-	return n * elem
+	return n * elemBytes[T]()
+}
+
+// elemBytes is the size bytesOf charges per element: at least one byte.
+func elemBytes[T any]() int64 {
+	var zero T
+	return max(int64(reflect.TypeOf(&zero).Elem().Size()), 1)
 }
 
 func newDataset[T any](c *Cluster, parts [][]T) *Dataset[T] {
@@ -105,10 +107,11 @@ func partWeights[T any](parts [][]T) []int64 {
 // partitions became 2/2/2/0), which skewed every downstream stage's task
 // weights and wasted shuffle buckets.
 func Parallelize[T any](c *Cluster, data []T, partitions int) *Dataset[T] {
-	p := c.defaultPartitions(partitions)
-	if p > len(data) {
-		p = len(data)
+	p := partitions
+	if p <= 0 {
+		p = c.cfg.DefaultPartitions
 	}
+	p = min(p, len(data))
 	if len(data) == 0 {
 		return newDataset(c, make([][]T, 0))
 	}
@@ -126,68 +129,137 @@ func Parallelize[T any](c *Cluster, data []T, partitions int) *Dataset[T] {
 	return newDataset(c, parts)
 }
 
-// GenerateRemotable creates a dataset of n elements produced by gen, one task
-// per partition, each with its own deterministic RNG derived from seed — the
-// parallel-source primitive the generators build on — as a stage that can
-// also run in another process: when the cluster has a TaskExecutor each
-// partition task may instead be dispatched as remote.Kind with
-// payload(part, seed, count) bytes, and the worker's result bytes are decoded
-// into the partition with decode. Partitioning depends only on (n, partitions,
-// cluster shape) — never on worker availability — which is what keeps output
-// identical in-process, with 1 worker, and with N workers.
-func GenerateRemotable[T any](c *Cluster, n int64, partitions int, seed uint64, kind string,
-	gen func(rng *stats.RNG, emit func(T), count int64),
-	payload func(part int, seed uint64, count int64) []byte,
-	decode func(result []byte) ([]T, error),
-) *Dataset[T] {
-	p := c.defaultPartitions(partitions)
-	if int64(p) > n && n > 0 {
-		p = int(n)
+// blockSize is the run of the global element index one RNG stream covers:
+// every stage that draws keys element g's draws to DeriveRNG(stageSeed,
+// g/blockSize). A stage's tasks are contiguous runs of whole blocks, since
+// the draws per element vary (IntN rejects) and no task could start a stream
+// mid-block. So output bytes follow from the seed and the element sequence
+// alone; the partition count, and with it the cluster shape, is placement.
+// The block is the finest task grain, so it is small: Figure 12's ≈ 100k-
+// element PGSK stages still have more blocks than its 720 virtual cores.
+const blockSize = 128
+
+// blockTasks splits n elements into at most p tasks of whole blocks, as
+// even in blocks as they divide: task t covers the w[t] elements from lo[t].
+// Drawing stages pass DefaultPartitions, never their input's partitioning.
+func blockTasks(n int64, p int) (lo, w []int64) {
+	blocks := (n + blockSize - 1) / blockSize
+	t := min(int64(max(p, 1)), blocks)
+	for i := int64(0); i < t; i++ {
+		a, b := i*blocks/t*blockSize, min((i+1)*blocks/t*blockSize, n)
+		lo, w = append(lo, a), append(w, b-a)
 	}
-	if n == 0 {
-		return newDataset(c, make([][]T, 0))
-	}
-	parts := make([][]T, p)
-	base := n / int64(p)
-	rem := n % int64(p)
-	weights := make([]int64, p)
-	for i := range weights {
-		weights[i] = base
-		if int64(i) < rem {
-			weights[i]++
+	return lo, w
+}
+
+// Run is a stretch of a block-keyed stage's input within one block and one
+// partition: the elements Xs, in order, from global index At, and RNG, the
+// block's stream. The runs of one block share it, so draws continue across
+// a partition boundary as if there were none.
+type Run[T any] struct {
+	RNG *stats.RNG
+	At  int64
+	Xs  []T
+}
+
+// runs yields the Runs of d's elements in [lo, hi), lo a block boundary,
+// with streams derived from seed; offsets is d.Offsets(), taken once a stage.
+func (d *Dataset[T]) runs(offsets []int64, lo, hi int64, seed uint64) iter.Seq[Run[T]] {
+	return func(yield func(Run[T]) bool) {
+		// The last partition starting at or before lo holds it: an empty
+		// one shares its offset with the next.
+		p := sort.Search(len(offsets), func(i int) bool { return offsets[i] > lo }) - 1
+		var rng *stats.RNG
+		for at := lo; at < hi; {
+			for at >= offsets[p]+int64(len(d.parts[p])) {
+				p++
+			}
+			if at%blockSize == 0 {
+				rng = DeriveRNG(seed, uint64(at/blockSize))
+			}
+			end := min(hi, (at/blockSize+1)*blockSize, offsets[p]+int64(len(d.parts[p])))
+			if !yield(Run[T]{RNG: rng, At: at, Xs: d.parts[p][at-offsets[p] : end-offsets[p]]}) {
+				return
+			}
+			at = end
 		}
 	}
-	remote := &RemoteStage{
-		Kind:    kind,
-		Payload: func(task int) []byte { return payload(task, seed, weights[task]) },
-		Apply: func(task int, result []byte) error {
-			out, err := decode(result)
-			if err != nil {
-				return err
-			}
-			if int64(len(out)) != weights[task] {
-				return fmt.Errorf("cluster: remote %s task %d returned %d elements, want %d",
-					kind, task, len(out), weights[task])
-			}
-			parts[task] = out
-			return nil
-		},
+}
+
+// MapBlocks is the map stage for closures that draw, traced as op: task f
+// gets its n elements as the runs of contiguous whole blocks, with streams
+// derived from seed, and returns its output. Tasks are at most
+// DefaultPartitions; what they return depends on the element sequence and
+// seed alone, never on the partitioning.
+func MapBlocks[T, U any](in *Dataset[T], op string, seed uint64, f func(n int, runs iter.Seq[Run[T]]) []U) *Dataset[U] {
+	lo, w := blockTasks(in.Count(), in.c.cfg.DefaultPartitions)
+	offsets, parts := in.Offsets(), make([][]U, len(w))
+	in.c.runStage(stageSpec{op: op, weights: w, bytesIn: bytesOf(in.parts),
+		bytesOut: func() int64 { return bytesOf(parts) }}, len(parts), func(t int) {
+		parts[t] = f(int(w[t]), in.runs(offsets, lo[t], lo[t]+w[t], seed))
+	})
+	return newDataset(in.c, parts)
+}
+
+// DrawBlocks calls draw(rng, k) once per block of the count elements that
+// start at block first, in order: k is the block's share of count and rng
+// is DeriveRNG(seed, block). It is GenerateRemotable's task body, exported
+// so a worker replaying a task's payload draws the same streams.
+func DrawBlocks(seed, first uint64, count int64, draw func(rng *stats.RNG, k int64)) {
+	for b := first; count > 0; b++ {
+		k := min(count, blockSize)
+		draw(DeriveRNG(seed, b), k)
+		count -= k
+	}
+}
+
+// GenerateRemotable creates a dataset of n elements produced by gen, the
+// parallel-source primitive the generators build on: element g is drawn
+// from DeriveRNG(seed, g/blockSize), one gen call per block, in tasks of
+// whole blocks. When payload is set and the cluster has a TaskExecutor, a
+// task may instead run as remote.Kind with payload(seed, first block, count)
+// bytes; the worker's result (DrawBlocks over the same arguments) is decoded
+// into the task's partition with decode. A nil payload keeps every task
+// local, for a gen that reads the coordinator's data. Where tasks run, and
+// how many there are, never changes the bytes.
+func GenerateRemotable[T any](c *Cluster, n int64, seed uint64, kind string,
+	gen func(rng *stats.RNG, emit func(T), count int64),
+	payload func(seed, block uint64, count int64) []byte,
+	decode func(result []byte) ([]T, error),
+) *Dataset[T] {
+	lo, weights := blockTasks(n, c.cfg.DefaultPartitions)
+	parts := make([][]T, len(weights))
+	var remote *RemoteStage
+	if payload != nil {
+		remote = &RemoteStage{Kind: kind,
+			Payload: func(task int) []byte { return payload(seed, uint64(lo[task]/blockSize), weights[task]) },
+			Apply: func(task int, result []byte) error {
+				out, err := decode(result)
+				if err != nil {
+					return err
+				}
+				if int64(len(out)) != weights[task] {
+					return fmt.Errorf("cluster: remote %s task %d returned %d elements, want %d",
+						kind, task, len(out), weights[task])
+				}
+				parts[task] = out
+				return nil
+			}}
 	}
 	c.runStage(stageSpec{op: "generate", weights: weights, remote: remote,
-		bytesOut: func() int64 { return bytesOf(parts) }}, p, func(i int) {
-		count := weights[i]
-		out := make([]T, 0, count)
-		rng := DeriveRNG(seed, uint64(i))
-		gen(rng, func(v T) { out = append(out, v) }, count)
+		bytesOut: func() int64 { return bytesOf(parts) }}, len(parts), func(i int) {
+		out := make([]T, 0, weights[i])
+		emit := func(v T) { out = append(out, v) }
+		DrawBlocks(seed, uint64(lo[i]/blockSize), weights[i], func(rng *stats.RNG, k int64) { gen(rng, emit, k) })
 		parts[i] = out
 	})
 	return newDataset(c, parts)
 }
 
-// MapPartitionsRemotable is MapPartitions for stages that can also run in
-// another process: f is the local closure; payload renders partition i's
-// input as self-contained bytes for remote.Kind, and decode turns a worker's
-// result bytes back into the output partition. The two paths must agree
+// MapPartitionsRemotable applies f to every partition once, for stages that
+// can also run in another process: f is the local closure; payload renders
+// partition i's input as self-contained bytes for remote.Kind, and decode
+// turns a worker's result bytes back into the output partition. The two paths must agree
 // byte-for-byte (f(i, xs) == decode(worker(payload(i, xs)))) — the golden
 // determinism tests hold them together.
 func MapPartitionsRemotable[T, U any](in *Dataset[T], kind string,
@@ -229,86 +301,28 @@ func Map[T, U any](in *Dataset[T], f func(T) U) *Dataset[U] {
 	return newDataset(in.c, parts)
 }
 
-// MapPartitions applies f to whole partitions, allowing per-partition state
-// (e.g. a partition-local RNG).
-func MapPartitions[T, U any](in *Dataset[T], f func(part int, xs []T) []U) *Dataset[U] {
-	parts := make([][]U, len(in.parts))
-	in.c.runStage(inSpec("mapPartitions", in, parts), len(in.parts), func(i int) {
-		parts[i] = f(i, in.parts[i])
-	})
-	return newDataset(in.c, parts)
-}
-
 // Sample returns a dataset where each element is kept independently with
 // probability fraction — RDD.sample without replacement, the first stage of
-// the PGPBA preferential attachment. Deterministic in seed.
+// the PGPBA preferential attachment. Element g's draw comes from its block's
+// stream, so the sample is deterministic in seed and the element sequence.
 func Sample[T any](in *Dataset[T], fraction float64, seed uint64) *Dataset[T] {
-	if fraction < 0 {
-		fraction = 0
-	}
-	parts := make([][]T, len(in.parts))
-	in.c.runStage(inSpec("sample", in, parts), len(in.parts), func(i int) {
-		rng := DeriveRNG(seed, uint64(i))
-		src := in.parts[i]
+	fraction = max(fraction, 0)
+	return MapBlocks(in, "sample", seed, func(n int, runs iter.Seq[Run[T]]) []T {
 		// Pre-size to the expected survivor count (exact for fraction >= 1,
 		// mean + 1 otherwise); the occasional over-draw grows once.
-		want := len(src)
 		if fraction < 1 {
-			want = int(fraction*float64(len(src))) + 1
+			n = int(fraction*float64(n)) + 1
 		}
-		dst := make([]T, 0, want)
-		for _, v := range src {
-			if fraction >= 1 || rng.Float64() < fraction {
-				dst = append(dst, v)
+		dst := make([]T, 0, n)
+		for r := range runs {
+			for _, v := range r.Xs {
+				if fraction >= 1 || r.RNG.Float64() < fraction {
+					dst = append(dst, v)
+				}
 			}
 		}
-		parts[i] = dst
+		return dst
 	})
-	return newDataset(in.c, parts)
-}
-
-// shardScratch is the recyclable per-task scratch of the Distinct shuffle:
-// the per-survivor destination shard, the per-survivor source index, and the
-// per-shard survivor counts. Pooling it means a steady-state shuffle task
-// allocates only its dedup map and one flat output block.
-type shardScratch struct {
-	shards []int32 // destination shard per survivor
-	idx    []int32 // source index per survivor
-	counts []int64 // survivors per shard
-}
-
-var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
-
-// getShardScratch returns a scratch with empty survivor slices and p zeroed
-// counts.
-func getShardScratch(p int) *shardScratch {
-	sc := shardScratchPool.Get().(*shardScratch)
-	sc.shards = sc.shards[:0]
-	sc.idx = sc.idx[:0]
-	if cap(sc.counts) < p {
-		sc.counts = make([]int64, p)
-	} else {
-		sc.counts = sc.counts[:p]
-		clear(sc.counts)
-	}
-	return sc
-}
-
-func putShardScratch(sc *shardScratch) { shardScratchPool.Put(sc) }
-
-// bucketize carves one flat, exactly sized allocation into p shard buckets
-// (bucket s pre-sized to counts[s]) and returns them ready for appends. The
-// flat backing replaces the per-shard append chains the shuffle used to
-// grow: one allocation instead of O(p log n).
-func bucketize[T any](counts []int64, total int) [][]T {
-	flat := make([]T, total)
-	bkts := make([][]T, len(counts))
-	off := 0
-	for s, n := range counts {
-		bkts[s] = flat[off : off : off+int(n)]
-		off += int(n)
-	}
-	return bkts
 }
 
 // maxShuffleInts guards the int32 scratch indices: a partition beyond 2^31
@@ -317,29 +331,32 @@ func bucketize[T any](counts []int64, total int) [][]T {
 const maxShuffleInts = math.MaxInt32
 
 // Distinct removes duplicates under key — RDD.distinct, used by the PGSK
-// edge generation. It is a two-phase parallel hash shuffle, like Spark's:
-// phase one dedups each partition locally and splits survivors into shard
-// buckets by shard(key); phase two merges and dedups each shard across all
-// partitions. Duplicates always hash to the same shard, so the result is
-// globally distinct. The shard function must be deterministic and must map
-// equal keys to equal values; a short barrier between the phases models the
-// shuffle coordination.
+// edge generation — keeping each key's first occurrence in input order. It
+// is a two-phase parallel hash shuffle for membership, like Spark's: phase
+// one dedups each partition locally and splits the survivors' indices into
+// shards by shard(key); phase two walks each shard's indices in input order
+// and marks the first occurrence of every key. Duplicates always hash to
+// the same shard, so the marks are globally distinct; a last pass keeps the
+// marked elements of each partition in place. The shard function must be
+// deterministic and must map equal keys to equal values; a short barrier
+// between the phases models the shuffle coordination.
 //
-// Output order is deterministic: both phases emit survivors in first-
-// occurrence order (maps are used only for membership, never iterated), so
-// the result depends only on the input partitioning — never on scheduling
-// or Go's randomized map order. The golden-digest tests in internal/core and
-// the property tests in this package hold the guarantee in place.
+// Maps are used only for membership, never iterated, so the output is the
+// input's first occurrences in order: it depends neither on the partitioning
+// nor on scheduling. The golden-digest tests in internal/core and the
+// property tests in this package hold the guarantee in place.
 func Distinct[T any, K comparable](in *Dataset[T], key func(T) K, shard func(K) uint64) *Dataset[T] {
 	p := len(in.parts)
 	if p == 0 {
 		return newDataset(in.c, make([][]T, 0))
 	}
-	// Phase 1: local dedup + bucket split. buckets[i][s] holds partition
-	// i's survivors destined for shard s, in input order. Survivors are
-	// first picked out into pooled scratch (shard + source index), then
-	// placed into one flat pre-sized block per task.
-	buckets := make([][][]T, p)
+	// Shards follow the cluster's partitioning (Spark's default parallelism).
+	shards := max(p, in.c.cfg.DefaultPartitions)
+	// Phase 1: local dedup + shard split. at[i][s] holds the indices in
+	// partition i of its local first occurrences destined for shard s, in
+	// input order; keep[i] is where phase two marks the global ones.
+	at := make([][][]int32, p)
+	keep := make([][]bool, p)
 	in.c.runStage(stageSpec{op: "distinct.local", weights: partWeights(in.parts),
 		bytesIn: bytesOf(in.parts)}, p, func(i int) {
 		src := in.parts[i]
@@ -347,63 +364,75 @@ func Distinct[T any, K comparable](in *Dataset[T], key func(T) K, shard func(K) 
 			panic("cluster: Distinct partition exceeds 2^31 elements; repartition first")
 		}
 		seen := make(map[K]struct{}, len(src))
-		sc := getShardScratch(p)
-		defer putShardScratch(sc)
+		idx := make([][]int32, shards)
 		for j, v := range src {
 			k := key(v)
 			if _, dup := seen[k]; dup {
 				continue
 			}
 			seen[k] = struct{}{}
-			s := int32(shard(k) % uint64(p))
-			sc.shards = append(sc.shards, s)
-			sc.idx = append(sc.idx, int32(j))
-			sc.counts[s]++
+			s := shard(k) % uint64(shards)
+			idx[s] = append(idx[s], int32(j))
 		}
-		bkts := bucketize[T](sc.counts, len(sc.idx))
-		for n, j := range sc.idx {
-			s := sc.shards[n]
-			bkts[s] = append(bkts[s], src[j])
-		}
-		buckets[i] = bkts
+		at[i], keep[i] = idx, make([]bool, len(src))
 	})
 	// Shuffle barrier: the driver-side coordination is charged per
 	// partition (shuffleCoordPerPartition); it is the term that keeps
 	// distinct-heavy pipelines (PGSK) slightly below ideal speedup as
 	// partition counts grow with the cluster.
-	in.c.chargeShuffleCoord(p)
-	shardW := shardWeights(buckets, p)
-	merged := make([][]T, p)
+	in.c.chargeShuffleCoord(shards)
+	shardW := shardWeights(at, shards)
+	kept := make([]int64, shards)
 	in.c.runStage(stageSpec{op: "distinct.merge", weights: shardW,
-		bytesIn:  bytesOf(in.parts),
-		bytesOut: func() int64 { return bytesOf(merged) }}, p, func(s int) {
-		// shardW[s] bounds this shard's output exactly when there are no
-		// cross-partition duplicates, so the map and output pre-size to it.
-		total := int(shardW[s])
-		seen := make(map[K]struct{}, total)
-		dst := make([]T, 0, total)
-		for i := 0; i < p; i++ {
-			for _, v := range buckets[i][s] {
-				k := key(v)
+		bytesIn: bytesOf(in.parts),
+		bytesOut: func() int64 {
+			var n int64
+			for _, k := range kept {
+				n += k
+			}
+			return n * elemBytes[T]()
+		}}, shards, func(s int) {
+		// shardW[s] bounds this shard's key count exactly when there are
+		// no cross-partition duplicates, so the map pre-sizes to it.
+		seen := make(map[K]struct{}, int(shardW[s]))
+		for i := range at {
+			for _, j := range at[i][s] {
+				k := key(in.parts[i][j])
 				if _, dup := seen[k]; dup {
 					continue
 				}
 				seen[k] = struct{}{}
-				dst = append(dst, v)
+				keep[i][j] = true
 			}
 		}
-		merged[s] = dst
+		kept[s] = int64(len(seen))
 	})
-	return newDataset(in.c, merged)
+	out := make([][]T, p)
+	in.c.runStage(stageSpec{op: "distinct.emit", weights: partWeights(in.parts),
+		bytesIn: bytesOf(in.parts), bytesOut: func() int64 { return bytesOf(out) }}, p, func(i int) {
+		var n int // the local survivors bound the global ones
+		for _, idx := range at[i] {
+			n += len(idx)
+		}
+		dst := make([]T, 0, n)
+		for j, k := range keep[i] {
+			if k {
+				dst = append(dst, in.parts[i][j])
+			}
+		}
+		out[i] = dst
+	})
+	return newDataset(in.c, out)
 }
 
 // shardWeights sums the per-shard bucket sizes across all source partitions
-// — the merge phase's task weights and pre-size bounds.
+// — the merge phase's task weights and pre-size bounds. A partition whose
+// local task never ran (a cancelled stage) has no buckets and adds nothing.
 func shardWeights[T any](buckets [][][]T, p int) []int64 {
 	w := make([]int64, p)
-	for i := 0; i < p; i++ {
-		for s := 0; s < p; s++ {
-			w[s] += int64(len(buckets[i][s]))
+	for _, bkts := range buckets {
+		for s, b := range bkts {
+			w[s] += int64(len(b))
 		}
 	}
 	return w
@@ -426,65 +455,31 @@ func Union[T any](a, b *Dataset[T]) *Dataset[T] {
 	return newDataset(a.c, parts)
 }
 
-// Coalesce reduces the partition count to at most p, one measured parallel
-// task per output partition. Input partitions are packed into output bins
-// largest-first onto the least-loaded bin, so the result is weight balanced
-// even when a Union chain mixed tiny and huge partitions — unbalanced output
-// would skew every downstream stage's makespan. Union chains grow the
-// partition count unboundedly; the generators coalesce periodically so
-// per-task scheduling overhead stays amortized (Spark's coalesce/repartition
-// role).
+// Coalesce reduces the partition count to at most p: one measured parallel
+// task per input partition copies it into place, and the copy is split as
+// Parallelize splits, into p contiguous runs of equal size (±1). So order is
+// kept and the result is balanced exactly, even when a Union chain mixed
+// tiny and huge partitions — unbalanced output would skew every downstream
+// stage's makespan. Union chains grow the partition count unboundedly; the
+// generators coalesce periodically so per-task scheduling overhead stays
+// amortized (Spark's coalesce/repartition role).
 func Coalesce[T any](in *Dataset[T], p int) *Dataset[T] {
-	if p < 1 {
-		p = 1
-	}
+	p = max(p, 1)
 	if len(in.parts) <= p {
 		return in
 	}
-	// LPT bin packing of input partitions into p output bins.
-	order := make([]int, len(in.parts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := len(in.parts[order[a]]), len(in.parts[order[b]])
-		if la != lb {
-			return la > lb
-		}
-		return order[a] < order[b]
-	})
-	groups := make([][]int, p)
-	loads := make([]int64, p)
-	for _, i := range order {
-		best := 0
-		for j := 1; j < p; j++ {
-			if loads[j] < loads[best] {
-				best = j
-			}
-		}
-		groups[best] = append(groups[best], i)
-		loads[best] += int64(len(in.parts[i]))
-	}
-	// Concatenate each group's members in input order (deterministic).
-	for _, g := range groups {
-		sort.Ints(g)
-	}
-	parts := make([][]T, p)
-	in.c.runStage(stageSpec{op: "coalesce", weights: loads,
+	all, offsets := make([]T, in.Count()), in.Offsets()
+	in.c.runStage(stageSpec{op: "coalesce", weights: partWeights(in.parts),
 		bytesIn:  bytesOf(in.parts),
-		bytesOut: func() int64 { return bytesOf(parts) }}, p, func(j int) {
-		dst := make([]T, 0, loads[j])
-		for _, i := range groups[j] {
-			dst = append(dst, in.parts[i]...)
-		}
-		parts[j] = dst
+		bytesOut: func() int64 { return bytesOf(in.parts) }}, len(in.parts), func(i int) {
+		copy(all[offsets[i]:], in.parts[i])
 	})
-	return newDataset(in.c, parts)
+	return Parallelize(in.c, all, p)
 }
 
 // DeriveRNG returns a deterministic PCG stream for (seed, stream); every
-// partition task derives its own so results are reproducible regardless of
-// scheduling.
+// block of a drawing stage derives its own, so results are reproducible
+// regardless of scheduling and partitioning.
 func DeriveRNG(seed, stream uint64) *stats.RNG {
 	// SplitMix64 finalizer decorrelates the stream keys.
 	z := stream + 0x9e3779b97f4a7c15

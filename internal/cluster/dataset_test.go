@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"context"
+	"errors"
+	"iter"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -54,18 +57,66 @@ func TestParallelizeEdgeCases(t *testing.T) {
 	}
 }
 
+// TestMapPartitionsSeesEveryPartitionOnce: the per-partition map, run with
+// no executor, calls the local closure once per partition with that
+// partition's elements.
 func TestMapPartitionsSeesEveryPartitionOnce(t *testing.T) {
 	c := testCluster()
 	d := Parallelize(c, seq(20), 4)
-	counts := Collect(MapPartitions(d, func(part int, xs []int) []int {
+	counts := Collect(MapPartitionsRemotable(d, "test.local", func(part int, xs []int) []int {
 		return []int{len(xs)}
-	}))
+	}, nil, nil))
 	var total int
 	for _, n := range counts {
 		total += n
 	}
 	if len(counts) != 4 || total != 20 {
 		t.Fatalf("MapPartitions counts = %v", counts)
+	}
+}
+
+// TestMapBlocksIndependentOfPartitioning: a drawing stage's output is a
+// function of the element sequence and the seed alone. Its tasks are runs
+// of whole blocks whose streams continue across partition boundaries, so
+// any partitioning of the input and any partition count of the cluster give
+// the same elements.
+func TestMapBlocksIndependentOfPartitioning(t *testing.T) {
+	const n = 5*blockSize + 123
+	draw := func(c *Cluster, parts int) []int64 {
+		in := Parallelize(c, seq(n), parts)
+		out := MapBlocks(in, "mapBlocks", 7, func(k int, runs iter.Seq[Run[int]]) []int64 {
+			var dst []int64
+			for r := range runs {
+				for i, x := range r.Xs {
+					if int64(x) != r.At+int64(i) {
+						t.Errorf("run at %d holds %d at %d", r.At, x, i)
+					}
+					// A variable draw count, as IntN's rejection makes it.
+					for range x % 3 {
+						dst = append(dst, int64(r.RNG.IntN(1000)))
+					}
+				}
+			}
+			return dst
+		})
+		if tasks := out.NumPartitions(); tasks > c.Config().DefaultPartitions || tasks > 6 {
+			t.Errorf("%d blocks ran as %d tasks at %d default partitions", 6, tasks, c.Config().DefaultPartitions)
+		}
+		return Collect(out)
+	}
+	want := draw(MustNew(Config{}), 1)
+	for _, parts := range []int{2, 3, 7, 16, 200} {
+		for _, cfg := range []Config{{}, {Nodes: 4, CoresPerNode: 4, DefaultPartitions: 3, MaxParallel: 16}} {
+			got := draw(MustNew(cfg), parts)
+			if len(got) != len(want) {
+				t.Fatalf("parts=%d: %d draws, want %d", parts, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("parts=%d: draw %d = %d, want %d", parts, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -125,13 +176,13 @@ func TestUnion(t *testing.T) {
 
 // generate runs GenerateRemotable on a cluster with no executor, where the
 // payload and decode halves are never called.
-func generate(c *Cluster, n int64, partitions int, seed uint64, gen func(rng *stats.RNG, emit func(int64), count int64)) *Dataset[int64] {
-	return GenerateRemotable(c, n, partitions, seed, "test.local", gen, nil, nil)
+func generate(c *Cluster, n int64, seed uint64, gen func(rng *stats.RNG, emit func(int64), count int64)) *Dataset[int64] {
+	return GenerateRemotable(c, n, seed, "test.local", gen, nil, nil)
 }
 
 func TestGenerate(t *testing.T) {
 	c := testCluster()
-	d := generate(c, 1000, 8, 42, func(rng *stats.RNG, emit func(int64), count int64) {
+	d := generate(c, 1000, 42, func(rng *stats.RNG, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
 			emit(int64(rng.IntN(100)))
 		}
@@ -140,7 +191,7 @@ func TestGenerate(t *testing.T) {
 		t.Fatalf("Generate count = %d, want 1000", d.Count())
 	}
 	// Deterministic under same seed.
-	d2 := generate(c, 1000, 8, 42, func(rng *stats.RNG, emit func(int64), count int64) {
+	d2 := generate(c, 1000, 42, func(rng *stats.RNG, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
 			emit(int64(rng.IntN(100)))
 		}
@@ -152,12 +203,12 @@ func TestGenerate(t *testing.T) {
 		}
 	}
 	// Zero elements.
-	z := generate(c, 0, 4, 1, func(rng *stats.RNG, emit func(int64), count int64) {})
+	z := generate(c, 0, 1, func(rng *stats.RNG, emit func(int64), count int64) {})
 	if z.Count() != 0 {
 		t.Fatal("Generate(0) nonzero")
 	}
 	// Fewer elements than partitions.
-	f := generate(c, 3, 16, 1, func(rng *stats.RNG, emit func(int64), count int64) {
+	f := generate(c, 3, 1, func(rng *stats.RNG, emit func(int64), count int64) {
 		for i := int64(0); i < count; i++ {
 			emit(int64(i))
 		}
@@ -220,37 +271,17 @@ func TestCoalesceBalancesWeights(t *testing.T) {
 	if co.NumPartitions() != 8 {
 		t.Fatalf("coalesced partitions = %d, want 8", co.NumPartitions())
 	}
-	if co.Count() != u.Count() {
-		t.Fatalf("coalesce lost elements: %d vs %d", co.Count(), u.Count())
-	}
-	// Balance: whole input partitions are indivisible, so the LPT bound is
-	// max(largest input partition, ~4/3 optimal). No bin may exceed that.
-	largestInput := 5000.0
-	mean := float64(co.Count()) / 8
-	bound := largestInput
-	if 2*mean > bound {
-		bound = 2 * mean
-	}
+	// Balance is exact: 10064 elements over 8 partitions is 1258 each.
 	for i := 0; i < 8; i++ {
-		if float64(len(co.Partition(i))) > bound {
-			t.Fatalf("partition %d has %d elements (bound %.0f)", i, len(co.Partition(i)), bound)
+		if n := len(co.Partition(i)); n != 1258 {
+			t.Fatalf("partition %d has %d elements, want 1258", i, n)
 		}
 	}
-	// The small partitions must spread over the remaining bins, not pile up.
-	nonEmpty := 0
-	for i := 0; i < 8; i++ {
-		if len(co.Partition(i)) > 0 {
-			nonEmpty++
-		}
+	// Order is kept: the output is the input sequence.
+	all, want := Collect(co), Collect(u)
+	if len(all) != len(want) {
+		t.Fatalf("coalesce kept %d of %d elements", len(all), len(want))
 	}
-	if nonEmpty < 8 {
-		t.Fatalf("only %d of 8 bins used", nonEmpty)
-	}
-	// Element multiset preserved.
-	all := Collect(co)
-	sort.Ints(all)
-	want := append(seq(64), seq(10000)...)
-	sort.Ints(want)
 	for i := range want {
 		if all[i] != want[i] {
 			t.Fatalf("element %d = %d, want %d", i, all[i], want[i])
@@ -302,7 +333,7 @@ func TestTracerStageSequence(t *testing.T) {
 	Map(d, func(x int) int { return x + 1 })
 	Distinct(d, func(x int) int { return x }, func(k int) uint64 { return uint64(k) })
 	log := tr.Spans()
-	if len(log) != 4 { // map + distinct phase1 + coord + phase2
+	if len(log) != 5 { // map + distinct phase1 + coord + phase2 + emit
 		t.Fatalf("stage log has %d entries: %+v", len(log), log)
 	}
 	var serial int
@@ -316,12 +347,13 @@ func TestTracerStageSequence(t *testing.T) {
 	}
 }
 
-// Distinct's phases emit in slice order (maps are membership-only), so its
-// output must likewise be byte-identical across runs and parallelism.
+// Distinct keeps first occurrences in input order (maps are
+// membership-only), so its output must be byte-identical across runs,
+// parallelism and partitionings.
 func TestDistinctDeterministicAcrossRuns(t *testing.T) {
 	run := func(maxParallel int) []int {
 		c := MustNew(Config{Nodes: 2, CoresPerNode: 2, DefaultPartitions: 8, MaxParallel: maxParallel})
-		d := Parallelize(c, seq(3000), 16)
+		d := Parallelize(c, seq(3000), 1+maxParallel*5)
 		d = Map(d, func(x int) int { return x % 271 })
 		return Collect(Distinct(d, func(x int) int { return x }, func(k int) uint64 {
 			z := uint64(k) * 0xbf58476d1ce4e5b9
@@ -339,5 +371,21 @@ func TestDistinctDeterministicAcrossRuns(t *testing.T) {
 				t.Fatalf("MaxParallel=%d: elem %d = %d, want %d", mp, i, got[i], first[i])
 			}
 		}
+	}
+}
+
+// TestDistinctOnCancelledCluster: a cancelled cluster skips Distinct's
+// local phase, so no partition has buckets. The shuffle must then return an
+// empty dataset, not index into the missing buckets.
+func TestDistinctOnCancelledCluster(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := MustNew(Config{DefaultPartitions: 4, Context: ctx})
+	d := Parallelize(c, seq(100), 0)
+	cancel()
+	if n := Distinct(d, func(x int) int { return x }, func(k int) uint64 { return uint64(k) }).Count(); n != 0 {
+		t.Fatalf("cancelled Distinct kept %d elements", n)
+	}
+	if !errors.Is(c.Err(), context.Canceled) {
+		t.Fatalf("Err = %v, want context.Canceled", c.Err())
 	}
 }

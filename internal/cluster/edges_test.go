@@ -8,11 +8,12 @@ import (
 	"csb/internal/graph"
 )
 
-// fillPairs writes xs as edges whose out-byte count is the element itself.
-func fillPairs(part int, xs []uint32, cols *graph.EdgeBatch, at int) {
-	for i, x := range xs {
-		cols.SetEndpoints(at+i, x, x+1)
-		cols.SetProps(at+i, graph.EdgeProps{OutBytes: int64(x)})
+// fillPairs writes r's elements as edges whose out-byte count is the
+// element itself.
+func fillPairs(r Run[uint32], cols *graph.EdgeBatch) {
+	for i, x := range r.Xs {
+		cols.SetEndpoints(int(r.At)+i, x, x+1)
+		cols.SetProps(int(r.At)+i, graph.EdgeProps{OutBytes: int64(x)})
 	}
 }
 
@@ -22,7 +23,7 @@ func TestFillGraphCollectOrderAndMemoryCharge(t *testing.T) {
 	for i := range data {
 		data[i] = uint32(i)
 	}
-	g, err := FillGraph(Parallelize(c, data, 7), 1001, fillPairs)
+	g, err := FillGraph(Parallelize(c, data, 7), 1001, 0, fillPairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,23 +44,24 @@ func TestFillGraphCollectOrderAndMemoryCharge(t *testing.T) {
 }
 
 func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
+	const n = 4 * blockSize
 	c := MustNew(Config{Nodes: 1, CoresPerNode: 4})
-	data := make([]uint32, 400)
+	data := make([]uint32, n)
 	for i := range data {
 		data[i] = uint32(i)
 	}
 	var failed atomic.Bool
-	g, err := FillGraph(Parallelize(c, data, 4), 401, func(part int, xs []uint32, cols *graph.EdgeBatch, at int) {
-		if part == 2 && failed.CompareAndSwap(false, true) {
+	g, err := FillGraph(Parallelize(c, data, 4), n+1, 0, func(r Run[uint32], cols *graph.EdgeBatch) {
+		if r.At == 2*blockSize && failed.CompareAndSwap(false, true) {
 			// Scribble over half the range, then die: the retry must
 			// overwrite every edge of it.
-			for i := range xs[:len(xs)/2] {
-				cols.SetEndpoints(at+i, 400, 400)
-				cols.SetProps(at+i, graph.EdgeProps{InBytes: -1})
+			for i := range r.Xs[:len(r.Xs)/2] {
+				cols.SetEndpoints(int(r.At)+i, n, n)
+				cols.SetProps(int(r.At)+i, graph.EdgeProps{InBytes: -1})
 			}
 			panic("torn fill")
 		}
-		fillPairs(part, xs, cols, at)
+		fillPairs(r, cols)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +69,7 @@ func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
 	if m := c.Metrics(); m.TaskFailures != 1 || m.TaskRetries != 1 {
 		t.Fatalf("failures=%d retries=%d, want 1 and 1", m.TaskFailures, m.TaskRetries)
 	}
-	for i := 0; i < 400; i++ {
+	for i := 0; i < n; i++ {
 		if e := g.Cols().Edge(i); e.Src != graph.VertexID(i) || e.Props != (graph.EdgeProps{OutBytes: int64(i)}) {
 			t.Fatalf("edge %d = %+v after the retry", i, e)
 		}
@@ -76,7 +78,7 @@ func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
 
 func TestFillGraphValidatesEndpoints(t *testing.T) {
 	c := Local(2)
-	_, err := FillGraph(Parallelize(c, []uint32{1, 2, 3}, 2), 3, fillPairs)
+	_, err := FillGraph(Parallelize(c, []uint32{1, 2, 3}, 2), 3, 0, fillPairs)
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want an out-of-range endpoint", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -187,39 +188,41 @@ func TestExecutorDoesNotChangeBytes(t *testing.T) {
 }
 
 // TestGenerateRemotableLocalMatchesLoopback pins the one generate body: with
-// no executor every partition runs the local closure; with a loopback
-// executor every partition is rebuilt from its payload. Same elements.
+// no executor every task runs the local closure; with a loopback executor
+// every task is rebuilt from its payload. Same elements.
 func TestGenerateRemotableLocalMatchesLoopback(t *testing.T) {
-	// Payload carries (seed, stream, count); the "worker" re-derives the
-	// partition RNG exactly like the local closure's task does.
+	const n = 7*blockSize + 100
+	// Payload carries (seed, first block, count); the "worker" draws the
+	// block streams exactly like the local closure's task does.
 	runKind := func(kind string, payload []byte) ([]byte, error) {
 		if len(payload) != 24 {
 			return nil, fmt.Errorf("bad gen payload (%d bytes)", len(payload))
 		}
 		seed := binary.BigEndian.Uint64(payload[0:])
-		stream := binary.BigEndian.Uint64(payload[8:])
+		block := binary.BigEndian.Uint64(payload[8:])
 		count := int64(binary.BigEndian.Uint64(payload[16:]))
-		rng := DeriveRNG(seed, stream)
 		out := make([]byte, 0, 8*count)
 		var buf [8]byte
-		for i := int64(0); i < count; i++ {
-			binary.BigEndian.PutUint64(buf[:], rng.Uint64())
-			out = append(out, buf[:]...)
-		}
+		DrawBlocks(seed, block, count, func(rng *stats.RNG, k int64) {
+			for range k {
+				binary.BigEndian.PutUint64(buf[:], rng.Uint64())
+				out = append(out, buf[:]...)
+			}
+		})
 		return out, nil
 	}
 	build := func(ex TaskExecutor) []uint64 {
 		c := MustNew(Config{Nodes: 1, CoresPerNode: 4, Executor: ex})
-		ds := GenerateRemotable(c, 1000, 8, 42, "test.gen",
+		ds := GenerateRemotable(c, n, 42, "test.gen",
 			func(rng *stats.RNG, emit func(uint64), count int64) {
 				for i := int64(0); i < count; i++ {
 					emit(rng.Uint64())
 				}
 			},
-			func(part int, seed uint64, count int64) []byte {
+			func(seed, block uint64, count int64) []byte {
 				b := make([]byte, 24)
 				binary.BigEndian.PutUint64(b[0:], seed)
-				binary.BigEndian.PutUint64(b[8:], uint64(part))
+				binary.BigEndian.PutUint64(b[8:], block)
 				binary.BigEndian.PutUint64(b[16:], uint64(count))
 				return b
 			},
@@ -242,14 +245,26 @@ func TestGenerateRemotableLocalMatchesLoopback(t *testing.T) {
 	loopback := &fakeExecutor{fn: runKind}
 	remote := build(loopback)
 	if loopback.calls.Load() != 8 {
-		t.Fatalf("loopback executor ran %d partitions, want 8", loopback.calls.Load())
+		t.Fatalf("loopback executor ran %d tasks, want 8", loopback.calls.Load())
 	}
-	if len(local) != 1000 || len(remote) != 1000 {
-		t.Fatalf("lengths %d/%d, want 1000", len(local), len(remote))
+	if len(local) != n || len(remote) != n {
+		t.Fatalf("lengths %d/%d, want %d", len(local), len(remote), n)
 	}
 	for i := range local {
 		if local[i] != remote[i] {
 			t.Fatalf("value %d differs: %d vs %d", i, local[i], remote[i])
 		}
+	}
+	// A nil payload keeps every task local, executor or not.
+	calls := loopback.calls.Load()
+	c := MustNew(Config{Nodes: 1, CoresPerNode: 4, Executor: loopback})
+	ds := GenerateRemotable(c, n, 42, "", func(rng *stats.RNG, emit func(uint64), count int64) {
+		for range count {
+			emit(rng.Uint64())
+		}
+	}, nil, nil)
+	if got := Collect(ds); loopback.calls.Load() != calls || !slices.Equal(got, local) {
+		t.Fatalf("a source without a payload ran %d tasks remotely or drew other values",
+			loopback.calls.Load()-calls)
 	}
 }

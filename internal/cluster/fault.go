@@ -11,7 +11,7 @@ package cluster
 //   - Every dataset operation's task builds its output locally and writes
 //     it to a per-task slot as its final action, so a failed attempt leaves
 //     the slot untouched and a retry recomputes the identical value from
-//     the same (seed, partition) RNG stream — lineage recomputation in
+//     the same per-block RNG streams — lineage recomputation in
 //     Spark's terms. Two stages write in place instead: FillGraph's, into
 //     the output graph's columns, and FillRanges', which encodes the csbg
 //     artifact's records into one presized slice. A failed attempt of

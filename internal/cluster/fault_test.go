@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"iter"
 	"strings"
 	"testing"
 	"time"
@@ -290,11 +291,16 @@ func TestChaosMatrixByteIdenticalPipeline(t *testing.T) {
 			cfg.Faults = NewFaultPlan(99, rate)
 		}
 		c := MustNew(cfg)
-		data := Parallelize(c, seqN(3000), 0)
-		dup := MapPartitions(data, func(part int, xs []int) []int {
-			out := make([]int, 0, 2*len(xs))
-			for _, x := range xs {
-				out = append(out, x%997, x%997)
+		data := Parallelize(c, seqN(3*blockSize+500), 0)
+		dup := MapBlocks(data, "mapBlocks", 5, func(n int, runs iter.Seq[Run[int]]) []int {
+			out := make([]int, 0, 2*n)
+			for r := range runs {
+				for _, x := range r.Xs {
+					out = append(out, x%997)
+					if r.RNG.IntN(2) == 1 {
+						out = append(out, x%997)
+					}
+				}
 			}
 			return out
 		})

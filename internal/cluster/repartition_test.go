@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sort"
 	"testing"
 )
 
@@ -96,16 +95,14 @@ func TestCoalesceEdgeCases(t *testing.T) {
 			if out.NumPartitions() != tc.wantParts {
 				t.Fatalf("partitions = %d, want %d", out.NumPartitions(), tc.wantParts)
 			}
-			// Coalesce may reorder across groups but must preserve the
-			// multiset of elements.
+			// Coalesce keeps the element sequence.
 			got := Collect(out)
 			if len(got) != tc.elems {
 				t.Fatalf("collected %d elements, want %d", len(got), tc.elems)
 			}
-			sort.Ints(got)
 			for i, v := range got {
 				if v != i {
-					t.Fatalf("element set damaged at %d: %d", i, v)
+					t.Fatalf("element %d = %d, want %d", i, v, i)
 				}
 			}
 		})

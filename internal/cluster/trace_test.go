@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"iter"
 	"strings"
 	"sync"
 	"testing"
@@ -22,9 +23,15 @@ func runTracedPipeline(c *Cluster) {
 	d := Parallelize(c, seq(200), 8)
 	d = Map(d, func(x int) int { return x % 50 })
 	d = Sample(d, 0.5, 1)
-	d = MapPartitions(d, func(part int, xs []int) []int { return xs })
+	d = MapBlocks(d, "mapBlocks", 2, func(n int, runs iter.Seq[Run[int]]) []int {
+		var out []int
+		for r := range runs {
+			out = append(out, r.Xs...)
+		}
+		return out
+	})
 	d = Distinct(d, func(x int) int { return x }, func(k int) uint64 { return uint64(k) })
-	Collect(Coalesce(d, 2))
+	Collect(Coalesce(Union(d, d), 1))
 }
 
 func TestTracerRecordsSpans(t *testing.T) {
@@ -49,8 +56,8 @@ func TestTracerRecordsSpans(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"map", "sample", "mapPartitions", "distinct.local", "distinct.merge",
-		"shuffle.coord", "coalesce",
+		"map", "sample", "mapBlocks", "distinct.local", "distinct.merge",
+		"distinct.emit", "shuffle.coord", "coalesce",
 	} {
 		if !ops[want] {
 			t.Errorf("no span for op %q (got %v)", want, ops)

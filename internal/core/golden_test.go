@@ -32,60 +32,80 @@ func edgeListSHA(t *testing.T, gen Generator, s *Seed, size int64) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// goldenClusters is the execution matrix every golden digest must hold on:
+// cluster shapes, partition counts, parallelism and a fault plan with
+// speculation. None of them is an input to the bytes.
+var goldenClusters = []struct {
+	name string
+	cfg  cluster.Config
+}{
+	{"1x1", cluster.Config{}},
+	{"1x2", cluster.Config{CoresPerNode: 2}},
+	{"2x4", cluster.Config{Nodes: 2, CoresPerNode: 4}},
+	{"4x4", cluster.Config{Nodes: 4, CoresPerNode: 4}},
+	{"partitions=1", cluster.Config{DefaultPartitions: 1}},
+	{"partitions=3", cluster.Config{Nodes: 2, CoresPerNode: 4, DefaultPartitions: 3}},
+	{"partitions=8", cluster.Config{DefaultPartitions: 8}},
+	{"partitions=64", cluster.Config{DefaultPartitions: 64}},
+	{"par=1", cluster.Config{Nodes: 4, CoresPerNode: 4, MaxParallel: 1}},
+	{"par=16", cluster.Config{Nodes: 4, CoresPerNode: 4, MaxParallel: 16}},
+	{"faults+speculation", cluster.Config{Nodes: 2, CoresPerNode: 4, MaxParallel: 4,
+		Faults: cluster.NewFaultPlan(7, 0.2), MaxTaskRetries: 8, Speculation: true}},
+}
+
 // TestGoldenGeneratorDigests locks the byte-exact output of both generators
-// at a fixed seed: for each generator the edge-list SHA-256 must be identical
-// across MaxParallel 1 and 16 (scheduling independence, the PR 1 invariant)
-// and must match the digest recorded under testdata/ (cross-version drift).
+// at a fixed seed: for each generator variant the edge-list SHA-256 must be
+// one digest across every cell of goldenClusters (the bytes are a function
+// of the spec alone) and must match the digest recorded under testdata/
+// (cross-version drift). The size spans many RNG blocks, so the cells cut
+// every drawing stage into different tasks.
 func TestGoldenGeneratorDigests(t *testing.T) {
 	s := traceSeed(t, 25, 400, 42)
 	cases := []struct {
 		name string
 		gen  func(c *cluster.Cluster) Generator
-		size int64
 	}{
 		{"pgpba", func(c *cluster.Cluster) Generator {
 			return &PGPBA{Fraction: 0.3, Seed: 42, Cluster: c}
-		}, 8000},
+		}},
 		{"pgsk", func(c *cluster.Cluster) Generator {
 			return &PGSK{Seed: 42, Cluster: c}
-		}, 8000},
-		// Paths the two digests above never take, recorded on 570dac0.
+		}},
 		{"pgpba_fraction2", func(c *cluster.Cluster) Generator {
 			return &PGPBA{Fraction: 2, Seed: 42, Cluster: c}
-		}, 8000},
+		}},
 		{"pgsk_skip", func(c *cluster.Cluster) Generator {
 			return &PGSK{Seed: 42, Cluster: c, SkipProperties: true}
-		}, 8000},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			digests := map[int]string{}
-			for _, par := range []int{1, 16} {
-				c := cluster.MustNew(cluster.Config{
-					Nodes: 4, CoresPerNode: 4,
-					DefaultPartitions: 8, MaxParallel: par,
-				})
-				digests[par] = edgeListSHA(t, tc.gen(c), s, tc.size)
-			}
-			if digests[1] != digests[16] {
-				t.Fatalf("fixed-seed output depends on MaxParallel:\n  1:  %s\n  16: %s",
-					digests[1], digests[16])
+			t.Parallel()
+			var want string
+			for _, cell := range goldenClusters {
+				got := edgeListSHA(t, tc.gen(cluster.MustNew(cell.cfg)), s, 8000)
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("fixed-seed output depends on the cluster:\n  %s: %s\n  %s: %s",
+						goldenClusters[0].name, want, cell.name, got)
+				}
 			}
 			path := filepath.Join("testdata", "golden_"+tc.name+".sha256")
 			if *updateGolden {
-				if err := os.WriteFile(path, []byte(digests[1]+"\n"), 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(want+"\n"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				t.Logf("wrote %s", path)
 				return
 			}
-			want, err := os.ReadFile(path)
+			golden, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("reading golden digest (run with -update to create): %v", err)
 			}
-			if got := digests[1]; got != strings.TrimSpace(string(want)) {
+			if w := strings.TrimSpace(string(golden)); want != w {
 				t.Fatalf("fixed-seed %s output drifted from golden digest:\n  got  %s\n  want %s\nIf the change is intended, regenerate with -update.",
-					tc.name, got, strings.TrimSpace(string(want)))
+					tc.name, want, w)
 			}
 		})
 	}

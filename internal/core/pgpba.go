@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"sort"
 
 	"csb/internal/cluster"
 	"csb/internal/graph"
+	"csb/internal/stats"
 )
 
 // Generator is the shared contract of the two data generators.
@@ -130,68 +133,56 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 			continue
 		}
 		// Lines 4-5: create empty vertices, one per sampled edge, with
-		// globally unique contiguous IDs handed out per partition.
+		// globally unique contiguous IDs: the i-th sampled edge's vertex is
+		// firstID + i.
 		firstID := numVertices
 		numVertices += nNew
 		if err := checkVertexLimit(numVertices); err != nil {
 			endRound()
 			return nil, err
 		}
-		offsets := sampled.Offsets()
 
 		// Lines 6-13: per sampled edge, pick the destination vertex and
 		// create the out- and in-edges.
 		inDeg, outDeg := seed.InDegree, seed.OutDegree
-		newEdges := cluster.MapPartitions(sampled, func(part int, es []endpoints) []endpoints {
-			rng := cluster.DeriveRNG(p.Seed^(round*0x51ed), uint64(part))
+		newEdges := cluster.MapBlocks(sampled, "mapBlocks", p.Seed^(round*0x51ed), func(n int, runs iter.Seq[cluster.Run[endpoints]]) []endpoints {
 			// Lines 7-9, all draws first: the destination (a random endpoint
 			// of the sampled edge, stage two of the preferential attachment)
 			// and the out- and in-degree of each new vertex. Nothing else
-			// draws from rng, so the output is sized exactly.
+			// draws, so the output is sized exactly.
 			type draw struct {
-				dest      uint32
+				v, dest   uint32
 				nOut, nIn int64
 			}
-			draws, total := make([]draw, len(es)), int64(0)
-			for i, e := range es {
-				d := draw{dest: e.src}
-				if rng.IntN(2) == 1 {
-					d.dest = e.dst
+			draws, total := make([]draw, 0, n), int64(0)
+			for r := range runs {
+				for i, e := range r.Xs {
+					d := draw{v: uint32(firstID + r.At + int64(i)), dest: e.src}
+					if r.RNG.IntN(2) == 1 {
+						d.dest = e.dst
+					}
+					d.nOut, d.nIn = max(outDeg.Sample(r.RNG), 0), max(inDeg.Sample(r.RNG), 0)
+					draws = append(draws, d)
+					total += d.nOut + d.nIn
 				}
-				d.nOut, d.nIn = max(outDeg.Sample(rng), 0), max(inDeg.Sample(rng), 0)
-				draws[i] = d
-				total += d.nOut + d.nIn
 			}
-			// Lines 10-12: the i-th new vertex's out-edges to, then in-edges
+			// Lines 10-12: each new vertex's out-edges to, then in-edges
 			// from, its one destination.
 			out := make([]endpoints, 0, total)
-			for i, d := range draws {
-				newV := uint32(firstID + offsets[part] + int64(i))
+			for _, d := range draws {
 				for range d.nOut {
-					out = append(out, endpoints{newV, d.dest})
+					out = append(out, endpoints{d.v, d.dest})
 				}
 				for range d.nIn {
-					out = append(out, endpoints{d.dest, newV})
+					out = append(out, endpoints{d.dest, d.v})
 				}
 			}
 			return out
 		})
+		// Union grows the partition count every round, which costs
+		// nothing: every later stage runs in blocks, DefaultPartitions tasks.
 		edges = cluster.Union(edges, newEdges)
-		// Union grows the partition count every round; coalesce once it
-		// exceeds a few times the cluster's tuned partitioning so per-task
-		// overhead stays amortized.
-		if limit := c.Config().DefaultPartitions; edges.NumPartitions() > 4*limit {
-			edges = cluster.Coalesce(edges, limit)
-		}
 		endRound()
-	}
-
-	// Rebalance before the dominant property-synthesis stage: the growth
-	// rounds leave a mix of heavy and near-empty partitions behind.
-	if limit := c.Config().DefaultPartitions; edges.NumPartitions() > limit {
-		endRebalance := c.Scope("rebalance")
-		edges = cluster.Coalesce(edges, limit)
-		endRebalance()
 	}
 
 	// Lines 15-20: property synthesis for every edge.
@@ -220,39 +211,38 @@ func checkVertexLimit(numVertices int64) error {
 	return nil
 }
 
-// sampleWithReplacement extends cluster.Sample to fractions >= 1: each
-// partition emits round(fraction * len) draws with replacement, matching
-// Spark's sample(withReplacement=true, fraction).
+// sampleWithReplacement extends cluster.Sample to fractions >= 1: it emits
+// int(fraction * |E|) draws with replacement from the whole edge list,
+// matching Spark's sample(withReplacement=true, fraction). Draw i comes from
+// the stream of its block of the output index.
 func sampleWithReplacement[T any](ds *cluster.Dataset[T], fraction float64, seed uint64) *cluster.Dataset[T] {
 	if fraction < 1 {
 		return cluster.Sample(ds, fraction, seed)
 	}
-	return cluster.MapPartitions(ds, func(part int, es []T) []T {
-		if len(es) == 0 {
-			return nil
-		}
-		rng := cluster.DeriveRNG(seed, uint64(part))
-		n := int(fraction * float64(len(es)))
-		out := make([]T, n)
-		for i := range out {
-			out[i] = es[rng.IntN(len(es))]
-		}
-		return out
-	})
+	total, offsets := ds.Count(), ds.Offsets()
+	return cluster.GenerateRemotable(ds.Cluster(), int64(fraction*float64(total)), seed, "",
+		func(rng *stats.RNG, emit func(T), count int64) {
+			for range count {
+				g := int64(rng.IntN(int(total)))
+				// The last partition starting at or before g holds it.
+				i := sort.Search(len(offsets), func(i int) bool { return offsets[i] > g }) - 1
+				emit(ds.Partition(i)[g-offsets[i]])
+			}
+		}, nil, nil)
 }
 
-// fillGraph is the last stage of both generators: task i writes partition
-// i's endpoints into the output graph's columns and, unless skip is set,
-// samples a fresh Netflow attribute set beside each (Figure 2 lines 15-20 and
-// Figure 3 lines 13-18), in O(|E| x |properties|).
+// fillGraph is the last stage of both generators: it writes the endpoints
+// into the output graph's columns and, unless skip is set, samples a fresh
+// Netflow attribute set beside each (Figure 2 lines 15-20 and Figure 3
+// lines 13-18), in O(|E| x |properties|).
 func fillGraph(edges *cluster.Dataset[endpoints], numVertices int64, props *PropertyModel, seed uint64, skip bool) (*graph.Graph, error) {
 	defer edges.Cluster().Scope("props")()
-	return cluster.FillGraph(edges, numVertices, func(part int, es []endpoints, cols *graph.EdgeBatch, at int) {
-		rng := cluster.DeriveRNG(seed, uint64(part))
-		for i, e := range es {
-			cols.SetEndpoints(at+i, e.src, e.dst)
+	return cluster.FillGraph(edges, numVertices, seed, func(r cluster.Run[endpoints], cols *graph.EdgeBatch) {
+		for i, e := range r.Xs {
+			at := int(r.At) + i
+			cols.SetEndpoints(at, e.src, e.dst)
 			if !skip {
-				cols.SetProps(at+i, props.Sample(rng))
+				cols.SetProps(at, props.Sample(r.RNG))
 			}
 		}
 	})

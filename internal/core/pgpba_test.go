@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -195,13 +196,24 @@ func TestPGPBACancelledGenerationReturnsPromptly(t *testing.T) {
 		_, err := (&PGPBA{Fraction: 0.1, Seed: 17, Cluster: c}).Generate(s, 20_000_000)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// Cancel once the first stage has committed, so the cancel lands after
+	// growth has started however loaded the host is.
+	for c.Metrics().Stages == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("generation ended before its first stage: %v", err)
+		default:
+			runtime.Gosched()
+		}
+	}
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
+	// A bound on the wait, not a synchronisation: the generation stops at
+	// its next task or round boundary, milliseconds after the cancel.
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled generation did not return promptly")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 
 	"csb/internal/cluster"
@@ -104,20 +105,24 @@ func (p *PGSK) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	outDeg := seed.OutDegree
 	endDup := c.Scope("duplicate")
 	base := cluster.Parallelize(c, endpointsOf(gk.Cols()), 0)
-	edges := cluster.MapPartitions(base, func(part int, es []endpoints) []endpoints {
-		rng := cluster.DeriveRNG(p.Seed^0xd0b1e, uint64(part))
+	edges := cluster.MapBlocks(base, "mapBlocks", p.Seed^0xd0b1e, func(n int, runs iter.Seq[cluster.Run[endpoints]]) []endpoints {
 		// The copy counts are the only draws, so they come first and the
 		// output is sized exactly.
-		counts := make([]int64, len(es))
-		var total int64
-		for i := range es {
-			counts[i] = max(outDeg.Sample(rng), 1)
-			total += counts[i]
+		counts, total := make([]int64, 0, n), int64(0)
+		for r := range runs {
+			for range r.Xs {
+				c := max(outDeg.Sample(r.RNG), 1)
+				counts = append(counts, c)
+				total += c
+			}
 		}
 		out := make([]endpoints, 0, total)
-		for i, e := range es {
-			for j := int64(0); j < counts[i]; j++ {
-				out = append(out, e)
+		for r := range runs {
+			for _, e := range r.Xs {
+				for range counts[0] {
+					out = append(out, e)
+				}
+				counts = counts[1:]
 			}
 		}
 		return out

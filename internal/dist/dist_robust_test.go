@@ -143,16 +143,15 @@ func (c *holdConn) Read(b []byte) (int, error) {
 
 // TestCoordinatorRestartResumesJob is the coordinator half of the
 // crash-resume acceptance criterion: a journaled coordinator with 2 workers
-// dies mid-job, and a new coordinator and pool on the same journal rebuild
-// the job from its spec, dispatching its remote tasks again, to bytes equal
-// to the in-process build.
+// is shut down mid-job, and a new coordinator and pool on the same journal,
+// at another engine shape, rebuild the job from its spec, dispatching its
+// remote tasks again, to bytes equal to the in-process build.
 func TestCoordinatorRestartResumesJob(t *testing.T) {
 	golden := buildDigest(t, nil, "tsv")
 	spec := serve.Spec{Generator: serve.GenPGSK, Edges: 4000, Seed: 7, Format: "tsv"}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	shape := serve.EngineShape{Nodes: 2, CoresPerNode: 4} // buildDigest's placement
 	wal := filepath.Join(t.TempDir(), "csbd.wal")
 
 	var hold atomic.Bool
@@ -171,7 +170,7 @@ func TestCoordinatorRestartResumesJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1, err := serve.New(serve.Config{Workers: 1, Shape: shape, Dist: p1.co, Journal: jl1})
+	srv1, err := serve.New(serve.Config{Workers: 1, Shape: serve.EngineShape{Nodes: 2, CoresPerNode: 4}, Dist: p1.co, Journal: jl1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +188,10 @@ func TestCoordinatorRestartResumesJob(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond) // paces a poll of the dispatch counter
 	}
-	// The crash: the journal takes nothing more, so the job's terminal
-	// record is lost, as it is when the process is killed. Close cancels
-	// the build whose task waits unread on the wire.
-	jl1.Close()
+	// The shutdown: Close cancels the build whose task waits unread on the
+	// wire and journals nothing terminal for it, so the job resumes.
 	srv1.Close()
+	jl1.Close()
 	unhold()
 
 	jl2, err := journal.Open(wal)
@@ -202,7 +200,7 @@ func TestCoordinatorRestartResumesJob(t *testing.T) {
 	}
 	defer jl2.Close()
 	p2 := startPool(t, 2)
-	srv2, err := serve.New(serve.Config{Workers: 1, Shape: shape, Dist: p2.co, Journal: jl2})
+	srv2, err := serve.New(serve.Config{Workers: 1, Dist: p2.co, Journal: jl2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +254,12 @@ func chaosDigest(t *testing.T, ex cluster.TaskExecutor) [32]byte {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
+	// A spec this small drops its Kronecker edges in a few 128-element
+	// blocks, so the drop stage sends a few tasks a round; 64
+	// partitions cut the row encoding into enough remote tasks that every
+	// fault class fires.
 	c, err := cluster.New(cluster.Config{
-		Nodes: 2, CoresPerNode: 4, Executor: ex,
+		Nodes: 2, CoresPerNode: 4, DefaultPartitions: 64, Executor: ex,
 		MaxTaskRetries: 8,
 	})
 	if err != nil {

@@ -65,8 +65,8 @@ var (
 // partitioned as Parallelize partitions n elements, each task formats its
 // [lo, hi) or ships it as a payload a worker formats into the same bytes,
 // and the header and chunks are concatenated in partition order into one
-// slice of their exact total size. Partitioning follows only the cluster
-// shape, so the bytes are identical on every worker count.
+// slice of their exact total size. Each row's bytes depend on its edge
+// alone, so they are identical on every partitioning and worker count.
 func (f *Format) Encode(g *graph.Graph, c *cluster.Cluster) ([]byte, error) {
 	n := int(g.NumEdges())
 	if c == nil || c.Config().Executor == nil {

@@ -1,11 +1,11 @@
 package kronecker
 
-// droptask.go makes the SKG ball-drop stage remotable: one generate
-// partition becomes a self-contained payload (initiator, depth, RNG stream)
+// droptask.go makes the SKG ball-drop stage remotable: one generate task
+// becomes a self-contained payload (initiator, depth, seed, block range)
 // that any worker process can replay into the identical edge pairs the local
-// closure would produce. The RNG stream derivation is cluster.DeriveRNG on
-// (seed, partition), exactly as cluster.GenerateRemotable does locally, so
-// where the drops run never changes which edges fall out.
+// closure would produce. The RNG streams are cluster.DrawBlocks' on (seed,
+// first block, count), exactly as cluster.GenerateRemotable draws locally,
+// so where the drops run never changes which edges fall out.
 
 import (
 	"encoding/binary"
@@ -14,31 +14,34 @@ import (
 
 	"csb/internal/cluster"
 	"csb/internal/dist/task"
+	"csb/internal/stats"
 )
 
-// DropTaskKind is the registered remote kind of the ball-drop stage.
-const DropTaskKind = "kron.drop"
+// DropTaskKind is the registered remote kind of the ball-drop stage. Its
+// payload names a block range; a worker that still keys streams by partition
+// knows only the old kind, so it declines the task instead of misreading it.
+const DropTaskKind = "kron.drop2"
 
-// dropTaskLen is the fixed payload size: 4 thetas, k, seed, stream, count.
+// dropTaskLen is the fixed payload size: 4 thetas, k, seed, block, count.
 const dropTaskLen = 4*8 + 8 + 8 + 8 + 8
 
 func init() { task.Register(DropTaskKind, runDropTask) }
 
-// encodeDropTask renders one generate partition as a drop-task payload.
-func encodeDropTask(in Initiator, k int, seed, stream uint64, count int64) []byte {
+// encodeDropTask renders one generate task as a drop-task payload.
+func encodeDropTask(in Initiator, k int, seed, block uint64, count int64) []byte {
 	b := make([]byte, dropTaskLen)
 	for i, t := range in.Theta {
 		binary.BigEndian.PutUint64(b[i*8:], math.Float64bits(t))
 	}
 	binary.BigEndian.PutUint64(b[32:], uint64(k))
 	binary.BigEndian.PutUint64(b[40:], seed)
-	binary.BigEndian.PutUint64(b[48:], stream)
+	binary.BigEndian.PutUint64(b[48:], block)
 	binary.BigEndian.PutUint64(b[56:], uint64(count))
 	return b
 }
 
-// runDropTask replays one partition's recursive descents and returns the
-// landed (u, v) cells as big-endian int64 pairs.
+// runDropTask replays one task's recursive descents and returns the landed
+// (u, v) cells as big-endian int64 pairs.
 func runDropTask(payload []byte) ([]byte, error) {
 	if len(payload) != dropTaskLen {
 		return nil, fmt.Errorf("kronecker: drop task payload is %d bytes, want %d", len(payload), dropTaskLen)
@@ -49,7 +52,7 @@ func runDropTask(payload []byte) ([]byte, error) {
 	}
 	k := int(binary.BigEndian.Uint64(payload[32:]))
 	seed := binary.BigEndian.Uint64(payload[40:])
-	stream := binary.BigEndian.Uint64(payload[48:])
+	block := binary.BigEndian.Uint64(payload[48:])
 	count := int64(binary.BigEndian.Uint64(payload[56:]))
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -60,15 +63,16 @@ func runDropTask(payload []byte) ([]byte, error) {
 	if count < 0 || count > (1<<32) {
 		return nil, fmt.Errorf("kronecker: drop task count %d out of range", count)
 	}
-	rng := cluster.DeriveRNG(seed, stream)
 	out := make([]byte, 0, count*16)
 	var rec [16]byte
-	for i := int64(0); i < count; i++ {
-		u, v := dropEdge(&in, k, rng)
-		binary.BigEndian.PutUint64(rec[0:8], uint64(u))
-		binary.BigEndian.PutUint64(rec[8:16], uint64(v))
-		out = append(out, rec[:]...)
-	}
+	cluster.DrawBlocks(seed, block, count, func(rng *stats.RNG, n int64) {
+		for range n {
+			u, v := dropEdge(&in, k, rng)
+			binary.BigEndian.PutUint64(rec[0:8], uint64(u))
+			binary.BigEndian.PutUint64(rec[8:16], uint64(v))
+			out = append(out, rec[:]...)
+		}
+	})
 	return out, nil
 }
 

@@ -132,8 +132,8 @@ func Generate(in Initiator, k int, edges int64, seed uint64) (*graph.Graph, erro
 }
 
 // GenerateParallel is the Map-Reduce form of Generate on a cluster: an
-// edge dataset is generated partition-parallel (each partition drops its
-// share of edges with an independent RNG stream), deduplicated with
+// edge dataset is generated block-parallel (each block of the drop sequence
+// has an independent RNG stream), deduplicated with
 // Distinct, and topped up until the requested count of distinct edges is
 // reached — mirroring the paper's Spark implementation, including the
 // repeated "generate then RDD.distinct" rounds.
@@ -176,20 +176,20 @@ func GenerateParallel(c *cluster.Cluster, in Initiator, k int, edges int64, seed
 		endRound := c.Scope(fmt.Sprintf("round%d", round+1))
 		// Overprovision slightly: collisions shrink the distinct yield.
 		// The drop stage is remotable (DropTaskKind): on a cluster with a
-		// TaskExecutor each partition's descents may run in a worker process,
-		// which replays the identical (seed, partition) RNG stream — the
-		// bytes are the same wherever the balls drop.
+		// TaskExecutor a task's descents may run in a worker process, which
+		// replays the identical per-block RNG streams — the bytes are the
+		// same wherever the balls drop.
 		toDrop := missing + missing/8 + 1
 		roundSeed := seed ^ (round+1)*0x9e37
-		fresh := cluster.GenerateRemotable(c, toDrop, 0, roundSeed, DropTaskKind,
+		fresh := cluster.GenerateRemotable(c, toDrop, roundSeed, DropTaskKind,
 			func(rng *stats.RNG, emit func(pair), count int64) {
 				for i := int64(0); i < count; i++ {
 					u, v := dropEdge(&in, k, rng)
 					emit(pair{u, v})
 				}
 			},
-			func(part int, s uint64, count int64) []byte {
-				return encodeDropTask(in, k, s, uint64(part), count)
+			func(s, block uint64, count int64) []byte {
+				return encodeDropTask(in, k, s, block, count)
 			},
 			decodePairs)
 		if ds == nil {
@@ -211,6 +211,8 @@ func GenerateParallel(c *cluster.Cluster, in Initiator, k int, edges int64, seed
 		endRound()
 		round++
 	}
+	// Distinct keeps first occurrences in drop order, so the truncation
+	// keeps the same edges on every partitioning.
 	all := cluster.Collect(ds)
 	if int64(len(all)) > edges {
 		all = all[:edges]

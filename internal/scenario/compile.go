@@ -25,8 +25,8 @@ const TimelineBase = int64(1318204800 * 1e6)
 // order Assembler.Finish would emit. Generator backgrounds run on c (nil
 // means a default local cluster), so a chaos-configured cluster exercises
 // the fault model without changing the output — same spec + seed ⇒ the
-// same labeled flows, bit for bit, on any host and under any fault schedule
-// (an explicit Nodes/CoresPerNode shape is placement and does change them).
+// same labeled flows, bit for bit, on any host, at any cluster shape and
+// under any fault schedule.
 func Compile(sp *Spec, c *cluster.Cluster) (*attack.Scenario, error) {
 	bg, err := background(sp, c)
 	if err != nil {

@@ -178,18 +178,19 @@ func TestGeneratorBackgroundTimelineAndDeterminismAcrossClusters(t *testing.T) {
 			},
 		})
 	}
-	// Partitioning follows the cluster shape (CoresPerNode), so determinism
-	// is asserted across real parallelism and chaos at one fixed shape.
-	shape := func(maxParallel int, faults *cluster.FaultPlan) *cluster.Cluster {
+	// The shape is placement, so determinism is asserted across shapes, real
+	// parallelism and chaos at once.
+	shape := func(nodes, cores, maxParallel int, faults *cluster.FaultPlan) *cluster.Cluster {
 		return cluster.MustNew(cluster.Config{
-			Nodes: 1, CoresPerNode: 4, MaxParallel: maxParallel, Faults: faults,
+			Nodes: nodes, CoresPerNode: cores, MaxParallel: maxParallel, Faults: faults,
 		})
 	}
-	c1 := shape(1, nil)
-	c16 := shape(16, nil)
-	chaos := shape(4, cluster.NewFaultPlan(3, 0.2))
 	var ref []byte
-	for name, c := range map[string]*cluster.Cluster{"p1": c1, "p16": c16, "chaos": chaos} {
+	for name, c := range map[string]*cluster.Cluster{
+		"1x1 p1":    shape(1, 1, 1, nil),
+		"1x4 p16":   shape(1, 4, 16, nil),
+		"4x4 chaos": shape(4, 4, 4, cluster.NewFaultPlan(3, 0.2)),
+	} {
 		sc, err := Compile(spec(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -217,7 +218,7 @@ func TestGeneratorBackgroundTimelineAndDeterminismAcrossClusters(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(ref, data) {
-			t.Fatalf("%s: artifact bytes differ across cluster shapes", name)
+			t.Fatalf("%s: artifact bytes differ across clusters", name)
 		}
 	}
 }

@@ -13,16 +13,12 @@ import (
 )
 
 // EngineShape fixes the virtual-cluster topology artifacts are generated on.
-// Partitioning (and therefore per-partition RNG streams) follows the cluster
-// shape, so the shape is part of a deployment's artifact identity: one
-// daemon must keep one shape for its cache to stay sound. The zero shape is
-// the default placement, 1 node x 1 core on every host — the one csbgen,
-// csbeval and Spec.ID assume; setting Nodes or CoresPerNode changes bytes.
-// Nothing else does: real parallelism follows GOMAXPROCS without touching
-// placement, and the fault-tolerance knobs below are deliberately NOT part of
-// artifact identity — retries, speculation and injected faults change the
-// attempt schedule, never the committed bytes (see internal/cluster/fault.go),
-// so chaos-enabled daemons keep serving cache-compatible artifacts.
+// None of it is part of artifact identity. Nodes and CoresPerNode are
+// placement: every draw is keyed to a block of the element index, never to
+// a partition (see internal/cluster). The fault-tolerance knobs change the
+// attempt schedule, never the committed bytes (see
+// internal/cluster/fault.go), so chaos-enabled daemons keep serving
+// cache-compatible artifacts.
 type EngineShape struct {
 	// Nodes is the virtual node count (0 means 1).
 	Nodes int
@@ -54,8 +50,8 @@ func (sh EngineShape) newCluster(ctx context.Context, tracer *cluster.Tracer, ex
 
 // BuildArtifact runs the full pipeline for one normalized spec — synthetic
 // seed trace, seed analysis, generation on c, artifact encoding — and
-// returns the encoded artifact bytes. The bytes are a pure function of
-// (spec, engine shape); ctx cancellation aborts between engine stages.
+// returns the encoded artifact bytes. The bytes are a pure function of the
+// spec; ctx cancellation aborts between engine stages.
 func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, error) {
 	if spec.Generator == GenScenario {
 		// Scenario jobs reuse the same per-job cluster (cancellation, fault

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"csb/internal/cluster"
 	"csb/internal/journal"
 )
 
@@ -99,6 +100,86 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	again, _ := newTestServer(t, Config{Workers: 1, Journal: jl3})
 	if m := again.Metrics(); m.Journal.JobsResumed != 0 {
 		t.Fatalf("terminal job resumed on second restart: %+v", m.Journal)
+	}
+}
+
+// TestGracefulCloseResumesAcceptedJobs: Close cancels the builds it stops
+// without journaling them terminal, whatever error they end with, so a
+// restart on the same journal resumes every accepted job, running or queued,
+// and serves its clean bytes. Jobs a client canceled, running or queued, stay
+// canceled.
+func TestGracefulCloseResumesAcceptedJobs(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "csbd.wal")
+	jl1, err := journal.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := New(Config{Workers: 2, Journal: jl1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan uint64, 8)
+	s1.buildArtifact = func(ctx context.Context, spec Spec) ([]byte, error) {
+		started <- spec.Seed
+		<-ctx.Done()
+		// A stopped build need not end in a context error: a stage the
+		// cancel interrupts may report its own failure, or panic.
+		switch spec.Seed {
+		case 2:
+			return nil, errors.New("stage failed after cancel")
+		case 3:
+			panic("stage panicked after cancel")
+		}
+		return nil, ctx.Err()
+	}
+	submit := func(seed uint64) JobStatus {
+		spec := tinySpec(seed)
+		st, err := s1.Submit(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	awaitStarted := func(want ...uint64) {
+		got := map[uint64]bool{}
+		for range want {
+			got[<-started] = true
+		}
+		for _, seed := range want {
+			if !got[seed] {
+				t.Fatalf("builds started %v, want %v", got, want)
+			}
+		}
+	}
+	runningCanceled := submit(1)
+	submit(2)
+	awaitStarted(1, 2)
+	submit(3)
+	queuedCanceled := submit(4)
+	submit(5)
+	// The client's cancel frees a worker, which takes job 3; 4 and 5 wait.
+	s1.CancelJob(runningCanceled.ID)
+	awaitStarted(3)
+	s1.CancelJob(queuedCanceled.ID)
+	s1.Close()
+	jl1.Close()
+
+	s2, _ := newTestServer(t, Config{Workers: 2, Journal: openJournalT(t, walPath)})
+	if m := s2.Metrics(); m.Journal == nil || m.Journal.JobsResumed != 3 {
+		t.Fatalf("journal metrics after a graceful restart = %+v, want jobs 2, 3 and 5 resumed", m.Journal)
+	}
+	for _, seed := range []uint64{2, 3, 5} {
+		spec := tinySpec(seed)
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := BuildArtifact(context.Background(), spec, cluster.MustNew(cluster.Config{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := awaitCached(t, s2, spec.ID()); !bytes.Equal(got, want) {
+			t.Errorf("job %d: resumed artifact differs from a clean build", seed)
+		}
 	}
 }
 

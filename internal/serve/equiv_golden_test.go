@@ -21,9 +21,9 @@ import (
 //	go test ./internal/serve/ -run TestArtifactEquivalenceGolden -update-equiv
 //
 // The digests freeze the byte-exact artifact output of every format at a
-// fixed seed. They were recorded before the columnar edge-storage refactor
-// and prove that generators, shuffles and writers streaming over EdgeBatch
-// columns produce bit-identical artifacts to the row-structured originals.
+// fixed seed. They were last re-derived when every draw was keyed to a block
+// of the element index instead of a partition, which made the cluster shape
+// placement only.
 var updateEquiv = flag.Bool("update-equiv", false, "rewrite artifact-equivalence digests under testdata/")
 
 // taskRunner is a TaskExecutor that runs each remotable task's payload
@@ -40,27 +40,48 @@ func (r *taskRunner) ExecRemote(ctx context.Context, stage cluster.StageInfo, at
 	return out, err
 }
 
-// equivCluster builds the fixed virtual topology the equivalence matrix runs
-// on. Only MaxParallel, the fault plan and the executor vary across the
-// matrix — all three are documented non-inputs to artifact bytes.
-func equivCluster(par int, faultRate float64, exec cluster.TaskExecutor) *cluster.Cluster {
-	cfg := cluster.Config{
-		Nodes: 2, CoresPerNode: 4, DefaultPartitions: 8, MaxParallel: par, Executor: exec,
+// equivCell is one cell of the equivalence matrix: a cluster shape,
+// MaxParallel, a fault rate and whether an executor runs the remotable
+// tasks. None of them is an input to artifact bytes.
+type equivCell struct {
+	nodes, cores, par int
+	faultRate         float64
+	remote            bool
+}
+
+var equivCells = []equivCell{
+	{1, 1, 1, 0, false},
+	{2, 4, 16, 0, false},
+	{1, 2, 1, 0.2, false},
+	{4, 4, 16, 0.2, false},
+	{2, 4, 16, 0, true},
+}
+
+// cluster builds the cell's cluster, with exec as its executor when the
+// cell is remote.
+func (cl equivCell) cluster(exec cluster.TaskExecutor) *cluster.Cluster {
+	cfg := cluster.Config{Nodes: cl.nodes, CoresPerNode: cl.cores, MaxParallel: cl.par}
+	if cl.remote {
+		cfg.Executor = exec
 	}
-	if faultRate > 0 {
-		cfg.Faults = cluster.NewFaultPlan(1234, faultRate)
+	if cl.faultRate > 0 {
+		cfg.Faults = cluster.NewFaultPlan(1234, cl.faultRate)
 		cfg.MaxTaskRetries = 8
 		cfg.Speculation = true
 	}
 	return cluster.MustNew(cfg)
 }
 
+func (cl equivCell) String() string {
+	return fmt.Sprintf("%dx%d par=%d fault=%v exec=%v", cl.nodes, cl.cores, cl.par, cl.faultRate, cl.remote)
+}
+
 // TestArtifactEquivalenceGolden locks the byte-exact artifact output of both
-// generators in every artifact format across the determinism matrix:
-// MaxParallel 1 vs 16, fault rate 0 vs 0.2, plus a cell whose executor runs
-// every remotable task through task.Run, so the text formats take the chunked
-// row-stage path. All five cells must agree with each other and with the
-// committed digest.
+// generators in every artifact format across the determinism matrix: shapes
+// 1x1, 1x2, 2x4 and 4x4, MaxParallel 1 vs 16, fault rate 0 vs 0.2, plus a
+// cell whose executor runs every remotable task through task.Run, so the text
+// formats take the chunked row-stage path. All five cells must agree with
+// each other and with the committed digest.
 func TestArtifactEquivalenceGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence matrix is not short")
@@ -80,32 +101,20 @@ func TestArtifactEquivalenceGolden(t *testing.T) {
 			name := fmt.Sprintf("%s-%s", spec.Generator, format)
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				type cell struct {
-					par       int
-					faultRate float64
-					remote    bool
-				}
-				cells := []cell{{1, 0, false}, {16, 0, false}, {1, 0.2, false}, {16, 0.2, false}, {16, 0, true}}
 				runner := &taskRunner{}
-				digests := make([]string, len(cells))
-				for i, cl := range cells {
-					var exec cluster.TaskExecutor
-					if cl.remote {
-						exec = runner
-					}
-					c := equivCluster(cl.par, cl.faultRate, exec)
-					data, err := BuildArtifact(context.Background(), spec, c)
+				digests := make([]string, len(equivCells))
+				for i, cl := range equivCells {
+					data, err := BuildArtifact(context.Background(), spec, cl.cluster(runner))
 					if err != nil {
-						t.Fatalf("par=%d fault=%v exec=%v: %v", cl.par, cl.faultRate, cl.remote, err)
+						t.Fatalf("%v: %v", cl, err)
 					}
 					sum := sha256.Sum256(data)
 					digests[i] = hex.EncodeToString(sum[:])
 				}
 				for i := 1; i < len(digests); i++ {
 					if digests[i] != digests[0] {
-						t.Fatalf("artifact bytes depend on the execution cell:\n  par=%d fault=%v: %s\n  par=%d fault=%v exec=%v: %s",
-							cells[0].par, cells[0].faultRate, digests[0],
-							cells[i].par, cells[i].faultRate, cells[i].remote, digests[i])
+						t.Fatalf("artifact bytes depend on the execution cell:\n  %v: %s\n  %v: %s",
+							equivCells[0], digests[0], equivCells[i], digests[i])
 					}
 				}
 				if format != FormatCSBG && runner.ran.Load() == 0 {

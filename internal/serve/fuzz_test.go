@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -9,6 +11,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"csb/internal/cluster"
 )
 
 // FuzzDecodeSpill feeds arbitrary bytes to the CSB1 spill decoder the disk
@@ -64,6 +68,39 @@ func FuzzDecodeSpill(f *testing.F) {
 		}
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(raw[12:spillHeaderLen]) {
 			t.Fatal("payload does not match the header's CRC-32")
+		}
+	})
+}
+
+// FuzzArtifactShapeIndependence builds one small spec on two random engine
+// shapes and partition counts: the artifact digests must be equal, since
+// every draw is keyed to a block of the element index, never to a
+// partition. Targets span 4 to 35 blocks, so the shapes cut the drawing
+// stages into different tasks.
+func FuzzArtifactShapeIndependence(f *testing.F) {
+	f.Add(uint64(1), false, uint16(1500), uint8(1), uint8(1), uint8(0), uint8(2), uint8(4), uint8(0))
+	f.Add(uint64(7), true, uint16(3900), uint8(4), uint8(4), uint8(64), uint8(1), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, pgsk bool, edges uint16, n1, c1, p1, n2, c2, p2 uint8) {
+		spec := Spec{Generator: GenPGPBA, Hosts: 12, Sessions: 100, Seed: seed,
+			Edges: 500 + int64(edges)%4000, Format: FormatCSBG}
+		if pgsk {
+			spec.Generator = GenPGSK
+		}
+		if err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		digest := func(nodes, cores, parts uint8) [32]byte {
+			c := cluster.MustNew(cluster.Config{Nodes: 1 + int(nodes%4), CoresPerNode: 1 + int(cores%4),
+				DefaultPartitions: int(parts % 65)})
+			data, err := BuildArtifact(context.Background(), spec, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sha256.Sum256(data)
+		}
+		if digest(n1, c1, p1) != digest(n2, c2, p2) {
+			t.Fatalf("%s: bytes differ between shapes %dx%d/%d and %dx%d/%d",
+				spec.ID(), 1+n1%4, 1+c1%4, p1%65, 1+n2%4, 1+c2%4, p2%65)
 		}
 	})
 }

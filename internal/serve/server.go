@@ -45,8 +45,7 @@ type Config struct {
 	// CacheDiskBytes budgets the spill tier (0 means 4x CacheBytes).
 	CacheDiskBytes int64
 	// Shape fixes the virtual-cluster topology jobs run on. The zero value
-	// is the default placement, 1 node x 1 core — the csbgen default, so
-	// daemon artifacts are byte-identical to CLI output from any host.
+	// is 1 node x 1 core; no shape changes an artifact's bytes.
 	Shape EngineShape
 	// ReplaySessions caps concurrently-running replay sessions (0 means
 	// DefaultReplaySessions); POST /replay beyond the cap is shed with 429.
@@ -88,8 +87,9 @@ type job struct {
 	spec     Spec
 	artifact string // content address (Spec.ID)
 
-	ctx    context.Context // cancelled by DELETE or server shutdown
-	cancel context.CancelFunc
+	ctx      context.Context // cancelled by DELETE or server shutdown
+	cancel   context.CancelFunc
+	accepted chan struct{} // closed once Submit has journaled the acceptance
 
 	mu       sync.Mutex
 	state    JobState
@@ -146,7 +146,7 @@ type Server struct {
 	tracer *cluster.Tracer
 
 	baseCtx context.Context
-	stop    context.CancelFunc
+	stop    context.CancelCauseFunc
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -219,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, stop := context.WithCancel(context.Background())
+	ctx, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:      cfg,
 		cache:    cache,
@@ -262,6 +262,10 @@ func (s *Server) Tracer() *cluster.Tracer { return s.tracer }
 // cmd/csbd warm-up tooling).
 func (s *Server) Cache() *Cache { return s.cache }
 
+// errServerClosed is the cause Close cancels every job with: a build it stops
+// journals no terminal record, so the next start resumes it as after a crash.
+var errServerClosed = errors.New("serve: server closed")
+
 // Close stops accepting jobs, cancels running ones and waits for the
 // workers to drain.
 func (s *Server) Close() {
@@ -272,7 +276,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	s.stop()
+	s.stop(errServerClosed)
 	close(s.queue)
 	s.wg.Wait()
 	s.closeReplays()
@@ -289,7 +293,8 @@ func (s *Server) worker() {
 // runJob executes one queued job to a terminal state.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
-	if j.state != StateQueued { // canceled while waiting
+	// Canceled while waiting, or left on the queue of a closing server.
+	if j.state != StateQueued || context.Cause(j.ctx) == errServerClosed {
 		j.mu.Unlock()
 		s.finishInflight(j)
 		return
@@ -321,6 +326,9 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	s.running.Add(-1)
+	// Read before the state is published: a Close after a client saw the
+	// job's state must not unwrite its terminal record.
+	closing := context.Cause(j.ctx) == errServerClosed
 
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -350,10 +358,12 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	s.finishInflight(j)
 	s.cache.runOps(spills)
-	switch final {
-	case StateDone:
+	<-j.accepted // journaled after the acceptance, or a restart reruns the job
+	switch {
+	case final == StateDone:
 		s.journalAppend(journalJobDone, j.artifact, nil)
-	case StateCanceled:
+	case closing: // stopped by Close, whatever the error: journal nothing, resume on restart
+	case final == StateCanceled:
 		s.journalAppend(journalJobCanceled, j.artifact, nil)
 	default:
 		s.journalAppend(journalJobFailed, j.artifact, nil)
@@ -477,7 +487,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{
 		id: s.nextID(), spec: *spec, artifact: artifact,
-		ctx: ctx, cancel: cancel,
+		ctx: ctx, cancel: cancel, accepted: make(chan struct{}),
 		state: StateQueued, created: time.Now(),
 	}
 	// The reply is the job as admitted: once it is on the queue a worker may
@@ -497,6 +507,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 		} else {
 			s.journalErrs.Add(1)
 		}
+		close(j.accepted)
 		return admitted, nil
 	default:
 		s.mu.Unlock()

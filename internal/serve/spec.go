@@ -6,12 +6,11 @@
 //
 // The unit of work is a Spec: the canonical parameter set of one generation
 // (generator, synthetic-seed shape, RNG seed, target edge count, output
-// format). The generators are bit-for-bit deterministic and the default
-// engine placement is a constant (1 node x 1 core, see EngineShape), so an
-// artifact is a pure function of its Spec on any host — which is what makes
-// caching by Spec.ID sound, and what the csbgen CLI relies on when it prints
-// the same artifact IDs for its own outputs. A daemon started with an
-// explicit -nodes/-cores shape names different bytes under the same IDs.
+// format). The generators are bit-for-bit deterministic and the engine
+// shape is placement only, so an artifact is a pure function of its Spec on
+// any host and at any -nodes/-cores — which is what makes caching by Spec.ID
+// sound, and what the csbgen CLI relies on when it prints the same artifact
+// IDs for its own outputs.
 package serve
 
 import (

@@ -166,9 +166,10 @@ func run(args []string, stdout io.Writer) error {
 
 	start := time.Now()
 	var fit *kronfit.Result
-	if pgsk, ok := generator.(*core.PGSK); ok {
-		// Generate would run the same fit and drop its diagnostics; -stages
-		// reports them.
+	if pgsk, ok := generator.(*core.PGSK); ok && *stageTab {
+		// Generate would run the same fit and drop its diagnostics, which
+		// -stages reports. Without -stages, Generate fits while it draws
+		// the edge properties, as csbd's builds do.
 		if fit, err = pgsk.FitResult(seed); err != nil {
 			return err
 		}

@@ -66,7 +66,8 @@ func TestRunPGSKFromSeedFile(t *testing.T) {
 	f.Close()
 
 	var out bytes.Buffer
-	err = run([]string{"-seed-graph", seedPath, "-gen", "pgsk", "-edges", "3000", "-seed", "5"}, &out)
+	product, fitted := filepath.Join(dir, "product.csbg"), filepath.Join(dir, "fitted.csbg")
+	err = run([]string{"-seed-graph", seedPath, "-gen", "pgsk", "-edges", "3000", "-seed", "5", "-out", product}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +79,18 @@ func TestRunPGSKFromSeedFile(t *testing.T) {
 	}
 
 	// -stages appends the fit's work counters to the stage table, and they
-	// repeat exactly.
+	// repeat exactly. Fitting first, for the counters, writes the bytes
+	// Generate's own fit does.
 	var first, second bytes.Buffer
 	for _, w := range []*bytes.Buffer{&first, &second} {
-		if err := run([]string{"-seed-graph", seedPath, "-gen", "pgsk", "-edges", "3000", "-seed", "5", "-stages"}, w); err != nil {
+		if err := run([]string{"-seed-graph", seedPath, "-gen", "pgsk", "-edges", "3000", "-seed", "5", "-stages", "-out", fitted}, w); err != nil {
 			t.Fatal(err)
 		}
+	}
+	a, errA := os.ReadFile(product)
+	b, errB := os.ReadFile(fitted)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("-stages changed the graph (read errors %v, %v)", errA, errB)
 	}
 	counters := func(s string) string {
 		_, line, ok := strings.Cut(s, "\nkronfit: ")

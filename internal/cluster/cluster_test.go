@@ -103,6 +103,8 @@ func TestLPTMakespan(t *testing.T) {
 
 func TestMetricsAccumulate(t *testing.T) {
 	c := MustNew(Config{Nodes: 2, CoresPerNode: 2, MaxParallel: 2})
+	// The sleeps simulate work: Sleep lasts at least its argument, so only
+	// the lower bounds below read them, and a slow host cannot fail them.
 	c.runStage(stageSpec{op: "test"}, 4, func(i int) { time.Sleep(time.Millisecond) })
 	m := c.Metrics()
 	if m.Stages != 1 || m.Tasks != 4 {
@@ -114,7 +116,7 @@ func TestMetricsAccumulate(t *testing.T) {
 	if m.Makespan <= 0 || m.Makespan > m.TotalWork {
 		t.Errorf("Makespan = %v not in (0, TotalWork=%v]", m.Makespan, m.TotalWork)
 	}
-	c.runSerial("test.serial", func() { time.Sleep(time.Millisecond) })
+	c.runSerial("test.serial", func() { time.Sleep(time.Millisecond) }) // simulated work, as above
 	m = c.Metrics()
 	if m.SerialTime < time.Millisecond {
 		t.Errorf("SerialTime = %v", m.SerialTime)

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"csb/internal/graph"
+	"csb/internal/stats"
 )
 
 // fillPairs writes r's elements as edges whose out-byte count is the
@@ -23,7 +25,7 @@ func TestFillGraphCollectOrderAndMemoryCharge(t *testing.T) {
 	for i := range data {
 		data[i] = uint32(i)
 	}
-	g, err := FillGraph(Parallelize(c, data, 7), 1001, 0, fillPairs)
+	g, err := FillGraph(Parallelize(c, data, 7), 1001, 0, graph.EdgeBatch{}, fillPairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
 		data[i] = uint32(i)
 	}
 	var failed atomic.Bool
-	g, err := FillGraph(Parallelize(c, data, 4), n+1, 0, func(r Run[uint32], cols *graph.EdgeBatch) {
+	g, err := FillGraph(Parallelize(c, data, 4), n+1, 0, graph.EdgeBatch{}, func(r Run[uint32], cols *graph.EdgeBatch) {
 		if r.At == 2*blockSize && failed.CompareAndSwap(false, true) {
 			// Scribble over half the range, then die: the retry must
 			// overwrite every edge of it.
@@ -78,9 +80,68 @@ func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
 
 func TestFillGraphValidatesEndpoints(t *testing.T) {
 	c := Local(2)
-	_, err := FillGraph(Parallelize(c, []uint32{1, 2, 3}, 2), 3, 0, fillPairs)
+	_, err := FillGraph(Parallelize(c, []uint32{1, 2, 3}, 2), 3, 0, graph.EdgeBatch{}, fillPairs)
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want an out-of-range endpoint", err)
+	}
+}
+
+// TestDrawAheadThenFillGraphIsFillGraph: rows DrawAhead drew keep their
+// values through FillGraph, and a fill that draws only past them gives the
+// graph a single FillGraph gives, wherever the pass stopped: after no block,
+// mid-way, past the input, or short of it so the columns grow. The pass is
+// one serial span.
+func TestDrawAheadThenFillGraphIsFillGraph(t *testing.T) {
+	const n = 10*blockSize + 37
+	data := make([]uint32, n)
+	for i := range data {
+		data[i] = uint32(i)
+	}
+	fillFrom := func(drawn int64) func(r Run[uint32], cols *graph.EdgeBatch) {
+		return func(r Run[uint32], cols *graph.EdgeBatch) {
+			for i, x := range r.Xs {
+				cols.SetEndpoints(int(r.At)+i, x, x)
+				if r.At >= drawn {
+					cols.SetProps(int(r.At)+i, graph.EdgeProps{OutBytes: int64(r.RNG.Uint64() >> 1)})
+				}
+			}
+		}
+	}
+	want, err := FillGraph(Parallelize(MustNew(Config{}), data, 3), n, 9, graph.EdgeBatch{}, fillFrom(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ahead, stopAt, rows int64
+	}{
+		{n, 0, 0},
+		{n, 4, 4 * blockSize},
+		{2 * n, -1, 2*n + blockSize - 2*n%blockSize},
+		{n / 2, -1, 6 * blockSize},
+	} {
+		tracer := NewTracer()
+		c := MustNew(Config{Nodes: 2, CoresPerNode: 2, Tracer: tracer})
+		var cols graph.EdgeBatch
+		calls := int64(0)
+		rows := DrawAhead(c, 9, tc.ahead, func() bool { calls++; return calls == tc.stopAt+1 }, func(rng *stats.RNG, at int64) {
+			if int(at) == cols.Len() {
+				cols.Resize(cols.Len() + blockSize)
+			}
+			cols.SetProps(int(at), graph.EdgeProps{OutBytes: int64(rng.Uint64() >> 1)})
+		})
+		if rows != tc.rows {
+			t.Fatalf("ahead %d, stop at %d: drew %d rows, want %d", tc.ahead, tc.stopAt, rows, tc.rows)
+		}
+		if spans := tracer.Spans(); len(spans) != 1 || spans[0].Op != "drawAhead" || !spans[0].Serial {
+			t.Fatalf("DrawAhead recorded %+v, want one serial drawAhead span", spans)
+		}
+		g, err := FillGraph(Parallelize(c, data, 5), n, 9, cols, fillFrom(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.AppendEdgeList(nil), want.AppendEdgeList(nil)) {
+			t.Fatalf("ahead %d, stop at %d: the graph differs from one FillGraph's", tc.ahead, tc.stopAt)
+		}
 	}
 }
 

@@ -251,7 +251,7 @@ func TestCancelledStageStatsExcludeUnstartedTasks(t *testing.T) {
 	ran := 0
 	c.runStage(stageSpec{op: "test"}, 8, func(i int) {
 		ran++
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // simulated work: TaskMin reads only its lower bound
 		if ran == 2 {
 			cancel() // remaining tasks never start
 		}

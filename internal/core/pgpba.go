@@ -186,7 +186,7 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	}
 
 	// Lines 15-20: property synthesis for every edge.
-	return fillGraph(edges, numVertices, seed.Props, p.Seed^0xab5, p.SkipProperties)
+	return fillGraph(edges, numVertices, seed.Props, p.Seed^0xab5, p.SkipProperties, propsAhead{})
 }
 
 // endpoints is the structural element both generators grow on: an edge
@@ -234,14 +234,17 @@ func sampleWithReplacement[T any](ds *cluster.Dataset[T], fraction float64, seed
 // fillGraph is the last stage of both generators: it writes the endpoints
 // into the output graph's columns and, unless skip is set, samples a fresh
 // Netflow attribute set beside each (Figure 2 lines 15-20 and Figure 3
-// lines 13-18), in O(|E| x |properties|).
-func fillGraph(edges *cluster.Dataset[endpoints], numVertices int64, props *PropertyModel, seed uint64, skip bool) (*graph.Graph, error) {
+// lines 13-18), in O(|E| x |properties|). The columns start as ahead's, and
+// the rows it drew keep their attributes.
+func fillGraph(edges *cluster.Dataset[endpoints], numVertices int64, props *PropertyModel, seed uint64, skip bool, ahead propsAhead) (*graph.Graph, error) {
 	defer edges.Cluster().Scope("props")()
-	return cluster.FillGraph(edges, numVertices, seed, func(r cluster.Run[endpoints], cols *graph.EdgeBatch) {
+	return cluster.FillGraph(edges, numVertices, seed, ahead.cols, func(r cluster.Run[endpoints], cols *graph.EdgeBatch) {
+		// A run lies within one block, so ahead drew all of it or none.
+		draw := !skip && r.At >= ahead.rows
 		for i, e := range r.Xs {
 			at := int(r.At) + i
 			cols.SetEndpoints(at, e.src, e.dst)
-			if !skip {
+			if draw {
 				cols.SetProps(at, props.Sample(r.RNG))
 			}
 		}

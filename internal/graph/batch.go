@@ -160,17 +160,35 @@ func (b *EdgeBatch) SetProps(i int, p EdgeProps) {
 	b.inPkts[i] = p.InPkts
 }
 
-// Truncate shortens the batch to n edges, keeping capacity.
-func (b *EdgeBatch) Truncate(n int) {
-	b.src = b.src[:n]
-	b.dst = b.dst[:n]
-	b.proto = b.proto[:n]
-	b.state = b.state[:n]
-	b.srcPort = b.srcPort[:n]
-	b.dstPort = b.dstPort[:n]
-	b.duration = b.duration[:n]
-	b.outBytes = b.outBytes[:n]
-	b.inByte = b.inByte[:n]
-	b.outPkts = b.outPkts[:n]
-	b.inPkts = b.inPkts[:n]
+// Resize sets the batch's length to n edges. Rows below both lengths keep
+// their values and the rest read as zero. Shrinking keeps the capacity, so a
+// batch first sized for the most edges it may hold grows back without
+// reallocating; growing past the capacity reallocates each column once, to
+// exactly n.
+func (b *EdgeBatch) Resize(n int) {
+	b.src = resizeCol(b.src, n)
+	b.dst = resizeCol(b.dst, n)
+	b.proto = resizeCol(b.proto, n)
+	b.state = resizeCol(b.state, n)
+	b.srcPort = resizeCol(b.srcPort, n)
+	b.dstPort = resizeCol(b.dstPort, n)
+	b.duration = resizeCol(b.duration, n)
+	b.outBytes = resizeCol(b.outBytes, n)
+	b.inByte = resizeCol(b.inByte, n)
+	b.outPkts = resizeCol(b.outPkts, n)
+	b.inPkts = resizeCol(b.inPkts, n)
+}
+
+func resizeCol[T any](col []T, n int) []T {
+	if n > cap(col) {
+		out := make([]T, n)
+		copy(out, col)
+		return out
+	}
+	old := len(col)
+	col = col[:n]
+	if n > old {
+		clear(col[old:])
+	}
+	return col
 }

@@ -79,9 +79,9 @@ func TestEdgeBatchAppendIterateRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Truncate keeps the prefix and the capacity; truncating to zero
-// then re-appending round-trips fresh data with no residue from the previous
-// fill.
+// Property: shrinking with Resize keeps the prefix and the capacity;
+// resizing to zero then re-appending round-trips fresh data with no residue
+// from the previous fill.
 func TestEdgeBatchTruncateResetRoundTrip(t *testing.T) {
 	f := func(seed uint64, mRaw uint16, keepRaw uint16) bool {
 		m := int(mRaw%512) + 1
@@ -93,7 +93,7 @@ func TestEdgeBatchTruncateResetRoundTrip(t *testing.T) {
 		b := new(EdgeBatch)
 		appendAll(b, first)
 		capBefore := b.Cap()
-		b.Truncate(keep)
+		b.Resize(keep)
 		if b.Len() != keep || b.Cap() != capBefore {
 			return false
 		}
@@ -102,7 +102,7 @@ func TestEdgeBatchTruncateResetRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		b.Truncate(0)
+		b.Resize(0)
 		if b.Len() != 0 || b.Cap() != capBefore {
 			return false
 		}
@@ -115,6 +115,40 @@ func TestEdgeBatchTruncateResetRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Resize keeps the rows below both lengths and zeroes the rest,
+// whether it grows within the capacity a shrink kept or past it.
+func TestEdgeBatchResizeKeepsPrefixZeroesRest(t *testing.T) {
+	f := func(seed uint64, mRaw, shrinkRaw, growRaw uint16) bool {
+		m := int(mRaw%512) + 1
+		shrink := int(shrinkRaw) % (m + 1)
+		grow := shrink + int(growRaw)%(2*m)
+		rng := rand.New(rand.NewPCG(seed, 6))
+		es := randomEdges(rng, 1<<16, m)
+
+		b := new(EdgeBatch)
+		appendAll(b, es)
+		capBefore := b.Cap()
+		b.Resize(shrink)
+		b.Resize(grow)
+		if b.Len() != grow || (grow <= capBefore && b.Cap() != capBefore) {
+			return false
+		}
+		for i := range grow {
+			want := Edge{}
+			if i < shrink {
+				want = es[i]
+			}
+			if b.Edge(i) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

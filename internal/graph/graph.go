@@ -141,13 +141,16 @@ func NewWithCapacity(n, edgeCap int64) *Graph {
 	return g
 }
 
-// NewFilled returns a graph with n vertices and edges all-zero edges (0 -> 0,
-// no attributes) for a generator's fill stage to overwrite in place through
-// Cols().SetEndpoints and SetProps. The endpoints written that way are
+// NewFilled returns a graph with n vertices over cols, resized to edges
+// edges (see EdgeBatch.Resize), for a generator's fill stage to overwrite in
+// place through Cols().SetEndpoints and SetProps: rows cols already holds
+// keep their values, and the rest are all-zero (0 -> 0, no attributes). The
+// graph takes cols over without a copy. The endpoints written that way are
 // unchecked: the caller runs Validate once the fill is complete.
-func NewFilled(n, edges int64) *Graph {
-	g := NewWithCapacity(n, edges)
-	g.cols.Truncate(int(edges)) // fresh capacity is zeroed, so reslicing up to it is the fill
+func NewFilled(n, edges int64, cols EdgeBatch) *Graph {
+	g := New(n)
+	g.cols = cols
+	g.cols.Resize(int(edges))
 	return g
 }
 

@@ -23,14 +23,25 @@ type streamResult struct {
 
 func collectStream(t *testing.T, addr string) streamResult {
 	t.Helper()
+	return collectUntil(t, addr, 0, nil)
+}
+
+// collectUntil is collectStream that also closes reached once n > 0 flows
+// have arrived: the server has emitted at least n by then.
+func collectUntil(t *testing.T, addr string, n int, reached chan<- struct{}) streamResult {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return streamResult{err: err}
 	}
 	defer conn.Close()
 	var buf bytes.Buffer
+	got := 0
 	st, err := Consume(conn, func(_ uint64, _ netflow.Flow, raw []byte) error {
 		buf.Write(raw)
+		if got++; got == n {
+			close(reached)
+		}
 		return nil
 	})
 	return streamResult{payload: buf.Bytes(), stats: st, err: err}
@@ -280,26 +291,19 @@ func TestReplayStalledSubscriberDrop(t *testing.T) {
 func TestReplayLateSubscriberJoinsMidRun(t *testing.T) {
 	flows := testFlows(t, 30, 1200, 14)
 	s, addr := serveFlows(t, flows, Options{Rate: 1500, Burst: 1, QueueLen: 64, Policy: PolicyBlock})
-	early := make(chan streamResult, 1)
-	go func() {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			early <- streamResult{err: err}
-			return
-		}
-		defer conn.Close()
-		st, err := Consume(conn, nil)
-		early <- streamResult{stats: st, err: err}
-	}()
+	early, prefix := make(chan streamResult, 1), make(chan struct{})
+	go func() { early <- collectUntil(t, addr, len(flows)/4, prefix) }()
 	if err := s.AwaitSubscribers(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Join once a meaningful prefix has been emitted.
-	for s.Stats().Emitted < int64(len(flows)/4) {
-		time.Sleep(time.Millisecond)
+	// Join once the early subscriber has a meaningful prefix.
+	select {
+	case <-prefix:
+	case r := <-early:
+		t.Fatalf("early subscriber ended before a quarter of the run: err=%v stats=%+v", r.err, r.stats)
 	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -361,16 +365,18 @@ func TestReplayRejectsUnsortedFlows(t *testing.T) {
 func TestReplayCloseMidRun(t *testing.T) {
 	flows := testFlows(t, 30, 1200, 16)
 	s, addr := serveFlows(t, flows, Options{Rate: 200, Burst: 1}) // slow run
-	resCh := make(chan streamResult, 1)
-	go func() { resCh <- collectStream(t, addr) }()
+	resCh, started := make(chan streamResult, 1), make(chan struct{})
+	go func() { resCh <- collectUntil(t, addr, 10, started) }()
 	if err := s.AwaitSubscribers(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for s.Stats().Emitted < 10 {
-		time.Sleep(time.Millisecond)
+	select {
+	case <-started:
+	case r := <-resCh:
+		t.Fatalf("subscriber ended before 10 flows: err=%v stats=%+v", r.err, r.stats)
 	}
 	s.Close()
 	select {

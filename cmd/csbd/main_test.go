@@ -99,7 +99,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		if st.State == "failed" || st.State == "canceled" {
 			t.Fatalf("job state = %q", st.State)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // paces a poll of the job's state
 	}
 
 	// Download the artifact.
@@ -192,7 +192,7 @@ func TestDaemonJournalResumesInterruptedJob(t *testing.T) {
 		if r.StatusCode == http.StatusOK {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // paces a poll of the artifact endpoint
 	}
 	if !bytes.HasPrefix(data, []byte("src\tdst\t")) {
 		t.Fatalf("resumed artifact is not a TSV edge list: %.40q", data)

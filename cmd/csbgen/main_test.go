@@ -217,7 +217,7 @@ func TestArtifactBytesMatchServer(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("job %s never finished", id)
 			}
-			time.Sleep(10 * time.Millisecond)
+			time.Sleep(10 * time.Millisecond) // paces a poll of the job's state
 		}
 	}
 

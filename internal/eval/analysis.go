@@ -19,10 +19,10 @@ func Analysis(sp *GridSpec, specPath string, rows []Row) []byte {
 	fmt.Fprintf(&b, "Reproduce with:\n\n```sh\ncsbeval -spec %s\n```\n\n", specPath)
 	fmt.Fprintf(&b,
 		"Grid: %d generators × %d sizes × %d seeds × %d repeats = %d cells.\n"+
-			"Seed trace: %d hosts, %d sessions, seed %d. Held-out scenario: %d hosts, %d sessions, seed %d.\n"+
+			"Seed trace: %d hosts, %d sessions, drawn at each cell's generation seed (gen_seed, the seed of its csbd spec). Held-out scenario: %d hosts, %d sessions, seed %d.\n"+
 			"Each table cell is the mean over the group's %d seed×repeat runs.\n\n",
 		len(sp.Generators), len(sp.Sizes), len(sp.Seeds), sp.Repeats, len(rows),
-		sp.SeedHosts, sp.SeedSessions, sp.SeedTraceSeed,
+		sp.SeedHosts, sp.SeedSessions,
 		sp.Utility.HeldOutHosts, sp.Utility.HeldOutSessions, sp.Utility.HeldOutSeed,
 		len(sp.Seeds)*sp.Repeats)
 

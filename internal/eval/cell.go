@@ -1,24 +1,32 @@
 package eval
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"csb/internal/core"
+	"csb/internal/graph"
+	"csb/internal/serve"
 )
 
 // Row is one grid cell's results.csv line: the cell identity followed by
 // every metric. It travels between processes as JSON (the eval/cell task
 // payload reply), so each numeric field round-trips exactly — shortest-form
-// float JSON is lossless for float64.
+// float JSON is lossless for float64. Spec and SHA256 name the artifact the
+// metrics describe; the digest rides in the JSON and the cell log, not in
+// results.csv, whose columns are a contract.
 type Row struct {
 	Cell     Cell          `json:"cell"`
+	Spec     serve.Spec    `json:"spec"`
+	SHA256   string        `json:"sha256"`
 	Report   Report        `json:"report"`
 	Utility  UtilityReport `json:"utility"`
-	GenSeed  uint64        `json:"gen_seed"`
 	Vertices int64         `json:"vertices"`
 	Edges    int64         `json:"edges"`
 }
@@ -53,7 +61,7 @@ func (r *Row) CSVRecord() []string {
 		strconv.FormatInt(c.Size, 10),
 		strconv.FormatUint(c.BaseSeed, 10),
 		strconv.Itoa(c.Repeat),
-		strconv.FormatUint(r.GenSeed, 10),
+		strconv.FormatUint(r.Spec.Seed, 10),
 		strconv.FormatInt(r.Vertices, 10),
 		strconv.FormatInt(r.Edges, 10),
 		fmtF(rep.Degree.JS), fmtF(rep.Degree.EMD), fmtF(rep.Degree.KS),
@@ -90,66 +98,44 @@ type CellPayload struct {
 	Cell Cell     `json:"cell"`
 }
 
-// seedCache memoizes analyzed seed traces per (hosts, sessions, seed): every
-// cell of a grid shares one seed, and re-synthesizing the trace per cell
-// would dominate small-cell runtime. Purity is preserved — the cache only
-// short-circuits recomputation of a deterministic function.
-var seedCache struct {
-	sync.Mutex
-	m map[[3]uint64]*core.Seed
-}
-
-func analyzedSeed(hosts, sessions int, traceSeed uint64) (*core.Seed, error) {
-	key := [3]uint64{uint64(hosts), uint64(sessions), traceSeed}
-	seedCache.Lock()
-	defer seedCache.Unlock()
-	if s, ok := seedCache.m[key]; ok {
-		return s, nil
-	}
-	s, err := core.SyntheticSeed(hosts, sessions, traceSeed)
-	if err != nil {
-		return nil, fmt.Errorf("building seed: %w", err)
-	}
-	if seedCache.m == nil {
-		seedCache.m = make(map[[3]uint64]*core.Seed)
-	}
-	seedCache.m[key] = s
-	return s, nil
-}
-
-// RunCell executes one grid cell: grow the shared seed with the cell's
-// generator, compute the fidelity report against the seed graph, and the
-// utility report against the held-out scenario. It is a pure function of
-// (spec, cell) — no clock, no global RNG — which is the determinism
-// contract the whole harness rests on. Errors do not name the cell: the
-// runner that scheduled it does, once.
+// RunCell executes one grid cell: build the cell's csbd artifact through
+// serve.BuildArtifact, decode it, and score that graph — fidelity against
+// the seed trace its spec grew from, utility against the held-out
+// scenario. It is a pure function of (spec, cell) — no clock, no global
+// RNG — which is the determinism contract the whole harness rests on.
+// Errors do not name the cell: the runner that scheduled it does, once.
 func RunCell(sp *GridSpec, c Cell) (*Row, error) {
-	seed, err := analyzedSeed(sp.SeedHosts, sp.SeedSessions, sp.SeedTraceSeed)
+	spec, err := sp.CellSpec(&c)
 	if err != nil {
 		return nil, err
 	}
-	genSeed := c.GenSeed()
-	gen, err := core.NewGenerator(c.Generator.Name, c.Generator.Fraction, genSeed, nil)
+	art, err := serve.BuildArtifact(context.TODO(), spec, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%w (spec not normalized?)", err)
+		return nil, fmt.Errorf("building artifact: %w", err)
 	}
-	g, err := gen.Generate(seed, c.Size)
+	sum := sha256.Sum256(art)
+	g, err := graph.Read(bytes.NewReader(art))
 	if err != nil {
-		return nil, fmt.Errorf("generating: %w", err)
+		return nil, fmt.Errorf("decoding artifact: %w", err)
+	}
+	seed, err := core.SyntheticSeed(spec.Hosts, spec.Sessions, spec.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("building seed: %w", err)
 	}
 	report, err := Evaluate(seed.Graph, g, Options{PageRankPoints: sp.PageRankPoints})
 	if err != nil {
 		return nil, err
 	}
-	utility, err := Utility(g, &sp.Utility, genSeed)
+	utility, err := Utility(g, &sp.Utility, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	return &Row{
 		Cell:     c,
+		Spec:     spec,
+		SHA256:   hex.EncodeToString(sum[:]),
 		Report:   *report,
 		Utility:  *utility,
-		GenSeed:  genSeed,
 		Vertices: g.NumVertices(),
 		Edges:    g.NumEdges(),
 	}, nil

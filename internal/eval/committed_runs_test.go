@@ -36,6 +36,7 @@ type groupMeans struct {
 
 // readCommittedRun checks that the spec at path names a committed run whose
 // results.csv has eval.Header() and one row per cell in Cells() order, and
+// whose cell logs each name the artifact of their cell's csbd spec; it
 // returns the veracity means of each group.
 func readCommittedRun(t *testing.T, path string) map[groupKey]groupMeans {
 	t.Helper()
@@ -61,6 +62,10 @@ func readCommittedRun(t *testing.T, path string) map[groupKey]groupMeans {
 	if len(records)-1 != len(cells) {
 		t.Fatalf("%s: %d rows, spec has %d cells", csvPath, len(records)-1, len(cells))
 	}
+	logs, err := filepath.Glob(filepath.Join(repoRoot, "runs", sp.ID()[:12], "logs", "cell-*.log"))
+	if err != nil || len(logs) != len(cells) {
+		t.Fatalf("%s: %d cell logs, spec has %d cells (%v)", path, len(logs), len(cells), err)
+	}
 	sums := map[groupKey]groupMeans{}
 	counts := map[groupKey]int{}
 	for i, c := range cells {
@@ -72,6 +77,18 @@ func readCommittedRun(t *testing.T, path string) map[groupKey]groupMeans {
 		}
 		if !slices.Equal(rec[:len(want)], want) {
 			t.Fatalf("%s: row %d is %v, cell %d is %v", csvPath, i+1, rec[:len(want)], i, want)
+		}
+		spec, err := sp.CellSpec(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logPath := filepath.Join(repoRoot, "runs", sp.ID()[:12], "logs", fmt.Sprintf("cell-%04d.log", i))
+		log, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line := "\nartifact csbg: " + spec.ID() + "\n"; !strings.Contains(string(log), line) {
+			t.Fatalf("%s does not name its cell's artifact (%q): a stale log", logPath, strings.TrimSpace(line))
 		}
 		k := groupKey{c.Generator, c.Size}
 		m := sums[k]

@@ -6,17 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
-	"csb/internal/core"
+	"csb/internal/serve"
 )
 
 // Generator names accepted by GeneratorSpec.Name.
 const (
-	GenPGPBA = core.GenPGPBA
-	GenPGSK  = core.GenPGSK
+	GenPGPBA = serve.GenPGPBA
+	GenPGSK  = serve.GenPGSK
 )
 
 // GeneratorSpec selects one generator configuration of the grid.
@@ -36,11 +35,9 @@ func (g GeneratorSpec) Display() string {
 	return g.Name
 }
 
-// Grid defaults applied by Normalize.
+// Grid defaults applied by Normalize; the seed shape and the generator
+// fraction take serve.Spec's.
 const (
-	DefaultSeedHosts      = 100
-	DefaultSeedSessions   = 2000
-	DefaultSeedTraceSeed  = 20171010
 	DefaultRepeats        = 1
 	DefaultPageRankPoints = 100
 
@@ -55,17 +52,16 @@ const (
 )
 
 // GridSpec is the experiments.json schema: the full cross product
-// generators × sizes × seeds × repeats evaluated by the grid runner. Every
-// cell shares one seed trace (SeedHosts/SeedSessions/SeedTraceSeed) and one
-// utility configuration.
+// generators × sizes × seeds × repeats evaluated by the grid runner. Each
+// cell is one csbd spec (CellSpec); every cell shares the seed shape and
+// one utility configuration.
 type GridSpec struct {
 	// Name labels the run in analysis.md and logs.
 	Name string `json:"name,omitempty"`
-	// SeedHosts, SeedSessions and SeedTraceSeed build the shared seed trace
-	// every cell grows from and is scored against.
-	SeedHosts     int    `json:"seed_hosts,omitempty"`
-	SeedSessions  int    `json:"seed_sessions,omitempty"`
-	SeedTraceSeed uint64 `json:"seed_trace_seed,omitempty"`
+	// SeedHosts and SeedSessions size the seed trace of every cell; the
+	// cell's generation seed draws it.
+	SeedHosts    int `json:"seed_hosts,omitempty"`
+	SeedSessions int `json:"seed_sessions,omitempty"`
 	// Generators, Sizes, Seeds and Repeats span the grid.
 	Generators []GeneratorSpec `json:"generators"`
 	Sizes      []int64         `json:"sizes"`
@@ -97,47 +93,11 @@ func (sp *GridSpec) Normalize() error {
 	if sp.Name == "" {
 		sp.Name = "grid"
 	}
-	if sp.SeedHosts == 0 {
-		sp.SeedHosts = DefaultSeedHosts
-	}
-	if sp.SeedHosts < 0 {
-		return fmt.Errorf("eval: seed_hosts must be positive, got %d", sp.SeedHosts)
-	}
-	if sp.SeedSessions == 0 {
-		sp.SeedSessions = DefaultSeedSessions
-	}
-	if sp.SeedSessions < 0 {
-		return fmt.Errorf("eval: seed_sessions must be positive, got %d", sp.SeedSessions)
-	}
-	if sp.SeedTraceSeed == 0 {
-		sp.SeedTraceSeed = DefaultSeedTraceSeed
-	}
 	if len(sp.Generators) == 0 {
 		return fmt.Errorf("eval: at least one generator is required")
 	}
-	for i := range sp.Generators {
-		g := &sp.Generators[i]
-		switch g.Name {
-		case GenPGSK:
-			g.Fraction = 0
-		case GenPGPBA:
-			if g.Fraction == 0 {
-				g.Fraction = 0.1
-			}
-			if math.IsNaN(g.Fraction) || g.Fraction <= 0 || g.Fraction > 1 {
-				return fmt.Errorf("eval: generator %d: fraction must be in (0, 1], got %v", i, g.Fraction)
-			}
-		default:
-			return fmt.Errorf("eval: generator %d: unknown name %q (want %s or %s)", i, g.Name, GenPGPBA, GenPGSK)
-		}
-	}
 	if len(sp.Sizes) == 0 {
 		return fmt.Errorf("eval: at least one size is required")
-	}
-	for i, s := range sp.Sizes {
-		if s <= 0 {
-			return fmt.Errorf("eval: size %d: must be positive, got %d", i, s)
-		}
 	}
 	if len(sp.Seeds) == 0 {
 		sp.Seeds = []uint64{1}
@@ -161,7 +121,30 @@ func (sp *GridSpec) Normalize() error {
 	if sp.PageRankPoints < 2 {
 		return fmt.Errorf("eval: pagerank_points must be at least 2, got %d", sp.PageRankPoints)
 	}
-	return NormalizeUtility(&sp.Utility)
+	// Every generator at every size is a csbd spec, validated and given
+	// its defaults by serve.Spec.Normalize alone.
+	for i := range sp.Generators {
+		g := &sp.Generators[i]
+		for _, size := range sp.Sizes {
+			s, err := sp.CellSpec(&Cell{Generator: *g, Size: size})
+			if err != nil {
+				return fmt.Errorf("eval: generator %d at size %d: %w", i, size, err)
+			}
+			g.Name, g.Fraction = s.Generator, s.Fraction
+			sp.SeedHosts, sp.SeedSessions = s.Hosts, s.Sessions
+		}
+	}
+	if err := NormalizeUtility(&sp.Utility); err != nil {
+		return err
+	}
+	for _, seed := range sp.Seeds {
+		for rep := 0; rep < sp.Repeats; rep++ {
+			if c := (Cell{BaseSeed: seed, Repeat: rep}); c.GenSeed() == sp.Utility.HeldOutSeed {
+				return fmt.Errorf("eval: seed %d repeat %d generates at the held-out seed %d", seed, rep, sp.Utility.HeldOutSeed)
+			}
+		}
+	}
+	return nil
 }
 
 // Cell is one grid coordinate: a generator at a size with a base seed and a
@@ -178,6 +161,20 @@ type Cell struct {
 // by a fixed stride so each repeat draws a distinct RNG stream.
 func (c *Cell) GenSeed() uint64 {
 	return c.BaseSeed + uint64(c.Repeat)*repeatSeedStride
+}
+
+// CellSpec is the normalized csbd spec whose artifact cell c scores: the
+// grid's seed shape, the cell's generator and size, format csbg, and
+// GenSeed as Spec.Seed, which draws the seed trace and the generation
+// alike. Generators at the same seed and repeat therefore grow from one
+// trace, and csbd or csbgen serve the cell's graph for the spec's ID.
+func (sp *GridSpec) CellSpec(c *Cell) (serve.Spec, error) {
+	s := serve.Spec{
+		Generator: c.Generator.Name, Fraction: c.Generator.Fraction,
+		Hosts: sp.SeedHosts, Sessions: sp.SeedSessions,
+		Seed: c.GenSeed(), Edges: c.Size, Format: serve.FormatCSBG,
+	}
+	return s, s.Normalize()
 }
 
 // Display renders the cell for logs.
@@ -208,11 +205,10 @@ func (sp *GridSpec) Cells() []Cell {
 // preimage of ID — one key=value line per field, like scenario.Spec.
 func (sp *GridSpec) Canonical() string {
 	var b strings.Builder
-	b.WriteString("csb-evalgrid/v1\n")
+	b.WriteString("csb-evalgrid/v2\n")
 	b.WriteString("name=" + sp.Name + "\n")
 	b.WriteString("seed.hosts=" + strconv.Itoa(sp.SeedHosts) + "\n")
 	b.WriteString("seed.sessions=" + strconv.Itoa(sp.SeedSessions) + "\n")
-	b.WriteString("seed.trace_seed=" + strconv.FormatUint(sp.SeedTraceSeed, 10) + "\n")
 	for i, g := range sp.Generators {
 		p := "gen." + strconv.Itoa(i) + "."
 		b.WriteString(p + "name=" + g.Name + "\n")

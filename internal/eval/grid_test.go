@@ -34,9 +34,13 @@ func TestParseGridSmokeSpec(t *testing.T) {
 }
 
 func TestParseGridRejectsUnknownFields(t *testing.T) {
-	_, err := ParseGrid(strings.NewReader(`{"generators":[{"name":"pgsk"}],"sizes":[100],"typo_field":1}`))
-	if err == nil || !strings.Contains(err.Error(), "typo_field") {
-		t.Fatalf("err = %v, want unknown-field error", err)
+	// seed_trace_seed is gone: a cell's trace is drawn at its generation
+	// seed, as csbd draws a spec's.
+	for _, field := range []string{"typo_field", "seed_trace_seed"} {
+		_, err := ParseGrid(strings.NewReader(`{"generators":[{"name":"pgsk"}],"sizes":[100],"` + field + `":1}`))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("err = %v, want unknown-field error for %s", err, field)
+		}
 	}
 }
 
@@ -51,13 +55,18 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		want string
 	}{
 		{"no generators", GridSpec{Sizes: []int64{100}}, "at least one generator"},
-		{"unknown generator", GridSpec{Generators: []GeneratorSpec{{Name: "erdos"}}, Sizes: []int64{100}}, "unknown name"},
+		{"unknown generator", GridSpec{Generators: []GeneratorSpec{{Name: "erdos"}}, Sizes: []int64{100}}, "unknown generator"},
+		{"scenario generator", GridSpec{Generators: []GeneratorSpec{{Name: "scenario"}}, Sizes: []int64{100}}, "embedded scenario"},
+		{"negative hosts", GridSpec{SeedHosts: -1, Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{100}}, "hosts"},
 		{"bad fraction", GridSpec{Generators: []GeneratorSpec{{Name: GenPGPBA, Fraction: 1.5}}, Sizes: []int64{100}}, "fraction"},
 		{"no sizes", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}}, "at least one size"},
 		{"negative size", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{-5}}, "must be positive"},
 		{"negative repeats", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{100}, Repeats: -1}, "repeats"},
 		{"too many cells", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{100}, Repeats: 4_000_000_000_000_000_000}, "cells"},
 		{"too many cells in product", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: manySizes, Seeds: make([]uint64, 300)}, "cells"},
+		{"held-out seed", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{100}, Seeds: []uint64{DefaultHeldOutSeed}}, "held-out seed"},
+		{"held-out seed at a repeat", GridSpec{Generators: []GeneratorSpec{{Name: GenPGSK}}, Sizes: []int64{100}, Seeds: []uint64{5}, Repeats: 2,
+			Utility: UtilityConfig{HeldOutSeed: 5 + repeatSeedStride}}, "held-out seed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -216,8 +216,9 @@ func (r *Runner) runOne(ctx context.Context, c Cell) cellOutcome {
 	return cellOutcome{row: &row, where: where, elapsed: time.Since(start)}
 }
 
-// writeCellLog records one cell's execution: identity, placement, timing
-// and headline metrics. Log contents are intentionally outside the
+// writeCellLog records one cell's execution: identity, the csbd spec, its
+// artifact ID (csbgen's "artifact csbg:" line) and SHA-256, placement,
+// timing and headline metrics. Log contents are intentionally outside the
 // byte-identity contract (they carry wall-clock).
 func writeCellLog(dir string, c *Cell, o *cellOutcome) error {
 	name := filepath.Join(dir, fmt.Sprintf("cell-%04d.log", c.Index))
@@ -226,8 +227,12 @@ func writeCellLog(dir string, c *Cell, o *cellOutcome) error {
 		body = fmt.Sprintf("cell %d: %s\nplacement: %s\nelapsed: %v\nerror: %v\n",
 			c.Index, c.Display(), o.where, o.elapsed, o.err)
 	} else {
-		body = fmt.Sprintf("cell %d: %s\nplacement: %s\nelapsed: %v\nvertices: %d\nedges: %d\ndegree_veracity: %s\nutility_gap: %s\n",
-			c.Index, c.Display(), o.where, o.elapsed, o.row.Vertices, o.row.Edges,
+		spec, err := json.Marshal(o.row.Spec)
+		if err != nil {
+			return fmt.Errorf("eval: encoding cell spec: %w", err)
+		}
+		body = fmt.Sprintf("cell %d: %s\nspec: %s\nartifact csbg: %s\nsha256: %s\nplacement: %s\nelapsed: %v\nvertices: %d\nedges: %d\ndegree_veracity: %s\nutility_gap: %s\n",
+			c.Index, c.Display(), spec, o.row.Spec.ID(), o.row.SHA256, o.where, o.elapsed, o.row.Vertices, o.row.Edges,
 			fmtF(o.row.Report.DegreeVeracity), fmtF(o.row.Utility.UtilityGap))
 	}
 	if err := os.WriteFile(name, []byte(body), 0o644); err != nil {

@@ -149,7 +149,7 @@ func startWorkers(t *testing.T, n int) *dist.Coordinator {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d/%d workers registered", co.LiveWorkers(), n)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // paces a poll of the live-worker count
 	}
 	return co
 }

@@ -20,7 +20,7 @@ type UtilityConfig struct {
 	Attacks []scenario.Attack `json:"attacks,omitempty"`
 	// HeldOutSeed drives the held-out scenario's RNG streams. It must
 	// differ from every grid generation seed, or the "held-out" set is the
-	// training set.
+	// training set; GridSpec.Normalize rejects a grid where it does not.
 	HeldOutSeed uint64 `json:"heldout_seed,omitempty"`
 	// HeldOutHosts and HeldOutSessions size the held-out seed-derived trace
 	// background.
@@ -37,7 +37,7 @@ type UtilityConfig struct {
 
 // Utility defaults.
 const (
-	DefaultHeldOutSeed     = 104729 // the 10000th prime; never a grid seed by convention
+	DefaultHeldOutSeed     = 104729 // the 10000th prime
 	DefaultHeldOutHosts    = 60
 	DefaultHeldOutSessions = 1200
 	DefaultGapMicros       = 1000

@@ -64,7 +64,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		rate       = fs.Float64("rate", 0, "emission cap in flows/sec (0 = unlimited)")
 		burst      = fs.Int("burst", 0, "token-bucket burst for -rate (0 = default)")
 		policyStr  = fs.String("policy", "block", "lag policy: block, drop or disconnect")
-		queueLen   = fs.Int("queue", 0, "per-subscriber queue bound in frames (0 = default)")
+		queueLen   = fs.Int("queue", 0, "per-subscriber queue bound in spans: runs of flows released at one instant, several of which one frame may carry (0 = default)")
 		batchLen   = fs.Int("batch", 0, "max flows per stream frame (0 = default, 1 = v1 single-flow frames)")
 		waitSubs   = fs.Int("wait", 0, "hold the clock until this many subscribers connect")
 		waitFor    = fs.Duration("wait-timeout", 60*time.Second, "bound on -wait (start anyway after)")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,7 +26,7 @@ func TestFillGraphCollectOrderAndMemoryCharge(t *testing.T) {
 	for i := range data {
 		data[i] = uint32(i)
 	}
-	g, err := FillGraph(Parallelize(c, data, 7), 1001, 0, graph.EdgeBatch{}, fillPairs)
+	g, err := FillGraph(Parallelize(c, data, 7), 1001, 0, graph.EdgeBatch{}, 0, fillPairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
 		data[i] = uint32(i)
 	}
 	var failed atomic.Bool
-	g, err := FillGraph(Parallelize(c, data, 4), n+1, 0, graph.EdgeBatch{}, func(r Run[uint32], cols *graph.EdgeBatch) {
+	g, err := FillGraph(Parallelize(c, data, 4), n+1, 0, graph.EdgeBatch{}, 0, func(r Run[uint32], cols *graph.EdgeBatch) {
 		if r.At == 2*blockSize && failed.CompareAndSwap(false, true) {
 			// Scribble over half the range, then die: the retry must
 			// overwrite every edge of it.
@@ -80,7 +81,7 @@ func TestFillGraphRetryOverwritesPartialRange(t *testing.T) {
 
 func TestFillGraphValidatesEndpoints(t *testing.T) {
 	c := Local(2)
-	_, err := FillGraph(Parallelize(c, []uint32{1, 2, 3}, 2), 3, 0, graph.EdgeBatch{}, fillPairs)
+	_, err := FillGraph(Parallelize(c, []uint32{1, 2, 3}, 2), 3, 0, graph.EdgeBatch{}, 0, fillPairs)
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want an out-of-range endpoint", err)
 	}
@@ -107,7 +108,7 @@ func TestDrawAheadThenFillGraphIsFillGraph(t *testing.T) {
 			}
 		}
 	}
-	want, err := FillGraph(Parallelize(MustNew(Config{}), data, 3), n, 9, graph.EdgeBatch{}, fillFrom(0))
+	want, err := FillGraph(Parallelize(MustNew(Config{}), data, 3), n, 9, graph.EdgeBatch{}, 0, fillFrom(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +136,59 @@ func TestDrawAheadThenFillGraphIsFillGraph(t *testing.T) {
 		if spans := tracer.Spans(); len(spans) != 1 || spans[0].Op != "drawAhead" || !spans[0].Serial {
 			t.Fatalf("DrawAhead recorded %+v, want one serial drawAhead span", spans)
 		}
-		g, err := FillGraph(Parallelize(c, data, 5), n, 9, cols, fillFrom(rows))
+		g, err := FillGraph(Parallelize(c, data, 5), n, 9, cols, rows, fillFrom(rows))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(g.AppendEdgeList(nil), want.AppendEdgeList(nil)) {
 			t.Fatalf("ahead %d, stop at %d: the graph differs from one FillGraph's", tc.ahead, tc.stopAt)
+		}
+	}
+}
+
+// TestFillTasksSplitTheUndrawnTail: after a DrawAhead over ¾ of the rows,
+// FillGraph's tasks still cover the rows once, in at most p contiguous runs
+// of whole blocks, and no task draws more than an even share of the undrawn
+// rows plus one block, beyond the rows that pay for its share of the drawn
+// rows' endpoints (drawn/(drawCost·t), under a block at the smallest size).
+// An even split in rows left the whole tail to the last task. With nothing
+// drawn, or everything, the tasks are blockTasks'.
+func TestFillTasksSplitTheUndrawnTail(t *testing.T) {
+	for _, tc := range []struct {
+		n int64
+		p int
+	}{{64*blockSize + 37, 4}, {10_000, 2}, {500_000, 4}, {1_000_003, 8}} {
+		for _, drawn := range []int64{0, tc.n, tc.n + blockSize} {
+			lo, w, work := fillTasks(tc.n, drawn, tc.p)
+			wantLo, wantW := blockTasks(tc.n, tc.p)
+			if !slices.Equal(lo, wantLo) || !slices.Equal(w, wantW) || !slices.Equal(work, wantW) {
+				t.Fatalf("n %d, drawn %d: tasks %v %v %v, want blockTasks' %v %v", tc.n, drawn, lo, w, work, wantLo, wantW)
+			}
+		}
+		drawn := tc.n * 3 / 4 / blockSize * blockSize
+		lo, w, work := fillTasks(tc.n, drawn, tc.p)
+		tasks := int64(len(lo))
+		if tasks == 0 || tasks > int64(tc.p) || len(w) != len(lo) || len(work) != len(lo) {
+			t.Fatalf("n %d: %d tasks for p %d", tc.n, tasks, tc.p)
+		}
+		undrawn := tc.n - drawn
+		bound := undrawn/tasks + drawn/(drawCost*tasks) + blockSize
+		var at int64
+		for i := range lo {
+			if lo[i] != at || lo[i]%blockSize != 0 || w[i] <= 0 {
+				t.Fatalf("n %d: task %d covers [%d, %d) after %d", tc.n, i, lo[i], lo[i]+w[i], at)
+			}
+			at += w[i]
+			draws := at - max(lo[i], drawn)
+			if draws > bound {
+				t.Fatalf("n %d, drawn %d: task %d draws %d rows, bound %d", tc.n, drawn, i, draws, bound)
+			}
+			if want := min(w[i], max(drawn-lo[i], 0)) + drawCost*max(draws, 0); work[i] != want {
+				t.Fatalf("n %d: task %d weighs %d, want %d", tc.n, i, work[i], want)
+			}
+		}
+		if at != tc.n {
+			t.Fatalf("n %d: tasks cover %d rows", tc.n, at)
 		}
 	}
 }

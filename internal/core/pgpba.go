@@ -238,7 +238,7 @@ func sampleWithReplacement[T any](ds *cluster.Dataset[T], fraction float64, seed
 // the rows it drew keep their attributes.
 func fillGraph(edges *cluster.Dataset[endpoints], numVertices int64, props *PropertyModel, seed uint64, skip bool, ahead propsAhead) (*graph.Graph, error) {
 	defer edges.Cluster().Scope("props")()
-	return cluster.FillGraph(edges, numVertices, seed, ahead.cols, func(r cluster.Run[endpoints], cols *graph.EdgeBatch) {
+	return cluster.FillGraph(edges, numVertices, seed, ahead.cols, ahead.rows, func(r cluster.Run[endpoints], cols *graph.EdgeBatch) {
 		// A run lies within one block, so ahead drew all of it or none.
 		draw := !skip && r.At >= ahead.rows
 		for i, e := range r.Xs {

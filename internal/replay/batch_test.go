@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"csb/internal/netflow"
@@ -324,5 +325,105 @@ func TestBatchLenOneServerEmitsExactV1Bytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("BatchLen 1 wire bytes differ from v1 rendering (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// An unpaced session at the default batch length frames full batches: a
+// ~20k-flow stream is the header, one frame per MaxBatchFlows flows (the
+// last one short) and the end frame — exactly 48 + 80n + 16⌈n/1024⌉ + 16
+// bytes — and its payloads are the flows' records.
+func TestUnpacedDefaultSessionFramesFullBatches(t *testing.T) {
+	flows := fanoutFlows(t)
+	n := len(flows)
+	s, addr := serveFlows(t, flows, Options{})
+	var (
+		got []byte
+		err error
+		wg  sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, derr := net.Dial("tcp", addr)
+		if derr != nil {
+			err = derr
+			return
+		}
+		defer conn.Close()
+		got, err = io.ReadAll(conn)
+	}()
+	if aerr := s.AwaitSubscribers(1, 10*time.Second); aerr != nil {
+		t.Fatal(aerr)
+	}
+	if serr := s.Start(); serr != nil {
+		t.Fatal(serr)
+	}
+	s.Wait()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := (n + MaxBatchFlows - 1) / MaxBatchFlows
+	if want := HeaderLen + FlowRecordLen*n + frameOverhead*frames + frameOverhead; len(got) != want {
+		t.Fatalf("%d flows put %d bytes on the wire, want %d (%d full-batch frames)", n, len(got), want, frames)
+	}
+	var payload bytes.Buffer
+	st, err := Consume(bytes.NewReader(got), func(_ uint64, _ netflow.Flow, raw []byte) error {
+		payload.Write(raw)
+		return nil
+	})
+	if err != nil || !st.Clean || st.Received != uint64(n) {
+		t.Fatalf("captured stream: err=%v stats=%+v", err, st)
+	}
+	if !bytes.Equal(payload.Bytes(), EncodeFlows(flows)) {
+		t.Fatal("payloads differ from EncodeFlows")
+	}
+}
+
+// A stream cut inside a frame — in its payload, in its checksum, right
+// before its checksum, or inside the end frame — fails as truncation
+// (io.ErrUnexpectedEOF), through Consume and Next alike, and one cut between
+// frames fails as io.EOF. A reader handing over one byte per call decodes
+// the whole stream the same as one handing over everything.
+func TestStreamReaderTruncatedFrameIsUnexpectedEOF(t *testing.T) {
+	flows := fanoutFlows(t)
+	const k = MaxBatchFlows / 3
+	data := batchStreamBytes(t, flows, []int{k})
+	frame := 12 + k*FlowRecordLen + 4 // the first frames' length
+	for _, tc := range []struct {
+		name string
+		cut  int
+		want error
+	}{
+		{"first payload", HeaderLen + 12 + 5, io.ErrUnexpectedEOF},
+		{"first checksum", HeaderLen + frame - 2, io.ErrUnexpectedEOF},
+		{"before the first checksum", HeaderLen + frame - 4, io.ErrUnexpectedEOF},
+		{"second payload", HeaderLen + frame + 12 + k*FlowRecordLen/2, io.ErrUnexpectedEOF},
+		{"second frame prefix", HeaderLen + frame + 7, io.ErrUnexpectedEOF},
+		{"end frame", len(data) - 3, io.ErrUnexpectedEOF},
+		{"between frames", HeaderLen + frame, io.EOF},
+	} {
+		cut := data[:tc.cut]
+		if _, err := Consume(bytes.NewReader(cut), nil); !errors.Is(err, tc.want) || errors.Is(err, ErrCorruptStream) {
+			t.Fatalf("%s: Consume err = %v, want %v", tc.name, err, tc.want)
+		}
+		sr, err := NewStreamReader(bytes.NewReader(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			_, err = sr.Next()
+		}
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Next err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	whole, err := Consume(bytes.NewReader(data), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trickled, err := Consume(iotest.OneByteReader(bytes.NewReader(data)), nil)
+	if err != nil || trickled != whole {
+		t.Fatalf("one byte a read: err=%v stats=%+v, want %+v", err, trickled, whole)
 	}
 }

@@ -75,7 +75,8 @@ type Options struct {
 	// Batching never delays delivery: a span holds only flows the pacer
 	// would have released without sleeping, and a frame only the contiguous
 	// spans already queued when the writer comes around, so a caught-up
-	// live subscriber still sees every flow in its own frame.
+	// live subscriber still sees every flow in its own frame, and an
+	// unpaced run frames full batches.
 	BatchLen int
 	// ArtifactSHA is the content address stamped into every stream header.
 	ArtifactSHA [32]byte
@@ -85,7 +86,7 @@ type Options struct {
 const (
 	DefaultQueueLen = 256
 	DefaultBurst    = 64
-	DefaultBatchLen = 64
+	DefaultBatchLen = MaxBatchFlows
 )
 
 func (o *Options) normalize() error {

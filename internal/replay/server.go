@@ -84,15 +84,28 @@ func NewServer(flows []netflow.Flow, opts Options) (*Server, error) {
 
 // NewServerFromRecords serves a slab of concatenated wire records — a CSBF1
 // flow section (FlowSection) or EncodeFlows output. It validates opts and
-// checks that the slab is whole records sorted by StartMicros (the pacing
-// contract). The slab is aliased, not copied: the caller must not modify it
-// while the server lives.
+// checks the slab with CheckRecords. The slab is aliased, not copied: the
+// caller must not modify it while the server lives.
 func NewServerFromRecords(slab []byte, opts Options) (*Server, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	if len(slab)%FlowRecordLen != 0 {
-		return nil, fmt.Errorf("replay: slab length %d is not a multiple of the %d-byte record: %w", len(slab), FlowRecordLen, ErrCorruptStream)
+	if err := CheckRecords(slab); err != nil {
+		return nil, err
+	}
+	return NewServerFromSortedRecords(slab, opts)
+}
+
+// NewServerFromSortedRecords is NewServerFromRecords for a slab that has
+// already passed CheckRecords — an artifact's flow section checked once and
+// replayed many times. It checks opts and that the slab is whole records, but
+// not their order.
+func NewServerFromSortedRecords(slab []byte, opts Options) (*Server, error) {
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
+	if err := wholeRecords(slab); err != nil {
+		return nil, err
 	}
 	s := &Server{
 		slab:    slab,
@@ -104,16 +117,33 @@ func NewServerFromRecords(slab []byte, opts Options) (*Server, error) {
 		stop:    make(chan struct{}),
 		runDone: make(chan struct{}),
 	}
+	s.hdr = EncodeHeader(Header{ArtifactSHA: opts.ArtifactSHA, Flows: uint64(s.flows)})
+	return s, nil
+}
+
+// CheckRecords checks that slab is whole wire records sorted by StartMicros,
+// the pacing contract of a server's dataset; a failure is ErrCorruptStream.
+func CheckRecords(slab []byte) error {
+	if err := wholeRecords(slab); err != nil {
+		return err
+	}
 	prev := int64(math.MinInt64)
-	for i := 0; i < s.flows; i++ {
-		start := s.startMicros(i)
+	for i := 0; i < len(slab)/FlowRecordLen; i++ {
+		start := int64(binary.BigEndian.Uint64(slab[i*FlowRecordLen+16:]))
 		if start < prev {
-			return nil, fmt.Errorf("replay: flows not sorted by StartMicros (index %d): %w", i, ErrCorruptStream)
+			return fmt.Errorf("replay: flows not sorted by StartMicros (index %d): %w", i, ErrCorruptStream)
 		}
 		prev = start
 	}
-	s.hdr = EncodeHeader(Header{ArtifactSHA: opts.ArtifactSHA, Flows: uint64(s.flows)})
-	return s, nil
+	return nil
+}
+
+// wholeRecords checks that slab's length is a whole number of records.
+func wholeRecords(slab []byte) error {
+	if len(slab)%FlowRecordLen != 0 {
+		return fmt.Errorf("replay: slab length %d is not a multiple of the %d-byte record: %w", len(slab), FlowRecordLen, ErrCorruptStream)
+	}
+	return nil
 }
 
 // startMicros reads flow i's start time out of its wire record.
@@ -322,10 +352,16 @@ func (s *Server) run() {
 // is not after one reading of the clock and the token bucket still holds a
 // whole token for each. These are exactly the flows the per-flow schedule
 // would release next without sleeping, so a span never delays a flow, and a
-// paced, caught-up run gets spans of one.
+// paced, caught-up run gets spans of one. When nothing paces the run every
+// flow is due at once, so the span is the next BatchLen flows, read off
+// neither the clock nor the records.
 func (s *Server) nextSpan(p *pacer, i int) span {
+	limit := min(s.opts.BatchLen, s.flows-i)
+	if p.speed == 0 && p.rate == 0 {
+		return span{first: i, n: limit}
+	}
 	p.wait(s.startMicros(i))
-	n, limit := 1, min(s.opts.BatchLen, s.flows-i)
+	n := 1
 	if limit > 1 {
 		now := s.clk.now()
 		for n < limit && p.due(s.startMicros(i+n), now) {

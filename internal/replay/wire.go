@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 
 	"csb/internal/bufpool"
 	"csb/internal/graph"
@@ -68,8 +69,10 @@ const (
 	// buffer: a corrupt length field can never demand more than
 	// MaxBatchFlows*FlowRecordLen bytes.
 	MaxBatchFlows = 1024
-	// frameOverhead is the per-frame framing cost: length + seq + crc.
-	frameOverhead = 4 + 8 + 4
+	// framePrefixLen is a frame's length and sequence fields, and
+	// frameOverhead the per-frame framing cost: the prefix and the crc.
+	framePrefixLen = 4 + 8
+	frameOverhead  = framePrefixLen + 4
 )
 
 // ErrCorruptStream tags every decode failure caused by malformed wire bytes
@@ -271,31 +274,46 @@ func ReadFlowFile(r io.Reader) ([]netflow.Flow, error) {
 // It is not safe for concurrent use; each subscriber owns one.
 type frameWriter struct {
 	w   *bufio.Writer
+	dst io.Writer // w's destination, for frames sent past the buffer
 	crc uint32
 	// pre and sum are the frame prefix and checksum scratch: as locals they
-	// escape through the io.Writer and cost two allocations per frame.
-	pre [12]byte
-	sum [4]byte
+	// escape through the io.Writer and cost two allocations per frame. vec
+	// and bufs are the vectored write's scratch, for the same reason.
+	pre  [framePrefixLen]byte
+	sum  [4]byte
+	vec  [3][]byte
+	bufs net.Buffers
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
-	return &frameWriter{w: bufio.NewWriterSize(w, 1<<15)}
+	return &frameWriter{w: bufio.NewWriterSize(w, 1<<15), dst: w}
 }
 
 // writeFrame emits one frame — payload is k >= 1 concatenated flow records,
 // seq the first record's flow index — and folds the payload into the rolling
-// checksum with a single CRC update, however many records it carries.
+// checksum with a single CRC update, however many records it carries. A frame
+// that does not fit the buffer's free space goes out, after a flush, as one
+// vectored write straight from the payload, which is never copied.
 func (fw *frameWriter) writeFrame(seq uint64, payload []byte) error {
 	binary.BigEndian.PutUint32(fw.pre[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint64(fw.pre[4:12], seq)
+	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, payload)
+	binary.BigEndian.PutUint32(fw.sum[:], fw.crc)
+	if len(fw.pre)+len(payload)+len(fw.sum) > fw.w.Available() {
+		if err := fw.w.Flush(); err != nil {
+			return err
+		}
+		fw.vec = [3][]byte{fw.pre[:], payload, fw.sum[:]}
+		fw.bufs = fw.vec[:]
+		_, err := fw.bufs.WriteTo(fw.dst)
+		return err
+	}
 	if _, err := fw.w.Write(fw.pre[:]); err != nil {
 		return err
 	}
 	if _, err := fw.w.Write(payload); err != nil {
 		return err
 	}
-	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, payload)
-	binary.BigEndian.PutUint32(fw.sum[:], fw.crc)
 	_, err := fw.w.Write(fw.sum[:])
 	return err
 }
@@ -328,22 +346,20 @@ type Frame struct {
 // StreamReader consumes one CSBS1 stream, verifying the rolling checksum on
 // every frame. It decodes v1 single-flow frames and batch frames on the same
 // stream transparently: Next yields exactly one flow per call either way, so
-// callers never see the sender's framing. The payload buffer is reused
-// across frames (grown geometrically up to the MaxBatchFlows bound), which is
-// what keeps a fan-out consumer allocation-free per flow.
+// callers never see the sender's framing. Its buffer holds the largest frame
+// the wire allows, and each frame is checked and decoded where it lies in
+// that buffer, so the payload is never copied out of it — which is also what
+// keeps a fan-out consumer allocation-free per flow.
 type StreamReader struct {
 	br  *bufio.Reader
 	crc uint32
 
-	// payload holds the current frame's records; off is the byte offset of
-	// the next record Next will yield, batchSeq the frame's first flow index.
+	// payload holds the current frame's records, aliased into br's buffer
+	// until the next frame is read; off is the byte offset of the next record
+	// Next will yield, batchSeq the frame's first flow index.
 	payload  []byte
 	off      int
 	batchSeq uint64
-	// pre and sum receive each frame's prefix and checksum (struct fields so
-	// that reading through the io.Reader allocates nothing per frame).
-	pre [12]byte
-	sum [4]byte
 
 	// Header is the stream header, decoded at construction.
 	Header Header
@@ -367,18 +383,34 @@ type StreamReader struct {
 	done    bool
 }
 
+// maxFrameLen is the largest frame the wire allows: a full batch and its
+// framing. The reader's buffer holds one whole.
+const maxFrameLen = MaxBatchFlows*FlowRecordLen + frameOverhead
+
 // NewStreamReader reads and validates the stream header.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	br := bufio.NewReaderSize(r, 1<<15)
-	var hb [HeaderLen]byte
-	if _, err := io.ReadFull(br, hb[:]); err != nil {
+	br := bufio.NewReaderSize(r, maxFrameLen)
+	hb, err := peek(br, HeaderLen)
+	if err != nil {
 		return nil, fmt.Errorf("replay: stream header: %w", err)
 	}
-	h, err := DecodeHeader(hb[:])
+	h, err := DecodeHeader(hb)
 	if err != nil {
 		return nil, err
 	}
+	br.Discard(HeaderLen)
 	return &StreamReader{br: br, Header: h}, nil
+}
+
+// peek returns the next n <= maxFrameLen bytes of br without consuming them,
+// failing as io.ReadFull would: io.EOF when the stream ends before the first
+// of them, io.ErrUnexpectedEOF when it ends part-way.
+func peek(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 // Next returns the next flow frame, reading a new wire frame only once the
@@ -403,27 +435,31 @@ func (sr *StreamReader) Next() (Frame, error) {
 
 // readFrame reads the next wire frame and verifies its framing, sequence
 // number and rolling checksum — the one frame parser, under Next and Consume
-// alike. A flow frame leaves its records in payload with off at 0 and batchSeq
-// at the first record's index; the end frame leaves payload empty, sets done
-// and puts the delivered count it carries (checked against Received) in
-// batchSeq.
+// alike. The frame is checked in the reader's buffer and then consumed, so
+// its bytes stay where they are until the next read. A flow frame leaves its
+// records in payload with off at 0 and batchSeq at the first record's index;
+// the end frame leaves payload empty, sets done and puts the delivered count
+// it carries (checked against Received) in batchSeq.
 func (sr *StreamReader) readFrame() error {
-	sr.payload, sr.off = sr.payload[:0], 0
-	if _, err := io.ReadFull(sr.br, sr.pre[:]); err != nil {
+	sr.payload, sr.off = nil, 0
+	pre, err := peek(sr.br, framePrefixLen)
+	if err != nil {
 		return fmt.Errorf("replay: frame header: %w", err)
 	}
-	length := binary.BigEndian.Uint32(sr.pre[0:4])
-	seq := binary.BigEndian.Uint64(sr.pre[4:12])
+	length := binary.BigEndian.Uint32(pre[0:4])
+	seq := binary.BigEndian.Uint64(pre[4:12])
 	if length == 0 {
-		if _, err := io.ReadFull(sr.br, sr.sum[:]); err != nil {
+		fr, err := peek(sr.br, frameOverhead)
+		if err != nil {
 			return fmt.Errorf("replay: end frame: %w", err)
 		}
-		if got := binary.BigEndian.Uint32(sr.sum[:]); got != sr.crc {
+		if got := binary.BigEndian.Uint32(fr[framePrefixLen:]); got != sr.crc {
 			return corruptf("final checksum %08x, want %08x", got, sr.crc)
 		}
 		if seq != sr.Received {
 			return corruptf("end frame claims %d flows, received %d", seq, sr.Received)
 		}
+		sr.br.Discard(frameOverhead)
 		if sr.Header.Flows > sr.nextSeq {
 			sr.Tail = sr.Header.Flows - sr.nextSeq
 		}
@@ -438,19 +474,17 @@ func (sr *StreamReader) readFrame() error {
 	if k > MaxBatchFlows {
 		return corruptf("batch of %d flows exceeds the %d-flow limit", k, MaxBatchFlows)
 	}
-	payload := sr.payload
-	if cap(payload) < int(length) {
-		payload = make([]byte, length)
-	}
-	payload = payload[:length]
-	if _, err := io.ReadFull(sr.br, payload); err != nil {
+	end := framePrefixLen + int(length)
+	fr, err := peek(sr.br, end+4)
+	if len(fr) < end {
 		return fmt.Errorf("replay: frame payload: %w", err)
 	}
+	payload := fr[framePrefixLen:end:end]
 	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, payload)
-	if _, err := io.ReadFull(sr.br, sr.sum[:]); err != nil {
+	if err != nil {
 		return fmt.Errorf("replay: frame checksum: %w", err)
 	}
-	if got := binary.BigEndian.Uint32(sr.sum[:]); got != sr.crc {
+	if got := binary.BigEndian.Uint32(fr[end:]); got != sr.crc {
 		return corruptf("rolling checksum %08x at seq %d, want %08x", got, seq, sr.crc)
 	}
 	if sr.started {
@@ -462,6 +496,7 @@ func (sr *StreamReader) readFrame() error {
 		sr.started = true
 		sr.Head = seq
 	}
+	sr.br.Discard(end + 4)
 	sr.nextSeq = seq + uint64(k)
 	sr.batchSeq = seq
 	sr.payload = payload

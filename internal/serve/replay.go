@@ -133,12 +133,20 @@ func (s *Server) StartReplay(req ReplayRequest) (ReplayStatus, error) {
 	if !ok {
 		return ReplayStatus{}, &submitErr{code: http.StatusNotFound, msg: "artifact evicted or unknown; resubmit the job"}
 	}
-	rsrv, err := NewReplayServer(data, s.artifactFormat(req.ArtifactID), replay.Options{
+	info := s.artifactInfo(req.ArtifactID)
+	rsrv, order, err := replayServer(data, info.format, info.order, replay.Options{
 		Speed: req.Speed, Rate: req.Rate, Burst: req.Burst,
 		Policy: policy, QueueLen: req.Queue, ArtifactSHA: ArtifactSHA(req.ArtifactID),
 	})
 	if err != nil {
 		return ReplayStatus{}, &submitErr{code: http.StatusBadRequest, msg: err.Error()}
+	}
+	if order != info.order {
+		s.mu.Lock()
+		info = s.formats[req.ArtifactID]
+		info.order = order
+		s.formats[req.ArtifactID] = info
+		s.mu.Unlock()
 	}
 
 	s.rmu.Lock()
@@ -310,9 +318,27 @@ func (s *Server) replayMetrics() ReplayMetrics {
 	return m
 }
 
-// artifactFormat recovers an artifact's format from the job records that
-// named it ("" when none did — e.g. a cache-warmed artifact).
-func (s *Server) artifactFormat(artifact string) string {
+// artifactInfo is what the server knows of a cached artifact beyond its
+// bytes: the format of the job records that named it ("" when none did —
+// e.g. a cache-warmed artifact), and for a csbf artifact what the one check
+// of its flow section's start-time order found. Bytes are a function of the
+// artifact id, so neither goes stale when the cache evicts and rebuilds them.
+type artifactInfo struct {
+	format string
+	order  flowOrder
+}
+
+// flowOrder is what checking a csbf artifact's flow section found.
+type flowOrder uint8
+
+const (
+	orderUnchecked flowOrder = iota
+	orderSorted              // whole records sorted by start time: streamed in place
+	orderUnsorted            // replayed through the sorting decode path
+)
+
+// artifactInfo returns what the server knows of an artifact.
+func (s *Server) artifactInfo(artifact string) artifactInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.formats[artifact]
@@ -337,10 +363,27 @@ func ArtifactSHA(id string) (sha [32]byte) {
 // order (scenario artifacts never are: Finish sorts them), goes through
 // ReplayFlows and is re-encoded.
 func NewReplayServer(data []byte, format string, opts replay.Options) (*replay.Server, error) {
+	rsrv, _, err := replayServer(data, format, orderUnchecked, opts)
+	return rsrv, err
+}
+
+// replayServer is NewReplayServer for an artifact whose flow order an earlier
+// session may have checked (order), so a csbf artifact is scanned once, not
+// once per session. It returns the order it knows afterwards, for the caller
+// to keep.
+func replayServer(data []byte, format string, order flowOrder, opts replay.Options) (*replay.Server, flowOrder, error) {
 	if format == FormatCSBF {
 		if slab, err := replay.FlowSection(data); err == nil {
-			if rsrv, err := replay.NewServerFromRecords(slab, opts); err == nil {
-				return rsrv, nil
+			if order == orderUnchecked {
+				order = orderUnsorted
+				if replay.CheckRecords(slab) == nil {
+					order = orderSorted
+				}
+			}
+			if order == orderSorted {
+				if rsrv, err := replay.NewServerFromSortedRecords(slab, opts); err == nil {
+					return rsrv, order, nil
+				}
 			}
 		}
 		// Fall through: the decode path reports a malformed artifact or bad
@@ -348,9 +391,10 @@ func NewReplayServer(data []byte, format string, opts replay.Options) (*replay.S
 	}
 	flows, err := ReplayFlows(data, format)
 	if err != nil {
-		return nil, err
+		return nil, order, err
 	}
-	return replay.NewServer(flows, opts)
+	rsrv, err := replay.NewServer(flows, opts)
+	return rsrv, order, err
 }
 
 // ReplayFlows decodes artifact bytes into the flows a replay run emits, in

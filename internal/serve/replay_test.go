@@ -244,7 +244,7 @@ func TestReplayMetricsLines(t *testing.T) {
 func cacheFlowArtifact(s *Server, id string, data []byte) string {
 	s.cache.Put(id, data)
 	s.mu.Lock()
-	s.formats[id] = FormatCSBF
+	s.formats[id] = artifactInfo{format: FormatCSBF}
 	s.mu.Unlock()
 	return id
 }
@@ -309,8 +309,9 @@ func TestReplayStartAliasesArtifact(t *testing.T) {
 }
 
 // TestReplayUnsortedArtifactFallsBack: a csbf whose records are out of
-// start-time order cannot be streamed in place; the session decodes it and
-// replays it in start-time order.
+// start-time order cannot be streamed in place; every session decodes it and
+// replays it in start-time order, and the server remembers the order it
+// found so no session scans the slab again first.
 func TestReplayUnsortedArtifactFallsBack(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 	flows := make([]netflow.Flow, 50)
@@ -324,11 +325,63 @@ func TestReplayUnsortedArtifactFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := cacheFlowArtifact(s, strings.Repeat("ef", 32), buf.Bytes())
+	for session := range 2 {
+		st, err := s.StartReplay(ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, inOrder) {
+			t.Fatalf("session %d: unsorted csbf did not replay in start-time order", session)
+		}
+		if order := s.artifactInfo(id).order; order != orderUnsorted {
+			t.Fatalf("session %d: recorded order %d, want unsorted", session, order)
+		}
+	}
+}
+
+// TestReplayChecksFlowOrderOncePerArtifact: the first session of a sorted
+// csbf artifact checks its flow order and records it beside the artifact's
+// format; later sessions trust the record and stream the cached bytes as
+// they lie, without scanning them. An artifact's bytes are a function of its
+// id, so the record cannot go stale; here the cached bytes are swapped for an
+// out-of-order copy under the same id, and the second session streams that
+// copy unsorted — which it would not, had it scanned the slab again.
+func TestReplayChecksFlowOrderOncePerArtifact(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	flows := make([]netflow.Flow, 50)
+	for i := range flows {
+		flows[i] = netflow.Flow{SrcIP: uint32(i), StartMicros: int64(i) * 10}
+	}
+	var buf bytes.Buffer
+	if err := replay.WriteFlowFile(&buf, flows); err != nil {
+		t.Fatal(err)
+	}
+	id := cacheFlowArtifact(s, strings.Repeat("ab", 32), bytes.Clone(buf.Bytes()))
+	if order := s.artifactInfo(id).order; order != orderUnchecked {
+		t.Fatalf("a fresh artifact's order is %d, want unchecked", order)
+	}
 	st, err := s.StartReplay(ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, inOrder) {
-		t.Fatal("unsorted csbf did not replay in start-time order")
+	if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, buf.Bytes()[replay.FlowFileHeaderLen:]) {
+		t.Fatal("first session: stream payloads differ from the artifact's flow section")
+	}
+	if order := s.artifactInfo(id).order; order != orderSorted {
+		t.Fatalf("after the first session the order is %d, want sorted", order)
+	}
+
+	flows[10], flows[31] = flows[31], flows[10]
+	buf.Reset()
+	if err := replay.WriteFlowFile(&buf, flows); err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Put(id, buf.Bytes())
+	st, err = s.StartReplay(ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, buf.Bytes()[replay.FlowFileHeaderLen:]) {
+		t.Fatal("second session re-checked the flow order instead of trusting the record")
 	}
 }

@@ -155,8 +155,9 @@ type Server struct {
 	jobs     map[string]*job
 	inflight map[string]*job // artifact id -> queued/running job (single-flight)
 	// formats maps an artifact id to the format of the jobs that named it,
-	// so serving an artifact never scans the ever-growing job table.
-	formats map[string]string
+	// so serving an artifact never scans the ever-growing job table, and to
+	// what replaying it has learnt of its flow order.
+	formats map[string]artifactInfo
 	closed  bool
 
 	// Replay sessions (internal/replay) keyed by session id; rtotals
@@ -229,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		formats:  make(map[string]string),
+		formats:  make(map[string]artifactInfo),
 		replays:  make(map[string]*replaySession),
 	}
 	s.buildArtifact = func(ctx context.Context, spec Spec) ([]byte, error) {
@@ -520,7 +521,9 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 // recordJob files a new job record and its artifact's format; s.mu is held.
 func (s *Server) recordJob(j *job) {
 	s.jobs[j.id] = j
-	s.formats[j.artifact] = j.spec.Format
+	info := s.formats[j.artifact]
+	info.format = j.spec.Format
+	s.formats[j.artifact] = info
 }
 
 // nextID mints a job id.
@@ -744,7 +747,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	// The artifact's format rides in its spec; a job that named this
 	// artifact gives an accurate content type, and a direct content-address
 	// fetch of an artifact no job named defaults to octet-stream.
-	s.serveArtifact(w, id, Spec{Format: s.artifactFormat(id)})
+	s.serveArtifact(w, id, Spec{Format: s.artifactInfo(id).format})
 }
 
 // serveArtifact streams cached artifact bytes in bounded chunks, each a

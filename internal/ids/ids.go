@@ -104,49 +104,114 @@ func AggregatePatterns(flows []netflow.Flow) (byDst, bySrc []Pattern) {
 
 // aggregator is the one place flows become patterns, off-line (aggregate) and
 // on-line (StreamDetector folds each flow on arrival with add). It keeps its
-// storage from one window to the next: a reset is five counter bumps, so a
-// window costs what its own flows cost, not what the largest window before it
-// grew the tables to.
+// storage from one window to the next, and a reset is five counter bumps and
+// at most 64 bytes cleared, whatever the largest window before it grew the
+// tables to.
+//
+// A window's distinct sets live beside the patterns that own them, as bit
+// masks: the window's first 64 destination ports each get a bit of every
+// pattern's ports mask, and a source pattern's peers mask has a bit for each
+// of the first 64 destination patterns. A flow inside those bounds costs its
+// two index probes and a few bit operations. A port or a pair past them
+// spills: the pattern keeps the first one it meets, and only the others reach
+// a stampTable. Which tier holds a member is fixed for the whole window (a
+// port gets its bit at first sight or never, a destination's slot never
+// moves), so each distinct count is the sum of disjoint parts.
 type aggregator struct {
 	dst, src patternSide
-	// pairs is the distinct-peer set of both sides at once: the first
-	// sighting of (src, dst) is a new source for dst and a new destination
-	// for src.
+	// pairs is the distinct-peer set of both sides at once, for the spilled
+	// pairs a source does not keep: the first sighting of (src, dst) is a
+	// new source for dst and a new destination for src.
 	pairs stampTable
+	// portBit maps a destination port to 1 + its bit in the ports masks (0:
+	// no bit this window); bitPorts lists the ports holding one, in bit
+	// order, so a reset clears only those.
+	portBit  [1 << 16]uint8
+	bitPorts []uint16
 }
 
 // patternSide is one pattern table under construction, keyed on the flows'
 // destination or source address.
 type patternSide struct {
 	index stampTable // detection IP -> its slot in pats
-	ports stampTable // set of ip<<32|dstPort
+	ports stampTable // set of ip<<32|dstPort, for spilled ports a pattern does not keep
 	pats  []Pattern
+	masks []patternMasks // beside pats, slot for slot
+}
+
+// patternMasks are one pattern's small distinct sets: its destination ports
+// by port bit and, on the source side, its peers by destination slot; and the
+// first of each that spilled, as 1 + port and as the destination slot (past
+// 63), 0 while none has.
+type patternMasks struct {
+	ports, peers uint64
+	port, peer   uint32
 }
 
 func (a *aggregator) reset() {
 	for _, t := range [...]*stampTable{&a.pairs, &a.dst.index, &a.dst.ports, &a.src.index, &a.src.ports} {
 		t.reset()
 	}
-	a.dst.pats = a.dst.pats[:0]
-	a.src.pats = a.src.pats[:0]
+	for _, p := range a.bitPorts {
+		a.portBit[p] = 0
+	}
+	a.bitPorts = a.bitPorts[:0]
+	a.dst.pats, a.dst.masks = a.dst.pats[:0], a.dst.masks[:0]
+	a.src.pats, a.src.masks = a.src.pats[:0], a.src.masks[:0]
 }
 
 // add folds one flow into its destination's and its source's pattern.
 func (a *aggregator) add(f *netflow.Flow) {
-	d := a.dst.pattern(f.DstIP, true)
-	s := a.src.pattern(f.SrcIP, false)
+	di, si := a.dst.slot(f.DstIP, true), a.src.slot(f.SrcIP, false)
+	d, s := &a.dst.pats[di], &a.src.pats[si]
+	dm, sm := &a.dst.masks[di], &a.src.masks[si]
 	d.fold(f)
 	s.fold(f)
-	if _, fresh := a.pairs.put(uint64(f.SrcIP)<<32|uint64(f.DstIP), 0); fresh {
-		d.DistinctPeers++
-		s.DistinctPeers++
+	var fresh int64
+	if di < 64 {
+		fresh = mark(&sm.peers, uint(di))
+	} else {
+		fresh = spill(&sm.peer, uint32(di), &a.pairs, uint64(f.SrcIP)<<32|uint64(f.DstIP))
 	}
-	if _, fresh := a.dst.ports.put(uint64(f.DstIP)<<32|uint64(f.DstPort), 0); fresh {
-		d.DistinctPorts++
+	d.DistinctPeers += fresh
+	s.DistinctPeers += fresh
+	b := a.portBit[f.DstPort]
+	if b == 0 && len(a.bitPorts) < 64 {
+		a.bitPorts = append(a.bitPorts, f.DstPort)
+		b = uint8(len(a.bitPorts))
+		a.portBit[f.DstPort] = b
 	}
-	if _, fresh := a.src.ports.put(uint64(f.SrcIP)<<32|uint64(f.DstPort), 0); fresh {
-		s.DistinctPorts++
+	if b != 0 {
+		d.DistinctPorts += mark(&dm.ports, uint(b-1))
+		s.DistinctPorts += mark(&sm.ports, uint(b-1))
+		return
 	}
+	d.DistinctPorts += spill(&dm.port, uint32(f.DstPort)+1, &a.dst.ports, uint64(f.DstIP)<<32|uint64(f.DstPort))
+	s.DistinctPorts += spill(&sm.port, uint32(f.DstPort)+1, &a.src.ports, uint64(f.SrcIP)<<32|uint64(f.DstPort))
+}
+
+// spill adds member v (never 0) of a pattern's spilled set and returns 1 if
+// it is new. The pattern keeps the first member in *first; the others go to t
+// under key, so a pattern that spills one member never probes t.
+func spill(first *uint32, v uint32, t *stampTable, key uint64) int64 {
+	switch *first {
+	case 0:
+		*first = v
+		return 1
+	case v:
+		return 0
+	}
+	if _, fresh := t.put(key, 0); fresh {
+		return 1
+	}
+	return 0
+}
+
+// mark sets bit in *m and returns 1 if it was clear, 0 if it was set.
+func mark(m *uint64, bit uint) int64 {
+	old := *m
+	*m = old | 1<<bit
+	return int64(^old >> bit & 1)
 }
 
 // fold adds f's volume and flag counts to the pattern.
@@ -176,14 +241,15 @@ func (a *aggregator) aggregate(flows []netflow.Flow) (byDst, bySrc []Pattern) {
 	return a.dst.pats, a.src.pats
 }
 
-// pattern returns the pattern of detection address ip, opening it on first use.
-// The pointer is valid until the side's next pattern call.
-func (s *patternSide) pattern(ip uint32, byDst bool) *Pattern {
+// slot returns the slot of detection address ip's pattern, opening it on
+// first use.
+func (s *patternSide) slot(ip uint32, byDst bool) int32 {
 	slot, fresh := s.index.put(uint64(ip), int32(len(s.pats)))
 	if fresh {
 		s.pats = append(s.pats, Pattern{IP: ip, ByDst: byDst})
+		s.masks = append(s.masks, patternMasks{})
 	}
-	return &s.pats[slot]
+	return slot
 }
 
 // stampTable is an open-addressed uint64 -> int32 table (linear probing, at

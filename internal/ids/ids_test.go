@@ -350,17 +350,58 @@ func TestAggregatorMatchesReference(t *testing.T) {
 	for range 50 {
 		sets = append(sets, randomFlows(1+rng.IntN(400), 1+rng.IntN(len(ips))))
 	}
+	// Windows on both sides of the aggregator's small sets (64 port bits, 64
+	// destination slots in a source's peers mask): nPorts distinct ports, 0
+	// and 65535 among them, over nDsts destinations from five sources whose
+	// peers straddle the 64th slot, in shuffled order, every flow twice.
+	edgeFlows := func(nPorts, nDsts int) []netflow.Flow {
+		port := func(k int) uint16 {
+			if k < 2 {
+				return []uint16{0, 65535}[k]
+			}
+			return uint16(k - 1)
+		}
+		var flows []netflow.Flow
+		for i := range 3 * max(nPorts, nDsts) {
+			k, d := i%nPorts, i%nDsts // every port and destination once, then at random
+			if i >= nPorts {
+				k = rng.IntN(nPorts)
+			}
+			if i >= nDsts {
+				d = rng.IntN(nDsts)
+			}
+			f := randomFlows(1, 1)[0]
+			f.SrcIP, f.DstIP, f.DstPort = ips[len(ips)-1-rng.IntN(5)], 0x0a000000+uint32(d), port(k)
+			flows = append(flows, f, f)
+		}
+		rng.Shuffle(len(flows), func(i, j int) { flows[i], flows[j] = flows[j], flows[i] })
+		return flows
+	}
+	var edges [][]netflow.Flow
+	for _, nPorts := range []int{1, 63, 64, 65, 200} {
+		for _, nDsts := range []int{1, 63, 64, 65, 130} {
+			edges = append(edges, edgeFlows(nPorts, nDsts))
+		}
+	}
+	sets = append(sets, edges...)
 	for i, flows := range sets {
 		byDst, bySrc := AggregatePatterns(flows)
 		check(fmt.Sprintf("one-shot set %d", i), flows, byDst, bySrc)
 	}
 
-	// Ten consecutive windows through one aggregator, a crowded window before
-	// a sparse one, and an empty one in between.
+	// Consecutive windows through one aggregator, a crowded window before a
+	// sparse one and an empty one in between, then every edge window followed
+	// by small ones over ports 0 and 65535: a port that held a bit, or a
+	// destination that held a slot, must hold nothing in the next window.
 	var a aggregator
+	windows := make([][]netflow.Flow, 0, 10+3*len(edges))
 	for w := range 10 {
-		n := []int{300, 5, 0, 120}[w%4]
-		flows := randomFlows(n, 1+rng.IntN(len(ips)))
+		windows = append(windows, randomFlows([]int{300, 5, 0, 120}[w%4], 1+rng.IntN(len(ips))))
+	}
+	for _, e := range edges {
+		windows = append(windows, e, randomFlows(40, len(ips)), randomFlows(3, 2))
+	}
+	for w, flows := range windows {
 		byDst, bySrc := a.aggregate(flows)
 		check(fmt.Sprintf("reused window %d", w), flows, byDst, bySrc)
 	}

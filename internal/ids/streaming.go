@@ -105,12 +105,16 @@ func (s *StreamDetector) SetReorderHorizon(horizonMicros int64) {
 // previously it was silently folded into the wrong window, corrupting that
 // window's pattern accounting. With a horizon, arrival order may be off by
 // up to the horizon; only flows older than that are rejected.
-func (s *StreamDetector) Add(f netflow.Flow) error {
+func (s *StreamDetector) Add(f netflow.Flow) error { return s.add(&f) }
+
+// add is Add behind a pointer: Add inlines into its caller, so the flow is
+// not copied again on its way to the aggregator.
+func (s *StreamDetector) add(f *netflow.Flow) error {
 	if f.StartMicros > s.maxSeen {
 		s.maxSeen = f.StartMicros
 	}
 	if s.horizon <= 0 {
-		return s.ingest(&f)
+		return s.ingest(f)
 	}
 	// Insert in start-time order; arrivals are mostly in order, so the
 	// binary search almost always appends. Flows that fall behind even the
@@ -120,7 +124,7 @@ func (s *StreamDetector) Add(f netflow.Flow) error {
 	})
 	s.pending = append(s.pending, netflow.Flow{})
 	copy(s.pending[i+1:], s.pending[i:])
-	s.pending[i] = f
+	s.pending[i] = *f
 	return s.release(s.maxSeen - s.horizon)
 }
 

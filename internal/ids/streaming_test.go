@@ -343,17 +343,74 @@ func quietFlows(rng *rand.Rand, n, hosts int) []netflow.Flow {
 // hosts hosts, with a 2,000-port scan, a 5,000-flow flood and a 200×20 DDoS
 // in windows 3, 5 and 7.
 func sessionFlows(windows, perWindow, hosts int) []netflow.Flow {
-	const window = 1e6
 	rng := rand.New(rand.NewPCG(18, 4))
+	return withAttacks(windows, func() []netflow.Flow { return quietFlows(rng, perWindow, hosts) })
+}
+
+// withAttacks lays background() over windows one-second windows and the
+// scenario's three attacks over windows 3, 5 and 7, in start-time order.
+func withAttacks(windows int, background func() []netflow.Flow) []netflow.Flow {
+	const window = 1e6
 	var flows []netflow.Flow
 	for w := range windows {
-		flows = append(flows, at(quietFlows(rng, perWindow, hosts), int64(w)*window, window)...)
+		flows = append(flows, at(background(), int64(w)*window, window)...)
 	}
 	flows = append(flows, at(hostScanFlows(0x0a000002, 2000), 3*window, window)...)
 	flows = append(flows, at(synFloodFlows(0x0a000003, 5000), 5*window, window)...)
 	flows = append(flows, at(ddosFlows(0x0a000004, 200, 20), 7*window, window)...)
 	netflow.SortByStart(flows)
 	return flows
+}
+
+// hubSessionFlows is sessionFlows with the background the replay-detect
+// scenario's preferential-attachment graph projects: 150 conversations
+// (source, destination, service port) among 80 hosts, drawn with heavy-tailed
+// weights, so a one-second window of 1,000 flows holds ≈ 34 destinations, ≈ 51
+// sources and ≈ 79 distinct pairs (92% of its flows repeat one) over at most
+// 12 ports.
+func hubSessionFlows(windows, perWindow int) []netflow.Flow {
+	rng := rand.New(rand.NewPCG(18, 5))
+	services := []uint16{22, 25, 53, 80, 110, 123, 143, 443, 445, 993, 3306, 8080}
+	hubs := rand.NewZipf(rng, 1.1, 4, 79)
+	type conversation struct {
+		src, dst uint32
+		port     uint16
+	}
+	convs := make([]conversation, 150)
+	for i := range convs {
+		convs[i] = conversation{
+			src:  0x0a000100 + uint32(rng.IntN(60)),
+			dst:  0x0a000100 + uint32(hubs.Uint64()),
+			port: services[rng.IntN(len(services))],
+		}
+	}
+	pick := rand.NewZipf(rng, 1.6, 1, uint64(len(convs)-1))
+	return withAttacks(windows, func() []netflow.Flow {
+		out := make([]netflow.Flow, perWindow)
+		for i := range out {
+			c := convs[pick.Uint64()]
+			out[i] = netflow.Flow{
+				SrcIP: c.src, DstIP: c.dst, SrcPort: uint16(1024 + rng.IntN(60000)), DstPort: c.port,
+				OutBytes: 200 + rng.Int64N(4000), InBytes: rng.Int64N(20000),
+				OutPkts: 4 + rng.Int64N(10), InPkts: 3 + rng.Int64N(20), SYNCount: 2, ACKCount: 10,
+			}
+		}
+		return out
+	})
+}
+
+// wideFlows is n flows among 20,000 hosts over 5,000 destination ports: a
+// window of them overflows every small set the aggregator keeps.
+func wideFlows(rng *rand.Rand, n int) []netflow.Flow {
+	out := make([]netflow.Flow, n)
+	for i := range out {
+		out[i] = netflow.Flow{
+			SrcIP: 0x0a000000 + uint32(rng.IntN(20_000)), DstIP: 0x0a000000 + uint32(rng.IntN(20_000)),
+			SrcPort: uint16(1024 + rng.IntN(60000)), DstPort: uint16(1024 + rng.IntN(5000)),
+			OutBytes: 40 + rng.Int64N(400), OutPkts: 1 + rng.Int64N(3), SYNCount: 1,
+		}
+	}
+	return out
 }
 
 // referenceStream is the detector the streaming one must equal: the flows cut
@@ -530,14 +587,42 @@ func TestStreamAddAllocatesNothingWarm(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamDetectorSession is one replay-detect subscriber's detector
-// work: ≈ 511 one-second windows of ≈ 1,000 flows, the three attacks early on.
-func BenchmarkStreamDetectorSession(b *testing.B) {
-	flows := sessionFlows(511, 1000, 300)
+// smallShares returns the shares of flows whose destination port is among
+// the first 64 of its window and whose destination is among the window's first
+// 64: the flows whose port and peer the aggregator keeps in bit masks.
+func smallShares(flows []netflow.Flow, window int64) (ports, peers float64) {
+	var nPorts, nPeers int
+	for i := 0; i < len(flows); {
+		idx := flows[i].StartMicros / window
+		portRank, dstRank := make(map[uint16]int), make(map[uint32]int)
+		j := i
+		for ; j < len(flows) && flows[j].StartMicros/window == idx; j++ {
+			f := &flows[j]
+			if _, ok := portRank[f.DstPort]; !ok {
+				portRank[f.DstPort] = len(portRank)
+			}
+			if _, ok := dstRank[f.DstIP]; !ok {
+				dstRank[f.DstIP] = len(dstRank)
+			}
+			if portRank[f.DstPort] < 64 {
+				nPorts++
+			}
+			if dstRank[f.DstIP] < 64 {
+				nPeers++
+			}
+		}
+		i = j
+	}
+	return float64(nPorts) / float64(len(flows)), float64(nPeers) / float64(len(flows))
+}
+
+// benchmarkStream times one subscriber's detector over flows, reporting the
+// flow rate and the shares of flows inside the small sets.
+func benchmarkStream(b *testing.B, flows []netflow.Flow, window int64) {
 	alerts := 0
 	b.ReportAllocs()
 	for b.Loop() {
-		s := NewStreamDetector(DefaultThresholds(), 1e6, func(Alert) { alerts++ })
+		s := NewStreamDetector(DefaultThresholds(), window, func(Alert) { alerts++ })
 		for i := range flows {
 			s.Add(flows[i])
 		}
@@ -547,4 +632,31 @@ func BenchmarkStreamDetectorSession(b *testing.B) {
 		b.Fatal("no alerts")
 	}
 	b.ReportMetric(float64(len(flows))*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
+	ports, peers := smallShares(flows, window)
+	b.ReportMetric(100*ports, "port-bit-%")
+	b.ReportMetric(100*peers, "peer-bit-%")
+}
+
+// BenchmarkStreamDetectorSession is one replay-detect subscriber's detector
+// work: ≈ 511 one-second windows of ≈ 1,000 flows among 300 hosts, the three
+// attacks early on.
+func BenchmarkStreamDetectorSession(b *testing.B) {
+	benchmarkStream(b, sessionFlows(511, 1000, 300), 1e6)
+}
+
+// BenchmarkStreamDetectorHub is the same session over the hub-shaped
+// background of the replay-detect scenario, at the benchmark's one-second
+// window and at the default one-minute window.
+func BenchmarkStreamDetectorHub(b *testing.B) {
+	flows := hubSessionFlows(511, 1000)
+	b.Run("1s", func(b *testing.B) { benchmarkStream(b, flows, 1e6) })
+	b.Run("60s", func(b *testing.B) { benchmarkStream(b, flows, DefaultStreamWindowMicros) })
+}
+
+// BenchmarkStreamDetectorWide is the adversarial shape: 100 one-second
+// windows of 5,000 flows over 20,000 hosts and 5,000 ports, where nearly
+// every port and pair spills out of the small sets.
+func BenchmarkStreamDetectorWide(b *testing.B) {
+	rng := rand.New(rand.NewPCG(18, 6))
+	benchmarkStream(b, withAttacks(100, func() []netflow.Flow { return wideFlows(rng, 5000) }), 1e6)
 }

@@ -192,21 +192,27 @@ func (p *pacer) due(startMicros int64, now time.Time) bool {
 }
 
 // refill credits the tokens accrued since the last refill, up to the burst.
+// Tokens take credited past the burst are kept: the cap bounds what time
+// spent elsewhere may save up, not what a sleep was owed.
 func (p *pacer) refill(now time.Time) {
-	p.tokens += now.Sub(p.last).Seconds() * p.rate
-	p.last = now
-	if p.tokens > p.burst {
-		p.tokens = p.burst
+	if t := min(p.tokens+now.Sub(p.last).Seconds()*p.rate, p.burst); t > p.tokens {
+		p.tokens = t
 	}
+	p.last = now
 }
 
 // take consumes one token, sleeping for the refill when the bucket is empty.
+// The whole sleep is credited, past the burst: a sleep that overshoots by δ
+// leaves 1 + Rate·δ tokens, so the cap keeps its rate on a host whose sleeps
+// overshoot, at the cost of releasing them at once.
 func (p *pacer) take() {
 	p.refill(p.clk.now())
 	if p.tokens < 1 {
 		need := (1 - p.tokens) / p.rate // seconds until one token refills
 		p.clk.sleep(time.Duration(need * float64(time.Second)))
-		p.refill(p.clk.now())
+		now := p.clk.now()
+		p.tokens += now.Sub(p.last).Seconds() * p.rate
+		p.last = now
 	}
 	p.tokens--
 }

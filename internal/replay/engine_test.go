@@ -1,14 +1,19 @@
 package replay
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"csb/internal/netflow"
 )
 
 // fakeClock advances only through sleep, making pacing assertions exact.
+// Every sleep lasts overshoot longer than asked, as a real one may.
 type fakeClock struct {
-	t     time.Time
-	slept time.Duration
+	t         time.Time
+	slept     time.Duration
+	overshoot time.Duration
 }
 
 func (c *fakeClock) clock() clock {
@@ -16,6 +21,7 @@ func (c *fakeClock) clock() clock {
 		now: func() time.Time { return c.t },
 		sleep: func(d time.Duration) {
 			if d > 0 {
+				d += c.overshoot
 				c.t = c.t.Add(d)
 				c.slept += d
 			}
@@ -102,6 +108,34 @@ func TestPacerTokenBucket(t *testing.T) {
 	want := 90 * time.Millisecond
 	if fc.slept < want-time.Millisecond || fc.slept > want+5*time.Millisecond {
 		t.Fatalf("slept %v, want ~%v", fc.slept, want)
+	}
+}
+
+// TestPacerKeepsRateWhenSleepsOvershoot: sleeps that each overshoot by
+// 400 µs — 16 tokens' worth at 40,000 flows/s, the whole burst — must not cost
+// the rate cap its rate. The emitter's span loop releases 50,000 flows at
+// 40,000 ± 1% flows/s, and no window of Δt holds more than
+// max(Burst, 1 + Rate·δ) + Rate·Δt flows, the bound DESIGN.md states for a
+// sleep that overshoots by δ.
+func TestPacerKeepsRateWhenSleepsOvershoot(t *testing.T) {
+	const rate, burst, overshoot = 40_000, 16, 400 * time.Microsecond
+	flows := make([]netflow.Flow, 50_000) // timeline-free: the bucket alone paces
+	fc := &fakeClock{t: time.Unix(0, 0), overshoot: overshoot}
+	_, at := spanScheduleOn(t, fc, flows, Options{Rate: rate, Burst: burst})
+	elapsed := at[len(at)-1].Sub(at[0]).Seconds()
+	if got := float64(len(flows)-burst) / elapsed; got < 0.99*rate || got > 1.01*rate {
+		t.Fatalf("released %d flows in %.3fs past the initial burst: %.0f flows/s, want %d ± 1%%", len(flows), elapsed, got, rate)
+	}
+	// n flows i..j fit the bound when (j - Rate·t_j) - (i - 1 - Rate·t_i) is
+	// at most the window allowance: one pass with the running minimum.
+	allow := max(burst, 1+rate*overshoot.Seconds()) + 1e-6
+	lowest := math.Inf(1)
+	for j := range at {
+		x := float64(j) - rate*at[j].Sub(at[0]).Seconds()
+		lowest = min(lowest, x-1)
+		if x-lowest > allow {
+			t.Fatalf("a window ending at flow %d holds %.2f flows past Rate·Δt, the bound allows %.0f", j, x-lowest, allow)
+		}
 	}
 }
 

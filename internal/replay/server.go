@@ -56,7 +56,7 @@ type Server struct {
 	subsTotal    atomic.Int64
 
 	startWall atomic.Int64 // unix nanos; 0 until Start
-	endWall   atomic.Int64 // unix nanos; 0 until the run finishes
+	endWall   atomic.Int64 // unix nanos; 0 until the run is delivered (stampEndLocked)
 }
 
 // span is one queue element: flows first..first+n-1, released by the clock at
@@ -312,13 +312,13 @@ func (s *Server) Done() bool {
 // fanning each span of due flows out under the lag policy.
 func (s *Server) run() {
 	defer func() {
-		s.endWall.Store(time.Now().UnixNano())
 		// Close every queue so the writers emit end frames and finish.
 		// runOver flips under the same lock as the snapshot, so a
 		// concurrent Attach either lands in the snapshot or closes its own
 		// queue — never both.
 		s.mu.Lock()
 		s.runOver = true
+		s.stampEndLocked()
 		subs := make([]*subscriber, 0, len(s.subs))
 		for sub := range s.subs {
 			subs = append(subs, sub)
@@ -422,9 +422,20 @@ func (s *Server) removeSub(sub *subscriber) {
 	s.mu.Lock()
 	if _, ok := s.subs[sub]; ok {
 		delete(s.subs, sub)
+		s.stampEndLocked()
 		s.notifyLocked()
 	}
 	s.mu.Unlock()
+}
+
+// stampEndLocked ends the run's clock once the emitter has finished and the
+// last subscriber's writer has exited, its end frame written: Stats then
+// times delivery, not enqueueing. Only the first stamp counts. The caller
+// holds s.mu.
+func (s *Server) stampEndLocked() {
+	if s.runOver && len(s.subs) == 0 {
+		s.endWall.CompareAndSwap(0, time.Now().UnixNano())
+	}
 }
 
 // writeLoop frames and sends one subscriber's stream. Whatever contiguous
@@ -556,8 +567,10 @@ type Stats struct {
 	// subscribers; Disconnected counts PolicyDisconnect evictions.
 	Dropped      int64
 	Disconnected int64
-	// Done reports whether the run has finished; Elapsed is the run's wall
-	// time so far (or final); FlowsPerSec is Emitted/Elapsed.
+	// Done reports whether the emitter has finished. Elapsed is the run's
+	// wall time so far, from Start to the moment the last subscriber's end
+	// frame was written (final once it has been); FlowsPerSec is
+	// Emitted/Elapsed, a delivery rate.
 	Done        bool
 	Elapsed     time.Duration
 	FlowsPerSec float64

@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -389,5 +390,71 @@ func TestReplayCloseMidRun(t *testing.T) {
 	}
 	if !s.Done() {
 		t.Fatal("server not done after Close")
+	}
+}
+
+// timedReader notes when each Read began. On a net.Pipe a write returns only
+// once its bytes are read, so the Read that took a stream's last bytes began
+// before the server's write of them returned.
+type timedReader struct {
+	r     io.Reader
+	began time.Time
+}
+
+func (tr *timedReader) Read(b []byte) (int, error) {
+	tr.began = time.Now()
+	return tr.r.Read(b)
+}
+
+// TestStatsFlowsPerSecIsDeliveryRate: a block-policy run of 50,000 flows to 8
+// subscribers reports a rate no higher than its slowest subscriber's
+// received/elapsed. Each subscriber's clock runs from Start's return to the
+// beginning of the read that delivered its end frame — inside the server's
+// own Start-to-last-end-frame window on any schedule — while a rate timed to
+// the emitter's last enqueue, 50 spans into a 256-span queue, would exceed it
+// many times over.
+func TestStatsFlowsPerSecIsDeliveryRate(t *testing.T) {
+	flows := make([]netflow.Flow, 50_000)
+	for i := range flows {
+		flows[i].StartMicros = int64(i)
+	}
+	s, err := NewServer(flows, Options{Policy: PolicyBlock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	readers := make([]*timedReader, 8)
+	stats := make([]ConsumeStats, len(readers))
+	errs := make([]error, len(readers))
+	var wg sync.WaitGroup
+	for i := range readers {
+		server, client := net.Pipe()
+		t.Cleanup(func() { client.Close() })
+		readers[i] = &timedReader{r: client}
+		s.Attach(server)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[i], errs[i] = Consume(readers[i], nil)
+		}()
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	started := time.Now()
+	wg.Wait()
+	s.Wait()
+	if err := s.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	slowest := math.Inf(1)
+	for i, r := range readers {
+		if errs[i] != nil || !stats[i].Clean || stats[i].Received != uint64(len(flows)) {
+			t.Fatalf("subscriber %d: %+v, %v", i, stats[i], errs[i])
+		}
+		slowest = min(slowest, float64(stats[i].Received)/r.began.Sub(started).Seconds())
+	}
+	if st := s.Stats(); st.FlowsPerSec > slowest {
+		t.Fatalf("server reports %.0f flows/s over %v; its slowest subscriber received %.0f flows/s", st.FlowsPerSec, st.Elapsed, slowest)
 	}
 }

@@ -40,11 +40,16 @@ func timeline(rng *rand.Rand, n int) []netflow.Flow {
 // subscribers and returns the spans and every flow's release time.
 func spanSchedule(t *testing.T, flows []netflow.Flow, opts Options) ([]span, []time.Time) {
 	t.Helper()
+	return spanScheduleOn(t, &fakeClock{t: time.Unix(0, 0)}, flows, opts)
+}
+
+// spanScheduleOn is spanSchedule on the given fake clock.
+func spanScheduleOn(t *testing.T, fc *fakeClock, flows []netflow.Flow, opts Options) ([]span, []time.Time) {
+	t.Helper()
 	s, err := NewServer(flows, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := &fakeClock{t: time.Unix(0, 0)}
 	s.clk = fc.clock()
 	p := newPacer(s.clk, s.opts)
 	p.start(s.startMicros(0))

@@ -1,6 +1,8 @@
 // Command csbgen generates synthetic property graphs with PGPBA or PGSK
 // from a seed graph (a CSBG file produced by csbseed, or a synthetic seed
-// built on the fly).
+// built on the fly). The seed graph is analyzed on every run; csbseed
+// -graph-out at the same -hosts/-sessions/-seed gives the synthetic path's
+// bytes.
 //
 // Usage:
 //
@@ -41,7 +43,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.SetOutput(stdout)
 	var (
 		seedGraph = fs.String("seed-graph", "", "seed property graph (CSBG); empty synthesizes one")
-		seedFile  = fs.String("seed-analysis", "", "pre-analyzed seed (CSBA from csbseed -analysis-out); skips re-analysis")
 		hosts     = fs.Int("hosts", 100, "hosts for the synthetic seed")
 		sessions  = fs.Int("sessions", 2000, "sessions for the synthetic seed")
 		gen       = fs.String("gen", "pgpba", "generator: pgpba or pgsk")
@@ -114,7 +115,7 @@ func run(args []string, stdout io.Writer) error {
 	// validates parameters exactly like csbd admission control and can report
 	// the content address its outputs would have in the daemon's cache.
 	var jobSpec *serve.Spec
-	if *seedFile == "" && *seedGraph == "" {
+	if *seedGraph == "" {
 		spec := serve.Spec{
 			Generator: *gen,
 			Hosts:     *hosts,
@@ -131,17 +132,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var seed *core.Seed
-	if *seedFile != "" {
-		f, err := os.Open(*seedFile)
-		if err != nil {
-			return err
-		}
-		seed, err = core.ReadSeed(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else if *seedGraph != "" {
+	if *seedGraph != "" {
 		f, err := os.Open(*seedGraph)
 		if err != nil {
 			return err

@@ -3,11 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -243,37 +243,36 @@ func TestArtifactBytesMatchServer(t *testing.T) {
 	}
 }
 
-func TestRunFromSeedAnalysisFile(t *testing.T) {
+// TestSeedGraphMatchesSyntheticPath runs the two-step pipeline — csbseed
+// -graph-out, then csbgen -seed-graph — and holds it to csbgen's one-step
+// synthetic path at the same hosts, sessions and seed: the seed graph on
+// disk carries everything a generation needs, so re-analyzing it writes the
+// same bytes.
+func TestSeedGraphMatchesSyntheticPath(t *testing.T) {
 	dir := t.TempDir()
-	analysisPath := filepath.Join(dir, "seed.csba")
-	seed, err := core.SyntheticSeed(15, 150, 6)
-	if err != nil {
-		t.Fatal(err)
+	seedPath := filepath.Join(dir, "seed.csbg")
+	csbseed := exec.Command("go", "run", "csb/cmd/csbseed",
+		"-hosts", "15", "-sessions", "150", "-seed", "7", "-graph-out", seedPath)
+	if out, err := csbseed.CombinedOutput(); err != nil {
+		t.Fatalf("csbseed: %v\n%s", err, out)
 	}
-	f, err := os.Create(analysisPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var out bytes.Buffer
-	err = run([]string{"-seed-analysis", analysisPath, "-gen", "pgpba", "-fraction", "0.5", "-edges", "2000", "-seed", "7"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "PGPBA generated") {
-		t.Fatalf("output: %q", out.String())
-	}
-	// Generation from the analysis file must match generation from the
-	// in-memory seed exactly (deterministic pipeline).
-	direct, err := (&core.PGPBA{Fraction: 0.5, Seed: 7}).Generate(seed, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), fmt.Sprintf("%d edges", direct.NumEdges())) {
-		t.Fatalf("edge count mismatch: want %d in %q", direct.NumEdges(), out.String())
+	for _, gen := range []string{"pgpba", "pgsk"} {
+		twoStep, oneStep := filepath.Join(dir, gen+"-seed-graph.csbg"), filepath.Join(dir, gen+"-synthetic.csbg")
+		args := []string{"-gen", gen, "-fraction", "0.5", "-edges", "3000", "-seed", "7"}
+		var out bytes.Buffer
+		if err := run(append([]string{"-seed-graph", seedPath, "-out", twoStep}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append([]string{"-hosts", "15", "-sessions", "150", "-out", oneStep}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		a, errA := os.ReadFile(twoStep)
+		b, errB := os.ReadFile(oneStep)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: -seed-graph wrote %d bytes that differ from the synthetic path's %d", gen, len(a), len(b))
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 
-	"csb/internal/core"
 	"csb/internal/netflow"
 	"csb/internal/pcap"
 )
@@ -40,7 +39,6 @@ func run(args []string, stdout io.Writer) error {
 		flowsOut = fs.String("flows-out", "", "write assembled flows as CSV")
 		v5Out    = fs.String("v5-out", "", "write assembled flows as NetFlow v5 export messages")
 		graphOut = fs.String("graph-out", "", "write the property graph (CSBG format)")
-		analysis = fs.String("analysis-out", "", "write the full analyzed seed (CSBA format, for csbgen -seed-analysis)")
 		edgeList = fs.String("edgelist-out", "", "write the property graph as a TSV edge list")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -106,16 +104,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote edge list to %s\n", *edgeList)
-	}
-	if *analysis != "" {
-		analyzed, err := core.Analyze(g)
-		if err != nil {
-			return err
-		}
-		if err := writeTo(*analysis, analyzed.Write); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote seed analysis to %s\n", *analysis)
 	}
 	return nil
 }

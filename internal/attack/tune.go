@@ -33,9 +33,16 @@ func TuneThresholds(s *Scenario, base ids.Thresholds, cfg pso.Config) (ids.Thres
 	// The ACK/SYN ratio is itself a ratio: keep it within (0, 1].
 	bounds.Lo[9], bounds.Hi[9] = 0.01, 1
 
+	// Only the thresholds change from one evaluation to the next: aggregate
+	// the flows once and classify the same pattern tables each time.
+	byDst, bySrc := ids.AggregatePatterns(s.Flows)
+	det := ids.NewDetector(base)
+	score := func(t ids.Thresholds) Outcome {
+		det.T = t
+		return s.Score(det.Classify(byDst, bySrc))
+	}
 	objective := func(v []float64) float64 {
-		det := ids.NewDetector(vectorThresholds(v))
-		return 1 - s.Score(det.Detect(s.Flows)).F1()
+		return 1 - score(vectorThresholds(v)).F1()
 	}
 	res, err := pso.Minimize(objective, bounds, cfg)
 	if err != nil {
@@ -43,9 +50,9 @@ func TuneThresholds(s *Scenario, base ids.Thresholds, cfg pso.Config) (ids.Thres
 	}
 	// Never regress below the starting thresholds: the swarm may miss the
 	// base point when it is already (near) optimal.
-	baseOut := s.Score(ids.NewDetector(base).Detect(s.Flows))
+	baseOut := score(base)
 	tuned := vectorThresholds(res.Position)
-	tunedOut := s.Score(ids.NewDetector(tuned).Detect(s.Flows))
+	tunedOut := score(tuned)
 	if baseOut.F1() >= tunedOut.F1() {
 		return base, baseOut, nil
 	}

@@ -6,8 +6,10 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
+	"csb/internal/cluster"
 	"csb/internal/graph"
 	"csb/internal/netflow"
 	"csb/internal/pcap"
@@ -254,4 +256,57 @@ func TestSeedIndependentOfPacketTieOrder(t *testing.T) {
 		t.Fatalf("%d tie runs, %d reordered traces: the check covered too little", runs, moved)
 	}
 	t.Logf("%d tie runs", runs)
+}
+
+// TestGeneratorsLeaveSeedUnchanged generates with both generators, with and
+// without properties, serially and with PGSK's fit beside its property
+// draws, all from one seed: generation only reads its seed, so one analyzed
+// seed can feed a build and then serve as that build's reference.
+func TestGeneratorsLeaveSeedUnchanged(t *testing.T) {
+	s := traceSeed(t, 25, 400, 42)
+	fingerprint := func() []byte {
+		var b bytes.Buffer
+		if err := s.Graph.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		dists := []*stats.Discrete{s.InDegree, s.OutDegree, s.Props.inBytes}
+		models := []*attrModel{s.Props.all}
+		ids := make([]int, 0, len(s.Props.buckets))
+		for id := range s.Props.buckets {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			models = append(models, s.Props.buckets[id])
+		}
+		for _, m := range models {
+			dists = append(dists, m.duration, m.outBytes, m.outPkts, m.inPkts, m.srcPort, m.dstPort, m.protoState)
+		}
+		for _, d := range dists {
+			rng := stats.NewRNG(3, 5)
+			for i := 0; i < 64; i++ {
+				b.WriteString(strconv.FormatInt(d.Sample(rng), 10) + " ")
+			}
+		}
+		return b.Bytes()
+	}
+	want := fingerprint()
+	for _, tc := range []struct {
+		name string
+		gen  Generator
+	}{
+		{"pgpba", &PGPBA{Fraction: 0.3, Seed: 7}},
+		{"pgpba-skip", &PGPBA{Fraction: 0.3, Seed: 7, SkipProperties: true}},
+		{"pgpba-parallel", &PGPBA{Fraction: 2, Seed: 7, Cluster: cluster.Local(2)}},
+		{"pgsk", &PGSK{Seed: 7}},
+		{"pgsk-skip", &PGSK{Seed: 7, SkipProperties: true}},
+		{"pgsk-fit-beside-draws", &PGSK{Seed: 7, Cluster: cluster.Local(2)}},
+	} {
+		if _, err := tc.gen.Generate(s, 6000); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := fingerprint(); !bytes.Equal(got, want) {
+			t.Fatalf("%s changed its seed's graph or distributions", tc.name)
+		}
+	}
 }

@@ -98,18 +98,23 @@ type CellPayload struct {
 	Cell Cell     `json:"cell"`
 }
 
-// RunCell executes one grid cell: build the cell's csbd artifact through
-// serve.BuildArtifact, decode it, and score that graph — fidelity against
-// the seed trace its spec grew from, utility against the held-out
-// scenario. It is a pure function of (spec, cell) — no clock, no global
-// RNG — which is the determinism contract the whole harness rests on.
+// RunCell executes one grid cell: analyze the cell's seed trace once, build
+// the cell's csbd artifact from it (serve.BuildFromSeed, BuildArtifact's
+// bytes), decode it, and score that graph — fidelity against that same
+// seed, utility against the held-out scenario. It is a pure function of
+// (spec, cell) — no clock, no global RNG, no state shared with other cells —
+// which is the determinism contract the whole harness rests on.
 // Errors do not name the cell: the runner that scheduled it does, once.
 func RunCell(sp *GridSpec, c Cell) (*Row, error) {
 	spec, err := sp.CellSpec(&c)
 	if err != nil {
 		return nil, err
 	}
-	art, err := serve.BuildArtifact(context.TODO(), spec, nil)
+	seed, err := core.SyntheticSeed(spec.Hosts, spec.Sessions, spec.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("building seed: %w", err)
+	}
+	art, err := serve.BuildFromSeed(context.TODO(), spec, seed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("building artifact: %w", err)
 	}
@@ -117,10 +122,6 @@ func RunCell(sp *GridSpec, c Cell) (*Row, error) {
 	g, err := graph.Read(bytes.NewReader(art))
 	if err != nil {
 		return nil, fmt.Errorf("decoding artifact: %w", err)
-	}
-	seed, err := core.SyntheticSeed(spec.Hosts, spec.Sessions, spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("building seed: %w", err)
 	}
 	report, err := Evaluate(seed.Graph, g, Options{PageRankPoints: sp.PageRankPoints})
 	if err != nil {

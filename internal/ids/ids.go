@@ -381,6 +381,13 @@ func (d *Detector) Detect(flows []netflow.Flow) []Alert {
 	return d.classify(nil, d.agg.dst.pats, d.agg.src.pats)
 }
 
+// Classify returns the alerts of pattern tables AggregatePatterns built:
+// Detect on the flows they came from, without aggregating them again. A
+// caller trying many thresholds on one flow set aggregates once.
+func (d *Detector) Classify(byDst, bySrc []Pattern) []Alert {
+	return d.classify(nil, byDst, bySrc)
+}
+
 // classify appends the alerts of the two pattern tables to alerts,
 // destination-based first, each side sorted by IP whatever order its table is
 // in: a side holds one pattern per IP, so sorting the few alerts gives the

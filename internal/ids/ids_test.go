@@ -2,6 +2,7 @@ package ids
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -228,6 +229,45 @@ func TestDetectGraphPath(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("graph-path detection failed: %v", alerts)
+	}
+}
+
+// TestClassifyMatchesDetect holds Classify over one aggregation to Detect
+// over the flows, across scenarios and random thresholds in the box a tuner
+// searches: one detector classifies every vector, as TuneThresholds does.
+func TestClassifyMatchesDetect(t *testing.T) {
+	background := backgroundFlows(t, 40, 600, 2)
+	scenarios := map[string][]netflow.Flow{
+		"background": background,
+		"host-scan":  append(slices.Clone(background), hostScanFlows(pcap.HostIP(3), 400)...),
+		"syn-flood":  append(slices.Clone(background), synFloodFlows(pcap.HostIP(4), 400)...),
+		"net-scan":   append(slices.Clone(background), networkScanFlows(pcap.HostIP(5), 300)...),
+		"flood":      append(slices.Clone(background), floodFlows(pcap.HostIP(6), pcap.HostIP(7), 200)...),
+		"ddos":       append(slices.Clone(background), ddosFlows(pcap.HostIP(8), 60, 30)...),
+	}
+	rng := rand.New(rand.NewPCG(47, 1))
+	base := DefaultThresholds()
+	alerted := 0
+	for name, flows := range scenarios {
+		byDst, bySrc := AggregatePatterns(flows)
+		det := NewDetector(base)
+		scaled := []*float64{&det.T.DIPT, &det.T.SIPT, &det.T.DPLT, &det.T.DPHT, &det.T.NFT, &det.T.FSLT, &det.T.FSHT, &det.T.NPLT, &det.T.NPHT}
+		for i := 0; i < 50; i++ {
+			det.T = base
+			for _, x := range scaled {
+				*x *= math.Exp2(6*rng.Float64() - 3) // within [base/8, base*8]
+			}
+			det.T.SAT = 0.01 + 0.99*rng.Float64()
+			got := det.Classify(byDst, bySrc)
+			want := NewDetector(det.T).Detect(flows)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, thresholds %+v:\n Classify %v\n   Detect %v", name, det.T, got, want)
+			}
+			alerted += len(got)
+		}
+	}
+	if alerted == 0 {
+		t.Fatal("no threshold vector raised an alert: the comparison saw only empty sets")
 	}
 }
 

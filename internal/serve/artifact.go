@@ -51,7 +51,8 @@ func (sh EngineShape) newCluster(ctx context.Context, tracer *cluster.Tracer, ex
 // BuildArtifact runs the full pipeline for one normalized spec — synthetic
 // seed trace, seed analysis, generation on c, artifact encoding — and
 // returns the encoded artifact bytes. The bytes are a pure function of the
-// spec; ctx cancellation aborts between engine stages.
+// spec; ctx cancellation aborts between engine stages. A generator spec is
+// core.SyntheticSeed followed by BuildFromSeed.
 func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, error) {
 	if spec.Generator == GenScenario {
 		// Scenario jobs reuse the same per-job cluster (cancellation, fault
@@ -70,6 +71,15 @@ func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
+	return BuildFromSeed(ctx, spec, seed, c)
+}
+
+// BuildFromSeed is BuildArtifact's generator branch past the seed: it grows
+// spec's graph from seed, already analyzed, on c and encodes it. Given
+// core.SyntheticSeed of the spec's hosts, sessions and seed it returns
+// BuildArtifact's bytes, so a caller that also needs the seed (eval scores
+// against it) analyzes the trace once. Generation only reads the seed.
+func BuildFromSeed(ctx context.Context, spec Spec, seed *core.Seed, c *cluster.Cluster) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

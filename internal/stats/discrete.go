@@ -29,8 +29,6 @@ type Discrete struct {
 	// Vose alias table: pick i uniformly, then keep i with probability
 	// slots[i].keep / 2^53, else take slots[i].alias.
 	slots []aliasSlot
-	// pmfVals keeps the exact pmf aligned with values, for serialization.
-	pmfVals []float64
 }
 
 // aliasSlot is one Vose alias column. keep is the column's own probability
@@ -42,9 +40,6 @@ type aliasSlot struct {
 	keep  uint64
 	alias int32
 }
-
-// pmf returns the exact probability mass function aligned with Support().
-func (d *Discrete) pmf() []float64 { return d.pmfVals }
 
 // FromSamples builds a Discrete from raw observations.
 func FromSamples(samples []int64) (*Discrete, error) {
@@ -80,20 +75,18 @@ func FromCounts(counts map[int64]int64) (*Discrete, error) {
 	}
 	slices.Sort(values) // distinct keys: the order is the only one
 	cum := make([]float64, len(values))
+	pmf := make([]float64, len(values))
 	var running float64
 	var mean float64
 	for i, v := range values {
 		p := float64(counts[v]) / float64(total)
+		pmf[i] = p
 		running += p
 		cum[i] = running
 		mean += p * float64(v)
 	}
 	cum[len(cum)-1] = 1 // guard against floating point drift
 	d := &Discrete{values: values, cum: cum, mean: mean}
-	pmf := make([]float64, len(values))
-	for i, v := range values {
-		pmf[i] = float64(counts[v]) / float64(total)
-	}
 	d.buildAliasFromPMF(pmf)
 	return d, nil
 }
@@ -102,7 +95,6 @@ func FromCounts(counts map[int64]int64) (*Discrete, error) {
 // probability mass function aligned with d.values.
 func (d *Discrete) buildAliasFromPMF(pmf []float64) {
 	n := len(d.values)
-	d.pmfVals = append([]float64(nil), pmf...)
 	d.slots = make([]aliasSlot, n)
 	scaled := make([]float64, n)
 	small := make([]int32, 0, n)

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -155,74 +153,6 @@ func TestDiscreteInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDiscreteSerializationRoundTrip(t *testing.T) {
-	d, err := FromCounts(map[int64]int64{1: 100, 7: 13, 42: 1, 1000: 886})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDiscrete(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mean() != d.Mean() || got.Min() != d.Min() || got.Max() != d.Max() {
-		t.Fatal("summary stats differ")
-	}
-	for _, v := range d.Support() {
-		if prob(got, v) != prob(d, v) {
-			t.Fatalf("P[X == %d] differs", v)
-		}
-	}
-	// Bit-identical sampling under the same stream.
-	r1 := NewRNG(9, 9)
-	r2 := NewRNG(9, 9)
-	for i := 0; i < 2000; i++ {
-		if d.Sample(r1) != got.Sample(r2) {
-			t.Fatalf("sampling diverged at draw %d", i)
-		}
-	}
-}
-
-func TestReadDiscreteRejectsGarbage(t *testing.T) {
-	if _, err := ReadDiscrete(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-	// Huge claimed count.
-	big := []byte{0xff, 0xff, 0xff, 0x7f}
-	if _, err := ReadDiscrete(bytes.NewReader(big)); err == nil {
-		t.Error("implausible count accepted")
-	}
-	// Valid structure, corrupted CDF.
-	d, _ := FromCounts(map[int64]int64{1: 2, 2: 3})
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	corrupt := append([]byte(nil), b...)
-	corrupt[len(corrupt)-20] ^= 0xff // inside cum/pmf floats
-	if got, err := ReadDiscrete(bytes.NewReader(corrupt)); err == nil {
-		// If it decodes, invariants must still hold (validation may accept
-		// some bit flips that keep monotonicity).
-		if got.cum[len(got.cum)-1] != 1 {
-			t.Error("accepted CDF not reaching 1")
-		}
-	}
-	// Truncations, including a 2^24-value count with nothing behind it.
-	for _, cut := range []int{2, 10, len(b) - 4} {
-		if _, err := ReadDiscrete(bytes.NewReader(b[:cut])); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("truncation at %d: err = %v, want ErrCorrupt", cut, err)
-		}
-	}
-	torn := append([]byte{0, 0, 0, 1}, b[4:12]...)
-	if _, err := ReadDiscrete(bytes.NewReader(torn)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("torn 2^24-value distribution: err = %v, want ErrCorrupt", err)
 	}
 }
 

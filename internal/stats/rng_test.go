@@ -68,14 +68,20 @@ func TestSampleIndexMatchesTwoArrayAlias(t *testing.T) {
 	}
 	for c, counts := range pmfs {
 		m := make(map[int64]int64, len(counts))
+		var total int64
 		for i, n := range counts {
 			m[int64(i)] = n
+			total += n
 		}
 		d, err := FromCounts(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aliasProb, alias := twoArrayAlias(d.pmfVals)
+		pmf := make([]float64, len(counts))
+		for i, n := range counts {
+			pmf[i] = float64(n) / float64(total)
+		}
+		aliasProb, alias := twoArrayAlias(pmf)
 		want := rand.New(rand.NewPCG(uint64(c), 11))
 		got := NewRNG(uint64(c), 11)
 		for j := 0; j < 5000; j++ {

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -10,78 +10,66 @@ import (
 	"csb/internal/stats"
 )
 
-// BaselinePoint scores one generator model against the seed.
-type BaselinePoint struct {
-	Model    string
-	Edges    int64
-	Degree   float64 // degree veracity (lower is better)
-	PageRank float64 // PageRank veracity (lower is better)
-	// DegreeKS is the Kolmogorov-Smirnov distance between the seed's and
+// baselinePoint scores one generator model against the seed.
+type baselinePoint struct {
+	model    string
+	edges    int64
+	degree   float64 // degree veracity (lower is better)
+	pageRank float64 // PageRank veracity (lower is better)
+	// degreeKS is the Kolmogorov-Smirnov distance between the seed's and
 	// the model's mean-normalized degree distributions.
-	DegreeKS float64
-	// TailRatio is max(degree)/mean(degree): the hub indicator. Scale-free
+	degreeKS float64
+	// tailRatio is max(degree)/mean(degree): the hub indicator. Scale-free
 	// models land near the seed's ratio; ER and WS collapse toward ~2 —
 	// the paper's Section II argument ("small or zero number of highly
 	// connected vertices") made quantitative.
-	TailRatio float64
+	tailRatio float64
 }
 
-// Baselines compares the classical random-graph models of Section II with
+// baselines compares the classical random-graph models of Section II with
 // the paper's generators at a common synthetic size: every model is
 // parameterized from the seed (edge budget, degree sequences, fitted
 // initiator), and scored by degree and PageRank veracity. The scale-free
 // growth models (PGPBA, PGSK, and to a lesser degree Chung-Lu and R-MAT)
 // dominate the structure-free baselines (ER, WS), which is the quantitative
 // version of the paper's Section II argument.
-func Baselines(seed *core.Seed, synEdges int64, rngSeed uint64) ([]BaselinePoint, error) {
+func baselines(seed *core.Seed, synEdges int64, rngSeed uint64) ([]baselinePoint, error) {
 	veracity, err := veracityScorer(seed)
 	if err != nil {
 		return nil, err
 	}
 	seedDeg := seed.Graph.Degrees()
-	var out []BaselinePoint
-	score := func(model string, g *graph.Graph) error {
+	var out []baselinePoint
+	score := func(model string, g *graph.Graph, err error) error {
+		if err != nil {
+			return fmt.Errorf("baselines %s: %w", model, err)
+		}
 		deg, pr, err := veracity(g)
 		if err != nil {
 			return err
 		}
-		out = append(out, BaselinePoint{Model: model, Edges: g.NumEdges(),
-			Degree: deg, PageRank: pr,
-			DegreeKS:  stats.KSDistance(normalizedDegreeSample(seedDeg), normalizedDegreeSample(g.Degrees())),
-			TailRatio: tailRatio(g.Degrees())})
+		out = append(out, baselinePoint{model: model, edges: g.NumEdges(),
+			degree: deg, pageRank: pr,
+			degreeKS:  stats.KSDistance(normalizedDegreeSample(seedDeg), normalizedDegreeSample(g.Degrees())),
+			tailRatio: tailRatio(g.Degrees())})
 		return nil
 	}
 
 	// Scale factor from seed to synthetic size.
 	scale := float64(synEdges) / float64(seed.Graph.NumEdges())
-	n := int64(float64(seed.Graph.NumVertices()) * scale)
-	if n < 4 {
-		n = 4
-	}
+	n := max(int64(float64(seed.Graph.NumVertices())*scale), 4)
 
 	// Erdős-Rényi with the same edge budget.
-	if er, err := genmodels.ErdosRenyi(n, min64(synEdges, n*(n-1)), rngSeed); err == nil {
-		if err := score("erdos-renyi", er); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, fmt.Errorf("baselines ER: %w", err)
+	er, err := genmodels.ErdosRenyi(n, min(synEdges, n*(n-1)), rngSeed)
+	if err := score("erdos-renyi", er, err); err != nil {
+		return nil, err
 	}
 
 	// Watts-Strogatz with matching mean degree.
-	k := int(synEdges / n)
-	if k < 1 {
-		k = 1
-	}
-	if int64(k) >= n {
-		k = int(n) - 1
-	}
-	if ws, err := genmodels.WattsStrogatz(n, k, 0.1, rngSeed); err == nil {
-		if err := score("watts-strogatz", ws); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, fmt.Errorf("baselines WS: %w", err)
+	k := min(max(int(synEdges/n), 1), int(n)-1)
+	ws, err := genmodels.WattsStrogatz(n, k, 0.1, rngSeed)
+	if err := score("watts-strogatz", ws, err); err != nil {
+		return nil, err
 	}
 
 	// Chung-Lu with the seed's degree sequences tiled to size n.
@@ -93,12 +81,9 @@ func Baselines(seed *core.Seed, synEdges int64, rngSeed uint64) ([]BaselinePoint
 		outSeq[i] = float64(seedOut[i%seed.Graph.NumVertices()])
 		inSeq[i] = float64(seedIn[i%seed.Graph.NumVertices()])
 	}
-	if cl, err := genmodels.ChungLu(outSeq, inSeq, rngSeed); err == nil {
-		if err := score("chung-lu", cl); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, fmt.Errorf("baselines CL: %w", err)
+	cl, err := genmodels.ChungLu(outSeq, inSeq, rngSeed)
+	if err := score("chung-lu", cl, err); err != nil {
+		return nil, err
 	}
 
 	// R-MAT with quadrant probabilities from the fitted Kronecker initiator.
@@ -112,38 +97,21 @@ func Baselines(seed *core.Seed, synEdges int64, rngSeed uint64) ([]BaselinePoint
 	for int64(1)<<uint(scaleBits) < n {
 		scaleBits++
 	}
-	if rm, err := genmodels.RMAT(scaleBits, synEdges, th[0]/sum, th[1]/sum, th[2]/sum, th[3]/sum, rngSeed); err == nil {
-		if err := score("rmat", rm); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, fmt.Errorf("baselines RMAT: %w", err)
+	rm, err := genmodels.RMAT(scaleBits, synEdges, th[0]/sum, th[1]/sum, th[2]/sum, th[3]/sum, rngSeed)
+	if err := score("rmat", rm, err); err != nil {
+		return nil, err
 	}
 
 	// The paper's generators.
-	pgpba := &core.PGPBA{Fraction: 0.1, Seed: rngSeed}
-	ga, err := pgpba.Generate(seed, synEdges)
-	if err != nil {
-		return nil, err
-	}
-	if err := score("pgpba", ga); err != nil {
+	ga, err := (&core.PGPBA{Fraction: 0.1, Seed: rngSeed}).Generate(seed, synEdges)
+	if err := score("pgpba", ga, err); err != nil {
 		return nil, err
 	}
 	gk, err := pgsk.Generate(seed, synEdges)
-	if err != nil {
-		return nil, err
-	}
-	if err := score("pgsk", gk); err != nil {
+	if err := score("pgsk", gk, err); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // tailRatio returns max(degree)/mean(degree) over positive-degree vertices.
@@ -153,9 +121,7 @@ func tailRatio(degrees []int64) float64 {
 		if d > 0 {
 			sum += d
 			n++
-			if d > maxD {
-				maxD = d
-			}
+			maxD = max(maxD, d)
 		}
 	}
 	if n == 0 || sum == 0 {

@@ -1,13 +1,15 @@
-// Command csbbench regenerates the parts of the paper's evaluation that
-// only it measures: Fig 5, Figs 8–12, Table I, and the baseline and
-// extended-structure comparisons, printed as tab-separated tables. Sizes
-// default to laptop scale; the shapes (linearity, who wins, crossovers)
-// reproduce the paper — see EXPERIMENTS.md. Figs 6–7 come from the csbeval
-// grid (experiments.json, experiments-large.json).
+// Command csbbench runs the parts of the paper's evaluation that need a
+// binary: the host-timed virtual-cluster sweeps of Figs 8–12, and the
+// Section II baseline-model comparison, printed as tab-separated tables.
+// Sizes default to laptop scale; the shapes (linearity, who wins,
+// crossovers) reproduce the paper — see EXPERIMENTS.md. Figs 6–7 come from
+// the csbeval grid (experiments.json, experiments-large.json); Fig 5 and
+// Table I are tests that pin their EXPERIMENTS.md tables
+// (internal/eval TestFig5DegreeDistributions, internal/attack TestTable1).
 //
 // Usage:
 //
-//	csbbench -exp fig5
+//	csbbench -exp fig8
 //	csbbench -exp fig9 -sizes 50000,200000 -nodes 60
 //	csbbench -exp all
 package main
@@ -22,21 +24,23 @@ import (
 	"strconv"
 	"strings"
 
-	"csb/internal/bench"
 	"csb/internal/cluster"
 	"csb/internal/core"
 )
+
+// defaultSeed is the RNG seed of every experiment unless -seed overrides it.
+const defaultSeed = 20171010 // the SMIA capture date, 2011-10-10, reversed
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("csbbench: ")
 
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig5 fig8 fig9 fig10 fig11 fig12 table1 baselines extended all")
+		exp       = flag.String("exp", "all", "experiment: fig8 fig9 fig10 fig11 fig12 baselines all")
 		hosts     = flag.Int("hosts", 100, "seed trace hosts")
 		sessions  = flag.Int("sessions", 2000, "seed trace sessions")
-		rngSeed   = flag.Uint64("seed", bench.DefaultSeed, "RNG seed")
-		synEdges  = flag.Int64("edges", 2000000, "synthetic size for fig5/fig8/fig12")
+		rngSeed   = flag.Uint64("seed", defaultSeed, "RNG seed")
+		synEdges  = flag.Int64("edges", 2000000, "synthetic size for fig8/fig12/baselines")
 		sizesArg  = flag.String("sizes", "50000,200000,800000,3200000", "size sweep for fig9/10/11")
 		nodes     = flag.Int("nodes", 60, "virtual nodes for fig9-11")
 		coresPer  = flag.Int("cores-per-node", 12, "virtual cores per node")
@@ -77,18 +81,15 @@ func main() {
 	}
 
 	runs := map[string]func(){
-		"fig5":      func() { fig5(seed, *synEdges, *rngSeed) },
 		"fig8":      func() { fig8(seed, *synEdges, cores, *rngSeed, tracer) },
-		"fig9":      func() { sizeSweep(seed, sizes, *nodes, *coresPer, *rngSeed, "seconds", tracer) },
-		"fig10":     func() { sizeSweep(seed, sizes, *nodes, *coresPer, *rngSeed, "throughput", tracer) },
-		"fig11":     func() { sizeSweep(seed, sizes, *nodes, *coresPer, *rngSeed, "memory", tracer) },
+		"fig9":      func() { printSizeSweep(seed, sizes, *nodes, *coresPer, *rngSeed, "seconds", tracer) },
+		"fig10":     func() { printSizeSweep(seed, sizes, *nodes, *coresPer, *rngSeed, "throughput", tracer) },
+		"fig11":     func() { printSizeSweep(seed, sizes, *nodes, *coresPer, *rngSeed, "memory", tracer) },
 		"fig12":     func() { fig12(seed, *synEdges, nodeSweep, *coresPer, *rngSeed, tracer) },
-		"table1":    func() { table1(seed, *rngSeed) },
-		"baselines": func() { baselines(seed, *synEdges, *rngSeed) },
-		"extended":  func() { extended(seed, *synEdges, *rngSeed) },
+		"baselines": func() { printBaselines(seed, *synEdges, *rngSeed) },
 	}
 	if *exp == "all" {
-		for _, name := range []string{"fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "table1", "baselines", "extended"} {
+		for _, name := range []string{"fig8", "fig9", "fig10", "fig11", "fig12", "baselines"} {
 			fmt.Printf("\n=== %s ===\n", name)
 			runs[name]()
 		}
@@ -162,35 +163,20 @@ func finishTrace(tracer *cluster.Tracer, traceOut string, table bool) {
 	}
 }
 
-func fig5(seed *core.Seed, edges int64, rngSeed uint64) {
-	res, err := bench.Fig5(seed, edges, rngSeed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("# Figure 5: normalized degree distributions (log-log)")
-	for _, s := range []bench.Series{res.Seed, res.PGPBA, res.PGSK} {
-		fmt.Printf("# series %s (%d points)\n", s.Name, len(s.Xs))
-		fmt.Println("norm_degree\tfraction_of_vertices")
-		for i := range s.Xs {
-			fmt.Printf("%.6e\t%.6e\n", s.Xs[i], s.Ys[i])
-		}
-	}
-}
-
 func fig8(seed *core.Seed, edges int64, cores []int, rngSeed uint64, tracer *cluster.Tracer) {
-	pts, err := bench.SingleNodeThroughput(seed, edges, cores, rngSeed, tracer)
+	pts, err := singleNodeThroughput(seed, edges, cores, rngSeed, tracer)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("# Figure 8: single-node throughput vs cores (virtual makespan, 24-way workload)")
 	fmt.Println("generator\tcores\tvirtual_seconds\tedges_per_virtual_sec")
 	for _, p := range pts {
-		fmt.Printf("%s\t%d\t%.3f\t%.0f\n", p.Generator, p.Cores, p.Seconds, p.Throughput)
+		fmt.Printf("%s\t%d\t%.3f\t%.0f\n", p.generator, p.cores, p.seconds, p.throughput)
 	}
 }
 
-func sizeSweep(seed *core.Seed, sizes []int64, nodes, coresPer int, rngSeed uint64, metric string, tracer *cluster.Tracer) {
-	pts, err := bench.SizeSweep(seed, sizes, cluster.Config{Nodes: nodes, CoresPerNode: coresPer, Tracer: tracer}, rngSeed)
+func printSizeSweep(seed *core.Seed, sizes []int64, nodes, coresPer int, rngSeed uint64, metric string, tracer *cluster.Tracer) {
+	pts, err := sizeSweep(seed, sizes, cluster.Config{Nodes: nodes, CoresPerNode: coresPer, Tracer: tracer}, rngSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -199,55 +185,37 @@ func sizeSweep(seed *core.Seed, sizes []int64, nodes, coresPer int, rngSeed uint
 		fmt.Printf("# Figure 9: generation time vs edges (%d virtual nodes)\n", nodes)
 		fmt.Println("generator\tedges\tvirtual_seconds")
 		for _, p := range pts {
-			fmt.Printf("%s\t%d\t%.4f\n", p.Generator, p.Edges, p.Seconds)
+			fmt.Printf("%s\t%d\t%.4f\n", p.generator, p.edges, p.seconds)
 		}
 	case "throughput":
 		fmt.Printf("# Figure 10: throughput vs edges, with property overhead (%d virtual nodes)\n", nodes)
 		fmt.Println("generator\tedges\tedges_per_virtual_sec\tprop_overhead_pct")
 		for _, p := range pts {
-			fmt.Printf("%s\t%d\t%.0f\t%.1f\n", p.Generator, p.Edges, p.Throughput, 100*p.PropsOverhead)
+			fmt.Printf("%s\t%d\t%.0f\t%.1f\n", p.generator, p.edges, p.throughput, 100*p.propsOverhead)
 		}
 	case "memory":
 		fmt.Printf("# Figure 11: peak worker memory vs edges (%d virtual nodes)\n", nodes)
 		fmt.Println("generator\tedges\tbytes_per_node")
 		for _, p := range pts {
-			fmt.Printf("%s\t%d\t%d\n", p.Generator, p.Edges, p.BytesPerNode)
+			fmt.Printf("%s\t%d\t%d\n", p.generator, p.edges, p.bytesPerNode)
 		}
 	}
 }
 
 func fig12(seed *core.Seed, edges int64, nodeCounts []int, coresPer int, rngSeed uint64, tracer *cluster.Tracer) {
-	pts, err := bench.StrongScaling(seed, edges, nodeCounts, coresPer, rngSeed, tracer)
+	pts, err := strongScaling(seed, edges, nodeCounts, coresPer, rngSeed, tracer)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("# Figure 12: strong-scaling speedup, %d edges\n", edges)
 	fmt.Println("generator\tnodes\tvirtual_seconds\tspeedup")
 	for _, p := range pts {
-		fmt.Printf("%s\t%d\t%.4f\t%.2f\n", p.Generator, p.Nodes, p.Seconds, p.Speedup)
+		fmt.Printf("%s\t%d\t%.4f\t%.2f\n", p.generator, p.nodes, p.seconds, p.speedup)
 	}
 }
 
-func table1(seed *core.Seed, rngSeed uint64) {
-	res, err := bench.Table1(seed, rngSeed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("# Table I: anomaly detection parameters (trained and PSO-tuned thresholds)")
-	fmt.Println("parameter\ttrained\ttuned\tdescription")
-	for _, r := range res.Rows {
-		fmt.Printf("%s\t%.2f\t%.2f\t%s\n", r.Parameter, r.Trained, r.Tuned, r.Description)
-	}
-	fmt.Printf("trained detection: TP=%d FP=%d FN=%d F1=%.3f\n",
-		res.TrainedOutcome.TruePositives, res.TrainedOutcome.FalsePositives,
-		res.TrainedOutcome.FalseNegatives, res.TrainedOutcome.F1())
-	fmt.Printf("tuned detection:   TP=%d FP=%d FN=%d F1=%.3f\n",
-		res.TunedOutcome.TruePositives, res.TunedOutcome.FalsePositives,
-		res.TunedOutcome.FalseNegatives, res.TunedOutcome.F1())
-}
-
-func baselines(seed *core.Seed, edges int64, rngSeed uint64) {
-	pts, err := bench.Baselines(seed, edges, rngSeed)
+func printBaselines(seed *core.Seed, edges int64, rngSeed uint64) {
+	pts, err := baselines(seed, edges, rngSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -255,19 +223,7 @@ func baselines(seed *core.Seed, edges int64, rngSeed uint64) {
 	fmt.Println("model\tedges\tdegree_veracity\tpagerank_veracity\tdegree_ks\ttail_ratio")
 	for _, p := range pts {
 		fmt.Printf("%s\t%d\t%.3e\t%.3e\t%.3f\t%.1f\n",
-			p.Model, p.Edges, p.Degree, p.PageRank, p.DegreeKS, p.TailRatio)
-	}
-}
-
-func extended(seed *core.Seed, edges int64, rngSeed uint64) {
-	pts, err := bench.ExtendedVeracity(seed, edges, rngSeed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("# Extended structural veracity: betweenness / components / clustering")
-	fmt.Println("generator\tedges\tbetweenness_score\tgiant_delta\tclustering_delta")
-	for _, p := range pts {
-		fmt.Printf("%s\t%d\t%.3e\t%.4f\t%.4f\n", p.Generator, p.Edges, p.Betweenness, p.GiantDelta, p.ClusteringDelta)
+			p.model, p.edges, p.degree, p.pageRank, p.degreeKS, p.tailRatio)
 	}
 }
 

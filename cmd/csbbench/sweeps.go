@@ -1,29 +1,13 @@
-// Package bench is the experiment harness for the figures and tables of the
-// paper's evaluation (Section V) that only csbbench measures: Fig 5, Figs
-// 8–12, Table I, and the baseline and extended-structure comparisons. Each
-// runner emits the rows or series the paper reports; cmd/csbbench formats
-// them and paper_bench_test.go wires them into testing.B benchmarks. Figs
-// 6–7 (veracity vs size) come from the csbeval grid instead, whose
-// degree_veracity and pagerank_veracity columns are the same scores.
-//
-// Scale note: the paper runs up to 2x10^10 edges on 60 physical nodes; the
-// runners accept arbitrary sizes and the defaults in cmd/csbbench are
-// laptop-scale. Shapes (who wins, linearity, crossovers) are preserved; see
-// EXPERIMENTS.md for the paper-vs-measured record.
-package bench
+package main
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"csb/internal/cluster"
 	"csb/internal/core"
 	"csb/internal/graph"
 )
-
-// DefaultSeed is the RNG seed used by all experiments unless overridden.
-const DefaultSeed = 20171010 // the SMIA capture date, 2011-10-10, reversed
 
 // timingRepeats is how many times each virtual-time measurement is run;
 // the minimum makespan is kept. Generation is deterministic per seed, so
@@ -54,13 +38,6 @@ func measureMin(build func() *cluster.Cluster, generate func(c *cluster.Cluster)
 	return out, best, nil
 }
 
-// Series is one named (x, y) series of a figure.
-type Series struct {
-	Name string
-	Xs   []float64
-	Ys   []float64
-}
-
 // pgskWithFit builds a PGSK generator with its KronFit already run, so
 // experiments sweeping many sizes or clusters pay for the fit once.
 func pgskWithFit(seed *core.Seed, c *cluster.Cluster, rngSeed uint64) (*core.PGSK, error) {
@@ -73,80 +50,13 @@ func pgskWithFit(seed *core.Seed, c *cluster.Cluster, rngSeed uint64) (*core.PGS
 	return p, nil
 }
 
-// --- Figure 5: degree distribution comparison -------------------------------
-
-// Fig5Result holds the three normalized degree-distribution series of
-// Figure 5: seed, PGPBA and PGSK synthetic graphs.
-type Fig5Result struct {
-	Seed  Series
-	PGPBA Series
-	PGSK  Series
-}
-
-// normalizedDegreeSeries converts a degree vector into the paper's
-// normalized degree-distribution plot: x is the degree divided by the sum of
-// degrees, y the fraction of vertices with that degree.
-func normalizedDegreeSeries(name string, degrees []int64) Series {
-	var sum int64
-	var nPos int64
-	for _, d := range degrees {
-		sum += d
-		if d > 0 {
-			nPos++
-		}
-	}
-	counts := map[int64]int64{}
-	for _, d := range degrees {
-		if d > 0 {
-			counts[d]++
-		}
-	}
-	s := Series{Name: name}
-	distinct := make([]int64, 0, len(counts))
-	for d := range counts {
-		distinct = append(distinct, d)
-	}
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-	for _, d := range distinct {
-		s.Xs = append(s.Xs, float64(d)/float64(sum))
-		s.Ys = append(s.Ys, float64(counts[d])/float64(nPos))
-	}
-	return s
-}
-
-// Fig5 generates a synthetic graph with each generator (PGPBA at fraction
-// 0.1, PGSK) of about synEdges edges and returns the three normalized degree
-// distributions.
-func Fig5(seed *core.Seed, synEdges int64, rngSeed uint64) (*Fig5Result, error) {
-	pgpba := &core.PGPBA{Fraction: 0.1, Seed: rngSeed}
-	ga, err := pgpba.Generate(seed, synEdges)
-	if err != nil {
-		return nil, fmt.Errorf("fig5 PGPBA: %w", err)
-	}
-	pgsk, err := pgskWithFit(seed, nil, rngSeed)
-	if err != nil {
-		return nil, fmt.Errorf("fig5 kronfit: %w", err)
-	}
-	gk, err := pgsk.Generate(seed, synEdges)
-	if err != nil {
-		return nil, fmt.Errorf("fig5 PGSK: %w", err)
-	}
-	return &Fig5Result{
-		Seed:  normalizedDegreeSeries("seed", seed.Graph.Degrees()),
-		PGPBA: normalizedDegreeSeries("pgpba", ga.Degrees()),
-		PGSK:  normalizedDegreeSeries("pgsk", gk.Degrees()),
-	}, nil
-}
-
-// --- Figure 8: single-node throughput vs cores ------------------------------
-
-// CorePoint is one Figure 8 measurement: virtual-time throughput of a
+// corePoint is one Figure 8 measurement: virtual-time throughput of a
 // generator on a single node at a core count.
-type CorePoint struct {
-	Generator  string
-	Cores      int
-	Seconds    float64
-	Throughput float64 // edges per virtual second
+type corePoint struct {
+	generator  string
+	cores      int
+	seconds    float64
+	throughput float64 // edges per virtual second
 }
 
 // fig8Partitions fixes the workload decomposition of the Figure 8 sweep.
@@ -156,13 +66,13 @@ type CorePoint struct {
 // curve rises to 12 cores and flattens, the Figure 8 shape.
 const fig8Partitions = 24
 
-// SingleNodeThroughput measures generation throughput at each core count
+// singleNodeThroughput measures generation throughput at each core count
 // (Figure 8) on a single virtual node with a fixed 24-way workload
 // decomposition. All tasks really execute (bounded by the physical cores);
 // the reported time is the virtual makespan at the requested core count.
 // tracer may be nil; when set it collects every run's stage spans.
-func SingleNodeThroughput(seed *core.Seed, edges int64, coreCounts []int, rngSeed uint64, tracer *cluster.Tracer) ([]CorePoint, error) {
-	var out []CorePoint
+func singleNodeThroughput(seed *core.Seed, edges int64, coreCounts []int, rngSeed uint64, tracer *cluster.Tracer) ([]corePoint, error) {
+	var out []corePoint
 	pgskBase, err := pgskWithFit(seed, nil, rngSeed)
 	if err != nil {
 		return nil, err
@@ -180,8 +90,8 @@ func SingleNodeThroughput(seed *core.Seed, edges int64, coreCounts []int, rngSee
 			return nil, err
 		}
 		el := m.Makespan.Seconds()
-		out = append(out, CorePoint{Generator: "pgpba", Cores: cores, Seconds: el,
-			Throughput: float64(g.NumEdges()) / el})
+		out = append(out, corePoint{generator: "pgpba", cores: cores, seconds: el,
+			throughput: float64(g.NumEdges()) / el})
 
 		gk, mk, err := measureMin(build, func(c *cluster.Cluster) (*graph.Graph, error) {
 			defer c.Scope(fmt.Sprintf("pgsk-c%d", cores))()
@@ -193,32 +103,30 @@ func SingleNodeThroughput(seed *core.Seed, edges int64, coreCounts []int, rngSee
 			return nil, err
 		}
 		el = mk.Makespan.Seconds()
-		out = append(out, CorePoint{Generator: "pgsk", Cores: cores, Seconds: el,
-			Throughput: float64(gk.NumEdges()) / el})
+		out = append(out, corePoint{generator: "pgsk", cores: cores, seconds: el,
+			throughput: float64(gk.NumEdges()) / el})
 	}
 	return out, nil
 }
 
-// --- Figures 9, 10, 11: time / throughput / memory vs size ------------------
-
-// SizePoint is one row of the Figure 9-11 sweeps on a fixed virtual cluster.
-type SizePoint struct {
-	Generator     string
-	Edges         int64   // actual edges generated
-	Seconds       float64 // virtual makespan (Figure 9)
-	Throughput    float64 // edges per virtual second (Figure 10)
-	PropsOverhead float64 // fractional slowdown due to property synthesis (Figure 10)
-	BytesPerNode  int64   // peak per-node memory (Figure 11)
+// sizePoint is one row of the Figure 9-11 sweeps on a fixed virtual cluster.
+type sizePoint struct {
+	generator     string
+	edges         int64   // actual edges generated
+	seconds       float64 // virtual makespan (Figure 9)
+	throughput    float64 // edges per virtual second (Figure 10)
+	propsOverhead float64 // fractional slowdown due to property synthesis (Figure 10)
+	bytesPerNode  int64   // peak per-node memory (Figure 11)
 }
 
-// SizeSweep generates graphs of each target size with both generators on the
+// sizeSweep generates graphs of each target size with both generators on the
 // virtual cluster cfg describes (the paper uses 60 nodes with
 // total-executor-cores = 12x nodes and partitions = 2x executor cores),
 // recording virtual makespan, throughput, property-synthesis overhead and
 // peak memory. PGPBA runs at fraction 2 to match PGSK's doubling, the
 // Figure 9 configuration.
-func SizeSweep(seed *core.Seed, sizes []int64, cfg cluster.Config, rngSeed uint64) ([]SizePoint, error) {
-	var out []SizePoint
+func sizeSweep(seed *core.Seed, sizes []int64, cfg cluster.Config, rngSeed uint64) ([]sizePoint, error) {
+	var out []sizePoint
 	build := func() *cluster.Cluster { return cluster.MustNew(cfg) }
 	run := func(name string, makeGen func(c *cluster.Cluster, skipProps bool) (core.Generator, error), size int64) error {
 		// Full run.
@@ -253,13 +161,13 @@ func SizeSweep(seed *core.Seed, sizes []int64, cfg cluster.Config, rngSeed uint6
 		if bare > 0 {
 			overhead = (full - bare) / bare
 		}
-		out = append(out, SizePoint{
-			Generator:     name,
-			Edges:         g.NumEdges(),
-			Seconds:       full,
-			Throughput:    float64(g.NumEdges()) / full,
-			PropsOverhead: overhead,
-			BytesPerNode:  m.PeakBytesPerNode,
+		out = append(out, sizePoint{
+			generator:     name,
+			edges:         g.NumEdges(),
+			seconds:       full,
+			throughput:    float64(g.NumEdges()) / full,
+			propsOverhead: overhead,
+			bytesPerNode:  m.PeakBytesPerNode,
 		})
 		return nil
 	}
@@ -285,30 +193,28 @@ func SizeSweep(seed *core.Seed, sizes []int64, cfg cluster.Config, rngSeed uint6
 	return out, nil
 }
 
-// --- Figure 12: strong scaling ----------------------------------------------
-
-// SpeedupPoint is one Figure 12 measurement. Speedup is computed from the
+// speedupPoint is one Figure 12 measurement. speedup is computed from the
 // makespan-to-total-work ratio (parallel efficiency) rather than raw
 // makespans: the executed work is identical across node counts, so the
 // ratio cancels any uniform slowdown of the measuring host during one
 // configuration's window.
-type SpeedupPoint struct {
-	Generator string
-	Nodes     int
-	Seconds   float64 // virtual makespan
-	Speedup   float64 // relative to the smallest node count
+type speedupPoint struct {
+	generator string
+	nodes     int
+	seconds   float64 // virtual makespan
+	speedup   float64 // relative to the smallest node count
 }
 
-// StrongScaling generates a fixed-size graph on virtual clusters of each
+// strongScaling generates a fixed-size graph on virtual clusters of each
 // node count and reports the speedup relative to the smallest count. Each
 // configuration uses the paper's tuning — partitions = 2x its own executor
 // cores — exactly as the Spark deployment would. tracer may be nil; when
 // set it collects every run's stage spans.
-func StrongScaling(seed *core.Seed, edges int64, nodeCounts []int, coresPerNode int, rngSeed uint64, tracer *cluster.Tracer) ([]SpeedupPoint, error) {
+func strongScaling(seed *core.Seed, edges int64, nodeCounts []int, coresPerNode int, rngSeed uint64, tracer *cluster.Tracer) ([]speedupPoint, error) {
 	if len(nodeCounts) == 0 {
 		return nil, fmt.Errorf("strongscaling: no node counts")
 	}
-	var out []SpeedupPoint
+	var out []speedupPoint
 	measure := func(name string, makeGen func(c *cluster.Cluster) (core.Generator, error)) error {
 		base := -1.0
 		for _, nodes := range nodeCounts {
@@ -335,8 +241,8 @@ func StrongScaling(seed *core.Seed, edges int64, nodeCounts []int, coresPerNode 
 			if base < 0 {
 				base = ratio
 			}
-			out = append(out, SpeedupPoint{Generator: name, Nodes: nodes,
-				Seconds: sec, Speedup: base / ratio})
+			out = append(out, speedupPoint{generator: name, nodes: nodes,
+				seconds: sec, speedup: base / ratio})
 		}
 		return nil
 	}

@@ -204,6 +204,27 @@ func BenchmarkPropertyModelSample(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/edge")
 }
 
+// BenchmarkAblationPropertySynthesis times the property pass of a 100k-edge
+// PGPBA graph in isolation — the Figure 10 overhead source: one property
+// draw written into the output columns per edge.
+func BenchmarkAblationPropertySynthesis(b *testing.B) {
+	seed := traceSeed(b, 100, 2000, 20171010)
+	g, err := (&PGPBA{Fraction: 0.5, Seed: 1, SkipProperties: true}).Generate(seed, 100000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := g.Cols()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := cluster.DeriveRNG(uint64(i), 0)
+		for j := 0; j < cols.Len(); j++ {
+			cols.SetProps(j, seed.Props.Sample(rng))
+		}
+	}
+	b.ReportMetric(float64(cols.Len()), "edges")
+}
+
 // TestSeedIndependentOfPacketTieOrder checks that the order of packets with
 // equal timestamps cannot reach the seed graph: its CSBG bytes are the same
 // from Synthesize's order (ties in generation order), from the comparison

@@ -4,8 +4,8 @@ import "fmt"
 
 // EdgeBatch is the columnar (struct-of-arrays) edge store: eleven parallel
 // columns holding the same information as []Edge, laid out so hot scans touch
-// only the bytes they need. Degree counting, CSR construction and component
-// labeling read just the 4-byte src/dst columns (8 bytes per edge instead of
+// only the bytes they need. Degree counting and CSR construction read just
+// the 4-byte src/dst columns (8 bytes per edge instead of
 // the 64-byte Edge struct), and the property columns stream sequentially
 // through the artifact writers. Vertex IDs are stored as uint32 — four
 // billion vertices per graph, twice the paper's billion-edge ambition — and

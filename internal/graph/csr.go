@@ -1,7 +1,7 @@
 package graph
 
 // CSR is a compressed sparse row view of a graph's adjacency, used by the
-// iterative algorithms (PageRank, BFS) that need fast neighbor scans. It is
+// iterative algorithms (PageRank) that need fast neighbor scans. It is
 // immutable once built.
 type CSR struct {
 	// Offsets has length NumVertices+1; the neighbors of vertex v are
@@ -25,25 +25,14 @@ func (c *CSR) Degree(v VertexID) int64 {
 	return c.Offsets[v+1] - c.Offsets[v]
 }
 
-// BuildCSR builds the out-adjacency CSR of g via counting sort in O(|V|+|E|).
-func BuildCSR(g *Graph) *CSR {
-	return buildCSR(g, false)
-}
-
-// BuildReverseCSR builds the in-adjacency (transposed) CSR of g.
+// BuildReverseCSR builds the in-adjacency (transposed) CSR of g via counting
+// sort in O(|V|+|E|): Neighbors(v) lists the sources of v's in-arcs.
 func BuildReverseCSR(g *Graph) *CSR {
-	return buildCSR(g, true)
-}
-
-func buildCSR(g *Graph, reverse bool) *CSR {
 	n := g.numVertices
 	offsets := make([]int64, n+1)
 	// Both passes read only the two 4-byte endpoint columns — the property
 	// columns never enter cache during CSR construction.
-	srcs, dsts := g.cols.src, g.cols.dst
-	if reverse {
-		srcs, dsts = dsts, srcs
-	}
+	srcs, dsts := g.cols.dst, g.cols.src
 	for _, src := range srcs {
 		offsets[src+1]++
 	}

@@ -193,9 +193,6 @@ func (g *Graph) Addr(v VertexID) uint32 {
 	return g.addrs[v]
 }
 
-// HasAddrs reports whether vertex addresses were recorded.
-func (g *Graph) HasAddrs() bool { return g.addrs != nil }
-
 // OutDegrees returns the out-degree of every vertex (multi-edges counted).
 // The scan touches only the 4-byte src column.
 func (g *Graph) OutDegrees() []int64 {

@@ -122,15 +122,15 @@ func TestSimplifyDirectionality(t *testing.T) {
 
 func TestAddrTable(t *testing.T) {
 	g := New(2)
-	if g.HasAddrs() {
-		t.Fatal("HasAddrs true before SetAddr")
+	if g.addrs != nil {
+		t.Fatal("address table before SetAddr")
 	}
 	if g.Addr(1) != 0 {
 		t.Fatal("Addr nonzero before SetAddr")
 	}
 	g.SetAddr(1, 42)
-	if !g.HasAddrs() || g.Addr(1) != 42 || g.Addr(0) != 0 {
-		t.Fatalf("address table wrong: %v %d %d", g.HasAddrs(), g.Addr(1), g.Addr(0))
+	if g.addrs == nil || g.Addr(1) != 42 || g.Addr(0) != 0 {
+		t.Fatalf("address table wrong: %v %d %d", g.addrs, g.Addr(1), g.Addr(0))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate after SetAddr: %v", err)

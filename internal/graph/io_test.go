@@ -42,7 +42,7 @@ func TestWriteReadAddrs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if !got.HasAddrs() {
+	if got.addrs == nil {
 		t.Fatal("address table lost in round trip")
 	}
 	if got.Addr(0) != 0xc0a80001 || got.Addr(1) != 0 || got.Addr(2) != 0x0a000001 {

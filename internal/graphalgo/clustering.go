@@ -1,3 +1,7 @@
+// Package graphalgo implements the structural statistics the evaluation
+// grid scores beyond degree and PageRank: clustering coefficients,
+// triangles and degree assortativity (internal/eval's clustering_gap,
+// transitivity, triangles and assortativity_gap columns).
 package graphalgo
 
 import (

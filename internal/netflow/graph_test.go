@@ -32,9 +32,6 @@ func TestBuildGraph(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasAddrs() {
-		t.Fatal("graph missing address table")
-	}
 	// First-appearance order: hostA=0, hostB=1, hostC=2.
 	if g.Addr(0) != hostA || g.Addr(1) != hostB || g.Addr(2) != 0x0a000003 {
 		t.Fatalf("addresses wrong: %x %x %x", g.Addr(0), g.Addr(1), g.Addr(2))

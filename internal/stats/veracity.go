@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -78,13 +79,13 @@ func VeracityScoreInt(seed, synthetic []int64) (float64, error) {
 
 // KSDistance returns the Kolmogorov-Smirnov statistic between the empirical
 // CDFs of two samples: the maximum absolute difference between their CDFs.
-// Used by tests to check that generated attribute distributions track the
-// seed distributions.
+// It is the ks_* columns of the evaluation grid (internal/eval) and the
+// degree KS of csbbench's baseline comparison. It sorts copies, so the
+// samples are left as they are.
 func KSDistance(a, b []int64) float64 {
-	as := append([]int64(nil), a...)
-	bs := append([]int64(nil), b...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
+	as, bs := slices.Clone(a), slices.Clone(b)
+	slices.Sort(as)
+	slices.Sort(bs)
 	var i, j int
 	var maxD float64
 	for i < len(as) && j < len(bs) {

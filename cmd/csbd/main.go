@@ -90,7 +90,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		cores      = fs.Int("cores", 0, "cores per virtual node (0 = 1)")
 		jobRetries = fs.Int("job-retries", 1, "re-attempts for transiently failed jobs (negative disables)")
 		taskRetry  = fs.Int("max-task-retries", 0, "engine task retry budget (0 = default, negative disables)")
-		specExec   = fs.Bool("speculation", false, "duplicate straggler tasks in the engine")
 		faultRate  = fs.Float64("fault-rate", 0, "injected engine fault rate for chaos runs (0 disables)")
 		faultSeed  = fs.Uint64("fault-seed", 1, "seed of the deterministic fault plan")
 		replaySess = fs.Int("replay-sessions", 0, "concurrent live-replay session cap (0 = default)")
@@ -128,7 +127,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	shape := serve.EngineShape{
 		Nodes: *nodes, CoresPerNode: *cores,
 		MaxTaskRetries: *taskRetry,
-		Speculation:    *specExec,
 	}
 	if *faultRate > 0 {
 		shape.Faults = cluster.NewFaultPlan(*faultSeed, *faultRate)

@@ -59,7 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		cpuProf   = fs.String("cpuprofile", "", "write CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write heap profile to this file")
 		taskRetry = fs.Int("max-task-retries", 0, "engine task retry budget (0 = default, negative disables)")
-		specExec  = fs.Bool("speculation", false, "duplicate straggler tasks in the engine")
 		faultRate = fs.Float64("fault-rate", 0, "injected engine fault rate for chaos runs (0 disables)")
 		faultSeed = fs.Uint64("fault-seed", 1, "seed of the deterministic fault plan")
 		scenIn    = fs.String("scenario", "", "labeled-scenario spec (JSON); compiles to a CSBF1+CSBL1 labeled artifact")
@@ -89,11 +88,11 @@ func run(args []string, stdout io.Writer) error {
 		tracer = cluster.NewTracer()
 	}
 	// Nothing here changes the output bytes: -nodes/-cores are placement,
-	// and tracing, retries, speculation and injected faults touch only the
-	// attempt schedule.
+	// and tracing, retries and injected faults touch only the attempt
+	// schedule.
 	ccfg := cluster.Config{
 		Nodes: *nodes, CoresPerNode: *cores, Tracer: tracer,
-		MaxTaskRetries: *taskRetry, Speculation: *specExec,
+		MaxTaskRetries: *taskRetry,
 	}
 	if *faultRate > 0 {
 		ccfg.Faults = cluster.NewFaultPlan(*faultSeed, *faultRate)
@@ -178,9 +177,9 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "virtual cluster: makespan %v, total work %v, peak %d MiB/node\n",
 		m.Makespan.Round(time.Millisecond), m.TotalWork.Round(time.Millisecond),
 		m.PeakBytesPerNode>>20)
-	if m.TaskFailures > 0 || m.SpeculativeTasks > 0 {
-		fmt.Fprintf(stdout, "fault tolerance: %d failed attempts, %d retries, %d speculative tasks\n",
-			m.TaskFailures, m.TaskRetries, m.SpeculativeTasks)
+	if m.TaskFailures > 0 {
+		fmt.Fprintf(stdout, "fault tolerance: %d failed attempts, %d retries\n",
+			m.TaskFailures, m.TaskRetries)
 	}
 
 	if *veracity {

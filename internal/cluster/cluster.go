@@ -67,13 +67,6 @@ type Config struct {
 	// retries (every attempt is final), mirroring Spark's
 	// spark.task.maxFailures.
 	MaxTaskRetries int
-	// Speculation enables straggler mitigation: once at least half of a
-	// stage's tasks have finished, any task running longer than
-	// DefaultSpeculationQuantile times the median task time gets a duplicate
-	// attempt, and whichever attempt commits first wins. Output is
-	// unaffected — duplicates race only for the commit slot, never the
-	// result bytes.
-	Speculation bool
 	// Faults, when non-nil, deterministically injects panics, transient
 	// errors and straggler delays into task attempts for chaos testing. It
 	// never alters committed output, only the attempt schedule.
@@ -112,7 +105,6 @@ type StageRecord struct {
 	// Fault-tolerance accounting.
 	Attempts       int // task attempts launched (>= Tasks when anything retried)
 	Retries        int // re-attempts scheduled after failed attempts
-	Speculative    int // duplicate attempts launched for stragglers
 	FailedAttempts int // attempts that panicked or returned an injected fault
 	Remote         int // attempts that executed on a remote worker
 }
@@ -147,8 +139,6 @@ type Metrics struct {
 	PeakBytesPerNode int64
 	// TaskRetries counts re-attempts scheduled after failed task attempts.
 	TaskRetries int64
-	// SpeculativeTasks counts duplicate attempts launched for stragglers.
-	SpeculativeTasks int64
 	// TaskFailures counts attempts that panicked or hit an injected fault
 	// (including ones later recovered by a retry).
 	TaskFailures int64
@@ -321,10 +311,10 @@ type stageSpec struct {
 // runStage executes nTasks tasks on the real worker pool, measures each, and
 // charges the stage's LPT makespan over the virtual cores. Execution is
 // fault-tolerant: each task runs as a chain of attempts with panic recovery
-// and bounded retries, plus optional speculative duplicates and injected
-// faults (see fault.go). A task out of retries fails the cluster via a
-// sticky *StageError; a cancelled or already-failed cluster skips the stage
-// entirely, leaving its output partitions empty.
+// and bounded retries, plus optional injected faults (see fault.go). A task
+// out of retries fails the cluster via a sticky *StageError; a cancelled or
+// already-failed cluster skips the stage entirely, leaving its output
+// partitions empty.
 //
 // When spec.weights is set (typically the partition element counts), the
 // stage's summed wall time is apportioned to tasks proportionally to their
@@ -389,7 +379,6 @@ func (c *Cluster) runStage(spec stageSpec, nTasks int, task func(i int)) {
 		BytesOut:       bytesOut,
 		Attempts:       int(st.attempts.Load()),
 		Retries:        int(st.retries.Load()),
-		Speculative:    int(st.speculative.Load()),
 		FailedAttempts: int(st.failures.Load()),
 		Remote:         int(st.remoteRuns.Load()),
 	}
@@ -399,7 +388,6 @@ func (c *Cluster) runStage(spec stageSpec, nTasks int, task func(i int)) {
 		m.TotalWork += total
 		m.Makespan += span
 		m.TaskRetries += int64(rec.Retries)
-		m.SpeculativeTasks += int64(rec.Speculative)
 		m.TaskFailures += int64(rec.FailedAttempts)
 		m.RemoteTasks += int64(rec.Remote)
 	})

@@ -287,20 +287,6 @@ func MapPartitionsRemotable[T, U any](in *Dataset[T], kind string,
 	return newDataset(in.c, parts)
 }
 
-// Map applies f to every element.
-func Map[T, U any](in *Dataset[T], f func(T) U) *Dataset[U] {
-	parts := make([][]U, len(in.parts))
-	in.c.runStage(inSpec("map", in, parts), len(in.parts), func(i int) {
-		src := in.parts[i]
-		dst := make([]U, len(src))
-		for j, v := range src {
-			dst[j] = f(v)
-		}
-		parts[i] = dst
-	})
-	return newDataset(in.c, parts)
-}
-
 // Sample returns a dataset where each element is kept independently with
 // probability fraction — RDD.sample without replacement, the first stage of
 // the PGPBA preferential attachment. Element g's draw comes from its block's

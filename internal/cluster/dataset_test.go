@@ -15,6 +15,21 @@ func testCluster() *Cluster {
 	return MustNew(Config{Nodes: 2, CoresPerNode: 2, DefaultPartitions: 8})
 }
 
+// Map applies f to every element: the plain one-stage operator the engine
+// tests build pipelines from.
+func Map[T, U any](in *Dataset[T], f func(T) U) *Dataset[U] {
+	parts := make([][]U, len(in.parts))
+	in.c.runStage(inSpec("map", in, parts), len(in.parts), func(i int) {
+		src := in.parts[i]
+		dst := make([]U, len(src))
+		for j, v := range src {
+			dst[j] = f(v)
+		}
+		parts[i] = dst
+	})
+	return newDataset(in.c, parts)
+}
+
 func seq(n int) []int {
 	out := make([]int, n)
 	for i := range out {

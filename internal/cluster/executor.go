@@ -5,8 +5,8 @@ package cluster
 // this file extracts the decision "where does this attempt execute" into a
 // TaskExecutor so a distributed runtime (internal/dist) can dispatch
 // remotable stages to worker processes while the commit-slot machinery of
-// fault.go — at-most-once commits, retries, speculation — stays exactly the
-// same for both paths. A cluster without an Executor behaves as before.
+// fault.go — at-most-once commits and retries — stays exactly the same for
+// both paths. A cluster without an Executor behaves as before.
 
 import (
 	"context"
@@ -29,9 +29,8 @@ type StageInfo struct {
 
 // AttemptInfo identifies one task attempt within a stage.
 type AttemptInfo struct {
-	Task        int
-	Attempt     int
-	Speculative bool
+	Task    int
+	Attempt int
 }
 
 // RemoteStage describes how a stage's tasks can execute in another process:

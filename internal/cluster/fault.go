@@ -1,9 +1,8 @@
 package cluster
 
 // fault.go is the fault-tolerance layer of the engine: Spark-style task
-// attempts with panic recovery and bounded, jitter-backed retries;
-// speculative duplicate attempts for stragglers; and a deterministic
-// fault-injection plan for chaos testing.
+// attempts with panic recovery and bounded, jitter-backed retries, and a
+// deterministic fault-injection plan for chaos testing.
 //
 // The determinism argument, on which everything downstream (artifact
 // content addressing, the byte-identity tests of PR 1) rests:
@@ -21,12 +20,13 @@ package cluster
 //     so nothing reads a torn range.
 //
 //   - At most one attempt per task ever executes the task closure to
-//     completion: attempts serialize on the slot's commit lock and check
-//     the committed flag under it, so a speculative duplicate and a slow
-//     original can never double-apply or interleave a slot write.
+//     completion: a task's attempts run one after another (a retry is
+//     enqueued only once its predecessor has failed), and each checks the
+//     committed flag under the slot's commit lock before it writes, so no
+//     slot write is ever applied twice or interleaved.
 //
-//   - Which attempt wins changes only *when* the slot value is produced,
-//     never *what* it is. Retries, speculation and injected faults therefore
+//   - Which attempt commits changes only *when* the slot value is
+//     produced, never *what* it is. Retries and injected faults therefore
 //     perturb scheduling and timing only; Collect and Graph.Write output is
 //     byte-identical to a fault-free run as long as no task exhausts its
 //     retry budget.
@@ -40,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,10 +51,6 @@ const (
 	// retried before the stage fails the cluster (Spark's
 	// spark.task.maxFailures - 1).
 	DefaultMaxTaskRetries = 3
-	// DefaultSpeculationQuantile is the straggler threshold: a running task
-	// is duplicated once it exceeds this multiple of the median runtime of
-	// the stage's completed tasks.
-	DefaultSpeculationQuantile = 1.5
 )
 
 // maxFaultDelay bounds the straggler delays a FaultPlan injects.
@@ -104,10 +99,6 @@ func (b Backoff) delay(k1, k2 uint64, attempt int) time.Duration {
 	frac := 0.5 + unitFloat(faultHash(0xb5297a4d3a2d9fe1, k1, k2, uint64(attempt)))
 	return time.Duration(float64(d) * frac)
 }
-
-// speculationFloor is the smallest straggler threshold the monitor applies:
-// duplicating microsecond tasks costs more than it saves.
-const speculationFloor = 200 * time.Microsecond
 
 // ErrInjected is the transient error a FaultPlan injects into task attempts;
 // chaos tests match it with errors.Is through the retry path.
@@ -170,7 +161,7 @@ type FaultPlan struct {
 	// ErrorRate is the probability a task attempt fails with ErrInjected.
 	ErrorRate float64
 	// DelayRate is the probability a task attempt is delayed (a straggler),
-	// exercising the speculation path.
+	// which changes only the order in which the stage's tasks commit.
 	DelayRate float64
 }
 
@@ -238,12 +229,11 @@ func (p *FaultPlan) decide(stage uint64, task, attempt int) (faultKind, time.Dur
 	return faultNone, 0
 }
 
-// taskAttempt is one unit of worker work: which task, which attempt in its
-// chain, and whether it is a speculative duplicate.
+// taskAttempt is one unit of worker work: which task, and which attempt in
+// its chain.
 type taskAttempt struct {
-	task        int
-	attempt     int
-	speculative bool
+	task    int
+	attempt int
 }
 
 // taskSlot is the per-task commit state of a running stage.
@@ -253,14 +243,12 @@ type taskSlot struct {
 	mu        sync.Mutex
 	committed bool
 
-	done       atomic.Bool  // an attempt committed (lock-free fast check)
-	startNS    atomic.Int64 // wall time the first attempt started; 0 = never started
-	durNS      atomic.Int64 // winning attempt's closure wall time
-	speculated atomic.Bool  // a duplicate has been launched (at most one)
+	done  atomic.Bool  // an attempt committed (lock-free fast check)
+	durNS atomic.Int64 // committing attempt's closure wall time
 }
 
-// stageRun executes one stage's tasks with retries and speculation. It is
-// created, driven and discarded by runStage.
+// stageRun executes one stage's tasks with retries. It is created, driven
+// and discarded by runStage.
 type stageRun struct {
 	c          *Cluster
 	op, label  string
@@ -273,8 +261,9 @@ type stageRun struct {
 	faults     *FaultPlan
 
 	slots []taskSlot
-	// queue is buffered for the worst-case attempt count so enqueues never
-	// block, even from retry timers firing after the stage ended.
+	// queue is buffered for the worst-case attempt count, the original and
+	// every retry of every task, so enqueues never block, even from retry
+	// timers firing after the stage ended.
 	queue     chan taskAttempt
 	stop      chan struct{} // closed when the stage is terminal
 	stopOnce  sync.Once
@@ -284,11 +273,10 @@ type stageRun struct {
 	failure *StageError
 
 	// Counters folded into StageRecord/Metrics.
-	attempts    atomic.Int64
-	failures    atomic.Int64
-	retries     atomic.Int64
-	speculative atomic.Int64
-	remoteRuns  atomic.Int64
+	attempts   atomic.Int64
+	failures   atomic.Int64
+	retries    atomic.Int64
+	remoteRuns atomic.Int64
 }
 
 func newStageRun(c *Cluster, op string, seq uint64, n int, task func(int), remote *RemoteStage) *stageRun {
@@ -306,7 +294,7 @@ func newStageRun(c *Cluster, op string, seq uint64, n int, task func(int), remot
 		slots:      make([]taskSlot, n),
 		stop:       make(chan struct{}),
 	}
-	st.queue = make(chan taskAttempt, n*(st.maxRetries+2))
+	st.queue = make(chan taskAttempt, n*(st.maxRetries+1))
 	st.remaining.Store(int64(n))
 	return st
 }
@@ -344,13 +332,6 @@ func (st *stageRun) run() {
 			}
 		})
 	}
-	if st.c.cfg.Speculation && st.n > 1 {
-		wg.Add(1)
-		sharedPool.submit(func() {
-			defer wg.Done()
-			st.speculate(ctxDone)
-		})
-	}
 	wg.Wait()
 	// Unblock any retry timer that fires after the stage ended (its enqueue
 	// falls into the buffered queue and is never drained — harmless).
@@ -365,18 +346,11 @@ func (st *stageRun) runAttempt(att taskAttempt) {
 		return // another attempt already committed this task
 	}
 	st.attempts.Add(1)
-	slot.startNS.CompareAndSwap(0, time.Now().UnixNano())
 	err := st.execute(att, slot)
 	if err == nil {
 		return
 	}
 	st.failures.Add(1)
-	if att.speculative {
-		// Duplicates never retry and never fail the stage; only the original
-		// attempt chain decides failure, which keeps whether a stage fails a
-		// pure function of the fault plan rather than of scheduling.
-		return
-	}
 	if att.attempt >= st.maxRetries {
 		st.fail(att, err)
 		return
@@ -405,7 +379,7 @@ func (st *stageRun) execute(att taskAttempt, slot *taskSlot) (err error) {
 			err = &taskPanic{val: r}
 		}
 	}()
-	if st.faults != nil && !att.speculative {
+	if st.faults != nil {
 		switch kind, d := st.faults.decide(st.seq, att.task, att.attempt); kind {
 		case faultPanic:
 			panic(fmt.Sprintf("injected panic (stage %d task %d attempt %d)", st.seq, att.task, att.attempt))
@@ -426,7 +400,7 @@ func (st *stageRun) execute(att taskAttempt, slot *taskSlot) (err error) {
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.committed {
-		return nil // lost the race to a duplicate or retry; output already in place
+		return nil // an earlier attempt committed; output already in place
 	}
 	start := time.Now()
 	st.task(att.task)
@@ -440,10 +414,9 @@ func (st *stageRun) execute(att taskAttempt, slot *taskSlot) (err error) {
 }
 
 // executeRemote dispatches one attempt through the cluster's TaskExecutor.
-// The RPC waits outside the commit lock — a speculative duplicate must not
-// serialize behind a hung call to a dead worker — and only the Apply of the
-// returned bytes runs under it, winning or discarding exactly like a local
-// closure. handled is false when the executor declined (ErrNoRemote), in
+// The RPC waits outside the commit lock, which needs to cover only the slot
+// write: the Apply of the returned bytes runs under it, committing or
+// discarding exactly like a local closure. handled is false when the executor declined (ErrNoRemote), in
 // which case the caller falls back to local execution.
 func (st *stageRun) executeRemote(att taskAttempt, slot *taskSlot) (handled bool, err error) {
 	ctx := st.c.cfg.Context
@@ -453,7 +426,7 @@ func (st *stageRun) executeRemote(att taskAttempt, slot *taskSlot) (handled bool
 	start := time.Now()
 	result, err := st.executor.ExecRemote(ctx,
 		StageInfo{Op: st.op, Label: st.label, Seq: st.seq},
-		AttemptInfo{Task: att.task, Attempt: att.attempt, Speculative: att.speculative},
+		AttemptInfo{Task: att.task, Attempt: att.attempt},
 		st.remote.Kind,
 		func() []byte { return st.remote.Payload(att.task) })
 	if errors.Is(err, ErrNoRemote) {
@@ -471,8 +444,8 @@ func (st *stageRun) executeRemote(att taskAttempt, slot *taskSlot) (handled bool
 	if err := st.remote.Apply(att.task, result); err != nil {
 		return true, err
 	}
-	// The recorded duration covers dispatch through apply, so the straggler
-	// monitor sees remote tasks on the same clock as local ones.
+	// The recorded duration covers dispatch through apply, so the virtual
+	// makespan sees remote tasks on the same clock as local ones.
 	slot.durNS.Store(int64(time.Since(start)))
 	slot.committed = true
 	slot.done.Store(true)
@@ -502,56 +475,4 @@ func (st *stageRun) fail(att taskAttempt, err error) {
 	}
 	st.failMu.Unlock()
 	st.stopOnce.Do(func() { close(st.stop) })
-}
-
-// speculate is the straggler monitor: once at least half the stage's tasks
-// have committed, any running task older than DefaultSpeculationQuantile
-// times the median committed runtime is duplicated (once). Whichever attempt
-// reaches the commit gate first wins; the loser observes the committed flag
-// and discards itself.
-func (st *stageRun) speculate(ctxDone <-chan struct{}) {
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-st.stop:
-			return
-		case <-ctxDone:
-			return
-		case <-tick.C:
-		}
-		durs := make([]time.Duration, 0, st.n)
-		for i := range st.slots {
-			if st.slots[i].done.Load() {
-				durs = append(durs, time.Duration(st.slots[i].durNS.Load()))
-			}
-		}
-		if len(durs) == st.n {
-			return
-		}
-		if len(durs) < (st.n+1)/2 {
-			continue // not enough samples for a meaningful median yet
-		}
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		median := durs[len(durs)/2]
-		threshold := time.Duration(DefaultSpeculationQuantile * float64(median))
-		if threshold < speculationFloor {
-			threshold = speculationFloor
-		}
-		now := time.Now().UnixNano()
-		for i := range st.slots {
-			s := &st.slots[i]
-			if s.done.Load() || s.speculated.Load() {
-				continue
-			}
-			started := s.startNS.Load()
-			if started == 0 || time.Duration(now-started) <= threshold {
-				continue // queued tasks gain nothing from a duplicate
-			}
-			if s.speculated.CompareAndSwap(false, true) {
-				st.speculative.Add(1)
-				st.enqueue(taskAttempt{task: i, speculative: true})
-			}
-		}
-	}
 }

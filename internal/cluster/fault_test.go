@@ -209,35 +209,6 @@ func TestSerialPanicContained(t *testing.T) {
 	}
 }
 
-// TestSpeculationDuplicatesStragglers injects stragglers into a stage of
-// fast tasks and verifies the output stays correct while duplicates run.
-func TestSpeculationDuplicatesStragglers(t *testing.T) {
-	c := MustNew(Config{
-		Nodes: 1, CoresPerNode: 4, MaxParallel: 4,
-		Speculation: true,
-		// Delays only, on about one attempt in ten: a few stragglers
-		// among fast tasks.
-		Faults: &FaultPlan{Seed: 5, DelayRate: 0.1},
-	})
-	got := Collect(Map(Parallelize(c, seqN(64), 16), func(x int) int { return x + 1 }))
-	if err := c.Err(); err != nil {
-		t.Fatalf("Err = %v", err)
-	}
-	if len(got) != 64 {
-		t.Fatalf("got %d elements, want 64", len(got))
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("element %d = %d, want %d", i, v, i+1)
-		}
-	}
-	// Delay injection is probabilistic per (stage, task); with 10% over
-	// 16 tasks × several stages a straggler is near-certain, but assert
-	// only the invariant that speculation never corrupts output, and
-	// report the observed duplicates for the log.
-	t.Logf("speculative attempts: %d", c.Metrics().SpeculativeTasks)
-}
-
 // TestCancelledStageStatsExcludeUnstartedTasks is the satellite fix: tasks a
 // cancelled worker never picked up must not appear as zero-duration samples
 // in the stage stats, and Metrics.Tasks must count only executed tasks.
@@ -280,12 +251,15 @@ func TestCancelledStageStatsExcludeUnstartedTasks(t *testing.T) {
 // + distinct + map) across fault rates and parallelism and asserts
 // the collected output never changes — the engine-level half of the
 // determinism acceptance criterion (the generator-level half lives in
-// internal/core).
+// internal/core). It also checks that only retry chains launch attempts:
+// every stage of a run that did not fail ran each task once plus once per
+// retry.
 func TestChaosMatrixByteIdenticalPipeline(t *testing.T) {
 	run := func(rate float64, maxPar int) []int {
+		tr := NewTracer()
 		cfg := Config{
 			Nodes: 2, CoresPerNode: 2, MaxParallel: maxPar,
-			MaxTaskRetries: 8, Speculation: true,
+			MaxTaskRetries: 8, Tracer: tr,
 		}
 		if rate > 0 {
 			cfg.Faults = NewFaultPlan(99, rate)
@@ -309,6 +283,12 @@ func TestChaosMatrixByteIdenticalPipeline(t *testing.T) {
 		out := Collect(squared)
 		if err := c.Err(); err != nil {
 			t.Fatalf("rate %.2f par %d failed: %v", rate, maxPar, err)
+		}
+		for _, s := range tr.Spans() {
+			if s.Attempts != s.Tasks+s.Retries {
+				t.Fatalf("rate %.2f par %d: stage %s ran %d attempts for %d tasks and %d retries",
+					rate, maxPar, s.Op, s.Attempts, s.Tasks, s.Retries)
+			}
 		}
 		return out
 	}

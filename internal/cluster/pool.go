@@ -2,7 +2,7 @@ package cluster
 
 // pool.go is the persistent worker pool behind every engine stage. Before
 // the hot-path pass each stage spawned (and discarded) min(MaxParallel,
-// tasks) goroutines plus an optional straggler monitor; a generator run
+// tasks) goroutines; a generator run
 // executes thousands of stages, so the engine was paying a goroutine launch
 // and teardown per worker per stage for bodies that often run microseconds.
 // The pool keeps finished workers parked on a LIFO free list and hands them
@@ -19,8 +19,8 @@ package cluster
 //
 //   - LIFO reuse keeps recently active workers (and their already-grown
 //     stacks) warm; the cold tail just stays parked on its own channel at
-//     ~4 KiB a goroutine, bounded by the largest MaxParallel (+1 monitor
-//     per concurrently running speculative stage) the process ever used.
+//     ~4 KiB a goroutine, bounded by the most stage workers the process
+//     ever ran at once.
 //
 //   - Channel handoff provides the happens-before edge between one stage's
 //     writes and the next stage's reads on a reused worker, so the race

@@ -55,7 +55,6 @@ func propConfigs(caseSeed uint64) []struct {
 					if rate > 0 {
 						cfg.Faults = NewFaultPlan(caseSeed, rate)
 						cfg.MaxTaskRetries = 8
-						cfg.Speculation = true
 					}
 					return MustNew(cfg)
 				},

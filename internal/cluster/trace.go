@@ -146,7 +146,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				"bytes_out":       s.BytesOut,
 				"attempts":        s.Attempts,
 				"retries":         s.Retries,
-				"speculative":     s.Speculative,
 				"failed_attempts": s.FailedAttempts,
 			},
 		})
@@ -167,13 +166,13 @@ func (t *Tracer) laneCount() int {
 // data went.
 func (t *Tracer) WriteStageTable(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "cluster\tseq\tlabel\top\ttasks\treal\twork\tvspan\tskew\tin_bytes\tout_bytes\tattempts\tretries\tspec")
+	fmt.Fprintln(tw, "cluster\tseq\tlabel\top\ttasks\treal\twork\tvspan\tskew\tin_bytes\tout_bytes\tattempts\tretries")
 	for _, s := range t.Spans() {
-		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%d\t%v\t%v\t%v\t%.2f\t%d\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%d\t%v\t%v\t%v\t%.2f\t%d\t%d\t%d\t%d\n",
 			s.Cluster, s.Seq, s.Label, s.Op, s.Tasks,
 			s.Real.Round(time.Microsecond), s.Work.Round(time.Microsecond),
 			s.Makespan.Round(time.Microsecond), s.Skew, s.BytesIn, s.BytesOut,
-			s.Attempts, s.Retries, s.Speculative)
+			s.Attempts, s.Retries)
 	}
 	return tw.Flush()
 }

@@ -18,7 +18,7 @@ func chaosCluster(t *testing.T, rate float64, maxParallel int) *cluster.Cluster 
 	t.Helper()
 	cfg := cluster.Config{
 		Nodes: 2, CoresPerNode: 2, MaxParallel: maxParallel,
-		MaxTaskRetries: 8, Speculation: true,
+		MaxTaskRetries: 8,
 	}
 	if rate > 0 {
 		// The -fault-rate plan itself. The fixed seed makes its schedule
@@ -35,8 +35,8 @@ func chaosCluster(t *testing.T, rate float64, maxParallel int) *cluster.Cluster 
 // TestChaosMatrixGeneratorsByteIdentical is the acceptance criterion of the
 // fault model: for both generators, every (fault rate, parallelism) matrix
 // point must produce Graph.Write output byte-identical to the fault-free
-// run — injected panics, transient errors, straggler delays, retries and
-// speculative duplicates may change the schedule but never the artifact.
+// run — injected panics, transient errors, straggler delays and retries
+// may change the schedule but never the artifact.
 func TestChaosMatrixGeneratorsByteIdentical(t *testing.T) {
 	seed := traceSeed(t, 20, 250, 3)
 	generators := map[string]func(c *cluster.Cluster) Generator{

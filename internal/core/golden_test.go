@@ -34,7 +34,7 @@ func edgeListSHA(t *testing.T, gen Generator, s *Seed, size int64) string {
 
 // goldenClusters is the execution matrix every golden digest must hold on:
 // cluster shapes, partition counts, parallelism and a fault plan with
-// speculation. None of them is an input to the bytes.
+// retries. None of them is an input to the bytes.
 var goldenClusters = []struct {
 	name string
 	cfg  cluster.Config
@@ -49,8 +49,8 @@ var goldenClusters = []struct {
 	{"partitions=64", cluster.Config{DefaultPartitions: 64}},
 	{"par=1", cluster.Config{Nodes: 4, CoresPerNode: 4, MaxParallel: 1}},
 	{"par=16", cluster.Config{Nodes: 4, CoresPerNode: 4, MaxParallel: 16}},
-	{"faults+speculation", cluster.Config{Nodes: 2, CoresPerNode: 4, MaxParallel: 4,
-		Faults: cluster.NewFaultPlan(7, 0.2), MaxTaskRetries: 8, Speculation: true}},
+	{"faults", cluster.Config{Nodes: 2, CoresPerNode: 4, MaxParallel: 4,
+		Faults: cluster.NewFaultPlan(7, 0.2), MaxTaskRetries: 8}},
 }
 
 // TestGoldenGeneratorDigests locks the byte-exact output of both generators

@@ -9,7 +9,7 @@
 // Determinism: the coordinator only ever ships task payloads whose results
 // are pure functions of their bytes (internal/dist/task), and the engine's
 // at-most-once commit slots (internal/cluster/fault.go) arbitrate between
-// remote, retried and speculative attempts exactly as they do locally. Where
+// remote and retried attempts exactly as they do locally. Where
 // a task runs — in process, on 1 worker, on N workers, or re-dispatched
 // after a mid-stage worker kill — never changes the committed bytes.
 //

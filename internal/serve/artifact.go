@@ -27,8 +27,6 @@ type EngineShape struct {
 	// MaxTaskRetries bounds per-task retry attempts in the engine (0 means
 	// cluster.DefaultMaxTaskRetries; negative disables retries).
 	MaxTaskRetries int
-	// Speculation enables straggler duplication in the engine.
-	Speculation bool
 	// Faults, when non-nil, injects deterministic chaos into every job's
 	// engine (testing only).
 	Faults *cluster.FaultPlan
@@ -42,7 +40,6 @@ func (sh EngineShape) newCluster(ctx context.Context, tracer *cluster.Tracer, ex
 	return cluster.New(cluster.Config{
 		Nodes: sh.Nodes, CoresPerNode: sh.CoresPerNode, Context: ctx, Tracer: tracer,
 		MaxTaskRetries: sh.MaxTaskRetries,
-		Speculation:    sh.Speculation,
 		Faults:         sh.Faults,
 		Executor:       exec,
 	})

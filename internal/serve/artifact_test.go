@@ -48,10 +48,10 @@ func (r *remoteCounter) ExecRemote(context.Context, cluster.StageInfo, cluster.A
 // TestCSBGArtifactMatchesWrite holds the in-place csbg encode to
 // Graph.Write, the streaming writer csbgen and csbseed files come from:
 // serially without a cluster, and as a stage on every shape, at every
-// parallelism, through injected faults with retries and speculation, and
-// on a cluster with a TaskExecutor, which must be offered none of its
-// tasks. The graphs cover 0 and 1 edges, an address table, and edge counts
-// no partition count divides.
+// parallelism, through injected faults with retries, and on a cluster with
+// a TaskExecutor, which must be offered none of its tasks. The graphs cover
+// 0 and 1 edges, an address table, and edge counts no partition count
+// divides.
 func TestCSBGArtifactMatchesWrite(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -75,7 +75,7 @@ func TestCSBGArtifactMatchesWrite(t *testing.T) {
 		{"2x4-par1", &cluster.Config{Nodes: 2, CoresPerNode: 4, MaxParallel: 1}},
 		{"2x4-par16", &cluster.Config{Nodes: 2, CoresPerNode: 4, MaxParallel: 16}},
 		{"2x4-chaos", &cluster.Config{Nodes: 2, CoresPerNode: 4, MaxParallel: 16,
-			Faults: chaos, MaxTaskRetries: 8, Speculation: true}},
+			Faults: chaos, MaxTaskRetries: 8}},
 		{"1x2-executor", &cluster.Config{Nodes: 1, CoresPerNode: 2, Executor: exec}},
 	}
 	var failedAttempts int

@@ -67,7 +67,6 @@ func (cl equivCell) cluster(exec cluster.TaskExecutor) *cluster.Cluster {
 	if cl.faultRate > 0 {
 		cfg.Faults = cluster.NewFaultPlan(1234, cl.faultRate)
 		cfg.MaxTaskRetries = 8
-		cfg.Speculation = true
 	}
 	return cluster.MustNew(cfg)
 }

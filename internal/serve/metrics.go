@@ -83,9 +83,8 @@ type StageMetric struct {
 	BytesIn  int64
 	BytesOut int64
 	// Fault-tolerance accounting, summed from the engine's task attempts.
-	Attempts    int64
-	Retries     int64
-	Speculative int64
+	Attempts int64
+	Retries  int64
 	// Remote counts task attempts committed on distributed workers.
 	Remote int64
 }
@@ -134,7 +133,6 @@ func (s *Server) Metrics() Metrics {
 		sm.BytesOut += span.BytesOut
 		sm.Attempts += int64(span.Attempts)
 		sm.Retries += int64(span.Retries)
-		sm.Speculative += int64(span.Speculative)
 		sm.Remote += int64(span.Remote)
 	}
 	m.Stages = make([]StageMetric, 0, len(agg))
@@ -219,7 +217,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "csbd_stage_tasks_total{op=%q} %d\n", sm.Op, sm.Tasks)
 		fmt.Fprintf(&b, "csbd_stage_attempts_total{op=%q} %d\n", sm.Op, sm.Attempts)
 		fmt.Fprintf(&b, "csbd_stage_retries_total{op=%q} %d\n", sm.Op, sm.Retries)
-		fmt.Fprintf(&b, "csbd_stage_speculative_total{op=%q} %d\n", sm.Op, sm.Speculative)
 		fmt.Fprintf(&b, "csbd_stage_remote_total{op=%q} %d\n", sm.Op, sm.Remote)
 		fmt.Fprintf(&b, "csbd_stage_real_seconds_total{op=%q} %.6f\n", sm.Op, sm.Real.Seconds())
 		fmt.Fprintf(&b, "csbd_stage_work_seconds_total{op=%q} %.6f\n", sm.Op, sm.Work.Seconds())

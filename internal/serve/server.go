@@ -216,6 +216,10 @@ func New(cfg Config) (*Server, error) {
 	} else if cfg.JobRetries < 0 {
 		cfg.JobRetries = 0
 	}
+	// A shape every job's cluster would reject fails here, not job by job.
+	if _, err := cfg.Shape.newCluster(context.Background(), nil, nil); err != nil {
+		return nil, err
+	}
 	cache, err := NewCache(cfg.CacheBytes, cfg.CacheDir, cfg.CacheDiskBytes)
 	if err != nil {
 		return nil, err

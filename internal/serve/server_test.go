@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"csb/internal/cluster"
 	"csb/internal/pcap"
 )
 
@@ -379,6 +380,21 @@ func TestUnknownJobAndArtifactAre404(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s = %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestNewRejectsInvalidShape holds New to the checks every job's cluster
+// makes: a shape the engine rejects fails the server at startup, before it
+// reports ready, instead of failing each job it accepts.
+func TestNewRejectsInvalidShape(t *testing.T) {
+	for _, sh := range []EngineShape{
+		{Nodes: -1},
+		{Faults: cluster.NewFaultPlan(1, 2)},
+	} {
+		if s, err := New(Config{Workers: 1, Shape: sh}); err == nil {
+			s.Close()
+			t.Errorf("New accepted shape %+v", sh)
 		}
 	}
 }

@@ -128,7 +128,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		Nodes: *nodes, CoresPerNode: *cores,
 		MaxTaskRetries: *taskRetry,
 	}
-	if *faultRate > 0 {
+	if *faultRate != 0 {
 		shape.Faults = cluster.NewFaultPlan(*faultSeed, *faultRate)
 	}
 	var jl *journal.Journal

@@ -147,6 +147,9 @@ func TestDaemonBadFlags(t *testing.T) {
 	if err := run([]string{"-fault-rate", "2", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
 		t.Fatal("fault rate above 1 accepted")
 	}
+	if err := run([]string{"-fault-rate", "-1", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
+		t.Fatal("negative fault rate accepted")
+	}
 	// -chaos-net only makes sense on the distributed wire.
 	if err := run([]string{"-chaos-net", "latency=1ms", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
 		t.Fatal("-chaos-net accepted for standalone role")

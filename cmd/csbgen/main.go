@@ -94,7 +94,7 @@ func run(args []string, stdout io.Writer) error {
 		Nodes: *nodes, CoresPerNode: *cores, Tracer: tracer,
 		MaxTaskRetries: *taskRetry,
 	}
-	if *faultRate > 0 {
+	if *faultRate != 0 {
 		ccfg.Faults = cluster.NewFaultPlan(*faultSeed, *faultRate)
 	}
 	c, err := cluster.New(ccfg)

@@ -132,6 +132,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-notaflag"}, &out); err == nil {
 		t.Error("bad flag accepted")
 	}
+	if err := run([]string{"-fault-rate", "-1", "-hosts", "15", "-sessions", "150", "-edges", "2000"}, &out); err == nil {
+		t.Error("negative fault rate accepted")
+	}
 }
 
 // TestArtifactBytesMatchServer is the CLI/daemon determinism cross-check:

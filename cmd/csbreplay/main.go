@@ -4,14 +4,18 @@
 // replays its artifact, or consumes a stream — optionally through the
 // on-line anomaly detector, printing alerts as windows close.
 //
+// -artifact takes any replayable artifact — a flow CSV, a CSBG graph whose
+// flow projection replays, or a CSBF flow artifact — and reads its format
+// from its leading bytes.
+//
 // Usage:
 //
-//	csbreplay -flows flows.csv -addr :9000 -speed 10 -policy drop
-//	csbreplay -graph syn.csbg -addr :9000 -rate 50000
+//	csbreplay -artifact flows.csv -addr :9000 -speed 10 -policy drop
+//	csbreplay -artifact syn.csbg -addr :9000 -rate 50000
 //	csbreplay -artifact flows.csbf -addr :9000 -wait 4
 //	csbreplay -follow j1 -daemon http://localhost:8080 -addr :9000
 //	csbreplay -consume localhost:9000 -ids -window-sec 60
-//	csbreplay -flows flows.csv -flows-out flows.csbf
+//	csbreplay -artifact flows.csv -flows-out flows.csbf
 //	csbreplay -scenario spec.json -flows-out labeled.csbf -addr :9000
 //	csbreplay -consume localhost:9000 -ids -labels labeled.csbf
 package main
@@ -53,9 +57,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	fs := flag.NewFlagSet("csbreplay", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		flowsIn    = fs.String("flows", "", "flow CSV to replay")
-		graphIn    = fs.String("graph", "", "property graph (CSBG) whose flow projection replays")
-		artifactIn = fs.String("artifact", "", "CSBF flow artifact to replay")
+		artifactIn = fs.String("artifact", "", "artifact to replay: flow CSV, CSBG graph (its flow projection) or CSBF flows, told apart by their leading bytes")
 		scenIn     = fs.String("scenario", "", "labeled-scenario spec (JSON) to compile and replay")
 		follow     = fs.String("follow", "", "csbd job id to follow and replay")
 		daemon     = fs.String("daemon", "http://localhost:8080", "csbd base URL for -follow")
@@ -94,7 +96,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	if err != nil {
 		return err
 	}
-	src, err := loadSource(*flowsIn, *graphIn, *artifactIn, *scenIn, *follow, *daemon)
+	src, err := loadSource(*artifactIn, *scenIn, *follow, *daemon)
 	if err != nil {
 		return err
 	}
@@ -106,7 +108,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		// into a plain CSBF1.
 		out := src.data
 		if !src.labeled {
-			flows, err := serve.ReplayFlows(src.data, src.format)
+			flows, err := serve.ReplayFlows(src.data)
 			if err != nil {
 				return err
 			}
@@ -132,7 +134,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		return fmt.Errorf("nothing to do: pass -addr to serve, -consume to subscribe, or -flows-out to convert")
 	}
 
-	srv, err := serve.NewReplayServer(src.data, src.format, replay.Options{
+	srv, err := serve.NewReplayServer(src.data, replay.Options{
 		Speed: *speed, Rate: *rate, Burst: *burst,
 		Policy: policy, QueueLen: *queueLen, BatchLen: *batchLen, ArtifactSHA: src.sha,
 	})
@@ -184,21 +186,20 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 // replayable formats (serve.NewReplayServer).
 type source struct {
 	data    []byte
-	format  string
 	sha     [32]byte // SHA-256 stamped into the stream header
 	labeled bool     // a compiled scenario: data carries the CSBL1 ground truth
 }
 
 // loadSource resolves the one dataset source the flags name.
-func loadSource(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) (source, error) {
+func loadSource(artifactIn, scenIn, follow, daemon string) (source, error) {
 	sources := 0
-	for _, s := range []string{flowsIn, graphIn, artifactIn, scenIn, follow} {
+	for _, s := range []string{artifactIn, scenIn, follow} {
 		if s != "" {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return source{}, fmt.Errorf("exactly one of -flows, -graph, -artifact, -scenario or -follow is required")
+		return source{}, fmt.Errorf("exactly one of -artifact, -scenario or -follow is required")
 	}
 	if follow != "" {
 		return followJob(daemon, follow)
@@ -223,20 +224,13 @@ func loadSource(flowsIn, graphIn, artifactIn, scenIn, follow, daemon string) (so
 		if err != nil {
 			return source{}, err
 		}
-		return source{data: data, format: job.Format, sha: serve.ArtifactSHA(job.ID()), labeled: true}, nil
+		return source{data: data, sha: serve.ArtifactSHA(job.ID()), labeled: true}, nil
 	}
-	path, format := artifactIn, serve.FormatCSBF
-	switch {
-	case flowsIn != "":
-		path, format = flowsIn, serve.FormatCSV
-	case graphIn != "":
-		path, format = graphIn, serve.FormatCSBG
-	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(artifactIn)
 	if err != nil {
 		return source{}, err
 	}
-	return source{data: data, format: format, sha: sha256.Sum256(data)}, nil
+	return source{data: data, sha: sha256.Sum256(data)}, nil
 }
 
 // followJob polls a csbd job to completion and fetches its artifact.
@@ -279,7 +273,7 @@ func followJob(daemon, jobID string) (source, error) {
 	if err != nil {
 		return source{}, err
 	}
-	return source{data: data, format: st.Spec.Format, sha: serve.ArtifactSHA(st.ArtifactID)}, nil
+	return source{data: data, sha: serve.ArtifactSHA(st.ArtifactID)}, nil
 }
 
 // consumeStream subscribes to a CSBS1 stream, optionally running the

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"csb/internal/graph"
 	"csb/internal/netflow"
 	"csb/internal/pcap"
 	"csb/internal/replay"
@@ -57,7 +58,7 @@ func TestServeAndConsumeEndToEnd(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- run([]string{
-			"-flows", csvPath, "-addr", "127.0.0.1:0", "-wait", "2", "-wait-timeout", "30s",
+			"-artifact", csvPath, "-addr", "127.0.0.1:0", "-wait", "2", "-wait-timeout", "30s",
 		}, &serveOut, ready, stop)
 	}()
 	addr := <-ready
@@ -299,7 +300,7 @@ func TestFlowsOutRoundTrip(t *testing.T) {
 	csvPath, flows := writeTestCSV(t)
 	out := filepath.Join(t.TempDir(), "flows.csbf")
 	var buf bytes.Buffer
-	if err := run([]string{"-flows", csvPath, "-flows-out", out}, &buf, nil, nil); err != nil {
+	if err := run([]string{"-artifact", csvPath, "-flows-out", out}, &buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -315,6 +316,45 @@ func TestFlowsOutRoundTrip(t *testing.T) {
 	}
 	if len(back) != len(flows) {
 		t.Fatalf("round trip: %d flows, want %d", len(back), len(flows))
+	}
+}
+
+// TestArtifactReadsFormatFromBytes: -artifact takes a CSBG graph as well as
+// flows, and replays the graph's flow projection; bytes with no replayable
+// format's signature are refused.
+func TestArtifactReadsFormatFromBytes(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(graph.Edge{Src: 0, Dst: 1, Props: graph.EdgeProps{Protocol: graph.ProtoTCP, DstPort: 80, OutBytes: 300}})
+	g.AddEdge(graph.Edge{Src: 2, Dst: 1, Props: graph.EdgeProps{Protocol: graph.ProtoUDP, DstPort: 53, OutBytes: 70}})
+	dir := t.TempDir()
+	var enc bytes.Buffer
+	if err := g.Write(&enc); err != nil {
+		t.Fatal(err)
+	}
+	graphPath := filepath.Join(dir, "syn.csbg")
+	if err := os.WriteFile(graphPath, enc.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "flows.csbf")
+	var buf bytes.Buffer
+	if err := run([]string{"-artifact", graphPath, "-flows-out", out}, &buf, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := replay.EncodeFlows(netflow.FlowsFromGraph(g)); !bytes.Equal(data[replay.FlowFileHeaderLen:], want) {
+		t.Fatal("CSBF flow section differs from the graph's flow projection")
+	}
+
+	junk := filepath.Join(dir, "junk.bin")
+	if err := os.WriteFile(junk, []byte("not an artifact"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-artifact", junk, "-flows-out", filepath.Join(dir, "junk.csbf")}, &buf, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "not replayable") {
+		t.Fatalf("unknown bytes: err = %v, want a not-replayable error", err)
 	}
 }
 
@@ -353,7 +393,7 @@ func TestConsumeWithIDS(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() {
 		var out bytes.Buffer
-		serveErr <- run([]string{"-flows", path, "-addr", "127.0.0.1:0", "-wait", "1"}, &out, ready, stop)
+		serveErr <- run([]string{"-artifact", path, "-addr", "127.0.0.1:0", "-wait", "1"}, &out, ready, stop)
 	}()
 	addr := <-ready
 	var out bytes.Buffer

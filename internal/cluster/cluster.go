@@ -340,10 +340,9 @@ func (c *Cluster) runStage(spec stageSpec, nTasks int, task func(i int)) {
 	executed := make([]int, 0, nTasks)
 	durations := make([]time.Duration, 0, nTasks)
 	var total time.Duration
-	for i := range st.slots {
-		if st.slots[i].done.Load() {
+	for i, d := range st.durs {
+		if d != 0 {
 			executed = append(executed, i)
-			d := time.Duration(st.slots[i].durNS.Load())
 			durations = append(durations, d)
 			total += d
 		}

@@ -16,14 +16,14 @@ package cluster
 //     artifact's records into one presized slice. A failed attempt of
 //     either may leave its range partly written, but the range is private
 //     to the task and the retry rewrites all of it with the identical
-//     bytes (attempts of one task still serialize on the slot lock, below),
-//     so nothing reads a torn range.
+//     bytes, so nothing reads a torn range.
 //
-//   - At most one attempt per task ever executes the task closure to
-//     completion: a task's attempts run one after another (a retry is
-//     enqueued only once its predecessor has failed), and each checks the
-//     committed flag under the slot's commit lock before it writes, so no
-//     slot write is ever applied twice or interleaved.
+//   - A task's attempts never overlap, so no lock guards its slot: the
+//     original is enqueued once, a retry only after its predecessor has
+//     returned its failure, and a remote attempt's reply is applied only
+//     inside the ExecRemote call that awaited it (a reply arriving after
+//     that call has returned is dropped by the executor). The one attempt
+//     that returns no error is the one that committed.
 //
 //   - Which attempt commits changes only *when* the slot value is
 //     produced, never *what* it is. Retries and injected faults therefore
@@ -236,17 +236,6 @@ type taskAttempt struct {
 	attempt int
 }
 
-// taskSlot is the per-task commit state of a running stage.
-type taskSlot struct {
-	// mu serializes closure execution across attempts of this task; the
-	// committed flag under it is the double-apply guard.
-	mu        sync.Mutex
-	committed bool
-
-	done  atomic.Bool  // an attempt committed (lock-free fast check)
-	durNS atomic.Int64 // committing attempt's closure wall time
-}
-
 // stageRun executes one stage's tasks with retries. It is created, driven
 // and discarded by runStage.
 type stageRun struct {
@@ -260,7 +249,11 @@ type stageRun struct {
 	maxRetries int
 	faults     *FaultPlan
 
-	slots []taskSlot
+	// durs holds each task's committing attempt's wall time, at least 1ns,
+	// and 0 while the task has not committed. Only the worker running the
+	// task's one live attempt writes it; runStage reads it once every worker
+	// has returned.
+	durs []time.Duration
 	// queue is buffered for the worst-case attempt count, the original and
 	// every retry of every task, so enqueues never block, even from retry
 	// timers firing after the stage ended.
@@ -291,7 +284,7 @@ func newStageRun(c *Cluster, op string, seq uint64, n int, task func(int), remot
 		executor:   c.cfg.Executor,
 		maxRetries: c.cfg.MaxTaskRetries,
 		faults:     c.cfg.Faults,
-		slots:      make([]taskSlot, n),
+		durs:       make([]time.Duration, n),
 		stop:       make(chan struct{}),
 	}
 	st.queue = make(chan taskAttempt, n*(st.maxRetries+1))
@@ -341,12 +334,8 @@ func (st *stageRun) run() {
 // runAttempt executes one attempt and routes its outcome: commit, retry
 // with backoff, or stage failure.
 func (st *stageRun) runAttempt(att taskAttempt) {
-	slot := &st.slots[att.task]
-	if slot.done.Load() {
-		return // another attempt already committed this task
-	}
 	st.attempts.Add(1)
-	err := st.execute(att, slot)
+	err := st.execute(att)
 	if err == nil {
 		return
 	}
@@ -370,10 +359,9 @@ func (st *stageRun) enqueue(att taskAttempt) {
 	}
 }
 
-// execute runs one attempt end to end: fault injection, panic recovery, and
-// the slot-commit gate. A nil return means the task is committed (by this
-// attempt or an earlier winner).
-func (st *stageRun) execute(att taskAttempt, slot *taskSlot) (err error) {
+// execute runs one attempt end to end: fault injection, panic recovery and
+// the commit. A nil return means this attempt committed the task.
+func (st *stageRun) execute(att taskAttempt) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &taskPanic{val: r}
@@ -390,35 +378,33 @@ func (st *stageRun) execute(att taskAttempt, slot *taskSlot) (err error) {
 		}
 	}
 	if st.remote != nil && st.executor != nil {
-		handled, err := st.executeRemote(att, slot)
+		handled, err := st.executeRemote(att)
 		if handled {
 			return err
 		}
 		// The executor declined (no live worker); fall through to the local
 		// closure so output never depends on worker availability.
 	}
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.committed {
-		return nil // an earlier attempt committed; output already in place
-	}
 	start := time.Now()
 	st.task(att.task)
-	slot.durNS.Store(int64(time.Since(start)))
-	slot.committed = true
-	slot.done.Store(true)
-	if st.remaining.Add(-1) == 0 {
-		st.stopOnce.Do(func() { close(st.stop) })
-	}
+	st.commit(att.task, time.Since(start))
 	return nil
 }
 
-// executeRemote dispatches one attempt through the cluster's TaskExecutor.
-// The RPC waits outside the commit lock, which needs to cover only the slot
-// write: the Apply of the returned bytes runs under it, committing or
-// discarding exactly like a local closure. handled is false when the executor declined (ErrNoRemote), in
-// which case the caller falls back to local execution.
-func (st *stageRun) executeRemote(att taskAttempt, slot *taskSlot) (handled bool, err error) {
+// commit records a task's committing attempt's wall time and stops the
+// workers once every task has committed.
+func (st *stageRun) commit(task int, d time.Duration) {
+	st.durs[task] = max(d, 1)
+	if st.remaining.Add(-1) == 0 {
+		st.stopOnce.Do(func() { close(st.stop) })
+	}
+}
+
+// executeRemote dispatches one attempt through the cluster's TaskExecutor
+// and applies the returned bytes, committing exactly like a local closure.
+// handled is false when the executor declined (ErrNoRemote), in which case
+// the caller falls back to local execution.
+func (st *stageRun) executeRemote(att taskAttempt) (handled bool, err error) {
 	ctx := st.c.cfg.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -436,22 +422,12 @@ func (st *stageRun) executeRemote(att taskAttempt, slot *taskSlot) (handled bool
 		return true, err
 	}
 	st.remoteRuns.Add(1)
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.committed {
-		return true, nil // lost the commit race; the worker's bytes are discarded
-	}
 	if err := st.remote.Apply(att.task, result); err != nil {
 		return true, err
 	}
 	// The recorded duration covers dispatch through apply, so the virtual
 	// makespan sees remote tasks on the same clock as local ones.
-	slot.durNS.Store(int64(time.Since(start)))
-	slot.committed = true
-	slot.done.Store(true)
-	if st.remaining.Add(-1) == 0 {
-		st.stopOnce.Do(func() { close(st.stop) })
-	}
+	st.commit(att.task, time.Since(start))
 	return true, nil
 }
 

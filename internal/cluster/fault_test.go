@@ -5,6 +5,7 @@ import (
 	"errors"
 	"iter"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -244,6 +245,52 @@ func TestCancelledStageStatsExcludeUnstartedTasks(t *testing.T) {
 	}
 	if rec.Skew > 3 {
 		t.Errorf("Skew = %.2f distorted by phantom zero-duration tasks", rec.Skew)
+	}
+}
+
+// TestAttemptsOfATaskNeverOverlap: under injected delays, errors and panics
+// at MaxParallel 4, and closures that panic on their own first run, no two
+// attempts of one task execute at once, and every task commits exactly once
+// — the invariant that lets a task's slot go unlocked.
+func TestAttemptsOfATaskNeverOverlap(t *testing.T) {
+	tr := NewTracer()
+	c := MustNew(Config{
+		Nodes: 1, CoresPerNode: 4, MaxParallel: 4, MaxTaskRetries: 8, Tracer: tr,
+		Faults: &FaultPlan{Seed: 11, PanicRate: 0.2, ErrorRate: 0.2, DelayRate: 0.3},
+	})
+	const n = 64
+	var live, runs [n]atomic.Int32
+	var overlaps atomic.Int32
+	c.runStage(stageSpec{op: "test"}, n, func(i int) {
+		if live[i].Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		defer live[i].Add(-1)
+		// Holds the attempt open long enough for a concurrent twin to show.
+		time.Sleep(200 * time.Microsecond)
+		if runs[i].Add(1) == 1 && i%3 == 0 {
+			panic("first run fails")
+		}
+	})
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if k := overlaps.Load(); k != 0 {
+		t.Fatalf("%d attempts ran beside another attempt of their task", k)
+	}
+	for i := range runs {
+		want := int32(1)
+		if i%3 == 0 {
+			want = 2
+		}
+		if got := runs[i].Load(); got != want {
+			t.Errorf("task %d's closure ran %d times, want %d", i, got, want)
+		}
+	}
+	rec := tr.Spans()[0]
+	if rec.Retries <= n/3+1 || rec.Attempts != n+rec.Retries {
+		t.Fatalf("attempts %d, retries %d: want injected faults beyond the %d closure panics, and one attempt per task plus one per retry",
+			rec.Attempts, rec.Retries, n/3+1)
 	}
 }
 

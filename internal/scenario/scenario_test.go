@@ -223,6 +223,46 @@ func TestGeneratorBackgroundTimelineAndDeterminismAcrossClusters(t *testing.T) {
 	}
 }
 
+// TestArtifactFlowSectionSorted: every attack type, on every background
+// source, compiles to an artifact whose flow section passes
+// replay.CheckRecords. csbd streams a cached labeled artifact's flow section
+// without scanning it, on the strength of this order.
+func TestArtifactFlowSectionSorted(t *testing.T) {
+	attacks := []Attack{
+		{Type: TypeHostScan, StartMS: 2_000, Count: 300},
+		{Type: TypeNetworkScan, StartMS: 2_000, Count: 60},
+		{Type: TypeSYNFlood, StartMS: 2_000, Count: 300},
+		{Type: TypeFlood, StartMS: 2_000, Count: 200, Proto: "tcp"},
+		{Type: TypeFlood, StartMS: 2_000, Count: 200, Proto: "udp"},
+		{Type: TypeFlood, StartMS: 2_000, Count: 200, Proto: "icmp"},
+		{Type: TypeDDoS, StartMS: 2_000, Count: 20, FlowsPerSource: 4},
+	}
+	for _, src := range []string{SourceTrace, SourcePGPBA, SourcePGSK} {
+		for _, a := range attacks {
+			sp := mustNormalize(t, &Spec{
+				Seed:       5,
+				Background: Background{Source: src, Hosts: 20, Sessions: 200, Edges: 1500},
+				Attacks:    []Attack{a},
+			})
+			sc, err := Compile(sp, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", src, a.Type, err)
+			}
+			data, err := EncodeLabeled(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slab, err := replay.FlowSection(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replay.CheckRecords(slab); err != nil {
+				t.Errorf("%s/%s %s: %v", src, a.Type, a.Proto, err)
+			}
+		}
+	}
+}
+
 func TestLabeledArtifactRoundTrip(t *testing.T) {
 	sc, err := Compile(mustNormalize(t, testSpec()), nil)
 	if err != nil {

@@ -133,20 +133,15 @@ func (s *Server) StartReplay(req ReplayRequest) (ReplayStatus, error) {
 	if !ok {
 		return ReplayStatus{}, &submitErr{code: http.StatusNotFound, msg: "artifact evicted or unknown; resubmit the job"}
 	}
-	info := s.artifactInfo(req.ArtifactID)
-	rsrv, order, err := replayServer(data, info.format, info.order, replay.Options{
+	// A cached csbf artifact is a scenario job's, which Scenario.Finish
+	// sorted, and spilled bytes are CRC-checked when read: its flow order
+	// needs no scan.
+	rsrv, err := replayServer(data, true, replay.Options{
 		Speed: req.Speed, Rate: req.Rate, Burst: req.Burst,
 		Policy: policy, QueueLen: req.Queue, ArtifactSHA: ArtifactSHA(req.ArtifactID),
 	})
 	if err != nil {
 		return ReplayStatus{}, &submitErr{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	if order != info.order {
-		s.mu.Lock()
-		info = s.formats[req.ArtifactID]
-		info.order = order
-		s.formats[req.ArtifactID] = info
-		s.mu.Unlock()
 	}
 
 	s.rmu.Lock()
@@ -318,32 +313,6 @@ func (s *Server) replayMetrics() ReplayMetrics {
 	return m
 }
 
-// artifactInfo is what the server knows of a cached artifact beyond its
-// bytes: the format of the job records that named it ("" when none did —
-// e.g. a cache-warmed artifact), and for a csbf artifact what the one check
-// of its flow section's start-time order found. Bytes are a function of the
-// artifact id, so neither goes stale when the cache evicts and rebuilds them.
-type artifactInfo struct {
-	format string
-	order  flowOrder
-}
-
-// flowOrder is what checking a csbf artifact's flow section found.
-type flowOrder uint8
-
-const (
-	orderUnchecked flowOrder = iota
-	orderSorted              // whole records sorted by start time: streamed in place
-	orderUnsorted            // replayed through the sorting decode path
-)
-
-// artifactInfo returns what the server knows of an artifact.
-func (s *Server) artifactInfo(artifact string) artifactInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.formats[artifact]
-}
-
 // ArtifactSHA unpacks an artifact id — the hex SHA-256 of its spec — into the
 // form a stream header carries, so subscribers can tie a stream back to the
 // artifact; anything else is the zero "unknown" address.
@@ -354,58 +323,46 @@ func ArtifactSHA(id string) (sha [32]byte) {
 	return sha
 }
 
-// NewReplayServer builds a replay server from artifact bytes — the one path
-// from an artifact to a stream, shared by csbd sessions and cmd/csbreplay. A
-// csbf artifact's flow section is already the server's send slab, so it is
+// NewReplayServer builds a replay server from artifact bytes of any
+// replayable format, read from their leading bytes — the path from a file to
+// a stream in cmd/csbreplay. A csbf artifact's flow section is already the
+// server's send slab, so once CheckRecords finds it in start-time order it is
 // handed over as it is — no decode, no copy; the stream then carries exactly
 // the artifact's flow bytes, and data must not be modified while the server
-// lives. Everything else, and a csbf whose records are out of start-time
-// order (scenario artifacts never are: Finish sorts them), goes through
-// ReplayFlows and is re-encoded.
-func NewReplayServer(data []byte, format string, opts replay.Options) (*replay.Server, error) {
-	rsrv, _, err := replayServer(data, format, orderUnchecked, opts)
-	return rsrv, err
+// lives. Everything else, and a csbf whose records are out of order, goes
+// through ReplayFlows and is re-encoded.
+func NewReplayServer(data []byte, opts replay.Options) (*replay.Server, error) {
+	return replayServer(data, false, opts)
 }
 
-// replayServer is NewReplayServer for an artifact whose flow order an earlier
-// session may have checked (order), so a csbf artifact is scanned once, not
-// once per session. It returns the order it knows afterwards, for the caller
-// to keep.
-func replayServer(data []byte, format string, order flowOrder, opts replay.Options) (*replay.Server, flowOrder, error) {
-	if format == FormatCSBF {
-		if slab, err := replay.FlowSection(data); err == nil {
-			if order == orderUnchecked {
-				order = orderUnsorted
-				if replay.CheckRecords(slab) == nil {
-					order = orderSorted
-				}
-			}
-			if order == orderSorted {
-				if rsrv, err := replay.NewServerFromSortedRecords(slab, opts); err == nil {
-					return rsrv, order, nil
-				}
+// replayServer is NewReplayServer; sorted says a csbf artifact's flow section
+// is known to be in start-time order, so it is streamed without the scan.
+func replayServer(data []byte, sorted bool, opts replay.Options) (*replay.Server, error) {
+	if artifactFormat(data) == FormatCSBF {
+		if slab, err := replay.FlowSection(data); err == nil && (sorted || replay.CheckRecords(slab) == nil) {
+			if rsrv, err := replay.NewServerFromSortedRecords(slab, opts); err == nil {
+				return rsrv, nil
 			}
 		}
 		// Fall through: the decode path reports a malformed artifact or bad
 		// options with its own message, and sorts unsorted records.
 	}
-	flows, err := ReplayFlows(data, format)
+	flows, err := ReplayFlows(data)
 	if err != nil {
-		return nil, order, err
+		return nil, err
 	}
-	rsrv, err := replay.NewServer(flows, opts)
-	return rsrv, order, err
+	return replay.NewServer(flows, opts)
 }
 
 // ReplayFlows decodes artifact bytes into the flows a replay run emits, in
 // emission order. csv (flow records), csbg (graph whose flow projection is
 // replayed) and csbf (labeled flow artifact; the flow section replays and
-// subscribers re-attach labels from the spec) are flow-shaped; other formats
-// have no decoder and are rejected.
-func ReplayFlows(data []byte, format string) ([]netflow.Flow, error) {
+// subscribers re-attach labels from the spec) are flow-shaped, told apart by
+// their leading bytes; other formats have no decoder and are rejected.
+func ReplayFlows(data []byte) ([]netflow.Flow, error) {
 	var flows []netflow.Flow
 	var err error
-	switch format {
+	switch format := artifactFormat(data); format {
 	case FormatCSV:
 		flows, err = netflow.ReadCSV(bytes.NewReader(data))
 	case FormatCSBG:
@@ -419,6 +376,9 @@ func ReplayFlows(data []byte, format string) ([]netflow.Flow, error) {
 		// carries exactly the flow section, preserving the byte-identity
 		// contract between stream payloads and the artifact's flow bytes.
 		flows, err = replay.ReadFlowFile(bytes.NewReader(data))
+	case "":
+		err = fmt.Errorf("artifact is not replayable: no known format signature (want %s, %s or %s)",
+			FormatCSV, FormatCSBG, FormatCSBF)
 	default:
 		err = fmt.Errorf("artifact format %q is not replayable (want %s, %s or %s)",
 			format, FormatCSV, FormatCSBG, FormatCSBF)

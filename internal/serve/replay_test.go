@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"io"
@@ -239,16 +240,6 @@ func TestReplayMetricsLines(t *testing.T) {
 	}
 }
 
-// cacheFlowArtifact plants a hand-built csbf artifact in the server's cache,
-// as a finished scenario job would have left it, and returns its id.
-func cacheFlowArtifact(s *Server, id string, data []byte) string {
-	s.cache.Put(id, data)
-	s.mu.Lock()
-	s.formats[id] = artifactInfo{format: FormatCSBF}
-	s.mu.Unlock()
-	return id
-}
-
 // streamPayload subscribes to a session and returns the concatenated frame
 // payloads of a clean, gap-free stream.
 func streamPayload(t *testing.T, addr string, flows int) []byte {
@@ -286,7 +277,8 @@ func TestReplayStartAliasesArtifact(t *testing.T) {
 	}
 	section := bytes.Clone(buf.Bytes()[replay.FlowFileHeaderLen:])
 	buf.WriteString("CSBL1 stands in for a label section")
-	id := cacheFlowArtifact(s, strings.Repeat("cd", 32), buf.Bytes())
+	id := strings.Repeat("cd", 32)
+	s.cache.Put(id, buf.Bytes())
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -308,12 +300,11 @@ func TestReplayStartAliasesArtifact(t *testing.T) {
 	}
 }
 
-// TestReplayUnsortedArtifactFallsBack: a csbf whose records are out of
-// start-time order cannot be streamed in place; every session decodes it and
-// replays it in start-time order, and the server remembers the order it
-// found so no session scans the slab again first.
+// TestReplayUnsortedArtifactFallsBack: a csbf file from outside the program
+// whose records are out of start-time order cannot be streamed in place;
+// NewReplayServer, cmd/csbreplay's path, decodes it and replays it in
+// start-time order.
 func TestReplayUnsortedArtifactFallsBack(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1})
 	flows := make([]netflow.Flow, 50)
 	for i := range flows {
 		flows[i] = netflow.Flow{SrcIP: uint32(i), StartMicros: int64(i) * 10}
@@ -324,64 +315,60 @@ func TestReplayUnsortedArtifactFallsBack(t *testing.T) {
 	if err := replay.WriteFlowFile(&buf, flows); err != nil {
 		t.Fatal(err)
 	}
-	id := cacheFlowArtifact(s, strings.Repeat("ef", 32), buf.Bytes())
-	for session := range 2 {
-		st, err := s.StartReplay(ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, inOrder) {
-			t.Fatalf("session %d: unsorted csbf did not replay in start-time order", session)
-		}
-		if order := s.artifactInfo(id).order; order != orderUnsorted {
-			t.Fatalf("session %d: recorded order %d, want unsorted", session, order)
-		}
+	rsrv, err := NewReplayServer(buf.Bytes(), replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsrv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rsrv.Serve(ln)
+	go func() {
+		rsrv.AwaitSubscribers(1, 30*time.Second)
+		rsrv.Start()
+	}()
+	if got := streamPayload(t, ln.Addr().String(), len(flows)); !bytes.Equal(got, inOrder) {
+		t.Fatal("unsorted csbf did not replay in start-time order")
 	}
 }
 
-// TestReplayChecksFlowOrderOncePerArtifact: the first session of a sorted
-// csbf artifact checks its flow order and records it beside the artifact's
-// format; later sessions trust the record and stream the cached bytes as
-// they lie, without scanning them. An artifact's bytes are a function of its
-// id, so the record cannot go stale; here the cached bytes are swapped for an
-// out-of-order copy under the same id, and the second session streams that
-// copy unsorted — which it would not, had it scanned the slab again.
-func TestReplayChecksFlowOrderOncePerArtifact(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1})
-	flows := make([]netflow.Flow, 50)
-	for i := range flows {
-		flows[i] = netflow.Flow{SrcIP: uint32(i), StartMicros: int64(i) * 10}
-	}
-	var buf bytes.Buffer
-	if err := replay.WriteFlowFile(&buf, flows); err != nil {
+// TestReplayUnnamedArtifact: an artifact put straight into the cache, with
+// no job naming it, is served under its format's content type and replays,
+// since both read the format from the bytes.
+func TestReplayUnnamedArtifact(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	spec := tinySpec(17)
+	spec.Format = FormatCSV
+	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	id := cacheFlowArtifact(s, strings.Repeat("ab", 32), bytes.Clone(buf.Bytes()))
-	if order := s.artifactInfo(id).order; order != orderUnchecked {
-		t.Fatalf("a fresh artifact's order is %d, want unchecked", order)
-	}
-	st, err := s.StartReplay(ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
+	data, err := BuildArtifact(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, buf.Bytes()[replay.FlowFileHeaderLen:]) {
-		t.Fatal("first session: stream payloads differ from the artifact's flow section")
+	flows, err := ReplayFlows(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if order := s.artifactInfo(id).order; order != orderSorted {
-		t.Fatalf("after the first session the order is %d, want sorted", order)
-	}
+	id := spec.ID()
+	s.Cache().Put(id, data)
 
-	flows[10], flows[31] = flows[31], flows[10]
-	buf.Reset()
-	if err := replay.WriteFlowFile(&buf, flows); err != nil {
-		t.Fatal(err)
-	}
-	s.cache.Put(id, buf.Bytes())
-	st, err = s.StartReplay(ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
+	resp, err := http.Get(ts.URL + "/v1/artifacts/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, buf.Bytes()[replay.FlowFileHeaderLen:]) {
-		t.Fatal("second session re-checked the flow order instead of trusting the record")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if got := resp.Header.Get("Content-Type"); got != "text/csv; charset=utf-8" {
+		t.Fatalf("content type %q, want text/csv", got)
+	}
+	resp, st := startReplayHTTP(t, ts, ReplayRequest{ArtifactID: id, WaitSubscribers: 1, WaitMS: 30_000})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /replay: status %d", resp.StatusCode)
+	}
+	if got := streamPayload(t, st.Addr, len(flows)); !bytes.Equal(got, replay.EncodeFlows(flows)) {
+		t.Fatal("stream payloads differ from the artifact's flows")
 	}
 }

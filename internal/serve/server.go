@@ -154,11 +154,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	inflight map[string]*job // artifact id -> queued/running job (single-flight)
-	// formats maps an artifact id to the format of the jobs that named it,
-	// so serving an artifact never scans the ever-growing job table, and to
-	// what replaying it has learnt of its flow order.
-	formats map[string]artifactInfo
-	closed  bool
+	closed   bool
 
 	// Replay sessions (internal/replay) keyed by session id; rtotals
 	// accumulates the counters of deleted sessions for /metrics.
@@ -234,7 +230,6 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		formats:  make(map[string]artifactInfo),
 		replays:  make(map[string]*replaySession),
 	}
 	s.buildArtifact = func(ctx context.Context, spec Spec) ([]byte, error) {
@@ -264,7 +259,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Tracer() *cluster.Tracer { return s.tracer }
 
 // Cache returns the artifact cache (read-mostly; exposed for tests and for
-// cmd/csbd warm-up tooling).
+// the benchmark, which times a cached Get of its replayed artifact).
 func (s *Server) Cache() *Cache { return s.cache }
 
 // errServerClosed is the cause Close cancels every job with: a build it stops
@@ -485,7 +480,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 			id: s.nextID(), spec: *spec, artifact: artifact,
 			state: StateDone, cacheHit: true, created: time.Now(),
 		}
-		s.recordJob(j)
+		s.jobs[j.id] = j
 		s.mu.Unlock()
 		return j.status(), nil
 	}
@@ -500,7 +495,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 	admitted := j.status()
 	select {
 	case s.queue <- j:
-		s.recordJob(j)
+		s.jobs[j.id] = j
 		s.inflight[artifact] = j
 		s.mu.Unlock()
 		s.misses.Add(1)
@@ -520,14 +515,6 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 		s.rejected.Add(1)
 		return JobStatus{}, &submitErr{code: http.StatusTooManyRequests, msg: "job queue is full"}
 	}
-}
-
-// recordJob files a new job record and its artifact's format; s.mu is held.
-func (s *Server) recordJob(j *job) {
-	s.jobs[j.id] = j
-	info := s.formats[j.artifact]
-	info.format = j.spec.Format
-	s.formats[j.artifact] = info
 }
 
 // nextID mints a job id.
@@ -737,7 +724,7 @@ func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 	st := j.status()
 	switch st.State {
 	case StateDone:
-		s.serveArtifact(w, j.artifact, j.spec)
+		s.serveArtifact(w, j.artifact)
 	case StateQueued, StateRunning:
 		httpError(w, http.StatusConflict, "job is "+string(st.State)+"; poll /v1/jobs/"+j.id)
 	default:
@@ -747,28 +734,21 @@ func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 
 // handleArtifact is GET /v1/artifacts/{id}.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	// The artifact's format rides in its spec; a job that named this
-	// artifact gives an accurate content type, and a direct content-address
-	// fetch of an artifact no job named defaults to octet-stream.
-	s.serveArtifact(w, id, Spec{Format: s.artifactInfo(id).format})
+	s.serveArtifact(w, r.PathValue("id"))
 }
 
 // serveArtifact streams cached artifact bytes in bounded chunks, each a
-// slice of the cached bytes written straight to the response. Chunked
-// transfer keeps memory flat on the write path and the per-chunk flush
-// hands backpressure to the client connection.
-func (s *Server) serveArtifact(w http.ResponseWriter, id string, spec Spec) {
+// slice of the cached bytes written straight to the response, under the
+// content type of the format their leading bytes name. Chunked transfer
+// keeps memory flat on the write path and the per-chunk flush hands
+// backpressure to the client connection.
+func (s *Server) serveArtifact(w http.ResponseWriter, id string) {
 	data, ok := s.cache.Get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "artifact evicted or unknown; resubmit the job")
 		return
 	}
-	if spec.Format != "" {
-		w.Header().Set("Content-Type", spec.ContentType())
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	}
+	w.Header().Set("Content-Type", contentType(artifactFormat(data)))
 	w.Header().Set("X-Artifact-Id", id)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -149,14 +149,17 @@ func TestArtifactContentTypeByAddress(t *testing.T) {
 		}
 		return resp.Header.Get("Content-Type")
 	}
-	for i, format := range []string{FormatTSV, FormatCSV, FormatNDJSON, FormatCSBG} {
+	for i, c := range []struct{ format, want string }{
+		{FormatTSV, "text/tab-separated-values; charset=utf-8"},
+		{FormatCSV, "text/csv; charset=utf-8"},
+		{FormatNDJSON, "application/x-ndjson"},
+		{FormatCSBG, "application/octet-stream"},
+	} {
+		format, want := c.format, c.want
 		spec := tinySpec(uint64(40 + i))
 		spec.Format = format
 		_, st := postJob(t, ts, spec)
 		pollDone(t, ts, st.ID)
-		// A cache-hit resubmit adds a second record naming the artifact.
-		postJob(t, ts, spec)
-		want := spec.ContentType()
 		if got := contentType("/v1/jobs/" + st.ID + "/artifact"); got != want {
 			t.Errorf("%s by job: content type %q, want %q", format, got, want)
 		}
@@ -164,10 +167,10 @@ func TestArtifactContentTypeByAddress(t *testing.T) {
 			t.Errorf("%s by address: content type %q, want %q", format, got, want)
 		}
 	}
-	// An artifact no job named is served as opaque bytes.
+	// Bytes that open with no format's signature are served as opaque.
 	s.Cache().Put("feedface", []byte("src\tdst\n"))
 	if got := contentType("/v1/artifacts/feedface"); got != "application/octet-stream" {
-		t.Errorf("unnamed artifact: content type %q", got)
+		t.Errorf("unknown artifact: content type %q", got)
 	}
 }
 

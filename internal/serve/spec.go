@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -22,6 +23,9 @@ import (
 	"strings"
 
 	"csb/internal/core"
+	"csb/internal/graph"
+	"csb/internal/netflow"
+	"csb/internal/replay"
 	"csb/internal/scenario"
 )
 
@@ -184,16 +188,38 @@ func (s Spec) ID() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ContentType returns the HTTP content type of the spec's artifact format.
-func (s Spec) ContentType() string {
-	switch s.Format {
-	case FormatCSBG, FormatCSBF:
-		return "application/octet-stream"
+// artifactFormat returns the format of artifact bytes, read from the fixed
+// signature every format opens with: csbg's "CSBG" and csbf's "CSBF1" magics,
+// the tsv and csv header rows and an ndjson object's leading "src" key. It
+// returns "" for anything else, including an empty artifact, so callers need
+// no record of which spec built the bytes.
+func artifactFormat(data []byte) string {
+	switch {
+	case bytes.HasPrefix(data, []byte("CSBG")):
+		return FormatCSBG
+	case bytes.HasPrefix(data, []byte(replay.MagicFlowFile)):
+		return FormatCSBF
+	case bytes.HasPrefix(data, []byte(graph.EdgeListHeader)):
+		return FormatTSV
+	case bytes.HasPrefix(data, []byte(netflow.CSVHeaderLine)):
+		return FormatCSV
+	case bytes.HasPrefix(data, []byte(`{"src":`)):
+		return FormatNDJSON
+	}
+	return ""
+}
+
+// contentType returns the HTTP content type of an artifact format; the binary
+// formats and unknown bytes are opaque.
+func contentType(format string) string {
+	switch format {
+	case FormatTSV:
+		return "text/tab-separated-values; charset=utf-8"
 	case FormatCSV:
 		return "text/csv; charset=utf-8"
 	case FormatNDJSON:
 		return "application/x-ndjson"
 	default:
-		return "text/tab-separated-values; charset=utf-8"
+		return "application/octet-stream"
 	}
 }

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"csb/internal/graph"
 )
 
 func TestSpecNormalizeDefaults(t *testing.T) {
@@ -91,5 +95,54 @@ func TestSpecIDIgnoresFractionForPGSK(t *testing.T) {
 	}
 	if a.ID() != b.ID() {
 		t.Fatal("PGSK artifact identity depends on the unused fraction")
+	}
+}
+
+// TestArtifactFormat reads each encoder's real output back to its format;
+// bytes that open with no format's signature read as unknown.
+func TestArtifactFormat(t *testing.T) {
+	plain := graph.New(3)
+	plain.AddEdge(graph.Edge{Src: 0, Dst: 1, Props: graph.EdgeProps{Protocol: graph.ProtoTCP, DstPort: 80}})
+	plain.AddEdge(graph.Edge{Src: 2, Dst: 1, Props: graph.EdgeProps{Protocol: graph.ProtoUDP, DstPort: 53}})
+	hosts := graph.New(3)
+	hosts.AddEdge(graph.Edge{Src: 1, Dst: 2, Props: graph.EdgeProps{Protocol: graph.ProtoTCP, DstPort: 22}})
+	for v := range 3 {
+		hosts.SetAddr(graph.VertexID(v), 0x0a000001+uint32(v))
+	}
+	encode := func(g *graph.Graph, format string) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := EncodeArtifact(&b, g, format); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	labeled := Spec{Scenario: tinyScenario()}
+	if err := labeled.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	csbf, err := BuildArtifact(context.Background(), labeled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"tsv", encode(plain, FormatTSV), FormatTSV},
+		{"csv", encode(plain, FormatCSV), FormatCSV},
+		{"ndjson", encode(plain, FormatNDJSON), FormatNDJSON},
+		{"csbg", encode(plain, FormatCSBG), FormatCSBG},
+		{"csbg with addresses", encode(hosts, FormatCSBG), FormatCSBG},
+		{"csbf", csbf, FormatCSBF},
+		{"empty", nil, ""},
+		{"garbage", []byte("\x00\x01not an artifact"), ""},
+		{"truncated magic", []byte("CSB"), ""},
+		{"tsv header prefix", []byte("src\tdst\n"), ""},
+	} {
+		if got := artifactFormat(c.data); got != c.want {
+			t.Errorf("%s: format %q, want %q", c.name, got, c.want)
+		}
 	}
 }
